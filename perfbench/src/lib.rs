@@ -13,9 +13,10 @@
 //! * `corpus` — 120 synthesized scenarios run as one 120-campaign pooled
 //!   suite on a fresh cache: per-campaign fixed costs and cross-campaign
 //!   queueing dominate.
-//! * `store` — a standard-suite pass through a persistent `DiskStore`: a
-//!   cold half that executes and writes, then a warm half from a second
-//!   handle that must execute nothing.
+//! * `store` — the standard suite replayed from a persistent `DiskStore`
+//!   that set-up populated (a cold run that executes and writes): every
+//!   pass opens a fresh handle on it, as a second process would, and must
+//!   execute nothing.
 //!
 //! The seed picks the registration order of the eight applications
 //! (`suite`, `store`) or the synthesized corpus (`corpus`).
@@ -45,7 +46,8 @@ pub enum Workload {
     Suite,
     /// 120 synthesized scenarios as one pooled suite.
     Corpus,
-    /// A standard-suite pass through a persistent disk store, cold then warm.
+    /// The standard suite replayed from a persistent disk store populated
+    /// at set-up.
     Store,
 }
 
@@ -215,11 +217,11 @@ fn push_verdicts(out: &mut String, report: &CampaignReport) {
 
 /// One untraced pass.
 pub struct Pass {
-    /// Wall-clock of the pass; removing a store directory is not timed.
+    /// Wall-clock of the pass.
     pub wall_ns: u64,
     /// Fault records delivered: executed, replayed or pruned.
     pub records: usize,
-    /// The suite reports the pass produced (`store`: cold half, then warm).
+    /// The suite reports the pass produced.
     pub reports: Vec<SuiteReport>,
 }
 
@@ -234,39 +236,84 @@ pub struct Bench {
     /// The store workload's lockfile manifest (planning is deterministic,
     /// so one manifest covers every pass).
     manifest: Option<SuiteManifest>,
-    /// Where the store workload creates its per-pass directories.
+    /// Where the store workload creates its directories.
     tmp_root: PathBuf,
+    /// The store workload's populated store and the report of the cold run
+    /// that populated it. Removed when the bench is dropped.
+    populated: Option<(PathBuf, SuiteReport)>,
 }
 
 impl Bench {
     /// Set-up: generates the inputs, computes the reference, plans the
-    /// store manifest, then runs one warm-up pass. The warm-up's own check
-    /// is not fatal: every timed pass repeats it and counts its failure.
+    /// store manifest and populates the store, then runs one warm-up pass.
+    /// The warm-up's own check is not fatal: every timed pass repeats it
+    /// and counts its failure.
+    ///
+    /// # Panics
+    ///
+    /// If the store workload's populating run fails its check: no timed
+    /// pass could then be checked.
     pub fn setup(workload: Workload, seed: u64, options: CampaignOptions, workers: usize, tmp_root: &Path) -> Bench {
         Bench::from_inputs(Inputs::new(workload, seed, options), workers, tmp_root)
     }
 
     /// As [`Bench::setup`], over already generated inputs.
+    ///
+    /// # Panics
+    ///
+    /// As [`Bench::setup`].
     pub fn from_inputs(inputs: Inputs, workers: usize, tmp_root: &Path) -> Bench {
         let reference = inputs.reference();
         let manifest = (inputs.workload == Workload::Store).then(|| inputs.suite().manifest());
-        let bench = Bench {
+        let mut bench = Bench {
             inputs,
             reference,
             workers,
             manifest,
             tmp_root: tmp_root.to_path_buf(),
+            populated: None,
         };
+        if bench.inputs.workload == Workload::Store {
+            let dir = bench.fresh_dir();
+            let cold = bench.persistent_run(&dir).and_then(|cold| {
+                bench.check_cold(&cold)?;
+                Ok(cold)
+            });
+            match cold {
+                Ok(cold) => bench.populated = Some((dir, cold)),
+                Err(e) => {
+                    let _ = std::fs::remove_dir_all(&dir);
+                    panic!("store population: {e}")
+                }
+            }
+        }
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bench.pass()));
         bench
     }
 
-    /// A fresh, not yet existing store directory for one pass.
+    /// A fresh, not yet existing store directory.
     pub fn fresh_dir(&self) -> PathBuf {
         // Process-wide, so set-ups repeated in one run never share a name.
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         self.tmp_root.join(format!("store-{n}"))
+    }
+
+    /// The set-up's cold run into the store (`store` only): the report a
+    /// traced pass's cold half must reproduce.
+    pub fn cold_report(&self) -> Option<&SuiteReport> {
+        self.populated.as_ref().map(|(_, cold)| cold)
+    }
+
+    /// One pooled suite run through a fresh persistent handle on `dir`.
+    fn persistent_run(&self, dir: &Path) -> Result<SuiteReport, String> {
+        let cache = ResultCache::persistent(dir).map_err(|e| format!("store open: {e}"))?;
+        Ok(self
+            .inputs
+            .suite()
+            .with_workers(self.workers)
+            .with_result_cache(cache)
+            .execute())
     }
 
     /// Runs one untraced pass and checks it.
@@ -276,45 +323,24 @@ impl Bench {
     /// A verdict set that differs from the reference, or a failed
     /// workload check.
     pub fn pass(&self) -> Result<Pass, String> {
-        if self.inputs.workload != Workload::Store {
-            let start = Instant::now();
-            let report = self.inputs.suite().with_workers(self.workers).execute();
-            if self.inputs.workload == Workload::Suite {
-                std::hint::black_box(report.render_text());
-                std::hint::black_box(epa_vulndb::suite_class_rollup(&report));
-            }
-            let wall_ns = elapsed_ns(start);
-            self.check(&report)?;
-            return Ok(Pass {
-                wall_ns,
-                records: report.total_injected(),
-                reports: vec![report],
-            });
-        }
-        let dir = self.fresh_dir();
         let start = Instant::now();
-        let halves = (0..2)
-            .map(|_| {
-                let cache = ResultCache::persistent(&dir).map_err(|e| format!("store open: {e}"))?;
-                Ok(self
-                    .inputs
-                    .suite()
-                    .with_workers(self.workers)
-                    .with_result_cache(cache)
-                    .execute())
-            })
-            .collect::<Result<Vec<SuiteReport>, String>>();
+        let report = match &self.populated {
+            Some((dir, _)) => self.persistent_run(dir)?,
+            None => self.inputs.suite().with_workers(self.workers).execute(),
+        };
+        if self.inputs.workload == Workload::Suite {
+            std::hint::black_box(report.render_text());
+            std::hint::black_box(epa_vulndb::suite_class_rollup(&report));
+        }
         let wall_ns = elapsed_ns(start);
-        let checked = halves.and_then(|halves| {
-            self.check_store(&dir, &halves)?;
-            Ok(halves)
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-        let reports = checked?;
+        match &self.populated {
+            Some((dir, _)) => self.check_warm(dir, &report)?,
+            None => self.check(&report)?,
+        }
         Ok(Pass {
             wall_ns,
-            records: reports.iter().map(SuiteReport::total_injected).sum(),
-            reports,
+            records: report.total_injected(),
+            reports: vec![report],
         })
     }
 
@@ -334,25 +360,23 @@ impl Bench {
         }
     }
 
-    /// The store workload's checks: both halves match the reference, the
-    /// cold half executed and the warm half replayed everything, and the
-    /// manifest verifies complete against the directory.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first failed check.
-    pub fn check_store(&self, dir: &Path, halves: &[SuiteReport]) -> Result<(), String> {
-        let [cold, warm] = halves else {
-            return Err("store: a pass has a cold and a warm half".into());
-        };
+    /// A cold run into an empty store matches the reference and executed
+    /// runs.
+    fn check_cold(&self, cold: &SuiteReport) -> Result<(), String> {
         self.check(cold)?;
-        self.check(warm)?;
         if cold.total_runs_executed() == 0 {
-            return Err("store: the cold half executed nothing".into());
+            return Err("store: the cold run executed nothing".into());
         }
+        Ok(())
+    }
+
+    /// A warm run matches the reference and replayed everything, and the
+    /// manifest verifies complete against the directory.
+    fn check_warm(&self, dir: &Path, warm: &SuiteReport) -> Result<(), String> {
+        self.check(warm)?;
         if warm.total_runs_executed() != 0 {
             return Err(format!(
-                "store: the warm half executed {} runs, expected 0",
+                "store: the warm run executed {} runs, expected 0",
                 warm.total_runs_executed()
             ));
         }
@@ -363,6 +387,28 @@ impl Bench {
             return Err(format!("store: manifest misses {} keys", verified.missing.len()));
         }
         Ok(())
+    }
+
+    /// The checks of a cold half into a fresh store followed by a warm
+    /// half from a second handle on it.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first failed check.
+    pub fn check_store(&self, dir: &Path, halves: &[SuiteReport]) -> Result<(), String> {
+        let [cold, warm] = halves else {
+            return Err("store: a traced pass has a cold and a warm half".into());
+        };
+        self.check_cold(cold)?;
+        self.check_warm(dir, warm)
+    }
+}
+
+impl Drop for Bench {
+    fn drop(&mut self) {
+        if let Some((dir, _)) = &self.populated {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }
 

@@ -1,9 +1,10 @@
-//! The benchmark's own checks: exact per-layer counts repeat, and the
-//! timing store wrapper changes nothing.
+//! The benchmark's own checks: exact per-layer counts repeat, the timing
+//! store wrapper changes nothing, and store passes replay what set-up
+//! wrote.
 //!
-//! Both tests run campaigns, and the interner counters are process-wide,
-//! so they take one lock: a concurrent test would leak interner lookups
-//! into the other's per-pass deltas.
+//! The tests that run campaigns take one lock, since the interner counters
+//! are process-wide: a concurrent test would leak interner lookups into
+//! another's per-pass deltas.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -131,6 +132,27 @@ fn the_timing_store_is_transparent() {
     assert_eq!(timed_files, bare_files, "byte-identical store directories");
     let _ = std::fs::remove_dir_all(&bare_dir);
     let _ = std::fs::remove_dir_all(&timed_dir);
+}
+
+#[test]
+fn store_passes_replay_the_populated_store_and_clean_up() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let tmp_root = temp_dir("populated");
+    let bench = Bench::setup(Workload::Store, 5, CampaignOptions::default(), 2, &tmp_root);
+    let cold = bench.cold_report().expect("set-up populates the store");
+    assert!(cold.total_runs_executed() > 0);
+    let pass = bench.pass().expect("a warm pass passes its checks");
+    assert_eq!(pass.reports.len(), 1);
+    assert_eq!(
+        pass.reports[0].total_runs_executed(),
+        0,
+        "a timed pass executes nothing"
+    );
+    assert_eq!(pass.records, cold.total_injected());
+    drop(bench);
+    let left = std::fs::read_dir(&tmp_root).map_or(0, Iterator::count);
+    assert_eq!(left, 0, "dropping the bench removes its store");
+    let _ = std::fs::remove_dir_all(&tmp_root);
 }
 
 #[test]
