@@ -34,14 +34,16 @@
 //! byte-identical up to the moment the fault first acts. Four proof shapes
 //! are used, each carried as a [`Justification`]:
 //!
-//! - **State no-op** (direct faults). The fault is applied to a scratch
-//!   copy of the pristine world; if the serialized file-system, registry,
-//!   and network state is unchanged, the application is a no-op *on the
-//!   pristine state*. The proof transfers to injection time iff nothing in
-//!   the clean-trace prefix before the strike point could have changed the
-//!   state the fault reads (its *guard set*): no mutation of the target
-//!   path, no alias-structure change (rename/symlink/unlink-of-a-link),
-//!   no `..`-ambiguity. When any of those occur the job stays
+//! - **State no-op** (direct faults). The fault is applied to a
+//!   copy-on-write snapshot of the pristine world; if the snapshot's file
+//!   system, registry, and network still compare structurally equal to the
+//!   pristine ones ([`Os::same_substrate`]), the application is a no-op
+//!   *on the pristine state*. The proof transfers to injection time iff
+//!   nothing in the clean-trace prefix before the strike point could have
+//!   changed the state the fault reads (its *guard set*): no mutation of
+//!   the target path, no alias-structure change
+//!   (rename/symlink/unlink-of-a-link), no `..`-ambiguity. When any of
+//!   those occur the job stays
 //!   [`Relevance::Unknown`] and executes normally.
 //! - **Grants preserved** (the chown direct faults). Re-owning a file
 //!   *does* change state, but the change is unobservable when the target
@@ -77,7 +79,6 @@ pub mod statics;
 pub use lint::{lint_scenario, lint_setup, Diagnostic, LintReport, Severity};
 pub use statics::{static_model, StaticModel, StaticSite};
 
-use shim_sync::sync::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
@@ -93,7 +94,7 @@ use epa_sandbox::process::Pid;
 use epa_sandbox::trace::{ObjectRef, OpKind, SiteId, TraceEvent};
 
 use crate::campaign::{RunOutcome, TestSetup};
-use crate::engine::planner::{fnv1a, RunDigest};
+use crate::engine::planner::RunDigest;
 use crate::inject::InjectionPlan;
 use crate::perturb::{DirectFault, FaultPayload, IndirectFault};
 
@@ -104,8 +105,9 @@ use crate::perturb::{DirectFault, FaultPayload, IndirectFault};
 /// independently.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Justification {
-    /// Applying the direct fault to the pristine world changes no
-    /// file-system, registry, or network state, and no clean-trace event
+    /// Applying the direct fault to a copy-on-write snapshot of the
+    /// pristine world leaves its file system, registry, and network
+    /// structurally equal to the pristine ones, and no clean-trace event
     /// before the strike point touches the fault's guard set — so applying
     /// it mid-run is the same no-op.
     StateNoOp {
@@ -294,15 +296,6 @@ fn footprint(fault: &DirectFault) -> Footprint {
     }
 }
 
-/// Content fingerprint of the mutable world substrate (file system,
-/// registry, network) — the state a direct fault can touch.
-fn state_fingerprint(os: &Os) -> u64 {
-    let fs = serde_json::to_string(&os.fs).expect("vfs serializes");
-    let registry = serde_json::to_string(&os.registry).expect("registry serializes");
-    let net = serde_json::to_string(&os.net).expect("network serializes");
-    fnv1a(format!("{fs}\n{registry}\n{net}").as_bytes())
-}
-
 /// Physical forms of `path` against `fs`: `(final-symlink-kept, fully
 /// resolved)`. Missing suffixes are appended lexically to the deepest
 /// resolvable ancestor, so two spellings of the same missing file still
@@ -342,8 +335,7 @@ fn lexical_fallback(fs: &Vfs, p: &str) -> String {
 /// ready to classify any planned fault job.
 ///
 /// Built once per campaign plan (the clean run the plan already performs is
-/// the model input) and shared read-only afterwards; classifications are
-/// memoized per canonical job content.
+/// the model input) and shared read-only afterwards.
 pub struct AppAnalysis {
     events: Vec<EventFact>,
     by_site: BTreeMap<SiteId, Vec<usize>>,
@@ -353,7 +345,6 @@ pub struct AppAnalysis {
     /// alias-stable.
     hazard_from: usize,
     pristine: Os,
-    pristine_fp: u64,
     /// The spawn argument vector (immutable for the whole run).
     setup_args: Vec<String>,
     /// The spawn environment (immutable: the sandbox has no `setenv`).
@@ -365,7 +356,6 @@ pub struct AppAnalysis {
     clean_crashed: Option<String>,
     clean_audit_events: usize,
     clean_violations: Vec<epa_sandbox::policy::Verdict>,
-    memo: Mutex<BTreeMap<String, Relevance>>,
 }
 
 impl std::fmt::Debug for AppAnalysis {
@@ -403,7 +393,6 @@ impl AppAnalysis {
             by_site.entry(fact.site.clone()).or_default().push(events.len());
             events.push(fact);
         }
-        let pristine_fp = state_fingerprint(&pristine);
         let mut read_creds: BTreeMap<String, Vec<Credentials>> = BTreeMap::new();
         for ev in clean.os.audit.events() {
             if let AuditEvent::FileRead { path, by, .. } = ev {
@@ -415,7 +404,6 @@ impl AppAnalysis {
             by_site,
             hazard_from,
             pristine,
-            pristine_fp,
             setup_args: setup.args.clone(),
             setup_env: setup.env.clone(),
             read_creds,
@@ -423,7 +411,6 @@ impl AppAnalysis {
             clean_crashed: clean.crashed.clone(),
             clean_audit_events: clean.os.audit.len(),
             clean_violations: clean.violations.clone(),
-            memo: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -525,24 +512,10 @@ impl AppAnalysis {
     /// runs provably replay the clean outcome come back
     /// [`Relevance::ProvablyInert`].
     pub fn classify(&self, job: &InjectionPlan) -> Relevance {
-        let key = format!(
-            "{}#{}|{}",
-            job.site,
-            job.occurrence,
-            serde_json::to_string(&job.fault).expect("faults serialize")
-        );
-        if let Some(hit) = self.memo.lock().expect("analysis memo poisoned").get(&key) {
-            return hit.clone();
-        }
-        let result = match &job.fault.payload {
+        match &job.fault.payload {
             FaultPayload::Direct(df) => self.classify_direct(job, df),
             FaultPayload::Indirect(_) => self.classify_indirect(job),
-        };
-        self.memo
-            .lock()
-            .expect("analysis memo poisoned")
-            .insert(key, result.clone());
-        result
+        }
     }
 
     /// The synthesized replay digest for a provably inert job, `None` for
@@ -638,7 +611,7 @@ impl AppAnalysis {
         // state. Probe whether applying it there changes anything.
         let mut probe = self.pristine.clone();
         let applies_cleanly = df.apply(&mut probe, Pid(0)).is_ok();
-        if state_fingerprint(&probe) == self.pristine_fp {
+        if probe.same_substrate(&self.pristine) {
             return Relevance::ProvablyInert {
                 applied: applies_cleanly,
                 justification: Justification::StateNoOp {

@@ -283,19 +283,6 @@ impl AuditLog {
         idx
     }
 
-    /// Appends a batch of events from one syscall in a single call,
-    /// returning the index of the first. The attached oracle observes the
-    /// whole slice through [`crate::policy::OracleSet::observe_slice`] —
-    /// one dispatch per syscall instead of one per event.
-    pub fn push_batch(&mut self, batch: impl IntoIterator<Item = AuditEvent>) -> usize {
-        let start = self.events.len();
-        self.events.extend(batch);
-        if let Some(oracle) = &mut self.oracle {
-            oracle.observe_slice(start, &self.events[start..]);
-        }
-        start
-    }
-
     /// Subscribes an oracle set to this log. Events already recorded are
     /// replayed to the set first (so attachment order cannot lose
     /// evidence), as one batched slice; every subsequent

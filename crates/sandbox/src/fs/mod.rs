@@ -95,8 +95,22 @@ pub struct Vfs {
 impl PartialEq for Vfs {
     fn eq(&self, other: &Vfs) -> bool {
         // `parents` is derived from the tree; comparing it would only
-        // re-state what `inodes` already says.
-        self.inodes == other.inodes && self.root == other.root && self.next_id == other.next_id
+        // re-state what `inodes` already says. Storage shared between
+        // snapshots compares by pointer, explicitly rather than through
+        // std's `Arc<T: Eq>` specialization, so an untouched snapshot costs
+        // O(1) and a touched one a pointer check per unchanged inode.
+        if self.root != other.root || self.next_id != other.next_id {
+            return false;
+        }
+        if Arc::ptr_eq(&self.inodes, &other.inodes) {
+            return true;
+        }
+        self.inodes.len() == other.inodes.len()
+            && self
+                .inodes
+                .iter()
+                .zip(other.inodes.iter())
+                .all(|((ka, a), (kb, b))| ka == kb && (Arc::ptr_eq(a, b) || a == b))
     }
 }
 
@@ -1195,6 +1209,20 @@ mod tests {
         assert_eq!(deep, fs);
         assert_eq!(deep.shared_inodes_with(&fs), 0);
         deep.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn snapshot_equality_tracks_content_not_sharing() {
+        let fs = setup();
+        let mut snap = fs.clone();
+        assert_eq!(snap, fs, "a copy-on-write clone compares equal");
+        let original = snap.stat("/etc/passwd", None).unwrap().mode;
+        snap.god_chmod("/etc/passwd", Mode::new(0o666)).unwrap();
+        assert_ne!(snap, fs, "a chmod on one inode is visible to equality");
+        assert_eq!(snap.shared_inodes_with(&fs), fs.inode_count() - 1);
+        snap.god_chmod("/etc/passwd", original).unwrap();
+        assert_eq!(snap, fs, "restoring the mode restores equality");
+        assert_eq!(snap.shared_inodes_with(&fs), fs.inode_count() - 1);
     }
 
     #[test]

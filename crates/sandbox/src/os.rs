@@ -190,6 +190,15 @@ impl Os {
         }
     }
 
+    /// Whether `self` and `other` hold the same mutable substrate — file
+    /// system, registry and network, the state a direct fault can touch.
+    /// A structural comparison over exactly the fields each substrate
+    /// serializes; storage a copy-on-write snapshot still shares with its
+    /// source compares by pointer, so an untouched substrate costs O(1).
+    pub fn same_substrate(&self, other: &Os) -> bool {
+        self.fs == other.fs && self.registry == other.registry && self.net == other.net
+    }
+
     /// Physical paths this world has recorded as created by its own run
     /// (oracle support: a program re-writing its own fresh files is not an
     /// integrity problem). A pristine world has none; world fingerprints
@@ -1474,6 +1483,10 @@ mod tests {
         assert!(!deep.net.shares_storage_with(&os.net));
         assert!(!deep.registry.shares_storage_with(&os.registry));
         assert_eq!(deep.fs, os.fs);
+        assert!(snap.same_substrate(&os) && deep.same_substrate(&os));
+        let mut touched = os.clone();
+        touched.net.dns_available = !touched.net.dns_available;
+        assert!(!touched.same_substrate(&os));
     }
 
     #[test]

@@ -376,8 +376,9 @@ impl OracleSet {
     }
 
     /// Streams a contiguous batch of events (indices starting at
-    /// `start_idx`) to every detector in one call — the per-syscall batch
-    /// shape of [`crate::audit::AuditLog::push_batch`]. Equivalent to
+    /// `start_idx`) to every detector in one call — how
+    /// [`crate::audit::AuditLog::attach_oracle`] replays the events
+    /// recorded before attachment. Equivalent to
     /// calling [`OracleSet::observe`] for each event in order.
     ///
     /// Events stay the outer loop: detectors are independent, so either

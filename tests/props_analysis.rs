@@ -1,8 +1,9 @@
 //! Property tests for the static analysis layer: the static site model
 //! must over-approximate the dynamic trace, every `ProvablyInert` verdict
-//! must survive a force-run, lint output must be deterministic, and the
-//! planner's `FaultKey` canonicalization must stay *more* conservative
-//! than the analyzer's alias resolution.
+//! must survive a force-run, the structural state no-op check must agree
+//! with comparing serialized worlds, lint output must be deterministic,
+//! and the planner's `FaultKey` canonicalization must stay *more*
+//! conservative than the analyzer's alias resolution.
 
 use std::collections::BTreeSet;
 
@@ -112,6 +113,105 @@ fn provably_inert_jobs_survive_a_force_run() {
         }
     }
     assert!(checked > 0, "the corpus must exercise at least one inert proof");
+}
+
+/// The serialized file system, registry and network — the reference the
+/// structural no-op check must agree with.
+fn substrate_json(os: &epa::sandbox::os::Os) -> [String; 3] {
+    [
+        serde_json::to_string(&os.fs).expect("vfs serializes"),
+        serde_json::to_string(&os.registry).expect("registry serializes"),
+        serde_json::to_string(&os.net).expect("network serializes"),
+    ]
+}
+
+/// The state no-op proof compares a fault-applied copy-on-write snapshot
+/// against the pristine world structurally (`Os::same_substrate`). Over
+/// randomized corpus worlds plus the standard suite's, and every direct
+/// fault their plans inject, that comparison must agree exactly with
+/// comparing the serialized file system, registry and network.
+#[test]
+fn structural_no_op_check_agrees_with_serialized_worlds() {
+    use epa::core::perturb::FaultPayload;
+    use epa::sandbox::process::Pid;
+
+    let mut setups = Vec::new();
+    for seed in SEEDS {
+        for scenario in corpus(seed, 16) {
+            let setup = scenario.spec.materialize().expect("corpus worlds materialize");
+            setups.push((
+                setup,
+                Box::new(ScriptedApp::for_scenario(&scenario)) as epa::apps::BoxedApp,
+            ));
+        }
+    }
+    for (app, spec) in epa::apps::standard_apps() {
+        setups.push((spec.materialize().expect("standard worlds materialize"), app));
+    }
+    let (mut unchanged, mut changed) = (0usize, 0usize);
+    for (setup, app) in &setups {
+        let pristine = &setup.world;
+        let pristine_json = substrate_json(pristine);
+        let plan = Session::from_setup(setup.clone()).plan(app.as_ref());
+        let mut seen = BTreeSet::new();
+        for job in plan.jobs() {
+            let FaultPayload::Direct(fault) = &job.fault.payload else {
+                continue;
+            };
+            if !seen.insert(serde_json::to_string(fault).expect("faults serialize")) {
+                continue;
+            }
+            let mut probe = pristine.clone();
+            let _ = fault.apply(&mut probe, Pid(0));
+            let structural = probe.same_substrate(pristine);
+            assert_eq!(
+                structural,
+                substrate_json(&probe) == pristine_json,
+                "{}: structural and serialized no-op checks disagree on {fault:?}",
+                app.name()
+            );
+            if structural {
+                unchanged += 1;
+            } else {
+                changed += 1;
+            }
+        }
+    }
+    assert!(
+        unchanged > 0 && changed > 0,
+        "both outcomes must be exercised ({unchanged} no-ops, {changed} changes)"
+    );
+}
+
+/// `(app, pruned, executed)` per standard-suite application, in suite order.
+const PINNED_SUITE_PRUNING: [(&str, usize, usize); 8] = [
+    ("lpr", 1, 13),
+    ("turnin", 3, 38),
+    ("fontpurge", 10, 55),
+    ("ntlogon", 8, 57),
+    ("fingerd", 3, 12),
+    ("authd", 3, 13),
+    ("mailnotify", 0, 19),
+    ("backupd", 1, 9),
+];
+
+/// The standard suite's pruning is pinned: of 245 records, 29 are proven
+/// inert and 216 execute, split across the applications as listed.
+#[test]
+fn standard_suite_prunes_the_same_jobs() {
+    let report = epa::apps::standard_suite().expect("valid specs").execute();
+    let per_app: Vec<(&str, usize, usize)> = report
+        .reports
+        .iter()
+        .map(|r| (r.app.as_str(), r.pruned(), r.runs_executed()))
+        .collect();
+    assert_eq!(
+        per_app, PINNED_SUITE_PRUNING,
+        "per-application pruned/executed counts moved"
+    );
+    let pruned: usize = per_app.iter().map(|&(_, p, _)| p).sum();
+    let executed: usize = per_app.iter().map(|&(_, _, e)| e).sum();
+    assert_eq!((pruned, executed), (29, 216));
 }
 
 /// Lint output is a pure function of the scenario: re-linting the same
