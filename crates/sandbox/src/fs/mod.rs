@@ -30,7 +30,7 @@ mod inode;
 pub use inode::{FileKind, FileTag, FileType, Inode, InodeId, Stat};
 
 use shim_sync::sync::Arc;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -49,14 +49,19 @@ const SYMLINK_BUDGET: usize = 40;
 /// limit "change length" perturbations push file names past.
 pub const NAME_MAX: usize = 255;
 
+/// The absolute path whose components are `names` (`/` for none).
+fn rooted(names: &[&str]) -> String {
+    format!("/{}", names.join("/"))
+}
+
 /// Result of a successful path walk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Walked {
     /// The resolved inode.
     pub id: InodeId,
     /// Physical absolute path of the resolved inode (symlinks expanded),
-    /// as an interned symbol — `Copy`, and allocation-free to propagate
-    /// into audit events.
+    /// interned once at the end of the walk — `Copy`, and allocation-free
+    /// to propagate into audit events.
     pub physical: PathSym,
     /// The physical parent directory (root's parent is root).
     pub parent: InodeId,
@@ -306,7 +311,8 @@ impl Vfs {
     // Path resolution
     // ------------------------------------------------------------------
 
-    /// Physically walks an absolute path.
+    /// Physically walks an absolute path; the physical path it reaches is
+    /// the only text it interns, once, after resolution.
     ///
     /// * `follow_last` — whether a final symlink is expanded (`stat` vs
     ///   `lstat`, `open` vs `unlink`).
@@ -319,83 +325,76 @@ impl Vfs {
     /// used as one, `ELOOP` after 40 symlink expansions, `EACCES` on a
     /// traversal-permission failure, `EINVAL` for relative paths.
     pub fn walk(&self, abs_path: &str, follow_last: bool, cred: Option<&Credentials>) -> SysResult<Walked> {
+        let mut names = Vec::new();
+        let (id, parent) = self.resolve(abs_path, follow_last, cred, &mut names)?;
+        Ok(Walked {
+            id,
+            physical: intern::intern(&rooted(&names)),
+            parent,
+        })
+    }
+
+    /// The resolver behind [`Vfs::walk`], for callers that need no physical
+    /// path. Returns `(id, parent)` and leaves in `names` the components of
+    /// the physical path, borrowed from `abs_path` and from symlink targets.
+    fn resolve<'a>(
+        &'a self,
+        abs_path: &'a str,
+        follow_last: bool,
+        cred: Option<&Credentials>,
+        names: &mut Vec<&'a str>,
+    ) -> SysResult<(InodeId, InodeId)> {
         if !path::is_absolute(abs_path) {
             return Err(syserr!(Einval, "walk requires absolute path, got {abs_path}"));
         }
-        // Components are interned symbols: a re-walked path pays zero
-        // allocations — every name and every prefix is already in the
-        // symbol table from the first walk.
-        let mut queue: VecDeque<PathSym> = path::components(abs_path).map(intern::intern).collect();
-        // Parallel stacks of inodes and resolved-prefix symbols.
-        let mut inode_stack: Vec<InodeId> = vec![self.root];
-        let mut path_stack: Vec<PathSym> = vec![PathSym::root()];
+        // Components still to resolve, the next one last.
+        let mut pending: Vec<&str> = path::components(abs_path).rev().collect();
+        // `inodes[i + 1]` is the inode `names[i]` names; `inodes[0]` is the
+        // root, which is its own parent.
+        let mut inodes: Vec<InodeId> = vec![self.root];
         let mut budget = SYMLINK_BUDGET;
 
-        while let Some(comp) = queue.pop_front() {
+        while let Some(comp) = pending.pop() {
             if comp.len() > NAME_MAX {
                 return Err(syserr!(Enametoolong, "component of {abs_path}"));
             }
-            match comp.as_str() {
+            match comp {
                 "." => continue,
                 ".." => {
-                    if inode_stack.len() > 1 {
-                        inode_stack.pop();
-                        path_stack.pop();
+                    if inodes.len() > 1 {
+                        inodes.pop();
+                        names.pop();
                     }
                     continue;
                 }
                 _ => {}
             }
-            let cur = *inode_stack.last().expect("stack never empty");
-            let here = *path_stack.last().expect("stack never empty");
-            let cur_ino = self.inode(cur)?;
-            let entries = cur_ino.entries().ok_or_else(|| syserr!(Enotdir, "{here}"))?;
+            // Error text names the directory reached so far.
+            let here = || rooted(names);
+            let cur_ino = self.inode(*inodes.last().expect("stack never empty"))?;
+            let entries = cur_ino.entries().ok_or_else(|| syserr!(Enotdir, "{}", here()))?;
             if let Some(c) = cred {
                 if !cur_ino.mode.grants(cur_ino.owner, cur_ino.group, c, Access::Exec) {
-                    return Err(syserr!(Eacces, "search permission denied in {here}"));
+                    return Err(syserr!(Eacces, "search permission denied in {}", here()));
                 }
             }
-            let child = *entries
-                .get(comp.as_str())
-                .ok_or_else(|| syserr!(Enoent, "{here}/{comp}"))?;
-            let child_ino = self.inode(child)?;
-            let is_last = queue.is_empty();
-            if child_ino.is_symlink() && (!is_last || follow_last) {
-                if budget == 0 {
-                    return Err(syserr!(Eloop, "{abs_path}"));
+            let child = *entries.get(comp).ok_or_else(|| syserr!(Enoent, "{}/{comp}", here()))?;
+            if let FileKind::Symlink(target) = &self.inode(child)?.kind {
+                if !pending.is_empty() || follow_last {
+                    budget = budget.checked_sub(1).ok_or_else(|| syserr!(Eloop, "{abs_path}"))?;
+                    if path::is_absolute(target) {
+                        inodes.truncate(1);
+                        names.clear();
+                    }
+                    pending.extend(path::components(target).rev());
+                    continue;
                 }
-                budget -= 1;
-                let (target_comps, target_abs) = match &child_ino.kind {
-                    FileKind::Symlink(t) => (
-                        path::components(t).map(intern::intern).collect::<Vec<PathSym>>(),
-                        path::is_absolute(t),
-                    ),
-                    _ => unreachable!(),
-                };
-                if target_abs {
-                    inode_stack.truncate(1);
-                    path_stack.truncate(1);
-                }
-                for c in target_comps.into_iter().rev() {
-                    queue.push_front(c);
-                }
-                continue;
             }
-            inode_stack.push(child);
-            path_stack.push(here.join(&comp));
+            inodes.push(child);
+            names.push(comp);
         }
 
-        let id = *inode_stack.last().expect("stack never empty");
-        let parent = if inode_stack.len() >= 2 {
-            inode_stack[inode_stack.len() - 2]
-        } else {
-            self.root
-        };
-        Ok(Walked {
-            id,
-            physical: *path_stack.last().expect("stack never empty"),
-            parent,
-        })
+        Ok((inodes[inodes.len() - 1], inodes[inodes.len().saturating_sub(2)]))
     }
 
     /// Resolves the parent directory of `abs_path`, leaving the final
@@ -417,11 +416,7 @@ impl Vfs {
         if name.len() > NAME_MAX {
             return Err(syserr!(Enametoolong, "{abs_path}"));
         }
-        let parent_path = if comps.len() == 1 {
-            "/".to_string()
-        } else {
-            format!("/{}", comps[..comps.len() - 1].join("/"))
-        };
+        let parent_path = rooted(&comps[..comps.len() - 1]);
         let walked = self.walk(&parent_path, true, cred)?;
         let dir_ino = self.inode(walked.id)?;
         if !dir_ino.is_dir() {
@@ -517,8 +512,9 @@ impl Vfs {
                 // A dangling symlink at the final component: `creat` creates
                 // the *target* (POSIX `open(O_CREAT)` semantics) — the path
                 // the planted-symlink perturbations rely on.
-                if let Ok(lw) = self.walk(abs_path, false, Some(cred)) {
-                    if let FileKind::Symlink(target) = &self.inode(lw.id)?.kind {
+                let mut names = Vec::new();
+                if let Ok((id, _)) = self.resolve(abs_path, false, Some(cred), &mut names) {
+                    if let FileKind::Symlink(target) = &self.inode(id)?.kind {
                         if depth == 0 {
                             return Err(syserr!(Eloop, "{abs_path}"));
                         }
@@ -526,8 +522,7 @@ impl Vfs {
                         let target_abs = if path::is_absolute(&target) {
                             target
                         } else {
-                            let parent = path::parent(&lw.physical).unwrap_or_else(|| "/".to_string());
-                            path::join(&parent, &target)
+                            path::join(&rooted(&names[..names.len() - 1]), &target)
                         };
                         return self.creat_inner(&target_abs, mode, cred, umask, depth - 1);
                     }
@@ -547,7 +542,7 @@ impl Vfs {
     ///
     /// `EEXIST` when the path exists; otherwise as [`Vfs::creat`].
     pub fn create_excl(&mut self, abs_path: &str, mode: Mode, cred: &Credentials, umask: u16) -> SysResult<Walked> {
-        if self.walk(abs_path, false, Some(cred)).is_ok() {
+        if self.resolve(abs_path, false, Some(cred), &mut Vec::new()).is_ok() {
             return Err(syserr!(Eexist, "{abs_path}"));
         }
         let (w, _) = self.create_in_parent(abs_path, mode, cred, umask)?;
@@ -651,7 +646,7 @@ impl Vfs {
 
     /// Creates a directory.
     pub fn mkdir(&mut self, abs_path: &str, mode: Mode, cred: &Credentials, umask: u16) -> SysResult<Walked> {
-        if self.walk(abs_path, false, Some(cred)).is_ok() {
+        if self.resolve(abs_path, false, Some(cred), &mut Vec::new()).is_ok() {
             return Err(syserr!(Eexist, "{abs_path}"));
         }
         let pw = self.walk_parent(abs_path, Some(cred))?;
@@ -675,7 +670,7 @@ impl Vfs {
 
     /// Creates a symbolic link at `link` pointing at `target` (text).
     pub fn symlink(&mut self, target: &str, link: &str, cred: &Credentials) -> SysResult<Walked> {
-        if self.walk(link, false, Some(cred)).is_ok() {
+        if self.resolve(link, false, Some(cred), &mut Vec::new()).is_ok() {
             return Err(syserr!(Eexist, "{link}"));
         }
         let pw = self.walk_parent(link, Some(cred))?;
@@ -753,14 +748,14 @@ impl Vfs {
 
     /// `stat` (follows symlinks).
     pub fn stat(&self, abs_path: &str, cred: Option<&Credentials>) -> SysResult<Stat> {
-        let w = self.walk(abs_path, true, cred)?;
-        Ok(Stat::of(self.inode(w.id)?))
+        let (id, _) = self.resolve(abs_path, true, cred, &mut Vec::new())?;
+        Ok(Stat::of(self.inode(id)?))
     }
 
     /// `lstat` (does not follow a final symlink).
     pub fn lstat(&self, abs_path: &str, cred: Option<&Credentials>) -> SysResult<Stat> {
-        let w = self.walk(abs_path, false, cred)?;
-        Ok(Stat::of(self.inode(w.id)?))
+        let (id, _) = self.resolve(abs_path, false, cred, &mut Vec::new())?;
+        Ok(Stat::of(self.inode(id)?))
     }
 
     /// Lists a directory's entry names (requires read permission).
@@ -777,7 +772,7 @@ impl Vfs {
 
     /// True when the path exists (lstat semantics, god-mode).
     pub fn exists(&self, abs_path: &str) -> bool {
-        self.walk(abs_path, false, None).is_ok()
+        self.resolve(abs_path, false, None, &mut Vec::new()).is_ok()
     }
 
     // ------------------------------------------------------------------
@@ -791,23 +786,36 @@ impl Vfs {
             return Err(syserr!(Einval, "{abs_path}"));
         }
         let mut cur = self.root;
-        let comps: Vec<String> = path::components(abs_path).map(str::to_string).collect();
-        for comp in comps {
+        for comp in path::components(abs_path) {
             let existing = {
                 let ino = self.inode(cur)?;
                 let entries = ino.entries().ok_or_else(|| syserr!(Enotdir, "{abs_path}"))?;
-                entries.get(&comp).copied()
+                entries.get(comp).copied()
             };
             cur = match existing {
                 Some(id) => id,
                 None => {
                     let id = self.alloc(FileKind::Directory(BTreeMap::new()), owner, group, mode);
-                    self.link_child(cur, &comp, id)?;
+                    self.link_child(cur, comp, id)?;
                     id
                 }
             };
         }
         Ok(cur)
+    }
+
+    /// The directory a god-mode helper links `abs_path` into (created root-owned
+    /// 0755 as needed; `ENOTDIR` if it names a non-directory) and the name to use.
+    fn god_parent<'a>(&mut self, abs_path: &'a str) -> SysResult<(InodeId, &'a str)> {
+        let parent_path = path::parent(abs_path).ok_or_else(|| syserr!(Einval, "{abs_path}"))?;
+        let dir = self.mkdir_p(&parent_path, Uid::ROOT, Gid::ROOT, Mode::new(0o755))?;
+        if !self.inode(dir)?.is_dir() {
+            return Err(syserr!(Enotdir, "{parent_path}"));
+        }
+        Ok((
+            dir,
+            path::file_name(abs_path).ok_or_else(|| syserr!(Einval, "{abs_path}"))?,
+        ))
     }
 
     /// Installs (or replaces) a regular file with the given content,
@@ -820,18 +828,14 @@ impl Vfs {
         group: Gid,
         mode: Mode,
     ) -> SysResult<InodeId> {
-        let parent_path = path::parent(abs_path).ok_or_else(|| syserr!(Einval, "{abs_path}"))?;
-        let dir = self.mkdir_p(&parent_path, Uid::ROOT, Gid::ROOT, Mode::new(0o755))?;
-        let name = path::file_name(abs_path)
-            .ok_or_else(|| syserr!(Einval, "{abs_path}"))?
-            .to_string();
+        let (dir, name) = self.god_parent(abs_path)?;
         // Replace any existing entry (link_child drops the displaced
         // entry's parent link; the inode itself is dropped here).
-        if let Some(old) = self.inode(dir)?.entries().and_then(|e| e.get(&name)).copied() {
+        if let Some(old) = self.inode(dir)?.entries().and_then(|e| e.get(name)).copied() {
             self.table_mut().remove(&old.0);
         }
         let id = self.alloc(FileKind::Regular(content.into()), owner, group, mode);
-        self.link_child(dir, &name, id)?;
+        self.link_child(dir, name, id)?;
         Ok(id)
     }
 
@@ -866,18 +870,14 @@ impl Vfs {
         if self.exists(abs_path) {
             self.god_remove(abs_path)?;
         }
-        let parent_path = path::parent(abs_path).ok_or_else(|| syserr!(Einval, "{abs_path}"))?;
-        let dir = self.mkdir_p(&parent_path, Uid::ROOT, Gid::ROOT, Mode::new(0o755))?;
-        let name = path::file_name(abs_path)
-            .ok_or_else(|| syserr!(Einval, "{abs_path}"))?
-            .to_string();
+        let (dir, name) = self.god_parent(abs_path)?;
         let id = self.alloc(
             FileKind::Symlink(target.to_string()),
             Uid::ROOT,
             Gid::ROOT,
             Mode::new(0o777),
         );
-        self.link_child(dir, &name, id)?;
+        self.link_child(dir, name, id)?;
         Ok(id)
     }
 

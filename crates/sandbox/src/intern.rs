@@ -1,10 +1,13 @@
 //! Interned path symbols — the hot-loop's answer to per-component
 //! `String` churn.
 //!
-//! Every path that flows through the sandbox (walk resolution, audit
-//! events, fault-key canonicalization) is first *cleaned* with
+//! Every path the sandbox keeps (a walk's physical result, audit events,
+//! fault-key canonicalization) is first *cleaned* with
 //! [`crate::path::clean`] and then interned into a process-wide symbol
-//! table. The resulting [`PathSym`] is a `Copy` handle: cloning an
+//! table. Resolution itself walks borrowed text and interns only the
+//! physical path it reaches, once: the table sits behind a global
+//! `RwLock`, which a per-component lookup contends on from every worker.
+//! The resulting [`PathSym`] is a `Copy` handle: cloning an
 //! audit event no longer copies path bytes, equality is a pointer
 //! compare, and the same path text is stored exactly once for the
 //! lifetime of the process.
@@ -55,9 +58,9 @@ impl PathSym {
         self.0
     }
 
-    /// Interns `self`'s text joined with one more component — the walk
-    /// loop's path extension, served from a `(dir, name)` cache so a
-    /// re-walked prefix never re-allocates.
+    /// Interns `self`'s text joined with one more component — a created
+    /// entry's path, or one step of `Vfs::path_of` — served from a
+    /// `(dir, name)` cache so a re-joined prefix never re-allocates.
     pub fn join(&self, name: &str) -> PathSym {
         table().join(*self, name)
     }

@@ -22,7 +22,7 @@ use crate::buffer::{CopyDiscipline, CopyOutcome, FixedBuf};
 use crate::cred::{Credentials, Gid, Uid, UserDb};
 use crate::data::{Data, Label, PathArg};
 use crate::error::{SysError, SysResult};
-use crate::fs::{FileTag, Stat, Vfs};
+use crate::fs::{FileTag, FileType, Stat, Vfs};
 use crate::intern::PathSym;
 use crate::mode::{Access, Mode};
 use crate::net::{Message, Network};
@@ -501,16 +501,14 @@ impl Os {
 
     fn pre_write_state(&self, abs: &str) -> (bool, Option<Uid>, bool, BTreeSet<FileTag>) {
         let invoker = self.invoker_cred();
-        match self.fs.walk(abs, true, None) {
-            Ok(w) => match self.fs.inode(w.id) {
-                Ok(ino) if ino.is_file() => (
-                    true,
-                    Some(ino.owner),
-                    ino.mode.grants(ino.owner, ino.group, &invoker, Access::Write),
-                    ino.tags.clone(),
-                ),
-                _ => (true, None, false, BTreeSet::new()),
-            },
+        match self.fs.stat(abs, None) {
+            Ok(st) if st.file_type == FileType::Regular => (
+                true,
+                Some(st.owner),
+                st.mode.grants(st.owner, st.group, &invoker, Access::Write),
+                st.tags,
+            ),
+            Ok(_) => (true, None, false, BTreeSet::new()),
             Err(_) => (false, None, false, BTreeSet::new()),
         }
     }

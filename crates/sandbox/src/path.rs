@@ -40,7 +40,7 @@ pub fn join(base: &str, rel: &str) -> String {
 
 /// Splits a path into its non-empty components (`.` components are kept;
 /// the resolver interprets them).
-pub fn components(path: &str) -> impl Iterator<Item = &str> {
+pub fn components(path: &str) -> impl DoubleEndedIterator<Item = &str> {
     path.split('/').filter(|c| !c.is_empty())
 }
 

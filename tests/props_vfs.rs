@@ -2,11 +2,14 @@
 //! operation sequences.
 
 use epa::sandbox::cred::{Credentials, Gid, Uid};
-use epa::sandbox::error::Errno;
-use epa::sandbox::fs::Vfs;
+use epa::sandbox::error::{Errno, SysError, SysResult};
+use epa::sandbox::fs::{FileKind, InodeId, Vfs, Walked, NAME_MAX};
+use epa::sandbox::intern::{intern, PathSym};
 use epa::sandbox::mode::{Access, Mode};
 use epa::sandbox::path;
 use proptest::prelude::*;
+use proptest::test_runner::{resolved_seed, TestRng};
+use std::collections::{BTreeMap, VecDeque};
 
 fn name_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-z]{1,8}").expect("regex")
@@ -143,4 +146,249 @@ proptest! {
             }
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// Resolution against a reference resolver
+// ----------------------------------------------------------------------
+
+/// The interning walk `Vfs::walk` used before resolution borrowed its
+/// components: every component and every resolved prefix is a `PathSym`,
+/// and prefixes are extended through the interner's join cache. Kept as
+/// it was (`self` read as `fs`, `syserr!` spelled out) as the reference
+/// the borrowed resolver must agree with.
+fn reference_walk(fs: &Vfs, abs_path: &str, follow_last: bool, cred: Option<&Credentials>) -> SysResult<Walked> {
+    let err = |errno, context: String| SysError::new(errno, context);
+    if !path::is_absolute(abs_path) {
+        return Err(err(
+            Errno::Einval,
+            format!("walk requires absolute path, got {abs_path}"),
+        ));
+    }
+    let mut queue: VecDeque<PathSym> = path::components(abs_path).map(intern).collect();
+    let mut inode_stack: Vec<InodeId> = vec![fs.root()];
+    let mut path_stack: Vec<PathSym> = vec![PathSym::root()];
+    let mut budget = 40;
+
+    while let Some(comp) = queue.pop_front() {
+        if comp.len() > NAME_MAX {
+            return Err(err(Errno::Enametoolong, format!("component of {abs_path}")));
+        }
+        match comp.as_str() {
+            "." => continue,
+            ".." => {
+                if inode_stack.len() > 1 {
+                    inode_stack.pop();
+                    path_stack.pop();
+                }
+                continue;
+            }
+            _ => {}
+        }
+        let cur = *inode_stack.last().expect("stack never empty");
+        let here = *path_stack.last().expect("stack never empty");
+        let cur_ino = fs.inode(cur)?;
+        let entries = cur_ino
+            .entries()
+            .ok_or_else(|| err(Errno::Enotdir, format!("{here}")))?;
+        if let Some(c) = cred {
+            if !cur_ino.mode.grants(cur_ino.owner, cur_ino.group, c, Access::Exec) {
+                return Err(err(Errno::Eacces, format!("search permission denied in {here}")));
+            }
+        }
+        let child = *entries
+            .get(comp.as_str())
+            .ok_or_else(|| err(Errno::Enoent, format!("{here}/{comp}")))?;
+        let child_ino = fs.inode(child)?;
+        let is_last = queue.is_empty();
+        if child_ino.is_symlink() && (!is_last || follow_last) {
+            if budget == 0 {
+                return Err(err(Errno::Eloop, abs_path.to_string()));
+            }
+            budget -= 1;
+            let (target_comps, target_abs) = match &child_ino.kind {
+                FileKind::Symlink(t) => (
+                    path::components(t).map(intern).collect::<Vec<PathSym>>(),
+                    path::is_absolute(t),
+                ),
+                _ => unreachable!(),
+            };
+            if target_abs {
+                inode_stack.truncate(1);
+                path_stack.truncate(1);
+            }
+            for c in target_comps.into_iter().rev() {
+                queue.push_front(c);
+            }
+            continue;
+        }
+        inode_stack.push(child);
+        path_stack.push(here.join(&comp));
+    }
+
+    let id = *inode_stack.last().expect("stack never empty");
+    let parent = if inode_stack.len() >= 2 {
+        inode_stack[inode_stack.len() - 2]
+    } else {
+        fs.root()
+    };
+    Ok(Walked {
+        id,
+        physical: *path_stack.last().expect("stack never empty"),
+        parent,
+    })
+}
+
+/// One path component: mostly a name from a three-letter alphabet (so
+/// random paths collide often), else `.`, `..`, empty (a `//`), or one
+/// byte longer than `NAME_MAX`, each about one time in twenty.
+fn component_strategy() -> impl Strategy<Value = String> {
+    (0u8..20).prop_map(|k| match k {
+        0 => ".".to_string(),
+        1 => "..".to_string(),
+        2 => String::new(),
+        3 => "n".repeat(NAME_MAX + 1),
+        k => ["a", "b", "c"][usize::from(k % 3)].to_string(),
+    })
+}
+
+/// A name from the three-letter alphabet.
+fn dense_name_strategy() -> impl Strategy<Value = String> {
+    (0u8..3).prop_map(|k| ["a", "b", "c"][usize::from(k)].to_string())
+}
+
+/// Clean absolute paths over the three-letter alphabet.
+fn dense_path_strategy() -> impl Strategy<Value = String> {
+    proptest::collection::vec(dense_name_strategy(), 1..4).prop_map(|parts| format!("/{}", parts.join("/")))
+}
+
+/// Symlink targets: absolute or relative, with `.` and `..` steps, and
+/// bare sibling names (which make self- and mutual loops likely).
+fn target_strategy() -> impl Strategy<Value = String> {
+    let step = (0u8..5).prop_map(|k| ["a", "b", "c", ".", ".."][usize::from(k)].to_string());
+    (0u8..2, proptest::collection::vec(step, 0..3), dense_name_strategy()).prop_map(|(abs, mut parts, last)| {
+        parts.push(last);
+        format!("{}{}", if abs == 0 { "" } else { "/" }, parts.join("/"))
+    })
+}
+
+/// Mutations over a dense namespace: directories whose modes and owners
+/// deny some credentials search permission, and symlinks of every shape.
+/// `MkdirP` and `Symlink` are listed twice to weight the draw toward them.
+fn dense_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (dense_path_strategy(), 0u16..0o777).prop_map(|(p, m)| Op::PutFile(p, m)),
+        dense_path_strategy().prop_map(Op::MkdirP),
+        dense_path_strategy().prop_map(Op::MkdirP),
+        (dense_path_strategy(), target_strategy()).prop_map(|(a, b)| Op::Symlink(a, b)),
+        (dense_path_strategy(), target_strategy()).prop_map(|(a, b)| Op::Symlink(a, b)),
+        dense_path_strategy().prop_map(Op::Remove),
+        (dense_path_strategy(), 0u16..0o777).prop_map(|(p, m)| Op::Chmod(p, m)),
+        (dense_path_strategy(), 0u32..4).prop_map(|(p, u)| Op::Chown(p, u)),
+    ]
+}
+
+/// Probe text: `.`, `..`, empty components (`//`), names longer than
+/// `NAME_MAX`, an optional trailing `/`, and one time in sixteen no
+/// leading `/`.
+fn probe_strategy() -> impl Strategy<Value = String> {
+    (proptest::collection::vec(component_strategy(), 0..6), 0u8..16, 0u8..4).prop_map(|(parts, lead, trail)| {
+        let lead = if lead == 0 { "" } else { "/" };
+        let trail = if trail == 0 { "/" } else { "" };
+        format!("{lead}{}{trail}", parts.join("/"))
+    })
+}
+
+/// The credentials a probe resolves under: god mode, root, and three
+/// plain users whose uids the world's `Chown`s hand out.
+fn probe_creds() -> Vec<Option<Credentials>> {
+    let mut creds = vec![None, Some(Credentials::root())];
+    creds.extend((1..4).map(|u| Some(Credentials::user(Uid(u), Gid(u)))));
+    creds
+}
+
+/// Calls `check` on every (world, probe, credential) triple of a seeded
+/// sweep: 150 dense random worlds, 30 probes each.
+fn for_each_probe(mut check: impl FnMut(&Vfs, &str, Option<&Credentials>)) {
+    let mut rng = TestRng::from_seed(resolved_seed());
+    let ops = proptest::collection::vec(dense_op_strategy(), 0..40);
+    let probes = probe_strategy();
+    let creds = probe_creds();
+    for _ in 0..150 {
+        let mut fs = Vfs::new();
+        for op in &ops.generate(&mut rng) {
+            apply(&mut fs, op);
+        }
+        for _ in 0..30 {
+            let probe = probes.generate(&mut rng);
+            for cred in &creds {
+                check(&fs, &probe, cred.as_ref());
+            }
+        }
+    }
+}
+
+/// The borrowed resolver returns exactly what the interning walk did:
+/// an equal `Walked` (inode, physical symbol, parent) on success, and an
+/// equal errno and message on failure — over probes that reach every
+/// resolution outcome, each of which the sweep must actually produce.
+#[test]
+fn walk_matches_the_interning_reference_resolver() {
+    let mut outcomes: BTreeMap<String, usize> = BTreeMap::new();
+    for_each_probe(|fs, probe, cred| {
+        for follow_last in [true, false] {
+            let got = fs.walk(probe, follow_last, cred);
+            let want = reference_walk(fs, probe, follow_last, cred);
+            assert_eq!(got, want, "walk({probe:?}, follow_last={follow_last}, {cred:?})");
+            let key = match &got {
+                Ok(_) => "ok".to_string(),
+                Err(e) => e.errno.symbol().to_string(),
+            };
+            *outcomes.entry(key).or_default() += 1;
+        }
+    });
+    for outcome in ["ok", "ENOENT", "ENOTDIR", "EACCES", "ELOOP", "ENAMETOOLONG", "EINVAL"] {
+        assert!(
+            outcomes.contains_key(outcome),
+            "sweep never produced {outcome}: {outcomes:?}"
+        );
+    }
+}
+
+/// `stat`, `lstat` and `exists` resolve without producing a physical path;
+/// they must still agree with `walk` on the inode and the error, and a
+/// walk that ends at a directory must name the path `path_of` rebuilds.
+#[test]
+fn stat_lstat_and_exists_agree_with_walk() {
+    let mut directories = 0;
+    for_each_probe(|fs, probe, cred| {
+        for (follow_last, stat) in [(true, fs.stat(probe, cred)), (false, fs.lstat(probe, cred))] {
+            let walked = fs.walk(probe, follow_last, cred);
+            assert_eq!(stat.map(|st| st.id), walked.clone().map(|w| w.id), "{probe:?} {cred:?}");
+            if let Ok(w) = walked {
+                if fs.inode(w.id).expect("walked inode is live").is_dir() {
+                    directories += 1;
+                    assert_eq!(Some(w.physical), fs.path_of(w.id), "{probe:?}");
+                }
+            }
+        }
+        if cred.is_none() {
+            assert_eq!(fs.exists(probe), fs.walk(probe, false, None).is_ok(), "{probe:?}");
+        }
+    });
+    assert!(directories > 0, "the sweep must reach directories");
+}
+
+/// God-mode installs under a path whose parent is a file fail with
+/// `ENOTDIR` and leave the tree consistent (they used to panic linking
+/// into the file).
+#[test]
+fn god_installs_under_a_file_fail_cleanly() {
+    let mut fs = Vfs::new();
+    fs.put_file("/f", "x", Uid::ROOT, Gid::ROOT, Mode::new(0o644))
+        .expect("file");
+    let put = fs.put_file("/f/g", "y", Uid::ROOT, Gid::ROOT, Mode::new(0o644));
+    assert_eq!(put.map_err(|e| e.errno), Err(Errno::Enotdir));
+    assert_eq!(fs.god_symlink("/f/l", "/f").map_err(|e| e.errno), Err(Errno::Enotdir));
+    assert!(fs.check_invariants().is_ok(), "{:?}", fs.check_invariants());
 }
