@@ -6,14 +6,16 @@
 //!
 //! 1. **Exploration cost of the clean fixtures** — every production
 //!    concurrency protocol fixture (executor close/pending queue, result
-//!    cache claim + abandon, indexed and expanding plan-order
-//!    reassembly) is explored to completion under the preemption bound,
+//!    cache claim + abandon, indexed plan-order reassembly, expanding
+//!    reassembly at 2 and 3 workers, the expanding pool's caller working
+//!    as worker 0) is explored to completion under the preemption bound,
 //!    recording interleavings explored and max schedule depth. Any
 //!    failure here is a regression in a shipped protocol.
-//! 2. **Mutation kill gate** — the two seeded bugs (pending decrement
+//! 2. **Mutation kill gate** — the three seeded bugs (pending decrement
 //!    outside the shard critical section; claim fulfilment dropping the
-//!    `Pending` slot before publishing `Ready`) must each be caught
-//!    within bounded exploration. `mutants_killed == mutants_seeded` is
+//!    `Pending` slot before publishing `Ready`; an expanding-pool caller
+//!    blocking on `recv` beside a job only it can run) must each be
+//!    caught within bounded exploration. `mutants_killed == mutants_seeded` is
 //!    asserted here and re-validated by CI from the JSON, so a checker
 //!    that silently loses detection power fails the build.
 //!
@@ -56,11 +58,14 @@ fn main() {
         modelcheck::check_claim_protocol(&cfg()),
         modelcheck::check_claim_abandon(&cfg()),
         modelcheck::check_indexed_reassembly(&cfg()),
-        modelcheck::check_expanding_reassembly(&cfg()),
+        modelcheck::check_expanding_reassembly(&cfg(), 2),
+        modelcheck::check_expanding_reassembly(&cfg(), 3),
+        modelcheck::check_caller_works_the_queue(&cfg()),
     ];
     let mutants: Vec<Report> = vec![
         modelcheck::check_close_protocol_mutant(&cfg()),
         modelcheck::check_claim_protocol_mutant(&cfg()),
+        modelcheck::check_caller_works_the_queue_mutant(&cfg()),
     ];
 
     let clean = fixtures.iter().filter(|r| r.failure.is_none()).count();

@@ -968,6 +968,25 @@ impl Execution {
         }
     }
 
+    /// Non-blocking channel receive: a scheduling point that takes the
+    /// next message if one is queued (joining its sender's clock, as
+    /// [`Execution::chan_recv`] does) and otherwise returns `None` at once.
+    pub(crate) fn chan_try_recv<T>(
+        &self,
+        tid: usize,
+        label: &'static str,
+        try_pop: impl FnOnce() -> Option<(T, VClock)>,
+    ) -> Option<T> {
+        let mut st = self.op_enter(tid);
+        if st.abort {
+            return None;
+        }
+        st.note(tid, "try_recv", label);
+        let (value, clock) = try_pop()?;
+        st.threads[tid].clock.join(&clock);
+        Some(value)
+    }
+
     /// The last sender disconnected: wake blocked receivers so they can
     /// observe the hangup. Not a scheduling point (runs from drops).
     pub(crate) fn chan_hangup(&self, handle: &Handle, label: &'static str) {

@@ -706,7 +706,8 @@ pub mod atomic {
 // ---------------------------------------------------------------------------
 
 /// Model-aware `std::sync::mpsc` (the subset the engine uses: unbounded
-/// `channel`, `send`, blocking `recv`, iteration, disconnect errors).
+/// `channel`, `send`, blocking `recv`, non-blocking `try_recv`,
+/// iteration, disconnect errors).
 /// Messages carry the sender's vector clock, so send → receive is a
 /// happens-before edge.
 pub mod mpsc {
@@ -815,6 +816,28 @@ pub mod mpsc {
                     }
                     queue = self.chan.ready.wait(queue).unwrap_or_else(PoisonError::into_inner);
                 }
+            }
+        }
+
+        /// Takes the next value without blocking: `Empty` while senders
+        /// remain, `Disconnected` once every sender is gone and the queue
+        /// is drained. Inside an execution this is a scheduling point, and
+        /// a received value carries the same send → receive
+        /// happens-before edge as [`Receiver::recv`].
+        pub fn try_recv(&self) -> Result<T, TryRecvError> {
+            let chan = &self.chan;
+            let pop = || chan.queue.lock().unwrap_or_else(PoisonError::into_inner).pop_front();
+            let disconnected = || chan.senders.load(Ordering::SeqCst) == 0;
+            let got = match ctx() {
+                Some(c) => c.exec.chan_try_recv(c.tid, "mpsc", pop),
+                None => pop().map(|(value, _)| value),
+            };
+            match got {
+                Some(value) => Ok(value),
+                // Checked after the pop, as `recv` does: a message sent
+                // just before the last sender hung up is still delivered.
+                None if disconnected() => Err(TryRecvError::Disconnected),
+                None => Err(TryRecvError::Empty),
             }
         }
 

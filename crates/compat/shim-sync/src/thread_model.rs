@@ -7,7 +7,9 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Mutex as StdMutex, PoisonError};
 use std::time::Duration;
 
-pub use std::thread::{available_parallelism, panicking, Result};
+// Model threads run on real OS threads, so `current()` identifies them
+// as it does outside an execution.
+pub use std::thread::{available_parallelism, current, panicking, Result};
 
 use crate::model::{ctx, thread_body};
 

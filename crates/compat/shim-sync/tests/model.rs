@@ -215,6 +215,83 @@ fn channel_send_is_a_happens_before_edge() {
 }
 
 #[test]
+fn try_recv_is_a_scheduling_point_and_a_happens_before_edge() {
+    use shim_sync::sync::mpsc::{self, TryRecvError};
+    // Counted across schedules (outside the model): both outcomes of the
+    // single `try_recv` must be explored, and a received value must order
+    // the sender's write before the receiver's read.
+    let got = std::sync::atomic::AtomicUsize::new(0);
+    let empty = std::sync::atomic::AtomicUsize::new(0);
+    let report = check("chan_try_recv_hb", &Config::default(), || {
+        let cell = Arc::new(RaceCell::new(0usize));
+        let (tx, rx) = mpsc::channel::<usize>();
+        thread::scope(|s| {
+            let c = cell.clone();
+            s.spawn(move || {
+                c.set(7);
+                // The receiver may have polled and hung up already.
+                let _ = tx.send(1);
+            });
+            let c = cell.clone();
+            let (got, empty) = (&got, &empty);
+            s.spawn(move || match rx.try_recv() {
+                Ok(1) => {
+                    assert_eq!(c.get(), 7);
+                    got.fetch_add(1, Ordering::SeqCst);
+                }
+                Ok(v) => panic!("unexpected message {v}"),
+                Err(TryRecvError::Empty | TryRecvError::Disconnected) => {
+                    empty.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        });
+    });
+    report.assert_complete();
+    assert!(got.load(Ordering::SeqCst) > 0, "some schedule must deliver the message");
+    assert!(
+        empty.load(Ordering::SeqCst) > 0,
+        "some schedule must poll before the send"
+    );
+}
+
+#[test]
+fn an_empty_try_recv_orders_nothing() {
+    use shim_sync::sync::mpsc;
+    // Reading the cell whatever `try_recv` returned: the schedules where
+    // it came back empty leave the write unordered with the read.
+    let report = check("chan_try_recv_no_edge", &Config::default(), || {
+        let cell = Arc::new(RaceCell::new(0usize));
+        let (tx, rx) = mpsc::channel::<usize>();
+        thread::scope(|s| {
+            let c = cell.clone();
+            s.spawn(move || {
+                c.set(7);
+                let _ = tx.send(1);
+            });
+            let c = cell.clone();
+            s.spawn(move || {
+                let _ = rx.try_recv();
+                let _ = c.get();
+            });
+        });
+    });
+    let failure = report.expect_failure("a read after an empty poll races the write");
+    assert_eq!(failure.kind, FailureKind::Race, "got: {failure:?}");
+}
+
+#[test]
+fn try_recv_drains_before_reporting_disconnect() {
+    use shim_sync::sync::mpsc::{self, TryRecvError};
+    let report = check("chan_try_recv_disconnect", &Config::default(), || {
+        let (tx, rx) = mpsc::channel::<usize>();
+        thread::spawn(move || tx.send(3).expect("send")).join().expect("sender");
+        assert_eq!(rx.try_recv(), Ok(3), "a message sent before hangup is delivered");
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+    });
+    report.assert_complete();
+}
+
+#[test]
 fn fixture_assertions_surface_as_panic_failures() {
     let report = check("assert_fail", &Config::default(), || {
         let n = Arc::new(AtomicUsize::new(0));

@@ -611,15 +611,17 @@ impl<'a> Campaign<'a> {
     /// As [`Campaign::run_job`], but claim-aware: with a result cache
     /// installed, at most one thread — across parallel workers, the suite's
     /// pool, and even simultaneous suites sharing the cache — executes each
-    /// `(scope, FaultKey)`; concurrent callers block on the in-flight claim
-    /// ([`ResultCache::begin`]) and replay the winner's digest. Without a
-    /// cache this is exactly [`Campaign::run_job`].
-    pub(crate) fn run_job_cached(&self, job: &InjectionPlan) -> FaultRecord {
-        let Some(cache) = self.options.cache.clone() else {
+    /// `(scope, key)`; concurrent callers block on the in-flight claim
+    /// ([`ResultCache::begin`]) and replay the winner's digest. The winner's
+    /// [`crate::engine::planner::ClaimToken::fulfill`] publishes the digest
+    /// (and writes it through to any store), so callers never insert it
+    /// again. `key` must be `FaultKey::of(job)` — the schedule has already
+    /// computed it. Without a cache this is exactly [`Campaign::run_job`].
+    pub(crate) fn run_job_keyed(&self, job: &InjectionPlan, key: &FaultKey) -> FaultRecord {
+        let Some(cache) = &self.options.cache else {
             return self.run_job(job);
         };
-        let key = FaultKey::of(job);
-        match cache.begin(self.scope(), &key) {
+        match cache.begin(self.scope(), key) {
             Claim::Replay(digest) => digest.replay(job),
             Claim::Execute(token) => {
                 let record = self.run_job(job);
@@ -722,8 +724,6 @@ impl<'a> Campaign<'a> {
         plan_budget: Option<usize>,
         on_record: &mut dyn FnMut(&FaultRecord),
     ) -> Vec<FaultRecord> {
-        let cache = self.options.cache.clone();
-        let scope = if cache.is_some() { self.scope() } else { 0 };
         let schedule = self.schedule(jobs);
         let mut slots: Vec<Option<FaultRecord>> = jobs.iter().map(|_| None).collect();
 
@@ -765,7 +765,7 @@ impl<'a> Campaign<'a> {
             while executed < budget && !remaining.is_empty() {
                 let pos = stats.pick(&remaining, jobs);
                 let idx = remaining.remove(pos);
-                let record = self.run_job_cached(&jobs[idx]);
+                let record = self.run_job_keyed(&jobs[idx], schedule.key(idx));
                 // A claim replay (another thread, or a duplicate key in an
                 // undeduped plan, already executed this run) is free: only
                 // actual executions spend the budget.
@@ -774,54 +774,29 @@ impl<'a> Campaign<'a> {
                 }
                 stats.observe(record.category, !record.tolerated());
                 on_record(&record);
-                self.finish_canonical(
-                    &schedule,
-                    jobs,
-                    idx,
-                    record,
-                    scope,
-                    cache.as_ref(),
-                    &mut slots,
-                    on_record,
-                );
+                Self::finish_canonical(&schedule, jobs, idx, record, &mut slots, on_record);
             }
         } else if self.options.parallel && schedule.pending.len() > 1 {
             // One shared queue over bounded workers (no static `i % workers`
             // partitioning): idle workers steal the next unclaimed job, and
             // the executor reassembles plan order from the job indices.
             let pending_jobs: Vec<&InjectionPlan> = schedule.pending.iter().map(|&i| &jobs[i]).collect();
-            let executed =
-                self.executor()
-                    .run_indexed(&pending_jobs, |_, job| self.run_job_cached(job), &mut |_, r| {
-                        on_record(r);
-                    });
+            let executed = self.executor().run_indexed(
+                &pending_jobs,
+                |k, job| self.run_job_keyed(job, schedule.key(schedule.pending[k])),
+                &mut |_, r| {
+                    on_record(r);
+                },
+            );
             for (k, record) in executed.into_iter().enumerate() {
                 let idx = schedule.pending[k];
-                self.finish_canonical(
-                    &schedule,
-                    jobs,
-                    idx,
-                    record,
-                    scope,
-                    cache.as_ref(),
-                    &mut slots,
-                    on_record,
-                );
+                Self::finish_canonical(&schedule, jobs, idx, record, &mut slots, on_record);
             }
         } else {
             for &idx in &schedule.pending {
-                let record = self.run_job_cached(&jobs[idx]);
+                let record = self.run_job_keyed(&jobs[idx], schedule.key(idx));
                 on_record(&record);
-                self.finish_canonical(
-                    &schedule,
-                    jobs,
-                    idx,
-                    record,
-                    scope,
-                    cache.as_ref(),
-                    &mut slots,
-                    on_record,
-                );
+                Self::finish_canonical(&schedule, jobs, idx, record, &mut slots, on_record);
             }
         }
         slots.into_iter().flatten().collect()
@@ -829,8 +804,8 @@ impl<'a> Campaign<'a> {
 
     /// Canonicalizes a flat job list against this campaign's scope, cache,
     /// and dedup setting (the planner's entry point; the suite's pooled
-    /// queue drives the schedule itself so cache replays never occupy a
-    /// worker slot).
+    /// queue builds each campaign's schedule inside its planning job and
+    /// enqueues only the pending misses).
     pub(crate) fn schedule(&self, jobs: &[InjectionPlan]) -> Schedule {
         let scope = if self.options.cache.is_some() { self.scope() } else { 0 };
         let analysis = self.analysis();
@@ -843,38 +818,25 @@ impl<'a> Campaign<'a> {
         Schedule::build(jobs, scope, self.options.cache.as_ref(), self.options.dedup, prune_ref)
     }
 
-    /// Memoizes one executed run's digest under this campaign's scope.
-    pub(crate) fn memoize(&self, key: &crate::engine::planner::FaultKey, digest: RunDigest) {
-        if let Some(cache) = &self.options.cache {
-            cache.insert(self.scope(), key, digest);
-        }
-    }
-
     /// The configured per-campaign execution budget, if any.
     pub(crate) fn plan_budget(&self) -> Option<usize> {
         self.options.plan_budget
     }
 
-    /// Books one executed canonical record: memoizes its digest, replays
-    /// its aliases, and files everything into the plan-order slots.
-    #[allow(clippy::too_many_arguments)]
+    /// Books one executed canonical record: replays its aliases and files
+    /// everything into the plan-order slots. (Its digest is already in the
+    /// cache: the claim that executed it published it.)
     fn finish_canonical(
-        &self,
         schedule: &Schedule,
         jobs: &[InjectionPlan],
         idx: usize,
         record: FaultRecord,
-        scope: u64,
-        cache: Option<&ResultCache>,
         slots: &mut [Option<FaultRecord>],
         on_record: &mut dyn FnMut(&FaultRecord),
     ) {
         let aliases = schedule.aliases_of(idx);
-        if cache.is_some() || !aliases.is_empty() {
+        if !aliases.is_empty() {
             let digest = RunDigest::of(&record);
-            if let Some(c) = cache {
-                c.insert(scope, schedule.key(idx), digest.clone());
-            }
             for &alias in aliases {
                 let replay = digest.replay(&jobs[alias]);
                 on_record(&replay);

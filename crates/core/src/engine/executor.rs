@@ -13,8 +13,11 @@
 //! worker through one `Mutex<VecDeque>` + `Condvar`; that single hot lock
 //! is now **sharded**: each worker owns a deque, pops its own front, and
 //! steals from sibling tails when empty, so queue contention is spread
-//! over `workers` locks instead of one. Results stream back over an
-//! `mpsc` channel to the *calling* thread (so callbacks need no `Sync`) and
+//! over `workers` locks instead of one. The calling thread is worker 0 of
+//! an expanding queue: it spawns `workers - 1` threads and runs jobs itself
+//! whenever no finished result is waiting, so a pool of `workers` puts at
+//! most `workers` threads on the machine. Results stream back over an
+//! `mpsc` channel to the calling thread (so callbacks need no `Sync`) and
 //! are reassembled into deterministic plan order by job index, keeping
 //! pooled reports byte-identical to sequential ones.
 
@@ -31,8 +34,11 @@ static PEAK_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// The highest number of executor worker threads that were alive at the
 /// same moment since the last [`reset_peak_live_workers`] — the observable
-/// proof that pooled execution respects the hardware ceiling (the calling
-/// thread that drains results is the only other live thread).
+/// proof that pooled execution respects the hardware ceiling. The calling
+/// thread of [`Executor::run_expanding`] counts as a worker while it works
+/// the queue, so for expanding pools this is the total number of live
+/// pool threads, caller included. ([`Executor::run_indexed`]'s caller only
+/// drains results and is not counted.)
 pub fn peak_live_workers() -> usize {
     PEAK_WORKERS.load(Ordering::SeqCst)
 }
@@ -88,7 +94,7 @@ impl<J> ShardedQueue<J> {
     }
 
     /// Distributes `jobs` round-robin across shards starting at `from`,
-    /// then wakes every sleeping worker. Only the collector thread pushes,
+    /// then wakes every sleeping worker. Only the calling thread pushes,
     /// so distribution order is deterministic for a given completion order.
     ///
     /// Each job is counted into `pending` **inside the shard critical
@@ -119,7 +125,8 @@ impl<J> ShardedQueue<J> {
     }
 
     /// One pass over the shards: own front first, then sibling tails.
-    fn try_pop(&self, worker: usize) -> Option<J> {
+    /// Never blocks: `None` means every shard was empty when visited.
+    pub(crate) fn try_pop(&self, worker: usize) -> Option<J> {
         let n = self.shards.len();
         for k in 0..n {
             let victim = (worker + k) % n;
@@ -159,7 +166,7 @@ impl<J> ShardedQueue<J> {
     }
 
     /// Closes the pool (optionally discarding queued jobs) and wakes every
-    /// sleeper. Only the collector thread calls this, so the drain cannot
+    /// sleeper. Only the calling thread calls this, so the drain cannot
     /// race a concurrent push.
     pub(crate) fn close(&self, drain: bool) {
         if drain {
@@ -181,10 +188,12 @@ impl<J> ShardedQueue<J> {
 ///   (a campaign's flat fault plan); results come back in job order.
 /// * [`Executor::run_expanding`] — a **dynamic** queue where completing a
 ///   job may enqueue follow-up jobs (a suite: each application's plan job
-///   fans out into its injected-run jobs); the caller assembles results.
+///   fans out into its injected-run jobs); the caller assembles results
+///   and works the queue as worker 0.
 ///
-/// With one worker (or one job) both degrade to inline sequential
-/// execution on the calling thread — no threads are spawned at all.
+/// With one worker both degrade to inline sequential execution on the
+/// calling thread — no threads are spawned at all (as does
+/// [`Executor::run_indexed`] with a single job).
 #[derive(Debug, Clone)]
 pub struct Executor {
     workers: usize,
@@ -284,6 +293,15 @@ impl Executor {
     /// `on_done` on the calling thread, and whatever jobs `on_done` returns
     /// are pushed onto the shared queue for idle workers to steal.
     ///
+    /// The calling thread is **worker 0**: it spawns `workers - 1` threads
+    /// and works the queue itself between completions, so the pool never
+    /// puts more than `workers` busy threads on the machine. Each turn of
+    /// its loop first drains a finished result (`try_recv`); when none is
+    /// waiting it pops and runs a job from its own shard (stealing like
+    /// any worker); only with the queue empty does it block on `recv`.
+    /// A panic in any step — the caller's own included — closes the pool
+    /// and re-raises on the calling thread.
+    ///
     /// Identity/ordering is the caller's concern — jobs and results carry
     /// their own indices (see `Suite::execute_with`, which reassembles
     /// per-application reports in plan order from `(app, job)` indices).
@@ -309,20 +327,21 @@ impl Executor {
         // Follow-up batches keep rotating through the shards so no worker
         // starves when completions cluster on one job's children.
         let mut next_shard = 0usize;
+        // Steps run under `catch_unwind` on every thread: a silently dead
+        // worker would leave its siblings asleep on the condvar and the
+        // caller blocked on `recv` forever, so panics travel as results.
+        let run = |job: J| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(job)));
         thread::scope(|scope| {
-            // Workers send caught panics instead of unwinding in place:
-            // a silently dead worker would leave its siblings asleep on
-            // the condvar and the collector blocked on `recv` forever.
             type Caught = Box<dyn std::any::Any + Send>;
             let (tx, rx) = mpsc::channel::<Result<T, Caught>>();
-            for w in 0..self.workers {
+            for w in 1..self.workers {
                 let tx = tx.clone();
                 let queue = &queue;
-                let step = &step;
+                let run = &run;
                 scope.spawn(move || {
                     let _gauge = WorkerGauge::enter();
                     while let Some(job) = queue.pop(w) {
-                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(job)));
+                        let outcome = run(job);
                         let failed = outcome.is_err();
                         if tx.send(outcome).is_err() || failed {
                             break;
@@ -331,33 +350,39 @@ impl Executor {
                 });
             }
             drop(tx);
+            let _gauge = WorkerGauge::enter();
             while outstanding > 0 {
-                match rx.recv().expect("workers alive while jobs outstanding") {
-                    Ok(done) => {
-                        outstanding -= 1;
-                        // The callback can panic too (it runs user code);
-                        // release the workers before letting it unwind.
-                        let follow_ups = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| on_done(done)))
-                        {
-                            Ok(follow_ups) => follow_ups,
-                            Err(payload) => {
-                                queue.close(true);
-                                std::panic::resume_unwind(payload);
-                            }
-                        };
-                        if !follow_ups.is_empty() {
-                            outstanding += follow_ups.len();
-                            let count = follow_ups.len();
-                            queue.push_many(next_shard, follow_ups);
-                            next_shard = (next_shard + count) % self.workers;
-                        }
-                    }
+                let outcome = match rx.try_recv() {
+                    Ok(outcome) => outcome,
+                    Err(_) => match queue.try_pop(0) {
+                        Some(job) => run(job),
+                        None => rx.recv().expect("workers alive while jobs outstanding"),
+                    },
+                };
+                let done = match outcome {
+                    Ok(done) => done,
                     Err(payload) => {
                         // Wake and release every worker before re-raising,
                         // or the scope join below would deadlock.
                         queue.close(true);
                         std::panic::resume_unwind(payload);
                     }
+                };
+                outstanding -= 1;
+                // The callback can panic too (it runs user code); release
+                // the workers before letting it unwind.
+                let follow_ups = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| on_done(done))) {
+                    Ok(follow_ups) => follow_ups,
+                    Err(payload) => {
+                        queue.close(true);
+                        std::panic::resume_unwind(payload);
+                    }
+                };
+                if !follow_ups.is_empty() {
+                    outstanding += follow_ups.len();
+                    let count = follow_ups.len();
+                    queue.push_many(next_shard, follow_ups);
+                    next_shard = (next_shard + count) % self.workers;
                 }
             }
             queue.close(false);
@@ -402,6 +427,7 @@ fn parse_workers(raw: Option<&str>, hw: usize) -> (usize, Option<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shim_sync::sync::atomic::AtomicBool;
 
     #[test]
     fn indexed_results_come_back_in_job_order() {
@@ -468,6 +494,38 @@ mod tests {
                 );
             }));
             assert!(caught.is_err(), "workers={workers}: the panic must propagate");
+        }
+        // At 2 workers the pool is the calling thread plus one spawned
+        // worker: force the panic onto each in turn. The other thread's
+        // steps wait (bounded) until the panicking thread has taken its
+        // job, so the panic cannot be dodged by one thread draining the
+        // queue alone.
+        let caller = thread::current().id();
+        for on_caller in [true, false] {
+            let panicked = AtomicBool::new(false);
+            let pool = Executor::with_workers(2);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run_expanding(
+                    vec![0usize, 1, 2, 3],
+                    |job| {
+                        if (thread::current().id() == caller) == on_caller {
+                            panicked.store(true, Ordering::SeqCst);
+                            panic!("deliberate step panic");
+                        }
+                        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                        while !panicked.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
+                            thread::sleep(std::time::Duration::from_millis(1));
+                        }
+                        job
+                    },
+                    &mut |_| Vec::new(),
+                );
+            }));
+            assert!(
+                caught.is_err(),
+                "a step panic on the {} must propagate",
+                if on_caller { "calling thread" } else { "spawned worker" }
+            );
         }
         // A panicking completion callback likewise.
         let pool = Executor::with_workers(3);

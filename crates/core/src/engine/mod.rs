@@ -24,8 +24,10 @@
 //! 5. **[`Executor`]** (`executor`) — the single suite-wide work pool:
 //!    every injected run (across all applications) goes into one shared
 //!    queue drained by at most `available_parallelism` workers, with
-//!    deterministic plan-order reassembly of the results. Cache replays
-//!    resolve inline on the calling thread and never occupy a worker slot.
+//!    deterministic plan-order reassembly of the results. The calling
+//!    thread is worker 0 of the pool. Each campaign's schedule (and with
+//!    it every cache and store lookup) is built inside its planning job;
+//!    cache replays never become injected-run jobs.
 //!
 //! The pre-engine driver, [`crate::campaign::Campaign`], remains underneath
 //! as the single-campaign primitive; its deprecated constructor keeps old

@@ -10,7 +10,7 @@
 //! personality, so the code paths explored here are byte-for-byte the
 //! ones tier-1 builds run under `std`.
 //!
-//! Two **seeded mutants** accompany the real protocols as a mutation
+//! Three **seeded mutants** accompany the real protocols as a mutation
 //! gate for the checker itself (if the checker cannot kill a bug we
 //! once shipped, its green runs mean nothing):
 //!
@@ -26,6 +26,12 @@
 //!   the gap finds no slot at all, concludes the claim was abandoned,
 //!   and re-executes the run — the fixture's execution counter turns
 //!   that into an assertion failure on the offending schedule.
+//! * [`check_caller_works_the_queue_mutant`] breaks the expanding
+//!   pool's caller-as-worker contract: the calling thread spawns
+//!   `workers - 1` threads but never works the queue, blocking on `recv`
+//!   while a job that only its shard holds waits to run. With the one
+//!   spawned worker parked on that job's outcome, nothing is runnable —
+//!   the checker reports the deadlock.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -207,19 +213,53 @@ pub fn check_indexed_reassembly(cfg: &Config) -> Report {
     })
 }
 
-/// The suite-pool shape on [`Executor::run_expanding`]: 2 seed jobs
-/// (one per "application plan") each fan out into 2 follow-up jobs on
-/// completion, so the steal path delivers children maximally
-/// out-of-order across shards. The caller-side reassembly by job index
-/// must match the sequential run byte-for-byte in every schedule.
-pub fn check_expanding_reassembly(cfg: &Config) -> Report {
+/// The suite-pool shape on [`Executor::run_expanding`] at `workers`
+/// workers (2 and 3 in the gate: the calling thread as worker 0 plus one
+/// or two spawned threads): 2 seed jobs (one per "application plan") each
+/// fan out into 2 follow-up jobs on completion, so the steal path — and
+/// the caller working its own shard between completions — delivers
+/// children maximally out-of-order. The caller-side reassembly by job
+/// index must match the sequential run byte-for-byte in every schedule.
+pub fn check_expanding_reassembly(cfg: &Config, workers: usize) -> Report {
     let sequential = format!("{:?}", expanding_slots(1));
-    check("executor.expanding_reassembly", cfg, move || {
+    check(&format!("executor.expanding_reassembly.{workers}w"), cfg, move || {
         assert_eq!(
-            format!("{:?}", expanding_slots(2)),
+            format!("{:?}", expanding_slots(workers)),
             sequential,
             "steal-path delivery order must not leak into the report"
         );
+    })
+}
+
+/// The caller-as-worker liveness property of [`Executor::run_expanding`]
+/// at 2 workers (the caller plus one spawned thread): the spawned worker
+/// pops [`WAITER`] from its own shard and blocks until [`GATE`] has run,
+/// while `GATE` sits on the caller's shard. Only the calling thread can
+/// run it, so every schedule completes only if the caller works the queue
+/// instead of blocking on `recv` while a job is queued.
+pub fn check_caller_works_the_queue(cfg: &Config) -> Report {
+    check("executor.caller_works_the_queue", cfg, || {
+        let latch = Latch::default();
+        let mut done = Vec::new();
+        Executor::with_workers(2).run_expanding(vec![GATE, WAITER], |job| latch.step(job), &mut |job| {
+            done.push(job);
+            Vec::new()
+        });
+        done.sort_unstable();
+        assert_eq!(done, vec![GATE, WAITER], "both jobs complete");
+    })
+}
+
+/// Seeded mutant of [`check_caller_works_the_queue`]: the caller spawns
+/// `workers - 1` threads, as worker 0 must, but then only collects
+/// results with a blocking `recv` and never pops a job itself. With the
+/// spawned worker parked on the gate and the gate queued on the caller's
+/// shard, nothing can run: the checker must report the deadlock.
+pub fn check_caller_works_the_queue_mutant(cfg: &Config) -> Report {
+    check("executor.caller_works_the_queue.mutant", cfg, || {
+        let latch = Latch::default();
+        let done = mutant_run_expanding(2, vec![GATE, WAITER], |job| latch.step(job));
+        assert_eq!(done.len(), 2, "both jobs complete");
     })
 }
 
@@ -238,6 +278,70 @@ fn expanding_slots(workers: usize) -> BTreeMap<usize, usize> {
         }
     });
     slots
+}
+
+/// The job of [`check_caller_works_the_queue`] that opens the latch.
+const GATE: usize = 0;
+/// The job of [`check_caller_works_the_queue`] that waits for [`GATE`].
+const WAITER: usize = 1;
+
+/// A one-shot gate between the two jobs of
+/// [`check_caller_works_the_queue`].
+#[derive(Default)]
+struct Latch {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Latch {
+    /// Runs one job: [`GATE`] opens the latch, [`WAITER`] blocks until it
+    /// is open.
+    fn step(&self, job: usize) -> usize {
+        let mut open = self.open.lock().expect("latch lock");
+        if job == GATE {
+            *open = true;
+            drop(open);
+            self.opened.notify_all();
+        } else {
+            while !*open {
+                open = self.opened.wait(open).expect("latch lock");
+            }
+        }
+        job
+    }
+}
+
+/// [`Executor::run_expanding`] (without follow-up jobs) with the seeded
+/// caller bug (see [`check_caller_works_the_queue_mutant`]): `workers - 1`
+/// spawned threads over the production [`ShardedQueue`], and a caller that
+/// only ever blocks on `recv`.
+fn mutant_run_expanding<J: Send, T: Send>(workers: usize, seed: Vec<J>, step: impl Fn(J) -> T + Sync) -> Vec<T> {
+    let jobs = seed.len();
+    let queue = ShardedQueue::new(workers);
+    queue.push_many(0, seed);
+    thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<T>();
+        for w in 1..workers {
+            let tx = tx.clone();
+            let queue = &queue;
+            let step = &step;
+            scope.spawn(move || {
+                while let Some(job) = queue.pop(w) {
+                    if tx.send(step(job)).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        // BUG under test: blocks for each result even while a job that
+        // only this thread's shard holds is waiting to run.
+        let done = (0..jobs)
+            .map(|_| rx.recv().expect("workers alive while jobs outstanding"))
+            .collect();
+        queue.close(false);
+        done
+    })
 }
 
 /// [`ShardedQueue`] with the pre-PR-8 seeded bug: `pending` decremented

@@ -32,9 +32,12 @@
 //!    and only `budget` runs execute. The default (`None`) keeps exhaustive
 //!    plan order, so all paper numbers are reproduced exactly.
 //!
-//! Cache hits never occupy executor worker slots: the scheduling layer
-//! resolves them inline on the calling thread and only true misses are
-//! handed to the pool.
+//! Cache hits never become executor jobs of their own: a campaign's
+//! [`Schedule`] — keys, dedup, static pruning and every cache or store
+//! lookup — is built once, inside that campaign's planning job, on
+//! whichever pool thread runs it (in a suite, a spawned worker or the
+//! calling thread working as worker 0). Only the true misses are handed
+//! back to the pool as injected-run jobs, each carrying its key.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -467,8 +470,8 @@ impl ResultCache {
     /// Looks up the digest of an identical prior run, counting the outcome.
     ///
     /// Never blocks on other threads: an in-flight claim reads as a miss,
-    /// so schedule construction (which runs on the suite's event-loop
-    /// thread) stays non-blocking; the executing path resolves the race in
+    /// so schedule construction (a suite planning job, sharing its pool
+    /// thread with every other job) stays non-blocking; the executing path resolves the race in
     /// [`ResultCache::begin`] instead. A vacant slot consults the
     /// persistent backend (outside the lock) and promotes a hit into the
     /// hot tier, so the disk is read at most once per `(scope, key)`.

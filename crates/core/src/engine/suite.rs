@@ -24,7 +24,7 @@ use epa_sandbox::app::Application;
 use crate::campaign::{Campaign, CampaignPlan};
 use crate::coverage::{AdequacyPoint, Ratio};
 use crate::engine::executor::Executor;
-use crate::engine::planner::{ResultCache, RunDigest, Schedule, YieldStats};
+use crate::engine::planner::{FaultKey, ResultCache, RunDigest, Schedule, YieldStats};
 use crate::engine::session::Session;
 use crate::engine::spec::{SpecError, WorldSpec};
 use crate::inject::InjectionPlan;
@@ -251,15 +251,17 @@ impl Suite {
         }
 
         // The pooled path: one shared queue for the whole suite. Each
-        // application contributes a planning job; completing it runs the
-        // planner over its `(site, occurrence, fault)` jobs — cache hits
-        // and dedup aliases replay inline on the calling thread, never
-        // occupying a worker slot — and fans only the remaining canonical
-        // misses back onto the same queue, so idle workers steal across
-        // application boundaries and the slowest campaign no longer pins a
-        // whole thread. A budgeted campaign enqueues one job at a time
-        // (each pick feeds on the previous outcome) while other campaigns
-        // keep the workers busy.
+        // application contributes a planning job, which whichever thread
+        // pops it (a spawned worker or the calling thread, worker 0) runs
+        // end to end: the clean run and fault plan, then the schedule —
+        // scope fingerprint, canonical keys, dedup, static pruning and
+        // cache/store lookups. Back on the calling thread its pruned and
+        // cache-resolved records (and their aliases) replay, and only the
+        // remaining canonical misses fan back onto the same queue, so idle
+        // workers steal across application boundaries and the slowest
+        // campaign no longer pins a whole thread. A budgeted campaign
+        // enqueues one job at a time (each pick feeds on the previous
+        // outcome) while other campaigns keep the workers busy.
         for entry in &self.entries {
             on_event(SuiteEvent::AppStarted {
                 app: entry.app.name().to_string(),
@@ -274,53 +276,51 @@ impl Suite {
         executor.run_expanding(
             seed,
             |job| match job {
-                SuiteJob::Plan(app) => SuiteDone::Planned {
-                    app,
-                    plan: Box::new(campaigns[app].plan()),
-                },
-                SuiteJob::Inject { app, idx, plan } => SuiteDone::Ran {
+                SuiteJob::Plan(app) => {
+                    let plan = campaigns[app].plan();
+                    let jobs = plan.jobs();
+                    let schedule = campaigns[app].schedule(&jobs);
+                    SuiteDone::Planned {
+                        app,
+                        plan: Box::new(plan),
+                        jobs,
+                        schedule,
+                    }
+                }
+                SuiteJob::Inject { app, idx, plan, key } => SuiteDone::Ran {
                     app,
                     idx,
                     // Claim-aware: when several suites share one cache, a
                     // run another suite is executing right now is waited
                     // out and replayed instead of duplicated.
-                    record: campaigns[app].run_job_cached(&plan),
+                    record: campaigns[app].run_job_keyed(&plan, &key),
                 },
             },
             &mut |done| match done {
-                SuiteDone::Planned { app, plan } => {
+                SuiteDone::Planned {
+                    app,
+                    plan,
+                    jobs,
+                    schedule,
+                } => {
                     let name = self.entries[app].app.name();
-                    let jobs = plan.jobs();
-                    let schedule = campaigns[app].schedule(&jobs);
                     let slot = &mut slots[app];
                     slot.records = (0..jobs.len()).map(|_| None).collect();
                     slot.budget_left = campaigns[app].plan_budget();
                     slot.budgeted = slot.budget_left.is_some();
                     slot.remaining = schedule.pending.clone();
                     slot.plan = Some(plan);
-                    // Statically pruned jobs (and their aliases) resolve
-                    // inline from their synthesized clean-run digests.
+                    // Statically pruned jobs (and their aliases) replay
+                    // their synthesized clean-run digests.
                     for (idx, digest) in &schedule.pruned {
                         for &i in std::iter::once(idx).chain(schedule.aliases_of(*idx)) {
-                            let record = digest.replay_pruned(&jobs[i]);
-                            slot.stats.observe(record.category, !record.tolerated());
-                            on_event(SuiteEvent::Record {
-                                app: name.to_string(),
-                                record: record.clone(),
-                            });
-                            slot.records[i] = Some(record);
+                            slot.file(name, i, digest.replay_pruned(&jobs[i]), on_event);
                         }
                     }
-                    // Cache replays (and their aliases) resolve inline.
+                    // Cache replays (and their aliases).
                     for (idx, digest) in &schedule.resolved {
                         for &i in std::iter::once(idx).chain(schedule.aliases_of(*idx)) {
-                            let record = digest.replay(&jobs[i]);
-                            slot.stats.observe(record.category, !record.tolerated());
-                            on_event(SuiteEvent::Record {
-                                app: name.to_string(),
-                                record: record.clone(),
-                            });
-                            slot.records[i] = Some(record);
+                            slot.file(name, i, digest.replay(&jobs[i]), on_event);
                         }
                     }
                     slot.jobs = jobs;
@@ -333,24 +333,24 @@ impl Suite {
                 }
                 SuiteDone::Ran { app, idx, record } => {
                     let name = self.entries[app].app.name();
-                    on_event(SuiteEvent::Record {
-                        app: name.to_string(),
-                        record: record.clone(),
-                    });
                     let slot = &mut slots[app];
                     let schedule = slot.schedule.as_ref().expect("schedule arrives before its records");
-                    slot.stats.observe(record.category, !record.tolerated());
-                    let digest = RunDigest::of(&record);
-                    campaigns[app].memoize(schedule.key(idx), digest.clone());
-                    for &alias in schedule.aliases_of(idx) {
-                        let replay = digest.replay(&slot.jobs[alias]);
-                        on_event(SuiteEvent::Record {
-                            app: name.to_string(),
-                            record: replay.clone(),
-                        });
-                        slot.records[alias] = Some(replay);
+                    let aliases = schedule.aliases_of(idx).to_vec();
+                    // The claim that executed this run already published
+                    // its digest to the cache (and any store); only the
+                    // plan's own aliases still need it.
+                    let digest = (!aliases.is_empty()).then(|| RunDigest::of(&record));
+                    slot.file(name, idx, record, on_event);
+                    if let Some(digest) = digest {
+                        for alias in aliases {
+                            let replay = digest.replay(&slot.jobs[alias]);
+                            on_event(SuiteEvent::Record {
+                                app: name.to_string(),
+                                record: replay.clone(),
+                            });
+                            slot.records[alias] = Some(replay);
+                        }
                     }
-                    slot.records[idx] = Some(record);
                     slot.outstanding -= 1;
                     let follow_ups = slot.enqueue_next(app);
                     if slot.idle() {
@@ -371,13 +371,15 @@ impl Suite {
 
 /// One unit of suite work on the shared queue.
 enum SuiteJob {
-    /// Trace application `app` and build its fault plan.
+    /// Trace application `app`, build its fault plan, and schedule it.
     Plan(usize),
-    /// Run injection job `idx` of application `app`'s plan.
+    /// Run injection job `idx` of application `app`'s plan, claiming it
+    /// under the canonical key its schedule already computed.
     Inject {
         app: usize,
         idx: usize,
         plan: InjectionPlan,
+        key: FaultKey,
     },
 }
 
@@ -386,6 +388,8 @@ enum SuiteDone {
     Planned {
         app: usize,
         plan: Box<CampaignPlan>,
+        jobs: Vec<InjectionPlan>,
+        schedule: Schedule,
     },
     Ran {
         app: usize,
@@ -415,6 +419,17 @@ struct AppSlot {
 }
 
 impl AppSlot {
+    /// Streams one finished record, counts it toward the verdict yield, and
+    /// files it at its plan position.
+    fn file(&mut self, app: &str, idx: usize, record: FaultRecord, on_event: &mut dyn FnMut(SuiteEvent)) {
+        self.stats.observe(record.category, !record.tolerated());
+        on_event(SuiteEvent::Record {
+            app: app.to_string(),
+            record: record.clone(),
+        });
+        self.records[idx] = Some(record);
+    }
+
     /// Moves schedulable canonical jobs from `remaining` onto the shared
     /// queue: all of them in plan order (exhaustive), or exactly one chosen
     /// by observed verdict yield (budgeted — each pick feeds on the
@@ -425,14 +440,7 @@ impl AppSlot {
             None => {
                 let drained = std::mem::take(&mut self.remaining);
                 self.outstanding += drained.len();
-                drained
-                    .into_iter()
-                    .map(|idx| SuiteJob::Inject {
-                        app,
-                        idx,
-                        plan: self.jobs[idx].clone(),
-                    })
-                    .collect()
+                drained.into_iter().map(|idx| self.inject(app, idx)).collect()
             }
             Some(0) => {
                 self.remaining.clear();
@@ -446,12 +454,19 @@ impl AppSlot {
                 let pos = self.stats.pick(&self.remaining, &self.jobs);
                 let idx = self.remaining.remove(pos);
                 self.outstanding = 1;
-                vec![SuiteJob::Inject {
-                    app,
-                    idx,
-                    plan: self.jobs[idx].clone(),
-                }]
+                vec![self.inject(app, idx)]
             }
+        }
+    }
+
+    /// The queue job executing canonical job `idx`.
+    fn inject(&self, app: usize, idx: usize) -> SuiteJob {
+        let schedule = self.schedule.as_ref().expect("jobs are enqueued after scheduling");
+        SuiteJob::Inject {
+            app,
+            idx,
+            plan: self.jobs[idx].clone(),
+            key: schedule.key(idx).clone(),
         }
     }
 

@@ -62,9 +62,12 @@ pub trait ResultStore: Send + Sync {
     /// Returns the digest of an identical prior run, or `None` on a miss.
     fn load(&self, scope: u64, key: &FaultKey) -> Option<RunDigest>;
 
-    /// Persists the digest of an executed run. Must be idempotent: the
-    /// engine may save the same `(scope, key, digest)` more than once
-    /// (claim fulfilment and schedule memoization both write through).
+    /// Persists the digest of an executed run. The engine saves each
+    /// executed run once, when its claim is fulfilled, but must be
+    /// idempotent all the same: an explicit
+    /// [`crate::engine::ResultCache::insert`] of a known key, or a second
+    /// process over the same store, saves the same `(scope, key, digest)`
+    /// again.
     fn save(&self, scope: u64, key: &FaultKey, digest: &RunDigest);
 
     /// Number of entries currently stored.

@@ -7,8 +7,10 @@
 
 use std::sync::Mutex;
 
-use epa::apps::standard_suite;
+use epa::apps::{standard_suite, standard_suite_with_options};
+use epa::core::campaign::CampaignOptions;
 use epa::core::engine::executor::{self, Executor};
+use epa::core::engine::{Suite, SuiteEvent, SuiteReport};
 
 static POOL_LOCK: Mutex<()> = Mutex::new(());
 
@@ -17,22 +19,20 @@ fn available() -> usize {
 }
 
 #[test]
-fn pooled_suite_never_exceeds_available_parallelism_plus_one() {
+fn pooled_suite_live_threads_never_exceed_available_parallelism() {
     let _guard = POOL_LOCK.lock().unwrap();
     executor::reset_peak_live_workers();
     let report = standard_suite().expect("valid specs").execute();
     assert_eq!(report.reports.len(), 8);
-    let peak_workers = executor::peak_live_workers();
-    // Workers stay within the hardware ceiling; the only other live thread
-    // is the calling thread draining results, hence the +1 bound on the
-    // total.
+    // The calling thread is worker 0 of the expanding pool and enters the
+    // gauge while it works, so the peak is the total number of live pool
+    // threads, the caller included.
+    let peak = executor::peak_live_workers();
     assert!(
-        peak_workers <= available(),
-        "suite execution spawned {peak_workers} workers on {} cores",
+        peak <= available(),
+        "suite execution kept {peak} threads live on {} cores",
         available()
     );
-    let total_live = peak_workers + 1;
-    assert!(total_live <= available() + 1);
 }
 
 #[test]
@@ -76,6 +76,47 @@ fn pinned_worker_counts_reassemble_byte_identical_reports() {
     }
 }
 
+/// Every `SuiteEvent::Record` a run streams, as sorted `(app, record)`
+/// JSON pairs: the stream's multiset, independent of completion order.
+fn streamed_records(suite: &Suite) -> (SuiteReport, Vec<(String, String)>) {
+    let mut streamed = Vec::new();
+    let report = suite.execute_with(&mut |event| {
+        if let SuiteEvent::Record { app, record } = event {
+            streamed.push((app, serde_json::to_string(&record).expect("serialize")));
+        }
+    });
+    streamed.sort();
+    (report, streamed)
+}
+
+#[test]
+fn reports_and_record_streams_match_sequential_at_every_worker_count() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    for dedup in [true, false] {
+        let suite = || {
+            standard_suite_with_options(CampaignOptions {
+                dedup,
+                ..CampaignOptions::default()
+            })
+            .expect("valid specs")
+        };
+        let (sequential, sequential_stream) = streamed_records(&suite().sequential());
+        assert_eq!(
+            sequential_stream.len(),
+            245,
+            "dedup={dedup}: one streamed record per planned job"
+        );
+        for workers in [1usize, 2, 3, 8] {
+            let (pooled, pooled_stream) = streamed_records(&suite().with_workers(workers));
+            assert_eq!(pooled, sequential, "dedup={dedup}, {workers} workers: report diverged");
+            assert_eq!(
+                pooled_stream, sequential_stream,
+                "dedup={dedup}, {workers} workers: streamed records diverged"
+            );
+        }
+    }
+}
+
 #[test]
 fn a_forced_multi_worker_pool_still_reassembles_plan_order() {
     let _guard = POOL_LOCK.lock().unwrap();
@@ -97,7 +138,6 @@ fn campaign_parallelism_also_respects_the_ceiling() {
     let _guard = POOL_LOCK.lock().unwrap();
     executor::reset_peak_live_workers();
     use epa::apps::{turnin, Turnin};
-    use epa::core::campaign::CampaignOptions;
     use epa::core::engine::Session;
     let report = Session::new(&turnin::spec())
         .expect("valid spec")

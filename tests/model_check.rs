@@ -5,10 +5,11 @@
 //! Three guarantees are pinned here:
 //!
 //! 1. The production protocols — the executor's sharded close/pending
-//!    queue, the result cache's claim protocol, plan-order reassembly —
-//!    explore **exhaustively** (within the preemption bound) with zero
-//!    races, deadlocks, lost wakeups, and livelocks.
-//! 2. The two seeded mutants (bugs this codebase once shipped or could
+//!    queue, the result cache's claim protocol, plan-order reassembly,
+//!    the expanding pool's caller working as worker 0 — explore
+//!    **exhaustively** (within the preemption bound) with zero races,
+//!    deadlocks, lost wakeups, and livelocks.
+//! 2. The three seeded mutants (bugs this codebase once shipped or could
 //!    plausibly ship) are **killed** within bounded exploration — the
 //!    checker's detection power is itself under test.
 //! 3. A seeded random walk agrees with the DFS on a mutant, so the
@@ -52,7 +53,16 @@ fn indexed_reassembly_is_byte_identical_to_sequential_in_every_schedule() {
 
 #[test]
 fn expanding_reassembly_survives_adversarial_steal_order() {
-    modelcheck::check_expanding_reassembly(&cfg()).assert_complete();
+    // 2 workers = the caller plus one spawned thread; 3 adds a second
+    // spawned thread stealing against both.
+    for workers in [2, 3] {
+        modelcheck::check_expanding_reassembly(&cfg(), workers).assert_complete();
+    }
+}
+
+#[test]
+fn the_caller_runs_a_job_only_it_can_reach() {
+    modelcheck::check_caller_works_the_queue(&cfg()).assert_complete();
 }
 
 #[test]
@@ -74,6 +84,16 @@ fn seeded_claim_drop_mutant_is_killed() {
         failure.kind,
         FailureKind::Panic,
         "the gap between drop and publish double-executes the run: {failure:?}"
+    );
+}
+
+#[test]
+fn seeded_idle_caller_mutant_is_killed() {
+    let report = modelcheck::check_caller_works_the_queue_mutant(&cfg());
+    let failure = report.expect_failure("a caller blocked on recv beside a queued job must be caught");
+    assert!(
+        matches!(failure.kind, FailureKind::Deadlock | FailureKind::StepBound),
+        "the idle caller strands the gate job behind the parked worker: {failure:?}"
     );
 }
 

@@ -4,14 +4,17 @@
 //! byte-identical verdicts — the `cache_hit` provenance flag is the only
 //! permitted difference. Also covers the conservative-miss contract end to
 //! end: a corrupted entry re-executes exactly its own job, heals the
-//! store, and never changes a verdict.
+//! store, and never changes a verdict. Finally, each executed run reaches
+//! the backend exactly once, and a replayed one never does.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use epa::apps::ScriptedApp;
+use epa::apps::{standard_suite, ScriptedApp};
 use epa::core::corpus::{synthesize_one, DEFAULT_CORPUS_SEED};
-use epa::core::engine::{ResultCache, Session, Suite, SuiteReport};
-use epa::core::store::{DiskStore, ResultStore, SuiteManifest};
+use epa::core::engine::{FaultKey, ResultCache, RunDigest, Session, Suite, SuiteReport};
+use epa::core::store::{DiskStore, MemoryStore, ResultStore, SuiteManifest};
 
 /// An empty per-test store directory under `target/` (kept out of the
 /// source tree; recreated from scratch on every run).
@@ -173,4 +176,65 @@ fn a_truncated_entry_is_a_conservative_miss_not_a_parse_panic() {
     assert_eq!(stripped(&cold), stripped(&warm));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A [`ResultStore`] that counts the saves reaching its inner store.
+#[derive(Default)]
+struct CountingStore {
+    inner: MemoryStore,
+    saves: AtomicUsize,
+}
+
+impl ResultStore for CountingStore {
+    fn load(&self, scope: u64, key: &FaultKey) -> Option<RunDigest> {
+        self.inner.load(scope, key)
+    }
+
+    fn save(&self, scope: u64, key: &FaultKey, digest: &RunDigest) {
+        self.saves.fetch_add(1, Ordering::SeqCst);
+        self.inner.save(scope, key, digest);
+    }
+
+    fn entries(&self) -> usize {
+        self.inner.entries()
+    }
+
+    fn kind(&self) -> &'static str {
+        "counting"
+    }
+}
+
+#[test]
+fn each_executed_run_is_saved_exactly_once() {
+    // Sequential (`None`), and pooled with the caller as worker 0 beside
+    // one or two spawned threads.
+    for workers in [None, Some(2), Some(3)] {
+        let store = Arc::new(CountingStore::default());
+        let suite = || {
+            let suite = standard_suite().expect("valid specs").with_store(store.clone());
+            match workers {
+                None => suite.sequential(),
+                Some(w) => suite.with_workers(w),
+            }
+        };
+        let cold = suite().execute();
+        assert_eq!(cold.total_runs_executed(), 216, "{workers:?}: the cold suite executes");
+        assert_eq!(
+            store.saves.load(Ordering::SeqCst),
+            216,
+            "{workers:?}: the claim that executes a run is its only save"
+        );
+        assert_eq!(store.entries(), 216);
+
+        // A fresh hot tier over the same store: everything replays from it.
+        store.saves.store(0, Ordering::SeqCst);
+        let warm = suite().execute();
+        assert_eq!(warm.total_runs_executed(), 0, "{workers:?}: the warm suite replays");
+        assert_eq!(
+            store.saves.load(Ordering::SeqCst),
+            0,
+            "{workers:?}: a replay saves nothing"
+        );
+        assert_eq!(stripped(&cold), stripped(&warm));
+    }
 }
