@@ -12,7 +12,10 @@
 //! * the campaign manifest written by the cold pass verifies complete
 //!   against the store and is reproduced bit-for-bit by the warm pass;
 //! * warm wall-clock beats cold wall-clock (replay must not cost more
-//!   than execution).
+//!   than execution);
+//! * warm wall-clock beats the same suite re-executed over a fresh
+//!   in-memory cache (`memory_suite_ns`): replaying from disk must beat
+//!   having no store at all.
 //!
 //! The same replay contract is then property-tested over randomized corpus
 //! worlds (`synthesize_one` + `ScriptedApp`), where world shapes, fault
@@ -165,6 +168,11 @@ fn emit_store_bench_json() {
             .0
             .total_runs_executed()
     });
+    let memory_ns = median_ns(samples, || {
+        experiments::suite_with_cache(ResultCache::new())
+            .0
+            .total_runs_executed()
+    });
     let speedup = cold_ns as f64 / warm_ns.max(1) as f64;
 
     let corpus_scenarios = 8;
@@ -173,7 +181,7 @@ fn emit_store_bench_json() {
 
     let json = format!(
         "{{\n  \"bench\": \"store\",\n  \"suite_apps\": {},\n  \"samples\": {samples},\n  \
-         \"cold_suite_ns\": {cold_ns},\n  \"warm_suite_ns\": {warm_ns},\n  \
+         \"cold_suite_ns\": {cold_ns},\n  \"warm_suite_ns\": {warm_ns},\n  \"memory_suite_ns\": {memory_ns},\n  \
          \"cold_over_warm\": {speedup:.2},\n  \"cold_runs_executed\": {},\n  \
          \"warm_runs_executed\": {},\n  \"warm_store_hits\": {warm_store_hits},\n  \
          \"store_entries\": {entries},\n  \"manifest_keys\": {},\n  \
@@ -202,6 +210,13 @@ fn emit_store_bench_json() {
         warm_ns < cold_ns,
         "warm suite replay must be faster than cold execution \
          (warm {warm_ns}ns >= cold {cold_ns}ns)"
+    );
+    // It must also beat re-executing with no store at all: a replay slower
+    // than the runs it saves costs more than it saves.
+    assert!(
+        warm_ns < memory_ns,
+        "warm suite replay must be faster than in-memory execution \
+         (warm {warm_ns}ns >= memory {memory_ns}ns)"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

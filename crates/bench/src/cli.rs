@@ -255,8 +255,8 @@ fn run_store(opts: RunOptions) -> Result<(), String> {
             let stats = store.stats();
             println!("store: {}", dir.display());
             println!(
-                "  entries: {}   bytes: {}   buckets: {}   quarantined buckets: {}",
-                stats.entries, stats.bytes, stats.buckets, stats.quarantined_buckets
+                "  entries: {}   bytes: {}   segments: {}   quarantined segments: {}",
+                stats.entries, stats.bytes, stats.segments, stats.quarantined_segments
             );
             match SuiteManifest::load_from(&dir).map_err(|e| format!("store: {e}"))? {
                 Some(manifest) => println!(
@@ -288,7 +288,7 @@ fn run_store(opts: RunOptions) -> Result<(), String> {
         "verify" => {
             let report = store.verify();
             println!(
-                "store: verify {} — {} entr{} ok, {} corrupt, {} quarantined bucket(s)",
+                "store: verify {} — {} entr{} ok, {} corrupt, {} quarantined segment(s)",
                 dir.display(),
                 report.ok,
                 if report.ok == 1 { "y" } else { "ies" },
@@ -298,13 +298,13 @@ fn run_store(opts: RunOptions) -> Result<(), String> {
             for line in &report.corrupt {
                 println!("  corrupt: {line}");
             }
-            for bucket in &report.quarantined {
-                println!("  quarantined: {bucket}");
+            for segment in &report.quarantined {
+                println!("  quarantined: {segment}");
             }
             let mut failures = Vec::new();
             if !report.is_clean() {
                 failures.push(format!(
-                    "{} corrupt entr(ies), {} quarantined bucket(s)",
+                    "{} corrupt record(s), {} quarantined segment(s)",
                     report.corrupt.len(),
                     report.quarantined.len()
                 ));

@@ -28,8 +28,9 @@
 //!   corpus adequacy dashboard;
 //! * [`store`] — the pluggable result-store layer: the [`store::ResultStore`]
 //!   trait behind the planner's memo cache, the persistent content-addressed
-//!   [`store::DiskStore`] backend (checksummed, versioned, atomic writes,
-//!   LRU/TTL pruning), and the lockfile-style [`store::SuiteManifest`];
+//!   [`store::DiskStore`] backend (checksummed, versioned, one append-only
+//!   segment per scope, LRU/TTL pruning), and the lockfile-style
+//!   [`store::SuiteManifest`];
 //! * [`baselines`] — Fuzz and AVA comparators (paper §5).
 //!
 //! # Example: the paper's §3.4 `lpr` experiment, declaratively

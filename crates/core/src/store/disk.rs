@@ -4,73 +4,74 @@
 //!
 //! ```text
 //! <root>/
-//!   HEADER                        "epa-result-store v1"
-//!   MANIFEST.json                 lockfile-style suite manifest (optional)
-//!   v1/
-//!     <scope:016x>/               one bucket per (application, fingerprint)
-//!       BUCKET                    "epa-store-bucket v1 scope=<scope:016x>"
-//!       <shard:02x>/              fanout on the key digest's high byte
-//!         <digest:016x>.entry     one checksummed record per FaultKey
+//!   HEADER                  "epa-result-store v2"
+//!   MANIFEST.json           lockfile-style suite manifest (optional)
+//!   v2/
+//!     <scope:016x>.seg      one append-only segment per (application, fingerprint)
 //! ```
 //!
-//! # Entry wire format
+//! # Segment wire format
 //!
-//! Three lines — a versioned header, a checksum, a JSON body:
+//! A header line, then one record per line: version, body checksum, body.
 //!
 //! ```text
-//! epa-store-entry v1
-//! checksum <fnv1a(body):016x>
-//! {"scope":"<scope:016x>","key":"<canonical FaultKey text>","digest":{...}}
+//! epa-store-segment v2 scope=<scope:016x>
+//! v2 <fnv1a(body):016x> {"scope":"<scope:016x>","key":"<canonical FaultKey text>","digest":{...}}
 //! ```
 //!
-//! The body carries the **full canonical key text**, not just its 64-bit
-//! digest, and [`DiskStore::load`] verifies it against the requested key:
-//! a digest collision reads as a miss, never as the wrong run. The
-//! checksum covers the body bytes exactly, so a truncated or bit-flipped
-//! entry (a crash mid-write, a disk fault) is detected, logged, deleted,
-//! and treated as a miss. Writes go to a same-directory temp file first
-//! and `rename(2)` into place, so a reader never observes a partial
-//! entry under POSIX rename atomicity.
+//! Records are looked up by their **full canonical key text**, so a 64-bit
+//! key-digest collision can never replay the wrong run. A [`DiskStore`]
+//! handle reads a segment once, on the first load or save of its scope.
+//! A record failing its checksum, of a foreign version, or malformed is
+//! logged and ignored (its key misses); the first valid record of a key
+//! wins. A save is one `O_APPEND` write of one whole line, so concurrent
+//! writers interleave records, never bytes. A crash mid-write leaves a
+//! torn final line, which the next save ends with a newline first: a crash
+//! costs at most one conservative miss, and the re-executed run appends a
+//! healed record. [`DiskStore::prune`] compacts damaged segments.
 
-use std::collections::BTreeSet;
-use std::io;
+use std::collections::{BTreeMap, HashMap};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
 use serde::{Deserialize, Serialize};
 use shim_sync::sync::atomic::{AtomicU64, Ordering};
+use shim_sync::sync::{Arc, Mutex, PoisonError};
 
 use crate::engine::planner::{fnv1a, FaultKey, RunDigest};
 use crate::store::ResultStore;
 
-/// Version of the on-disk record format (store header, bucket headers and
-/// entry headers all carry it). Bump on any incompatible change; readers
-/// treat foreign versions as misses, never as parseable data.
-pub const STORE_FORMAT_VERSION: u32 = 1;
+/// Version of the on-disk record format (the store header, segment
+/// headers and every record carry it). Bump on any incompatible change;
+/// readers treat foreign versions as misses, never as parseable data.
+pub const STORE_FORMAT_VERSION: u32 = 2;
 
 /// The store-root header file name.
 const STORE_HEADER_FILE: &str = "HEADER";
-
-/// The per-bucket header file name.
-const BUCKET_HEADER_FILE: &str = "BUCKET";
-
-/// The first line of every entry.
-fn entry_header() -> String {
-    format!("epa-store-entry v{STORE_FORMAT_VERSION}")
-}
 
 /// The store-root header content.
 fn store_header() -> String {
     format!("epa-result-store v{STORE_FORMAT_VERSION}\n")
 }
 
-/// The bucket header content for `scope`.
-fn bucket_header(scope: u64) -> String {
-    format!("epa-store-bucket v{STORE_FORMAT_VERSION} scope={scope:016x}\n")
+/// Writes the store header through a temp file renamed into place, so a
+/// racing opener never reads a partial one.
+fn write_header(root: &Path) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = root.join(format!(".epa-header-{}-{n}.tmp", std::process::id()));
+    std::fs::write(&tmp, store_header())?;
+    std::fs::rename(&tmp, root.join(STORE_HEADER_FILE))
 }
 
-/// The serialized body of one entry. `scope` is hex text (JSON numbers are
-/// f64-lossy above 2^53; a fingerprint is a full 64-bit hash).
+/// The first line of `scope`'s segment, without its newline.
+fn segment_header(scope: u64) -> String {
+    format!("epa-store-segment v{STORE_FORMAT_VERSION} scope={scope:016x}")
+}
+
+/// The serialized body of one record. `scope` is hex text (JSON numbers
+/// are f64-lossy above 2^53; a fingerprint is a full 64-bit hash).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct EntryBody {
     scope: String,
@@ -78,10 +79,10 @@ struct EntryBody {
     digest: RunDigest,
 }
 
-/// A parsed store entry, as returned by [`decode_entry`].
+/// A parsed store record, as returned by [`decode_entry`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedEntry {
-    /// The memoization scope the entry belongs to.
+    /// The memoization scope the record belongs to.
     pub scope: u64,
     /// The canonical [`FaultKey`] text.
     pub key: String,
@@ -89,22 +90,19 @@ pub struct DecodedEntry {
     pub digest: RunDigest,
 }
 
-/// Why an entry failed to decode. Every variant is handled as a cache
+/// Why a record failed to decode. Every variant is handled as a cache
 /// miss by [`DiskStore::load`]; the distinction matters for logging and
 /// for [`DiskStore::verify`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EntryError {
-    /// The entry was written by a different (or unrecognizable) format
-    /// version.
+    /// The record was written by a different format version.
     Version {
-        /// The header line actually found.
+        /// The version tag actually found.
         found: String,
     },
-    /// The body bytes do not match the recorded checksum — a truncated or
-    /// bit-flipped entry (for example, a crash mid-write).
+    /// The body fails its checksum: a torn or bit-flipped record.
     Checksum,
-    /// The entry is structurally unparseable (missing lines, bad hex,
-    /// undeserializable body).
+    /// The record is structurally unparseable.
     Malformed(String),
 }
 
@@ -112,16 +110,16 @@ impl std::fmt::Display for EntryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EntryError::Version { found } => {
-                write!(f, "version mismatch (found `{found}`, want `{}`)", entry_header())
+                write!(f, "version mismatch (found `{found}`, want `v{STORE_FORMAT_VERSION}`)")
             }
-            EntryError::Checksum => write!(f, "checksum mismatch (truncated or corrupted entry)"),
-            EntryError::Malformed(why) => write!(f, "malformed entry: {why}"),
+            EntryError::Checksum => write!(f, "checksum mismatch (torn or corrupted record)"),
+            EntryError::Malformed(why) => write!(f, "malformed record: {why}"),
         }
     }
 }
 
-/// Serializes one `(scope, key, digest)` record into the entry wire
-/// format. Deterministic: equal inputs produce byte-identical text.
+/// Serializes one `(scope, key, digest)` record into one segment line,
+/// newline included. Deterministic: equal inputs give identical text.
 pub fn encode_entry(scope: u64, key: &FaultKey, digest: &RunDigest) -> String {
     let body = serde_json::to_string(&EntryBody {
         scope: format!("{scope:016x}"),
@@ -129,11 +127,11 @@ pub fn encode_entry(scope: u64, key: &FaultKey, digest: &RunDigest) -> String {
         digest: digest.clone(),
     })
     .expect("store entries serialize infallibly");
-    format!("{}\nchecksum {:016x}\n{body}\n", entry_header(), fnv1a(body.as_bytes()))
+    format!("v{STORE_FORMAT_VERSION} {:016x} {body}\n", fnv1a(body.as_bytes()))
 }
 
-/// Parses entry text back into its record, verifying the version header
-/// and the body checksum.
+/// Parses one record line (its newline optional) back into its record,
+/// verifying the version tag and the body checksum.
 ///
 /// # Errors
 ///
@@ -141,28 +139,17 @@ pub fn encode_entry(scope: u64, key: &FaultKey, digest: &RunDigest) -> String {
 /// [`EntryError::Checksum`] when the body fails its checksum, and
 /// [`EntryError::Malformed`] for structural damage.
 pub fn decode_entry(text: &str) -> Result<DecodedEntry, EntryError> {
-    let mut parts = text.splitn(3, '\n');
-    let header = parts.next().unwrap_or("");
-    if header != entry_header() {
-        if header.starts_with("epa-store-entry v") {
-            return Err(EntryError::Version {
-                found: header.to_string(),
-            });
-        }
-        return Err(EntryError::Malformed(format!("unrecognized header `{header}`")));
+    let mut parts = text.strip_suffix('\n').unwrap_or(text).splitn(3, ' ');
+    let version = parts.next().unwrap_or("");
+    match version.strip_prefix('v').map(str::parse::<u32>) {
+        Some(Ok(STORE_FORMAT_VERSION)) => {}
+        Some(Ok(_)) => return Err(EntryError::Version { found: version.into() }),
+        _ => return Err(EntryError::Malformed("unrecognized record prefix".to_string())),
     }
-    let checksum_line = parts
-        .next()
-        .ok_or_else(|| EntryError::Malformed("missing checksum line".to_string()))?;
-    let recorded = checksum_line
-        .strip_prefix("checksum ")
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or_else(|| EntryError::Malformed(format!("bad checksum line `{checksum_line}`")))?;
-    let rest = parts
-        .next()
-        .ok_or_else(|| EntryError::Malformed("missing body".to_string()))?;
-    let body = rest.strip_suffix('\n').unwrap_or(rest);
-    if fnv1a(body.as_bytes()) != recorded {
+    let (Some(checksum), Some(body)) = (parts.next(), parts.next()) else {
+        return Err(EntryError::Malformed("missing checksum or body".to_string()));
+    };
+    if u64::from_str_radix(checksum, 16) != Ok(fnv1a(body.as_bytes())) {
         return Err(EntryError::Checksum);
     }
     let parsed: EntryBody =
@@ -176,26 +163,81 @@ pub fn decode_entry(text: &str) -> Result<DecodedEntry, EntryError> {
     })
 }
 
+/// One segment, decoded: the first valid record of every key, and what
+/// was wrong with the other lines.
+#[derive(Debug, Default)]
+struct Segment {
+    /// The scope the segment belongs to.
+    scope: u64,
+    /// Key text → its first valid record's digest until a load hands it to
+    /// the cache, which keeps the only copy (`None` after; or if saved here).
+    records: HashMap<String, Option<RunDigest>>,
+    /// Unreadable, or a missing or foreign header: loads miss, saves refused.
+    quarantined: bool,
+    /// Damaged records, as `(line number, reason)`.
+    damaged: Vec<(usize, String)>,
+    /// Valid records shadowed by an earlier record of the same key.
+    duplicates: usize,
+}
+
+/// Decodes a read of `scope`'s segment. A missing or empty file (a crash
+/// right after creating it) is an empty segment; an unreadable one is
+/// quarantined.
+fn decode_segment(scope: u64, read: io::Result<Vec<u8>>) -> Segment {
+    let mut segment = Segment {
+        scope,
+        ..Segment::default()
+    };
+    let Ok(bytes) = read.map_err(|e| segment.quarantined = e.kind() != io::ErrorKind::NotFound) else {
+        return segment;
+    };
+    let header = segment_header(scope);
+    let mut lines = bytes.split(|&b| b == b'\n').enumerate();
+    segment.quarantined = !bytes.is_empty() && lines.next().is_some_and(|(_, first)| first != header.as_bytes());
+    if segment.quarantined {
+        return segment;
+    }
+    for (i, line) in lines {
+        // Writers racing to create a segment each write its header.
+        if line.is_empty() || line == header.as_bytes() {
+            continue;
+        }
+        let decoded = std::str::from_utf8(line)
+            .map_err(|_| EntryError::Malformed("not UTF-8".to_string()))
+            .and_then(decode_entry);
+        match decoded {
+            Ok(r) if r.scope != scope => segment.damaged.push((i + 1, format!("foreign scope {:016x}", r.scope))),
+            Ok(r) if segment.records.contains_key(&r.key) => segment.duplicates += 1,
+            Ok(r) => {
+                segment.records.insert(r.key, Some(r.digest));
+            }
+            Err(e) => segment.damaged.push((i + 1, e.to_string())),
+        }
+    }
+    segment
+}
+
 /// Aggregate facts about a store directory, from [`DiskStore::stats`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DiskStats {
-    /// Readable entries on disk.
+    /// Distinct readable entries on disk.
     pub entries: usize,
-    /// Total entry bytes.
+    /// Total segment bytes.
     pub bytes: u64,
-    /// Distinct scope buckets.
-    pub buckets: usize,
-    /// Buckets quarantined at open time (foreign or missing bucket header).
-    pub quarantined_buckets: usize,
+    /// Segment files (one per scope).
+    pub segments: usize,
+    /// Segments quarantined (missing or foreign header, or unreadable).
+    pub quarantined_segments: usize,
 }
 
 /// Retention policy for [`DiskStore::prune`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PruneOptions {
-    /// Keep at most this many entries, evicting the least recently used
-    /// (reads refresh an entry's timestamp best-effort). `None` = no cap.
+    /// Keep at most this many entries, evicting whole segments least
+    /// recently read first (a handle's first read of a segment refreshes
+    /// its timestamp best-effort). `None` = no cap.
     pub max_entries: Option<usize>,
-    /// Drop entries unused for longer than this. `None` = no TTL.
+    /// Drop segments unread for longer than this. `None` = no TTL.
     pub ttl: Option<Duration>,
 }
 
@@ -204,9 +246,9 @@ pub struct PruneOptions {
 pub struct PruneReport {
     /// Entries examined.
     pub examined: usize,
-    /// Entries removed because their age exceeded the TTL.
+    /// Entries removed because their segment's age exceeded the TTL.
     pub expired: usize,
-    /// Entries evicted (least recently used first) to satisfy the cap.
+    /// Entries evicted, least recently read segment first, to meet the cap.
     pub evicted: usize,
     /// Entries remaining after the prune.
     pub remaining: usize,
@@ -215,11 +257,11 @@ pub struct PruneReport {
 /// What [`DiskStore::verify`] found.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VerifyReport {
-    /// Entries that decoded cleanly and live where their content says.
+    /// Distinct entries whose first record decoded cleanly.
     pub ok: usize,
-    /// Per-file damage descriptions (path: reason).
+    /// Per-record damage descriptions (`segment:line: reason`).
     pub corrupt: Vec<String>,
-    /// Buckets quarantined at open time.
+    /// Quarantined segments.
     pub quarantined: Vec<String>,
 }
 
@@ -230,34 +272,29 @@ impl VerifyReport {
     }
 }
 
-/// The persistent content-addressed [`ResultStore`]. See the module docs
-/// for the layout and wire format.
-///
-/// All filesystem failures on the hot path degrade to misses or skipped
-/// writes (with a stderr note): a broken disk slows the suite down, it
-/// never breaks correctness.
+/// The persistent content-addressed [`ResultStore`] (layout and wire format
+/// in the module docs). Filesystem failures on the hot path degrade to
+/// misses or skipped writes with a stderr note: a broken disk slows the
+/// suite down, it never breaks correctness.
 #[derive(Debug)]
 pub struct DiskStore {
     root: PathBuf,
-    /// Scope-bucket directory names refused at open time (missing or
-    /// foreign bucket header). Read-only after open.
-    quarantined: BTreeSet<String>,
-    /// Temp-file uniquifier for rename-into-place writes.
-    seq: AtomicU64,
+    /// Each scope's segment, read on its first load or save. One lock per
+    /// scope, so different scopes read in parallel.
+    segments: Mutex<HashMap<u64, Arc<Mutex<Option<Segment>>>>>,
 }
 
 impl DiskStore {
     /// Opens (creating if needed) a store rooted at `root`.
     ///
-    /// A fresh or empty directory is initialized with the store header. An
-    /// existing store is validated: the root header must carry the current
-    /// format version, and every scope bucket's header is checked — buckets
-    /// with a missing or foreign header are quarantined (their entries read
-    /// as misses and are never written through) rather than trusted.
+    /// A fresh or empty directory gets the store header; an existing store
+    /// must carry the current version. A v1 store is upgraded in place with
+    /// one warning, deleting its `v1/` entries (a cache: they re-derive).
+    /// Segments are checked when first read.
     ///
     /// # Errors
     ///
-    /// Filesystem errors, a root header of a different version, or a
+    /// Filesystem errors, a root header of any other version, or a
     /// non-empty directory that is not a store (refused rather than
     /// adopted: the pruner deletes files, and it must never delete a
     /// directory the user did not dedicate to the store).
@@ -265,58 +302,34 @@ impl DiskStore {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
         let header_path = root.join(STORE_HEADER_FILE);
-        match std::fs::read_to_string(&header_path) {
-            Ok(found) => {
-                if found != store_header() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "{} is a v`{}` store, this build reads {}",
-                            root.display(),
-                            found.trim(),
-                            store_header().trim()
-                        ),
-                    ));
-                }
-            }
+        let shown = root.display();
+        let refuse = |why: &str| io::Error::new(io::ErrorKind::InvalidData, format!("{shown} {why}"));
+        let found = match std::fs::read_to_string(&header_path) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                if std::fs::read_dir(&root)?.next().is_some() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "{} is non-empty and carries no store header; refusing to adopt it",
-                            root.display()
-                        ),
-                    ));
+                // Only the transient `.epa-*` files of a racing opener may
+                // precede the header.
+                let mut names = std::fs::read_dir(&root)?.flatten().map(|e| e.file_name());
+                if names.all(|n| n.to_string_lossy().starts_with(".epa-")) {
+                    write_header(&root)?;
                 }
-                std::fs::write(&header_path, store_header())?;
+                // A racing opener may also have written it meanwhile.
+                let err = |_| refuse("is non-empty and has no store header; refusing to adopt it");
+                std::fs::read_to_string(&header_path).map_err(err)?
             }
-            Err(e) => return Err(e),
-        }
-        let mut quarantined = BTreeSet::new();
-        let buckets_root = root.join(format!("v{STORE_FORMAT_VERSION}"));
-        if buckets_root.is_dir() {
-            for bucket in std::fs::read_dir(&buckets_root)? {
-                let bucket = bucket?.path();
-                if !bucket.is_dir() {
-                    continue;
-                }
-                let name = bucket.file_name().unwrap_or_default().to_string_lossy().to_string();
-                let expected = u64::from_str_radix(&name, 16).map(bucket_header);
-                let found = std::fs::read_to_string(bucket.join(BUCKET_HEADER_FILE)).ok();
-                if expected.ok() != found {
-                    eprintln!(
-                        "epa-store: bucket {} has a missing or foreign header; quarantining it (entries read as misses)",
-                        bucket.display()
-                    );
-                    quarantined.insert(name);
-                }
+            read => read?,
+        };
+        if found == "epa-result-store v1\n" {
+            eprintln!("epa-store: {shown} is a v1 store; upgrading it (its entries are dropped: they re-derive)");
+            match std::fs::remove_dir_all(root.join("v1")) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => write_header(&root)?,
             }
+        } else if found != store_header() {
+            return Err(refuse(&format!("is a {found:?} store, not v{STORE_FORMAT_VERSION}")));
         }
         Ok(DiskStore {
             root,
-            quarantined,
-            seq: AtomicU64::new(0),
+            segments: Mutex::new(HashMap::new()),
         })
     }
 
@@ -325,245 +338,228 @@ impl DiskStore {
         &self.root
     }
 
-    /// The bucket directory of `scope`.
-    fn bucket_dir(&self, scope: u64) -> PathBuf {
-        self.root
-            .join(format!("v{STORE_FORMAT_VERSION}"))
-            .join(format!("{scope:016x}"))
+    /// The directory holding every segment.
+    fn segment_dir(&self) -> PathBuf {
+        self.root.join(format!("v{STORE_FORMAT_VERSION}"))
     }
 
-    /// The entry path of `(scope, key)`: bucket, then a fanout shard on
-    /// the key digest's high byte, then the digest-named entry file.
-    fn entry_path(&self, scope: u64, key: &FaultKey) -> PathBuf {
-        let digest = key.digest();
-        self.bucket_dir(scope)
-            .join(format!("{:02x}", (digest >> 56) as u8))
-            .join(format!("{digest:016x}.entry"))
+    /// The segment file of `scope`.
+    fn segment_path(&self, scope: u64) -> PathBuf {
+        self.segment_dir().join(format!("{scope:016x}.seg"))
     }
 
-    /// Whether `scope`'s bucket was quarantined at open time.
-    fn is_quarantined(&self, scope: u64) -> bool {
-        self.quarantined.contains(&format!("{scope:016x}"))
-    }
-
-    /// Writes `text` to `path` atomically: a same-directory temp file,
-    /// then rename into place. Returns any filesystem error for the
-    /// caller to downgrade.
-    fn write_atomic(&self, path: &Path, text: &str) -> io::Result<()> {
-        let parent = path.parent().expect("entry paths always have a parent");
-        std::fs::create_dir_all(parent)?;
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = parent.join(format!(
-            ".{}.{}.{seq}.tmp",
-            path.file_name().unwrap_or_default().to_string_lossy(),
-            std::process::id()
-        ));
-        std::fs::write(&tmp, text)?;
-        match std::fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
-    }
-
-    /// Walks every entry file in non-quarantined buckets.
-    fn walk_entries(&self, f: &mut dyn FnMut(&Path, &std::fs::Metadata)) {
-        let buckets_root = self.root.join(format!("v{STORE_FORMAT_VERSION}"));
-        let Ok(buckets) = std::fs::read_dir(&buckets_root) else {
-            return;
+    /// Runs `f` on `scope`'s segment, read on first use, under its own lock.
+    fn with_segment<R>(&self, scope: u64, f: impl FnOnce(&mut Segment) -> R) -> R {
+        let slot = {
+            let mut segments = self.segments.lock().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(segments.entry(scope).or_default())
         };
-        for bucket in buckets.flatten() {
-            let bucket = bucket.path();
-            let name = bucket.file_name().unwrap_or_default().to_string_lossy().to_string();
-            if !bucket.is_dir() || self.quarantined.contains(&name) {
-                continue;
-            }
-            let Ok(shards) = std::fs::read_dir(&bucket) else {
-                continue;
-            };
-            for shard in shards.flatten() {
-                let shard = shard.path();
-                if !shard.is_dir() {
-                    continue;
-                }
-                let Ok(entries) = std::fs::read_dir(&shard) else {
-                    continue;
-                };
-                for entry in entries.flatten() {
-                    let path = entry.path();
-                    if path.extension().is_some_and(|e| e == "entry") {
-                        if let Ok(meta) = entry.metadata() {
-                            f(&path, &meta);
-                        }
-                    }
-                }
-            }
-        }
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        f(slot.get_or_insert_with(|| self.read_segment(scope)))
     }
 
-    /// Aggregate store facts (walks the directory).
-    pub fn stats(&self) -> DiskStats {
-        let mut stats = DiskStats {
-            quarantined_buckets: self.quarantined.len(),
-            ..DiskStats::default()
-        };
-        let mut buckets = BTreeSet::new();
-        self.walk_entries(&mut |path, meta| {
-            stats.entries += 1;
-            stats.bytes += meta.len();
-            if let Some(bucket) = path.parent().and_then(Path::parent) {
-                buckets.insert(bucket.to_path_buf());
-            }
+    /// Reads and decodes `scope`'s segment for the hot path, logging
+    /// damage and refreshing its timestamp (best-effort) for the LRU.
+    fn read_segment(&self, scope: u64) -> Segment {
+        let path = self.segment_path(scope);
+        let read = std::fs::File::open(&path).and_then(|mut file| {
+            let _ = file.set_modified(SystemTime::now());
+            let mut bytes = Vec::new();
+            file.read_to_end(&mut bytes).map(|_| bytes)
         });
-        stats.buckets = buckets.len();
+        let segment = decode_segment(scope, read);
+        let shown = path.display();
+        if segment.quarantined {
+            eprintln!("epa-store: {shown}: unreadable or foreign header; quarantining it");
+        }
+        for (line, why) in &segment.damaged {
+            eprintln!("epa-store: {shown}:{line}: {why}; ignoring the record");
+        }
+        segment
+    }
+
+    /// Appends one record line to `scope`'s segment in a single write,
+    /// creating the segment with its header if it is new or empty, and
+    /// ending a torn final line first.
+    fn append(&self, scope: u64, record: &str) -> io::Result<()> {
+        let path = self.segment_path(scope);
+        let mut options = std::fs::File::options();
+        options.read(true).append(true).create(true);
+        let mut file = match options.open(&path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                std::fs::create_dir_all(self.segment_dir())?;
+                options.open(&path)?
+            }
+            opened => opened?,
+        };
+        let mut last = [b'\n'];
+        let header = match file.metadata()?.len() {
+            0 => segment_header(scope) + "\n",
+            _ => {
+                file.seek(SeekFrom::End(-1))?;
+                file.read_exact(&mut last)?;
+                String::new()
+            }
+        };
+        let torn = if last == *b"\n" { "" } else { "\n" };
+        file.write_all(format!("{header}{torn}{record}").as_bytes())
+    }
+
+    /// Every segment file on disk, decoded, in path order. Does not touch
+    /// timestamps.
+    fn scan(&self) -> Vec<(PathBuf, std::fs::Metadata, Segment)> {
+        // A missing segment directory is an empty store.
+        let mut scanned: Vec<_> = std::fs::read_dir(self.segment_dir())
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(|entry| {
+                let path = entry.path();
+                let scope = u64::from_str_radix(path.file_name()?.to_str()?.strip_suffix(".seg")?, 16).ok()?;
+                let segment = decode_segment(scope, std::fs::read(&path));
+                Some((path, entry.metadata().ok()?, segment))
+            })
+            .collect();
+        scanned.sort_by(|a, b| a.0.cmp(&b.0));
+        scanned
+    }
+
+    /// Aggregate store facts (reads every segment).
+    pub fn stats(&self) -> DiskStats {
+        let mut stats = DiskStats::default();
+        for (_, meta, segment) in self.scan() {
+            if segment.quarantined {
+                stats.quarantined_segments += 1;
+            } else {
+                stats.segments += 1;
+                stats.entries += segment.records.len();
+                stats.bytes += meta.len();
+            }
+        }
         stats
     }
 
-    /// Applies a retention policy: TTL expiry first, then LRU eviction
-    /// down to the cap. Reads refresh entry timestamps (best-effort), so
-    /// recently replayed entries survive.
+    /// Applies a retention policy per segment: TTL expiry, then eviction of
+    /// whole segments, least recently read first, until the entry count is
+    /// within the cap; then compacts survivors holding damaged or duplicate
+    /// records. Quarantined segments are left alone. A record another
+    /// process appends mid-compaction can be lost: a conservative miss.
     pub fn prune(&self, options: PruneOptions) -> PruneReport {
         let now = SystemTime::now();
-        let mut entries: Vec<(PathBuf, SystemTime)> = Vec::new();
-        self.walk_entries(&mut |path, meta| {
-            let mtime = meta.modified().unwrap_or(now);
-            entries.push((path.to_path_buf(), mtime));
-        });
+        let mut live: Vec<_> = self
+            .scan()
+            .into_iter()
+            .filter(|(_, _, segment)| !segment.quarantined)
+            .map(|(path, meta, segment)| (meta.modified().unwrap_or(now), path, segment))
+            .collect();
         let mut report = PruneReport {
-            examined: entries.len(),
+            examined: live.iter().map(|(_, _, segment)| segment.records.len()).sum(),
             ..PruneReport::default()
         };
         if let Some(ttl) = options.ttl {
-            entries.retain(|(path, mtime)| {
+            live.retain(|(mtime, path, segment)| {
                 let expired = now.duration_since(*mtime).is_ok_and(|age| age > ttl);
-                if expired && std::fs::remove_file(path).is_ok() {
-                    report.expired += 1;
-                    return false;
-                }
-                true
+                let removed = expired && std::fs::remove_file(path).is_ok();
+                report.expired += if removed { segment.records.len() } else { 0 };
+                !removed
             });
         }
-        if let Some(cap) = options.max_entries {
-            if entries.len() > cap {
-                // Oldest first; evict until the cap holds.
-                entries.sort_by_key(|(_, mtime)| *mtime);
-                let excess = entries.len() - cap;
-                for (path, _) in entries.drain(..excess) {
-                    if std::fs::remove_file(&path).is_ok() {
-                        report.evicted += 1;
-                    }
-                }
+        // Oldest first; evict whole segments until the cap holds.
+        live.sort_by_key(|(mtime, _, _)| *mtime);
+        let mut kept = report.examined - report.expired;
+        let cap = options.max_entries.unwrap_or(usize::MAX);
+        live.retain(|(_, path, segment)| {
+            let evicted = kept > cap && std::fs::remove_file(path).is_ok();
+            if evicted {
+                kept -= segment.records.len();
+                report.evicted += segment.records.len();
+            }
+            !evicted
+        });
+        let dirty = live
+            .iter()
+            .filter(|(_, _, s)| !s.damaged.is_empty() || s.duplicates > 0);
+        for (mtime, path, segment) in dirty {
+            if let Err(e) = compact(path, segment, *mtime) {
+                eprintln!("epa-store: {}: compaction failed ({e}); left as is", path.display());
             }
         }
-        report.remaining = report.examined - report.expired - report.evicted;
+        // This handle's decoded segments may no longer match the disk.
+        self.segments.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        report.remaining = kept;
         report
     }
 
-    /// Decodes and cross-checks every entry: version header, checksum,
-    /// and that each entry lives in the bucket and under the file name
-    /// its own content addresses.
+    /// Decodes every record of every segment: version tag, checksum, and
+    /// that it belongs to the scope its segment names. Damage is reported
+    /// as `segment:line`; a duplicate record is not damage.
     pub fn verify(&self) -> VerifyReport {
-        let mut report = VerifyReport {
-            quarantined: self.quarantined.iter().cloned().collect(),
-            ..VerifyReport::default()
-        };
-        self.walk_entries(&mut |path, _| match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| decode_entry(&text).map_err(|e| e.to_string()))
-        {
-            Ok(decoded) => {
-                let expected = self.entry_path(decoded.scope, &FaultKey::synthetic(&decoded.key));
-                if expected == path {
-                    report.ok += 1;
-                } else {
-                    report
-                        .corrupt
-                        .push(format!("{}: content addresses {}", path.display(), expected.display()));
-                }
+        let mut report = VerifyReport::default();
+        for (path, _, segment) in self.scan() {
+            if segment.quarantined {
+                report.quarantined.push(path.display().to_string());
+                continue;
             }
-            Err(e) => report.corrupt.push(format!("{}: {e}", path.display())),
-        });
+            report.ok += segment.records.len();
+            for (line, why) in &segment.damaged {
+                report.corrupt.push(format!("{}:{line}: {why}", path.display()));
+            }
+        }
         report
     }
 }
 
+/// Rewrites a segment with only its valid, distinct records (sorted by key)
+/// through a same-directory temp file renamed into place, keeping `mtime`.
+fn compact(path: &Path, segment: &Segment, mtime: SystemTime) -> io::Result<()> {
+    let mut text = segment_header(segment.scope) + "\n";
+    for (key, digest) in segment.records.iter().collect::<BTreeMap<_, _>>() {
+        if let Some(digest) = digest {
+            text.push_str(&encode_entry(segment.scope, &FaultKey::synthetic(key), digest));
+        }
+    }
+    let tmp = path.with_extension(format!("seg.{}.tmp", std::process::id()));
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(text.as_bytes())?;
+        file.set_modified(mtime)
+    });
+    let renamed = written.and_then(|()| std::fs::rename(&tmp, path));
+    if renamed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    renamed
+}
+
 impl ResultStore for DiskStore {
     fn load(&self, scope: u64, key: &FaultKey) -> Option<RunDigest> {
-        if self.is_quarantined(scope) {
-            return None;
-        }
-        let path = self.entry_path(scope, key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
-            Err(e) => {
-                eprintln!("epa-store: {}: unreadable ({e}); treating as a miss", path.display());
-                return None;
+        // A quarantined segment holds no records, so it reads as misses. A
+        // key whose digest was already handed out is read from disk again.
+        self.with_segment(scope, |segment| match segment.records.get_mut(key.repr())?.take() {
+            None => {
+                *segment = self.read_segment(scope);
+                segment.records.get_mut(key.repr())?.take()
             }
-        };
-        let decoded = match decode_entry(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                // Corruption (or version skew) is logged, the entry is
-                // removed so a fresh execution can heal it, and the load
-                // reads as a miss — never as a wrong digest.
-                eprintln!(
-                    "epa-store: {}: {e}; removing entry and treating as a miss",
-                    path.display()
-                );
-                let _ = std::fs::remove_file(&path);
-                return None;
-            }
-        };
-        if decoded.scope != scope || decoded.key != key.repr() {
-            // A 64-bit digest collision: the entry belongs to a different
-            // key. Leave it in place, miss conservatively.
-            eprintln!(
-                "epa-store: {}: key text mismatch (digest collision); treating as a miss",
-                path.display()
-            );
-            return None;
-        }
-        // Best-effort LRU touch: refresh the timestamp so the pruner sees
-        // this entry as recently used.
-        if let Ok(file) = std::fs::File::options().write(true).open(&path) {
-            let _ = file.set_modified(SystemTime::now());
-        }
-        Some(decoded.digest)
+            taken => taken,
+        })
     }
 
     fn save(&self, scope: u64, key: &FaultKey, digest: &RunDigest) {
-        if self.is_quarantined(scope) {
-            return;
-        }
-        let path = self.entry_path(scope, key);
-        if path.exists() {
-            // Content-addressed and idempotent: an existing entry is this
-            // entry (corrupt entries are removed at load time).
-            return;
-        }
-        let bucket = self.bucket_dir(scope);
-        let bucket_marker = bucket.join(BUCKET_HEADER_FILE);
-        if !bucket_marker.exists() {
-            if let Err(e) = self.write_atomic(&bucket_marker, &bucket_header(scope)) {
-                eprintln!(
-                    "epa-store: {}: bucket header write failed ({e}); skipping save",
-                    bucket.display()
-                );
+        self.with_segment(scope, |segment| {
+            // Idempotent: a key already on disk (or saved by this handle)
+            // is this record.
+            if segment.quarantined || segment.records.contains_key(key.repr()) {
                 return;
             }
-        }
-        if let Err(e) = self.write_atomic(&path, &encode_entry(scope, key, digest)) {
-            eprintln!("epa-store: {}: write failed ({e}); entry not persisted", path.display());
-        }
+            if let Err(e) = self.append(scope, &encode_entry(scope, key, digest)) {
+                eprintln!("epa-store: {scope:016x}.seg: append failed ({e}); record not persisted");
+                return;
+            }
+            segment.records.insert(key.repr().to_string(), None);
+        });
     }
 
     fn entries(&self) -> usize {
-        let mut n = 0;
-        self.walk_entries(&mut |_, _| n += 1);
-        n
+        self.stats().entries
     }
 
     fn kind(&self) -> &'static str {
@@ -598,17 +594,34 @@ mod tests {
         }
     }
 
+    /// The segment's lines, header first.
+    fn lines(store: &DiskStore, scope: u64) -> Vec<String> {
+        let text = std::fs::read_to_string(store.segment_path(scope)).expect("segment exists");
+        text.lines().map(str::to_string).collect()
+    }
+
+    /// Rewrites the segment from `lines`, each ended by a newline.
+    fn rewrite(store: &DiskStore, scope: u64, lines: &[String]) {
+        let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        std::fs::write(store.segment_path(scope), text).expect("segment rewrites");
+    }
+
     #[test]
     fn entries_round_trip_through_the_wire_format() {
         let k = key("site#1|-|{\"payload\":true}");
         let d = digest(3, 17);
         let text = encode_entry(0xdead_beef, &k, &d);
+        assert_eq!(text.matches('\n').count(), 1, "a record is exactly one line");
         let decoded = decode_entry(&text).expect("own encoding decodes");
         assert_eq!(decoded.scope, 0xdead_beef);
         assert_eq!(decoded.key, k.repr());
         assert_eq!(decoded.digest, d);
         // Deterministic: re-encoding the decoded record is byte-identical.
         assert_eq!(encode_entry(decoded.scope, &key(&decoded.key), &decoded.digest), text);
+        // Key text with a newline stays on one line (JSON escapes it).
+        let multiline = encode_entry(1, &key("a\nb#0|-|{}"), &d);
+        assert_eq!(multiline.matches('\n').count(), 1);
+        assert_eq!(decode_entry(&multiline).expect("decodes").key, "a\nb#0|-|{}");
     }
 
     #[test]
@@ -618,11 +631,20 @@ mod tests {
         assert_eq!(store.load(7, &k), None);
         store.save(7, &k, &digest(0, 2));
         assert_eq!(store.load(7, &k), Some(digest(0, 2)));
-        assert_eq!(store.load(8, &k), None, "scopes are separate buckets");
+        assert_eq!(
+            store.load(7, &k),
+            Some(digest(0, 2)),
+            "a handed-out digest is read again"
+        );
+        assert_eq!(store.load(8, &k), None, "scopes are separate segments");
+        // Idempotent: a re-save appends nothing.
+        store.save(7, &k, &digest(0, 2));
+        assert_eq!(lines(&store, 7).len(), 2, "header and one record");
+        assert_eq!(lines(&store, 7)[0], segment_header(7));
         assert_eq!(store.entries(), 1);
         assert_eq!(store.kind(), "disk");
         let stats = store.stats();
-        assert_eq!((stats.entries, stats.buckets), (1, 1));
+        assert_eq!((stats.entries, stats.segments, stats.quarantined_segments), (1, 1, 0));
         assert!(stats.bytes > 0);
         assert!(store.verify().is_clean());
         let _ = std::fs::remove_dir_all(&dir);
@@ -638,24 +660,37 @@ mod tests {
         drop(store);
         let reopened = DiskStore::open(&dir).expect("existing store reopens");
         assert_eq!(reopened.load(1, &k), Some(digest(1, 5)));
+        // The reopened handle knows the key is on disk and appends nothing.
+        reopened.save(1, &k, &digest(1, 5));
+        assert_eq!(lines(&reopened, 1).len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn truncated_entries_are_detected_removed_and_miss() {
-        // Simulates a crash mid-write that somehow bypassed the atomic
-        // rename (e.g. a torn sector): the checksum catches it.
+    fn truncated_records_are_detected_and_miss() {
+        // A crash mid-append leaves a torn final line: the checksum
+        // catches it, and the next append starts on a fresh line.
         let (dir, store) = temp_store("truncate");
-        let k = key("c#0|-|{}");
-        store.save(2, &k, &digest(0, 9));
-        let path = store.entry_path(2, &k);
-        let full = std::fs::read_to_string(&path).expect("entry exists");
+        let (torn, kept) = (key("c#0|-|{}"), key("c#1|-|{}"));
+        store.save(2, &kept, &digest(0, 8));
+        store.save(2, &torn, &digest(0, 9));
+        let path = store.segment_path(2);
+        let full = std::fs::read_to_string(&path).expect("segment exists");
         std::fs::write(&path, &full[..full.len() - 10]).expect("truncate");
-        assert_eq!(store.load(2, &k), None, "truncation must read as a miss");
-        assert!(!path.exists(), "the damaged entry is removed so re-execution heals it");
-        // The next save repopulates.
-        store.save(2, &k, &digest(0, 9));
-        assert_eq!(store.load(2, &k), Some(digest(0, 9)));
+        let reopened = DiskStore::open(&dir).expect("store reopens");
+        assert_eq!(reopened.load(2, &torn), None, "truncation must read as a miss");
+        assert_eq!(reopened.load(2, &kept), Some(digest(0, 8)), "earlier records survive");
+        // The re-executed run heals the store.
+        reopened.save(2, &torn, &digest(0, 9));
+        let healed = DiskStore::open(&dir).expect("store reopens");
+        assert_eq!(healed.load(2, &torn), Some(digest(0, 9)));
+        assert_eq!(healed.load(2, &kept), Some(digest(0, 8)));
+        let verify = healed.verify();
+        assert_eq!(
+            (verify.ok, verify.corrupt.len()),
+            (2, 1),
+            "the torn line stays until a prune"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -664,14 +699,21 @@ mod tests {
         let (dir, store) = temp_store("bitflip");
         let k = key("d#0|-|{}");
         store.save(3, &k, &digest(0, 1));
-        let path = store.entry_path(3, &k);
-        let mut bytes = std::fs::read(&path).expect("entry exists");
-        // Flip one bit inside the JSON body (after the two header lines).
+        let mut segment = lines(&store, 3);
+        // Flip one bit inside the JSON body of the record.
+        let mut bytes = segment[1].clone().into_bytes();
         let body_start = bytes.iter().position(|&b| b == b'{').expect("body starts");
         bytes[body_start + 10] ^= 0x01;
-        std::fs::write(&path, &bytes).expect("mangle");
-        assert_eq!(store.load(3, &k), None, "a flipped bit must read as a miss");
-        assert!(!path.exists());
+        segment[1] = String::from_utf8(bytes).expect("still UTF-8");
+        rewrite(&store, 3, &segment);
+        let reopened = DiskStore::open(&dir).expect("store reopens");
+        assert_eq!(reopened.load(3, &k), None, "a flipped bit must read as a miss");
+        let verify = reopened.verify();
+        assert_eq!(verify.corrupt.len(), 1);
+        assert!(
+            verify.corrupt[0].ends_with(":2: checksum mismatch (torn or corrupted record)"),
+            "{verify:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -680,35 +722,29 @@ mod tests {
         let (dir, store) = temp_store("version");
         let k = key("e#0|-|{}");
         store.save(4, &k, &digest(0, 1));
-        let path = store.entry_path(4, &k);
-        let text = std::fs::read_to_string(&path).expect("entry exists");
-        let forged = text.replace("epa-store-entry v1", "epa-store-entry v2");
-        assert!(matches!(decode_entry(&forged), Err(EntryError::Version { .. })));
-        std::fs::write(&path, forged).expect("forge");
-        assert_eq!(store.load(4, &k), None);
+        let mut segment = lines(&store, 4);
+        segment[1] = segment[1].replacen("v2 ", "v3 ", 1);
+        assert!(matches!(decode_entry(&segment[1]), Err(EntryError::Version { .. })));
+        rewrite(&store, 4, &segment);
+        let reopened = DiskStore::open(&dir).expect("store reopens");
+        assert_eq!(reopened.load(4, &k), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn digest_collisions_miss_instead_of_replaying_the_wrong_run() {
-        // Forge an entry whose file name matches the probe key's digest
-        // but whose body names a different canonical key: the full-text
-        // comparison must refuse it (and leave the file alone).
+        // A record of another key and a record of another scope in the
+        // probe's segment: neither may answer the probe.
         let (dir, store) = temp_store("collision");
         let probe = key("f#0|-|{}");
-        let other = "g#0|-|{}";
-        let path = store.entry_path(5, &probe);
-        let body = serde_json::to_string(&EntryBody {
-            scope: format!("{:016x}", 5u64),
-            key: other.to_string(),
-            digest: digest(0, 1),
-        })
-        .expect("serializes");
-        let forged = format!("{}\nchecksum {:016x}\n{body}\n", entry_header(), fnv1a(body.as_bytes()));
-        std::fs::create_dir_all(path.parent().expect("parent")).expect("shard dir");
-        std::fs::write(&path, forged).expect("forge");
-        assert_eq!(store.load(5, &probe), None);
-        assert!(path.exists(), "a collision victim is not deleted");
+        store.save(5, &key("g#0|-|{}"), &digest(0, 1));
+        let mut segment = lines(&store, 5);
+        segment.push(encode_entry(6, &probe, &digest(0, 1)).trim_end().to_string());
+        rewrite(&store, 5, &segment);
+        let reopened = DiskStore::open(&dir).expect("store reopens");
+        assert_eq!(reopened.load(5, &probe), None);
+        let verify = reopened.verify();
+        assert_eq!((verify.ok, verify.corrupt.len()), (1, 1), "{verify:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -728,23 +764,57 @@ mod tests {
         std::fs::write(plain.join("precious.txt"), "user data").expect("file");
         let err = DiskStore::open(&plain).expect_err("must not adopt a foreign directory");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(plain.join("precious.txt").exists());
+        // A directory holding only a racing opener's transient files is
+        // still fresh.
+        std::fs::remove_file(plain.join("precious.txt")).expect("remove");
+        std::fs::write(plain.join(".epa-probe-1"), "probe").expect("probe");
+        DiskStore::open(&plain).expect("transient files do not make a directory foreign");
         let _ = std::fs::remove_dir_all(&plain);
     }
 
     #[test]
-    fn foreign_buckets_are_quarantined_for_loads_and_saves() {
-        let (dir, store) = temp_store("bucket");
+    fn v1_stores_upgrade_in_place() {
+        let (dir, store) = temp_store("upgrade");
+        drop(store);
+        // The v1 layout: a root header, a bucket tree, a manifest.
+        std::fs::write(dir.join(STORE_HEADER_FILE), "epa-result-store v1\n").expect("v1 header");
+        let shard = dir.join("v1").join(format!("{:016x}", 9u64)).join("ab");
+        std::fs::create_dir_all(&shard).expect("v1 tree");
+        std::fs::write(shard.join("00000000000000ab.entry"), "epa-store-entry v1\n").expect("v1 entry");
+        std::fs::write(dir.join("MANIFEST.json"), "{}").expect("manifest");
+        let store = DiskStore::open(&dir).expect("a v1 store upgrades");
+        assert!(!dir.join("v1").exists(), "the v1 entries are discarded");
+        assert_eq!(
+            std::fs::read_to_string(dir.join(STORE_HEADER_FILE)).expect("header"),
+            store_header()
+        );
+        assert!(dir.join("MANIFEST.json").exists(), "only the entries go");
+        assert_eq!(store.entries(), 0);
+        store.save(9, &key("u#0|-|{}"), &digest(0, 1));
+        assert_eq!(
+            DiskStore::open(&dir).expect("reopens").load(9, &key("u#0|-|{}")),
+            Some(digest(0, 1))
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn foreign_segments_are_quarantined_for_loads_and_saves() {
+        let (dir, store) = temp_store("segment");
         let k = key("h#0|-|{}");
         store.save(6, &k, &digest(0, 1));
-        // Forge the bucket header to a foreign version and reopen.
-        let marker = store.bucket_dir(6).join(BUCKET_HEADER_FILE);
-        std::fs::write(&marker, "epa-store-bucket v9 scope=0000000000000006\n").expect("forge");
+        // Forge the segment header to a foreign version and reopen.
+        let mut segment = lines(&store, 6);
+        segment[0] = "epa-store-segment v9 scope=0000000000000006".to_string();
+        rewrite(&store, 6, &segment);
         drop(store);
         let reopened = DiskStore::open(&dir).expect("store reopens");
-        assert_eq!(reopened.load(6, &k), None, "quarantined buckets read as misses");
+        assert_eq!(reopened.load(6, &k), None, "quarantined segments read as misses");
         reopened.save(6, &k, &digest(0, 1));
-        assert_eq!(reopened.load(6, &k), None, "quarantined buckets refuse writes");
-        assert_eq!(reopened.stats().quarantined_buckets, 1);
+        assert_eq!(lines(&reopened, 6), segment, "quarantined segments refuse writes");
+        assert_eq!(DiskStore::open(&dir).expect("reopens").load(6, &k), None);
+        assert_eq!(reopened.stats().quarantined_segments, 1);
         assert!(!reopened.verify().is_clean());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -752,30 +822,36 @@ mod tests {
     #[test]
     fn prune_applies_ttl_then_lru_cap() {
         let (dir, store) = temp_store("prune");
-        for i in 0..6u64 {
-            store.save(9, &key(&format!("k{i}#0|-|{{}}")), &digest(0, 1));
+        // Scope: (entries, age in minutes). Scope 1 is a year old.
+        let layout = [(1u64, 2usize, 60 * 24 * 365), (2, 1, 30), (3, 2, 0), (4, 1, 10)];
+        for (scope, entries, _) in layout {
+            for i in 0..entries {
+                store.save(scope, &key(&format!("k{i}#0|-|{{}}")), &digest(0, 1));
+            }
+        }
+        // Scope 3 also carries a duplicate and a damaged record.
+        let mut segment = lines(&store, 3);
+        segment.push(segment[1].clone());
+        segment.push("v2 0000000000000000 {}".to_string());
+        rewrite(&store, 3, &segment);
+        for (scope, _, minutes) in layout {
+            let old = SystemTime::now() - Duration::from_secs(60 * minutes);
+            let f = std::fs::File::options().write(true).open(store.segment_path(scope));
+            f.expect("open segment").set_modified(old).expect("age segment");
         }
         assert_eq!(store.entries(), 6);
-        // Age two entries far into the past.
-        let mut aged = 0;
-        store.walk_entries(&mut |path, _| {
-            if aged < 2 {
-                let old = SystemTime::now() - Duration::from_secs(60 * 60 * 24 * 365);
-                let f = std::fs::File::options().write(true).open(path).expect("open entry");
-                f.set_modified(old).expect("age entry");
-                aged += 1;
-            }
-        });
         let report = store.prune(PruneOptions {
             max_entries: Some(3),
             ttl: Some(Duration::from_secs(60 * 60)),
         });
         assert_eq!(report.examined, 6);
-        assert_eq!(report.expired, 2, "both aged entries expire");
-        assert_eq!(report.evicted, 1, "one more eviction reaches the cap");
+        assert_eq!(report.expired, 2, "the year-old segment expires whole");
+        assert_eq!(report.evicted, 1, "the least recently read segment goes next");
         assert_eq!(report.remaining, 3);
+        assert!(!store.segment_path(1).exists() && !store.segment_path(2).exists());
         assert_eq!(store.entries(), 3);
-        assert!(store.verify().is_clean());
+        assert!(store.verify().is_clean(), "compaction drops damaged records");
+        assert_eq!(lines(&store, 3).len(), 3, "header and two distinct records");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

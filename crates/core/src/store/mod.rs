@@ -12,10 +12,12 @@
 //! * [`MemoryStore`] — the process-local backend: a mutex-guarded map,
 //!   exactly the storage the old cache embedded.
 //! * [`DiskStore`] — the persistent content-addressed backend
-//!   ([`disk`]): sharded fanout directories, a versioned store header,
-//!   per-entry checksums, atomic rename-into-place writes, LRU/TTL
-//!   pruning, and full-text key verification so a 64-bit digest collision
-//!   can never replay the wrong run.
+//!   ([`disk`]): one append-only segment file per scope, read once per
+//!   handle; a versioned store header; per-record checksums; saves that
+//!   are one `O_APPEND` write of one line, so a torn tail costs at most
+//!   one conservative miss; per-segment LRU/TTL pruning with compaction;
+//!   and lookup by full key text, so a 64-bit digest collision can never
+//!   replay the wrong run.
 //! * [`SuiteManifest`] — the lockfile-style campaign manifest
 //!   ([`manifest`]): the exact `(spec fingerprint, plan, store keys)` of a
 //!   suite run, so a warm re-run can be verified complete before any job

@@ -41,13 +41,13 @@ fn suite_report_schema_roundtrips() {
 }
 
 /// The persistent store's on-disk record format: encode → decode →
-/// re-encode must be byte-identical (the content address is the entry
-/// text), and a record stamped with a foreign format version must be
-/// rejected outright — never half-parsed into a wrong digest.
+/// re-encode must be byte-identical (a record is one segment line), and a
+/// record stamped with a foreign format version must be rejected outright
+/// — never half-parsed into a wrong digest.
 #[test]
 fn store_entry_wire_format_roundtrips_and_rejects_version_skew() {
     use epa::core::engine::{FaultKey, RunDigest};
-    use epa::core::store::{decode_entry, encode_entry, EntryError};
+    use epa::core::store::{decode_entry, encode_entry, EntryError, STORE_FORMAT_VERSION};
 
     let scope = 0xdead_beef_cafe_f00d_u64;
     let key = FaultKey::synthetic("site=lpr:create occ=1 fault=F-E-7");
@@ -69,7 +69,8 @@ fn store_entry_wire_format_roundtrips_and_rejects_version_skew() {
     let second = encode_entry(parsed.scope, &FaultKey::synthetic(&parsed.key), &parsed.digest);
     assert_eq!(first, second, "store entry: re-serialization is not byte-identical");
 
-    let skewed = first.replacen("epa-store-entry v1", "epa-store-entry v999", 1);
+    assert_eq!(first.lines().count(), 1, "store entry: a record is one segment line");
+    let skewed = first.replacen(&format!("v{STORE_FORMAT_VERSION} "), "v999 ", 1);
     assert!(
         matches!(decode_entry(&skewed), Err(EntryError::Version { .. })),
         "store entry: a foreign format version must be rejected as version skew"

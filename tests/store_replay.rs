@@ -3,13 +3,16 @@
 //! entirely) must replay in a fresh one with **zero** executed runs and
 //! byte-identical verdicts — the `cache_hit` provenance flag is the only
 //! permitted difference. Also covers the conservative-miss contract end to
-//! end: a corrupted entry re-executes exactly its own job, heals the
-//! store, and never changes a verdict. Finally, each executed run reaches
-//! the backend exactly once, and a replayed one never does.
+//! end: a corrupted or torn record re-executes exactly its own job, heals
+//! the store, and never changes a verdict. Two handles appending to the
+//! same segments from many threads never corrupt one another. Finally,
+//! each executed run reaches the backend exactly once, and a replayed one
+//! never does.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::thread;
 
 use epa::apps::{standard_suite, ScriptedApp};
 use epa::core::corpus::{synthesize_one, DEFAULT_CORPUS_SEED};
@@ -52,23 +55,34 @@ fn stripped(report: &SuiteReport) -> String {
     serde_json::to_string_pretty(&normalized).expect("suite reports serialize")
 }
 
-/// Every `*.entry` file below the store root, for targeted corruption.
-fn entry_files(root: &Path) -> Vec<PathBuf> {
-    let mut found = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let Ok(listing) = std::fs::read_dir(&dir) else { continue };
-        for entry in listing.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "entry") {
-                found.push(path);
-            }
-        }
-    }
+/// Every segment file below the store root, sorted.
+fn segment_files(root: &Path) -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(root.join("v2"))
+        .map(|listing| listing.flatten().map(|e| e.path()).collect())
+        .unwrap_or_default();
+    found.retain(|p| p.extension().is_some_and(|e| e == "seg"));
     found.sort();
     found
+}
+
+/// The lines of a segment file, header first.
+fn segment_lines(segment: &Path) -> Vec<Vec<u8>> {
+    let bytes = std::fs::read(segment).expect("the segment reads");
+    bytes
+        .split(|&b| b == b'\n')
+        .filter(|l| !l.is_empty())
+        .map(<[u8]>::to_vec)
+        .collect()
+}
+
+/// Damages record `record` (0 = the first record after the header) of a
+/// segment in place with `damage`, which gets that line's bytes.
+fn corrupt_record(segment: &Path, record: usize, damage: impl FnOnce(&mut Vec<u8>)) {
+    let mut lines = segment_lines(segment);
+    damage(&mut lines[record + 1]);
+    let mut text = lines.join(&b'\n');
+    text.push(b'\n');
+    std::fs::write(segment, text).expect("the damaged segment writes");
 }
 
 #[test]
@@ -127,15 +141,16 @@ fn a_corrupted_entry_re_executes_only_its_own_job_and_heals_the_store() {
     let dir = fresh_store_dir("heal");
     let cold = corpus_suite(&dir).execute();
 
-    // Bit-flip one persisted entry mid-body — a crash-truncated or
-    // disk-damaged record.
-    let entries = entry_files(&dir);
-    assert!(!entries.is_empty(), "the cold pass must persist entries");
-    let victim = &entries[entries.len() / 2];
-    let mut bytes = std::fs::read(victim).expect("the victim entry reads");
-    let flip = bytes.len() - 2;
-    bytes[flip] ^= 0x40;
-    std::fs::write(victim, &bytes).expect("the corrupted entry writes");
+    // Bit-flip one persisted record mid-body — a disk-damaged record.
+    let segments = segment_files(&dir);
+    assert_eq!(segments.len(), 2, "one segment per campaign scope");
+    let victim = &segments[1];
+    let records = segment_lines(victim).len() - 1;
+    assert!(records > 1, "the cold pass must persist records");
+    corrupt_record(victim, records / 2, |line| {
+        let flip = line.len() - 2;
+        line[flip] ^= 0x40;
+    });
 
     // The damaged entry is detected, logged, and treated as a miss: the
     // warm pass re-executes exactly that one job, with verdicts unchanged.
@@ -151,9 +166,13 @@ fn a_corrupted_entry_re_executes_only_its_own_job_and_heals_the_store() {
         "corruption must cause re-execution, never a wrong verdict"
     );
 
-    // The re-execution wrote the entry back: the store is healed and the
-    // next process replays everything again.
-    assert!(victim.exists(), "the healed entry must be rewritten in place");
+    // The re-execution appended a healed record: the store is healed and
+    // the next process replays everything again.
+    assert_eq!(
+        segment_lines(victim).len() - 1,
+        records + 1,
+        "the healed record must be appended to the segment"
+    );
     let healed = corpus_suite(&dir).execute();
     assert_eq!(healed.total_runs_executed(), 0, "the store must be healed");
     assert_eq!(stripped(&cold), stripped(&healed));
@@ -166,14 +185,23 @@ fn a_truncated_entry_is_a_conservative_miss_not_a_parse_panic() {
     let dir = fresh_store_dir("truncate");
     let cold = corpus_suite(&dir).execute();
 
-    let entries = entry_files(&dir);
-    let victim = &entries[0];
-    let bytes = std::fs::read(victim).expect("the victim entry reads");
-    std::fs::write(victim, &bytes[..bytes.len() / 2]).expect("the truncated entry writes");
+    // Cut the first segment mid-way through its final record, as a crash
+    // mid-append would.
+    let victim = &segment_files(&dir)[0];
+    let bytes = std::fs::read(victim).expect("the victim segment reads");
+    let last_start = bytes[..bytes.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .expect("a record line")
+        + 1;
+    let cut = last_start + (bytes.len() - last_start) / 2;
+    std::fs::write(victim, &bytes[..cut]).expect("the truncated segment writes");
 
     let warm = corpus_suite(&dir).execute();
     assert_eq!(warm.total_runs_executed(), 1, "the truncated job must re-execute");
     assert_eq!(stripped(&cold), stripped(&warm));
+    let healed = corpus_suite(&dir).execute();
+    assert_eq!(healed.total_runs_executed(), 0, "the torn record must be healed");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -237,4 +265,125 @@ fn each_executed_run_is_saved_exactly_once() {
         );
         assert_eq!(stripped(&cold), stripped(&warm));
     }
+}
+
+#[test]
+fn a_cold_standard_suite_writes_one_segment_per_application() {
+    let dir = fresh_store_dir("segments");
+    let cache = ResultCache::persistent(&dir).expect("the test store directory opens");
+    let cold = standard_suite()
+        .expect("valid specs")
+        .with_result_cache(cache)
+        .execute();
+    assert_eq!(cold.total_runs_executed(), 216);
+    let segments = segment_files(&dir);
+    assert_eq!(segments.len(), 8, "one segment per application scope");
+    let records: usize = segments.iter().map(|s| segment_lines(s).len() - 1).sum();
+    assert_eq!(records, 216, "one record per executed run");
+    let store = DiskStore::open(&dir).expect("the populated store re-opens");
+    assert_eq!(store.entries(), 216);
+    assert!(store.verify().is_clean());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The digest `concurrent_handles_never_corrupt_a_segment` saves for key `i`.
+fn numbered_digest(i: usize) -> RunDigest {
+    RunDigest {
+        applied: i.is_multiple_of(2),
+        exit: Some(i32::try_from(i).expect("small")),
+        crashed: None,
+        audit_events: i * 3,
+        violations: Vec::new(),
+    }
+}
+
+#[test]
+fn concurrent_handles_never_corrupt_a_segment() {
+    // Two handles on one directory — two processes, in-process — each
+    // save an overlapping key range from four threads of their own; every
+    // thread writes into all four segments, and all eight start at once.
+    let dir = fresh_store_dir("concurrent");
+    let keys: Vec<(u64, FaultKey)> = (0..120)
+        .map(|i| (i as u64 % 4, FaultKey::synthetic(&format!("k{i}#0|-|{{}}"))))
+        .collect();
+    let handles = [
+        DiskStore::open(&dir).expect("the first handle opens"),
+        DiskStore::open(&dir).expect("the second handle opens"),
+    ];
+    let start = Barrier::new(8);
+    thread::scope(|scope| {
+        for (h, range) in [(0, 0..80), (1, 40..120)] {
+            for t in 0..4 {
+                let (store, keys, range, start) = (&handles[h], &keys, range.clone(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in range.filter(|i| (i / 4) % 4 == t) {
+                        store.save(keys[i].0, &keys[i].1, &numbered_digest(i));
+                    }
+                });
+            }
+        }
+    });
+    let third = DiskStore::open(&dir).expect("a third handle opens");
+    for (i, (scope, key)) in keys.iter().enumerate() {
+        assert_eq!(third.load(*scope, key), Some(numbered_digest(i)), "key {i}");
+    }
+    let report = third.verify();
+    assert!(report.corrupt.is_empty(), "{:?}", report.corrupt);
+    assert!(report.is_clean());
+    assert_eq!(third.entries(), 120, "each key counts once");
+    assert_eq!(segment_files(&dir).len(), 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn processes_racing_to_create_a_store_all_open_it() {
+    // Each opener does what `reproduce` does: create the directory, write
+    // and remove a writability probe (`.epa-probe-<pid>`), and open it.
+    for round in 0..20 {
+        let dir = fresh_store_dir(&format!("race-{round}"));
+        let start = Barrier::new(4);
+        thread::scope(|scope| {
+            for opener in 0..4 {
+                let (dir, start) = (&dir, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    std::fs::create_dir_all(dir).expect("the directory creates");
+                    let probe = dir.join(format!(".epa-probe-{opener}"));
+                    std::fs::write(&probe, "probe").expect("the probe writes");
+                    let store = DiskStore::open(dir);
+                    std::fs::remove_file(&probe).expect("the probe is removed");
+                    store.expect("a racing opener never sees a foreign directory");
+                });
+            }
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_torn_final_record_then_a_save_loses_only_the_torn_key() {
+    let dir = fresh_store_dir("torn");
+    let key = |i: usize| FaultKey::synthetic(&format!("t{i}#0|-|{{}}"));
+    let store = DiskStore::open(&dir).expect("the store opens");
+    for i in 0..5 {
+        store.save(3, &key(i), &numbered_digest(i));
+    }
+    drop(store);
+    // A crash mid-append: the last record loses its second half.
+    let segment = &segment_files(&dir)[0];
+    let bytes = std::fs::read(segment).expect("the segment reads");
+    std::fs::write(segment, &bytes[..bytes.len() - 20]).expect("the torn segment writes");
+
+    let store = DiskStore::open(&dir).expect("the store reopens");
+    store.save(3, &key(5), &numbered_digest(5));
+    drop(store);
+    let reread = DiskStore::open(&dir).expect("the store reopens");
+    for i in 0..6 {
+        let want = (i != 4).then(|| numbered_digest(i));
+        assert_eq!(reread.load(3, &key(i)), want, "key {i}");
+    }
+    assert_eq!(reread.entries(), 5);
+    assert_eq!(reread.verify().corrupt.len(), 1, "only the torn record is damaged");
+    let _ = std::fs::remove_dir_all(&dir);
 }
