@@ -24,14 +24,18 @@
 //! handle reads a segment once, on the first load or save of its scope.
 //! A record failing its checksum, of a foreign version, or malformed is
 //! logged and ignored (its key misses); the first valid record of a key
-//! wins. A save is one `O_APPEND` write of one whole line, so concurrent
-//! writers interleave records, never bytes. A crash mid-write leaves a
-//! torn final line, which the next save ends with a newline first: a crash
-//! costs at most one conservative miss, and the re-executed run appends a
-//! healed record. [`DiskStore::prune`] compacts damaged segments.
+//! wins. Writers take the segment's advisory lock. A save is one `O_APPEND`
+//! write of one line; a new segment gets its header and first record from
+//! one temp file renamed into place. A crash mid-write leaves a torn line,
+//! which the next save ends with a newline (or replaces, if it is the
+//! header): a crash costs at most one conservative miss, and the re-run
+//! appends a healed record. A handle compacts the segments it appended to
+//! when it closes, and [`DiskStore::prune`] the ones it keeps: valid,
+//! distinct records sorted by key, so equal records give equal bytes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
@@ -55,19 +59,46 @@ fn store_header() -> String {
     format!("epa-result-store v{STORE_FORMAT_VERSION}\n")
 }
 
-/// Writes the store header through a temp file renamed into place, so a
-/// racing opener never reads a partial one.
-fn write_header(root: &Path) -> io::Result<()> {
+/// Writes `text` to a transient `.epa-*` file beside `path` and renames it
+/// over `path`, so no reader sees a partial file. Keeps `mtime` if given.
+fn install(path: &Path, text: &str, mtime: Option<SystemTime>) -> io::Result<()> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    let tmp = root.join(format!(".epa-header-{}-{n}.tmp", std::process::id()));
-    std::fs::write(&tmp, store_header())?;
-    std::fs::rename(&tmp, root.join(STORE_HEADER_FILE))
+    let tmp = path.with_file_name(format!(".epa-{name}-{}-{n}.tmp", std::process::id()));
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(text.as_bytes())?;
+        mtime.map_or(Ok(()), |t| file.set_modified(t))
+    });
+    let renamed = written.and_then(|()| std::fs::rename(&tmp, path));
+    if renamed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    renamed
 }
 
-/// The first line of `scope`'s segment, without its newline.
+/// Opens the segment at `path` (creating it empty if asked) for appending
+/// under an exclusive advisory lock, held until the file closes. If a
+/// rewrite replaced the file before the lock was granted, the lock is
+/// retaken on the file `path` names now, so no append is lost.
+fn lock_segment(path: &Path, create: bool) -> io::Result<std::fs::File> {
+    loop {
+        let file = std::fs::File::options()
+            .read(true)
+            .append(true)
+            .create(create)
+            .open(path)?;
+        file.lock()?;
+        let held = file.metadata()?;
+        if std::fs::metadata(path).is_ok_and(|named| (named.dev(), named.ino()) == (held.dev(), held.ino())) {
+            return Ok(file);
+        }
+    }
+}
+
+/// The first line of `scope`'s segment.
 fn segment_header(scope: u64) -> String {
-    format!("epa-store-segment v{STORE_FORMAT_VERSION} scope={scope:016x}")
+    format!("epa-store-segment v{STORE_FORMAT_VERSION} scope={scope:016x}\n")
 }
 
 /// The serialized body of one record. `scope` is hex text (JSON numbers
@@ -176,13 +207,13 @@ struct Segment {
     quarantined: bool,
     /// Damaged records, as `(line number, reason)`.
     damaged: Vec<(usize, String)>,
-    /// Valid records shadowed by an earlier record of the same key.
-    duplicates: usize,
+    /// This handle appended to the segment: it compacts it when it closes.
+    appended: bool,
 }
 
-/// Decodes a read of `scope`'s segment. A missing or empty file (a crash
-/// right after creating it) is an empty segment; an unreadable one is
-/// quarantined.
+/// Decodes a read of `scope`'s segment. A missing file, or a prefix of the
+/// header (a torn creation, which the next save replaces), is an empty
+/// segment; an unreadable one, or a foreign header, is quarantined.
 fn decode_segment(scope: u64, read: io::Result<Vec<u8>>) -> Segment {
     let mut segment = Segment {
         scope,
@@ -192,26 +223,19 @@ fn decode_segment(scope: u64, read: io::Result<Vec<u8>>) -> Segment {
         return segment;
     };
     let header = segment_header(scope);
-    let mut lines = bytes.split(|&b| b == b'\n').enumerate();
-    segment.quarantined = !bytes.is_empty() && lines.next().is_some_and(|(_, first)| first != header.as_bytes());
-    if segment.quarantined {
-        return segment;
-    }
-    for (i, line) in lines {
-        // Writers racing to create a segment each write its header.
-        if line.is_empty() || line == header.as_bytes() {
-            continue;
-        }
+    segment.quarantined = !bytes.starts_with(header.as_bytes()) && !header.as_bytes().starts_with(&bytes);
+    let records = bytes.get(header.len()..).filter(|_| !segment.quarantined);
+    let lines = records.unwrap_or_default().split(|&b| b == b'\n').enumerate();
+    for (i, line) in lines.filter(|(_, line)| !line.is_empty()) {
         let decoded = std::str::from_utf8(line)
             .map_err(|_| EntryError::Malformed("not UTF-8".to_string()))
             .and_then(decode_entry);
         match decoded {
-            Ok(r) if r.scope != scope => segment.damaged.push((i + 1, format!("foreign scope {:016x}", r.scope))),
-            Ok(r) if segment.records.contains_key(&r.key) => segment.duplicates += 1,
+            Ok(r) if r.scope != scope => segment.damaged.push((i + 2, format!("foreign scope {:016x}", r.scope))),
             Ok(r) => {
-                segment.records.insert(r.key, Some(r.digest));
+                segment.records.entry(r.key).or_insert(Some(r.digest));
             }
-            Err(e) => segment.damaged.push((i + 1, e.to_string())),
+            Err(e) => segment.damaged.push((i + 2, e.to_string())),
         }
     }
     segment
@@ -310,7 +334,7 @@ impl DiskStore {
                 // precede the header.
                 let mut names = std::fs::read_dir(&root)?.flatten().map(|e| e.file_name());
                 if names.all(|n| n.to_string_lossy().starts_with(".epa-")) {
-                    write_header(&root)?;
+                    install(&header_path, &store_header(), None)?;
                 }
                 // A racing opener may also have written it meanwhile.
                 let err = |_| refuse("is non-empty and has no store header; refusing to adopt it");
@@ -322,7 +346,7 @@ impl DiskStore {
             eprintln!("epa-store: {shown} is a v1 store; upgrading it (its entries are dropped: they re-derive)");
             match std::fs::remove_dir_all(root.join("v1")) {
                 Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-                _ => write_header(&root)?,
+                _ => install(&header_path, &store_header(), None)?,
             }
         } else if found != store_header() {
             return Err(refuse(&format!("is a {found:?} store, not v{STORE_FORMAT_VERSION}")));
@@ -378,31 +402,50 @@ impl DiskStore {
         segment
     }
 
-    /// Appends one record line to `scope`'s segment in a single write,
-    /// creating the segment with its header if it is new or empty, and
-    /// ending a torn final line first.
+    /// Appends one record line to `scope`'s segment in a single write under
+    /// its lock, ending a torn final line first. A new or torn segment (a
+    /// prefix of its header) holds no records: header and record replace it.
     fn append(&self, scope: u64, record: &str) -> io::Result<()> {
-        let path = self.segment_path(scope);
-        let mut options = std::fs::File::options();
-        options.read(true).append(true).create(true);
-        let mut file = match options.open(&path) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                std::fs::create_dir_all(self.segment_dir())?;
-                options.open(&path)?
+        let (path, header) = (self.segment_path(scope), segment_header(scope));
+        std::fs::create_dir_all(self.segment_dir())?;
+        let mut file = lock_segment(&path, true)?;
+        let mut head = Vec::new();
+        (&mut file).take(header.len() as u64).read_to_end(&mut head)?;
+        if head != header.as_bytes() {
+            if !header.as_bytes().starts_with(&head) {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "foreign segment header"));
             }
-            opened => opened?,
-        };
-        let mut last = [b'\n'];
-        let header = match file.metadata()?.len() {
-            0 => segment_header(scope) + "\n",
-            _ => {
-                file.seek(SeekFrom::End(-1))?;
-                file.read_exact(&mut last)?;
-                String::new()
-            }
-        };
+            return install(&path, &(header + record), None);
+        }
+        let mut last = [0];
+        file.seek(SeekFrom::End(-1))?;
+        file.read_exact(&mut last)?;
         let torn = if last == *b"\n" { "" } else { "\n" };
-        file.write_all(format!("{header}{torn}{record}").as_bytes())
+        file.write_all(format!("{torn}{record}").as_bytes())
+    }
+
+    /// Rewrites `scope`'s segment under its lock with its valid, distinct
+    /// records sorted by key, keeping its mtime. A quarantined or missing
+    /// segment is left alone.
+    fn compact(&self, scope: u64) -> io::Result<()> {
+        let path = self.segment_path(scope);
+        let mut file = match lock_segment(&path, false) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+            locked => locked?,
+        };
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let segment = decode_segment(scope, Ok(bytes));
+        if segment.quarantined {
+            return Ok(());
+        }
+        let mut text = segment_header(scope);
+        for (key, digest) in segment.records.iter().collect::<BTreeMap<_, _>>() {
+            if let Some(digest) = digest {
+                text.push_str(&encode_entry(scope, &FaultKey::synthetic(key), digest));
+            }
+        }
+        install(&path, &text, Some(file.metadata()?.modified()?))
     }
 
     /// Every segment file on disk, decoded, in path order. Does not touch
@@ -441,9 +484,8 @@ impl DiskStore {
 
     /// Applies a retention policy per segment: TTL expiry, then eviction of
     /// whole segments, least recently read first, until the entry count is
-    /// within the cap; then compacts survivors holding damaged or duplicate
-    /// records. Quarantined segments are left alone. A record another
-    /// process appends mid-compaction can be lost: a conservative miss.
+    /// within the cap; then compacts the survivors. Quarantined segments are
+    /// left alone.
     pub fn prune(&self, options: PruneOptions) -> PruneReport {
         let now = SystemTime::now();
         let mut live: Vec<_> = self
@@ -476,11 +518,8 @@ impl DiskStore {
             }
             !evicted
         });
-        let dirty = live
-            .iter()
-            .filter(|(_, _, s)| !s.damaged.is_empty() || s.duplicates > 0);
-        for (mtime, path, segment) in dirty {
-            if let Err(e) = compact(path, segment, *mtime) {
+        for (_, path, segment) in &live {
+            if let Err(e) = self.compact(segment.scope) {
                 eprintln!("epa-store: {}: compaction failed ({e}); left as is", path.display());
             }
         }
@@ -509,34 +548,16 @@ impl DiskStore {
     }
 }
 
-/// Rewrites a segment with only its valid, distinct records (sorted by key)
-/// through a same-directory temp file renamed into place, keeping `mtime`.
-fn compact(path: &Path, segment: &Segment, mtime: SystemTime) -> io::Result<()> {
-    let mut text = segment_header(segment.scope) + "\n";
-    for (key, digest) in segment.records.iter().collect::<BTreeMap<_, _>>() {
-        if let Some(digest) = digest {
-            text.push_str(&encode_entry(segment.scope, &FaultKey::synthetic(key), digest));
-        }
-    }
-    let tmp = path.with_extension(format!("seg.{}.tmp", std::process::id()));
-    let written = std::fs::File::create(&tmp).and_then(|mut file| {
-        file.write_all(text.as_bytes())?;
-        file.set_modified(mtime)
-    });
-    let renamed = written.and_then(|()| std::fs::rename(&tmp, path));
-    if renamed.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    renamed
-}
-
 impl ResultStore for DiskStore {
     fn load(&self, scope: u64, key: &FaultKey) -> Option<RunDigest> {
         // A quarantined segment holds no records, so it reads as misses. A
         // key whose digest was already handed out is read from disk again.
         self.with_segment(scope, |segment| match segment.records.get_mut(key.repr())?.take() {
             None => {
-                *segment = self.read_segment(scope);
+                *segment = Segment {
+                    appended: segment.appended,
+                    ..self.read_segment(scope)
+                };
                 segment.records.get_mut(key.repr())?.take()
             }
             taken => taken,
@@ -555,6 +576,7 @@ impl ResultStore for DiskStore {
                 return;
             }
             segment.records.insert(key.repr().to_string(), None);
+            segment.appended = true;
         });
     }
 
@@ -564,6 +586,22 @@ impl ResultStore for DiskStore {
 
     fn kind(&self) -> &'static str {
         "disk"
+    }
+}
+
+impl Drop for DiskStore {
+    /// Compacts every segment this handle appended to.
+    fn drop(&mut self) {
+        let segments = self.segments.lock().unwrap_or_else(PoisonError::into_inner);
+        for (scope, slot) in segments.iter() {
+            let slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            if !slot.as_ref().is_some_and(|segment| segment.appended) {
+                continue;
+            }
+            if let Err(e) = self.compact(*scope) {
+                eprintln!("epa-store: {scope:016x}.seg: compaction failed ({e}); left as is");
+            }
+        }
     }
 }
 
@@ -598,6 +636,11 @@ mod tests {
     fn lines(store: &DiskStore, scope: u64) -> Vec<String> {
         let text = std::fs::read_to_string(store.segment_path(scope)).expect("segment exists");
         text.lines().map(str::to_string).collect()
+    }
+
+    /// `scope`'s segment path in the store at `dir`.
+    fn store_path(dir: &Path, scope: u64) -> PathBuf {
+        dir.join("v2").join(format!("{scope:016x}.seg"))
     }
 
     /// Rewrites the segment from `lines`, each ended by a newline.
@@ -640,7 +683,7 @@ mod tests {
         // Idempotent: a re-save appends nothing.
         store.save(7, &k, &digest(0, 2));
         assert_eq!(lines(&store, 7).len(), 2, "header and one record");
-        assert_eq!(lines(&store, 7)[0], segment_header(7));
+        assert_eq!(lines(&store, 7)[0], segment_header(7).trim_end());
         assert_eq!(store.entries(), 1);
         assert_eq!(store.kind(), "disk");
         let stats = store.stats();
@@ -691,6 +734,52 @@ mod tests {
             (2, 1),
             "the torn line stays until a prune"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_segment_header_costs_one_miss_then_heals() {
+        // A segment cut mid-way through its header holds no record: its
+        // key misses once, and the re-executed run's save replaces it.
+        let (dir, store) = temp_store("torn-header");
+        let k = key("i#0|-|{}");
+        store.save(10, &k, &digest(0, 1));
+        drop(store);
+        std::fs::write(store_path(&dir, 10), &segment_header(10)[..12]).expect("tear the header");
+        let reopened = DiskStore::open(&dir).expect("store reopens");
+        assert_eq!(reopened.load(10, &k), None, "the torn segment misses");
+        assert_eq!(
+            reopened.stats().quarantined_segments,
+            0,
+            "a torn creation is not foreign"
+        );
+        reopened.save(10, &k, &digest(0, 1));
+        let healed = DiskStore::open(&dir).expect("store reopens");
+        assert_eq!(healed.load(10, &k), Some(digest(0, 1)));
+        assert!(healed.verify().is_clean());
+        assert_eq!(lines(&healed, 10).len(), 2, "header and the healed record");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn closing_a_writer_compacts_its_segments_in_key_order() {
+        let (dir, store) = temp_store("close");
+        let record = |name: &str| encode_entry(11, &key(&format!("{name}#0|-|{{}}")), &digest(0, 1));
+        for name in ["z", "a", "m"] {
+            store.save(11, &key(&format!("{name}#0|-|{{}}")), &digest(0, 1));
+        }
+        let segment = |names: [&str; 3]| segment_header(11) + &names.map(record).concat();
+        let written = std::fs::read_to_string(store_path(&dir, 11)).expect("segment");
+        assert_eq!(written, segment(["z", "a", "m"]), "records are appended in save order");
+        drop(store);
+        let closed = std::fs::read_to_string(store_path(&dir, 11)).expect("segment");
+        assert_eq!(closed, segment(["a", "m", "z"]), "closing sorts them by key");
+        // A handle that only read leaves the segment alone.
+        let reader = DiskStore::open(&dir).expect("store reopens");
+        assert!(reader.load(11, &key("a#0|-|{}")).is_some());
+        let before = std::fs::metadata(store_path(&dir, 11)).expect("segment").ino();
+        drop(reader);
+        assert_eq!(std::fs::metadata(store_path(&dir, 11)).expect("segment").ino(), before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,10 +14,11 @@
 //! * [`DiskStore`] — the persistent content-addressed backend
 //!   ([`disk`]): one append-only segment file per scope, read once per
 //!   handle; a versioned store header; per-record checksums; saves that
-//!   are one `O_APPEND` write of one line, so a torn tail costs at most
-//!   one conservative miss; per-segment LRU/TTL pruning with compaction;
-//!   and lookup by full key text, so a 64-bit digest collision can never
-//!   replay the wrong run.
+//!   are one `O_APPEND` write of one line under the segment's advisory
+//!   lock, so a torn tail costs at most one conservative miss; compaction
+//!   into key order when a writing handle closes, so identical runs leave
+//!   identical bytes; per-segment LRU/TTL pruning; and lookup by full key
+//!   text, so a 64-bit digest collision can never replay the wrong run.
 //! * [`SuiteManifest`] — the lockfile-style campaign manifest
 //!   ([`manifest`]): the exact `(spec fingerprint, plan, store keys)` of a
 //!   suite run, so a warm re-run can be verified complete before any job

@@ -166,13 +166,15 @@ fn a_corrupted_entry_re_executes_only_its_own_job_and_heals_the_store() {
         "corruption must cause re-execution, never a wrong verdict"
     );
 
-    // The re-execution appended a healed record: the store is healed and
-    // the next process replays everything again.
+    // The re-execution appended a healed record, and closing the warm
+    // handle compacted the damaged one away: the store is healed and the
+    // next process replays everything again.
     assert_eq!(
         segment_lines(victim).len() - 1,
-        records + 1,
-        "the healed record must be appended to the segment"
+        records,
+        "the healed record must replace the damaged one"
     );
+    assert!(DiskStore::open(&dir).expect("the store reopens").verify().is_clean());
     let healed = corpus_suite(&dir).execute();
     assert_eq!(healed.total_runs_executed(), 0, "the store must be healed");
     assert_eq!(stripped(&cold), stripped(&healed));
@@ -377,6 +379,7 @@ fn a_torn_final_record_then_a_save_loses_only_the_torn_key() {
 
     let store = DiskStore::open(&dir).expect("the store reopens");
     store.save(3, &key(5), &numbered_digest(5));
+    assert_eq!(store.verify().corrupt.len(), 1, "only the torn record is damaged");
     drop(store);
     let reread = DiskStore::open(&dir).expect("the store reopens");
     for i in 0..6 {
@@ -384,6 +387,85 @@ fn a_torn_final_record_then_a_save_loses_only_the_torn_key() {
         assert_eq!(reread.load(3, &key(i)), want, "key {i}");
     }
     assert_eq!(reread.entries(), 5);
-    assert_eq!(reread.verify().corrupt.len(), 1, "only the torn record is damaged");
+    assert!(
+        reread.verify().is_clean(),
+        "closing the saving handle compacts the torn record away"
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closing_a_handle_mid_append_loses_no_record() {
+    // One handle appends from four threads while others repeatedly open,
+    // save and close — and so compact the same segment under its feet.
+    let dir = fresh_store_dir("compact-race");
+    let key = |i: usize| FaultKey::synthetic(&format!("r{i}#0|-|{{}}"));
+    let writer = DiskStore::open(&dir).expect("the store opens");
+    thread::scope(|scope| {
+        for t in 0..4 {
+            let (writer, key) = (&writer, &key);
+            scope.spawn(move || {
+                for i in (t..400).step_by(4) {
+                    writer.save(1, &key(i), &numbered_digest(i));
+                }
+            });
+        }
+        for i in 400..440 {
+            let closer = DiskStore::open(&dir).expect("the store opens");
+            closer.save(1, &key(i), &numbered_digest(i));
+        }
+    });
+    drop(writer);
+    let reread = DiskStore::open(&dir).expect("the store reopens");
+    for i in 0..440 {
+        assert_eq!(reread.load(1, &key(i)), Some(numbered_digest(i)), "key {i}");
+    }
+    assert!(reread.verify().is_clean());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file below the store root as `(relative path, bytes)`, sorted.
+fn store_files(root: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![root.to_path_buf()];
+    while let Some(dir) = pending.pop() {
+        for path in std::fs::read_dir(&dir)
+            .expect("the store lists")
+            .flatten()
+            .map(|e| e.path())
+        {
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("store files read");
+                files.push((path.strip_prefix(root).expect("below the root").to_path_buf(), bytes));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn identical_cold_runs_leave_byte_identical_stores() {
+    // Pooled runs complete (and append) in a different order each time;
+    // closing the handle sorts every segment it wrote.
+    let dirs = [fresh_store_dir("identical-a"), fresh_store_dir("identical-b")];
+    let stores: Vec<_> = dirs
+        .iter()
+        .map(|dir| {
+            let cache = ResultCache::persistent(dir).expect("the test store directory opens");
+            let suite = standard_suite().expect("valid specs").with_workers(4);
+            assert_eq!(suite.with_result_cache(cache).execute().total_runs_executed(), 216);
+            store_files(dir)
+        })
+        .collect();
+    assert_eq!(stores[0].iter().filter(|(p, _)| p.starts_with("v2")).count(), 8);
+    assert!(
+        stores[0] == stores[1],
+        "two identical cold runs left different store bytes"
+    );
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
