@@ -192,8 +192,8 @@ fn run_suite(opts: RunOptions) -> Result<(), String> {
     // Validation failures warn and fall back to in-memory memoization —
     // they never fail the experiment (the `EPA_WORKERS` contract).
     let resolution = epa_core::store::resolve_store_dir_env(opts.store.as_deref());
-    if let Some(warning) = &resolution.warning {
-        eprintln!("reproduce: {warning}");
+    if let Some(refusal) = &resolution.refusal {
+        eprintln!("reproduce: {refusal}; falling back to in-memory memoization");
     }
     let persistent = resolution
         .dir
@@ -237,13 +237,18 @@ fn run_suite(opts: RunOptions) -> Result<(), String> {
 
 /// The `store` subcommand: maintenance operations on a persistent result
 /// store. Without a configured directory every operation is a no-op with a
-/// note (so the `all` sweep stays green on machines without a store).
+/// note (so the `all` sweep stays green on machines without a store); so is
+/// one whose `EPA_CACHE_DIR` is refused, after a warning. An explicit
+/// `--store` that is refused fails the operation.
 fn run_store(opts: RunOptions) -> Result<(), String> {
     use epa_core::store::{DiskStore, PruneOptions, SuiteManifest};
     let op = opts.store_op.as_deref().unwrap_or("stats");
     let resolution = epa_core::store::resolve_store_dir_env(opts.store.as_deref());
-    if let Some(warning) = &resolution.warning {
-        eprintln!("reproduce: {warning}");
+    if let Some(refusal) = &resolution.refusal {
+        if opts.store.as_deref().is_some_and(|s| !s.trim().is_empty()) {
+            return Err(format!("store {op}: --store refused: {refusal}"));
+        }
+        eprintln!("reproduce: {refusal}; falling back to in-memory memoization");
     }
     let Some(dir) = resolution.dir else {
         println!("store: no store directory configured (pass --store DIR or set EPA_CACHE_DIR); nothing to {op}");
@@ -466,6 +471,27 @@ mod tests {
         let err = run("store", bad).unwrap_err();
         assert!(err.contains("unknown operation"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An explicit `--store` that cannot be a store directory (here a
+    /// regular file) fails every operation and says why, instead of
+    /// falling through to the no-directory note.
+    #[test]
+    fn store_subcommand_fails_on_a_refused_explicit_directory() {
+        let file = std::env::temp_dir().join(format!("epa-cli-store-file-{}", std::process::id()));
+        std::fs::write(&file, "not a store").expect("a plain file");
+        for op in ["stats", "prune", "verify"] {
+            let refused = RunOptions {
+                store: Some(file.to_string_lossy().to_string()),
+                store_op: Some(op.to_string()),
+                ..RunOptions::default()
+            };
+            let err = run("store", refused).unwrap_err();
+            assert!(err.starts_with(&format!("store {op}: --store refused")), "{err}");
+            assert!(err.contains("cannot be created"), "the resolution reason: {err}");
+        }
+        assert_eq!(std::fs::read_to_string(&file).ok().as_deref(), Some("not a store"));
+        let _ = std::fs::remove_file(&file);
     }
 
     /// Unknown names fail with the canonical error, so the binary's exit

@@ -13,6 +13,7 @@
 //!    assessment score (steps 9–10).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
 
 use epa_sandbox::app::Application;
@@ -134,45 +135,33 @@ impl TestSetup {
     ///
     /// This is the memoization scope half of the planner's
     /// `(fingerprint, FaultKey)` cache key: two runs can only replay each
-    /// other when they start from byte-identical worlds with identical
-    /// spawn parameters. The hash is cheap in the engine's terms because a
-    /// [`crate::engine::Session`] freezes one pristine world and snapshots
-    /// it copy-on-write per run — the frozen state is hashed once per
-    /// campaign, never per injected run.
+    /// other when they start from identical worlds with identical spawn
+    /// parameters. A [`crate::engine::Session`] freezes one pristine world
+    /// and snapshots it copy-on-write per run, so the hash runs once per
+    /// campaign, never per injected run; the schedule then looks every job
+    /// up under this scope before the analyzer sees the misses.
+    ///
+    /// The hash is structural: each substrate's [`std::hash::Hash`] impl
+    /// feeds one [`crate::engine::planner::Fnv1a`] hasher, with no
+    /// serialization in between. Persistent stores key their segments by
+    /// it, so a change to what it covers, or to any of those impls, needs a
+    /// [`crate::store::STORE_FORMAT_VERSION`] bump.
     pub fn fingerprint(&self) -> u64 {
-        let mut text = String::new();
-        let mut part = |label: &str, json: String| {
-            text.push_str(label);
-            text.push('=');
-            text.push_str(&json);
-            text.push('\n');
-        };
         let world = &self.world;
-        part("fs", serde_json::to_string(&world.fs).expect("vfs serializes"));
-        part("users", serde_json::to_string(&world.users).expect("users serialize"));
-        part(
-            "registry",
-            serde_json::to_string(&world.registry).expect("registry serializes"),
-        );
-        part("net", serde_json::to_string(&world.net).expect("network serializes"));
-        part(
-            "scenario",
-            serde_json::to_string(&world.scenario).expect("scenario serializes"),
-        );
-        part("procs", world.procs.len().to_string());
-        part("created", format!("{:?}", world.created_paths().collect::<Vec<_>>()));
-        part("audit", world.audit.len().to_string());
-        part("trace", world.trace.len().to_string());
-        part("program", format!("{:?}", self.program));
-        part("invoker", format!("{:?}", self.invoker));
-        part("args", format!("{:?}", self.args));
-        part("env", format!("{:?}", self.env));
-        part("cwd", self.cwd.clone());
-        part(
-            "invariants",
-            serde_json::to_string(&self.invariants).expect("invariants serialize"),
-        );
-        crate::engine::planner::fnv1a(text.as_bytes())
+        let mut hasher = crate::engine::planner::Fnv1a::default();
+        (&world.fs, &world.users, &world.registry, &world.net, &world.scenario).hash(&mut hasher);
+        (world.procs.len(), world.audit.len(), world.trace.len()).hash(&mut hasher);
+        world.created_paths().collect::<Vec<_>>().hash(&mut hasher);
+        (
+            &self.program,
+            self.invoker,
+            &self.args,
+            &self.env,
+            &self.cwd,
+            &self.invariants,
+        )
+            .hash(&mut hasher);
+        hasher.finish()
     }
 }
 
@@ -503,7 +492,9 @@ impl<'a> Campaign<'a> {
     }
 
     /// The `(setup fingerprint, application)` memoization scope of this
-    /// campaign's runs — see [`TestSetup::fingerprint`].
+    /// campaign's runs — see [`TestSetup::fingerprint`]. The schedule looks
+    /// every job up under it first and prunes only the misses; pruned
+    /// digests are never saved under it.
     pub fn scope(&self) -> u64 {
         *self.scope.get_or_init(|| {
             let text = format!("{}\n{:016x}", self.app.name(), self.setup.fingerprint());

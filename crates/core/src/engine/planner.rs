@@ -1,5 +1,6 @@
 //! The adaptive fault-space planner: canonical-fault dedup, cross-run
-//! memoization, and optional yield-guided prioritization.
+//! memoization, static pruning of the misses, and optional yield-guided
+//! prioritization.
 //!
 //! The paper's §3.2 adequacy metric and §3.3 step 5 assume the fault plan
 //! enumerates the *useful* perturbation space, but a naive planner
@@ -19,28 +20,32 @@
 //! 2. **Dedup** — within one plan, only the first job of each key executes;
 //!    the rest are *aliases*, replayed from the canonical job's
 //!    [`RunDigest`] with their own identity fields and `cache_hit: true`.
-//! 3. **Memoization** — a suite-scoped [`ResultCache`] maps
+//! 3. **Memoization, first** — a suite-scoped [`ResultCache`] maps
 //!    `(setup fingerprint, FaultKey) -> RunDigest`. Identical runs across
 //!    applications, repeated campaigns, or whole suite re-executions are
-//!    replayed from cache instead of re-executed. The fingerprint is cheap
-//!    because a [`crate::engine::Session`] freezes one pristine world and
-//!    every run starts from a copy-on-write snapshot of it: the frozen
-//!    world is hashed once per campaign, not once per run.
-//! 4. **Prioritization** (opt-in) — with
+//!    replayed from cache instead of re-executed. The fingerprint
+//!    ([`crate::campaign::TestSetup::fingerprint`]) is a structural hash of
+//!    the frozen world, computed once per campaign, not once per run.
+//! 4. **Static pruning, of the misses only** — a job the cache does not
+//!    answer goes to the analyzer's [`PruneFn`]; a provably inert job
+//!    replays a synthesized clean-run digest as `pruned`. Pruned digests are
+//!    never saved, so a warm pass asks the analyzer about those jobs alone.
+//! 5. **Prioritization** (opt-in) — with
 //!    [`crate::campaign::CampaignOptions::plan_budget`] set, remaining jobs
 //!    are ordered by observed per-EAI-category verdict yield ([`YieldStats`])
 //!    and only `budget` runs execute. The default (`None`) keeps exhaustive
 //!    plan order, so all paper numbers are reproduced exactly.
 //!
 //! Cache hits never become executor jobs of their own: a campaign's
-//! [`Schedule`] — keys, dedup, static pruning and every cache or store
-//! lookup — is built once, inside that campaign's planning job, on
-//! whichever pool thread runs it (in a suite, a spawned worker or the
-//! calling thread working as worker 0). Only the true misses are handed
+//! [`Schedule`] — keys, dedup, every cache or store lookup, then static
+//! pruning of what missed — is built once, inside that campaign's planning
+//! job, on whichever pool thread runs it (in a suite, a spawned worker or
+//! the calling thread working as worker 0). Only the true misses are handed
 //! back to the pool as injected-run jobs, each carrying its key.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::Hasher;
 
 use serde::{Deserialize, Serialize};
 use shim_sync::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -54,12 +59,51 @@ use crate::store::ResultStore;
 /// 64-bit FNV-1a over a byte string — the workspace's content-address hash
 /// (stable across runs and platforms, no external dependency).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hasher = Fnv1a::default();
+    hasher.write(bytes);
+    hasher.finish()
+}
+
+/// [`fnv1a`] as a [`Hasher`], for hashing structured values through their
+/// [`std::hash::Hash`] impls: bytes written in pieces hash as their
+/// concatenation. Integers are written little-endian and `usize` as `u64`,
+/// so a value hashes the same on every platform.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The payload with its file-system target fields lexically cleaned
@@ -639,34 +683,39 @@ pub struct Schedule {
     aliases: BTreeMap<usize, Vec<usize>>,
     /// Canonical jobs resolved from the [`ResultCache`] at schedule time,
     /// with their digests — these (and their aliases) replay inline and
-    /// never reach the executor.
+    /// never reach the executor or the analyzer.
     pub resolved: Vec<(usize, RunDigest)>,
-    /// Canonical jobs the static analysis proved inert at schedule time,
-    /// with their synthesized clean-run digests — these (and their aliases)
-    /// replay inline as `pruned` records and never reach the executor or
-    /// the cache.
+    /// Canonical cache misses the static analysis proved inert at schedule
+    /// time, with their synthesized clean-run digests — these (and their
+    /// aliases) replay inline as `pruned` records, never reach the
+    /// executor, and are never saved to the cache.
     pub pruned: Vec<(usize, RunDigest)>,
     /// Canonical jobs that must execute, in plan order.
     pub pending: Vec<usize>,
 }
 
-/// A static pre-pruning oracle for [`Schedule::build`]: `Some(digest)`
-/// means the job is provably inert and `digest` is the synthesized outcome
-/// to replay; `None` means the job must execute. Must be content-
+/// A static pruning oracle for [`Schedule::build`], asked only about jobs
+/// the cache missed: `Some(digest)` means the job is provably inert and
+/// `digest` is the synthesized outcome to replay (never saved to the
+/// cache); `None` means the job must execute. Must be content-
 /// deterministic per job (equal jobs ⇒ equal answers) so canonicalization
 /// on or off classifies identically.
 pub type PruneFn<'a> = &'a dyn Fn(&InjectionPlan) -> Option<RunDigest>;
 
 impl Schedule {
-    /// Canonicalizes `jobs` and splits them into statically pruned replays,
-    /// cache-resolved replays, and pending executions.
+    /// Canonicalizes `jobs` and splits them into cache-resolved replays,
+    /// statically pruned replays, and pending executions.
     ///
-    /// Per canonical job, `prune` is consulted **before** the cache: a
-    /// provably inert job costs nothing and must not populate (or consume)
-    /// cache entries. With `dedup` off every job is its own canonical (no
-    /// aliasing); the cache, when given, is still consulted per job. With
-    /// no dedup, no cache, and no pruner this degenerates to the exhaustive
-    /// plan: every job pending, in plan order.
+    /// Per canonical job the cache is consulted **first**, and `prune` only
+    /// on a miss: replaying a stored digest is cheaper than proving the job
+    /// inert, so a warm pass classifies only the jobs the cache cannot
+    /// answer. Pruned digests are never saved, so with pruning on the
+    /// inert jobs miss every time and still replay as `pruned`; a job that
+    /// a store holds as executed (written with pruning off) replays as
+    /// `cache_hit` instead, with the same outcome. With `dedup` off every
+    /// job is its own canonical (no aliasing); the cache, when given, is
+    /// still consulted per job. With no dedup, no cache, and no pruner this
+    /// degenerates to the exhaustive plan: every job pending, in plan order.
     pub fn build(
         jobs: &[InjectionPlan],
         scope: u64,
@@ -696,13 +745,12 @@ impl Schedule {
             if canonical[i] != i {
                 continue;
             }
-            if let Some(digest) = prune.and_then(|p| p(&jobs[i])) {
+            if let Some(digest) = cache.and_then(|c| c.lookup(scope, key)) {
+                resolved.push((i, digest));
+            } else if let Some(digest) = prune.and_then(|p| p(&jobs[i])) {
                 pruned.push((i, digest));
-                continue;
-            }
-            match cache.and_then(|c| c.lookup(scope, key)) {
-                Some(digest) => resolved.push((i, digest)),
-                None => pending.push(i),
+            } else {
+                pending.push(i);
             }
         }
         Schedule {
@@ -906,6 +954,31 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert!(stats.hits >= 1 && stats.misses >= 2);
+    }
+
+    #[test]
+    fn the_pruner_sees_only_cache_misses_and_pruned_digests_are_not_saved() {
+        let jobs = vec![direct_job("a", "s", 0, "/tmp/f"), direct_job("b", "s", 0, "/tmp/g")];
+        let digest = RunDigest {
+            applied: false,
+            exit: Some(0),
+            crashed: None,
+            audit_events: 1,
+            violations: Vec::new(),
+        };
+        let asked = std::cell::RefCell::new(Vec::new());
+        let prune = |job: &InjectionPlan| {
+            asked.borrow_mut().push(job.fault.id.clone());
+            Some(digest.clone())
+        };
+        let cache = ResultCache::new();
+        cache.insert(4, &FaultKey::of(&jobs[0]), digest.clone());
+        let schedule = Schedule::build(&jobs, 4, Some(&cache), true, Some(&prune));
+        assert_eq!(*asked.borrow(), ["b"], "the cached job is never classified");
+        assert_eq!(schedule.resolved, vec![(0, digest.clone())]);
+        assert_eq!(schedule.pruned, vec![(1, digest)]);
+        assert!(schedule.pending.is_empty());
+        assert_eq!(cache.stats().entries, 1, "the pruned digest is not saved");
     }
 
     #[test]
@@ -1125,5 +1198,11 @@ mod tests {
         // Pinned so cache keys stay comparable across runs and platforms.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // The hasher continues the same stream across writes, and writes
+        // integers little-endian whatever the platform.
+        let mut h = Fnv1a::default();
+        h.write(b"a");
+        h.write_u32(0x0403_0201);
+        assert_eq!(h.finish(), fnv1a(b"a\x01\x02\x03\x04"));
     }
 }

@@ -112,10 +112,10 @@ impl Suite {
     /// The lockfile-style manifest of this suite: per application, the
     /// memoization scope, the plan size, and every canonical executable
     /// store key — the exact entries a complete warm run needs (see
-    /// [`crate::store::SuiteManifest::verify`]). Statically pruned jobs
-    /// are excluded: they replay from synthesized digests and never touch
-    /// the store. Planning is deterministic, so the manifest of a suite
-    /// equals the manifest of its execution.
+    /// [`crate::store::SuiteManifest::verify`]). Jobs the schedule prunes
+    /// are excluded: they replay from synthesized digests, which are never
+    /// saved to the store. Planning is deterministic, so the manifest of a
+    /// suite equals the manifest of its execution.
     pub fn manifest(&self) -> crate::store::SuiteManifest {
         use crate::store::{AppManifest, ManifestKey, SuiteManifest, MANIFEST_VERSION};
         let apps = self
@@ -254,8 +254,8 @@ impl Suite {
         // application contributes a planning job, which whichever thread
         // pops it (a spawned worker or the calling thread, worker 0) runs
         // end to end: the clean run and fault plan, then the schedule —
-        // scope fingerprint, canonical keys, dedup, static pruning and
-        // cache/store lookups. Back on the calling thread its pruned and
+        // scope fingerprint, canonical keys, dedup, cache/store lookups and
+        // static pruning of the misses. Back on the calling thread its pruned and
         // cache-resolved records (and their aliases) replay, and only the
         // remaining canonical misses fan back onto the same queue, so idle
         // workers steal across application boundaries and the slowest

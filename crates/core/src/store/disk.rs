@@ -4,9 +4,9 @@
 //!
 //! ```text
 //! <root>/
-//!   HEADER                  "epa-result-store v2"
+//!   HEADER                  "epa-result-store v3"
 //!   MANIFEST.json           lockfile-style suite manifest (optional)
-//!   v2/
+//!   v3/
 //!     <scope:016x>.seg      one append-only segment per (application, fingerprint)
 //! ```
 //!
@@ -15,9 +15,13 @@
 //! A header line, then one record per line: version, body checksum, body.
 //!
 //! ```text
-//! epa-store-segment v2 scope=<scope:016x>
-//! v2 <fnv1a(body):016x> {"scope":"<scope:016x>","key":"<canonical FaultKey text>","digest":{...}}
+//! epa-store-segment v3 scope=<scope:016x>
+//! v3 <fnv1a(body):016x> {"scope":"<scope:016x>","key":"<canonical FaultKey text>","digest":{...}}
 //! ```
+//!
+//! v3 keeps v2's layout and records; only the scopes differ, because
+//! [`crate::campaign::TestSetup::fingerprint`] became a structural hash.
+//! [`DiskStore::open`] upgrades any older store in place.
 //!
 //! Records are looked up by their **full canonical key text**, so a 64-bit
 //! key-digest collision can never replay the wrong run. A [`DiskStore`]
@@ -47,9 +51,10 @@ use crate::engine::planner::{fnv1a, FaultKey, RunDigest};
 use crate::store::ResultStore;
 
 /// Version of the on-disk record format (the store header, segment
-/// headers and every record carry it). Bump on any incompatible change;
-/// readers treat foreign versions as misses, never as parseable data.
-pub const STORE_FORMAT_VERSION: u32 = 2;
+/// headers and every record carry it). Bump on any incompatible change,
+/// including a change to the scopes records are filed under; readers treat
+/// foreign versions as misses, never as parseable data.
+pub const STORE_FORMAT_VERSION: u32 = 3;
 
 /// The store-root header file name.
 const STORE_HEADER_FILE: &str = "HEADER";
@@ -312,8 +317,10 @@ impl DiskStore {
     /// Opens (creating if needed) a store rooted at `root`.
     ///
     /// A fresh or empty directory gets the store header; an existing store
-    /// must carry the current version. A v1 store is upgraded in place with
-    /// one warning, deleting its `v1/` entries (a cache: they re-derive).
+    /// must carry the current version. An older store (`vN`, N below the
+    /// current version) is upgraded in place with one warning: its `vN/`
+    /// entries are deleted (a cache: they re-derive) and its header is
+    /// rewritten; `MANIFEST.json` stays, for the next suite run to rewrite.
     /// Segments are checked when first read.
     ///
     /// # Errors
@@ -342,9 +349,10 @@ impl DiskStore {
             }
             read => read?,
         };
-        if found == "epa-result-store v1\n" {
-            eprintln!("epa-store: {shown} is a v1 store; upgrading it (its entries are dropped: they re-derive)");
-            match std::fs::remove_dir_all(root.join("v1")) {
+        let older = (1..STORE_FORMAT_VERSION).find(|v| found == format!("epa-result-store v{v}\n"));
+        if let Some(v) = older {
+            eprintln!("epa-store: {shown} is a v{v} store; upgrading it (its entries are dropped: they re-derive)");
+            match std::fs::remove_dir_all(root.join(format!("v{v}"))) {
                 Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
                 _ => install(&header_path, &store_header(), None)?,
             }
@@ -640,7 +648,8 @@ mod tests {
 
     /// `scope`'s segment path in the store at `dir`.
     fn store_path(dir: &Path, scope: u64) -> PathBuf {
-        dir.join("v2").join(format!("{scope:016x}.seg"))
+        dir.join(format!("v{STORE_FORMAT_VERSION}"))
+            .join(format!("{scope:016x}.seg"))
     }
 
     /// Rewrites the segment from `lines`, each ended by a newline.
@@ -812,7 +821,7 @@ mod tests {
         let k = key("e#0|-|{}");
         store.save(4, &k, &digest(0, 1));
         let mut segment = lines(&store, 4);
-        segment[1] = segment[1].replacen("v2 ", "v3 ", 1);
+        segment[1] = segment[1].replacen(&format!("v{STORE_FORMAT_VERSION} "), "v99 ", 1);
         assert!(matches!(decode_entry(&segment[1]), Err(EntryError::Version { .. })));
         rewrite(&store, 4, &segment);
         let reopened = DiskStore::open(&dir).expect("store reopens");
@@ -862,30 +871,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(&plain);
     }
 
+    /// Forges an older store at `dir`: its header, one entry under `vN/`,
+    /// and a manifest.
+    fn forge_older_store(dir: &Path, version: u32, entry: &str) {
+        std::fs::write(dir.join(STORE_HEADER_FILE), format!("epa-result-store v{version}\n")).expect("header");
+        let entry = dir.join(format!("v{version}")).join(entry);
+        std::fs::create_dir_all(entry.parent().expect("entry parent")).expect("entry tree");
+        std::fs::write(&entry, format!("v{version} 0000000000000000 {{}}\n")).expect("entry");
+        std::fs::write(dir.join("MANIFEST.json"), "{}").expect("manifest");
+    }
+
     #[test]
     fn v1_stores_upgrade_in_place() {
-        let (dir, store) = temp_store("upgrade");
-        drop(store);
-        // The v1 layout: a root header, a bucket tree, a manifest.
-        std::fs::write(dir.join(STORE_HEADER_FILE), "epa-result-store v1\n").expect("v1 header");
-        let shard = dir.join("v1").join(format!("{:016x}", 9u64)).join("ab");
-        std::fs::create_dir_all(&shard).expect("v1 tree");
-        std::fs::write(shard.join("00000000000000ab.entry"), "epa-store-entry v1\n").expect("v1 entry");
-        std::fs::write(dir.join("MANIFEST.json"), "{}").expect("manifest");
-        let store = DiskStore::open(&dir).expect("a v1 store upgrades");
-        assert!(!dir.join("v1").exists(), "the v1 entries are discarded");
-        assert_eq!(
-            std::fs::read_to_string(dir.join(STORE_HEADER_FILE)).expect("header"),
-            store_header()
-        );
-        assert!(dir.join("MANIFEST.json").exists(), "only the entries go");
-        assert_eq!(store.entries(), 0);
-        store.save(9, &key("u#0|-|{}"), &digest(0, 1));
-        assert_eq!(
-            DiskStore::open(&dir).expect("reopens").load(9, &key("u#0|-|{}")),
-            Some(digest(0, 1))
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        // Every older version upgrades the same way. v1: a bucket tree of
+        // `.entry` files; v2: today's segment layout, filed under the scopes
+        // of the JSON fingerprint.
+        let shapes = [
+            (1, format!("{:016x}/ab/00000000000000ab.entry", 9u64)),
+            (2, format!("{:016x}.seg", 9u64)),
+        ];
+        for (version, entry) in shapes {
+            let (dir, store) = temp_store("upgrade");
+            drop(store);
+            forge_older_store(&dir, version, &entry);
+            let store = DiskStore::open(&dir).expect("an older store upgrades");
+            assert!(
+                !dir.join(format!("v{version}")).exists(),
+                "the v{version} entries are discarded"
+            );
+            assert_eq!(
+                std::fs::read_to_string(dir.join(STORE_HEADER_FILE)).expect("header"),
+                store_header()
+            );
+            assert!(dir.join("MANIFEST.json").exists(), "only the entries go");
+            assert_eq!(store.entries(), 0);
+            store.save(9, &key("u#0|-|{}"), &digest(0, 1));
+            assert_eq!(
+                DiskStore::open(&dir).expect("reopens").load(9, &key("u#0|-|{}")),
+                Some(digest(0, 1))
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        // A newer store, and a header that only looks versioned, are refused.
+        let newer = format!("epa-result-store v{}\n", STORE_FORMAT_VERSION + 1);
+        for header in [newer.as_str(), "epa-result-store v0\n", "epa-result-store v02\n"] {
+            let (dir, store) = temp_store("upgrade-refused");
+            drop(store);
+            std::fs::write(dir.join(STORE_HEADER_FILE), header).expect("header");
+            let err = DiskStore::open(&dir).expect_err("not an older store");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{header:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -921,7 +957,7 @@ mod tests {
         // Scope 3 also carries a duplicate and a damaged record.
         let mut segment = lines(&store, 3);
         segment.push(segment[1].clone());
-        segment.push("v2 0000000000000000 {}".to_string());
+        segment.push(format!("v{STORE_FORMAT_VERSION} 0000000000000000 {{}}"));
         rewrite(&store, 3, &segment);
         for (scope, _, minutes) in layout {
             let old = SystemTime::now() - Duration::from_secs(60 * minutes);

@@ -122,15 +122,17 @@ impl ResultStore for MemoryStore {
 
 /// The outcome of resolving a persistent-store directory from the CLI flag
 /// and `EPA_CACHE_DIR`: the validated directory (absent when no store was
-/// requested or the request had to be refused) plus an optional warning for
-/// the caller to print to stderr — the same contract as the executor's
-/// `EPA_WORKERS` parsing.
+/// requested or the request had to be refused) plus, for a refused request,
+/// why. The caller decides what a refusal means: a suite run warns and
+/// falls back to in-memory memoization (the same contract as the
+/// executor's `EPA_WORKERS` parsing); a store operation on an explicit
+/// directory fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreResolution {
     /// The canonicalized, writability-probed store directory.
     pub dir: Option<PathBuf>,
-    /// A human-readable complaint when the request was adjusted or refused.
-    pub warning: Option<String>,
+    /// Why a requested directory was refused.
+    pub refusal: Option<String>,
 }
 
 /// Resolves the persistent-store directory from an explicit `--store`
@@ -140,16 +142,15 @@ pub struct StoreResolution {
 /// The explicit flag wins over the environment. A blank value means "no
 /// store". Relative paths are canonicalized against the current directory
 /// (the directory is created first, so canonicalization cannot fail on a
-/// fresh path). A directory that cannot be created or written is refused
-/// with a warning — the caller falls back to in-memory memoization, it
-/// never aborts the run.
+/// fresh path). A directory that cannot be created or written is refused,
+/// with the reason in [`StoreResolution::refusal`].
 pub fn resolve_store_dir(explicit: Option<&str>, env_value: Option<&str>) -> StoreResolution {
     let raw = match explicit.or(env_value).map(str::trim) {
         Some(r) if !r.is_empty() => r,
         _ => {
             return StoreResolution {
                 dir: None,
-                warning: None,
+                refusal: None,
             }
         }
     };
@@ -157,9 +158,7 @@ pub fn resolve_store_dir(explicit: Option<&str>, env_value: Option<&str>) -> Sto
     if let Err(e) = std::fs::create_dir_all(&path) {
         return StoreResolution {
             dir: None,
-            warning: Some(format!(
-                "store directory `{raw}` cannot be created ({e}); falling back to in-memory memoization"
-            )),
+            refusal: Some(format!("store directory `{raw}` cannot be created ({e})")),
         };
     }
     let canonical = match path.canonicalize() {
@@ -167,24 +166,22 @@ pub fn resolve_store_dir(explicit: Option<&str>, env_value: Option<&str>) -> Sto
         Err(e) => {
             return StoreResolution {
                 dir: None,
-                warning: Some(format!(
-                    "store directory `{raw}` cannot be canonicalized ({e}); falling back to in-memory memoization"
-                )),
+                refusal: Some(format!("store directory `{raw}` cannot be canonicalized ({e})")),
             }
         }
     };
     if let Err(e) = probe_writable(&canonical) {
         return StoreResolution {
             dir: None,
-            warning: Some(format!(
-                "store directory `{}` is not writable ({e}); falling back to in-memory memoization",
+            refusal: Some(format!(
+                "store directory `{}` is not writable ({e})",
                 canonical.display()
             )),
         };
     }
     StoreResolution {
         dir: Some(canonical),
-        warning: None,
+        refusal: None,
     }
 }
 
@@ -242,11 +239,11 @@ mod tests {
             resolve_store_dir(None, None),
             StoreResolution {
                 dir: None,
-                warning: None
+                refusal: None
             }
         );
         assert_eq!(resolve_store_dir(Some("  "), None).dir, None);
-        assert_eq!(resolve_store_dir(Some("  "), None).warning, None);
+        assert_eq!(resolve_store_dir(Some("  "), None).refusal, None);
         assert_eq!(resolve_store_dir(None, Some("")).dir, None);
     }
 
@@ -258,7 +255,7 @@ mod tests {
             Some(flag_dir.to_str().expect("utf-8 temp path")),
             Some(env_dir.to_str().expect("utf-8 temp path")),
         );
-        assert_eq!(resolved.warning, None);
+        assert_eq!(resolved.refusal, None);
         assert_eq!(
             resolved.dir.as_deref(),
             Some(flag_dir.canonicalize().expect("created").as_path())
@@ -276,7 +273,7 @@ mod tests {
         let dir = resolved.dir.expect("relative dir resolves");
         assert!(dir.is_absolute());
         assert!(dir.ends_with(&tag));
-        assert_eq!(resolved.warning, None);
+        assert_eq!(resolved.refusal, None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -290,8 +287,8 @@ mod tests {
         let under_file = file.join("sub");
         let resolved = resolve_store_dir(Some(under_file.to_str().expect("utf-8 temp path")), None);
         assert_eq!(resolved.dir, None);
-        let warning = resolved.warning.expect("refusal carries a warning");
-        assert!(warning.contains("falling back to in-memory"), "{warning}");
+        let refusal = resolved.refusal.expect("a refused request says why");
+        assert!(refusal.contains("cannot be created"), "{refusal}");
         let _ = std::fs::remove_dir_all(&base);
     }
 }

@@ -126,7 +126,7 @@ impl fmt::Display for Credentials {
 }
 
 /// An account known to the sandbox.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct User {
     /// Numeric uid.
     pub uid: Uid,
@@ -139,7 +139,7 @@ pub struct User {
 }
 
 /// The account database (a tiny `/etc/passwd`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct UserDb {
     by_uid: BTreeMap<u32, User>,
 }

@@ -96,7 +96,7 @@ impl fmt::Display for Label {
 /// assert!(d.has_protected_secret());
 /// assert_eq!(d.text(), "root:x:0:0:");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Data {
     bytes: Vec<u8>,
     labels: BTreeSet<Label>,

@@ -47,7 +47,7 @@ impl fmt::Display for FileTag {
 }
 
 /// What an inode is.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FileKind {
     /// A regular file and its (labeled) content.
     Regular(Data),
@@ -58,7 +58,7 @@ pub enum FileKind {
 }
 
 /// An inode: kind plus ownership, mode and oracle tags.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Inode {
     /// This inode's id.
     pub id: InodeId,

@@ -121,6 +121,15 @@ impl PartialEq for Vfs {
 
 impl Eq for Vfs {}
 
+impl std::hash::Hash for Vfs {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        // As in `PartialEq`: `parents` is derived from the tree.
+        self.inodes.hash(state);
+        self.root.hash(state);
+        self.next_id.hash(state);
+    }
+}
+
 impl Serialize for Vfs {
     fn ser(&self) -> serde::Value {
         // Mirrors the old derived layout exactly (three fields, in

@@ -19,7 +19,7 @@ use crate::error::SysResult;
 use crate::syserr;
 
 /// A message as delivered to an application.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Message {
     /// Origin the message claims (what naive code trusts).
     pub claimed_from: String,
@@ -47,7 +47,7 @@ impl Message {
 }
 
 /// A network service another party offers (or this application listens on).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Service {
     /// Host offering the service.
     pub host: String,
@@ -59,7 +59,7 @@ pub struct Service {
 
 /// The DNS, service, inbox and IPC tables of a [`Network`], grouped so that
 /// world snapshots can share them copy-on-write.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 struct NetTables {
     /// DNS table: name → address text.
     dns: BTreeMap<String, String>,
@@ -83,7 +83,7 @@ struct NetTables {
 /// `clone` is a copy-on-write snapshot: the tables are shared until either
 /// copy mutates them. Use [`Network::deep_clone`] for an eagerly
 /// materialized copy.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Network {
     /// DNS, service, inbox and IPC tables, shared between snapshots.
     tables: Arc<NetTables>,

@@ -37,7 +37,7 @@ use crate::trace::{InputSemantic, SiteId, Trace};
 /// and which objects concrete perturbations should aim at. The fault
 /// catalog parameterizes its injections from this (e.g. "replace the file
 /// with a symlink to *the secret target*").
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct ScenarioMeta {
     /// Real uid of the user who runs the application under test.
     pub invoker: Uid,

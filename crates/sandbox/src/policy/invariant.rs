@@ -21,7 +21,7 @@ use super::{Detector, Evidence, Verdict, Violation, ViolationKind};
 /// One declarative custom invariant. Compile it with
 /// [`InvariantSpec::detector`]; verdicts surface as
 /// [`ViolationKind::Custom`] with rule `invariant:<label>`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum InvariantSpec {
     /// The named path must not be written or deleted during the run.
     FilePristine {

@@ -19,7 +19,7 @@ use crate::syserr;
 
 /// Access control for one registry key, reduced to the write-control
 /// question the case study turns on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RegAcl {
     /// Owning user (Administrator == root in the sandbox's id space).
     pub owner: Uid,
@@ -37,7 +37,7 @@ impl Default for RegAcl {
 }
 
 /// One registry key: values, subkeys, ACL.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RegKey {
     /// Named string values.
     pub values: BTreeMap<String, String>,
@@ -52,7 +52,7 @@ pub struct RegKey {
 /// `clone` is a copy-on-write snapshot: the key tree is shared until either
 /// copy writes, and the first write materializes a private tree. Use
 /// [`Registry::deep_clone`] for an eagerly materialized copy.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Registry {
     root: Arc<RegKey>,
 }

@@ -1,11 +1,17 @@
 //! Property tests: copy-on-write snapshot equivalence — a campaign run
 //! from cheap CoW snapshots of the pristine world must be byte-identical
-//! to one run from eager deep clones, across randomized worlds.
+//! to one run from eager deep clones, across randomized worlds. The setup
+//! fingerprint that scopes the result store is structural: snapshots,
+//! deep clones and reverted worlds share it, and every field changes it.
 
 use epa::core::engine::{Session, WorldSpec};
+use epa::core::TestSetup;
 use epa::sandbox::app::Application;
 use epa::sandbox::cred::{Gid, Uid};
+use epa::sandbox::data::Label;
+use epa::sandbox::mode::Mode;
 use epa::sandbox::os::{Os, ScenarioMeta};
+use epa::sandbox::policy::InvariantSpec;
 use epa::sandbox::process::Pid;
 use epa::sandbox::trace::InputSemantic;
 use proptest::prelude::*;
@@ -143,4 +149,118 @@ proptest! {
         prop_assert_eq!(&session.world().net, &rebuilt.world.net);
         prop_assert!(session.world().trace.sites().is_empty());
     }
+}
+
+/// The lpr case study's frozen setup, plus a symlink so the table below
+/// can retarget one.
+fn lpr_setup() -> TestSetup {
+    let mut setup = epa::apps::lpr::spec().materialize().expect("the lpr spec is valid");
+    setup
+        .world
+        .fs
+        .god_symlink("/tmp/lpr-link", "/etc/passwd")
+        .expect("the link is created");
+    setup
+}
+
+#[test]
+fn snapshots_deep_clones_and_reverted_worlds_fingerprint_equal() {
+    let setup = lpr_setup();
+    let pristine = setup.fingerprint();
+    assert_eq!(setup.clone().fingerprint(), pristine, "a copy-on-write snapshot");
+    let mut deep = setup.clone();
+    deep.world = setup.world.deep_clone();
+    assert_eq!(deep.fingerprint(), pristine, "a deep clone");
+    // Mutate, then put every value back: the touched inodes are private
+    // copies now, but their content is the pristine content again.
+    let mut reverted = setup.clone();
+    let fs = &mut reverted.world.fs;
+    let report = fs.god_read("/home/student/report.txt").expect("the job file reads");
+    fs.god_write("/home/student/report.txt", "changed").expect("write");
+    fs.god_chmod("/home/student/report.txt", Mode::new(0o600))
+        .expect("chmod");
+    assert_ne!(reverted.fingerprint(), pristine);
+    let fs = &mut reverted.world.fs;
+    fs.god_write("/home/student/report.txt", report).expect("write back");
+    fs.god_chmod("/home/student/report.txt", Mode::new(0o644))
+        .expect("chmod back");
+    assert_eq!(reverted.fingerprint(), pristine, "a mutated, then reverted world");
+}
+
+#[test]
+fn every_setup_field_changes_the_fingerprint() {
+    const REPORT: &str = "/home/student/report.txt";
+    type Change = fn(&mut TestSetup);
+    let changes: [(&str, Change); 17] = [
+        ("file byte", |s| {
+            let mut data = s.world.fs.god_read(REPORT).expect("read");
+            let mut bytes = data.as_bytes().to_vec();
+            bytes[0] ^= 1;
+            data.set_bytes(bytes);
+            s.world.fs.god_write(REPORT, data).expect("write");
+        }),
+        ("file label", |s| {
+            let mut data = s.world.fs.god_read(REPORT).expect("read");
+            data.add_label(Label::Untrusted { source: "test".into() });
+            s.world.fs.god_write(REPORT, data).expect("write");
+        }),
+        ("mode", |s| {
+            s.world.fs.god_chmod(REPORT, Mode::new(0o640)).expect("chmod");
+        }),
+        ("owner", |s| {
+            s.world.fs.god_chown(REPORT, Uid::ROOT, Gid::ROOT).expect("chown");
+        }),
+        ("directory entry", |s| {
+            s.world
+                .fs
+                .put_file("/home/student/notes.txt", "", Uid(1001), Gid(100), Mode::new(0o644))
+                .expect("put");
+        }),
+        ("symlink target", |s| {
+            s.world.fs.god_remove("/tmp/lpr-link").expect("remove");
+            s.world.fs.god_symlink("/tmp/lpr-link", "/etc/shadow").expect("relink");
+        }),
+        ("user", |s| {
+            s.world.users.add("mallory", Uid(4242), Gid(100), "/home/mallory");
+        }),
+        ("registry value", |s| {
+            s.world.registry.god_set_value("HKLM/Software/Lpr", "queue", "lp0");
+        }),
+        ("network service", |s| {
+            s.world.net.add_service("print.example.edu", 515, true);
+        }),
+        ("DNS entry", |s| s.world.net.add_dns("print.example.edu", "10.0.0.9")),
+        ("scenario field", |s| {
+            s.world.scenario.attacker_home = "/home/eve".into();
+        }),
+        ("args", |s| s.args.push("-P".into())),
+        ("env", |s| {
+            s.env.insert("PRINTER".into(), "lp0".into());
+        }),
+        ("cwd", |s| s.cwd = "/tmp".into()),
+        ("program", |s| s.program = None),
+        ("invoker", |s| s.invoker = Uid::ROOT),
+        ("invariant", |s| {
+            s.invariants.push(InvariantSpec::file_pristine("/etc/passwd"));
+        }),
+    ];
+    let pristine = lpr_setup().fingerprint();
+    let mut seen = std::collections::BTreeSet::from([pristine]);
+    for (field, change) in changes {
+        let mut setup = lpr_setup();
+        change(&mut setup);
+        assert!(
+            seen.insert(setup.fingerprint()),
+            "changing the {field} left the fingerprint as is"
+        );
+    }
+}
+
+#[test]
+fn the_lpr_fingerprint_is_pinned() {
+    // A tripwire: persistent stores file their records under scopes built
+    // from this hash. If this value changes, bump STORE_FORMAT_VERSION
+    // (`epa::core::store`) so older stores are upgraded, not misread.
+    let setup = epa::apps::lpr::spec().materialize().expect("the lpr spec is valid");
+    assert_eq!(format!("{:016x}", setup.fingerprint()), "f2633e0cb30651da");
 }

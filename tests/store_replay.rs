@@ -14,10 +14,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use epa::apps::{standard_suite, ScriptedApp};
+use epa::apps::{standard_apps, standard_suite, standard_suite_with_options, ScriptedApp};
+use epa::core::campaign::CampaignOptions;
 use epa::core::corpus::{synthesize_one, DEFAULT_CORPUS_SEED};
 use epa::core::engine::{FaultKey, ResultCache, RunDigest, Session, Suite, SuiteReport};
-use epa::core::store::{DiskStore, MemoryStore, ResultStore, SuiteManifest};
+use epa::core::report::CampaignReport;
+use epa::core::store::{DiskStore, MemoryStore, ResultStore, SuiteManifest, STORE_FORMAT_VERSION};
 
 /// An empty per-test store directory under `target/` (kept out of the
 /// source tree; recreated from scratch on every run).
@@ -55,9 +57,14 @@ fn stripped(report: &SuiteReport) -> String {
     serde_json::to_string_pretty(&normalized).expect("suite reports serialize")
 }
 
+/// The directory below the store root that holds the segments.
+fn segment_dir() -> String {
+    format!("v{STORE_FORMAT_VERSION}")
+}
+
 /// Every segment file below the store root, sorted.
 fn segment_files(root: &Path) -> Vec<PathBuf> {
-    let mut found: Vec<PathBuf> = std::fs::read_dir(root.join("v2"))
+    let mut found: Vec<PathBuf> = std::fs::read_dir(root.join(segment_dir()))
         .map(|listing| listing.flatten().map(|e| e.path()).collect())
         .unwrap_or_default();
     found.retain(|p| p.extension().is_some_and(|e| e == "seg"));
@@ -206,6 +213,78 @@ fn a_truncated_entry_is_a_conservative_miss_not_a_parse_panic() {
     assert_eq!(healed.total_runs_executed(), 0, "the torn record must be healed");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every record of `reports` serialized with both provenance flags
+/// (`cache_hit`, `pruned`) cleared: what replay and pruning may not change.
+fn outcomes<'a>(reports: impl IntoIterator<Item = &'a CampaignReport>) -> String {
+    let mut normalized: Vec<CampaignReport> = reports.into_iter().cloned().collect();
+    for record in normalized.iter_mut().flat_map(|campaign| &mut campaign.records) {
+        record.cache_hit = false;
+        record.pruned = false;
+    }
+    serde_json::to_string_pretty(&normalized).expect("campaign reports serialize")
+}
+
+/// The exhaustive reference: every standard application through its own
+/// cache-less session, with static pruning and dedup off.
+fn exhaustive_outcomes() -> String {
+    let options = CampaignOptions {
+        static_prune: false,
+        dedup: false,
+        ..CampaignOptions::default()
+    };
+    let reports: Vec<CampaignReport> = standard_apps()
+        .into_iter()
+        .map(|(app, spec)| {
+            let session = Session::new(&spec).expect("valid specs").with_options(options.clone());
+            session.execute(app.as_ref())
+        })
+        .collect();
+    assert_eq!(reports.iter().map(CampaignReport::runs_executed).sum::<usize>(), 245);
+    outcomes(&reports)
+}
+
+/// Populates a fresh store with the standard suite under `options`, then
+/// replays it in a fresh handle with default options: the warm report.
+fn replay_with_defaults(tag: &str, options: CampaignOptions, executed: usize) -> SuiteReport {
+    let dir = fresh_store_dir(tag);
+    let cold = standard_suite_with_options(options)
+        .expect("valid specs")
+        .with_result_cache(ResultCache::persistent(&dir).expect("the test store directory opens"))
+        .execute();
+    assert_eq!(cold.total_runs_executed(), executed, "the cold suite executes");
+    let warm = standard_suite()
+        .expect("valid specs")
+        .with_result_cache(ResultCache::persistent(&dir).expect("the populated store reopens"))
+        .execute();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(warm.total_runs_executed(), 0, "the warm suite replays");
+    assert_eq!(outcomes(&warm.reports), exhaustive_outcomes());
+    warm
+}
+
+#[test]
+fn a_store_written_without_pruning_replays_before_the_analyzer() {
+    // The schedule looks each job up before classifying it, so the jobs
+    // the analyzer would prove inert replay from the store as cache hits.
+    let unpruned = CampaignOptions {
+        static_prune: false,
+        ..CampaignOptions::default()
+    };
+    let warm = replay_with_defaults("unpruned", unpruned, 245);
+    let pruned: usize = warm.reports.iter().map(CampaignReport::pruned).sum();
+    let hits: usize = warm.reports.iter().map(CampaignReport::cache_hits).sum();
+    assert_eq!((pruned, hits), (0, 245));
+}
+
+#[test]
+fn a_store_written_with_pruning_replays_its_inert_jobs_as_pruned() {
+    // Pruned digests are never saved: the inert jobs miss and are pruned.
+    let warm = replay_with_defaults("pruned", CampaignOptions::default(), 216);
+    let pruned: usize = warm.reports.iter().map(CampaignReport::pruned).sum();
+    let hits: usize = warm.reports.iter().map(CampaignReport::cache_hits).sum();
+    assert_eq!((pruned, hits), (29, 216));
 }
 
 /// A [`ResultStore`] that counts the saves reaching its inner store.
@@ -460,7 +539,10 @@ fn identical_cold_runs_leave_byte_identical_stores() {
             store_files(dir)
         })
         .collect();
-    assert_eq!(stores[0].iter().filter(|(p, _)| p.starts_with("v2")).count(), 8);
+    assert_eq!(
+        stores[0].iter().filter(|(p, _)| p.starts_with(segment_dir())).count(),
+        8
+    );
     assert!(
         stores[0] == stores[1],
         "two identical cold runs left different store bytes"
