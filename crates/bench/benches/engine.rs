@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, BatchSize, Criterion};
 
 use epa_apps::{worlds, Lpr, Turnin};
-use epa_core::campaign::{run_once, run_once_batch_oracle, CampaignOptions, TestSetup};
+use epa_core::campaign::{run_once, CampaignOptions, TestSetup};
 use epa_core::engine::{executor, Session};
 use epa_core::inject::InjectionHook;
 use epa_sandbox::app::Application;
@@ -46,7 +46,7 @@ fn bench_campaigns(c: &mut Criterion) {
     let turnin = Session::from_setup(worlds::turnin_world());
     g.bench_function("turnin_full_campaign", |b| b.iter(|| turnin.execute(&Turnin)));
     let turnin_parallel = turnin.clone().with_options(CampaignOptions {
-        parallel: true,
+        workers: Some(executor::Executor::new().workers()),
         ..Default::default()
     });
     g.bench_function("turnin_full_campaign_parallel", |b| {
@@ -268,7 +268,7 @@ enum OracleMode {
     Incremental,
     /// The retired monolith's shape: the run executes unobserved, then one
     /// fused pass over the completed log dispatches all rule families
-    /// ([`run_once_batch_oracle`] — what `PolicyEngine::evaluate` did).
+    /// ([`run_unjudged`], then [`OracleSet::evaluate_log`]).
     BatchScan,
     /// The fully decomposed post-hoc worst case: each rule family
     /// independently re-scans the completed log — literal O(rules × events)
@@ -332,7 +332,10 @@ fn drive_oracle(
         for hook in hooks {
             verdicts += match mode {
                 OracleMode::Incremental => run_once(session.setup(), *app, hook).violations.len(),
-                OracleMode::BatchScan => run_once_batch_oracle(session.setup(), *app, hook).violations.len(),
+                OracleMode::BatchScan => {
+                    let os = run_unjudged(session.setup(), *app, hook);
+                    session.setup().oracle().evaluate_log(&os.audit).len()
+                }
                 OracleMode::PerFamilyRescan => per_family_rescan(&run_unjudged(session.setup(), *app, hook).audit),
             };
         }

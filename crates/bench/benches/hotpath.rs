@@ -13,13 +13,14 @@
 //!    per-event dispatch it replaced, on the suite's combined event
 //!    stream replicated past 50k events.
 //! 3. **Suite wall-clock at pinned worker counts** — the eight-app
-//!    standard suite, sequential against `with_workers(1/4/8)` through
-//!    the sharded executor queue; every pooled verdict set must be
-//!    byte-identical to the sequential baseline's.
+//!    standard suite, sequential (one worker) against
+//!    `with_workers(1/4/8)` through the sharded executor queue; every
+//!    pooled verdict set must be byte-identical to the sequential
+//!    baseline's.
 //! 4. **Corpus wall-clock at pinned worker counts** — the 120-scenario
 //!    corpus registered as one 120-campaign suite, sequential against
-//!    pooled, plus the full 8-path differential sweep executed under
-//!    `EPA_WORKERS=4` (zero divergences required).
+//!    pooled, plus the full differential sweep, whose pooled path runs on
+//!    4 workers (zero divergences required).
 //!
 //! The parallel-speedup gate (pooled ≥ 1.5× sequential on the corpus
 //! suite) is enforced only when the host reports ≥ 2 CPUs; on a
@@ -193,12 +194,12 @@ fn main() {
 
     // ── 3. Standard suite at pinned worker counts. ─────────────────────
     let suite_samples = 9;
-    let suite_seq_verdicts = verdict_set(&fresh_suite().sequential().execute());
+    let suite_seq_verdicts = verdict_set(&fresh_suite().with_workers(1).execute());
     assert!(
         !suite_seq_verdicts.is_empty(),
         "the sequential standard suite must produce verdicts"
     );
-    let suite_seq_ns = median_ns(suite_samples, || fresh_suite().sequential().execute().reports.len());
+    let suite_seq_ns = median_ns(suite_samples, || fresh_suite().with_workers(1).execute().reports.len());
     let mut suite_rows: Vec<(usize, u128, usize)> = Vec::new();
     for &w in &WORKER_COUNTS {
         let (digest, peak) = pooled_once(fresh_suite(), w);
@@ -221,9 +222,9 @@ fn main() {
     };
     let scenarios = synthesize(&config);
     let corpus_samples = 5;
-    let corpus_seq_verdicts = verdict_set(&corpus_suite(&scenarios).sequential().execute());
+    let corpus_seq_verdicts = verdict_set(&corpus_suite(&scenarios).with_workers(1).execute());
     let corpus_seq_ns = median_ns(corpus_samples, || {
-        corpus_suite(&scenarios).sequential().execute().reports.len()
+        corpus_suite(&scenarios).with_workers(1).execute().reports.len()
     });
     let mut corpus_rows: Vec<(usize, u128, usize)> = Vec::new();
     for &w in &WORKER_COUNTS {
@@ -238,23 +239,17 @@ fn main() {
         corpus_rows.push((w, ns, peak));
     }
 
-    // The full differential sweep — every scenario through execution paths
-    // #1–#8 — under the sharded queue at a pinned multi-worker count: the
-    // pooled paths must stay byte-identical to the sequential baseline.
-    let prev_workers = std::env::var("EPA_WORKERS").ok();
-    std::env::set_var("EPA_WORKERS", "4");
+    // The full differential sweep — every scenario along every execution
+    // axis, its pooled path pinned to 4 workers: every path must stay
+    // byte-identical to the 1-worker baseline.
     let factory = ScriptedApp::factory();
     let sweep_start = Instant::now();
     let sweep = run_corpus(&config, &factory);
     let sweep_ns = sweep_start.elapsed().as_nanos();
-    match prev_workers {
-        Some(v) => std::env::set_var("EPA_WORKERS", v),
-        None => std::env::remove_var("EPA_WORKERS"),
-    }
     assert_eq!(sweep.scenarios, config.count);
     assert_eq!(
         sweep.divergences, 0,
-        "execution paths diverged under EPA_WORKERS=4; per-scenario seeds are in CORPUS_report.json"
+        "execution paths diverged at 4 workers; per-scenario seeds are in CORPUS_report.json"
     );
 
     // ── The hardware-gated parallel-speedup gate. ──────────────────────

@@ -6,8 +6,8 @@
 //!
 //! 1. **Exploration cost of the clean fixtures** — every production
 //!    concurrency protocol fixture (executor close/pending queue, result
-//!    cache claim + abandon, indexed plan-order reassembly, expanding
-//!    reassembly at 2 and 3 workers, the expanding pool's caller working
+//!    cache claim + abandon, expanding plan-order reassembly at 2 and 3
+//!    workers, the expanding pool's caller working
 //!    as worker 0) is explored to completion under the preemption bound,
 //!    recording interleavings explored and max schedule depth. Any
 //!    failure here is a regression in a shipped protocol.
@@ -57,7 +57,6 @@ fn main() {
         modelcheck::check_close_protocol(&cfg()),
         modelcheck::check_claim_protocol(&cfg()),
         modelcheck::check_claim_abandon(&cfg()),
-        modelcheck::check_indexed_reassembly(&cfg()),
         modelcheck::check_expanding_reassembly(&cfg(), 2),
         modelcheck::check_expanding_reassembly(&cfg(), 3),
         modelcheck::check_caller_works_the_queue(&cfg()),

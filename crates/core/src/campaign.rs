@@ -1,6 +1,8 @@
 //! The testing procedure of paper §3.3, as an engine.
 //!
-//! A [`Campaign`] takes an application, a pristine world, and options, then:
+//! A campaign — run through [`crate::engine::Session`] for one
+//! application or [`crate::engine::Suite`] for many — takes an application,
+//! a pristine world, and options, then:
 //!
 //! 1. runs the application unperturbed and records the execution trace
 //!    (steps 1–3: enumerate interaction points and whether they take input);
@@ -26,8 +28,7 @@ use epa_sandbox::syscall::Interceptor;
 use epa_sandbox::trace::{SiteId, SiteSummary};
 
 use crate::catalog::{faults_for_site, DirectContext};
-use crate::engine::executor::Executor;
-use crate::engine::planner::{Claim, FaultKey, ResultCache, RunDigest, Schedule, YieldStats};
+use crate::engine::planner::{Claim, FaultKey, ResultCache, RunDigest, Schedule};
 use crate::inject::{InjectionHook, InjectionPlan};
 use crate::perturb::ConcreteFault;
 use crate::report::{CampaignReport, FaultRecord};
@@ -207,41 +208,12 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// subscribed to the run's audit log before the application starts, every
 /// recorded event streams straight to the detectors, and the verdicts are
 /// collected the moment the run ends — no post-hoc re-scan of the log.
+/// [`OracleSet::evaluate_log`] over the completed log is the reference the
+/// property tests compare these verdicts against.
 pub fn run_once(setup: &TestSetup, app: &dyn Application, hook: Option<Box<dyn Interceptor>>) -> RunOutcome {
-    run_once_impl(setup, app, hook, true)
-}
-
-/// As [`run_once`], but with the **retired batch oracle**: the run executes
-/// unobserved and the completed audit log is re-scanned afterwards.
-///
-/// The verdicts are identical to the incremental path by construction (the
-/// property tests in `tests/props_oracle.rs` pin this); the function exists
-/// as the comparison baseline for `BENCH_oracle.json` and for equivalence
-/// testing. New code should use [`run_once`].
-pub fn run_once_batch_oracle(
-    setup: &TestSetup,
-    app: &dyn Application,
-    hook: Option<Box<dyn Interceptor>>,
-) -> RunOutcome {
-    run_once_impl(setup, app, hook, false)
-}
-
-fn run_once_impl(
-    setup: &TestSetup,
-    app: &dyn Application,
-    hook: Option<Box<dyn Interceptor>>,
-    incremental: bool,
-) -> RunOutcome {
     let mut os = setup.world.clone();
-    if incremental {
-        os.audit.attach_oracle(setup.oracle());
-    }
-    // Collects the verdicts from whichever path is active: detach the
-    // subscribed set, or feed the completed log to a fresh one.
-    let verdicts = |os: &mut Os| match os.audit.detach_oracle() {
-        Some(mut oracle) => oracle.finish(),
-        None => setup.oracle().evaluate_log(&os.audit),
-    };
+    os.audit.attach_oracle(setup.oracle());
+    let verdicts = |os: &mut Os| os.audit.detach_oracle().expect("attached before the run").finish();
     if let Some(h) = hook {
         os.set_interceptor(h);
     }
@@ -296,13 +268,12 @@ pub struct CampaignOptions {
     /// preserves the historical first-hit-only plans; use
     /// `usize::MAX` to cover every traced occurrence.
     pub max_occurrences_per_site: usize,
-    /// Run injected experiments on worker threads.
-    pub parallel: bool,
-    /// Worker-thread ceiling for parallel execution. `None` (the default)
-    /// sizes the pool to the hardware — or to the `EPA_WORKERS`
-    /// environment variable when set (see [`crate::engine::Executor::new`]).
-    /// Benches and CI set an explicit count to measure 1/4/8-worker
-    /// throughput on arbitrary hardware.
+    /// Workers a [`crate::engine::Session`] runs its campaigns on. `None`
+    /// (the default) runs every job on the calling thread; `Some(n)` runs
+    /// them on a pool of `n` workers, the calling thread included. Either
+    /// way the jobs go through the same driver and the report is
+    /// identical. A [`crate::engine::Suite`] ignores this and sizes its
+    /// pool with [`crate::engine::Suite::with_workers`].
     pub workers: Option<usize>,
     /// Collapse jobs whose canonical [`crate::engine::planner::FaultKey`]s
     /// are equal: only the first executes, the rest replay its outcome with
@@ -321,10 +292,9 @@ pub struct CampaignOptions {
     /// the next job adaptively by observed per-EAI-category verdict yield
     /// ([`crate::engine::planner::YieldStats`]). `None` — the default, and
     /// what every paper table uses — executes the exhaustive plan in plan
-    /// order. Budgeted execution is inherently sequential (each pick feeds
-    /// on the previous outcome), so it ignores
-    /// [`CampaignOptions::parallel`] within one campaign; a suite still
-    /// interleaves budgeted campaigns across its worker pool.
+    /// order. A budgeted campaign keeps at most one job in flight (each
+    /// pick feeds on the previous outcome); a suite still interleaves
+    /// budgeted campaigns across its worker pool.
     pub plan_budget: Option<usize>,
     /// Pre-prune the plan with the static analysis layer: jobs the
     /// [`crate::analysis::AppAnalysis`] classifies as
@@ -346,7 +316,6 @@ impl Default for CampaignOptions {
             max_sites: None,
             max_faults_per_site: None,
             max_occurrences_per_site: 1,
-            parallel: false,
             workers: None,
             dedup: true,
             cache: None,
@@ -426,45 +395,26 @@ impl CampaignPlan {
     }
 }
 
-/// The methodology engine.
-///
-/// This is the original single-campaign driver. New code should go through
-/// the [`crate::engine`] facade — [`crate::engine::Session`] freezes one
-/// pristine world and runs campaigns from cheap copy-on-write snapshots,
-/// and [`crate::engine::Suite`] batches many applications — but the shim is
-/// kept (and tested) so existing callers keep reproducing the paper's
-/// numbers unchanged.
-pub struct Campaign<'a> {
+/// One campaign's bookkeeping behind [`crate::engine::Session`] and
+/// [`crate::engine::Suite`]: the application, the frozen setup and the
+/// options, plus the memoization scope and static analysis computed at
+/// most once. The engine's driver (`engine::suite::drive`) executes its
+/// jobs; a campaign only plans, schedules, runs single jobs and folds
+/// records into a report.
+pub(crate) struct Campaign<'a> {
     app: &'a dyn Application,
     setup: &'a TestSetup,
-    options: CampaignOptions,
+    pub(crate) options: CampaignOptions,
     /// The memoization scope (app identity + setup fingerprint), computed
     /// at most once per campaign — the world hash is cheap, but not free.
     scope: shim_sync::sync::OnceLock<u64>,
-    /// The static analysis of this campaign's clean run, built at most once
-    /// (by [`Campaign::plan`], or lazily by the scheduler) and only when
+    /// The static analysis of this campaign's clean run, built once by
+    /// [`Campaign::adopt_clean_run`] and only when
     /// [`CampaignOptions::static_prune`] is on.
-    analysis: shim_sync::sync::OnceLock<shim_sync::sync::Arc<crate::analysis::AppAnalysis>>,
+    analysis: shim_sync::sync::OnceLock<crate::analysis::AppAnalysis>,
 }
 
 impl<'a> Campaign<'a> {
-    /// Builds a campaign with default options.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `epa_core::engine::Session` (or `Suite` for batches) instead"
-    )]
-    pub fn new(app: &'a dyn Application, setup: &'a TestSetup) -> Self {
-        Campaign {
-            app,
-            setup,
-            options: CampaignOptions::default(),
-            scope: shim_sync::sync::OnceLock::new(),
-            analysis: shim_sync::sync::OnceLock::new(),
-        }
-    }
-
-    /// As [`Campaign::new`], without the deprecation: the engine layer
-    /// builds campaigns internally.
     pub(crate) fn build(app: &'a dyn Application, setup: &'a TestSetup, options: CampaignOptions) -> Self {
         Campaign {
             app,
@@ -473,13 +423,6 @@ impl<'a> Campaign<'a> {
             scope: shim_sync::sync::OnceLock::new(),
             analysis: shim_sync::sync::OnceLock::new(),
         }
-    }
-
-    /// Replaces the options.
-    #[must_use]
-    pub fn with_options(mut self, options: CampaignOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// Installs `cache` as the campaign's result cache unless the options
@@ -495,40 +438,27 @@ impl<'a> Campaign<'a> {
     /// campaign's runs — see [`TestSetup::fingerprint`]. The schedule looks
     /// every job up under it first and prunes only the misses; pruned
     /// digests are never saved under it.
-    pub fn scope(&self) -> u64 {
+    pub(crate) fn scope(&self) -> u64 {
         *self.scope.get_or_init(|| {
             let text = format!("{}\n{:016x}", self.app.name(), self.setup.fingerprint());
             crate::engine::planner::fnv1a(text.as_bytes())
         })
     }
 
-    /// This campaign's static analysis, when pre-pruning is enabled: built
-    /// from a clean run at most once. [`Campaign::plan`] seeds it with the
-    /// plan's own clean run; a direct [`Campaign::schedule`] call (no plan)
-    /// performs one clean run lazily — clean runs are deterministic, so
-    /// both paths build identical analyses.
-    pub(crate) fn analysis(&self) -> Option<shim_sync::sync::Arc<crate::analysis::AppAnalysis>> {
-        if !self.options.static_prune {
-            return None;
-        }
-        Some(
+    /// Builds the static analysis (when pre-pruning is enabled) from a
+    /// clean run of this campaign's setup — [`Campaign::plan`]'s own, or a
+    /// pre-built plan's — so scheduling never repeats the clean run.
+    pub(crate) fn adopt_clean_run(&self, clean: &RunOutcome) {
+        if self.options.static_prune {
             self.analysis
-                .get_or_init(|| {
-                    let clean = run_once(self.setup, self.app, None);
-                    shim_sync::sync::Arc::new(crate::analysis::AppAnalysis::from_clean_run(self.setup, &clean))
-                })
-                .clone(),
-        )
+                .get_or_init(|| crate::analysis::AppAnalysis::from_clean_run(self.setup, clean));
+        }
     }
 
     /// Steps 1–5: trace the application and build the fault plan.
-    pub fn plan(&self) -> CampaignPlan {
+    pub(crate) fn plan(&self) -> CampaignPlan {
         let clean = run_once(self.setup, self.app, None);
-        if self.options.static_prune {
-            self.analysis.get_or_init(|| {
-                shim_sync::sync::Arc::new(crate::analysis::AppAnalysis::from_clean_run(self.setup, &clean))
-            });
-        }
+        self.adopt_clean_run(&clean);
         let summaries = clean.os.trace.sites();
         let reaccessed = clean.os.trace.reaccessed_files();
         let mut exec_resolutions: BTreeMap<String, String> = BTreeMap::new();
@@ -580,6 +510,7 @@ impl<'a> Campaign<'a> {
         CampaignPlan { clean, sites }
     }
 
+    /// Runs one injection job from a fresh snapshot, bypassing any cache.
     pub(crate) fn run_job(&self, job: &InjectionPlan) -> FaultRecord {
         let (hook, fired) = InjectionHook::new(job.clone());
         let outcome = run_once(self.setup, self.app, Some(Box::new(hook)));
@@ -599,15 +530,15 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// As [`Campaign::run_job`], but claim-aware: with a result cache
-    /// installed, at most one thread — across parallel workers, the suite's
-    /// pool, and even simultaneous suites sharing the cache — executes each
-    /// `(scope, key)`; concurrent callers block on the in-flight claim
-    /// ([`ResultCache::begin`]) and replay the winner's digest. The winner's
+    /// Runs one job, claim-aware: with a result cache installed, at most
+    /// one thread — across the pool's workers and even simultaneous suites
+    /// sharing the cache — executes each `(scope, key)`; concurrent callers
+    /// block on the in-flight claim ([`ResultCache::begin`]) and replay the
+    /// winner's digest. The winner's
     /// [`crate::engine::planner::ClaimToken::fulfill`] publishes the digest
     /// (and writes it through to any store), so callers never insert it
     /// again. `key` must be `FaultKey::of(job)` — the schedule has already
-    /// computed it. Without a cache this is exactly [`Campaign::run_job`].
+    /// computed it.
     pub(crate) fn run_job_keyed(&self, job: &InjectionPlan, key: &FaultKey) -> FaultRecord {
         let Some(cache) = &self.options.cache else {
             return self.run_job(job);
@@ -622,233 +553,25 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Steps 6–10: execute the plan and report.
-    pub fn execute(&self) -> CampaignReport {
-        let plan = self.plan();
-        self.execute_plan(&plan)
-    }
-
-    /// The paper's §3.3 step 9: inject site by site, stopping as soon as
-    /// the interaction-coverage criterion is satisfied.
-    ///
-    /// Returns the report of the incremental campaign; its interaction
-    /// coverage is the smallest prefix coverage `>= criterion` (or the full
-    /// campaign when the criterion is unreachable).
-    pub fn execute_until(&self, min_interaction_coverage: f64) -> CampaignReport {
-        let full = self.plan();
-        let perturbable: Vec<&PlannedSite> = full
-            .sites
-            .iter()
-            .filter(|s| s.included && !s.faults.is_empty())
-            .collect();
-        let total = full.sites.iter().filter(|s| !s.faults.is_empty()).count();
-        let mut records = Vec::new();
-        let mut covered = 0usize;
-        // `plan_budget` caps executed runs across the whole incremental
-        // campaign, not per site batch: the remaining allowance carries
-        // over, decremented by what each batch actually executed.
-        let mut budget_left = self.options.plan_budget;
-        for site in &perturbable {
-            // Each site's batch goes through the planner (dedup + memo +
-            // parallel execution), so the incremental §3.3 criterion run
-            // honors the planning options too; records stay in plan order
-            // within the batch.
-            let jobs = site.jobs();
-            let batch = self.run_jobs_with(&jobs, budget_left, &mut |_| {});
-            if let Some(left) = &mut budget_left {
-                *left = left.saturating_sub(batch.iter().filter(|r| !r.cache_hit && !r.pruned).count());
-            }
-            // Under a budget, a site whose batch produced nothing was not
-            // perturbed and must not count toward the coverage criterion.
-            if !batch.is_empty() || self.options.plan_budget.is_none() {
-                covered += 1;
-            }
-            records.extend(batch);
-            if total > 0 && covered as f64 / total as f64 >= min_interaction_coverage {
-                break;
-            }
-        }
-        CampaignReport {
-            app: self.app.name().to_string(),
-            total_sites: total,
-            perturbed_sites: covered,
-            clean_violations: full.clean.violations.len(),
-            records,
-        }
-    }
-
-    /// Executes a pre-built plan (lets callers inspect or prune it first).
-    pub fn execute_plan(&self, plan: &CampaignPlan) -> CampaignReport {
-        self.execute_plan_with(plan, &mut |_| {})
-    }
-
-    /// As [`Campaign::execute_plan`], additionally streaming every record to
-    /// `on_record` as soon as its run completes (completion order; the
-    /// returned report is always in plan order). This is the primitive the
-    /// engine's [`crate::engine::Suite`] streaming API builds on.
-    pub fn execute_plan_with(&self, plan: &CampaignPlan, on_record: &mut dyn FnMut(&FaultRecord)) -> CampaignReport {
-        let jobs = plan.jobs();
-        let records = self.run_jobs(&jobs, on_record);
-        self.report_from(plan, records)
-    }
-
-    /// Runs a flat job list through the planner: canonical-fault dedup,
-    /// cache memoization, then execution of the remaining misses — in plan
-    /// order (parallel over the executor's shared queue when the options
-    /// ask for it), or adaptively when a
-    /// [`CampaignOptions::plan_budget`] caps the run count. Replayed
-    /// records never occupy a worker slot.
-    ///
-    /// The returned records are in plan order; budget-dropped jobs are
-    /// absent. `on_record` observes every record (executed and replayed) in
-    /// completion order.
-    pub(crate) fn run_jobs(&self, jobs: &[InjectionPlan], on_record: &mut dyn FnMut(&FaultRecord)) -> Vec<FaultRecord> {
-        self.run_jobs_with(jobs, self.options.plan_budget, on_record)
-    }
-
-    /// As [`Campaign::run_jobs`], with an explicit execution budget — the
-    /// remaining per-campaign allowance when the caller splits one
-    /// campaign across several batches ([`Campaign::execute_until`]).
-    fn run_jobs_with(
-        &self,
-        jobs: &[InjectionPlan],
-        plan_budget: Option<usize>,
-        on_record: &mut dyn FnMut(&FaultRecord),
-    ) -> Vec<FaultRecord> {
-        let schedule = self.schedule(jobs);
-        let mut slots: Vec<Option<FaultRecord>> = jobs.iter().map(|_| None).collect();
-
-        // Statically pruned canonicals (and their aliases) replay their
-        // synthesized clean-run digests inline.
-        for (idx, digest) in &schedule.pruned {
-            let record = digest.replay_pruned(&jobs[*idx]);
-            on_record(&record);
-            slots[*idx] = Some(record);
-            for &alias in schedule.aliases_of(*idx) {
-                let record = digest.replay_pruned(&jobs[alias]);
-                on_record(&record);
-                slots[alias] = Some(record);
-            }
-        }
-
-        // Cache-resolved canonicals (and their aliases) replay inline.
-        for (idx, digest) in &schedule.resolved {
-            let record = digest.replay(&jobs[*idx]);
-            on_record(&record);
-            slots[*idx] = Some(record);
-            for &alias in schedule.aliases_of(*idx) {
-                let record = digest.replay(&jobs[alias]);
-                on_record(&record);
-                slots[alias] = Some(record);
-            }
-        }
-
-        if let Some(budget) = plan_budget {
-            // Budgeted execution: sequential by construction — every pick
-            // feeds on the verdict yield of everything observed so far,
-            // including the replays above.
-            let mut stats = YieldStats::new();
-            for record in slots.iter().flatten() {
-                stats.observe(record.category, !record.tolerated());
-            }
-            let mut remaining = schedule.pending.clone();
-            let mut executed = 0usize;
-            while executed < budget && !remaining.is_empty() {
-                let pos = stats.pick(&remaining, jobs);
-                let idx = remaining.remove(pos);
-                let record = self.run_job_keyed(&jobs[idx], schedule.key(idx));
-                // A claim replay (another thread, or a duplicate key in an
-                // undeduped plan, already executed this run) is free: only
-                // actual executions spend the budget.
-                if !record.cache_hit {
-                    executed += 1;
-                }
-                stats.observe(record.category, !record.tolerated());
-                on_record(&record);
-                Self::finish_canonical(&schedule, jobs, idx, record, &mut slots, on_record);
-            }
-        } else if self.options.parallel && schedule.pending.len() > 1 {
-            // One shared queue over bounded workers (no static `i % workers`
-            // partitioning): idle workers steal the next unclaimed job, and
-            // the executor reassembles plan order from the job indices.
-            let pending_jobs: Vec<&InjectionPlan> = schedule.pending.iter().map(|&i| &jobs[i]).collect();
-            let executed = self.executor().run_indexed(
-                &pending_jobs,
-                |k, job| self.run_job_keyed(job, schedule.key(schedule.pending[k])),
-                &mut |_, r| {
-                    on_record(r);
-                },
-            );
-            for (k, record) in executed.into_iter().enumerate() {
-                let idx = schedule.pending[k];
-                Self::finish_canonical(&schedule, jobs, idx, record, &mut slots, on_record);
-            }
-        } else {
-            for &idx in &schedule.pending {
-                let record = self.run_job_keyed(&jobs[idx], schedule.key(idx));
-                on_record(&record);
-                Self::finish_canonical(&schedule, jobs, idx, record, &mut slots, on_record);
-            }
-        }
-        slots.into_iter().flatten().collect()
-    }
-
     /// Canonicalizes a flat job list against this campaign's scope, cache,
-    /// and dedup setting (the planner's entry point; the suite's pooled
-    /// queue builds each campaign's schedule inside its planning job and
-    /// enqueues only the pending misses).
+    /// and dedup setting (the planner's entry point; the driver builds each
+    /// campaign's schedule inside its scheduling job and enqueues only the
+    /// pending misses).
     pub(crate) fn schedule(&self, jobs: &[InjectionPlan]) -> Schedule {
         let scope = if self.options.cache.is_some() { self.scope() } else { 0 };
-        let analysis = self.analysis();
-        let prune = analysis
-            .as_ref()
-            .map(|a| move |job: &InjectionPlan| a.pruned_digest(job));
+        let analysis = self.options.static_prune.then(|| {
+            self.analysis
+                .get()
+                .expect("the campaign's clean run is adopted before scheduling")
+        });
+        let prune = analysis.map(|a| move |job: &InjectionPlan| a.pruned_digest(job));
         let prune_ref: Option<crate::engine::planner::PruneFn<'_>> = prune
             .as_ref()
             .map(|f| f as &dyn Fn(&InjectionPlan) -> Option<RunDigest>);
         Schedule::build(jobs, scope, self.options.cache.as_ref(), self.options.dedup, prune_ref)
     }
 
-    /// The configured per-campaign execution budget, if any.
-    pub(crate) fn plan_budget(&self) -> Option<usize> {
-        self.options.plan_budget
-    }
-
-    /// Books one executed canonical record: replays its aliases and files
-    /// everything into the plan-order slots. (Its digest is already in the
-    /// cache: the claim that executed it published it.)
-    fn finish_canonical(
-        schedule: &Schedule,
-        jobs: &[InjectionPlan],
-        idx: usize,
-        record: FaultRecord,
-        slots: &mut [Option<FaultRecord>],
-        on_record: &mut dyn FnMut(&FaultRecord),
-    ) {
-        let aliases = schedule.aliases_of(idx);
-        if !aliases.is_empty() {
-            let digest = RunDigest::of(&record);
-            for &alias in aliases {
-                let replay = digest.replay(&jobs[alias]);
-                on_record(&replay);
-                slots[alias] = Some(replay);
-            }
-        }
-        slots[idx] = Some(record);
-    }
-
-    /// A hardware-bounded pool for this campaign's injected runs, honoring
-    /// an explicit [`CampaignOptions::workers`] override when set.
-    fn executor(&self) -> Executor {
-        match self.options.workers {
-            Some(w) => Executor::with_workers(w),
-            None => Executor::new(),
-        }
-    }
-
-    /// Folds executed records into the campaign report (shared by the
-    /// in-process paths above and the suite-wide pooled executor, which
-    /// runs the jobs itself and only needs the bookkeeping).
+    /// Folds the driver's records (plan order) into the campaign report.
     pub(crate) fn report_from(&self, plan: &CampaignPlan, records: Vec<FaultRecord>) -> CampaignReport {
         // Interaction points, in the paper's sense, are the places where the
         // catalog has something to perturb — pure-output sites (prints) have
@@ -877,11 +600,8 @@ impl<'a> Campaign<'a> {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `Campaign::new` shim is exercised deliberately: it must
-    // keep reproducing the paper's numbers (see also `tests/case_lpr.rs`).
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::engine::Session;
     use epa_sandbox::cred::Gid;
     use epa_sandbox::mode::Mode;
     use epa_sandbox::trace::InputSemantic;
@@ -943,8 +663,7 @@ mod tests {
     #[test]
     fn plan_enumerates_sites_and_faults() {
         let s = setup();
-        let c = Campaign::new(&MiniLpr, &s);
-        let plan = c.plan();
+        let plan = Session::from_setup(s).plan(&MiniLpr);
         assert_eq!(plan.sites.len(), 2);
         // Site 1 (arg): 5 user-file-name indirect faults.
         assert_eq!(plan.sites[0].faults.len(), 5);
@@ -956,7 +675,7 @@ mod tests {
     #[test]
     fn execute_detects_the_lpr_vulnerabilities() {
         let s = setup();
-        let report = Campaign::new(&MiniLpr, &s).execute();
+        let report = Session::from_setup(s.clone()).execute(&MiniLpr);
         assert_eq!(report.clean_violations, 0);
         assert_eq!(report.injected(), 9);
         // The four create-site perturbations all defeat the naive creat.
@@ -973,13 +692,13 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree() {
         let s = setup();
-        let seq = Campaign::new(&MiniLpr, &s).execute();
-        let par = Campaign::new(&MiniLpr, &s)
+        let seq = Session::from_setup(s.clone()).execute(&MiniLpr);
+        let par = Session::from_setup(s.clone())
             .with_options(CampaignOptions {
-                parallel: true,
+                workers: Some(4),
                 ..Default::default()
             })
-            .execute();
+            .execute(&MiniLpr);
         assert_eq!(seq.injected(), par.injected());
         assert_eq!(seq.violated(), par.violated());
         let seq_ids: Vec<_> = seq.records.iter().map(|r| &r.fault_id).collect();
@@ -990,13 +709,13 @@ mod tests {
     #[test]
     fn options_limit_sites_and_faults() {
         let s = setup();
-        let report = Campaign::new(&MiniLpr, &s)
+        let report = Session::from_setup(s.clone())
             .with_options(CampaignOptions {
                 max_sites: Some(1),
                 max_faults_per_site: Some(2),
                 ..Default::default()
             })
-            .execute();
+            .execute(&MiniLpr);
         assert_eq!(report.perturbed_sites, 1);
         assert_eq!(report.injected(), 2);
         assert!(report.interaction_coverage().value_or(1.0) < 1.0);
@@ -1007,12 +726,12 @@ mod tests {
         let s = setup();
         let mut filter = BTreeSet::new();
         filter.insert(SiteId::new("lpr:create"));
-        let report = Campaign::new(&MiniLpr, &s)
+        let report = Session::from_setup(s.clone())
             .with_options(CampaignOptions {
                 site_filter: Some(filter),
                 ..Default::default()
             })
-            .execute();
+            .execute(&MiniLpr);
         assert!(report.records.iter().all(|r| r.site == "lpr:create"));
         assert_eq!(report.injected(), 4);
     }
@@ -1021,13 +740,13 @@ mod tests {
     fn execute_until_honors_parallel_and_matches_sequential() {
         let s = setup();
         for criterion in [0.5, 1.0] {
-            let seq = Campaign::new(&MiniLpr, &s).execute_until(criterion);
-            let par = Campaign::new(&MiniLpr, &s)
+            let seq = Session::from_setup(s.clone()).execute_until(&MiniLpr, criterion);
+            let par = Session::from_setup(s.clone())
                 .with_options(CampaignOptions {
-                    parallel: true,
+                    workers: Some(4),
                     ..Default::default()
                 })
-                .execute_until(criterion);
+                .execute_until(&MiniLpr, criterion);
             assert_eq!(seq, par, "criterion {criterion}: records must match in plan order");
         }
     }
@@ -1035,13 +754,13 @@ mod tests {
     #[test]
     fn occurrence_cap_expands_plans_with_occurrence_sensitive_faults() {
         let s = setup();
-        let base = Campaign::new(&MiniLpr, &s).plan();
-        let expanded = Campaign::new(&MiniLpr, &s)
+        let base = Session::from_setup(s.clone()).plan(&MiniLpr);
+        let expanded = Session::from_setup(s.clone())
             .with_options(CampaignOptions {
                 max_occurrences_per_site: usize::MAX,
                 ..Default::default()
             })
-            .plan();
+            .plan(&MiniLpr);
         // MiniLpr hits each site once, so even an uncapped plan matches the
         // default first-hit plan: occurrence awareness adds jobs only when
         // the trace shows re-execution.
@@ -1054,17 +773,17 @@ mod tests {
     fn execute_until_stops_at_the_criterion() {
         let s = setup();
         // MiniLpr has two perturbable sites; 0.5 coverage stops after one.
-        let half = Campaign::new(&MiniLpr, &s).execute_until(0.5);
+        let half = Session::from_setup(s.clone()).execute_until(&MiniLpr, 0.5);
         assert_eq!(half.perturbed_sites, 1);
         assert_eq!(half.interaction_coverage().fraction(), Some(0.5));
         assert!(half.injected() < 9);
         // 1.0 coverage runs everything.
-        let full = Campaign::new(&MiniLpr, &s).execute_until(1.0);
+        let full = Session::from_setup(s.clone()).execute_until(&MiniLpr, 1.0);
         assert_eq!(full.perturbed_sites, 2);
         assert_eq!(full.injected(), 9);
         // An unreachable criterion also runs everything (and reports < 1.0
         // only if sites were excluded, which they are not here).
-        let over = Campaign::new(&MiniLpr, &s).execute_until(2.0);
+        let over = Session::from_setup(s.clone()).execute_until(&MiniLpr, 2.0);
         assert_eq!(over.perturbed_sites, 2);
     }
 
@@ -1104,9 +823,11 @@ mod tests {
             cache: Some(cache.clone()),
             ..Default::default()
         };
-        let first = Campaign::new(&MiniLpr, &s).with_options(options.clone()).execute();
+        let first = Session::from_setup(s.clone())
+            .with_options(options.clone())
+            .execute(&MiniLpr);
         assert_eq!(first.cache_hits(), 0, "a cold cache replays nothing");
-        let second = Campaign::new(&MiniLpr, &s).with_options(options).execute();
+        let second = Session::from_setup(s.clone()).with_options(options).execute(&MiniLpr);
         assert_eq!(
             second.cache_hits(),
             second.injected() - second.pruned(),
@@ -1115,12 +836,12 @@ mod tests {
         assert_eq!(second.runs_executed(), 0);
         assert_eq!(without_cache_flags(second), without_cache_flags(first.clone()));
         // And the memoized report still matches the exhaustive baseline.
-        let exhaustive = Campaign::new(&MiniLpr, &s)
+        let exhaustive = Session::from_setup(s.clone())
             .with_options(CampaignOptions {
                 dedup: false,
                 ..Default::default()
             })
-            .execute();
+            .execute(&MiniLpr);
         assert_eq!(without_cache_flags(first), exhaustive);
     }
 
@@ -1132,7 +853,9 @@ mod tests {
             cache: Some(cache.clone()),
             ..Default::default()
         };
-        let _ = Campaign::new(&MiniLpr, &s).with_options(options.clone()).execute();
+        let _ = Session::from_setup(s.clone())
+            .with_options(options.clone())
+            .execute(&MiniLpr);
         // A different application over the same world must not replay the
         // MiniLpr outcomes: its scope differs.
         struct OtherLpr;
@@ -1144,7 +867,7 @@ mod tests {
                 MiniLpr.run(os, pid)
             }
         }
-        let other = Campaign::new(&OtherLpr, &s).with_options(options).execute();
+        let other = Session::from_setup(s.clone()).with_options(options).execute(&OtherLpr);
         assert_eq!(other.cache_hits(), 0);
         assert_eq!(other.runs_executed(), other.injected() - other.pruned());
     }
@@ -1152,13 +875,13 @@ mod tests {
     #[test]
     fn budgeted_campaign_executes_at_most_the_budget() {
         let s = setup();
-        let full = Campaign::new(&MiniLpr, &s).execute();
-        let budgeted = Campaign::new(&MiniLpr, &s)
+        let full = Session::from_setup(s.clone()).execute(&MiniLpr);
+        let budgeted = Session::from_setup(s.clone())
             .with_options(CampaignOptions {
                 plan_budget: Some(3),
                 ..Default::default()
             })
-            .execute();
+            .execute(&MiniLpr);
         assert_eq!(budgeted.runs_executed(), 3);
         assert!(budgeted.injected() <= full.injected());
         // Every budgeted record matches its exhaustive twin exactly.
@@ -1171,12 +894,12 @@ mod tests {
             assert_eq!(twin, record);
         }
         // A budget at least as large as the plan reproduces it exactly.
-        let generous = Campaign::new(&MiniLpr, &s)
+        let generous = Session::from_setup(s.clone())
             .with_options(CampaignOptions {
                 plan_budget: Some(full.injected()),
                 ..Default::default()
             })
-            .execute();
+            .execute(&MiniLpr);
         assert_eq!(generous.injected(), full.injected());
         assert_eq!(generous.violated(), full.violated());
     }
@@ -1186,22 +909,22 @@ mod tests {
         let s = setup();
         // MiniLpr's full incremental campaign is 9 runs over 2 sites; a
         // budget of 3 must cap the *campaign*, not allow 3 per site.
-        let budgeted = Campaign::new(&MiniLpr, &s)
+        let budgeted = Session::from_setup(s.clone())
             .with_options(CampaignOptions {
                 plan_budget: Some(3),
                 ..Default::default()
             })
-            .execute_until(1.0);
+            .execute_until(&MiniLpr, 1.0);
         assert_eq!(budgeted.runs_executed(), 3);
         // A zero budget executes nothing and must not claim coverage
         // (pruning off: a synthesized inert record would count as injected).
-        let none = Campaign::new(&MiniLpr, &s)
+        let none = Session::from_setup(s.clone())
             .with_options(CampaignOptions {
                 plan_budget: Some(0),
                 static_prune: false,
                 ..Default::default()
             })
-            .execute_until(1.0);
+            .execute_until(&MiniLpr, 1.0);
         assert_eq!(none.injected(), 0);
         assert_eq!(none.perturbed_sites, 0);
     }
@@ -1209,8 +932,8 @@ mod tests {
     #[test]
     fn scope_is_stable_and_world_sensitive() {
         let s = setup();
-        let a = Campaign::new(&MiniLpr, &s).scope();
-        let b = Campaign::new(&MiniLpr, &s).scope();
+        let a = Campaign::build(&MiniLpr, &s, CampaignOptions::default()).scope();
+        let b = Campaign::build(&MiniLpr, &s, CampaignOptions::default()).scope();
         assert_eq!(a, b, "same app, same frozen world, same scope");
         let mut s2 = setup();
         s2.world
@@ -1218,7 +941,7 @@ mod tests {
             .put_file("/etc/extra", "x", Uid::ROOT, Gid::ROOT, Mode::new(0o644))
             .unwrap();
         assert_ne!(
-            Campaign::new(&MiniLpr, &s2).scope(),
+            Campaign::build(&MiniLpr, &s2, CampaignOptions::default()).scope(),
             a,
             "a changed world changes the scope"
         );

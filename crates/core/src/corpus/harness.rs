@@ -1,16 +1,19 @@
-//! The differential corpus harness: one scenario, every execution path,
-//! byte-identical verdicts — or a minimized counterexample.
+//! The differential corpus harness: one scenario, every semantic axis of
+//! execution, byte-identical verdicts — or a minimized counterexample.
 //!
-//! The engine grew several ways to execute the same campaign (sequential,
-//! pooled executor, suite pool, dedup/memoizing planner, budgeted adaptive
-//! planner, incremental vs. batch oracle). All of them promise the same
-//! verdict set; [`differential_check`] holds them to it. Each path's report
-//! is flattened to a canonical per-record digest line — deliberately
-//! *excluding* the `cache_hit` and `pruned` provenance flags, the only
-//! fields a replay (or a statically pruned synthesis) may legitimately
-//! differ in — and compared byte-for-byte against the sequential baseline.
+//! Every campaign runs through one driver, so the axes that can still
+//! change what executes are the real semantics: worker count, cache cold
+//! or warm, a budget, static pruning on or off — plus one reference that
+//! bypasses the driver and judges every run twice (incremental oracle vs.
+//! [`epa_sandbox::policy::OracleSet::evaluate_log`]). All of them promise
+//! the same verdict set; [`differential_check`] holds them to it. Each
+//! path's report is flattened to a canonical per-record digest line —
+//! deliberately *excluding* the `cache_hit` and `pruned` provenance flags,
+//! the only fields a replay (or a statically pruned synthesis) may
+//! legitimately differ in — and compared byte-for-byte against the
+//! sequential baseline.
 //!
-//! Path #8 (`pruned`) is the soundness gate for the static analyzer: the
+//! The `pruned` path is the soundness gate for the static analyzer: the
 //! same scenario with [`CampaignOptions::static_prune`] on must reproduce
 //! the exhaustive (pruning-off) verdict set exactly, so a `ProvablyInert`
 //! classification that was wrong shows up as a corpus divergence.
@@ -25,15 +28,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use serde::{Deserialize, Serialize};
 
 use epa_sandbox::app::Application;
-use epa_sandbox::os::Os;
-use epa_sandbox::process::Pid;
+use epa_sandbox::syscall::Interceptor;
 
 use super::report::CorpusReport;
 use super::{shrink, Scenario};
-use crate::campaign::{run_once, run_once_batch_oracle, CampaignOptions};
+use crate::campaign::{run_once, CampaignOptions};
 use crate::coverage::AdequacyPoint;
 use crate::engine::planner::ResultCache;
-use crate::engine::{Session, Suite};
+use crate::engine::Session;
 use crate::inject::InjectionHook;
 use crate::report::CampaignReport;
 use crate::report::FaultRecord;
@@ -46,25 +48,11 @@ use crate::report::FaultRecord;
 /// [`Application`] — for each scenario.
 pub type AppFactory<'a> = &'a (dyn Fn(&Scenario) -> Arc<dyn Application + Send + Sync> + Sync);
 
-/// Adapter registering one shared [`Application`] with a [`Suite`] (which
-/// takes ownership; the blanket impls only cover `&T` and `Box<T>`).
-struct SharedApp(Arc<dyn Application + Send + Sync>);
-
-impl Application for SharedApp {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn run(&self, os: &mut Os, pid: Pid) -> i32 {
-        self.0.run(os, pid)
-    }
-}
-
 /// One execution path's flattened outcome.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PathOutcome {
-    /// Path name (`sequential`, `executor`, `suite`, `planner-cold`,
-    /// `planner-warm`, `budgeted`, `batch-oracle`, `pruned`).
+    /// Path name (`sequential`, `pooled`, `planner-cold`, `planner-warm`,
+    /// `budgeted`, `reference`, `pruned`).
     pub path: String,
     /// Canonical digest lines, one per injected record, in plan order.
     pub lines: Vec<String>,
@@ -140,8 +128,8 @@ fn report_outcome(path: &str, report: &CampaignReport) -> PathOutcome {
 /// The campaign options every path shares: strike every traced occurrence
 /// of every site (the corpus is biased toward occurrence-sensitive shapes,
 /// so first-hit-only plans would under-exercise it). Static pruning is off
-/// so paths 1–7 stay the exhaustive ground truth; path #8 turns it back on
-/// and must agree with them byte-for-byte.
+/// so every other path stays the exhaustive ground truth; the `pruned`
+/// path turns it back on and must agree with them byte-for-byte.
 fn base_options() -> CampaignOptions {
     CampaignOptions {
         max_occurrences_per_site: usize::MAX,
@@ -202,21 +190,23 @@ fn diff_lines(baseline: &PathOutcome, candidate: &PathOutcome, seed: u64) -> Opt
     })
 }
 
-/// Runs `scenario` through every execution path and compares verdicts.
+/// Runs `scenario` along every execution axis and compares verdicts.
 ///
 /// Paths, all against the same materialized setup:
 ///
-/// 1. `sequential` — the baseline: in-order, no dedup, no cache;
-/// 2. `executor` — the pooled work-stealing executor;
-/// 3. `suite` — the suite's expanding plan/inject pool (suite-scoped cache);
-/// 4. `planner-cold` / `planner-warm` — canonical-fault dedup plus a fresh
+/// 1. `sequential` — the baseline: the driver at one worker, no dedup, no
+///    cache;
+/// 2. `pooled` — the same driver on 4 workers;
+/// 3. `planner-cold` / `planner-warm` — canonical-fault dedup plus a fresh
 ///    [`ResultCache`], executed twice (the warm pass must replay, and still
 ///    agree byte-for-byte);
-/// 5. `budgeted` — the adaptive planner with a budget covering the whole
+/// 4. `budgeted` — the adaptive planner with a budget covering the whole
 ///    plan;
-/// 6. `batch-oracle` — every injection re-run under the retired post-hoc
-///    oracle, plus a clean-run incremental/batch cross-check;
-/// 7. `pruned` — the static analyzer's pre-pruned plan (dedup on, so
+/// 5. `reference` — no driver: [`run_once`] job by job over the plan, each
+///    run's incremental verdicts cross-checked against
+///    [`epa_sandbox::policy::OracleSet::evaluate_log`] on its completed log
+///    (the clean run's too);
+/// 6. `pruned` — the static analyzer's pre-pruned plan (dedup on, so
 ///    canonical-alias replay composes with prune synthesis): every record
 ///    the analyzer refuses to execute must still carry the exhaustive
 ///    verdict, byte-for-byte.
@@ -266,7 +256,7 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
 
     let session = |options: CampaignOptions| Session::from_setup(setup.clone()).with_options(options);
 
-    // Path 1: sequential baseline.
+    // The baseline: the driver at one worker.
     let baseline_report = match run_path("sequential", seed, || session(base_options()).execute(&*app)) {
         Ok(report) => report,
         Err(d) => {
@@ -303,28 +293,14 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
         }
     };
 
-    // Path 2: pooled executor.
-    check("executor", &mut || {
+    check("pooled", &mut || {
         let options = CampaignOptions {
-            parallel: true,
+            workers: Some(4),
             ..base_options()
         };
-        report_outcome("executor", &session(options).execute(&*app))
+        report_outcome("pooled", &session(options).execute(&*app))
     });
 
-    // Path 3: the suite's expanding plan/inject pool (suite-scoped cache).
-    check("suite", &mut || {
-        let mut suite = Suite::new();
-        suite.register_session(
-            SharedApp(Arc::clone(&app)),
-            Session::from_setup(setup.clone()).with_options(base_options()),
-        );
-        let report = suite.execute();
-        let campaign = report.reports.first().expect("suite ran exactly one campaign");
-        report_outcome("suite", campaign)
-    });
-
-    // Paths 4a/4b: dedup + memoizing planner, cold then warm.
     let cache = ResultCache::new();
     let planner_options = || CampaignOptions {
         dedup: true,
@@ -344,7 +320,6 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
         warm
     });
 
-    // Path 5: budgeted adaptive execution, budget covering the whole plan.
     check("budgeted", &mut || {
         let options = CampaignOptions {
             dedup: true,
@@ -354,13 +329,23 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
         report_outcome("budgeted", &session(options).execute(&*app))
     });
 
-    // Path 6: the retired batch oracle, job by job, plus the clean run.
-    check("batch-oracle", &mut || {
-        let plan = session(base_options()).plan(&*app);
+    check("reference", &mut || {
+        // No driver: every run is judged twice, incrementally and by a
+        // fresh oracle over its completed log, and the two must agree.
+        let judged = |hook: Option<Box<dyn Interceptor>>| {
+            let run = run_once(&setup, &*app, hook);
+            assert_eq!(
+                run.violations,
+                setup.oracle().evaluate_log(&run.os.audit),
+                "incremental vs evaluate_log verdicts differ"
+            );
+            run
+        };
+        judged(None);
         let mut lines = Vec::new();
-        for job in plan.jobs() {
+        for job in session(base_options()).plan(&*app).jobs() {
             let (hook, fired) = InjectionHook::new(job.clone());
-            let run = run_once_batch_oracle(&setup, &*app, Some(Box::new(hook)));
+            let run = judged(Some(Box::new(hook)));
             let violations = serde_json::to_string(&run.violations).expect("verdicts serialize");
             lines.push(format!(
                 "{}|{}|{}|{}|{:?}|{:?}|{}|{}",
@@ -374,16 +359,9 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
                 violations
             ));
         }
-        let clean_incremental = run_once(&setup, &*app, None);
-        let clean_batch = run_once_batch_oracle(&setup, &*app, None);
-        assert_eq!(
-            serde_json::to_string(&clean_incremental.violations).expect("verdicts serialize"),
-            serde_json::to_string(&clean_batch.violations).expect("verdicts serialize"),
-            "clean run: incremental vs batch oracle verdicts differ"
-        );
         let executed = lines.len();
         PathOutcome {
-            path: "batch-oracle".to_string(),
+            path: "reference".to_string(),
             lines,
             runs_executed: executed,
             cache_hits: 0,
@@ -391,7 +369,7 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
         }
     });
 
-    // Path 8: the statically pre-pruned plan. The analyzer may only drop
+    // The statically pre-pruned plan. The analyzer may only drop
     // `ProvablyInert` jobs, whose synthesized records must match the
     // exhaustive baseline's byte-for-byte — any unsound classification
     // diverges here and gets shrunk to a minimal world.

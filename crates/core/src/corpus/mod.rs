@@ -2,10 +2,10 @@
 //! execution-path testing, and corpus-level adequacy reporting.
 //!
 //! The corpus layer closes the loop the paper leaves implicit: if the
-//! perturbation engine is itself the measurement instrument, its many
-//! execution paths (sequential campaigns, the pooled executor, the
-//! dedup/memoizing/budgeted planner, incremental vs. batch oracle) must all
-//! report the *same* verdicts. This module synthesizes hundreds of valid
+//! perturbation engine is itself the measurement instrument, every axis of
+//! its execution (worker count, the dedup/memoizing/budgeted planner,
+//! static pruning, incremental vs. batch oracle) must report the *same*
+//! verdicts. This module synthesizes hundreds of valid
 //! [`WorldSpec`] worlds with scripted behaviors ([`generate`]), runs each
 //! through every path and compares verdict sets byte-for-byte
 //! ([`harness`]), shrinks any divergence or panic to a minimal world diff

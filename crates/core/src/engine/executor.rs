@@ -1,29 +1,24 @@
-//! The suite-wide work pool: sharded per-worker deques with a steal path,
-//! worker count bounded by the hardware (overridable via `EPA_WORKERS`),
-//! deterministic plan-order reassembly.
+//! The engine's work pool: sharded per-worker deques with a steal path,
+//! worker count bounded by the hardware (overridable via `EPA_WORKERS`).
 //!
-//! Before this module existed the workspace had two uncoordinated layers of
-//! parallelism: [`crate::engine::Suite`] spawned one thread per registered
-//! application while every campaign could additionally fan out
-//! `available_parallelism` workers with static `i % workers` partitioning —
-//! oversubscribing the machine and leaving fast workers idle behind slow
-//! static partitions. The [`Executor`] replaces both. Static job lists
-//! ([`Executor::run_indexed`]) are claimed from a lock-free atomic cursor.
-//! Expanding queues ([`Executor::run_expanding`]) used to funnel every
-//! worker through one `Mutex<VecDeque>` + `Condvar`; that single hot lock
-//! is now **sharded**: each worker owns a deque, pops its own front, and
-//! steals from sibling tails when empty, so queue contention is spread
-//! over `workers` locks instead of one. The calling thread is worker 0 of
-//! an expanding queue: it spawns `workers - 1` threads and runs jobs itself
-//! whenever no finished result is waiting, so a pool of `workers` puts at
-//! most `workers` threads on the machine. Results stream back over an
-//! `mpsc` channel to the calling thread (so callbacks need no `Sync`) and
-//! are reassembled into deterministic plan order by job index, keeping
-//! pooled reports byte-identical to sequential ones.
+//! [`Executor::run_expanding`] is the pool's one entry point, and every
+//! campaign runs through it: the engine's driver
+//! ([`crate::engine::Suite`], or a [`crate::engine::Session`] as a one-app
+//! suite) seeds one scheduling job per campaign, and each completion may
+//! enqueue follow-up jobs. Each worker owns a deque, pops its own front,
+//! and steals from sibling tails when empty, so queue contention is
+//! spread over `workers` locks instead of one. The calling thread is
+//! worker 0: it spawns `workers - 1` threads and runs jobs itself whenever
+//! no finished result is waiting, so a pool of `workers` puts at most
+//! `workers` threads on the machine, and one worker runs everything
+//! inline. Results stream back over an `mpsc` channel to the calling
+//! thread (so callbacks need no `Sync`), where the driver reassembles
+//! them into plan order by job index, keeping reports byte-identical at
+//! every worker count.
 
 use std::collections::VecDeque;
 
-use shim_sync::sync::atomic::{AtomicUsize, Ordering};
+use shim_sync::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use shim_sync::sync::{mpsc, Condvar, Mutex};
 use shim_sync::thread;
 
@@ -31,14 +26,16 @@ use shim_sync::thread;
 static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 /// High-water mark of [`LIVE_WORKERS`] since the last reset.
 static PEAK_WORKERS: AtomicUsize = AtomicUsize::new(0);
+/// Set once a malformed `EPA_WORKERS` has been reported, so the warning
+/// prints once per process rather than once per pool.
+static WARNED_WORKERS: AtomicBool = AtomicBool::new(false);
 
 /// The highest number of executor worker threads that were alive at the
 /// same moment since the last [`reset_peak_live_workers`] — the observable
 /// proof that pooled execution respects the hardware ceiling. The calling
 /// thread of [`Executor::run_expanding`] counts as a worker while it works
-/// the queue, so for expanding pools this is the total number of live
-/// pool threads, caller included. ([`Executor::run_indexed`]'s caller only
-/// drains results and is not counted.)
+/// the queue, so this is the total number of live pool threads, caller
+/// included. A one-worker pool runs inline and is not counted.
 pub fn peak_live_workers() -> usize {
     PEAK_WORKERS.load(Ordering::SeqCst)
 }
@@ -180,20 +177,11 @@ impl<J> ShardedQueue<J> {
     }
 }
 
-/// A bounded pool executing jobs from one shared queue.
-///
-/// Two entry points cover the two planning shapes:
-///
-/// * [`Executor::run_indexed`] — a **static** job list known up front
-///   (a campaign's flat fault plan); results come back in job order.
-/// * [`Executor::run_expanding`] — a **dynamic** queue where completing a
-///   job may enqueue follow-up jobs (a suite: each application's plan job
-///   fans out into its injected-run jobs); the caller assembles results
-///   and works the queue as worker 0.
-///
-/// With one worker both degrade to inline sequential execution on the
-/// calling thread — no threads are spawned at all (as does
-/// [`Executor::run_indexed`] with a single job).
+/// A bounded pool executing jobs from one shared queue: a **dynamic**
+/// queue where completing a job may enqueue follow-up jobs (each
+/// campaign's scheduling job fans out into its injected-run jobs); the
+/// caller assembles results and works the queue as worker 0. With one
+/// worker it runs inline on the calling thread — no threads are spawned.
 #[derive(Debug, Clone)]
 pub struct Executor {
     workers: usize,
@@ -211,13 +199,16 @@ impl Executor {
     /// (benches and CI use it to measure fixed worker counts on arbitrary
     /// hardware). Malformed or absurd overrides are clamped to
     /// `1..=available_parallelism * 4` with a warning on stderr rather
-    /// than silently ignored.
+    /// than silently ignored. The variable is re-read on every call; the
+    /// warning prints at most once per process.
     pub fn new() -> Executor {
         let hw = thread::available_parallelism().map_or(4, std::num::NonZero::get);
         let raw = std::env::var("EPA_WORKERS").ok();
         let (workers, warning) = parse_workers(raw.as_deref(), hw);
         if let Some(warning) = warning {
-            eprintln!("epa: {warning}");
+            if !WARNED_WORKERS.swap(true, Ordering::SeqCst) {
+                eprintln!("epa: {warning}");
+            }
         }
         Executor::with_workers(workers)
     }
@@ -234,61 +225,6 @@ impl Executor {
         self.workers
     }
 
-    /// Executes a static job list, returning results **in job order**.
-    ///
-    /// Workers pull the next unclaimed index from a shared cursor (dynamic
-    /// load balancing — no static partitioning), results stream back to the
-    /// calling thread which invokes `on_done(index, &result)` in completion
-    /// order, and the returned vector is reassembled by index.
-    pub fn run_indexed<J, T, F>(&self, jobs: &[J], run: F, on_done: &mut dyn FnMut(usize, &T)) -> Vec<T>
-    where
-        J: Sync,
-        T: Send,
-        F: Fn(usize, &J) -> T + Sync,
-    {
-        let workers = self.workers.min(jobs.len());
-        if workers <= 1 {
-            return jobs
-                .iter()
-                .enumerate()
-                .map(|(i, j)| {
-                    let t = run(i, j);
-                    on_done(i, &t);
-                    t
-                })
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<T>> = (0..jobs.len()).map(|_| None).collect();
-        thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(usize, T)>();
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let run = &run;
-                scope.spawn(move || {
-                    let _gauge = WorkerGauge::enter();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        if tx.send((i, run(i, &jobs[i]))).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // Drain on the calling thread so `on_done` needs no `Sync`.
-            for (i, t) in rx {
-                on_done(i, &t);
-                slots[i] = Some(t);
-            }
-        });
-        slots.into_iter().map(|s| s.expect("every job completes")).collect()
-    }
-
     /// Executes an expanding queue: every completed job is handed to
     /// `on_done` on the calling thread, and whatever jobs `on_done` returns
     /// are pushed onto the shared queue for idle workers to steal.
@@ -303,8 +239,8 @@ impl Executor {
     /// and re-raises on the calling thread.
     ///
     /// Identity/ordering is the caller's concern — jobs and results carry
-    /// their own indices (see `Suite::execute_with`, which reassembles
-    /// per-application reports in plan order from `(app, job)` indices).
+    /// their own indices (the engine's driver reassembles per-campaign
+    /// reports in plan order from `(app, job)` indices).
     pub fn run_expanding<J, T, F>(&self, seed: Vec<J>, step: F, on_done: &mut dyn FnMut(T) -> Vec<J>)
     where
         J: Send,
@@ -428,29 +364,6 @@ fn parse_workers(raw: Option<&str>, hw: usize) -> (usize, Option<String>) {
 mod tests {
     use super::*;
     use shim_sync::sync::atomic::AtomicBool;
-
-    #[test]
-    fn indexed_results_come_back_in_job_order() {
-        let jobs: Vec<usize> = (0..64).collect();
-        for workers in [1, 2, 4] {
-            let pool = Executor::with_workers(workers);
-            let mut streamed = 0usize;
-            let out = pool.run_indexed(&jobs, |i, j| (i, j * 2), &mut |_, _| streamed += 1);
-            assert_eq!(streamed, 64);
-            for (i, (idx, doubled)) in out.iter().enumerate() {
-                assert_eq!(*idx, i);
-                assert_eq!(*doubled, i * 2);
-            }
-        }
-    }
-
-    #[test]
-    fn indexed_handles_empty_and_single() {
-        let pool = Executor::with_workers(4);
-        let none: Vec<u8> = Vec::new();
-        assert!(pool.run_indexed(&none, |_, j| *j, &mut |_, _| {}).is_empty());
-        assert_eq!(pool.run_indexed(&[7u8], |_, j| *j, &mut |_, _| {}), vec![7]);
-    }
 
     #[test]
     fn expanding_queue_runs_follow_ups() {
@@ -577,8 +490,7 @@ mod tests {
         // test `tests/executor.rs`, which serializes its pool runs.
         reset_peak_live_workers();
         let pool = Executor::with_workers(2);
-        let jobs: Vec<usize> = (0..32).collect();
-        let _ = pool.run_indexed(&jobs, |_, j| *j, &mut |_, _| {});
+        pool.run_expanding((0..32).collect(), |j: usize| j, &mut |_| Vec::new());
         assert!(peak_live_workers() >= 1, "workers never entered the gauge");
     }
 }

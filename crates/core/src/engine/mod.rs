@@ -21,17 +21,13 @@
 //!    from cache instead of re-executing, and (opt-in, via
 //!    [`crate::campaign::CampaignOptions::plan_budget`]) prioritizes
 //!    remaining jobs by observed per-EAI-category verdict yield.
-//! 5. **[`Executor`]** (`executor`) — the single suite-wide work pool:
-//!    every injected run (across all applications) goes into one shared
-//!    queue drained by at most `available_parallelism` workers, with
-//!    deterministic plan-order reassembly of the results. The calling
-//!    thread is worker 0 of the pool. Each campaign's schedule (and with
-//!    it every cache and store lookup) is built inside its planning job;
-//!    cache replays never become injected-run jobs.
-//!
-//! The pre-engine driver, [`crate::campaign::Campaign`], remains underneath
-//! as the single-campaign primitive; its deprecated constructor keeps old
-//! callers reproducing the paper's numbers unchanged.
+//! 5. **[`Executor`]** (`executor`) — the one work pool: every campaign,
+//!    a suite's or a session's (as a one-app suite), runs through the same
+//!    driver on [`Executor::run_expanding`], with deterministic plan-order
+//!    reassembly of the results. The calling thread is worker 0 of the
+//!    pool, and one worker runs everything inline. Each campaign's
+//!    schedule (and with it every cache and store lookup) is built inside
+//!    its scheduling job; cache replays never become injected-run jobs.
 //!
 //! # Example
 //!

@@ -193,26 +193,6 @@ pub fn check_claim_protocol_mutant(cfg: &Config) -> Report {
     })
 }
 
-/// Plan-order reassembly of [`Executor::run_indexed`] under adversarial
-/// schedules: 2 workers race a shared cursor over 4 jobs, results
-/// stream back in arbitrary completion order, and in **every**
-/// interleaving the reassembled vector must be byte-identical to the
-/// sequential run's.
-pub fn check_indexed_reassembly(cfg: &Config) -> Report {
-    let jobs: Vec<usize> = vec![10, 20, 30, 40];
-    let sequential = format!(
-        "{:?}",
-        Executor::with_workers(1).run_indexed(&jobs, |i, j| (i, j * 2), &mut |_, _| {})
-    );
-    check("executor.indexed_reassembly", cfg, move || {
-        let pool = Executor::with_workers(2);
-        let mut streamed = 0usize;
-        let out = pool.run_indexed(&jobs, |i, j| (i, j * 2), &mut |_, _| streamed += 1);
-        assert_eq!(streamed, jobs.len(), "every completion streamed to the caller");
-        assert_eq!(format!("{out:?}"), sequential, "reassembly is schedule-independent");
-    })
-}
-
 /// The suite-pool shape on [`Executor::run_expanding`] at `workers`
 /// workers (2 and 3 in the gate: the calling thread as worker 0 plus one
 /// or two spawned threads): 2 seed jobs (one per "application plan") each

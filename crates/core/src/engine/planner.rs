@@ -384,8 +384,8 @@ impl CacheShared {
 /// digest.
 ///
 /// Beyond completed digests the cache tracks *in-flight claims*
-/// ([`ResultCache::begin`]): when two threads — parallel campaign workers,
-/// or two whole suites sharing one cache — race to execute the same
+/// ([`ResultCache::begin`]): when two threads — pool workers, or two
+/// whole suites sharing one cache — race to execute the same
 /// `(scope, key)`, exactly one wins the claim and executes; the others
 /// block until the winner's digest lands and then replay it. No
 /// `(fingerprint, FaultKey)` ever executes twice through claim-aware call

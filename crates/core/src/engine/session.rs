@@ -14,7 +14,10 @@ use epa_sandbox::app::Application;
 use epa_sandbox::os::Os;
 
 use crate::campaign::{run_once, Campaign, CampaignOptions, CampaignPlan, RunOutcome, TestSetup};
+use crate::engine::executor::Executor;
 use crate::engine::spec::{SpecError, WorldSpec};
+use crate::engine::suite::{drive, Progress};
+use crate::inject::InjectionPlan;
 use crate::report::{CampaignReport, FaultRecord};
 
 /// A frozen pristine world plus campaign options.
@@ -40,7 +43,7 @@ impl Session {
     }
 
     /// Freezes an already-built setup (the migration path from hand-built
-    /// worlds; see the README's `Campaign` → `Session` notes).
+    /// worlds; see the README's `TestSetup` → `Session` notes).
     pub fn from_setup(setup: TestSetup) -> Session {
         Session {
             setup,
@@ -102,30 +105,93 @@ impl Session {
 
     /// Steps 1–10: the full campaign.
     pub fn execute(&self, app: &dyn Application) -> CampaignReport {
-        self.campaign(app).execute_plan(&self.plan(app))
+        self.execute_streaming(app, &mut |_| {})
     }
 
     /// Executes a pre-built plan (lets callers inspect or prune it first).
+    /// The plan's clean run seeds the static analysis, so no second clean
+    /// run happens.
     pub fn execute_plan(&self, app: &dyn Application, plan: &CampaignPlan) -> CampaignReport {
-        self.campaign(app).execute_plan(plan)
+        let campaign = self.campaign(app);
+        campaign.adopt_clean_run(&plan.clean);
+        let (_, records) = self.drive(&campaign, Some(plan.jobs()), &mut |_| {});
+        campaign.report_from(plan, records)
     }
 
     /// As [`Session::execute`], streaming every record to `on_record` as
     /// soon as its run completes (completion order; the report is in plan
     /// order).
     pub fn execute_streaming(&self, app: &dyn Application, on_record: &mut dyn FnMut(&FaultRecord)) -> CampaignReport {
-        let plan = self.plan(app);
-        self.campaign(app).execute_plan_with(&plan, on_record)
+        let campaign = self.campaign(app);
+        let (plan, records) = self.drive(&campaign, None, on_record);
+        campaign.report_from(&plan.expect("the driver planned the campaign"), records)
     }
 
     /// The paper's incremental step 9: perturb site by site until the
     /// interaction-coverage criterion is met.
+    ///
+    /// Each site's batch goes through the driver (dedup, memoization,
+    /// pruning, the session's workers); records stay in plan order. The
+    /// report's interaction coverage is the smallest prefix coverage
+    /// `>= min_interaction_coverage`, or the full campaign when the
+    /// criterion is unreachable. A [`CampaignOptions::plan_budget`] caps
+    /// executed runs across the whole incremental campaign: each batch
+    /// gets what the earlier ones left.
     pub fn execute_until(&self, app: &dyn Application, min_interaction_coverage: f64) -> CampaignReport {
-        self.campaign(app).execute_until(min_interaction_coverage)
+        let mut campaign = self.campaign(app);
+        let full = campaign.plan();
+        let total = full.sites.iter().filter(|s| !s.faults.is_empty()).count();
+        let mut records = Vec::new();
+        let mut covered = 0usize;
+        for site in full.sites.iter().filter(|s| s.included && !s.faults.is_empty()) {
+            let (_, batch) = self.drive(&campaign, Some(site.jobs()), &mut |_| {});
+            if let Some(left) = &mut campaign.options.plan_budget {
+                *left = left.saturating_sub(batch.iter().filter(|r| !r.cache_hit && !r.pruned).count());
+            }
+            // Under a budget, a site whose batch produced nothing was not
+            // perturbed and must not count toward the coverage criterion.
+            if !batch.is_empty() || self.options.plan_budget.is_none() {
+                covered += 1;
+            }
+            records.extend(batch);
+            if total > 0 && covered as f64 / total as f64 >= min_interaction_coverage {
+                break;
+            }
+        }
+        CampaignReport {
+            app: app.name().to_string(),
+            total_sites: total,
+            perturbed_sites: covered,
+            clean_violations: full.clean.violations.len(),
+            records,
+        }
     }
 
     pub(crate) fn campaign<'a>(&'a self, app: &'a dyn Application) -> Campaign<'a> {
         Campaign::build(app, &self.setup, self.options.clone())
+    }
+
+    /// Runs one campaign through the engine's driver as a one-app suite, on
+    /// [`CampaignOptions::workers`] workers (the calling thread alone by
+    /// default). `jobs` as in the driver: `None` plans on the pool.
+    fn drive(
+        &self,
+        campaign: &Campaign<'_>,
+        jobs: Option<Vec<InjectionPlan>>,
+        on_record: &mut dyn FnMut(&FaultRecord),
+    ) -> (Option<Box<CampaignPlan>>, Vec<FaultRecord>) {
+        let executor = Executor::with_workers(self.options.workers.unwrap_or(1));
+        let mut finished = None;
+        drive(
+            &executor,
+            std::slice::from_ref(campaign),
+            vec![jobs],
+            &mut |_, progress| match progress {
+                Progress::Record(record) => on_record(record),
+                Progress::Finished { plan, records } => finished = Some((plan, records)),
+            },
+        );
+        finished.expect("the driver finishes every campaign")
     }
 }
 
@@ -136,6 +202,7 @@ mod tests {
     use epa_sandbox::os::ScenarioMeta;
     use epa_sandbox::process::Pid;
     use epa_sandbox::trace::InputSemantic;
+    use shim_sync::sync::atomic::{AtomicUsize, Ordering};
 
     /// The same mini-lpr the campaign tests use: one input site, one
     /// naive-create site.
@@ -206,11 +273,35 @@ mod tests {
         assert_eq!(streamed, in_report);
     }
 
+    /// [`MiniLpr`] counting every run of the application.
+    struct Counting(AtomicUsize);
+    impl Application for Counting {
+        fn name(&self) -> &'static str {
+            "mini-lpr"
+        }
+        fn run(&self, os: &mut Os, pid: Pid) -> i32 {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            MiniLpr.run(os, pid)
+        }
+    }
+
     #[test]
-    fn session_matches_the_deprecated_campaign_shim() {
+    fn a_pruned_campaign_runs_the_application_once_per_executed_job_plus_one_clean_run() {
+        // Static pruning is on by default: the analysis must reuse the
+        // plan's clean run, never repeat it.
         let s = session();
-        #[allow(deprecated)]
-        let legacy = Campaign::new(&MiniLpr, s.setup()).execute();
-        assert_eq!(s.execute(&MiniLpr), legacy);
+        let check = |name: &str, execute: &dyn Fn(&Counting) -> CampaignReport| {
+            let app = Counting(AtomicUsize::new(0));
+            let executed = execute(&app).runs_executed();
+            assert_eq!(
+                app.0.load(Ordering::SeqCst),
+                executed + 1,
+                "{name}: app runs = executed runs + one clean run"
+            );
+        };
+        check("execute", &|app| s.execute(app));
+        check("execute_streaming", &|app| s.execute_streaming(app, &mut |_| {}));
+        check("execute_until", &|app| s.execute_until(app, 1.0));
+        check("execute_plan", &|app| s.execute_plan(app, &s.plan(app)));
     }
 }

@@ -1,10 +1,14 @@
-//! Suites: many `(application, world)` pairs executed as one batch.
+//! Suites: many `(application, world)` pairs executed as one batch, and
+//! the driver every campaign runs through.
 //!
 //! A [`Suite`] registers applications with their [`WorldSpec`]s (or
 //! pre-built [`Session`]s) and executes every campaign in one call. All
 //! planning and injected runs across every registered application flow
 //! through **one suite-wide [`Executor`] queue** (worker count bounded by
 //! the hardware — no per-application thread fan-out, no oversubscription).
+//! That queue's Plan → Inject state machine, `drive`, is the engine's
+//! only execution path: a [`Session`] runs its campaign as a one-app
+//! suite, and "sequential" is the same driver at one worker.
 //! Results stream out as [`SuiteEvent`]s the moment they are produced —
 //! `AppStarted` markers first, per-fault records as they complete, one
 //! finished report per application after — and aggregate into a
@@ -45,8 +49,8 @@ struct SuiteEntry {
 #[non_exhaustive]
 pub enum SuiteEvent {
     /// One application's campaign entered the suite-wide queue (emitted
-    /// before any of its records, from both the sequential and the pooled
-    /// paths, so streaming consumers can render per-app progress).
+    /// before any of its records, at every worker count, so streaming
+    /// consumers can render per-app progress).
     AppStarted {
         /// The application under test.
         app: String,
@@ -71,7 +75,6 @@ pub enum SuiteEvent {
 #[derive(Default)]
 pub struct Suite {
     entries: Vec<SuiteEntry>,
-    sequential: bool,
     cache: ResultCache,
     workers: Option<usize>,
 }
@@ -187,17 +190,10 @@ impl Suite {
         self.entries.iter().map(|e| e.app.name()).collect()
     }
 
-    /// Runs the campaigns one at a time on the calling thread instead of
-    /// fanning out (deterministic event order; useful for debugging).
-    #[must_use]
-    pub fn sequential(mut self) -> Suite {
-        self.sequential = true;
-        self
-    }
-
-    /// Pins the pooled path to an explicit worker count instead of the
+    /// Pins the pool to an explicit worker count instead of the
     /// hardware/`EPA_WORKERS` default — how benches and the determinism
-    /// tests measure 1/4/8-worker throughput on arbitrary machines.
+    /// tests measure 1/4/8-worker throughput on arbitrary machines. One
+    /// worker runs everything on the calling thread.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Suite {
         self.workers = Some(workers);
@@ -212,10 +208,9 @@ impl Suite {
     /// Executes every registered campaign, streaming each [`SuiteEvent`] to
     /// `on_event` as it is produced. Every campaign's planning and injected
     /// runs share **one suite-wide [`Executor`] queue** bounded by
-    /// `available_parallelism` workers (unless [`Suite::sequential`], which
-    /// runs everything inline on the calling thread); the returned report
-    /// is always in registration order and byte-identical between the two
-    /// paths.
+    /// `available_parallelism` workers (or [`Suite::with_workers`]); the
+    /// returned report is in registration order and byte-identical at
+    /// every worker count.
     pub fn execute_with(&self, on_event: &mut dyn FnMut(SuiteEvent)) -> SuiteReport {
         // Every campaign plans and executes through the suite-scoped result
         // cache (unless its session already carries an explicit one).
@@ -228,153 +223,199 @@ impl Suite {
                 campaign
             })
             .collect();
-
-        if self.sequential {
-            let mut reports = Vec::with_capacity(self.entries.len());
-            for (entry, campaign) in self.entries.iter().zip(&campaigns) {
-                let name = entry.app.name().to_string();
-                on_event(SuiteEvent::AppStarted { app: name.clone() });
-                let plan = campaign.plan();
-                let report = campaign.execute_plan_with(&plan, &mut |r| {
-                    on_event(SuiteEvent::Record {
-                        app: name.clone(),
-                        record: r.clone(),
-                    });
-                });
-                on_event(SuiteEvent::AppFinished {
-                    app: name,
-                    report: report.clone(),
-                });
-                reports.push(report);
-            }
-            return SuiteReport { reports };
-        }
-
-        // The pooled path: one shared queue for the whole suite. Each
-        // application contributes a planning job, which whichever thread
-        // pops it (a spawned worker or the calling thread, worker 0) runs
-        // end to end: the clean run and fault plan, then the schedule —
-        // scope fingerprint, canonical keys, dedup, cache/store lookups and
-        // static pruning of the misses. Back on the calling thread its pruned and
-        // cache-resolved records (and their aliases) replay, and only the
-        // remaining canonical misses fan back onto the same queue, so idle
-        // workers steal across application boundaries and the slowest
-        // campaign no longer pins a whole thread. A budgeted campaign
-        // enqueues one job at a time (each pick feeds on the previous
-        // outcome) while other campaigns keep the workers busy.
         for entry in &self.entries {
             on_event(SuiteEvent::AppStarted {
                 app: entry.app.name().to_string(),
             });
         }
-        let mut slots: Vec<AppSlot> = (0..self.entries.len()).map(|_| AppSlot::default()).collect();
-        let seed: Vec<SuiteJob> = (0..self.entries.len()).map(SuiteJob::Plan).collect();
-        let executor = match self.workers {
-            Some(w) => Executor::with_workers(w),
-            None => Executor::new(),
-        };
-        executor.run_expanding(
-            seed,
-            |job| match job {
-                SuiteJob::Plan(app) => {
-                    let plan = campaigns[app].plan();
-                    let jobs = plan.jobs();
-                    let schedule = campaigns[app].schedule(&jobs);
-                    SuiteDone::Planned {
-                        app,
-                        plan: Box::new(plan),
-                        jobs,
-                        schedule,
+        let mut reports: Vec<Option<CampaignReport>> = vec![None; campaigns.len()];
+        let executor = self.workers.map_or_else(Executor::new, Executor::with_workers);
+        drive(
+            &executor,
+            &campaigns,
+            vec![None; campaigns.len()],
+            &mut |app, progress| {
+                let name = self.entries[app].app.name().to_string();
+                match progress {
+                    Progress::Record(record) => on_event(SuiteEvent::Record {
+                        app: name,
+                        record: record.clone(),
+                    }),
+                    Progress::Finished { plan, records } => {
+                        let plan = plan.expect("suite campaigns plan on the pool");
+                        let report = campaigns[app].report_from(&plan, records);
+                        on_event(SuiteEvent::AppFinished {
+                            app: name,
+                            report: report.clone(),
+                        });
+                        reports[app] = Some(report);
                     }
                 }
-                SuiteJob::Inject { app, idx, plan, key } => SuiteDone::Ran {
-                    app,
-                    idx,
-                    // Claim-aware: when several suites share one cache, a
-                    // run another suite is executing right now is waited
-                    // out and replayed instead of duplicated.
-                    record: campaigns[app].run_job_keyed(&plan, &key),
-                },
             },
-            &mut |done| match done {
-                SuiteDone::Planned {
+        );
+        SuiteReport {
+            reports: reports
+                .into_iter()
+                .map(|r| r.expect("every campaign completes"))
+                .collect(),
+        }
+    }
+}
+
+/// One campaign's progress through [`drive`], reported on the calling
+/// thread.
+pub(crate) enum Progress<'a> {
+    /// One record is in: executed, replayed from the cache, or pruned
+    /// (completion order).
+    Record(&'a FaultRecord),
+    /// The campaign's last record is in. `plan` is the plan built on the
+    /// pool (`None` when the caller handed over a job list); `records` are
+    /// in plan order, minus any jobs a budget dropped.
+    Finished {
+        plan: Option<Box<CampaignPlan>>,
+        records: Vec<FaultRecord>,
+    },
+}
+
+/// The one execution path: every campaign's job stream on one
+/// [`Executor::run_expanding`] queue. A [`Suite`] drives all its campaigns
+/// at once; a [`Session`] drives one, as a one-app suite.
+///
+/// `jobs[app]` is `None` to trace and plan campaign `app` on the pool, or
+/// the job list to run (a pre-built plan's, or one site batch of
+/// `Session::execute_until`). Either way a scheduling job, on whichever
+/// thread pops it, builds the schedule: canonical keys, dedup, cache and
+/// store lookups, then static pruning of the misses. Back on the calling
+/// thread its pruned and cache-resolved records (and their aliases) replay,
+/// and only the remaining canonical misses fan back onto the same queue, so
+/// idle workers steal across campaign boundaries. A budgeted campaign
+/// ([`crate::campaign::CampaignOptions::plan_budget`]) enqueues one job at
+/// a time, picked by observed verdict yield, and each finished record with
+/// `cache_hit == false` spends one unit of its budget.
+pub(crate) fn drive(
+    executor: &Executor,
+    campaigns: &[Campaign<'_>],
+    jobs: Vec<Option<Vec<InjectionPlan>>>,
+    on_progress: &mut dyn FnMut(usize, Progress<'_>),
+) {
+    let mut slots: Vec<AppSlot> = campaigns.iter().map(|_| AppSlot::default()).collect();
+    let seed: Vec<Job> = jobs
+        .into_iter()
+        .enumerate()
+        .map(|(app, jobs)| Job::Schedule { app, jobs })
+        .collect();
+    executor.run_expanding(
+        seed,
+        |job| match job {
+            Job::Schedule { app, jobs } => {
+                let (plan, jobs) = match jobs {
+                    Some(jobs) => (None, jobs),
+                    None => {
+                        let plan = campaigns[app].plan();
+                        let jobs = plan.jobs();
+                        (Some(Box::new(plan)), jobs)
+                    }
+                };
+                let schedule = campaigns[app].schedule(&jobs);
+                Done::Scheduled {
                     app,
                     plan,
                     jobs,
                     schedule,
+                }
+            }
+            Job::Inject { app, idx, plan, key } => Done::Ran {
+                app,
+                idx,
+                // Claim-aware: when several suites share one cache, a run
+                // another suite is executing right now is waited out and
+                // replayed instead of duplicated.
+                record: campaigns[app].run_job_keyed(&plan, &key),
+            },
+        },
+        &mut |done| {
+            let app = match &done {
+                Done::Scheduled { app, .. } | Done::Ran { app, .. } => *app,
+            };
+            let slot = &mut slots[app];
+            let mut emit = |record: &FaultRecord| on_progress(app, Progress::Record(record));
+            match done {
+                Done::Scheduled {
+                    plan, jobs, schedule, ..
                 } => {
-                    let name = self.entries[app].app.name();
-                    let slot = &mut slots[app];
                     slot.records = (0..jobs.len()).map(|_| None).collect();
-                    slot.budget_left = campaigns[app].plan_budget();
-                    slot.budgeted = slot.budget_left.is_some();
+                    slot.budget_left = campaigns[app].options.plan_budget;
                     slot.remaining = schedule.pending.clone();
-                    slot.plan = Some(plan);
-                    // Statically pruned jobs (and their aliases) replay
-                    // their synthesized clean-run digests.
+                    slot.plan = plan;
+                    // Statically pruned jobs replay their synthesized
+                    // clean-run digests, cache hits their stored ones (each
+                    // with its aliases).
                     for (idx, digest) in &schedule.pruned {
                         for &i in std::iter::once(idx).chain(schedule.aliases_of(*idx)) {
-                            slot.file(name, i, digest.replay_pruned(&jobs[i]), on_event);
+                            slot.file(i, digest.replay_pruned(&jobs[i]), &mut emit);
                         }
                     }
-                    // Cache replays (and their aliases).
                     for (idx, digest) in &schedule.resolved {
                         for &i in std::iter::once(idx).chain(schedule.aliases_of(*idx)) {
-                            slot.file(name, i, digest.replay(&jobs[i]), on_event);
+                            slot.file(i, digest.replay(&jobs[i]), &mut emit);
                         }
                     }
                     slot.jobs = jobs;
                     slot.schedule = Some(schedule);
-                    let follow_ups = slot.enqueue_next(app);
-                    if slot.idle() {
-                        finish_app(&campaigns[app], name, slot, on_event);
-                    }
-                    follow_ups
                 }
-                SuiteDone::Ran { app, idx, record } => {
-                    let name = self.entries[app].app.name();
-                    let slot = &mut slots[app];
+                Done::Ran { idx, record, .. } => {
+                    slot.outstanding -= 1;
+                    // A claim replay (another thread already executed this
+                    // run) is free: only executions spend the budget.
+                    if !record.cache_hit {
+                        if let Some(budget) = &mut slot.budget_left {
+                            *budget -= 1;
+                        }
+                    }
                     let schedule = slot.schedule.as_ref().expect("schedule arrives before its records");
                     let aliases = schedule.aliases_of(idx).to_vec();
                     // The claim that executed this run already published
                     // its digest to the cache (and any store); only the
                     // plan's own aliases still need it.
                     let digest = (!aliases.is_empty()).then(|| RunDigest::of(&record));
-                    slot.file(name, idx, record, on_event);
+                    slot.file(idx, record, &mut emit);
                     if let Some(digest) = digest {
                         for alias in aliases {
                             let replay = digest.replay(&slot.jobs[alias]);
-                            on_event(SuiteEvent::Record {
-                                app: name.to_string(),
-                                record: replay.clone(),
-                            });
+                            emit(&replay);
                             slot.records[alias] = Some(replay);
                         }
                     }
-                    slot.outstanding -= 1;
-                    let follow_ups = slot.enqueue_next(app);
-                    if slot.idle() {
-                        finish_app(&campaigns[app], name, slot, on_event);
-                    }
-                    follow_ups
                 }
-            },
-        );
-        SuiteReport {
-            reports: slots
-                .into_iter()
-                .map(|s| s.report.expect("every campaign completes"))
-                .collect(),
-        }
-    }
+            }
+            let follow_ups = slot.enqueue_next(app);
+            if slot.outstanding == 0 && slot.remaining.is_empty() {
+                // Only a budget may legitimately drop jobs; an unbudgeted
+                // campaign missing a record is an accounting bug and must
+                // fail loudly, not silently truncate the report.
+                let records: Vec<FaultRecord> = std::mem::take(&mut slot.records).into_iter().flatten().collect();
+                assert!(
+                    slot.budget_left.is_some() || records.len() == slot.jobs.len(),
+                    "all records complete before the campaign finishes"
+                );
+                let plan = slot.plan.take();
+                on_progress(app, Progress::Finished { plan, records });
+            }
+            follow_ups
+        },
+    );
 }
 
-/// One unit of suite work on the shared queue.
-enum SuiteJob {
-    /// Trace application `app`, build its fault plan, and schedule it.
-    Plan(usize),
-    /// Run injection job `idx` of application `app`'s plan, claiming it
-    /// under the canonical key its schedule already computed.
+/// One unit of work on the driver's queue.
+enum Job {
+    /// Schedule campaign `app`'s jobs, tracing and planning it first when
+    /// no job list was handed over.
+    Schedule {
+        app: usize,
+        jobs: Option<Vec<InjectionPlan>>,
+    },
+    /// Run injection job `idx` of campaign `app`, claiming it under the
+    /// canonical key its schedule already computed.
     Inject {
         app: usize,
         idx: usize,
@@ -383,11 +424,11 @@ enum SuiteJob {
     },
 }
 
-/// A completed unit of suite work, back on the calling thread.
-enum SuiteDone {
-    Planned {
+/// A completed unit of driver work, back on the calling thread.
+enum Done {
+    Scheduled {
         app: usize,
-        plan: Box<CampaignPlan>,
+        plan: Option<Box<CampaignPlan>>,
         jobs: Vec<InjectionPlan>,
         schedule: Schedule,
     },
@@ -398,7 +439,7 @@ enum SuiteDone {
     },
 }
 
-/// Per-application assembly state while the pooled suite runs.
+/// Per-campaign assembly state while the driver runs.
 #[derive(Default)]
 struct AppSlot {
     plan: Option<Box<CampaignPlan>>,
@@ -411,22 +452,15 @@ struct AppSlot {
     outstanding: usize,
     /// Runs this campaign may still execute (`None` = unbudgeted).
     budget_left: Option<usize>,
-    /// Whether a budget was ever in force (a budget may legitimately leave
-    /// record slots empty; an unbudgeted campaign must fill every one).
-    budgeted: bool,
     stats: YieldStats,
-    report: Option<CampaignReport>,
 }
 
 impl AppSlot {
     /// Streams one finished record, counts it toward the verdict yield, and
     /// files it at its plan position.
-    fn file(&mut self, app: &str, idx: usize, record: FaultRecord, on_event: &mut dyn FnMut(SuiteEvent)) {
+    fn file(&mut self, idx: usize, record: FaultRecord, emit: &mut dyn FnMut(&FaultRecord)) {
         self.stats.observe(record.category, !record.tolerated());
-        on_event(SuiteEvent::Record {
-            app: app.to_string(),
-            record: record.clone(),
-        });
+        emit(&record);
         self.records[idx] = Some(record);
     }
 
@@ -435,69 +469,30 @@ impl AppSlot {
     /// by observed verdict yield (budgeted — each pick feeds on the
     /// previous outcome, so at most one of this campaign's jobs is in
     /// flight while other campaigns keep the workers busy).
-    fn enqueue_next(&mut self, app: usize) -> Vec<SuiteJob> {
-        match self.budget_left {
-            None => {
-                let drained = std::mem::take(&mut self.remaining);
-                self.outstanding += drained.len();
-                drained.into_iter().map(|idx| self.inject(app, idx)).collect()
-            }
+    fn enqueue_next(&mut self, app: usize) -> Vec<Job> {
+        let idxs = match self.budget_left {
+            None => std::mem::take(&mut self.remaining),
             Some(0) => {
                 self.remaining.clear();
                 Vec::new()
             }
-            Some(ref mut budget) => {
-                if self.remaining.is_empty() || self.outstanding > 0 {
-                    return Vec::new();
-                }
-                *budget -= 1;
+            Some(_) if self.remaining.is_empty() || self.outstanding > 0 => Vec::new(),
+            Some(_) => {
                 let pos = self.stats.pick(&self.remaining, &self.jobs);
-                let idx = self.remaining.remove(pos);
-                self.outstanding = 1;
-                vec![self.inject(app, idx)]
+                vec![self.remaining.remove(pos)]
             }
-        }
-    }
-
-    /// The queue job executing canonical job `idx`.
-    fn inject(&self, app: usize, idx: usize) -> SuiteJob {
+        };
+        self.outstanding += idxs.len();
         let schedule = self.schedule.as_ref().expect("jobs are enqueued after scheduling");
-        SuiteJob::Inject {
-            app,
-            idx,
-            plan: self.jobs[idx].clone(),
-            key: schedule.key(idx).clone(),
-        }
-    }
-
-    /// True once planning happened, nothing is in flight, and nothing more
-    /// will be enqueued — i.e. the campaign is ready to fold into a report.
-    fn idle(&self) -> bool {
-        self.schedule.is_some() && self.outstanding == 0 && self.remaining.is_empty() && self.report.is_none()
-    }
-}
-
-/// Folds a finished application's records (already in plan order by index)
-/// into its report and emits `AppFinished`.
-fn finish_app(campaign: &Campaign<'_>, name: &str, slot: &mut AppSlot, on_event: &mut dyn FnMut(SuiteEvent)) {
-    let plan = slot.plan.take().expect("plan arrives before its records");
-    // Only a budget may legitimately drop jobs; an unbudgeted campaign
-    // missing a record is an accounting bug and must fail loudly, not
-    // silently truncate the report.
-    let records: Vec<FaultRecord> = if slot.budgeted {
-        slot.records.drain(..).flatten().collect()
-    } else {
-        slot.records
-            .drain(..)
-            .map(|r| r.expect("all records complete before the app finishes"))
+        idxs.into_iter()
+            .map(|idx| Job::Inject {
+                app,
+                idx,
+                plan: self.jobs[idx].clone(),
+                key: schedule.key(idx).clone(),
+            })
             .collect()
-    };
-    let report = campaign.report_from(&plan, records);
-    on_event(SuiteEvent::AppFinished {
-        app: name.to_string(),
-        report: report.clone(),
-    });
-    slot.report = Some(report);
+    }
 }
 
 /// The aggregated outcome of a suite run: per-application reports in

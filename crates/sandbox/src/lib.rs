@@ -78,7 +78,7 @@ pub use error::{Errno, SysError, SysResult};
 pub use intern::PathSym;
 pub use mode::{Access, Mode};
 pub use os::{Os, ScenarioMeta};
-pub use policy::{Detector, Evidence, InvariantSpec, OracleSet, PolicyEngine, Verdict, Violation, ViolationKind};
+pub use policy::{Detector, Evidence, InvariantSpec, OracleSet, Verdict, Violation, ViolationKind};
 pub use process::Pid;
 pub use syscall::{InteractionRef, Interceptor, SysReturn, Syscall};
 pub use trace::{InputSemantic, ObjectRef, OpKind, SiteId};

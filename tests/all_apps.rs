@@ -89,7 +89,7 @@ fn parallel_campaigns_agree_with_sequential_everywhere() {
         let seq = session(&spec).execute(app);
         let par = session(&spec)
             .with_options(CampaignOptions {
-                parallel: true,
+                workers: Some(4),
                 ..Default::default()
             })
             .execute(app);
@@ -112,16 +112,15 @@ fn campaigns_are_deterministic() {
 }
 
 #[test]
-fn engine_sessions_match_the_deprecated_campaign_shim() {
-    // The migration contract: `Campaign::new(&app, &setup).execute()` and
-    // `Session::new(&spec)?.execute(&app)` produce identical reports.
-    #![allow(deprecated)]
-    use epa::core::campaign::Campaign;
+fn sessions_from_a_materialized_setup_match_sessions_from_the_spec() {
+    // The migration contract: a hand-built `TestSetup` frozen with
+    // `Session::from_setup` and `Session::new(&spec)` produce identical
+    // reports.
     for (app, _, spec) in all_cases() {
         let setup = spec.materialize().expect("valid spec");
-        let legacy = Campaign::new(app, &setup).execute();
+        let from_setup = Session::from_setup(setup).execute(app);
         let engine = session(&spec).execute(app);
-        assert_eq!(legacy, engine, "{}", app.name());
+        assert_eq!(from_setup, engine, "{}", app.name());
     }
 }
 

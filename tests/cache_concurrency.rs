@@ -27,10 +27,10 @@ fn executed_view(report: &CampaignReport) -> CampaignReport {
     stripped
 }
 
-/// Builds the standard racing suite: both corpus apps, sequential within
+/// Builds the standard racing suite: both corpus apps, one worker within
 /// the thread (the race under test is *between* threads, on the cache).
 fn build_suite(cache: &ResultCache) -> Suite {
-    let mut suite = Suite::new().with_result_cache(cache.clone()).sequential();
+    let mut suite = Suite::new().with_result_cache(cache.clone()).with_workers(1);
     for index in INDICES {
         let scenario = synthesize_one(DEFAULT_CORPUS_SEED, index);
         let setup = scenario.spec.materialize().expect("corpus worlds materialize");

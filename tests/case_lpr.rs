@@ -1,15 +1,10 @@
-//! Integration: the §3.4 lpr walkthrough.
-//!
-//! Deliberately driven through the deprecated `Campaign::new(...).execute()`
-//! shim: the engine redesign keeps the old constructor as a thin layer over
-//! `engine::Session`, and this file is the regression proof that the shim
-//! still reproduces the paper's numbers (4 injected / 4 violated at the
-//! create site). New code should use `epa::core::engine::{Session, Suite}`.
-
-#![allow(deprecated)]
+//! Integration: the §3.4 lpr walkthrough, driven through a `Session` over
+//! the hand-built lpr world: the paper's numbers (4 injected / 4 violated
+//! at the create site) hold.
 
 use epa::apps::{worlds, Lpr, LprFixed};
-use epa::core::campaign::{Campaign, CampaignOptions};
+use epa::core::campaign::CampaignOptions;
+use epa::core::engine::Session;
 use epa::sandbox::trace::SiteId;
 use std::collections::BTreeSet;
 
@@ -24,8 +19,8 @@ fn create_site_only() -> CampaignOptions {
 
 #[test]
 fn four_applicable_attributes_all_violate() {
-    let setup = worlds::lpr_world();
-    let report = Campaign::new(&Lpr, &setup).with_options(create_site_only()).execute();
+    let session = Session::from_setup(worlds::lpr_world()).with_options(create_site_only());
+    let report = session.execute(&Lpr);
     assert_eq!(report.clean_violations, 0);
     assert_eq!(report.injected(), 4, "existence, ownership, permission, symbolic link");
     assert_eq!(report.violated(), 4, "paper: violations detected for attributes 1-4");
@@ -39,8 +34,8 @@ fn four_applicable_attributes_all_violate() {
 
 #[test]
 fn the_symlink_attack_clobbers_the_passwd_file() {
-    let setup = worlds::lpr_world();
-    let report = Campaign::new(&Lpr, &setup).with_options(create_site_only()).execute();
+    let session = Session::from_setup(worlds::lpr_world()).with_options(create_site_only());
+    let report = session.execute(&Lpr);
     let symlink = report
         .records
         .iter()
@@ -52,18 +47,15 @@ fn the_symlink_attack_clobbers_the_passwd_file() {
 
 #[test]
 fn fixed_lpr_tolerates_all_four() {
-    let setup = worlds::lpr_world();
-    let report = Campaign::new(&LprFixed, &setup)
-        .with_options(create_site_only())
-        .execute();
+    let session = Session::from_setup(worlds::lpr_world()).with_options(create_site_only());
+    let report = session.execute(&LprFixed);
     assert_eq!(report.injected(), 4);
     assert_eq!(report.violated(), 0, "{:#?}", report.violations().collect::<Vec<_>>());
 }
 
 #[test]
 fn full_lpr_campaign_also_covers_input_sites() {
-    let setup = worlds::lpr_world();
-    let report = Campaign::new(&Lpr, &setup).execute();
+    let report = Session::from_setup(worlds::lpr_world()).execute(&Lpr);
     assert_eq!(report.total_sites, 3, "argv, read-input, create");
     assert!(report.injected() > 4);
     assert_eq!(report.clean_violations, 0);
@@ -71,10 +63,10 @@ fn full_lpr_campaign_also_covers_input_sites() {
 
 #[test]
 fn the_executor_paths_keep_the_paper_numbers() {
-    use epa::core::engine::{Session, Suite};
-    // Through the campaign-level pool (parallel plan execution)...
+    use epa::core::engine::Suite;
+    // Through a session's own 4-worker pool...
     let session = Session::from_setup(worlds::lpr_world()).with_options(CampaignOptions {
-        parallel: true,
+        workers: Some(4),
         ..create_site_only()
     });
     let pooled = session.execute(&Lpr);

@@ -74,7 +74,7 @@ fn both_paths_emit_app_started_for_every_app_in_registration_order() {
     for sequential in [false, true] {
         let mut suite = standard_suite().expect("valid specs");
         if sequential {
-            suite = suite.sequential();
+            suite = suite.with_workers(1);
         }
         let mut started: Vec<String> = Vec::new();
         let _ = suite.execute_with(&mut |event| {
@@ -89,7 +89,7 @@ fn both_paths_emit_app_started_for_every_app_in_registration_order() {
 #[test]
 fn sequential_and_fanned_out_suites_agree() {
     let fanned = standard_suite().expect("valid specs").execute();
-    let sequential = standard_suite().expect("valid specs").sequential().execute();
+    let sequential = standard_suite().expect("valid specs").with_workers(1).execute();
     assert_eq!(fanned, sequential);
 }
 

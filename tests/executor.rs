@@ -1,5 +1,6 @@
-//! Integration: the suite-wide work-stealing executor — thread ceiling,
-//! deterministic reassembly, and agreement with the sequential path.
+//! Integration: the work-stealing executor every campaign runs on — thread
+//! ceiling, deterministic reassembly, and agreement with the one-worker
+//! path.
 //!
 //! The pool's worker gauge is process-global, so every test in this binary
 //! that runs a pool takes `POOL_LOCK` first; the ceiling assertions then
@@ -9,7 +10,7 @@ use std::sync::Mutex;
 
 use epa::apps::{standard_suite, standard_suite_with_options};
 use epa::core::campaign::CampaignOptions;
-use epa::core::engine::executor::{self, Executor};
+use epa::core::engine::executor;
 use epa::core::engine::{Suite, SuiteEvent, SuiteReport};
 
 static POOL_LOCK: Mutex<()> = Mutex::new(());
@@ -39,7 +40,7 @@ fn pooled_suite_live_threads_never_exceed_available_parallelism() {
 fn pooled_suite_reports_are_byte_identical_to_sequential() {
     let _guard = POOL_LOCK.lock().unwrap();
     let pooled = standard_suite().expect("valid specs").execute();
-    let sequential = standard_suite().expect("valid specs").sequential().execute();
+    let sequential = standard_suite().expect("valid specs").with_workers(1).execute();
     assert_eq!(pooled, sequential);
     let pooled_json = serde_json::to_string(&pooled).expect("serialize");
     let sequential_json = serde_json::to_string(&sequential).expect("serialize");
@@ -57,7 +58,7 @@ fn pinned_worker_counts_reassemble_byte_identical_reports() {
     // standard suite pinned to 1, 4 and 8 workers must reproduce the
     // sequential report byte-for-byte, and the pinned counts must bound
     // the worker high-water regardless of the hardware.
-    let sequential = standard_suite().expect("valid specs").sequential().execute();
+    let sequential = standard_suite().expect("valid specs").with_workers(1).execute();
     let sequential_json = serde_json::to_string(&sequential).expect("serialize");
     for workers in [1usize, 4, 8] {
         executor::reset_peak_live_workers();
@@ -100,7 +101,7 @@ fn reports_and_record_streams_match_sequential_at_every_worker_count() {
             })
             .expect("valid specs")
         };
-        let (sequential, sequential_stream) = streamed_records(&suite().sequential());
+        let (sequential, sequential_stream) = streamed_records(&suite().with_workers(1));
         assert_eq!(
             sequential_stream.len(),
             245,
@@ -121,16 +122,30 @@ fn reports_and_record_streams_match_sequential_at_every_worker_count() {
 fn a_forced_multi_worker_pool_still_reassembles_plan_order() {
     let _guard = POOL_LOCK.lock().unwrap();
     // Even above the hardware ceiling (this is the machinery test, not the
-    // suite ceiling test), results come back in job order.
-    let jobs: Vec<usize> = (0..97).collect();
-    let pool = Executor::with_workers(4);
-    let mut completion_order: Vec<usize> = Vec::new();
-    let out = pool.run_indexed(&jobs, |i, j| (i, j * j), &mut |i, _| completion_order.push(i));
-    assert_eq!(completion_order.len(), 97);
-    for (i, (idx, square)) in out.iter().enumerate() {
-        assert_eq!(*idx, i);
-        assert_eq!(*square, i * i);
-    }
+    // suite ceiling test), a session's records come back in plan order.
+    use epa::apps::{turnin, Turnin};
+    use epa::core::engine::Session;
+    let session = Session::new(&turnin::spec()).expect("valid spec");
+    let plan_order: Vec<String> = session
+        .plan(&Turnin)
+        .jobs()
+        .iter()
+        .map(|job| format!("{}#{}#{}", job.site, job.occurrence, job.fault.id))
+        .collect();
+    let mut streamed = 0usize;
+    let report = session
+        .with_options(CampaignOptions {
+            workers: Some(4),
+            ..Default::default()
+        })
+        .execute_streaming(&Turnin, &mut |_| streamed += 1);
+    let report_order: Vec<String> = report
+        .records
+        .iter()
+        .map(|r| format!("{}#{}#{}", r.site, r.occurrence, r.fault_id))
+        .collect();
+    assert_eq!(streamed, plan_order.len());
+    assert_eq!(report_order, plan_order);
 }
 
 #[test]
@@ -142,7 +157,7 @@ fn campaign_parallelism_also_respects_the_ceiling() {
     let report = Session::new(&turnin::spec())
         .expect("valid spec")
         .with_options(CampaignOptions {
-            parallel: true,
+            workers: Some(available()),
             ..Default::default()
         })
         .execute(&Turnin);

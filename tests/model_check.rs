@@ -5,8 +5,8 @@
 //! Three guarantees are pinned here:
 //!
 //! 1. The production protocols — the executor's sharded close/pending
-//!    queue, the result cache's claim protocol, plan-order reassembly,
-//!    the expanding pool's caller working as worker 0 — explore
+//!    queue, the result cache's claim protocol, the expanding pool's
+//!    plan-order reassembly and its caller working as worker 0 — explore
 //!    **exhaustively** (within the preemption bound) with zero races,
 //!    deadlocks, lost wakeups, and livelocks.
 //! 2. The three seeded mutants (bugs this codebase once shipped or could
@@ -44,11 +44,6 @@ fn claim_protocol_is_clean_under_exhaustive_exploration() {
 #[test]
 fn abandoned_claims_never_strand_a_waiter() {
     modelcheck::check_claim_abandon(&cfg()).assert_complete();
-}
-
-#[test]
-fn indexed_reassembly_is_byte_identical_to_sequential_in_every_schedule() {
-    modelcheck::check_indexed_reassembly(&cfg()).assert_complete();
 }
 
 #[test]

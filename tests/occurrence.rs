@@ -202,7 +202,7 @@ fn occurrence_campaigns_agree_between_sequential_and_parallel() {
     let par = session(usize::MAX)
         .with_options(CampaignOptions {
             max_occurrences_per_site: usize::MAX,
-            parallel: true,
+            workers: Some(4),
             ..Default::default()
         })
         .execute(&Reread);

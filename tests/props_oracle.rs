@@ -1,19 +1,16 @@
 //! Property tests: oracle-pipeline equivalence — the incremental
-//! (audit-log-subscribed) `OracleSet` must report exactly what the retired
-//! batch evaluation reports, across randomized worlds, randomized fault
-//! plans, and spec-declared invariants; and the deprecated
-//! `PolicyEngine::evaluate` shim must keep reproducing the paper's pinned
-//! lpr numbers through both paths.
+//! (audit-log-subscribed) `OracleSet` must report exactly what
+//! `OracleSet::evaluate_log` reports over the same run's completed log,
+//! across randomized worlds, randomized fault plans, and spec-declared
+//! invariants; and both must reproduce the paper's pinned lpr numbers.
 
-#![allow(deprecated)]
-
-use epa::core::campaign::{run_once_batch_oracle, Campaign, CampaignOptions};
+use epa::core::campaign::{run_once, CampaignOptions};
 use epa::core::engine::{Session, WorldSpec};
 use epa::core::inject::InjectionHook;
 use epa::sandbox::app::Application;
 use epa::sandbox::cred::{Gid, Uid};
 use epa::sandbox::os::{Os, ScenarioMeta};
-use epa::sandbox::policy::{InvariantSpec, PolicyEngine, Violation};
+use epa::sandbox::policy::InvariantSpec;
 use epa::sandbox::process::Pid;
 use epa::sandbox::trace::InputSemantic;
 use proptest::prelude::*;
@@ -129,11 +126,10 @@ proptest! {
 
     /// The oracle redesign's acceptance property: for every run of a
     /// randomized fault plan over a randomized world, the incremental
-    /// pipeline's verdicts equal the retired batch scan's verdicts, and
-    /// the deprecated `PolicyEngine::evaluate` shim returns exactly the
-    /// verdicts' violations.
+    /// pipeline's verdicts equal a fresh oracle's `evaluate_log` over the
+    /// same run's completed log.
     #[test]
-    fn incremental_equals_batch_equals_shim(
+    fn incremental_verdicts_equal_evaluate_log_on_the_same_run(
         files in proptest::collection::vec(file_strategy(), 0..4),
         arg in "[a-z]{1,6}",
         invariants in invariant_strategy(),
@@ -149,33 +145,20 @@ proptest! {
             ..Default::default()
         };
 
-        // Incremental path: the engine session (oracle subscribed to every
-        // run's audit log).
+        // The engine session (oracle subscribed to every run's audit log).
         let session = Session::from_setup(setup.clone()).with_options(options.clone());
         let plan = session.plan(&app);
         let report = session.execute_plan(&app, &plan);
         let jobs = plan.jobs();
         prop_assert_eq!(jobs.len(), report.records.len());
 
-        // Batch path: replay the identical jobs through the retired
-        // post-hoc scan and compare verdict-for-verdict.
+        // Re-run the identical jobs and judge each completed log afresh.
         for (job, record) in jobs.iter().zip(&report.records) {
             let (hook, _) = InjectionHook::new(job.clone());
-            let batch = run_once_batch_oracle(&setup, &app, Some(Box::new(hook)));
-            prop_assert_eq!(&batch.violations, &record.violations, "job {}", job.fault.id);
-            prop_assert_eq!(batch.os.audit.len(), record.audit_events);
-
-            // The deprecated shim agrees with the verdict stream minus the
-            // spec-declared invariants it predates (it runs the standard
-            // families only).
-            let shim: Vec<Violation> = PolicyEngine::new().evaluate(&batch.os.audit);
-            let standard: Vec<Violation> = record
-                .violations
-                .iter()
-                .filter(|v| v.detector != "invariant")
-                .map(|v| v.violation.clone())
-                .collect();
-            prop_assert_eq!(shim, standard);
+            let run = run_once(&setup, &app, Some(Box::new(hook)));
+            prop_assert_eq!(&run.violations, &record.violations, "job {}", job.fault.id);
+            prop_assert_eq!(&setup.oracle().evaluate_log(&run.os.audit), &run.violations, "job {}", job.fault.id);
+            prop_assert_eq!(run.os.audit.len(), record.audit_events);
 
             // Every evidence index stays inside the run's audit log.
             for verdict in &record.violations {
@@ -187,9 +170,8 @@ proptest! {
     }
 }
 
-/// The paper's §3.4 numbers, pinned through every oracle path: the
-/// incremental session, the retired batch scan, and the deprecated
-/// `PolicyEngine` shim.
+/// The paper's §3.4 numbers, pinned through both oracle paths: the
+/// incremental session, and `evaluate_log` over each run's completed log.
 #[test]
 fn lpr_numbers_pin_through_both_oracle_paths() {
     use epa::apps::{worlds, Lpr};
@@ -205,25 +187,19 @@ fn lpr_numbers_pin_through_both_oracle_paths() {
     let setup = worlds::lpr_world();
 
     // Incremental: the engine session.
-    let session = Session::from_setup(setup.clone()).with_options(options.clone());
+    let session = Session::from_setup(setup.clone()).with_options(options);
     let report = session.execute(&Lpr);
     assert_eq!(report.injected(), 4, "existence, ownership, permission, symbolic link");
     assert_eq!(report.violated(), 4, "paper: violations detected for attributes 1-4");
 
-    // Batch: the same four jobs through the retired post-hoc scan.
-    let campaign = Campaign::new(&Lpr, &setup).with_options(options);
-    let plan = campaign.plan();
+    // Batch: the same four jobs, each completed log judged afresh.
     let mut batch_violated = 0usize;
-    for job in plan.jobs() {
+    for job in session.plan(&Lpr).jobs() {
         let (hook, _) = InjectionHook::new(job);
-        let out = run_once_batch_oracle(&setup, &Lpr, Some(Box::new(hook)));
-        // The shim sees exactly what the pipeline sees, minus evidence.
-        let shim = PolicyEngine::new().evaluate(&out.os.audit);
-        assert_eq!(
-            shim,
-            out.violations.iter().map(|v| v.violation.clone()).collect::<Vec<_>>()
-        );
-        if !out.violations.is_empty() {
+        let out = run_once(&setup, &Lpr, Some(Box::new(hook)));
+        let batch = setup.oracle().evaluate_log(&out.os.audit);
+        assert_eq!(batch, out.violations);
+        if !batch.is_empty() {
             batch_violated += 1;
         }
     }

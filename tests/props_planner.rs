@@ -261,16 +261,16 @@ fn duplicate_payloads_within_a_plan_execute_once() {
 }
 
 /// Two registrations of the same application over the same (independently
-/// materialized) world spec share a memoization scope: the suite's
-/// sequential path replays the whole second campaign from the first one's
-/// runs — the fingerprint is content-addressed, not pointer identity.
+/// materialized) world spec share a memoization scope: a one-worker suite
+/// replays the whole second campaign from the first one's runs — the
+/// fingerprint is content-addressed, not pointer identity.
 #[test]
 fn suite_replays_identical_campaigns_from_the_shared_cache() {
     use epa::apps::Lpr;
     let mut suite = Suite::new();
     suite.register(Lpr, &epa::apps::lpr::spec()).unwrap();
     suite.register(Lpr, &epa::apps::lpr::spec()).unwrap();
-    let report = suite.sequential().execute();
+    let report = suite.with_workers(1).execute();
     assert_eq!(report.reports.len(), 2);
     assert_eq!(report.reports[0].cache_hits(), 0);
     assert_eq!(
@@ -280,6 +280,36 @@ fn suite_replays_identical_campaigns_from_the_shared_cache() {
     );
     assert_eq!(report.reports[1].pruned(), report.reports[0].pruned());
     assert_eq!(executed_view(&report.reports[1]), executed_view(&report.reports[0]));
+}
+
+/// `plan_budget` caps executed runs, and cache replays are free: when a
+/// second registration of the same campaign replays the first one's claims
+/// from the suite-scoped cache, it still executes its own full budget.
+#[test]
+fn a_budget_spends_only_on_executed_runs_in_a_shared_suite() {
+    use epa::apps::Lpr;
+    let mut suite = Suite::new();
+    for _ in 0..2 {
+        let session = Session::new(&epa::apps::lpr::spec())
+            .unwrap()
+            .with_options(CampaignOptions {
+                plan_budget: Some(3),
+                ..Default::default()
+            });
+        suite.register_session(Lpr, session);
+    }
+    let report = suite.with_workers(1).execute();
+    for (i, campaign) in report.reports.iter().enumerate() {
+        assert_eq!(
+            campaign.runs_executed(),
+            3,
+            "registration {i} executes its whole budget"
+        );
+    }
+    assert!(
+        report.reports[1].cache_hits() > 0,
+        "the second registration replays the first's runs"
+    );
 }
 
 /// The paper's §3.4 numbers, pinned through every planner path: memoized

@@ -29,7 +29,7 @@ where
 /// the eight-app `SUITE_report.json`, at test-budget scale).
 #[test]
 fn suite_report_schema_roundtrips() {
-    let mut suite = Suite::new().sequential();
+    let mut suite = Suite::new().with_workers(1);
     for index in [1usize, 4] {
         let scenario = synthesize_one(DEFAULT_CORPUS_SEED, index);
         let setup = scenario.spec.materialize().expect("corpus worlds materialize");

@@ -36,7 +36,7 @@ fn fresh_store_dir(tag: &str) -> PathBuf {
 /// exactly the cross-process shape: no memory is shared between calls.
 fn corpus_suite(dir: &Path) -> Suite {
     let cache = ResultCache::persistent(dir).expect("the test store directory opens");
-    let mut suite = Suite::new().sequential().with_result_cache(cache);
+    let mut suite = Suite::new().with_workers(1).with_result_cache(cache);
     for index in [1usize, 4] {
         let scenario = synthesize_one(DEFAULT_CORPUS_SEED, index);
         let setup = scenario.spec.materialize().expect("corpus worlds materialize");
@@ -315,34 +315,41 @@ impl ResultStore for CountingStore {
 
 #[test]
 fn each_executed_run_is_saved_exactly_once() {
-    // Sequential (`None`), and pooled with the caller as worker 0 beside
-    // one or two spawned threads.
-    for workers in [None, Some(2), Some(3)] {
+    // One worker, and pooled with the caller as worker 0 beside one or two
+    // spawned threads.
+    for workers in [1, 2, 3] {
         let store = Arc::new(CountingStore::default());
         let suite = || {
-            let suite = standard_suite().expect("valid specs").with_store(store.clone());
-            match workers {
-                None => suite.sequential(),
-                Some(w) => suite.with_workers(w),
-            }
+            standard_suite()
+                .expect("valid specs")
+                .with_store(store.clone())
+                .with_workers(workers)
         };
         let cold = suite().execute();
-        assert_eq!(cold.total_runs_executed(), 216, "{workers:?}: the cold suite executes");
+        assert_eq!(
+            cold.total_runs_executed(),
+            216,
+            "{workers} workers: the cold suite executes"
+        );
         assert_eq!(
             store.saves.load(Ordering::SeqCst),
             216,
-            "{workers:?}: the claim that executes a run is its only save"
+            "{workers} workers: the claim that executes a run is its only save"
         );
         assert_eq!(store.entries(), 216);
 
         // A fresh hot tier over the same store: everything replays from it.
         store.saves.store(0, Ordering::SeqCst);
         let warm = suite().execute();
-        assert_eq!(warm.total_runs_executed(), 0, "{workers:?}: the warm suite replays");
+        assert_eq!(
+            warm.total_runs_executed(),
+            0,
+            "{workers} workers: the warm suite replays"
+        );
         assert_eq!(
             store.saves.load(Ordering::SeqCst),
             0,
-            "{workers:?}: a replay saves nothing"
+            "{workers} workers: a replay saves nothing"
         );
         assert_eq!(stripped(&cold), stripped(&warm));
     }
