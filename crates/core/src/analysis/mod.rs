@@ -415,7 +415,7 @@ impl AppAnalysis {
     }
 
     fn fact_of(fs: &Vfs, cwd: &str, ev: &TraceEvent) -> EventFact {
-        let physical = match &ev.object {
+        let physical = match &*ev.object {
             ObjectRef::File(p) if path::is_absolute(p) => Some(physical_forms(fs, p)),
             ObjectRef::File(p) if !path::contains_dotdot(p) => Some(physical_forms(fs, &path::join(cwd, p))),
             _ => None,
@@ -425,7 +425,7 @@ impl AppAnalysis {
             site: ev.site.clone(),
             occurrence: ev.occurrence,
             op: ev.op,
-            object: ev.object.clone(),
+            object: (*ev.object).clone(),
             physical,
             semantic: ev.semantic,
             ok: ev.ok,

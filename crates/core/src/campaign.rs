@@ -583,7 +583,7 @@ impl<'a> Campaign<'a> {
             let touched: BTreeSet<&str> = records.iter().map(|r| r.site.as_str()).collect();
             plan.sites
                 .iter()
-                .filter(|s| s.included && !s.faults.is_empty() && touched.contains(s.summary.site.0.as_str()))
+                .filter(|s| s.included && !s.faults.is_empty() && touched.contains(s.summary.site.as_str()))
                 .count()
         } else {
             plan.sites.iter().filter(|s| s.included && !s.faults.is_empty()).count()

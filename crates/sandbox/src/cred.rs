@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use shim_sync::sync::Arc;
 
 /// A numeric user id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -139,9 +140,13 @@ pub struct User {
 }
 
 /// The account database (a tiny `/etc/passwd`).
+///
+/// The table is `Arc`-shared between world snapshots (copy-on-write):
+/// cloning a database allocates nothing, and `add` unshares it first. It
+/// hashes, compares and serializes as the table itself.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct UserDb {
-    by_uid: BTreeMap<u32, User>,
+    by_uid: Arc<BTreeMap<u32, User>>,
 }
 
 impl UserDb {
@@ -158,7 +163,7 @@ impl UserDb {
             name: name.into(),
             home: home.into(),
         };
-        self.by_uid.insert(uid.0, user);
+        Arc::make_mut(&mut self.by_uid).insert(uid.0, user);
         uid
     }
 

@@ -18,25 +18,41 @@
 //!
 //! # Copy-on-write snapshots
 //!
-//! The inode table is `Arc`-backed at two levels (the table itself and each
-//! inode), so `Vfs::clone` is O(1) and the first mutation of a shared
-//! snapshot pays only for the inodes it actually touches. Campaigns exploit
-//! this by freezing one pristine world and cloning it per injected fault;
-//! [`Vfs::deep_clone`] materializes a fully independent copy for callers
-//! that need one (and for the deep-clone-vs-snapshot benches).
+//! The inode table is a dense vector indexed by [`InodeId`] (ids come from
+//! a counter and are never reused), `Arc`-backed at two levels: the vector
+//! itself and each inode. `Vfs::clone` is O(1), and the first mutation of
+//! a shared snapshot copies one vector of pointers plus the inodes it
+//! actually touches. Campaigns exploit this by freezing one pristine world
+//! and cloning it per injected fault; [`Vfs::deep_clone`] materializes a
+//! fully independent copy for callers that need one (and for the
+//! deep-clone-vs-snapshot benches). The table hashes, compares and
+//! serializes exactly as the `BTreeMap<u64, Arc<Inode>>` it replaced, so
+//! world fingerprints and serialized worlds are unchanged.
+//!
+//! # Resolution
+//!
+//! A walk keeps only the inode it stands on: `..` follows the parent-link
+//! index, and a physical path is rebuilt from that index once, into one
+//! buffer, when a caller asks for it. Components are borrowed from the
+//! argument and from symlink targets; a stack of pending text is allocated
+//! only when a symlink splices its target in mid-path. The syscall
+//! handlers in [`crate::os`] resolve each path once (`Vfs::probe`) and
+//! hand the result to crate-private forms of the checked operations.
 
 mod inode;
 
 pub use inode::{FileKind, FileTag, FileType, Inode, InodeId, Stat};
 
 use shim_sync::sync::Arc;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::cred::{Credentials, Gid, Uid};
 use crate::data::Data;
-use crate::error::{Errno, SysResult};
+use crate::error::{Errno, SysError, SysResult};
 use crate::intern::{self, PathSym};
 use crate::mode::{Access, Mode};
 use crate::path;
@@ -49,9 +65,71 @@ const SYMLINK_BUDGET: usize = 40;
 /// limit "change length" perturbations push file names past.
 pub const NAME_MAX: usize = 255;
 
-/// The absolute path whose components are `names` (`/` for none).
-fn rooted(names: &[&str]) -> String {
-    format!("/{}", names.join("/"))
+/// The largest `next_id` a deserialized world may carry: the bound on the
+/// dense table a serialized world can make this process allocate.
+const MAX_NEXT_ID: u64 = 1 << 20;
+
+thread_local! {
+    /// The buffer physical paths are rebuilt in before they are interned
+    /// (the interner needs the text contiguous): one per thread, kept
+    /// across walks, so a walk allocates no text of its own.
+    static PHYSICAL: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The table slot of an inode id (out of range for any table when the id
+/// does not fit a `usize`).
+fn slot(id: InodeId) -> usize {
+    usize::try_from(id.0).unwrap_or(usize::MAX)
+}
+
+/// Displays a path as `/` followed by its non-empty components joined by
+/// `/` — the spelling `walk_parent` names a parent prefix in.
+struct Rooted<'a>(&'a str);
+
+impl fmt::Display for Rooted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("/")?;
+        for (i, comp) in path::components(self.0).enumerate() {
+            if i > 0 {
+                f.write_str("/")?;
+            }
+            f.write_str(comp)?;
+        }
+        Ok(())
+    }
+}
+
+/// Splits an absolute path into the text before its final component and
+/// that component (`None` when the path has no components).
+fn split_last(abs_path: &str) -> (&str, Option<&str>) {
+    let trimmed = abs_path.trim_end_matches('/');
+    match trimmed.rfind('/') {
+        Some(i) => (&trimmed[..=i], Some(&trimmed[i + 1..])),
+        None => (abs_path, None),
+    }
+}
+
+/// The final component of `abs_path` when it names an entry (not `.` or
+/// `..`), else the `EINVAL` `walk_parent` reports.
+pub(crate) fn final_name(abs_path: &str) -> SysResult<&str> {
+    match split_last(abs_path).1 {
+        Some(n) if n != "." && n != ".." => Ok(n),
+        _ => Err(syserr!(Einval, "bad final component in {abs_path}")),
+    }
+}
+
+/// Pops the next non-empty component off the front of `rest`.
+fn pop_component<'a>(rest: &mut &'a str) -> Option<&'a str> {
+    let text = rest.trim_start_matches('/');
+    let end = text.find('/').unwrap_or(text.len());
+    let (comp, tail) = text.split_at(end);
+    *rest = tail;
+    (!comp.is_empty()).then_some(comp)
+}
+
+/// True when `text` has at least one non-empty component.
+fn has_component(text: &str) -> bool {
+    text.bytes().any(|b| b != b'/')
 }
 
 /// Result of a successful path walk.
@@ -60,8 +138,8 @@ pub struct Walked {
     /// The resolved inode.
     pub id: InodeId,
     /// Physical absolute path of the resolved inode (symlinks expanded),
-    /// interned once at the end of the walk — `Copy`, and allocation-free
-    /// to propagate into audit events.
+    /// rebuilt from the parent links and interned once — `Copy`, and
+    /// allocation-free to propagate into audit events.
     pub physical: PathSym,
     /// The physical parent directory (root's parent is root).
     pub parent: InodeId,
@@ -78,23 +156,70 @@ pub struct ParentWalk {
     pub name: String,
 }
 
+/// How a walk treats search (execute) permission on the directories it
+/// looks names up in.
+#[derive(Clone, Copy)]
+enum Search<'c> {
+    /// God mode: no check.
+    Unchecked,
+    /// Fail with `EACCES` at the first directory the credentials may not
+    /// search, as the kernel does.
+    Enforce(&'c Credentials),
+    /// Resolve as god mode, noting the first such directory in the
+    /// [`Trail`] instead of failing.
+    Note(&'c Credentials),
+}
+
+impl<'c> Search<'c> {
+    fn from_cred(cred: Option<&'c Credentials>) -> Self {
+        cred.map_or(Search::Unchecked, Search::Enforce)
+    }
+}
+
+/// What a walk notes on its way, besides where it ends.
+#[derive(Debug, Default)]
+struct Trail {
+    /// The first directory a [`Search::Note`] walk's credentials may not
+    /// search, and whether that lookup was of the path's last component.
+    denied: Option<(InodeId, bool)>,
+    /// The directory an `ENOENT` struck in, when the missing name was the
+    /// last component of the path as given (no symlink expanded).
+    missing_in: Option<InodeId>,
+}
+
+/// One god-mode resolution of a path, read two ways: what the unchecked
+/// walk found, and what the same walk under a process's credentials
+/// returns. A syscall handler that needs both (a god-mode `stat`/`lstat`
+/// for its audit record, then the checked operation) walks the path once.
+#[derive(Debug)]
+pub(crate) struct Probe {
+    /// The inode the unchecked walk reached, or the error it failed with.
+    pub(crate) found: SysResult<InodeId>,
+    trail: Trail,
+}
+
+/// Inode-indexed slots: `None` for an id that was never allocated or whose
+/// inode was removed.
+type Slots<T> = Arc<Vec<Option<T>>>;
+
 /// The virtual file system.
 ///
 /// `clone` is a copy-on-write snapshot: the inode table is shared until
 /// either copy mutates, and a mutation deep-copies only the touched inodes
-/// (plus one table of pointers). Use [`Vfs::deep_clone`] when a fully
+/// (plus one vector of pointers). Use [`Vfs::deep_clone`] when a fully
 /// materialized copy is required.
 #[derive(Debug, Clone)]
 pub struct Vfs {
-    inodes: Arc<BTreeMap<u64, Arc<Inode>>>,
+    /// The inode table, dense by [`InodeId`]; always `next_id` slots long.
+    inodes: Slots<Arc<Inode>>,
     root: InodeId,
     next_id: u64,
-    /// Reverse index `child → (parent, entry name)`, maintained by the
-    /// [`Vfs::link_child`]/[`Vfs::unlink_child`] helpers so
-    /// [`Vfs::path_of`] is O(depth) instead of a full-tree search. Pure
-    /// derived data: excluded from equality and serialization (rebuilt
-    /// on deserialize).
-    parents: Arc<BTreeMap<u64, (InodeId, PathSym)>>,
+    /// Reverse index `child → (parent, entry name)`, dense by [`InodeId`]
+    /// and maintained by the [`Vfs::link_child`]/[`Vfs::unlink_child`]
+    /// helpers. Resolution follows it for `..` and rebuilds physical paths
+    /// from it, and [`Vfs::path_of`] is O(depth). Pure derived data:
+    /// excluded from equality and serialization (rebuilt on deserialize).
+    parents: Slots<(InodeId, PathSym)>,
 }
 
 impl PartialEq for Vfs {
@@ -111,11 +236,11 @@ impl PartialEq for Vfs {
             return true;
         }
         self.inodes.len() == other.inodes.len()
-            && self
-                .inodes
-                .iter()
-                .zip(other.inodes.iter())
-                .all(|((ka, a), (kb, b))| ka == kb && (Arc::ptr_eq(a, b) || a == b))
+            && self.inodes.iter().zip(other.inodes.iter()).all(|pair| match pair {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+                (None, None) => true,
+                _ => false,
+            })
     }
 }
 
@@ -123,8 +248,14 @@ impl Eq for Vfs {}
 
 impl std::hash::Hash for Vfs {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // As in `PartialEq`: `parents` is derived from the tree.
-        self.inodes.hash(state);
+        // As in `PartialEq`: `parents` is derived from the tree. The table
+        // feeds the stream a `BTreeMap<u64, Arc<Inode>>` of its live
+        // inodes did (the length, then each `(id, inode)` pair), so world
+        // fingerprints do not depend on the dense layout.
+        state.write_usize(self.inode_count());
+        for (id, ino) in self.live() {
+            (id, ino).hash(state);
+        }
         self.root.hash(state);
         self.next_id.hash(state);
     }
@@ -133,9 +264,14 @@ impl std::hash::Hash for Vfs {
 impl Serialize for Vfs {
     fn ser(&self) -> serde::Value {
         // Mirrors the old derived layout exactly (three fields, in
-        // declaration order) so serialized worlds are byte-identical.
+        // declaration order, the table as the `(id, inode)` pairs a
+        // `BTreeMap` serializes to) so serialized worlds are byte-identical.
+        let inodes = self
+            .live()
+            .map(|(id, ino)| serde::Value::Seq(vec![id.ser(), ino.ser()]))
+            .collect();
         serde::Value::Map(vec![
-            (String::from("inodes"), self.inodes.ser()),
+            (String::from("inodes"), serde::Value::Seq(inodes)),
             (String::from("root"), self.root.ser()),
             (String::from("next_id"), self.next_id.ser()),
         ])
@@ -145,11 +281,25 @@ impl Serialize for Vfs {
 impl Deserialize for Vfs {
     fn de(v: &serde::Value) -> Result<Vfs, serde::DeError> {
         let map = v.as_map().ok_or_else(|| serde::DeError::expected("map", "Vfs"))?;
+        let live: BTreeMap<u64, Arc<Inode>> = Deserialize::de(serde::field(map, "inodes", "Vfs")?)?;
+        let next_id: u64 = Deserialize::de(serde::field(map, "next_id", "Vfs")?)?;
+        if next_id > MAX_NEXT_ID {
+            return Err(serde::DeError::custom(format!(
+                "Vfs next_id {next_id} exceeds {MAX_NEXT_ID}"
+            )));
+        }
+        let mut inodes = vec![None; slot(InodeId(next_id))];
+        for (id, ino) in live {
+            let entry = inodes
+                .get_mut(slot(InodeId(id)))
+                .ok_or_else(|| serde::DeError::custom(format!("inode id {id} is not below next_id {next_id}")))?;
+            *entry = Some(ino);
+        }
         let mut vfs = Vfs {
-            inodes: Deserialize::de(serde::field(map, "inodes", "Vfs")?)?,
+            inodes: Arc::new(inodes),
             root: Deserialize::de(serde::field(map, "root", "Vfs")?)?,
-            next_id: Deserialize::de(serde::field(map, "next_id", "Vfs")?)?,
-            parents: Arc::new(BTreeMap::new()),
+            next_id,
+            parents: Arc::new(Vec::new()),
         };
         vfs.rebuild_parents();
         Ok(vfs)
@@ -165,24 +315,20 @@ impl Default for Vfs {
 impl Vfs {
     /// Creates a file system containing only `/` (root-owned, mode 0755).
     pub fn new() -> Self {
-        let mut inodes = BTreeMap::new();
         let root = InodeId(1);
-        inodes.insert(
-            1,
-            Arc::new(Inode {
-                id: root,
-                kind: FileKind::Directory(BTreeMap::new()),
-                owner: Uid::ROOT,
-                group: Gid::ROOT,
-                mode: Mode::new(0o755),
-                tags: BTreeSet::new(),
-            }),
-        );
+        let root_inode = Arc::new(Inode {
+            id: root,
+            kind: FileKind::Directory(BTreeMap::new()),
+            owner: Uid::ROOT,
+            group: Gid::ROOT,
+            mode: Mode::new(0o755),
+            tags: BTreeSet::new(),
+        });
         Vfs {
-            inodes: Arc::new(inodes),
+            inodes: Arc::new(vec![None, Some(root_inode)]),
             root,
             next_id: 2,
-            parents: Arc::new(BTreeMap::new()),
+            parents: Arc::new(Vec::new()),
         }
     }
 
@@ -192,15 +338,23 @@ impl Vfs {
     }
 
     /// The inode table, unsharing it from any sibling snapshot first.
-    fn table_mut(&mut self) -> &mut BTreeMap<u64, Arc<Inode>> {
+    fn table_mut(&mut self) -> &mut Vec<Option<Arc<Inode>>> {
         Arc::make_mut(&mut self.inodes)
+    }
+
+    /// The live inodes in id order.
+    fn live(&self) -> impl Iterator<Item = (u64, &Arc<Inode>)> {
+        self.inodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, ino)| Some((u64::try_from(i).ok()?, ino.as_ref()?)))
     }
 
     /// Borrow an inode.
     pub fn inode(&self, id: InodeId) -> SysResult<&Inode> {
         self.inodes
-            .get(&id.0)
-            .map(Arc::as_ref)
+            .get(slot(id))
+            .and_then(Option::as_deref)
             .ok_or_else(|| syserr!(Ebadf, "stale inode {id}"))
     }
 
@@ -208,14 +362,21 @@ impl Vfs {
     /// before the mutable borrow is handed out.
     pub fn inode_mut(&mut self, id: InodeId) -> SysResult<&mut Inode> {
         self.table_mut()
-            .get_mut(&id.0)
+            .get_mut(slot(id))
+            .and_then(Option::as_mut)
             .map(Arc::make_mut)
             .ok_or_else(|| syserr!(Ebadf, "stale inode {id}"))
     }
 
+    /// Removes an inode from the table (its directory entry and parent
+    /// link are the caller's to drop).
+    fn drop_inode(&mut self, id: InodeId) -> Option<Arc<Inode>> {
+        self.table_mut().get_mut(slot(id)).and_then(Option::take)
+    }
+
     /// Total number of live inodes.
     pub fn inode_count(&self) -> usize {
-        self.inodes.len()
+        self.inodes.iter().flatten().count()
     }
 
     /// A fully materialized copy sharing no storage with `self` — the
@@ -223,7 +384,12 @@ impl Vfs {
     /// benches.
     pub fn deep_clone(&self) -> Vfs {
         Vfs {
-            inodes: Arc::new(self.inodes.iter().map(|(k, v)| (*k, Arc::new((**v).clone()))).collect()),
+            inodes: Arc::new(
+                self.inodes
+                    .iter()
+                    .map(|ino| ino.as_ref().map(|i| Arc::new((**i).clone())))
+                    .collect(),
+            ),
             root: self.root,
             next_id: self.next_id,
             parents: Arc::new((*self.parents).clone()),
@@ -233,21 +399,37 @@ impl Vfs {
     /// Recomputes the `child → (parent, name)` reverse index from the
     /// tree (used after deserialization, where only the tree travels).
     fn rebuild_parents(&mut self) {
-        let mut parents = BTreeMap::new();
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
+        let mut parents = vec![None; self.inodes.len()];
+        let mut seen = vec![false; self.inodes.len()];
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
-            if !seen.insert(id.0) {
-                continue;
+            match seen.get_mut(slot(id)) {
+                Some(seen) if !*seen => *seen = true,
+                _ => continue,
             }
-            if let Some(entries) = self.inodes.get(&id.0).and_then(|i| i.entries()) {
+            if let Some(entries) = self.inode(id).ok().and_then(Inode::entries) {
                 for (name, child) in entries {
-                    parents.insert(child.0, (id, intern::intern(name)));
+                    if let Some(link) = parents.get_mut(slot(*child)) {
+                        *link = Some((id, intern::intern(name)));
+                    }
                     stack.push(*child);
                 }
             }
         }
         self.parents = Arc::new(parents);
+    }
+
+    /// Sets (or clears) the parent link of `child`.
+    fn set_parent_link(&mut self, child: InodeId, link: Option<(InodeId, PathSym)>) {
+        let parents = Arc::make_mut(&mut self.parents);
+        let i = slot(child);
+        if parents.len() <= i {
+            if link.is_none() {
+                return;
+            }
+            parents.resize(i + 1, None);
+        }
+        parents[i] = link;
     }
 
     /// Inserts `child` under `dir` as `name`, keeping the reverse index
@@ -258,11 +440,10 @@ impl Vfs {
             .entries_mut()
             .expect("link_child target is a directory")
             .insert(name.to_string(), child);
-        let parents = Arc::make_mut(&mut self.parents);
         if let Some(old) = replaced {
-            parents.remove(&old.0);
+            self.set_parent_link(old, None);
         }
-        parents.insert(child.0, (dir, intern::intern(name)));
+        self.set_parent_link(child, Some((dir, intern::intern(name))));
         Ok(replaced)
     }
 
@@ -275,7 +456,7 @@ impl Vfs {
             .expect("unlink_child target is a directory")
             .remove(name);
         if let Some(id) = removed {
-            Arc::make_mut(&mut self.parents).remove(&id.0);
+            self.set_parent_link(id, None);
         }
         Ok(removed)
     }
@@ -285,28 +466,31 @@ impl Vfs {
     /// does not count).
     pub fn shared_inodes_with(&self, other: &Vfs) -> usize {
         if Arc::ptr_eq(&self.inodes, &other.inodes) {
-            return self.inodes.len();
+            return self.inode_count();
         }
         self.inodes
             .iter()
-            .filter(|(k, v)| other.inodes.get(k).is_some_and(|o| Arc::ptr_eq(v, o)))
+            .zip(other.inodes.iter())
+            .filter(|pair| matches!(pair, (Some(a), Some(b)) if Arc::ptr_eq(a, b)))
             .count()
     }
 
     fn alloc(&mut self, kind: FileKind, owner: Uid, group: Gid, mode: Mode) -> InodeId {
         let id = InodeId(self.next_id);
         self.next_id += 1;
-        self.table_mut().insert(
-            id.0,
-            Arc::new(Inode {
-                id,
-                kind,
-                owner,
-                group,
-                mode,
-                tags: BTreeSet::new(),
-            }),
-        );
+        let table = self.table_mut();
+        let i = slot(id);
+        if table.len() <= i {
+            table.resize(i + 1, None);
+        }
+        table[i] = Some(Arc::new(Inode {
+            id,
+            kind,
+            owner,
+            group,
+            mode,
+            tags: BTreeSet::new(),
+        }));
         id
     }
 
@@ -319,6 +503,69 @@ impl Vfs {
     // ------------------------------------------------------------------
     // Path resolution
     // ------------------------------------------------------------------
+
+    /// The parent link of a linked, non-root inode.
+    fn parent_link(&self, id: InodeId) -> Option<(InodeId, PathSym)> {
+        if id == self.root {
+            return None;
+        }
+        self.parents.get(slot(id)).copied().flatten()
+    }
+
+    /// The physical parent directory of a reachable inode (root's parent
+    /// is root).
+    pub(crate) fn parent_of(&self, id: InodeId) -> InodeId {
+        self.parent_link(id).map_or(self.root, |(parent, _)| parent)
+    }
+
+    /// Calls `f` with the physical path of a reachable inode, rebuilt from
+    /// the parent links into this thread's [`PHYSICAL`] buffer.
+    fn with_physical<R>(&self, id: InodeId, f: impl FnOnce(&str) -> R) -> R {
+        let mut len = 0;
+        let mut cur = id;
+        while let Some((parent, name)) = self.parent_link(cur) {
+            len += 1 + name.len();
+            cur = parent;
+        }
+        PHYSICAL.with(|buf| {
+            let mut buf = buf.borrow_mut();
+            buf.clear();
+            if len == 0 {
+                buf.push(b'/');
+            }
+            buf.resize(len.max(1), 0);
+            let mut end = len;
+            cur = id;
+            while let Some((parent, name)) = self.parent_link(cur) {
+                let start = end - name.len();
+                buf[start..end].copy_from_slice(name.as_bytes());
+                buf[start - 1] = b'/';
+                end = start - 1;
+                cur = parent;
+            }
+            f(std::str::from_utf8(&buf).expect("entry names are UTF-8"))
+        })
+    }
+
+    /// The physical path of a reachable inode, as an owned string (for
+    /// error text and relative symlink targets).
+    fn physical(&self, id: InodeId) -> String {
+        self.with_physical(id, str::to_string)
+    }
+
+    /// The [`Walked`] for a reachable inode: its physical path, interned
+    /// once, and its parent.
+    pub(crate) fn walked(&self, id: InodeId) -> Walked {
+        Walked {
+            id,
+            physical: self.with_physical(id, intern::intern),
+            parent: self.parent_of(id),
+        }
+    }
+
+    fn search_denied(&self, dir: InodeId) -> SysError {
+        syserr!(Eacces, "search permission denied in {}", self.physical(dir))
+    }
 
     /// Physically walks an absolute path; the physical path it reaches is
     /// the only text it interns, once, after resolution.
@@ -334,76 +581,125 @@ impl Vfs {
     /// used as one, `ELOOP` after 40 symlink expansions, `EACCES` on a
     /// traversal-permission failure, `EINVAL` for relative paths.
     pub fn walk(&self, abs_path: &str, follow_last: bool, cred: Option<&Credentials>) -> SysResult<Walked> {
-        let mut names = Vec::new();
-        let (id, parent) = self.resolve(abs_path, follow_last, cred, &mut names)?;
-        Ok(Walked {
-            id,
-            physical: intern::intern(&rooted(&names)),
-            parent,
-        })
+        let id = self.lookup(abs_path, follow_last, Search::from_cred(cred))?;
+        Ok(self.walked(id))
     }
 
-    /// The resolver behind [`Vfs::walk`], for callers that need no physical
-    /// path. Returns `(id, parent)` and leaves in `names` the components of
-    /// the physical path, borrowed from `abs_path` and from symlink targets.
-    fn resolve<'a>(
-        &'a self,
-        abs_path: &'a str,
-        follow_last: bool,
-        cred: Option<&Credentials>,
-        names: &mut Vec<&'a str>,
-    ) -> SysResult<(InodeId, InodeId)> {
-        if !path::is_absolute(abs_path) {
-            return Err(syserr!(Einval, "walk requires absolute path, got {abs_path}"));
-        }
-        // Components still to resolve, the next one last.
-        let mut pending: Vec<&str> = path::components(abs_path).rev().collect();
-        // `inodes[i + 1]` is the inode `names[i]` names; `inodes[0]` is the
-        // root, which is its own parent.
-        let mut inodes: Vec<InodeId> = vec![self.root];
-        let mut budget = SYMLINK_BUDGET;
+    /// [`Vfs::walk`] without the physical path: the inode it reaches.
+    fn lookup(&self, abs_path: &str, follow_last: bool, search: Search<'_>) -> SysResult<InodeId> {
+        self.resolve(abs_path, follow_last, search, &abs_path, &mut Trail::default())
+    }
 
-        while let Some(comp) = pending.pop() {
+    /// Resolves `abs_path` once as a god-mode walk, noting what a walk
+    /// under `cred` would meet (see [`Probe`]).
+    pub(crate) fn probe(&self, abs_path: &str, follow_last: bool, cred: &Credentials) -> Probe {
+        let mut trail = Trail::default();
+        let found = self.resolve(abs_path, follow_last, Search::Note(cred), &abs_path, &mut trail);
+        Probe { found, trail }
+    }
+
+    /// What `walk(abs_path, follow_last, Some(cred))` of the probed path
+    /// reaches: the god-mode result unless the credentials were denied
+    /// search on the way.
+    pub(crate) fn checked(&self, probe: &Probe) -> SysResult<InodeId> {
+        match probe.trail.denied {
+            Some((dir, _)) => Err(self.search_denied(dir)),
+            None => probe.found.clone(),
+        }
+    }
+
+    /// The error `walk_parent(abs_path, Some(cred))` meets walking the
+    /// probed path's parent, whose lookups are the probe's minus its last.
+    pub(crate) fn checked_parent(&self, probe: &Probe) -> SysResult<()> {
+        match probe.trail.denied {
+            Some((dir, false)) => Err(self.search_denied(dir)),
+            _ => Ok(()),
+        }
+    }
+
+    /// The resolver behind every walk. Returns the inode reached; `shown`
+    /// is the spelling error messages name the path by, and `trail`
+    /// collects what `search` and a failed lookup note.
+    fn resolve(
+        &self,
+        abs_path: &str,
+        follow_last: bool,
+        search: Search<'_>,
+        shown: &dyn fmt::Display,
+        trail: &mut Trail,
+    ) -> SysResult<InodeId> {
+        if !path::is_absolute(abs_path) {
+            return Err(syserr!(Einval, "walk requires absolute path, got {shown}"));
+        }
+        // Text still to resolve: `rest` is the source being read (the
+        // argument, or the symlink target spliced in last) and `outer`
+        // holds what remains of the sources it interrupted, innermost last.
+        let mut rest = abs_path;
+        let mut outer: Vec<&str> = Vec::new();
+        let mut cur = self.root;
+        let mut budget = SYMLINK_BUDGET;
+        let mut expanded = false;
+        loop {
+            let Some(comp) = pop_component(&mut rest) else {
+                match outer.pop() {
+                    Some(text) => {
+                        rest = text;
+                        continue;
+                    }
+                    None => return Ok(cur),
+                }
+            };
             if comp.len() > NAME_MAX {
-                return Err(syserr!(Enametoolong, "component of {abs_path}"));
+                return Err(syserr!(Enametoolong, "component of {shown}"));
             }
             match comp {
                 "." => continue,
                 ".." => {
-                    if inodes.len() > 1 {
-                        inodes.pop();
-                        names.pop();
-                    }
+                    cur = self.parent_of(cur);
                     continue;
                 }
                 _ => {}
             }
+            let last = outer.is_empty() && !has_component(rest);
+            let cur_ino = self.inode(cur)?;
             // Error text names the directory reached so far.
-            let here = || rooted(names);
-            let cur_ino = self.inode(*inodes.last().expect("stack never empty"))?;
-            let entries = cur_ino.entries().ok_or_else(|| syserr!(Enotdir, "{}", here()))?;
-            if let Some(c) = cred {
-                if !cur_ino.mode.grants(cur_ino.owner, cur_ino.group, c, Access::Exec) {
-                    return Err(syserr!(Eacces, "search permission denied in {}", here()));
+            let entries = cur_ino
+                .entries()
+                .ok_or_else(|| syserr!(Enotdir, "{}", self.physical(cur)))?;
+            match search {
+                Search::Enforce(c) if !cur_ino.mode.grants(cur_ino.owner, cur_ino.group, c, Access::Exec) => {
+                    return Err(self.search_denied(cur));
                 }
+                Search::Note(c)
+                    if trail.denied.is_none()
+                        && !cur_ino.mode.grants(cur_ino.owner, cur_ino.group, c, Access::Exec) =>
+                {
+                    trail.denied = Some((cur, last));
+                }
+                _ => {}
             }
-            let child = *entries.get(comp).ok_or_else(|| syserr!(Enoent, "{}/{comp}", here()))?;
+            let Some(&child) = entries.get(comp) else {
+                if last && !expanded {
+                    trail.missing_in = Some(cur);
+                }
+                return Err(syserr!(Enoent, "{}/{comp}", self.physical(cur)));
+            };
             if let FileKind::Symlink(target) = &self.inode(child)?.kind {
-                if !pending.is_empty() || follow_last {
-                    budget = budget.checked_sub(1).ok_or_else(|| syserr!(Eloop, "{abs_path}"))?;
+                if !last || follow_last {
+                    budget = budget.checked_sub(1).ok_or_else(|| syserr!(Eloop, "{shown}"))?;
+                    expanded = true;
                     if path::is_absolute(target) {
-                        inodes.truncate(1);
-                        names.clear();
+                        cur = self.root;
                     }
-                    pending.extend(path::components(target).rev());
+                    if has_component(rest) {
+                        outer.push(rest);
+                    }
+                    rest = target;
                     continue;
                 }
             }
-            inodes.push(child);
-            names.push(comp);
+            cur = child;
         }
-
-        Ok((inodes[inodes.len() - 1], inodes[inodes.len().saturating_sub(2)]))
     }
 
     /// Resolves the parent directory of `abs_path`, leaving the final
@@ -414,49 +710,42 @@ impl Vfs {
     /// As [`Vfs::walk`]; additionally `EINVAL` when the final component is
     /// `.` or `..` or the path has no components.
     pub fn walk_parent(&self, abs_path: &str, cred: Option<&Credentials>) -> SysResult<ParentWalk> {
-        if !path::is_absolute(abs_path) {
-            return Err(syserr!(Einval, "walk_parent requires absolute path, got {abs_path}"));
-        }
-        let comps: Vec<&str> = path::components(abs_path).collect();
-        let name = match comps.last() {
-            Some(n) if *n != "." && *n != ".." => (*n).to_string(),
-            _ => return Err(syserr!(Einval, "bad final component in {abs_path}")),
-        };
-        if name.len() > NAME_MAX {
-            return Err(syserr!(Enametoolong, "{abs_path}"));
-        }
-        let parent_path = rooted(&comps[..comps.len() - 1]);
-        let walked = self.walk(&parent_path, true, cred)?;
-        let dir_ino = self.inode(walked.id)?;
-        if !dir_ino.is_dir() {
-            return Err(syserr!(Enotdir, "{parent_path}"));
-        }
+        let (dir, name) = self.resolve_parent(abs_path, Search::from_cred(cred))?;
         Ok(ParentWalk {
-            dir: walked.id,
-            dir_physical: walked.physical,
-            name,
+            dir,
+            dir_physical: self.with_physical(dir, intern::intern),
+            name: name.to_string(),
         })
     }
 
-    /// Reconstructs the physical path of an inode by following the
-    /// parent-link index upward — O(depth), not a tree search (the old
-    /// BFS cloned the full name trail per visited node).
-    pub fn path_of(&self, id: InodeId) -> Option<PathSym> {
-        if id == self.root {
-            return Some(PathSym::root());
+    /// [`Vfs::walk_parent`] without the parent's physical path: the
+    /// directory, and the final component borrowed from `abs_path`. The
+    /// parent is resolved from the prefix of `abs_path` in place.
+    fn resolve_parent<'p>(&self, abs_path: &'p str, search: Search<'_>) -> SysResult<(InodeId, &'p str)> {
+        if !path::is_absolute(abs_path) {
+            return Err(syserr!(Einval, "walk_parent requires absolute path, got {abs_path}"));
         }
-        let mut names: Vec<PathSym> = Vec::new();
+        let name = final_name(abs_path)?;
+        if name.len() > NAME_MAX {
+            return Err(syserr!(Enametoolong, "{abs_path}"));
+        }
+        let prefix = Rooted(split_last(abs_path).0);
+        let dir = self.resolve(prefix.0, true, search, &prefix, &mut Trail::default())?;
+        if !self.inode(dir)?.is_dir() {
+            return Err(syserr!(Enotdir, "{prefix}"));
+        }
+        Ok((dir, name))
+    }
+
+    /// Reconstructs the physical path of an inode by following the
+    /// parent-link index upward — O(depth), not a tree search. `None` for
+    /// an inode no longer linked into the tree.
+    pub fn path_of(&self, id: InodeId) -> Option<PathSym> {
         let mut cur = id;
         while cur != self.root {
-            let (parent, name) = *self.parents.get(&cur.0)?;
-            names.push(name);
-            cur = parent;
+            cur = self.parent_link(cur)?.0;
         }
-        let mut p = PathSym::root();
-        for name in names.iter().rev() {
-            p = p.join(name);
-        }
-        Some(p)
+        Some(self.with_physical(id, intern::intern))
     }
 
     // ------------------------------------------------------------------
@@ -470,15 +759,15 @@ impl Vfs {
     /// `EACCES` without read permission; `EISDIR` for directories; plus any
     /// resolution error.
     pub fn open_read(&self, abs_path: &str, cred: &Credentials) -> SysResult<Walked> {
-        let w = self.walk(abs_path, true, Some(cred))?;
-        let ino = self.inode(w.id)?;
+        let id = self.lookup(abs_path, true, Search::Enforce(cred))?;
+        let ino = self.inode(id)?;
         if ino.is_dir() {
             return Err(syserr!(Eisdir, "{abs_path}"));
         }
         if !ino.mode.grants(ino.owner, ino.group, cred, Access::Read) {
             return Err(syserr!(Eacces, "{abs_path}"));
         }
-        Ok(w)
+        Ok(self.walked(id))
     }
 
     /// `creat(2)` semantics: follows a final symlink; truncates an existing
@@ -491,7 +780,33 @@ impl Vfs {
     ///
     /// `EACCES`/`EISDIR`/resolution errors as appropriate.
     pub fn creat(&mut self, abs_path: &str, mode: Mode, cred: &Credentials, umask: u16) -> SysResult<(Walked, bool)> {
-        self.creat_inner(abs_path, mode, cred, umask, SYMLINK_BUDGET)
+        let probe = self.probe(abs_path, true, cred);
+        self.creat_probed(abs_path, &probe, mode, cred, umask)
+    }
+
+    /// [`Vfs::creat`] of a path already probed with `follow_last`. When the
+    /// walk reached the parent directory without a symlink and only the
+    /// final name is missing, the file is created there with no second
+    /// walk; every other miss takes the general path.
+    pub(crate) fn creat_probed(
+        &mut self,
+        abs_path: &str,
+        probe: &Probe,
+        mode: Mode,
+        cred: &Credentials,
+        umask: u16,
+    ) -> SysResult<(Walked, bool)> {
+        match self.checked(probe) {
+            Ok(id) => Ok((self.truncate(id, abs_path, cred)?, true)),
+            Err(e) if e.errno == Errno::Enoent => match probe.trail.missing_in {
+                Some(dir) => Ok((
+                    self.create_entry(dir, final_name(abs_path)?, abs_path, mode, cred, umask)?,
+                    false,
+                )),
+                None => self.creat_inner(abs_path, mode, cred, umask, SYMLINK_BUDGET),
+            },
+            Err(e) => Err(e),
+        }
     }
 
     fn creat_inner(
@@ -502,45 +817,45 @@ impl Vfs {
         umask: u16,
         depth: usize,
     ) -> SysResult<(Walked, bool)> {
-        match self.walk(abs_path, true, Some(cred)) {
-            Ok(w) => {
-                let ino = self.inode(w.id)?;
-                if ino.is_dir() {
-                    return Err(syserr!(Eisdir, "{abs_path}"));
-                }
-                if !ino.mode.grants(ino.owner, ino.group, cred, Access::Write) {
-                    return Err(syserr!(Eacces, "{abs_path}"));
-                }
-                let ino = self.inode_mut(w.id)?;
-                if let FileKind::Regular(d) = &mut ino.kind {
-                    *d = Data::new();
-                }
-                Ok((w, true))
-            }
+        match self.lookup(abs_path, true, Search::Enforce(cred)) {
+            Ok(id) => Ok((self.truncate(id, abs_path, cred)?, true)),
             Err(e) if e.errno == Errno::Enoent => {
                 // A dangling symlink at the final component: `creat` creates
                 // the *target* (POSIX `open(O_CREAT)` semantics) — the path
                 // the planted-symlink perturbations rely on.
-                let mut names = Vec::new();
-                if let Ok((id, _)) = self.resolve(abs_path, false, Some(cred), &mut names) {
+                if let Ok(id) = self.lookup(abs_path, false, Search::Enforce(cred)) {
                     if let FileKind::Symlink(target) = &self.inode(id)?.kind {
                         if depth == 0 {
                             return Err(syserr!(Eloop, "{abs_path}"));
                         }
-                        let target = target.clone();
-                        let target_abs = if path::is_absolute(&target) {
-                            target
+                        let target_abs = if path::is_absolute(target) {
+                            target.clone()
                         } else {
-                            path::join(&rooted(&names[..names.len() - 1]), &target)
+                            path::join(&self.physical(self.parent_of(id)), target)
                         };
                         return self.creat_inner(&target_abs, mode, cred, umask, depth - 1);
                     }
                 }
-                let (w, _) = self.create_in_parent(abs_path, mode, cred, umask)?;
-                Ok((w, false))
+                Ok((self.create_in_parent(abs_path, mode, cred, umask)?, false))
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// `creat`'s existing-file branch: truncates the file `abs_path`
+    /// reached, after the directory and write-permission checks.
+    fn truncate(&mut self, id: InodeId, abs_path: &str, cred: &Credentials) -> SysResult<Walked> {
+        let ino = self.inode(id)?;
+        if ino.is_dir() {
+            return Err(syserr!(Eisdir, "{abs_path}"));
+        }
+        if !ino.mode.grants(ino.owner, ino.group, cred, Access::Write) {
+            return Err(syserr!(Eacces, "{abs_path}"));
+        }
+        if let FileKind::Regular(d) = &mut self.inode_mut(id)?.kind {
+            *d = Data::new();
+        }
+        Ok(self.walked(id))
     }
 
     /// `open(O_CREAT|O_EXCL)` semantics: fails with `EEXIST` if the final
@@ -551,29 +866,40 @@ impl Vfs {
     ///
     /// `EEXIST` when the path exists; otherwise as [`Vfs::creat`].
     pub fn create_excl(&mut self, abs_path: &str, mode: Mode, cred: &Credentials, umask: u16) -> SysResult<Walked> {
-        if self.resolve(abs_path, false, Some(cred), &mut Vec::new()).is_ok() {
+        let probe = self.probe(abs_path, false, cred);
+        if self.checked(&probe).is_ok() {
             return Err(syserr!(Eexist, "{abs_path}"));
         }
-        let (w, _) = self.create_in_parent(abs_path, mode, cred, umask)?;
-        Ok(w)
+        match (probe.trail.denied, probe.trail.missing_in) {
+            (None, Some(dir)) => self.create_entry(dir, final_name(abs_path)?, abs_path, mode, cred, umask),
+            _ => self.create_in_parent(abs_path, mode, cred, umask),
+        }
     }
 
-    fn create_in_parent(
+    fn create_in_parent(&mut self, abs_path: &str, mode: Mode, cred: &Credentials, umask: u16) -> SysResult<Walked> {
+        let (dir, name) = self.resolve_parent(abs_path, Search::Enforce(cred))?;
+        self.create_entry(dir, name, abs_path, mode, cred, umask)
+    }
+
+    /// Creates the regular file `name` in `dir`, the parent `abs_path`
+    /// resolved to, after the parent-write and existence checks.
+    fn create_entry(
         &mut self,
+        dir: InodeId,
+        name: &str,
         abs_path: &str,
         mode: Mode,
         cred: &Credentials,
         umask: u16,
-    ) -> SysResult<(Walked, InodeId)> {
-        let pw = self.walk_parent(abs_path, Some(cred))?;
-        let dir_ino = self.inode(pw.dir)?;
+    ) -> SysResult<Walked> {
+        let dir_ino = self.inode(dir)?;
         if !dir_ino.mode.grants(dir_ino.owner, dir_ino.group, cred, Access::Write) {
-            return Err(syserr!(Eacces, "cannot create in {}", pw.dir_physical));
+            return Err(syserr!(Eacces, "cannot create in {}", self.physical(dir)));
         }
         if dir_ino
             .entries()
             .expect("parent checked to be a directory")
-            .contains_key(&pw.name)
+            .contains_key(name)
         {
             return Err(syserr!(Eexist, "{abs_path}"));
         }
@@ -583,15 +909,8 @@ impl Vfs {
             cred.egid,
             mode.apply_umask(umask),
         );
-        self.link_child(pw.dir, &pw.name, id)?;
-        Ok((
-            Walked {
-                id,
-                physical: pw.dir_physical.join(&pw.name),
-                parent: pw.dir,
-            },
-            id,
-        ))
+        self.link_child(dir, name, id)?;
+        Ok(self.walked(id))
     }
 
     /// Reads a file's content (no permission check — callers check via
@@ -626,15 +945,27 @@ impl Vfs {
     ///
     /// Returns the `Stat` of the removed object.
     pub fn unlink(&mut self, abs_path: &str, cred: &Credentials) -> SysResult<Stat> {
-        let pw = self.walk_parent(abs_path, Some(cred))?;
-        let dir_ino = self.inode(pw.dir)?;
+        let (dir, name) = self.resolve_parent(abs_path, Search::Enforce(cred))?;
+        self.unlink_entry(dir, name, abs_path, cred)
+    }
+
+    /// [`Vfs::unlink`] once the parent walk of `abs_path` reached `dir`,
+    /// with `name` its final component.
+    pub(crate) fn unlink_entry(
+        &mut self,
+        dir: InodeId,
+        name: &str,
+        abs_path: &str,
+        cred: &Credentials,
+    ) -> SysResult<Stat> {
+        let dir_ino = self.inode(dir)?;
         if !dir_ino.mode.grants(dir_ino.owner, dir_ino.group, cred, Access::Write) {
             return Err(syserr!(Eacces, "{abs_path}"));
         }
         let target = *dir_ino
             .entries()
             .expect("parent is a directory")
-            .get(&pw.name)
+            .get(name)
             .ok_or_else(|| syserr!(Enoent, "{abs_path}"))?;
         let target_ino = self.inode(target)?;
         if target_ino.is_dir() {
@@ -648,20 +979,20 @@ impl Vfs {
             return Err(syserr!(Eperm, "sticky: {abs_path}"));
         }
         let st = Stat::of(target_ino);
-        self.unlink_child(pw.dir, &pw.name)?;
-        self.table_mut().remove(&target.0);
+        self.unlink_child(dir, name)?;
+        self.drop_inode(target);
         Ok(st)
     }
 
     /// Creates a directory.
     pub fn mkdir(&mut self, abs_path: &str, mode: Mode, cred: &Credentials, umask: u16) -> SysResult<Walked> {
-        if self.resolve(abs_path, false, Some(cred), &mut Vec::new()).is_ok() {
+        if self.lookup(abs_path, false, Search::Enforce(cred)).is_ok() {
             return Err(syserr!(Eexist, "{abs_path}"));
         }
-        let pw = self.walk_parent(abs_path, Some(cred))?;
-        let dir_ino = self.inode(pw.dir)?;
+        let (dir, name) = self.resolve_parent(abs_path, Search::Enforce(cred))?;
+        let dir_ino = self.inode(dir)?;
         if !dir_ino.mode.grants(dir_ino.owner, dir_ino.group, cred, Access::Write) {
-            return Err(syserr!(Eacces, "cannot mkdir in {}", pw.dir_physical));
+            return Err(syserr!(Eacces, "cannot mkdir in {}", self.physical(dir)));
         }
         let id = self.alloc(
             FileKind::Directory(BTreeMap::new()),
@@ -669,23 +1000,19 @@ impl Vfs {
             cred.egid,
             mode.apply_umask(umask),
         );
-        self.link_child(pw.dir, &pw.name, id)?;
-        Ok(Walked {
-            id,
-            physical: pw.dir_physical.join(&pw.name),
-            parent: pw.dir,
-        })
+        self.link_child(dir, name, id)?;
+        Ok(self.walked(id))
     }
 
     /// Creates a symbolic link at `link` pointing at `target` (text).
     pub fn symlink(&mut self, target: &str, link: &str, cred: &Credentials) -> SysResult<Walked> {
-        if self.resolve(link, false, Some(cred), &mut Vec::new()).is_ok() {
+        if self.lookup(link, false, Search::Enforce(cred)).is_ok() {
             return Err(syserr!(Eexist, "{link}"));
         }
-        let pw = self.walk_parent(link, Some(cred))?;
-        let dir_ino = self.inode(pw.dir)?;
+        let (dir, name) = self.resolve_parent(link, Search::Enforce(cred))?;
+        let dir_ino = self.inode(dir)?;
         if !dir_ino.mode.grants(dir_ino.owner, dir_ino.group, cred, Access::Write) {
-            return Err(syserr!(Eacces, "cannot symlink in {}", pw.dir_physical));
+            return Err(syserr!(Eacces, "cannot symlink in {}", self.physical(dir)));
         }
         let id = self.alloc(
             FileKind::Symlink(target.to_string()),
@@ -693,18 +1020,14 @@ impl Vfs {
             cred.egid,
             Mode::new(0o777),
         );
-        self.link_child(pw.dir, &pw.name, id)?;
-        Ok(Walked {
-            id,
-            physical: pw.dir_physical.join(&pw.name),
-            parent: pw.dir,
-        })
+        self.link_child(dir, name, id)?;
+        Ok(self.walked(id))
     }
 
     /// Reads a symlink's target text.
     pub fn readlink(&self, abs_path: &str, cred: &Credentials) -> SysResult<String> {
-        let w = self.walk(abs_path, false, Some(cred))?;
-        match &self.inode(w.id)?.kind {
+        let id = self.lookup(abs_path, false, Search::Enforce(cred))?;
+        match &self.inode(id)?.kind {
             FileKind::Symlink(t) => Ok(t.clone()),
             _ => Err(syserr!(Einval, "{abs_path} is not a symlink")),
         }
@@ -712,30 +1035,30 @@ impl Vfs {
 
     /// Renames a file or symlink. Both parents need write permission.
     pub fn rename(&mut self, from: &str, to: &str, cred: &Credentials) -> SysResult<()> {
-        let from_pw = self.walk_parent(from, Some(cred))?;
-        let to_pw = self.walk_parent(to, Some(cred))?;
-        for dirid in [from_pw.dir, to_pw.dir] {
+        let (from_dir, from_name) = self.resolve_parent(from, Search::Enforce(cred))?;
+        let (to_dir, to_name) = self.resolve_parent(to, Search::Enforce(cred))?;
+        for dirid in [from_dir, to_dir] {
             let d = self.inode(dirid)?;
             if !d.mode.grants(d.owner, d.group, cred, Access::Write) {
                 return Err(syserr!(Eacces, "rename {from} -> {to}"));
             }
         }
         let moving = {
-            let d = self.inode(from_pw.dir)?;
+            let d = self.inode(from_dir)?;
             *d.entries()
                 .expect("parent is a directory")
-                .get(&from_pw.name)
+                .get(from_name)
                 .ok_or_else(|| syserr!(Enoent, "{from}"))?
         };
-        self.unlink_child(from_pw.dir, &from_pw.name)?;
-        self.link_child(to_pw.dir, &to_pw.name, moving)?;
+        self.unlink_child(from_dir, from_name)?;
+        self.link_child(to_dir, to_name, moving)?;
         Ok(())
     }
 
     /// Changes permission bits; only the owner or root may do this.
     pub fn chmod(&mut self, abs_path: &str, mode: Mode, cred: &Credentials) -> SysResult<()> {
-        let w = self.walk(abs_path, true, Some(cred))?;
-        let ino = self.inode_mut(w.id)?;
+        let id = self.lookup(abs_path, true, Search::Enforce(cred))?;
+        let ino = self.inode_mut(id)?;
         if !cred.euid.is_root() && cred.euid != ino.owner {
             return Err(syserr!(Eperm, "{abs_path}"));
         }
@@ -748,8 +1071,8 @@ impl Vfs {
         if !cred.euid.is_root() {
             return Err(syserr!(Eperm, "{abs_path}"));
         }
-        let w = self.walk(abs_path, true, Some(cred))?;
-        let ino = self.inode_mut(w.id)?;
+        let id = self.lookup(abs_path, true, Search::Enforce(cred))?;
+        let ino = self.inode_mut(id)?;
         ino.owner = owner;
         ino.group = group;
         Ok(())
@@ -757,20 +1080,20 @@ impl Vfs {
 
     /// `stat` (follows symlinks).
     pub fn stat(&self, abs_path: &str, cred: Option<&Credentials>) -> SysResult<Stat> {
-        let (id, _) = self.resolve(abs_path, true, cred, &mut Vec::new())?;
+        let id = self.lookup(abs_path, true, Search::from_cred(cred))?;
         Ok(Stat::of(self.inode(id)?))
     }
 
     /// `lstat` (does not follow a final symlink).
     pub fn lstat(&self, abs_path: &str, cred: Option<&Credentials>) -> SysResult<Stat> {
-        let (id, _) = self.resolve(abs_path, false, cred, &mut Vec::new())?;
+        let id = self.lookup(abs_path, false, Search::from_cred(cred))?;
         Ok(Stat::of(self.inode(id)?))
     }
 
     /// Lists a directory's entry names (requires read permission).
     pub fn list_dir(&self, abs_path: &str, cred: &Credentials) -> SysResult<Vec<String>> {
-        let w = self.walk(abs_path, true, Some(cred))?;
-        let ino = self.inode(w.id)?;
+        let id = self.lookup(abs_path, true, Search::Enforce(cred))?;
+        let ino = self.inode(id)?;
         if !ino.mode.grants(ino.owner, ino.group, cred, Access::Read) {
             return Err(syserr!(Eacces, "{abs_path}"));
         }
@@ -781,9 +1104,8 @@ impl Vfs {
 
     /// True when the path exists (lstat semantics, god-mode).
     pub fn exists(&self, abs_path: &str) -> bool {
-        self.resolve(abs_path, false, None, &mut Vec::new()).is_ok()
+        self.lookup(abs_path, false, Search::Unchecked).is_ok()
     }
-
     // ------------------------------------------------------------------
     // God-mode helpers (world building & fault injection)
     // ------------------------------------------------------------------
@@ -841,7 +1163,7 @@ impl Vfs {
         // Replace any existing entry (link_child drops the displaced
         // entry's parent link; the inode itself is dropped here).
         if let Some(old) = self.inode(dir)?.entries().and_then(|e| e.get(name)).copied() {
-            self.table_mut().remove(&old.0);
+            self.drop_inode(old);
         }
         let id = self.alloc(FileKind::Regular(content.into()), owner, group, mode);
         self.link_child(dir, name, id)?;
@@ -851,20 +1173,20 @@ impl Vfs {
     /// Removes a path unconditionally (no permission checks). Directories
     /// are removed recursively.
     pub fn god_remove(&mut self, abs_path: &str) -> SysResult<()> {
-        let pw = self.walk_parent(abs_path, None)?;
+        let (dir, name) = self.resolve_parent(abs_path, Search::Unchecked)?;
         let target = {
-            let d = self.inode(pw.dir)?;
+            let d = self.inode(dir)?;
             *d.entries()
                 .expect("parent is a directory")
-                .get(&pw.name)
+                .get(name)
                 .ok_or_else(|| syserr!(Enoent, "{abs_path}"))?
         };
-        self.unlink_child(pw.dir, &pw.name)?;
+        self.unlink_child(dir, name)?;
         // Recursively drop unreachable children (and their parent links).
         let mut stack = vec![target];
         while let Some(id) = stack.pop() {
-            Arc::make_mut(&mut self.parents).remove(&id.0);
-            if let Some(ino) = self.table_mut().remove(&id.0) {
+            self.set_parent_link(id, None);
+            if let Some(ino) = self.drop_inode(id) {
                 if let FileKind::Directory(entries) = &ino.kind {
                     stack.extend(entries.values().copied());
                 }
@@ -892,8 +1214,8 @@ impl Vfs {
 
     /// Changes owner unconditionally.
     pub fn god_chown(&mut self, abs_path: &str, owner: Uid, group: Gid) -> SysResult<()> {
-        let w = self.walk(abs_path, false, None)?;
-        let ino = self.inode_mut(w.id)?;
+        let id = self.lookup(abs_path, false, Search::Unchecked)?;
+        let ino = self.inode_mut(id)?;
         ino.owner = owner;
         ino.group = group;
         Ok(())
@@ -901,15 +1223,15 @@ impl Vfs {
 
     /// Changes mode unconditionally.
     pub fn god_chmod(&mut self, abs_path: &str, mode: Mode) -> SysResult<()> {
-        let w = self.walk(abs_path, false, None)?;
-        self.inode_mut(w.id)?.mode = mode;
+        let id = self.lookup(abs_path, false, Search::Unchecked)?;
+        self.inode_mut(id)?.mode = mode;
         Ok(())
     }
 
     /// Overwrites content unconditionally (follows symlinks).
     pub fn god_write(&mut self, abs_path: &str, content: impl Into<Data>) -> SysResult<()> {
-        let w = self.walk(abs_path, true, None)?;
-        match &mut self.inode_mut(w.id)?.kind {
+        let id = self.lookup(abs_path, true, Search::Unchecked)?;
+        match &mut self.inode_mut(id)?.kind {
             FileKind::Regular(d) => {
                 *d = content.into();
                 Ok(())
@@ -920,15 +1242,15 @@ impl Vfs {
 
     /// Attaches an oracle tag to a path (follows symlinks).
     pub fn tag(&mut self, abs_path: &str, tag: FileTag) -> SysResult<()> {
-        let w = self.walk(abs_path, true, None)?;
-        self.inode_mut(w.id)?.tags.insert(tag);
+        let id = self.lookup(abs_path, true, Search::Unchecked)?;
+        self.inode_mut(id)?.tags.insert(tag);
         Ok(())
     }
 
     /// Reads content by path without permission checks (oracle/test use).
     pub fn god_read(&self, abs_path: &str) -> SysResult<Data> {
-        let w = self.walk(abs_path, true, None)?;
-        self.read(w.id)
+        let id = self.lookup(abs_path, true, Search::Unchecked)?;
+        self.read(id)
     }
 
     /// Verifies internal consistency: every directory entry points at a
@@ -941,30 +1263,26 @@ impl Vfs {
             if !reachable.insert(id.0) {
                 continue;
             }
-            let ino = self
-                .inodes
-                .get(&id.0)
-                .map(Arc::as_ref)
-                .ok_or(format!("dangling entry to {id}"))?;
+            let ino = self.inode(id).map_err(|_| format!("dangling entry to {id}"))?;
             if let Some(entries) = ino.entries() {
                 for (name, child) in entries {
-                    match self.parents.get(&child.0) {
-                        Some((p, n)) if *p == id && n.as_str() == name => {}
+                    match self.parents.get(slot(*child)).copied().flatten() {
+                        Some((p, n)) if p == id && n.as_str() == name => {}
                         other => return Err(format!("parent link for {child} is {other:?}, expected ({id}, {name})")),
                     }
                     stack.push(*child);
                 }
             }
         }
-        for id in self.inodes.keys() {
-            if !reachable.contains(id) {
+        for (id, _) in self.live() {
+            if !reachable.contains(&id) {
                 return Err(format!("orphan inode ino:{id}"));
             }
         }
-        if self.parents.len() != reachable.len() - 1 {
+        let links = self.parents.iter().flatten().count();
+        if links != reachable.len() - 1 {
             return Err(format!(
-                "parent index has {} entries for {} non-root inodes",
-                self.parents.len(),
+                "parent index has {links} entries for {} non-root inodes",
                 reachable.len() - 1
             ));
         }
@@ -1246,6 +1564,50 @@ mod tests {
         assert!(!b.exists("/tmp/a-only"));
         assert!(fs.exists("/etc/shadow"));
         assert!(a.exists("/etc/shadow"));
+    }
+
+    #[test]
+    fn dense_table_serializes_and_hashes_as_the_map_did() {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut fs = setup();
+        fs.god_remove("/etc/shadow").unwrap();
+        let map: BTreeMap<u64, Arc<Inode>> = fs.live().map(|(id, ino)| (id, Arc::clone(ino))).collect();
+        let wire = fs.ser();
+        let fields = wire.as_map().unwrap();
+        assert_eq!(fields[0], (String::from("inodes"), map.ser()));
+        let (mut dense, mut sparse) = (DefaultHasher::new(), DefaultHasher::new());
+        fs.hash(&mut dense);
+        (&map, fs.root, fs.next_id).hash(&mut sparse);
+        assert_eq!(dense.finish(), sparse.finish());
+        let back = Vfs::de(&wire).unwrap();
+        assert_eq!(back, fs);
+        back.check_invariants().unwrap();
+        assert_eq!(
+            back.path_of(back.walk("/etc/passwd", true, None).unwrap().id).unwrap(),
+            "/etc/passwd"
+        );
+    }
+
+    #[test]
+    fn deserialize_bounds_the_table_it_allocates() {
+        let wire = |next_id: u64, id: u64| {
+            let mut v = Vfs::new().ser();
+            if let serde::Value::Map(fields) = &mut v {
+                fields[2].1 = next_id.ser();
+                if let serde::Value::Seq(entries) = &mut fields[0].1 {
+                    if let serde::Value::Seq(pair) = &mut entries[0] {
+                        pair[0] = id.ser();
+                    }
+                }
+            }
+            v
+        };
+        assert!(Vfs::de(&wire(2, 1)).is_ok());
+        assert!(
+            Vfs::de(&wire(MAX_NEXT_ID + 1, 1)).is_err(),
+            "an oversized table is refused"
+        );
+        assert!(Vfs::de(&wire(2, 7)).is_err(), "an id at or past next_id is refused");
     }
 
     #[test]

@@ -14,15 +14,18 @@
 //! setup costs O(touched state) instead of O(world). [`Os::deep_clone`]
 //! materializes a fully independent world when one is needed.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+
+use shim_sync::sync::Arc;
 
 use crate::audit::{AuditEvent, AuditLog, SinkKind, WriteInfo};
 use crate::buffer::{CopyDiscipline, CopyOutcome, FixedBuf};
 use crate::cred::{Credentials, Gid, Uid, UserDb};
 use crate::data::{Data, Label, PathArg};
 use crate::error::{SysError, SysResult};
-use crate::fs::{FileTag, FileType, Stat, Vfs};
+use crate::fs::{FileTag, Probe, Stat, Vfs, Walked};
 use crate::intern::PathSym;
 use crate::mode::{Access, Mode};
 use crate::net::{Message, Network};
@@ -31,7 +34,7 @@ use crate::process::{Pid, ProcessTable};
 use crate::registry::Registry;
 use crate::syscall::{arg_labels, ExecOutcome, InteractionRef, Interceptor, SysReturn, Syscall};
 use crate::syserr;
-use crate::trace::{InputSemantic, SiteId, Trace};
+use crate::trace::{InputSemantic, ObjectRef, OpKind, SiteId, Trace};
 
 /// Scenario metadata: who the invoker and the hypothetical attacker are,
 /// and which objects concrete perturbations should aim at. The fault
@@ -101,8 +104,10 @@ pub struct Os {
     pub audit: AuditLog,
     /// The execution trace of the current run.
     pub trace: Trace,
-    /// Scenario metadata for fault parameterization and the oracle.
-    pub scenario: ScenarioMeta,
+    /// Scenario metadata for fault parameterization and the oracle,
+    /// shared between world snapshots (read through `Deref`; write with
+    /// `Arc::make_mut`).
+    pub scenario: Arc<ScenarioMeta>,
     /// Physical paths of files created by this run (oracle support: a
     /// program re-writing its own fresh files is not an integrity problem).
     created_paths: BTreeSet<PathSym>,
@@ -111,9 +116,11 @@ pub struct Os {
 
 impl Clone for Os {
     /// Snapshots the whole world state copy-on-write: the file system,
-    /// registry and network tables stay shared with `self` until either
-    /// world mutates them. The interceptor is deliberately *not* cloned: a
-    /// cloned world starts unhooked.
+    /// users, registry, network and scenario stay shared with `self` until
+    /// either world mutates them, so a snapshot of a pristine world (no
+    /// processes, trace or audit events yet) allocates nothing. The
+    /// interceptor is deliberately *not* cloned: a cloned world starts
+    /// unhooked.
     fn clone(&self) -> Self {
         Os {
             fs: self.fs.clone(),
@@ -165,7 +172,7 @@ impl Os {
             registry: Registry::new(),
             audit: AuditLog::new(),
             trace: Trace::new(),
-            scenario,
+            scenario: Arc::new(scenario),
             created_paths: BTreeSet::new(),
             interceptor: None,
         }
@@ -331,25 +338,22 @@ impl Os {
     ///
     /// Whatever the underlying operation produces, plus `EAGAIN` once the
     /// process's syscall budget is exhausted.
-    pub fn syscall(&mut self, pid: Pid, site: impl Into<SiteId>, call: Syscall) -> SysResult<SysReturn> {
+    pub fn syscall(&mut self, pid: Pid, site: impl AsRef<str>, call: Syscall) -> SysResult<SysReturn> {
         self.procs.get_mut(pid)?.spend_budget()?;
-        let site = site.into();
+        let site = SiteId::new(site);
         let op = call.op();
-        let mut object = call.object();
         // Record file objects by their cwd-resolved name so perturbation
         // planning targets what the interaction actually touches. Bare
         // program names stay bare: an exec without `/` resolves through a
         // search path, not the working directory.
-        if let crate::trace::ObjectRef::File(p) = &object {
-            let bare_exec = op == crate::trace::OpKind::Exec && !p.contains('/');
-            if !bare_exec {
-                if let Ok(abs) = self.abs(pid, p) {
-                    object = crate::trace::ObjectRef::File(abs);
-                }
+        let object = Arc::new(match call.file_path() {
+            Some(p) if op != OpKind::Exec || p.contains('/') => {
+                ObjectRef::File(self.abs(pid, p).map_or_else(|_| p.to_string(), Cow::into_owned))
             }
-        }
+            _ => call.object(),
+        });
         let semantic = call.semantic();
-        let occurrence = self.trace.record(site.clone(), op, object.clone(), semantic);
+        let occurrence = self.trace.record(site.clone(), op, Arc::clone(&object), semantic);
         let seq = self.trace.len() - 1;
         let point = InteractionRef {
             pid,
@@ -419,11 +423,13 @@ impl Os {
         Ok(self.procs.get(pid)?.cred)
     }
 
-    fn abs(&self, pid: Pid, p: &str) -> SysResult<String> {
+    /// `p` resolved against the process's working directory; an absolute
+    /// path is borrowed as it is.
+    fn abs<'p>(&self, pid: Pid, p: &'p str) -> SysResult<Cow<'p, str>> {
         if path::is_absolute(p) {
-            Ok(p.to_string())
+            Ok(Cow::Borrowed(p))
         } else {
-            Ok(path::join(&self.procs.get(pid)?.cwd, p))
+            Ok(Cow::Owned(path::join(&self.procs.get(pid)?.cwd, p)))
         }
     }
 
@@ -453,17 +459,6 @@ impl Os {
                 source: format!("file:{physical}"),
             });
         }
-    }
-
-    fn parent_info(&self, physical: &str) -> (BTreeSet<FileTag>, bool) {
-        let invoker = self.invoker_cred();
-        if let Some(pp) = path::parent(physical) {
-            if let Ok(st) = self.fs.stat(&pp, None) {
-                let could = st.mode.grants(st.owner, st.group, &invoker, Access::Write);
-                return (st.tags, could);
-            }
-        }
-        (BTreeSet::new(), false)
     }
 
     fn do_getenv(&mut self, pid: Pid, name: &str) -> SysResult<SysReturn> {
@@ -499,39 +494,51 @@ impl Os {
         Ok(SysReturn::Payload(data))
     }
 
-    fn pre_write_state(&self, abs: &str) -> (bool, Option<Uid>, bool, BTreeSet<FileTag>) {
+    /// The write target's state before the write, from the god-mode
+    /// `stat` the probe stands for: whether it existed, its owner when a
+    /// regular file, whether the invoker could write it, and its tags.
+    fn pre_write_state(&self, probe: &Probe) -> (bool, Option<Uid>, bool, BTreeSet<FileTag>) {
         let invoker = self.invoker_cred();
-        match self.fs.stat(abs, None) {
-            Ok(st) if st.file_type == FileType::Regular => (
+        match probe.found.as_ref().map(|id| self.fs.inode(*id)) {
+            Ok(Ok(ino)) if ino.is_file() => (
                 true,
-                Some(st.owner),
-                st.mode.grants(st.owner, st.group, &invoker, Access::Write),
-                st.tags,
+                Some(ino.owner),
+                ino.mode.grants(ino.owner, ino.group, &invoker, Access::Write),
+                ino.tags.clone(),
             ),
             Ok(_) => (true, None, false, BTreeSet::new()),
             Err(_) => (false, None, false, BTreeSet::new()),
         }
     }
 
+    /// Audits a write to the file `w` names. Its parent directory and its
+    /// mode after the write are read from the walked inodes.
     fn push_write_event(
         &mut self,
-        physical: PathSym,
+        w: &Walked,
         pre: (bool, Option<Uid>, bool, BTreeSet<FileTag>),
         path_taint: BTreeSet<Label>,
         data: &Data,
         cred: Credentials,
     ) {
         let (existed_before, owner_before, invoker_could_write, target_tags) = pre;
+        let physical = w.physical;
         let created_by_self = self.created_paths.contains(&physical);
         if !existed_before {
             self.created_paths.insert(physical);
         }
-        let (parent_tags, invoker_could_write_parent) = self.parent_info(&physical);
         let invoker = self.invoker_cred();
+        let (parent_tags, invoker_could_write_parent) = match self.fs.inode(w.parent) {
+            Ok(dir) => (
+                dir.tags.clone(),
+                dir.mode.grants(dir.owner, dir.group, &invoker, Access::Write),
+            ),
+            Err(_) => (BTreeSet::new(), false),
+        };
         let invoker_could_read_after = self
             .fs
-            .stat(&physical, None)
-            .is_ok_and(|st| st.mode.grants(st.owner, st.group, &invoker, Access::Read));
+            .inode(w.id)
+            .is_ok_and(|ino| ino.mode.grants(ino.owner, ino.group, &invoker, Access::Read));
         self.audit.push(AuditEvent::FileWrite(WriteInfo {
             path: physical,
             existed_before,
@@ -553,10 +560,11 @@ impl Os {
         let umask = self.procs.get(pid)?.umask;
         let abs = self.abs(pid, &path.path)?;
         let taint = self.effective_taint(pid, path);
-        let pre = self.pre_write_state(&abs);
-        let (w, _) = self.fs.creat(&abs, Mode::new(mode), &cred, umask)?;
+        let probe = self.fs.probe(&abs, true, &cred);
+        let pre = self.pre_write_state(&probe);
+        let (w, _) = self.fs.creat_probed(&abs, &probe, Mode::new(mode), &cred, umask)?;
         self.fs.write(w.id, data, false)?;
-        self.push_write_event(w.physical, pre, taint, data, cred);
+        self.push_write_event(&w, pre, taint, data, cred);
         Ok(SysReturn::Unit)
     }
 
@@ -567,7 +575,7 @@ impl Os {
         let taint = self.effective_taint(pid, path);
         let w = self.fs.create_excl(&abs, Mode::new(mode), &cred, umask)?;
         let pre = (false, None, false, BTreeSet::new());
-        self.push_write_event(w.physical, pre, taint, &Data::new(), cred);
+        self.push_write_event(&w, pre, taint, &Data::new(), cred);
         Ok(SysReturn::Unit)
     }
 
@@ -576,49 +584,57 @@ impl Os {
         let umask = self.procs.get(pid)?.umask;
         let abs = self.abs(pid, &path.path)?;
         let taint = self.effective_taint(pid, path);
-        let pre = self.pre_write_state(&abs);
-        let physical = if pre.0 {
+        let probe = self.fs.probe(&abs, true, &cred);
+        let pre = self.pre_write_state(&probe);
+        let w = if pre.0 {
             // Existing target: append with a write-permission check.
-            let w = self.fs.walk(&abs, true, Some(&cred))?;
-            let ino = self.fs.inode(w.id)?;
+            let id = self.fs.checked(&probe)?;
+            let ino = self.fs.inode(id)?;
             if !ino.mode.grants(ino.owner, ino.group, &cred, Access::Write) {
                 return Err(syserr!(Eacces, "{abs}"));
             }
-            self.fs.write(w.id, data, true)?;
-            w.physical
+            self.fs.write(id, data, true)?;
+            self.fs.walked(id)
         } else {
-            let (w, _) = self.fs.creat(&abs, Mode::new(mode), &cred, umask)?;
+            let (w, _) = self.fs.creat_probed(&abs, &probe, Mode::new(mode), &cred, umask)?;
             self.fs.write(w.id, data, false)?;
-            w.physical
+            w
         };
-        self.push_write_event(physical, pre, taint, data, cred);
+        self.push_write_event(&w, pre, taint, data, cred);
         Ok(SysReturn::Unit)
     }
 
     fn do_unlink(&mut self, pid: Pid, path: &PathArg) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let abs = self.abs(pid, &path.path)?;
-        let st = self.fs.lstat(&abs, None)?;
-        let pw = self.fs.walk_parent(&abs, None)?;
-        let physical = pw.dir_physical.join(&pw.name);
+        // One walk stands for the god-mode `lstat` and parent walk the
+        // audit record needs and for the checked parent walk of `unlink`.
+        let probe = self.fs.probe(&abs, false, &cred);
+        let target = probe.found.clone()?;
+        let name = crate::fs::final_name(&abs)?;
+        let dir = self.fs.parent_of(target);
+        let w = self.fs.walked(target);
         let invoker = self.invoker_cred();
-        let dirst = Stat::of(self.fs.inode(pw.dir)?);
-        let mut could = dirst.mode.grants(dirst.owner, dirst.group, &invoker, Access::Write);
-        if could
-            && dirst.mode.is_sticky()
-            && !invoker.euid.is_root()
-            && invoker.euid != st.owner
-            && invoker.euid != dirst.owner
-        {
-            could = false;
-        }
+        let (owner, tags) = {
+            let ino = self.fs.inode(target)?;
+            (ino.owner, ino.tags.clone())
+        };
+        let dir_ino = self.fs.inode(dir)?;
+        let could = dir_ino
+            .mode
+            .grants(dir_ino.owner, dir_ino.group, &invoker, Access::Write)
+            && !(dir_ino.mode.is_sticky()
+                && !invoker.euid.is_root()
+                && invoker.euid != owner
+                && invoker.euid != dir_ino.owner);
         let taint = self.effective_taint(pid, path);
-        self.fs.unlink(&abs, &cred)?;
-        self.created_paths.remove(&physical);
+        self.fs.checked_parent(&probe)?;
+        self.fs.unlink_entry(dir, name, &abs, &cred)?;
+        self.created_paths.remove(&w.physical);
         self.audit.push(AuditEvent::FileDelete {
-            path: physical,
-            owner: st.owner,
-            tags: st.tags,
+            path: w.physical,
+            owner,
+            tags,
             path_taint: taint,
             invoker_could_delete: could,
             by: cred,
@@ -753,15 +769,10 @@ impl Os {
         }
         let owner = ino.owner;
         let world_writable = ino.mode.world_writable();
-        let dir_untrusted = {
-            match path::parent(&w.physical) {
-                Some(pp) => match self.fs.stat(&pp, None) {
-                    Ok(pst) => self.untrusted_owner(pst.owner) || (pst.mode.world_writable() && !pst.mode.is_sticky()),
-                    Err(_) => false,
-                },
-                None => false,
-            }
-        };
+        let dir_untrusted = self
+            .fs
+            .inode(w.parent)
+            .is_ok_and(|dir| self.untrusted_owner(dir.owner) || (dir.mode.world_writable() && !dir.mode.is_sticky()));
         self.audit.push(AuditEvent::Exec {
             requested: program.path.clone(),
             resolved: w.physical,

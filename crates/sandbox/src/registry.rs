@@ -41,25 +41,25 @@ impl Default for RegAcl {
 pub struct RegKey {
     /// Named string values.
     pub values: BTreeMap<String, String>,
-    /// Child keys.
-    pub subkeys: BTreeMap<String, RegKey>,
+    /// Child keys, each shared between registry snapshots until written.
+    pub subkeys: BTreeMap<String, Arc<RegKey>>,
     /// Access control.
     pub acl: RegAcl,
 }
 
 /// The registry.
 ///
-/// `clone` is a copy-on-write snapshot: the key tree is shared until either
-/// copy writes, and the first write materializes a private tree. Use
-/// [`Registry::deep_clone`] for an eagerly materialized copy.
+/// `clone` is a copy-on-write snapshot: every key is shared until either
+/// copy writes, and a write copies only the keys on the path to the key it
+/// changes. Use [`Registry::deep_clone`] for an eagerly materialized copy.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Registry {
     root: Arc<RegKey>,
 }
 
 /// Splits a `/`-separated key path into components.
-fn split(path: &str) -> Vec<&str> {
-    path.split('/').filter(|c| !c.is_empty()).collect()
+fn split(path: &str) -> impl Iterator<Item = &str> {
+    path.split('/').filter(|c| !c.is_empty())
 }
 
 impl Registry {
@@ -70,8 +70,19 @@ impl Registry {
 
     /// A fully materialized copy sharing no storage with `self`.
     pub fn deep_clone(&self) -> Registry {
+        fn deep(key: &RegKey) -> RegKey {
+            RegKey {
+                values: key.values.clone(),
+                subkeys: key
+                    .subkeys
+                    .iter()
+                    .map(|(name, sub)| (name.clone(), Arc::new(deep(sub))))
+                    .collect(),
+                acl: key.acl,
+            }
+        }
         Registry {
-            root: Arc::new((*self.root).clone()),
+            root: Arc::new(deep(&self.root)),
         }
     }
 
@@ -90,10 +101,11 @@ impl Registry {
         Some(cur)
     }
 
+    /// Mutably borrows a key, unsharing the keys on its path first.
     fn key_mut(&mut self, path: &str) -> Option<&mut RegKey> {
         let mut cur = Arc::make_mut(&mut self.root);
         for comp in split(path) {
-            cur = cur.subkeys.get_mut(comp)?;
+            cur = Arc::make_mut(cur.subkeys.get_mut(comp)?);
         }
         Some(cur)
     }
@@ -101,10 +113,10 @@ impl Registry {
     /// Creates a key (and any missing ancestors) with the given ACL,
     /// leaving existing ancestors untouched.
     pub fn ensure_key(&mut self, path: &str, acl: RegAcl) -> &mut RegKey {
-        let comps = split(path).into_iter().map(str::to_string).collect::<Vec<_>>();
+        let comps = split(path).map(str::to_string).collect::<Vec<_>>();
         let mut cur = Arc::make_mut(&mut self.root);
         for comp in comps {
-            cur = cur.subkeys.entry(comp).or_default();
+            cur = Arc::make_mut(cur.subkeys.entry(comp).or_default());
         }
         cur.acl = acl;
         cur
@@ -327,6 +339,25 @@ mod tests {
         let deep = r.deep_clone();
         assert_eq!(deep, r);
         assert!(!deep.shares_storage_with(&r));
+        assert!(!Arc::ptr_eq(&deep.root.subkeys["HKLM"], &r.root.subkeys["HKLM"]));
+    }
+
+    #[test]
+    fn a_write_copies_only_the_keys_on_its_path() {
+        let mut r = Registry::new();
+        r.god_set_value("HKLM/A/Deep", "v", "1");
+        r.god_set_value("HKLM/B", "v", "1");
+        let mut w = r.clone();
+        w.god_set_value("HKLM/A/Deep", "v", "2");
+        let (old, new) = (&r.root.subkeys["HKLM"], &w.root.subkeys["HKLM"]);
+        assert!(!Arc::ptr_eq(old, new), "the written key's ancestors are copied");
+        assert!(!Arc::ptr_eq(&old.subkeys["A"], &new.subkeys["A"]));
+        assert!(
+            Arc::ptr_eq(&old.subkeys["B"], &new.subkeys["B"]),
+            "a sibling stays shared"
+        );
+        assert_eq!(r.get_value("HKLM/A/Deep", "v").unwrap().0, "1");
+        assert_eq!(w.get_value("HKLM/A/Deep", "v").unwrap().0, "2");
     }
 
     #[test]

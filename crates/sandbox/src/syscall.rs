@@ -19,6 +19,7 @@ use crate::fs::Stat;
 use crate::net::Message;
 use crate::os::Os;
 use crate::trace::{InputSemantic, ObjectRef, OpKind, SiteId};
+use shim_sync::sync::Arc;
 
 /// A request an application makes of its environment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -257,12 +258,10 @@ impl Syscall {
         }
     }
 
-    /// The environment object the call touches, for tracing.
-    pub fn object(&self) -> ObjectRef {
+    /// The path of the file object the call touches, as the application
+    /// named it (`None` for calls on other objects).
+    pub(crate) fn file_path(&self) -> Option<&str> {
         match self {
-            Syscall::Getenv { name, .. } => ObjectRef::EnvVar(name.clone()),
-            Syscall::ReadArg { .. } => ObjectRef::Args,
-            Syscall::InputBind { entity, .. } => ObjectRef::Value(entity.clone()),
             Syscall::ReadFile { path }
             | Syscall::WriteFile { path, .. }
             | Syscall::CreateExcl { path, .. }
@@ -275,10 +274,20 @@ impl Syscall {
             | Syscall::Readlink { path }
             | Syscall::Chmod { path, .. }
             | Syscall::Chown { path, .. }
-            | Syscall::ListDir { path } => ObjectRef::File(path.path.clone()),
-            Syscall::SymlinkCreate { link, .. } => ObjectRef::File(link.path.clone()),
-            Syscall::Rename { from, .. } => ObjectRef::File(from.path.clone()),
-            Syscall::Exec { program, .. } => ObjectRef::File(program.path.clone()),
+            | Syscall::ListDir { path }
+            | Syscall::SymlinkCreate { link: path, .. }
+            | Syscall::Rename { from: path, .. }
+            | Syscall::Exec { program: path, .. } => Some(&path.path),
+            _ => None,
+        }
+    }
+
+    /// The environment object the call touches, for tracing.
+    pub fn object(&self) -> ObjectRef {
+        match self {
+            Syscall::Getenv { name, .. } => ObjectRef::EnvVar(name.clone()),
+            Syscall::ReadArg { .. } => ObjectRef::Args,
+            Syscall::InputBind { entity, .. } => ObjectRef::Value(entity.clone()),
             Syscall::Print { .. } => ObjectRef::Terminal,
             Syscall::RegRead { key, value, .. }
             | Syscall::RegWrite { key, value, .. }
@@ -288,6 +297,7 @@ impl Syscall {
             Syscall::NetRecv { port, .. } => ObjectRef::NetPort(*port),
             Syscall::DnsResolve { host, .. } => ObjectRef::Host(host.clone()),
             Syscall::ProcRecv { channel, .. } => ObjectRef::IpcChannel(channel.clone()),
+            _ => ObjectRef::File(self.file_path().expect("every other call touches a file").to_string()),
         }
     }
 
@@ -335,7 +345,8 @@ pub enum SysReturn {
 }
 
 /// One interaction point as seen by the hook: the static site plus dynamic
-/// position in the trace.
+/// position in the trace. The site and the object are the recorded trace
+/// event's own, shared rather than copied.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InteractionRef {
     /// The process issuing the call.
@@ -348,8 +359,8 @@ pub struct InteractionRef {
     pub occurrence: usize,
     /// Operation kind.
     pub op: OpKind,
-    /// Environment object.
-    pub object: ObjectRef,
+    /// Environment object (the trace event's).
+    pub object: Arc<ObjectRef>,
     /// Input semantics, if any.
     pub semantic: Option<InputSemantic>,
 }

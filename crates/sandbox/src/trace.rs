@@ -8,27 +8,88 @@
 //! receives an input there — the *semantics* of that input, which selects
 //! the applicable Table 5 fault patterns.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use shim_sync::sync::Arc;
 
 /// A static interaction site in an application, e.g. `"lpr:create_spool"`.
 ///
 /// Sites are the unit of *interaction coverage*: the campaign perturbs
 /// sites, and coverage is sites-perturbed over sites-observed.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct SiteId(pub String);
+///
+/// The label is a shared `Arc<str>`: the trace event, the per-site hit
+/// counter and the hook's [`crate::syscall::InteractionRef`] hold one
+/// allocation between them, and a clone is a reference-count bump. Each
+/// thread remembers the ids it has created, so a label it has seen before
+/// (every site of every run after a campaign's first) allocates nothing.
+/// Equality, order and hashing are the label text's, and it serializes as
+/// the one-element sequence holding the label, as the `String` newtype it
+/// replaced did.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SiteId(Arc<str>);
+
+/// How many site ids a thread remembers before it starts over (a generated
+/// corpus can create many labels).
+const SITE_MEMO_CAP: usize = 4096;
+
+thread_local! {
+    /// The site ids this thread has created.
+    static SITES: RefCell<BTreeSet<SiteId>> = const { RefCell::new(BTreeSet::new()) };
+}
 
 impl SiteId {
-    /// Creates a site id.
-    pub fn new(label: impl Into<String>) -> Self {
-        SiteId(label.into())
+    /// The site id labelled `label`: one this thread created before, shared,
+    /// or a fresh one.
+    pub fn new(label: impl AsRef<str>) -> Self {
+        let label = label.as_ref();
+        SITES.with(|sites| {
+            let mut sites = sites.borrow_mut();
+            if let Some(site) = sites.get(label) {
+                return site.clone();
+            }
+            if sites.len() >= SITE_MEMO_CAP {
+                sites.clear();
+            }
+            let site = SiteId(Arc::from(label));
+            sites.insert(site.clone());
+            site
+        })
     }
 
     /// The label text.
     pub fn as_str(&self) -> &str {
         &self.0
+    }
+}
+
+impl AsRef<str> for SiteId {
+    fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for SiteId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Serialize for SiteId {
+    fn ser(&self) -> serde::Value {
+        serde::Value::Seq(vec![self.as_str().ser()])
+    }
+}
+
+impl Deserialize for SiteId {
+    fn de(v: &serde::Value) -> Result<SiteId, serde::DeError> {
+        match v.as_seq() {
+            Some([label]) => Ok(SiteId::new(String::de(label)?)),
+            _ => Err(serde::DeError::expected("one-element sequence", "SiteId")),
+        }
     }
 }
 
@@ -219,8 +280,9 @@ pub struct TraceEvent {
     pub site: SiteId,
     /// Operation kind.
     pub op: OpKind,
-    /// Environment object touched.
-    pub object: ObjectRef,
+    /// Environment object touched, shared with the hook's
+    /// [`crate::syscall::InteractionRef`].
+    pub object: Arc<ObjectRef>,
     /// Input semantics, when the operation receives data.
     pub semantic: Option<InputSemantic>,
     /// How many times this site had executed before (0-based).
@@ -246,15 +308,29 @@ impl Trace {
 
     /// Records an interaction, assigning sequence and occurrence numbers.
     /// Returns the event's occurrence index for the site.
-    pub fn record(&mut self, site: SiteId, op: OpKind, object: ObjectRef, semantic: Option<InputSemantic>) -> usize {
-        let occurrence = *self.site_hits.entry(site.clone()).or_insert(0);
-        *self.site_hits.get_mut(&site).expect("just inserted") += 1;
+    pub fn record(
+        &mut self,
+        site: SiteId,
+        op: OpKind,
+        object: impl Into<Arc<ObjectRef>>,
+        semantic: Option<InputSemantic>,
+    ) -> usize {
+        let occurrence = match self.site_hits.get_mut(site.as_str()) {
+            Some(hits) => {
+                *hits += 1;
+                *hits - 1
+            }
+            None => {
+                self.site_hits.insert(site.clone(), 1);
+                0
+            }
+        };
         let seq = self.events.len();
         self.events.push(TraceEvent {
             seq,
             site,
             op,
-            object,
+            object: object.into(),
             semantic,
             occurrence,
             ok: true,
@@ -313,8 +389,8 @@ impl Trace {
             }
             let s = map.get_mut(&ev.site).expect("inserted above");
             s.hits = s.hits.max(ev.occurrence + 1);
-            if !s.ops.iter().any(|(op, obj)| *op == ev.op && *obj == ev.object) {
-                s.ops.push((ev.op, ev.object.clone()));
+            if !s.ops.iter().any(|(op, obj)| *op == ev.op && *obj == *ev.object) {
+                s.ops.push((ev.op, (*ev.object).clone()));
             }
             if let Some(sem) = ev.semantic {
                 if !s.inputs.contains(&sem) {
@@ -335,7 +411,7 @@ impl Trace {
     pub fn reaccessed_files(&self) -> Vec<String> {
         let mut sites_per_path: BTreeMap<&str, std::collections::BTreeSet<&SiteId>> = BTreeMap::new();
         for ev in &self.events {
-            if let ObjectRef::File(p) = &ev.object {
+            if let ObjectRef::File(p) = &*ev.object {
                 sites_per_path.entry(p.as_str()).or_default().insert(&ev.site);
             }
         }
@@ -429,6 +505,26 @@ mod tests {
         t.record(SiteId::new("s2"), OpKind::ReadFile, ObjectRef::File("/x".into()), None);
         t.record(SiteId::new("s3"), OpKind::ReadFile, ObjectRef::File("/y".into()), None);
         assert_eq!(t.reaccessed_files(), vec!["/x".to_string()]);
+    }
+
+    #[test]
+    fn site_ids_serialize_as_the_string_newtype_did() {
+        let site = SiteId::new("lpr:create");
+        let wire = serde::Value::Seq(vec![serde::Value::Str("lpr:create".into())]);
+        assert_eq!(site.ser(), wire);
+        assert_eq!(SiteId::de(&wire).unwrap(), site);
+        assert!(SiteId::de(&serde::Value::Str("lpr:create".into())).is_err());
+    }
+
+    #[test]
+    fn a_site_label_is_shared_not_copied() {
+        let mut t = Trace::new();
+        let s = SiteId::new("s");
+        assert!(Arc::ptr_eq(&SiteId::new(String::from("s")).0, &s.0));
+        t.record(s.clone(), OpKind::Print, ObjectRef::Terminal, None);
+        t.record(SiteId::new("s"), OpKind::Print, ObjectRef::Terminal, None);
+        assert!(t.events().iter().all(|ev| Arc::ptr_eq(&ev.site.0, &s.0)));
+        assert_eq!(t.hit_count(&s), 2);
     }
 
     #[test]

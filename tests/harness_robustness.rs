@@ -202,3 +202,41 @@ fn env_maps_are_isolated_between_runs() {
     let b = run_once(&setup, &EnvReader, None);
     assert_eq!(b.exit, Some(0));
 }
+
+/// One report per campaign as JSON, for byte comparison.
+fn report_json(report: &epa::core::CampaignReport) -> String {
+    serde_json::to_string(report).expect("reports serialize")
+}
+
+/// An application that exhausts its syscall budget mid-suite must not
+/// disturb the campaigns beside it: registered next to lpr, at one and at
+/// two workers, every `Spinner` run ends with the budget's exit and no
+/// crash, and lpr's records are byte-identical to lpr run alone. Each
+/// spinner run also records one site a hundred thousand times.
+#[test]
+fn a_budget_exhausting_app_mid_suite_leaves_its_neighbours_alone() {
+    use epa::apps::lpr::{self, Lpr};
+    use epa::core::engine::Suite;
+
+    let mut alone = Suite::new().with_workers(1);
+    alone.register(Lpr, &lpr::spec()).expect("lpr spec");
+    let lpr_alone = report_json(alone.execute().get("lpr").expect("lpr report"));
+
+    for workers in [1, 2] {
+        let mut suite = Suite::new().with_workers(workers);
+        suite.register(Lpr, &lpr::spec()).expect("lpr spec");
+        suite.register_session(Spinner, Session::from_setup(tiny_world()));
+        let report = suite.execute();
+        assert_eq!(
+            report_json(report.get("lpr").expect("lpr report")),
+            lpr_alone,
+            "lpr beside a spinner at {workers} worker(s)"
+        );
+        let spinner = report.get("spinner").expect("spinner report");
+        assert!(!spinner.records.is_empty(), "the spinner's site is perturbed");
+        for record in &spinner.records {
+            assert_eq!(record.exit, Some(99), "{} at {workers} worker(s)", record.fault_id);
+            assert_eq!(record.crashed, None, "{} at {workers} worker(s)", record.fault_id);
+        }
+    }
+}

@@ -231,7 +231,7 @@ fn every_setup_field_changes_the_fingerprint() {
         }),
         ("DNS entry", |s| s.world.net.add_dns("print.example.edu", "10.0.0.9")),
         ("scenario field", |s| {
-            s.world.scenario.attacker_home = "/home/eve".into();
+            std::sync::Arc::make_mut(&mut s.world.scenario).attacker_home = "/home/eve".into();
         }),
         ("args", |s| s.args.push("-P".into())),
         ("env", |s| {
@@ -263,4 +263,34 @@ fn the_lpr_fingerprint_is_pinned() {
     // (`epa::core::store`) so older stores are upgraded, not misread.
     let setup = epa::apps::lpr::spec().materialize().expect("the lpr spec is valid");
     assert_eq!(format!("{:016x}", setup.fingerprint()), "f2633e0cb30651da");
+}
+
+/// The fingerprints of the eight standard setups, pinned. Persistent
+/// stores key their segments by these values, so a change to what a
+/// fingerprint covers or to any substrate's `Hash` impl (the dense inode
+/// table's included) moves them, and must come with a
+/// `STORE_FORMAT_VERSION` bump and new pins. FNV-1a hashes integers in
+/// native byte order; the pins are the little-endian 64-bit values.
+#[test]
+fn standard_setup_fingerprints_are_pinned() {
+    let pinned: [(&str, u64); 8] = [
+        ("lpr", 0xf263_3e0c_b306_51da),
+        ("turnin", 0x3bf8_eb1e_f185_d2ad),
+        ("fontpurge", 0xd29b_3289_e16f_86d5),
+        ("ntlogon", 0x1485_24e0_697e_1181),
+        ("fingerd", 0xa562_66f7_b1de_7088),
+        ("authd", 0x155d_f342_2dc2_67a8),
+        ("mailnotify", 0x3d65_da05_eab3_fbc3),
+        ("backupd", 0xd8b9_f7be_44a3_7f19),
+    ];
+    let fingerprints: Vec<(&str, u64)> = epa::apps::standard_apps()
+        .iter()
+        .map(|(app, spec)| (app.name(), spec.materialize().expect("standard spec").fingerprint()))
+        .collect();
+    assert_eq!(fingerprints, pinned);
+    assert_eq!(
+        epa::core::store::STORE_FORMAT_VERSION,
+        3,
+        "the pins belong to store format 3"
+    );
 }
