@@ -1,0 +1,467 @@
+//! The wall-clock gates: every timed bound the engine holds, in one harness.
+//!
+//! `cargo bench -p epa-bench --bench gates` measures every gate, prints one
+//! line per gate (name, measured value, bound, PASS/FAIL/SKIP) and, after
+//! the last one, exits non-zero if any gate failed, so one noisy gate
+//! cannot hide the others. It writes no file into the repository: the store
+//! gates work under the system temp directory and remove it afterwards.
+//!
+//! Gates with several arms interleave them: every sample runs each arm
+//! once, the first arm rotating from sample to sample, and the gate
+//! compares the medians. Each arm times only its own run, so what it does
+//! not mean to measure (building a fresh suite, emptying a store
+//! directory) happens outside the timed region.
+//!
+//! Deterministic properties (runs executed, replays, byte-identical reports
+//! at small scale) are tier-1 tests. The asserts here are of two kinds:
+//! those that keep a timing fair (the arms inject the same faults and
+//! reach the same verdict count), and those tier-1 runs only at small
+//! scale (zero divergences over the 120-scenario corpus, byte-identical
+//! corpus-suite reports at 1/4/8 workers, a worker high-water within the
+//! pinned count).
+
+use std::fmt;
+use std::path::Path;
+use std::time::{Duration, Instant};
+
+use epa_apps::{standard_apps, standard_suite, standard_suite_with_options, BoxedApp, ScriptedApp};
+use epa_bench::experiments::suite_with_cache;
+use epa_core::campaign::{run_once, CampaignOptions, TestSetup};
+use epa_core::corpus::{run_corpus, synthesize, CorpusConfig, Scenario, DEFAULT_CORPUS_SEED};
+use epa_core::engine::{executor, ResultCache, Session, Suite, SuiteReport, WorldSpec};
+use epa_core::inject::{InjectionHook, InjectionPlan};
+use epa_sandbox::audit::AuditLog;
+use epa_sandbox::os::Os;
+use epa_sandbox::policy::detectors::{
+    CustomDetector, DisclosureDetector, IntegrityDeleteDetector, IntegrityWriteDetector, MemoryCorruptionDetector,
+    SpoofedActionDetector, TaintedPrivilegedOpDetector, UntrustedExecDetector,
+};
+use epa_sandbox::policy::OracleSet;
+use epa_sandbox::syscall::Interceptor;
+
+/// The pinned worker counts of the corpus-suite rows.
+const WORKER_COUNTS: [usize; 3] = [1, 4, 8];
+
+/// Runs `f` once, returning its output and how long it took.
+fn timed<O>(f: impl FnOnce() -> O) -> (O, Duration) {
+    let start = Instant::now();
+    let out = std::hint::black_box(f());
+    (out, start.elapsed())
+}
+
+/// Median nanoseconds of each arm over `samples` samples, after one
+/// untimed warm-up round. Each arm times its own run (with [`timed`]).
+/// Sample `s` starts at arm `s % arms.len()`, so drift on a noisy host
+/// falls on every arm alike.
+fn medians(samples: usize, arms: &mut [&mut dyn FnMut() -> Duration]) -> Vec<f64> {
+    for arm in arms.iter_mut() {
+        arm();
+    }
+    let mut times = vec![Vec::with_capacity(samples); arms.len()];
+    for s in 0..samples {
+        for k in 0..arms.len() {
+            let i = (s + k) % arms.len();
+            times[i].push(arms[i]());
+        }
+    }
+    times
+        .into_iter()
+        .map(|mut t| {
+            t.sort();
+            t[samples / 2].as_nanos() as f64
+        })
+        .collect()
+}
+
+/// What a gate requires of its measured value.
+#[derive(Clone, Copy)]
+enum Bound {
+    AtLeast(f64),
+    AtMost(f64),
+    Below(f64),
+}
+
+impl Bound {
+    fn holds(self, value: f64) -> bool {
+        match self {
+            Bound::AtLeast(b) => value >= b,
+            Bound::AtMost(b) => value <= b,
+            Bound::Below(b) => value < b,
+        }
+    }
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Bound::AtLeast(b) => write!(f, ">= {b}"),
+            Bound::AtMost(b) => write!(f, "<= {b}"),
+            Bound::Below(b) => write!(f, "< {b}"),
+        }
+    }
+}
+
+/// The gate lines printed so far, and how many failed.
+#[derive(Default)]
+struct Gates {
+    checked: usize,
+    failed: usize,
+}
+
+impl Gates {
+    /// Prints one gate line. A gate whose `skip` reason is set is
+    /// reported but neither passes nor fails.
+    fn check(&mut self, name: &str, value: f64, unit: &str, bound: Bound, skip: Option<&str>) {
+        let verdict = match skip {
+            Some(reason) => format!("SKIP ({reason})"),
+            None if bound.holds(value) => "PASS".to_owned(),
+            None => {
+                self.failed += 1;
+                "FAIL".to_owned()
+            }
+        };
+        self.checked += 1;
+        println!("{name:<22} {value:>14.3} {unit:<10} bound {bound:<10} {verdict}");
+    }
+}
+
+/// One application run with no oracle attached: the batch arm judges the
+/// completed log afterwards.
+fn run_unjudged(setup: &TestSetup, app: &BoxedApp, hook: Option<Box<dyn Interceptor>>) -> Os {
+    let mut os = setup.world.clone();
+    if let Some(h) = hook {
+        os.set_interceptor(h);
+    }
+    let Ok(pid) = os.spawn(
+        setup.invoker,
+        setup.program.as_deref(),
+        setup.args.clone(),
+        setup.env.clone(),
+        &setup.cwd,
+    ) else {
+        return os;
+    };
+    if let Ok(code) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| app.run(&mut os, pid))) {
+        os.set_exit(pid, code);
+    }
+    os
+}
+
+/// Every rule family re-scans the completed log on its own. Standard
+/// families only: no standard-suite world declares spec invariants.
+fn per_family_rescan(log: &AuditLog) -> usize {
+    let families: [OracleSet; 8] = [
+        OracleSet::empty().with(Box::new(IntegrityWriteDetector::default())),
+        OracleSet::empty().with(Box::new(IntegrityDeleteDetector::default())),
+        OracleSet::empty().with(Box::new(DisclosureDetector::default())),
+        OracleSet::empty().with(Box::new(UntrustedExecDetector::default())),
+        OracleSet::empty().with(Box::new(TaintedPrivilegedOpDetector::default())),
+        OracleSet::empty().with(Box::new(SpoofedActionDetector::default())),
+        OracleSet::empty().with(Box::new(MemoryCorruptionDetector::default())),
+        OracleSet::empty().with(Box::new(CustomDetector::default())),
+    ];
+    families.into_iter().map(|set| set.evaluate_log(log).len()).sum()
+}
+
+/// The standard applications with their sessions and planned jobs.
+struct Cases {
+    apps: Vec<(BoxedApp, WorldSpec)>,
+    sessions: Vec<Session>,
+    jobs: Vec<Vec<InjectionPlan>>,
+}
+
+impl Cases {
+    fn new() -> Cases {
+        let apps = standard_apps();
+        let sessions: Vec<Session> = apps
+            .iter()
+            .map(|(_, spec)| Session::new(spec).expect("valid specs"))
+            .collect();
+        let jobs = apps
+            .iter()
+            .zip(&sessions)
+            .map(|((app, _), session)| session.plan(app.as_ref()).jobs())
+            .collect();
+        Cases { apps, sessions, jobs }
+    }
+
+    /// The standard suite's clean run plus every planned job, judged either
+    /// by the oracle subscribed to the log (`incremental`) or by one scan of
+    /// the completed log: the total verdict count.
+    fn judge_every_job(&self, incremental: bool) -> usize {
+        let mut verdicts = 0;
+        for (((app, _), session), jobs) in self.apps.iter().zip(&self.sessions).zip(&self.jobs) {
+            let hooks = std::iter::once(None).chain(
+                jobs.iter()
+                    .map(|job| Some(Box::new(InjectionHook::new(job.clone()).0) as Box<dyn Interceptor>)),
+            );
+            for hook in hooks {
+                verdicts += if incremental {
+                    run_once(session.setup(), app.as_ref(), hook).violations.len()
+                } else {
+                    let os = run_unjudged(session.setup(), app, hook);
+                    session.setup().oracle().evaluate_log(&os.audit).len()
+                };
+            }
+        }
+        verdicts
+    }
+
+    /// The suite's combined event stream (each app's clean run and first
+    /// injected run), replicated past 50,000 events.
+    fn big_log(&self) -> AuditLog {
+        let mut big = AuditLog::new();
+        while big.len() < 50_000 {
+            for (((app, _), session), jobs) in self.apps.iter().zip(&self.sessions).zip(&self.jobs) {
+                let first = jobs
+                    .first()
+                    .map(|job| Box::new(InjectionHook::new(job.clone()).0) as Box<dyn Interceptor>);
+                for hook in [None, first] {
+                    for (_, event) in run_unjudged(session.setup(), app, hook).audit.iter() {
+                        big.push(event.clone());
+                    }
+                }
+            }
+        }
+        big
+    }
+
+    /// The retired suite runner: one thread per application, each running
+    /// its whole campaign on its own. Returns the faults injected.
+    fn per_app_fanout(&self) -> usize {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .apps
+                .iter()
+                .zip(&self.sessions)
+                .map(|((app, _), session)| scope.spawn(move || session.execute(app.as_ref()).injected()))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("campaign thread")).sum()
+        })
+    }
+}
+
+/// Faults injected and verdicts reached: what two arms of one gate must
+/// agree on.
+fn counts(report: &SuiteReport) -> (usize, usize) {
+    (report.total_injected(), report.total_violated())
+}
+
+/// Copy-on-write snapshot against a deep clone of the lpr world.
+fn snapshot_gate(gates: &mut Gates, cases: &Cases) {
+    let world = &cases.sessions[0].setup().world;
+    let m = medians(
+        200,
+        &mut [&mut || timed(|| world.clone()).1, &mut || {
+            timed(|| world.deep_clone()).1
+        }],
+    );
+    gates.check("snapshot", m[1] / m[0], "x faster", Bound::AtLeast(2.0), None);
+}
+
+/// The pooled suite, built fresh for every sample, against the per-app
+/// fan-out.
+fn executor_gate(gates: &mut Gates, cases: &Cases) {
+    let (mut pooled, mut fanout) = (0, 0);
+    let m = medians(
+        15,
+        &mut [
+            &mut || {
+                let suite = standard_suite().expect("valid specs");
+                timed(|| pooled = suite.execute().total_injected()).1
+            },
+            &mut || timed(|| fanout = cases.per_app_fanout()).1,
+        ],
+    );
+    assert_eq!(pooled, fanout, "both runners inject the same faults");
+    gates.check("executor", m[0] / m[1], "x fan-out", Bound::AtMost(1.05), None);
+}
+
+/// The subscribed oracle against a batch scan over the suite's whole
+/// workload, then the single pass against a per-family re-scan, and the
+/// single pass's throughput, on one large log.
+fn oracle_gates(gates: &mut Gates, cases: &Cases) {
+    let (mut incremental, mut batch) = (0, 0);
+    let m = medians(
+        15,
+        &mut [
+            &mut || timed(|| incremental = cases.judge_every_job(true)).1,
+            &mut || timed(|| batch = cases.judge_every_job(false)).1,
+        ],
+    );
+    assert_eq!(incremental, batch, "both oracle paths reach the same verdicts");
+    gates.check("oracle.incremental", m[0] / m[1], "x batch", Bound::AtMost(1.10), None);
+
+    let big = cases.big_log();
+    let (mut single, mut family) = (0, 0);
+    let m = medians(
+        15,
+        &mut [
+            &mut || {
+                timed(|| {
+                    let mut set = OracleSet::standard();
+                    set.observe_log(&big);
+                    single = set.finish().len();
+                })
+                .1
+            },
+            &mut || timed(|| family = per_family_rescan(&big)).1,
+        ],
+    );
+    assert_eq!(single, family, "both scans reach the same verdicts");
+    gates.check("oracle.single_pass", m[0] / m[1], "x rescan", Bound::AtMost(1.05), None);
+    let events_per_sec = big.len() as f64 / (m[0] / 1e9);
+    gates.check(
+        "oracle.throughput",
+        events_per_sec,
+        "events/s",
+        Bound::AtLeast(1e6),
+        None,
+    );
+}
+
+/// Two passes of one suite, the second replaying from its memo, against
+/// two passes that each execute over a cold cache with dedup off.
+fn planner_gate(gates: &mut Gates) {
+    let exhaustive = || {
+        standard_suite_with_options(CampaignOptions {
+            dedup: false,
+            ..CampaignOptions::default()
+        })
+        .expect("valid specs")
+    };
+    let (mut memo, mut cold) = ([(0, 0); 2], [(0, 0); 2]);
+    let m = medians(
+        9,
+        &mut [
+            &mut || {
+                let suite = standard_suite().expect("valid specs");
+                timed(|| memo = [counts(&suite.execute()), counts(&suite.execute())]).1
+            },
+            &mut || {
+                let (first, second) = (exhaustive(), exhaustive());
+                timed(|| cold = [counts(&first.execute()), counts(&second.execute())]).1
+            },
+        ],
+    );
+    assert_eq!(
+        memo, cold,
+        "both arms inject the same faults and reach the same verdicts"
+    );
+    gates.check("planner", m[0] / m[1], "x exhaust", Bound::AtMost(1.05), None);
+}
+
+/// A warm suite over a populated store, each sample through a fresh
+/// handle, against a cold suite into an empty store and against
+/// re-executing in memory.
+fn store_gates(gates: &mut Gates) {
+    let root = std::env::temp_dir().join(format!("epa-gates-{}", std::process::id()));
+    let (warm_dir, cold_dir) = (root.join("warm"), root.join("cold"));
+    let persistent = |dir: &Path| ResultCache::persistent(dir).expect("the gate's store directory opens");
+    let (_, manifest) = suite_with_cache(persistent(&warm_dir));
+    manifest.write_to(&warm_dir).expect("the campaign manifest writes");
+
+    let (mut warm, mut cold, mut memory) = ((0, 0), (0, 0), (0, 0));
+    let m = medians(
+        9,
+        &mut [
+            &mut || timed(|| warm = counts(&suite_with_cache(persistent(&warm_dir)).0)).1,
+            &mut || {
+                let _ = std::fs::remove_dir_all(&cold_dir);
+                timed(|| {
+                    let (report, manifest) = suite_with_cache(persistent(&cold_dir));
+                    manifest.write_to(&cold_dir).expect("the campaign manifest writes");
+                    cold = counts(&report);
+                })
+                .1
+            },
+            &mut || timed(|| memory = counts(&suite_with_cache(ResultCache::new()).0)).1,
+        ],
+    );
+    let _ = std::fs::remove_dir_all(&root);
+    assert!(warm == cold && cold == memory, "every arm reaches the same verdicts");
+    gates.check("store.warm_vs_cold", m[0] / m[1], "x cold", Bound::Below(1.0), None);
+    gates.check("store.warm_vs_memory", m[0] / m[2], "x memory", Bound::Below(1.0), None);
+}
+
+/// The corpus registered as one campaign per scenario, on a fresh cache.
+fn corpus_suite(scenarios: &[Scenario]) -> Suite {
+    let mut suite = Suite::new();
+    for scenario in scenarios {
+        let setup = scenario.spec.materialize().expect("corpus worlds materialize");
+        suite.register_session(ScriptedApp::for_scenario(scenario), Session::from_setup(setup));
+    }
+    suite
+}
+
+/// The 120-scenario corpus, synthesized once: as a suite at each pinned
+/// worker count, then through one differential sweep.
+fn corpus_gates(gates: &mut Gates, available: usize) {
+    let config = CorpusConfig {
+        seed: DEFAULT_CORPUS_SEED,
+        count: 120,
+    };
+    let scenarios = synthesize(&config);
+
+    let reports = WORKER_COUNTS.map(|workers| {
+        executor::reset_peak_live_workers();
+        let report = corpus_suite(&scenarios).with_workers(workers).execute();
+        let peak = executor::peak_live_workers();
+        // One worker runs inline, on no pool thread the gauge counts.
+        let floor = usize::from(workers > 1);
+        assert!(
+            (floor..=workers).contains(&peak),
+            "{workers} pinned workers recorded a {peak} high-water"
+        );
+        serde_json::to_string(&report).expect("suite reports serialize")
+    });
+    assert!(
+        reports.iter().all(|r| *r == reports[0]),
+        "the corpus suite's report depends on its worker count"
+    );
+    let row = |workers: usize| {
+        let scenarios = &scenarios;
+        move || {
+            let suite = corpus_suite(scenarios).with_workers(workers);
+            timed(|| suite.execute()).1
+        }
+    };
+    let mut rows = WORKER_COUNTS.map(row);
+    let m = medians(5, &mut rows.each_mut().map(|r| r as &mut dyn FnMut() -> Duration));
+    println!(
+        "corpus rows: {:.1} ms at 1 worker, {:.1} ms at 4, {:.1} ms at 8",
+        m[0] / 1e6,
+        m[1] / 1e6,
+        m[2] / 1e6
+    );
+    let skip = (available < 2).then_some("one CPU");
+    let speedup = m[0] / m[1].min(m[2]);
+    gates.check("corpus.speedup", speedup, "x 1 worker", Bound::AtLeast(1.5), skip);
+    gates.check("corpus.one_worker", m[0] / 1e9, "s", Bound::AtMost(60.0), None);
+
+    let factory = ScriptedApp::factory();
+    let (sweep, took) = timed(|| run_corpus(config.seed, &scenarios, &factory));
+    assert_eq!(sweep.scenarios, config.count);
+    assert_eq!(
+        sweep.divergences, 0,
+        "execution paths diverged; `reproduce corpus` prints each scenario's seed"
+    );
+    gates.check("corpus.sweep", took.as_secs_f64(), "s", Bound::AtMost(180.0), None);
+}
+
+fn main() {
+    let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    println!("gates: available_parallelism {available}");
+    let cases = Cases::new();
+    let mut gates = Gates::default();
+    snapshot_gate(&mut gates, &cases);
+    executor_gate(&mut gates, &cases);
+    oracle_gates(&mut gates, &cases);
+    planner_gate(&mut gates);
+    store_gates(&mut gates);
+    corpus_gates(&mut gates, available);
+    println!("gates: {} of {} failed", gates.failed, gates.checked);
+    if gates.failed > 0 {
+        std::process::exit(1);
+    }
+}

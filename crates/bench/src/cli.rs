@@ -166,7 +166,7 @@ fn print_ok(text: String) -> Result<(), String> {
 }
 
 /// Where machine-readable artifacts land: the workspace root, next to
-/// `BENCH_engine.json`.
+/// `SUITE_report.json`.
 pub fn workspace_artifact(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

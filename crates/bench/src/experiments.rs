@@ -720,7 +720,8 @@ pub fn suite_with_cache(cache: epa_core::engine::ResultCache) -> (SuiteReport, e
 /// and returns the corpus adequacy dashboard.
 pub fn corpus(seed: u64, count: usize) -> epa_core::corpus::CorpusReport {
     let factory = epa_apps::ScriptedApp::factory();
-    epa_core::corpus::run_corpus(&epa_core::corpus::CorpusConfig { seed, count }, &factory)
+    let scenarios = epa_core::corpus::synthesize(&epa_core::corpus::CorpusConfig { seed, count });
+    epa_core::corpus::run_corpus(seed, &scenarios, &factory)
 }
 
 // ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 //! # epa-bench — the reproduction harness
 //!
 //! One runner per table, figure and case study of the paper, shared by the
-//! `reproduce` binary, the `paper_tables` bench target, and the integration
-//! tests. Every runner returns a structured result plus a printable
-//! rendering in the paper's layout, so `cargo run -p epa-bench --bin
-//! reproduce -- all` regenerates the whole evaluation section.
+//! `reproduce` binary and the integration tests. Every runner returns a
+//! structured result plus a printable rendering in the paper's layout, so
+//! `cargo run -p epa-bench --bin reproduce -- all` regenerates the whole
+//! evaluation section.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

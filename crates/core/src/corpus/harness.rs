@@ -387,12 +387,13 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
     summary
 }
 
-/// Sweeps a synthesized corpus through [`differential_check`], shrinking
-/// every divergence to a minimal world diff, and rolls up the dashboard.
-pub fn run_corpus(config: &super::CorpusConfig, factory: AppFactory<'_>) -> CorpusReport {
-    let scenarios = super::generate::synthesize(config);
+/// Sweeps a corpus synthesized from `seed` (see
+/// [`super::generate::synthesize`]) through [`differential_check`],
+/// shrinking every divergence to a minimal world diff, and rolls up the
+/// dashboard.
+pub fn run_corpus(seed: u64, scenarios: &[Scenario], factory: AppFactory<'_>) -> CorpusReport {
     let mut outcomes = Vec::with_capacity(scenarios.len());
-    for scenario in &scenarios {
+    for scenario in scenarios {
         let mut outcome = differential_check(scenario, factory);
         if let Some(d) = &mut outcome.divergence {
             let failing_path = d.path.clone();
@@ -405,5 +406,5 @@ pub fn run_corpus(config: &super::CorpusConfig, factory: AppFactory<'_>) -> Corp
         }
         outcomes.push(outcome);
     }
-    CorpusReport::from_outcomes(config.seed, &outcomes)
+    CorpusReport::from_outcomes(seed, &outcomes)
 }

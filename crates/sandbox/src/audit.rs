@@ -285,11 +285,10 @@ impl AuditLog {
 
     /// Subscribes an oracle set to this log. Events already recorded are
     /// replayed to the set first (so attachment order cannot lose
-    /// evidence), as one batched slice; every subsequent
-    /// [`AuditLog::push`] streams to it. Replaces any previous
-    /// subscription.
+    /// evidence); every subsequent [`AuditLog::push`] streams to it.
+    /// Replaces any previous subscription.
     pub fn attach_oracle(&mut self, mut oracle: crate::policy::OracleSet) {
-        oracle.observe_slice(0, &self.events);
+        oracle.observe_log(self);
         self.oracle = Some(Box::new(oracle));
     }
 

@@ -27,9 +27,9 @@
 //! the set of distinct paths in a campaign is small and bounded by the
 //! scenario corpus, and leaking buys `&'static str` handles with no
 //! unsafe code and no lifetime threading. [`stats`] exposes hit/miss
-//! counters that double as the allocations-per-run proxy reported by
-//! `benches/hotpath.rs` (a counting global allocator is off the table:
-//! the workspace forbids `unsafe_code`).
+//! counters that double as the allocations-per-run proxy pinned by
+//! `tests/intern_steady_state.rs` (a counting global allocator is off the
+//! table: the workspace forbids `unsafe_code`).
 
 use shim_sync::sync::atomic::{AtomicU64, Ordering};
 use shim_sync::sync::{OnceLock, RwLock};

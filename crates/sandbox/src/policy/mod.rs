@@ -373,25 +373,6 @@ impl OracleSet {
         }
     }
 
-    /// Streams a contiguous batch of events (indices starting at
-    /// `start_idx`) to every detector in one call — how
-    /// [`crate::audit::AuditLog::attach_oracle`] replays the events
-    /// recorded before attachment. Equivalent to
-    /// calling [`OracleSet::observe`] for each event in order.
-    ///
-    /// Events stay the outer loop: detectors are independent, so either
-    /// nesting yields the same verdicts, but a detector-outer sweep
-    /// re-reads the whole batch once per rule family — measurably slower
-    /// than a single pass when a batch outgrows the cache (the
-    /// `hotpath` bench drives a 50k-event slice through this path).
-    pub fn observe_slice(&mut self, start_idx: usize, events: &[AuditEvent]) {
-        for (off, event) in events.iter().enumerate() {
-            for d in &mut self.detectors {
-                d.observe(start_idx + off, event);
-            }
-        }
-    }
-
     /// Streams a whole recorded log (the batch path; the incremental path
     /// attaches the set to the log instead, see
     /// [`crate::audit::AuditLog::attach_oracle`]).

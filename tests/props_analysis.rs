@@ -13,6 +13,7 @@ use epa::core::campaign::CampaignOptions;
 use epa::core::corpus::{synthesize, CorpusConfig, DEFAULT_CORPUS_SEED};
 use epa::core::engine::planner::{FaultKey, RunDigest};
 use epa::core::engine::Session;
+use epa::core::report::{CampaignReport, FaultRecord};
 
 /// A handful of distinct corpus seeds, covering the default plus arbitrary
 /// offsets — each synthesizes a different randomized world population.
@@ -195,13 +196,47 @@ const PINNED_SUITE_PRUNING: [(&str, usize, usize); 8] = [
     ("backupd", 1, 9),
 ];
 
+/// One record's observable outcome: everything but the `cache_hit` and
+/// `pruned` provenance flags, which a pruned or replayed record may differ
+/// in.
+fn record_line(r: &FaultRecord) -> String {
+    let violations = serde_json::to_string(&r.violations).expect("verdicts serialize");
+    format!(
+        "{}|{}|{}|{}|{:?}|{:?}|{}|{violations}",
+        r.site, r.occurrence, r.fault_id, r.applied, r.exit, r.crashed, r.audit_events
+    )
+}
+
+fn record_lines(report: &CampaignReport) -> Vec<String> {
+    report.records.iter().map(record_line).collect()
+}
+
 /// The standard suite's pruning is pinned: of 245 records, 29 are proven
-/// inert and 216 execute, split across the applications as listed.
+/// inert and 216 execute, split across the applications as listed. The
+/// occurrence-exhaustive baseline (dedup, pruning and the occurrence cap
+/// off) executes 277 runs, so the default plan executes at least 20% fewer.
+/// Pruning changes no record of the planned (pruning-off) suite, and every
+/// pruned-suite record appears verbatim in the exhaustive stream.
 #[test]
 fn standard_suite_prunes_the_same_jobs() {
-    let report = epa::apps::standard_suite().expect("valid specs").execute();
+    let cold = |options: CampaignOptions| {
+        epa::apps::standard_suite_with_options(options)
+            .expect("valid specs")
+            .execute()
+            .reports
+    };
+    let exhaustive = cold(CampaignOptions {
+        dedup: false,
+        static_prune: false,
+        max_occurrences_per_site: usize::MAX,
+        ..CampaignOptions::default()
+    });
+    let planned = cold(CampaignOptions {
+        static_prune: false,
+        ..CampaignOptions::default()
+    });
+    let report = cold(CampaignOptions::default());
     let per_app: Vec<(&str, usize, usize)> = report
-        .reports
         .iter()
         .map(|r| (r.app.as_str(), r.pruned(), r.runs_executed()))
         .collect();
@@ -212,6 +247,30 @@ fn standard_suite_prunes_the_same_jobs() {
     let pruned: usize = per_app.iter().map(|&(_, p, _)| p).sum();
     let executed: usize = per_app.iter().map(|&(_, _, e)| e).sum();
     assert_eq!((pruned, executed), (29, 216));
+
+    let runs = |reports: &[CampaignReport]| reports.iter().map(CampaignReport::runs_executed).sum::<usize>();
+    let exhaustive_runs = runs(&exhaustive);
+    assert_eq!((exhaustive_runs, runs(&planned)), (277, 245));
+    assert!(
+        5 * (exhaustive_runs - executed) >= exhaustive_runs,
+        "the default plan must execute >= 20% fewer runs than the exhaustive baseline"
+    );
+    for ((e, n), p) in exhaustive.iter().zip(&planned).zip(&report) {
+        assert_eq!(
+            record_lines(n),
+            record_lines(p),
+            "pruning changed a record of `{}`",
+            p.app
+        );
+        let superset: BTreeSet<String> = record_lines(e).into_iter().collect();
+        for line in record_lines(p) {
+            assert!(
+                superset.contains(&line),
+                "`{}`: a pruned-suite record is missing from the exhaustive stream: {line}",
+                p.app
+            );
+        }
+    }
 }
 
 /// Lint output is a pure function of the scenario: re-linting the same

@@ -6,7 +6,7 @@
 
 use epa::core::campaign::CampaignOptions;
 use epa::core::engine::planner::ResultCache;
-use epa::core::engine::{Session, Suite, WorldSpec};
+use epa::core::engine::{Session, Suite, SuiteReport, WorldSpec};
 use epa::core::report::CampaignReport;
 use epa::sandbox::app::Application;
 use epa::sandbox::cred::{Gid, Uid};
@@ -280,6 +280,32 @@ fn suite_replays_identical_campaigns_from_the_shared_cache() {
     );
     assert_eq!(report.reports[1].pruned(), report.reports[0].pruned());
     assert_eq!(executed_view(&report.reports[1]), executed_view(&report.reports[0]));
+}
+
+/// Two passes of one standard suite: the second replays every run from the
+/// suite's memo, and both find exactly what two exhaustive passes (dedup
+/// off, each on a cold cache) find.
+#[test]
+fn a_second_standard_suite_pass_replays_from_the_memo() {
+    let suite = epa::apps::standard_suite().expect("valid specs");
+    let memo = [suite.execute(), suite.execute()];
+    let exhaustive = || {
+        epa::apps::standard_suite_with_options(CampaignOptions {
+            dedup: false,
+            ..CampaignOptions::default()
+        })
+        .expect("valid specs")
+        .execute()
+    };
+    let cold = [exhaustive(), exhaustive()];
+    assert_eq!(memo[1].total_runs_executed(), 0, "the second pass replays");
+    assert!(memo[1].total_cache_hits() > 0);
+    let runs = |passes: &[SuiteReport; 2]| passes.iter().map(SuiteReport::total_runs_executed).sum::<usize>();
+    assert!(runs(&memo) < runs(&cold), "the memo must save runs");
+    let stripped = |pass: &SuiteReport| pass.reports.iter().map(executed_view).collect::<Vec<_>>();
+    for (m, c) in memo.iter().zip(&cold) {
+        assert_eq!(stripped(m), stripped(c), "a memoized pass lost or invented a verdict");
+    }
 }
 
 /// `plan_budget` caps executed runs, and cache replays are free: when a

@@ -6,7 +6,7 @@
 //! silently breaking dashboard consumers or warm store replays.
 
 use epa::apps::ScriptedApp;
-use epa::core::corpus::{run_corpus, synthesize_one, CorpusConfig, CorpusReport, DEFAULT_CORPUS_SEED};
+use epa::core::corpus::{run_corpus, synthesize, synthesize_one, CorpusConfig, CorpusReport, DEFAULT_CORPUS_SEED};
 use epa::core::engine::{Session, Suite, SuiteReport};
 use serde::{Deserialize, Serialize};
 
@@ -82,13 +82,11 @@ fn store_entry_wire_format_roundtrips_and_rejects_version_skew() {
 #[test]
 fn corpus_report_schema_roundtrips() {
     let factory = ScriptedApp::factory();
-    let report: CorpusReport = run_corpus(
-        &CorpusConfig {
-            seed: DEFAULT_CORPUS_SEED,
-            count: 6,
-        },
-        &factory,
-    );
+    let scenarios = synthesize(&CorpusConfig {
+        seed: DEFAULT_CORPUS_SEED,
+        count: 6,
+    });
+    let report: CorpusReport = run_corpus(DEFAULT_CORPUS_SEED, &scenarios, &factory);
     assert_eq!(report.scenarios, 6);
     assert_eq!(report.divergences, 0, "the pinned corpus slice must not diverge");
     assert_roundtrips("CORPUS_report.json", &report);
