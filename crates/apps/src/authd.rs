@@ -181,13 +181,12 @@ impl Application for AuthdFixed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worlds;
     use epa_core::campaign::run_once;
     use epa_sandbox::policy::ViolationKind;
 
     #[test]
     fn clean_session_registers_key_without_violation() {
-        let setup = worlds::authd_world();
+        let setup = spec().materialize().unwrap();
         let out = run_once(&setup, &Authd, None);
         assert_eq!(out.exit, Some(0));
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -197,7 +196,7 @@ mod tests {
 
     #[test]
     fn omitting_the_auth_step_defeats_the_vulnerable_daemon() {
-        let mut setup = worlds::authd_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.net.omit_step(AUTHD_PORT, 1);
         let out = run_once(&setup, &Authd, None);
         assert!(
@@ -211,7 +210,7 @@ mod tests {
 
     #[test]
     fn spoofed_helo_taints_the_key_record() {
-        let mut setup = worlds::authd_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.net.spoof_next(AUTHD_PORT, "evil.example.net");
         let out = run_once(&setup, &Authd, None);
         assert!(
@@ -225,7 +224,7 @@ mod tests {
 
     #[test]
     fn fixed_daemon_shuts_down_without_its_secret() {
-        let mut setup = worlds::authd_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.fs.god_remove(SECRET_FILE).unwrap();
         let out = run_once(&setup, &AuthdFixed, None);
         assert_eq!(out.exit, Some(1));
@@ -234,7 +233,7 @@ mod tests {
 
     #[test]
     fn custom_check_verdict_carries_in_bounds_evidence() {
-        let mut setup = worlds::authd_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.net.omit_step(AUTHD_PORT, 1);
         let out = run_once(&setup, &Authd, None);
         crate::assert_evidence_in_bounds(&out);

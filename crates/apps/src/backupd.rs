@@ -119,14 +119,13 @@ impl Application for BackupdFixed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worlds;
     use epa_core::campaign::run_once;
     use epa_core::engine::Session;
     use epa_sandbox::policy::ViolationKind;
 
     #[test]
     fn clean_snapshot_is_violation_free_and_private() {
-        let setup = worlds::backupd_world();
+        let setup = spec().materialize().unwrap();
         let out = run_once(&setup, &Backupd, None);
         assert_eq!(out.exit, Some(0));
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -136,7 +135,7 @@ mod tests {
 
     #[test]
     fn zeroed_mask_discloses_the_snapshot() {
-        let mut setup = worlds::backupd_world();
+        let mut setup = spec().materialize().unwrap();
         setup.env.insert("UMASK".into(), "0".into());
         let out = run_once(&setup, &Backupd, None);
         assert!(
@@ -150,7 +149,7 @@ mod tests {
 
     #[test]
     fn campaign_finds_the_mask_fault() {
-        let setup = worlds::backupd_world();
+        let setup = spec().materialize().unwrap();
         let report = Session::from_setup(setup).execute(&Backupd);
         assert_eq!(report.clean_violations, 0);
         let mask_record = report
@@ -163,7 +162,7 @@ mod tests {
 
     #[test]
     fn fixed_backupd_tolerates_every_fault() {
-        let setup = worlds::backupd_world();
+        let setup = spec().materialize().unwrap();
         let report = Session::from_setup(setup).execute(&BackupdFixed);
         assert_eq!(report.violated(), 0, "{:#?}", report.violations().collect::<Vec<_>>());
         // Same interaction surface.
@@ -172,7 +171,7 @@ mod tests {
 
     #[test]
     fn disclosure_verdict_carries_in_bounds_evidence() {
-        let mut setup = worlds::backupd_world();
+        let mut setup = spec().materialize().unwrap();
         setup.env.insert("UMASK".into(), "0".into());
         let out = run_once(&setup, &Backupd, None);
         crate::assert_evidence_in_bounds(&out);

@@ -164,14 +164,13 @@ impl Application for FingerdFixed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worlds;
     use epa_core::campaign::run_once;
     use epa_sandbox::net::Message;
     use epa_sandbox::policy::ViolationKind;
 
     #[test]
     fn clean_request_is_served_without_violation() {
-        let setup = worlds::fingerd_world();
+        let setup = spec().materialize().unwrap();
         let out = run_once(&setup, &Fingerd, None);
         assert_eq!(out.exit, Some(0));
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -180,7 +179,7 @@ mod tests {
 
     #[test]
     fn oversized_request_overflows_the_buffer() {
-        let mut setup = worlds::fingerd_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.net.pop_message(FINGER_PORT);
         setup.world.net.push_message(
             FINGER_PORT,
@@ -194,7 +193,7 @@ mod tests {
 
     #[test]
     fn spoofed_origin_serves_the_attacker() {
-        let mut setup = worlds::fingerd_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.net.spoof_next(FINGER_PORT, "evil.example.net");
         let out = run_once(&setup, &Fingerd, None);
         assert!(
@@ -206,7 +205,7 @@ mod tests {
 
     #[test]
     fn fixed_fails_closed_on_dns_outage() {
-        let mut setup = worlds::fingerd_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.net.dns_available = false;
         let out = run_once(&setup, &FingerdFixed, None);
         assert!(out.violations.is_empty());
@@ -219,7 +218,7 @@ mod tests {
 
     #[test]
     fn overflow_verdict_carries_in_bounds_evidence() {
-        let mut setup = worlds::fingerd_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.net.pop_message(FINGER_PORT);
         setup.world.net.push_message(
             FINGER_PORT,

@@ -125,12 +125,11 @@ impl Application for FontPurgeFixed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worlds;
     use epa_core::campaign::run_once;
 
     #[test]
     fn clean_purge_is_violation_free() {
-        let setup = worlds::fontpurge_world();
+        let setup = spec().materialize().unwrap();
         let out = run_once(&setup, &FontPurge, None);
         assert_eq!(out.exit, Some(0));
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -139,7 +138,7 @@ mod tests {
 
     #[test]
     fn planted_value_deletes_system_ini() {
-        let mut setup = worlds::fontpurge_world();
+        let mut setup = spec().materialize().unwrap();
         // The attack an unprotected key invites: anyone rewrites the value.
         setup
             .world
@@ -161,7 +160,7 @@ mod tests {
 
     #[test]
     fn fixed_module_refuses_the_attack() {
-        let mut setup = worlds::fontpurge_world();
+        let mut setup = spec().materialize().unwrap();
         setup
             .world
             .registry
@@ -173,7 +172,7 @@ mod tests {
 
     #[test]
     fn tainted_delete_verdict_carries_in_bounds_evidence() {
-        let mut setup = worlds::fontpurge_world();
+        let mut setup = spec().materialize().unwrap();
         setup
             .world
             .registry

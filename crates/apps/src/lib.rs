@@ -17,9 +17,8 @@
 //!
 //! Every module exports its world declaratively as an
 //! [`epa_core::engine::WorldSpec`] (`lpr::spec()`, `turnin::spec()`, …);
-//! [`worlds`] holds the shared base builders plus materializing `*_world()`
-//! shims for the pre-engine [`epa_core::campaign::TestSetup`] API, and
-//! [`standard_suite`] registers all eight vulnerable applications on one
+//! [`worlds`] holds the shared base builders, and [`standard_suite`]
+//! registers all eight vulnerable applications on one
 //! [`epa_core::engine::Suite`] for batch execution.
 
 #![forbid(unsafe_code)]
@@ -104,9 +103,10 @@ pub fn standard_suite() -> Result<epa_core::engine::Suite, epa_core::engine::Spe
 }
 
 /// As [`standard_suite`], with explicit [`epa_core::campaign::CampaignOptions`]
-/// installed on every registered session — how the planner benches build
-/// the exhaustive (`dedup: false`) baseline and how callers opt into
-/// budgeted campaigns across the whole suite.
+/// installed on every registered session — how callers opt into budgeted
+/// campaigns or static pruning off across the whole suite. A suite always
+/// installs its suite-scoped cache, so no options make it exhaustive: the
+/// exhaustive reference is a cache-less session with `dedup: false`.
 ///
 /// # Errors
 ///

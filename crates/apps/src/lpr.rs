@@ -130,12 +130,11 @@ impl Application for LprFixed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worlds;
     use epa_core::campaign::run_once;
 
     #[test]
     fn vulnerable_lpr_queues_cleanly() {
-        let setup = worlds::lpr_world();
+        let setup = spec().materialize().unwrap();
         let out = run_once(&setup, &Lpr, None);
         assert_eq!(out.exit, Some(0));
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -144,7 +143,7 @@ mod tests {
 
     #[test]
     fn fixed_lpr_queues_cleanly() {
-        let setup = worlds::lpr_world();
+        let setup = spec().materialize().unwrap();
         let out = run_once(&setup, &LprFixed, None);
         assert_eq!(out.exit, Some(0));
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -152,7 +151,7 @@ mod tests {
 
     #[test]
     fn symlink_swap_defeats_vulnerable_but_not_fixed() {
-        let mut setup = worlds::lpr_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.fs.god_symlink(SPOOL_FILE, "/etc/passwd").unwrap();
         let vuln = run_once(&setup, &Lpr, None);
         assert!(
@@ -166,7 +165,7 @@ mod tests {
 
     #[test]
     fn symlink_verdict_carries_in_bounds_evidence() {
-        let mut setup = worlds::lpr_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.fs.god_symlink(SPOOL_FILE, "/etc/passwd").unwrap();
         let out = run_once(&setup, &Lpr, None);
         crate::assert_evidence_in_bounds(&out);

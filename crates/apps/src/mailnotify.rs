@@ -167,13 +167,12 @@ impl Application for MailNotifyFixed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worlds;
     use epa_core::campaign::run_once;
     use epa_sandbox::policy::ViolationKind;
 
     #[test]
     fn clean_notification_is_violation_free() {
-        let setup = worlds::mailnotify_world();
+        let setup = spec().materialize().unwrap();
         let out = run_once(&setup, &MailNotify, None);
         assert_eq!(out.exit, Some(0));
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -183,7 +182,7 @@ mod tests {
 
     #[test]
     fn symlinked_mailbox_clobbers_the_password_file() {
-        let mut setup = worlds::mailnotify_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.fs.god_symlink(MAILBOX, "/etc/passwd").unwrap();
         let out = run_once(&setup, &MailNotify, None);
         assert!(
@@ -197,7 +196,7 @@ mod tests {
 
     #[test]
     fn spoofed_ipc_message_is_a_spoofed_action() {
-        let mut setup = worlds::mailnotify_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.net.spoof_next_ipc(CHANNEL, "intruder-process");
         let out = run_once(&setup, &MailNotify, None);
         assert!(
@@ -211,7 +210,7 @@ mod tests {
 
     #[test]
     fn perturbed_path_runs_the_attacker_helper() {
-        let mut setup = worlds::mailnotify_world();
+        let mut setup = spec().materialize().unwrap();
         setup.env.insert("PATH".into(), "/home/evil/bin:/usr/bin:/bin".into());
         let out = run_once(&setup, &MailNotify, None);
         assert!(
@@ -225,7 +224,7 @@ mod tests {
 
     #[test]
     fn spoofed_ipc_verdict_carries_in_bounds_evidence() {
-        let mut setup = worlds::mailnotify_world();
+        let mut setup = spec().materialize().unwrap();
         setup.world.net.spoof_next_ipc(CHANNEL, "intruder-process");
         let out = run_once(&setup, &MailNotify, None);
         crate::assert_evidence_in_bounds(&out);

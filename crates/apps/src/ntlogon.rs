@@ -251,12 +251,11 @@ impl Application for NtLogonFixed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worlds;
     use epa_core::campaign::run_once;
 
     #[test]
     fn clean_logon_is_violation_free() {
-        let setup = worlds::ntlogon_world();
+        let setup = spec().materialize().unwrap();
         let out = run_once(&setup, &NtLogon, None);
         assert_eq!(out.exit, Some(0));
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -266,7 +265,7 @@ mod tests {
 
     #[test]
     fn untrusted_profile_dir_executes_rootkit() {
-        let mut setup = worlds::ntlogon_world();
+        let mut setup = spec().materialize().unwrap();
         setup
             .world
             .registry
@@ -283,7 +282,7 @@ mod tests {
 
     #[test]
     fn helpfile_pointed_at_sam_discloses_it() {
-        let mut setup = worlds::ntlogon_world();
+        let mut setup = spec().materialize().unwrap();
         setup
             .world
             .registry
@@ -300,7 +299,7 @@ mod tests {
 
     #[test]
     fn fixed_logon_refuses_both_attacks() {
-        let mut setup = worlds::ntlogon_world();
+        let mut setup = spec().materialize().unwrap();
         setup
             .world
             .registry
@@ -315,7 +314,7 @@ mod tests {
 
     #[test]
     fn rootkit_exec_verdict_carries_in_bounds_evidence() {
-        let mut setup = worlds::ntlogon_world();
+        let mut setup = spec().materialize().unwrap();
         setup
             .world
             .registry

@@ -447,13 +447,12 @@ impl Application for TurninFixed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worlds;
     use epa_core::campaign::run_once;
     use epa_core::engine::Session;
 
     #[test]
     fn clean_submission_succeeds() {
-        let setup = worlds::turnin_world();
+        let setup = spec().materialize().unwrap();
         let out = run_once(&setup, &Turnin, None);
         assert_eq!(out.exit, Some(0), "stdout: {}", out.os.stdout_text(out.pid.unwrap()));
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -464,7 +463,7 @@ mod tests {
 
     #[test]
     fn clean_fixed_submission_succeeds() {
-        let setup = worlds::turnin_world();
+        let setup = spec().materialize().unwrap();
         let out = run_once(&setup, &TurninFixed, None);
         assert_eq!(out.exit, Some(0), "stdout: {}", out.os.stdout_text(out.pid.unwrap()));
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -472,7 +471,7 @@ mod tests {
 
     #[test]
     fn traces_eight_interaction_points() {
-        let setup = worlds::turnin_world();
+        let setup = spec().materialize().unwrap();
         let plan = Session::from_setup(setup).plan(&Turnin);
         let perturbable: Vec<_> = plan
             .sites
@@ -495,7 +494,7 @@ mod tests {
     #[test]
     fn projlist_symlink_discloses_shadow() {
         // Replays the paper's first exploit by hand.
-        let mut setup = worlds::turnin_world();
+        let mut setup = spec().materialize().unwrap();
         setup
             .world
             .fs
@@ -519,7 +518,7 @@ mod tests {
     #[test]
     fn dotdot_member_name_escapes_submit_dir() {
         // Replays the paper's second exploit by hand.
-        let mut setup = worlds::turnin_world();
+        let mut setup = spec().materialize().unwrap();
         setup.args = vec![
             "-c".into(),
             "cs390".into(),
@@ -542,7 +541,7 @@ mod tests {
 
     #[test]
     fn fixed_rejects_both_exploits() {
-        let mut setup = worlds::turnin_world();
+        let mut setup = spec().materialize().unwrap();
         setup
             .world
             .fs
@@ -551,7 +550,7 @@ mod tests {
         let out = run_once(&setup, &TurninFixed, None);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
 
-        let mut setup2 = worlds::turnin_world();
+        let mut setup2 = spec().materialize().unwrap();
         setup2.args = vec![
             "-c".into(),
             "cs390".into(),
@@ -566,7 +565,7 @@ mod tests {
 
     #[test]
     fn disclosure_verdict_carries_in_bounds_evidence() {
-        let mut setup = worlds::turnin_world();
+        let mut setup = spec().materialize().unwrap();
         setup
             .world
             .fs

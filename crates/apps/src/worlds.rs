@@ -1,13 +1,11 @@
 //! World builders: the initial environments of the paper's case studies.
 //!
-//! Since the engine redesign the worlds are **declared as data**: every app
-//! module exports a [`WorldSpec`] (`epa_apps::lpr::spec()`, …) composed
-//! from the shared base builders in this module, and campaigns consume the
-//! specs through `epa_core::engine::{Session, Suite}`. The `*_world()`
-//! functions remain as thin materializing shims for the pre-engine
-//! [`TestSetup`]-based API; they build byte-identical worlds.
+//! The worlds are **declared as data**: every app module exports a
+//! [`WorldSpec`] (`epa_apps::lpr::spec()`, …) composed from the shared base
+//! builders in this module, and campaigns consume the specs through
+//! `epa_core::engine::{Session, Suite}`. A caller that edits a world first
+//! materializes its spec (`lpr::spec().materialize()`).
 
-use epa_core::campaign::TestSetup;
 use epa_core::engine::{ScenarioBuilder, WorldSpec};
 use epa_sandbox::cred::{Gid, Uid};
 use epa_sandbox::os::ScenarioMeta;
@@ -22,11 +20,6 @@ pub const ATTACKER_UID: Uid = Uid(6666);
 /// Number of unprotected (world-writable) registry keys in the NT world,
 /// matching the paper's inventory.
 pub const NT_UNPROTECTED_KEYS: usize = 29;
-
-fn materialize(spec: &WorldSpec, app: &str) -> TestSetup {
-    spec.materialize()
-        .unwrap_or_else(|e| panic!("{app} world spec must be valid: {e}"))
-}
 
 /// The shared UNIX base: root/student/attacker accounts, `/tmp`, the
 /// password and shadow files, the system config, and the attacker's
@@ -130,46 +123,6 @@ pub fn base_nt_builder(invoker: Uid) -> ScenarioBuilder {
     .file("/users/evil/rootkit.exe", "#!rootkit", ATTACKER_UID, Gid(666), 0o755)
 }
 
-/// The `lpr` world of paper §3.4 (see [`crate::lpr::spec`]).
-pub fn lpr_world() -> TestSetup {
-    materialize(&crate::lpr::spec(), "lpr")
-}
-
-/// The `turnin` world of paper §4.1 (see [`crate::turnin::spec`]).
-pub fn turnin_world() -> TestSetup {
-    materialize(&crate::turnin::spec(), "turnin")
-}
-
-/// The NT font-cache purge world (see [`crate::fontpurge::spec`]).
-pub fn fontpurge_world() -> TestSetup {
-    materialize(&crate::fontpurge::spec(), "fontpurge")
-}
-
-/// The NT logon world (see [`crate::ntlogon::spec`]).
-pub fn ntlogon_world() -> TestSetup {
-    materialize(&crate::ntlogon::spec(), "ntlogon")
-}
-
-/// The `fingerd` world (see [`crate::fingerd::spec`]).
-pub fn fingerd_world() -> TestSetup {
-    materialize(&crate::fingerd::spec(), "fingerd")
-}
-
-/// The `authd` world (see [`crate::authd::spec`]).
-pub fn authd_world() -> TestSetup {
-    materialize(&crate::authd::spec(), "authd")
-}
-
-/// The `backupd` world (see [`crate::backupd::spec`]).
-pub fn backupd_world() -> TestSetup {
-    materialize(&crate::backupd::spec(), "backupd")
-}
-
-/// The `mailnotify` world (see [`crate::mailnotify::spec`]).
-pub fn mailnotify_world() -> TestSetup {
-    materialize(&crate::mailnotify::spec(), "mailnotify")
-}
-
 /// Every case study's world spec, keyed by application name, in the
 /// paper's presentation order.
 pub fn all_specs() -> Vec<(&'static str, WorldSpec)> {
@@ -191,7 +144,7 @@ mod tests {
 
     #[test]
     fn nt_world_has_29_unprotected_keys() {
-        let setup = fontpurge_world();
+        let setup = crate::fontpurge::spec().materialize().unwrap();
         assert_eq!(setup.world.registry.unprotected_keys().len(), NT_UNPROTECTED_KEYS);
     }
 
@@ -212,7 +165,7 @@ mod tests {
 
     #[test]
     fn standard_targets_are_tagged() {
-        let setup = turnin_world();
+        let setup = crate::turnin::spec().materialize().unwrap();
         let st = setup.world.fs.stat("/etc/shadow", None).unwrap();
         assert!(st.tags.contains(&epa_sandbox::fs::FileTag::Secret));
         let st = setup.world.fs.stat("/etc/passwd", None).unwrap();

@@ -24,9 +24,9 @@ use std::fmt;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use epa_apps::{standard_apps, standard_suite, standard_suite_with_options, BoxedApp, ScriptedApp};
+use epa_apps::{standard_apps, standard_suite, BoxedApp, ScriptedApp};
 use epa_bench::experiments::suite_with_cache;
-use epa_core::campaign::{run_once, CampaignOptions, TestSetup};
+use epa_core::campaign::{run_once, TestSetup};
 use epa_core::corpus::{run_corpus, synthesize, CorpusConfig, Scenario, DEFAULT_CORPUS_SEED};
 use epa_core::engine::{executor, ResultCache, Session, Suite, SuiteReport, WorldSpec};
 use epa_core::inject::{InjectionHook, InjectionPlan};
@@ -321,15 +321,9 @@ fn oracle_gates(gates: &mut Gates, cases: &Cases) {
 }
 
 /// Two passes of one suite, the second replaying from its memo, against
-/// two passes that each execute over a cold cache with dedup off.
+/// two passes that each execute over a fresh suite's cold cache.
 fn planner_gate(gates: &mut Gates) {
-    let exhaustive = || {
-        standard_suite_with_options(CampaignOptions {
-            dedup: false,
-            ..CampaignOptions::default()
-        })
-        .expect("valid specs")
-    };
+    let exhaustive = || standard_suite().expect("valid specs");
     let (mut memo, mut cold) = ([(0, 0); 2], [(0, 0); 2]);
     let m = medians(
         9,

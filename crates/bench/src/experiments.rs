@@ -3,13 +3,16 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use epa_apps::{worlds, Authd, Backupd, Fingerd, FontPurge, Lpr, MailNotify, NtLogon, Turnin, TurninFixed};
+use epa_apps::{
+    fingerd, fontpurge, lpr, mailnotify, ntlogon, turnin, Fingerd, FontPurge, Lpr, MailNotify, NtLogon, Turnin,
+    TurninFixed,
+};
 use epa_core::baselines::ava::{run_ava, AvaOptions};
 use epa_core::baselines::fuzz::{run_fuzz, FuzzOptions, FuzzTarget};
 use epa_core::baselines::BaselineReport;
 use epa_core::campaign::{run_once, CampaignOptions, TestSetup};
 use epa_core::coverage::{AdequacyPoint, AdequacyRegion, AdequacyThresholds};
-use epa_core::engine::{Session, SuiteReport};
+use epa_core::engine::{Session, SuiteReport, WorldSpec};
 use epa_core::inject::InjectionPlan;
 use epa_core::model::FsAttribute;
 use epa_core::perturb::{ConcreteFault, FaultPayload};
@@ -24,6 +27,16 @@ use epa_sandbox::trace::SiteId;
 // ----------------------------------------------------------------------
 // Tables 1–4: the vulnerability-database classification
 // ----------------------------------------------------------------------
+
+/// A case-study world, materialized (the specs are tested valid).
+fn setup(spec: WorldSpec) -> TestSetup {
+    spec.materialize().expect("case-study specs are valid")
+}
+
+/// A session over a case-study world.
+fn session(spec: WorldSpec) -> Session {
+    Session::from_setup(setup(spec))
+}
 
 /// Computes and renders paper Table 1.
 pub fn table1() -> String {
@@ -113,7 +126,7 @@ impl Figure1Result {
 
 /// Runs the turnin campaign and splits its violations by propagation path.
 pub fn figure1() -> Figure1Result {
-    let report = Session::from_setup(worlds::turnin_world()).execute(&Turnin);
+    let report = session(turnin::spec()).execute(&Turnin);
     let via_internal_entity = report.violations().filter(|r| r.category.is_indirect()).count();
     let via_environment_entity = report.violations().filter(|r| r.category.is_direct()).count();
     Figure1Result {
@@ -168,7 +181,7 @@ impl Figure2Result {
 /// Runs four campaigns reproducing the four sample points of Figure 2.
 pub fn figure2() -> Figure2Result {
     let thresholds = AdequacyThresholds::default();
-    let session = Session::from_setup(worlds::turnin_world());
+    let session = session(turnin::spec());
     let restricted = session.clone().with_options(CampaignOptions {
         max_sites: Some(3),
         max_faults_per_site: Some(2),
@@ -238,7 +251,7 @@ impl LprResult {
 pub fn lpr_34() -> LprResult {
     let mut filter = BTreeSet::new();
     filter.insert(SiteId::new("lpr:create_spool"));
-    let report = Session::from_setup(worlds::lpr_world())
+    let report = session(lpr::spec())
         .with_options(CampaignOptions {
             site_filter: Some(filter),
             ..Default::default()
@@ -305,7 +318,7 @@ impl TurninResult {
 
 /// Runs the full turnin campaign (and the fixed variant).
 pub fn turnin_41() -> TurninResult {
-    let session = Session::from_setup(worlds::turnin_world());
+    let session = session(turnin::spec());
     TurninResult {
         report: session.execute(&Turnin),
         fixed: session.execute(&TurninFixed),
@@ -353,10 +366,10 @@ impl RegistryResult {
 
 /// Runs the fontpurge and ntlogon campaigns and counts exploited keys.
 pub fn registry_42() -> RegistryResult {
-    let font_session = Session::from_setup(worlds::fontpurge_world());
+    let font_session = session(fontpurge::spec());
     let unprotected = font_session.world().registry.unprotected_keys().len();
     let font_report = font_session.execute(&FontPurge);
-    let logon_report = Session::from_setup(worlds::ntlogon_world()).execute(&NtLogon);
+    let logon_report = session(ntlogon::spec()).execute(&NtLogon);
 
     let mut per_key = Vec::new();
     let mut exploited = 0usize;
@@ -473,10 +486,10 @@ pub fn comparison() -> ComparisonResult {
     let mut rows = Vec::new();
 
     let cases: Vec<(&dyn Application, TestSetup, FuzzTarget)> = vec![
-        (&Turnin, worlds::turnin_world(), FuzzTarget::Args),
+        (&Turnin, setup(turnin::spec()), FuzzTarget::Args),
         (
             &Fingerd,
-            worlds::fingerd_world(),
+            setup(fingerd::spec()),
             FuzzTarget::Net {
                 port: epa_apps::fingerd::FINGER_PORT,
                 from: "trusted.cs.example.edu".into(),
@@ -484,7 +497,7 @@ pub fn comparison() -> ComparisonResult {
         ),
         (
             &MailNotify,
-            worlds::mailnotify_world(),
+            setup(mailnotify::spec()),
             FuzzTarget::Ipc {
                 channel: epa_apps::mailnotify::CHANNEL.into(),
                 from: "maild".into(),
@@ -587,7 +600,7 @@ impl PlacementResult {
 pub fn placement() -> PlacementResult {
     let mut filter = BTreeSet::new();
     filter.insert(SiteId::new("lpr:create_spool"));
-    let session = Session::from_setup(worlds::lpr_world()).with_options(CampaignOptions {
+    let session = session(lpr::spec()).with_options(CampaignOptions {
         site_filter: Some(filter),
         ..Default::default()
     });
@@ -659,7 +672,7 @@ impl PatternsResult {
 /// Compares the 41-fault turnin catalog against an equal-budget random
 /// argument fuzz.
 pub fn patterns() -> PatternsResult {
-    let setup = worlds::turnin_world();
+    let setup = setup(turnin::spec());
     let report = Session::from_setup(setup.clone()).execute(&Turnin);
     let catalog_rules: BTreeSet<String> = report
         .violations()
@@ -731,20 +744,11 @@ pub fn corpus(seed: u64, count: usize) -> epa_core::corpus::CorpusReport {
 /// Checks that every model application runs violation-free unperturbed —
 /// the precondition for attributing campaign violations to injected faults.
 pub fn clean_baseline() -> Vec<(String, usize)> {
-    let cases: Vec<(&dyn Application, TestSetup)> = vec![
-        (&Lpr, worlds::lpr_world()),
-        (&Turnin, worlds::turnin_world()),
-        (&FontPurge, worlds::fontpurge_world()),
-        (&NtLogon, worlds::ntlogon_world()),
-        (&Fingerd, worlds::fingerd_world()),
-        (&Authd, worlds::authd_world()),
-        (&MailNotify, worlds::mailnotify_world()),
-        (&Backupd, worlds::backupd_world()),
-    ];
-    cases
+    epa_apps::standard_apps()
         .into_iter()
-        .map(|(app, setup)| {
-            let out = run_once(&setup, app, None);
+        .map(|(app, spec)| {
+            let setup = setup(spec);
+            let out = run_once(&setup, &app, None);
             // Re-judge the completed log through a fresh copy of the
             // setup's own oracle (standard families plus any declared
             // invariants): the batch count must agree with the incremental

@@ -268,25 +268,21 @@ pub struct CampaignOptions {
     /// preserves the historical first-hit-only plans; use
     /// `usize::MAX` to cover every traced occurrence.
     pub max_occurrences_per_site: usize,
-    /// Workers a [`crate::engine::Session`] runs its campaigns on. `None`
-    /// (the default) runs every job on the calling thread; `Some(n)` runs
-    /// them on a pool of `n` workers, the calling thread included. Either
-    /// way the jobs go through the same driver and the report is
-    /// identical. A [`crate::engine::Suite`] ignores this and sizes its
-    /// pool with [`crate::engine::Suite::with_workers`].
-    pub workers: Option<usize>,
-    /// Collapse jobs whose canonical [`crate::engine::planner::FaultKey`]s
-    /// are equal: only the first executes, the rest replay its outcome with
-    /// `cache_hit: true`. On by default — replays are byte-identical by
-    /// construction, so every verdict (and every paper number) is
-    /// preserved. Turn off to force the exhaustive pre-planner behaviour
-    /// (the equivalence baseline the property tests compare against).
+    /// Give a campaign that has no [`CampaignOptions::cache`] a plan-local
+    /// [`crate::engine::planner::ResultCache`], so jobs with equal
+    /// canonical [`crate::engine::planner::FaultKey`]s run once: the first
+    /// executes, the rest replay its outcome with `cache_hit: true`. On by
+    /// default — replays are byte-identical by construction, so every
+    /// verdict (and every paper number) is preserved. Off, with no cache,
+    /// is the exhaustive reference (every job executes). It has no effect
+    /// on a campaign that has a cache, which every suite campaign has.
     pub dedup: bool,
     /// A shared [`crate::engine::planner::ResultCache`] memoizing
     /// `(setup fingerprint, FaultKey) -> RunDigest` across campaigns and
-    /// executions. `None` (the default) keeps memoization plan-local;
-    /// [`crate::engine::Suite`] installs one suite-scoped cache across all
-    /// of its campaigns.
+    /// executions. An explicit cache wins over a suite's; a
+    /// [`crate::engine::Suite`] installs its one suite-scoped cache in
+    /// every campaign without one. `None` (the default) leaves a session
+    /// campaign to [`CampaignOptions::dedup`].
     pub cache: Option<crate::engine::planner::ResultCache>,
     /// Execute at most this many *runs* (cache replays are free), picking
     /// the next job adaptively by observed per-EAI-category verdict yield
@@ -316,7 +312,6 @@ impl Default for CampaignOptions {
             max_sites: None,
             max_faults_per_site: None,
             max_occurrences_per_site: 1,
-            workers: None,
             dedup: true,
             cache: None,
             plan_budget: None,
@@ -554,7 +549,7 @@ impl<'a> Campaign<'a> {
     }
 
     /// Canonicalizes a flat job list against this campaign's scope, cache,
-    /// and dedup setting (the planner's entry point; the driver builds each
+    /// and static analysis (the planner's entry point; the driver builds each
     /// campaign's schedule inside its scheduling job and enqueues only the
     /// pending misses).
     pub(crate) fn schedule(&self, jobs: &[InjectionPlan]) -> Schedule {
@@ -568,7 +563,7 @@ impl<'a> Campaign<'a> {
         let prune_ref: Option<crate::engine::planner::PruneFn<'_>> = prune
             .as_ref()
             .map(|f| f as &dyn Fn(&InjectionPlan) -> Option<RunDigest>);
-        Schedule::build(jobs, scope, self.options.cache.as_ref(), self.options.dedup, prune_ref)
+        Schedule::build(jobs, scope, self.options.cache.as_ref(), prune_ref)
     }
 
     /// Folds the driver's records (plan order) into the campaign report.
@@ -693,12 +688,9 @@ mod tests {
     fn parallel_and_sequential_agree() {
         let s = setup();
         let seq = Session::from_setup(s.clone()).execute(&MiniLpr);
-        let par = Session::from_setup(s.clone())
-            .with_options(CampaignOptions {
-                workers: Some(4),
-                ..Default::default()
-            })
-            .execute(&MiniLpr);
+        let mut suite = crate::engine::Suite::new().with_workers(4);
+        suite.register_session(MiniLpr, Session::from_setup(s.clone()));
+        let par = suite.execute().reports.remove(0);
         assert_eq!(seq.injected(), par.injected());
         assert_eq!(seq.violated(), par.violated());
         let seq_ids: Vec<_> = seq.records.iter().map(|r| &r.fault_id).collect();
@@ -734,21 +726,6 @@ mod tests {
             .execute(&MiniLpr);
         assert!(report.records.iter().all(|r| r.site == "lpr:create"));
         assert_eq!(report.injected(), 4);
-    }
-
-    #[test]
-    fn execute_until_honors_parallel_and_matches_sequential() {
-        let s = setup();
-        for criterion in [0.5, 1.0] {
-            let seq = Session::from_setup(s.clone()).execute_until(&MiniLpr, criterion);
-            let par = Session::from_setup(s.clone())
-                .with_options(CampaignOptions {
-                    workers: Some(4),
-                    ..Default::default()
-                })
-                .execute_until(&MiniLpr, criterion);
-            assert_eq!(seq, par, "criterion {criterion}: records must match in plan order");
-        }
     }
 
     #[test]

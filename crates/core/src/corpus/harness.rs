@@ -35,7 +35,7 @@ use super::{shrink, Scenario};
 use crate::campaign::{run_once, CampaignOptions};
 use crate::coverage::AdequacyPoint;
 use crate::engine::planner::ResultCache;
-use crate::engine::Session;
+use crate::engine::{Session, Suite};
 use crate::inject::InjectionHook;
 use crate::report::CampaignReport;
 use crate::report::FaultRecord;
@@ -47,6 +47,19 @@ use crate::report::FaultRecord;
 /// a factory producing the `epa-apps` scripted adapter — or any other
 /// [`Application`] — for each scenario.
 pub type AppFactory<'a> = &'a (dyn Fn(&Scenario) -> Arc<dyn Application + Send + Sync> + Sync);
+
+/// A factory-built application as a suite entry (a suite owns its apps).
+struct Shared(Arc<dyn Application + Send + Sync>);
+
+impl Application for Shared {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn run(&self, os: &mut epa_sandbox::os::Os, pid: epa_sandbox::process::Pid) -> i32 {
+        self.0.run(os, pid)
+    }
+}
 
 /// One execution path's flattened outcome.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -194,10 +207,11 @@ fn diff_lines(baseline: &PathOutcome, candidate: &PathOutcome, seed: u64) -> Opt
 ///
 /// Paths, all against the same materialized setup:
 ///
-/// 1. `sequential` — the baseline: the driver at one worker, no dedup, no
-///    cache;
-/// 2. `pooled` — the same driver on 4 workers;
-/// 3. `planner-cold` / `planner-warm` — canonical-fault dedup plus a fresh
+/// 1. `sequential` — the baseline: a session on the calling thread, no
+///    dedup, no cache;
+/// 2. `pooled` — the scenario as a one-app [`Suite`] on 4 workers, through
+///    the suite's cache;
+/// 3. `planner-cold` / `planner-warm` — a session with a fresh
 ///    [`ResultCache`], executed twice (the warm pass must replay, and still
 ///    agree byte-for-byte);
 /// 4. `budgeted` — the adaptive planner with a budget covering the whole
@@ -207,9 +221,9 @@ fn diff_lines(baseline: &PathOutcome, candidate: &PathOutcome, seed: u64) -> Opt
 ///    [`epa_sandbox::policy::OracleSet::evaluate_log`] on its completed log
 ///    (the clean run's too);
 /// 6. `pruned` — the static analyzer's pre-pruned plan (dedup on, so
-///    canonical-alias replay composes with prune synthesis): every record
-///    the analyzer refuses to execute must still carry the exhaustive
-///    verdict, byte-for-byte.
+///    claim replay composes with prune synthesis): every record the
+///    analyzer refuses to execute must still carry the exhaustive verdict,
+///    byte-for-byte.
 pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> ScenarioOutcome {
     let seed = scenario.seed;
     let app = factory(scenario);
@@ -294,16 +308,13 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
     };
 
     check("pooled", &mut || {
-        let options = CampaignOptions {
-            workers: Some(4),
-            ..base_options()
-        };
-        report_outcome("pooled", &session(options).execute(&*app))
+        let mut suite = Suite::new().with_workers(4);
+        suite.register_session(Shared(Arc::clone(&app)), session(base_options()));
+        report_outcome("pooled", &suite.execute().reports[0])
     });
 
     let cache = ResultCache::new();
     let planner_options = || CampaignOptions {
-        dedup: true,
         cache: Some(cache.clone()),
         ..base_options()
     };

@@ -15,17 +15,19 @@
 //!    [`SuiteReport`] with cross-application rollups.
 //! 4. **[`planner`]** — the adaptive fault-space planner between the fault
 //!    plan and the executor: canonicalizes every job into a
-//!    content-addressed [`planner::FaultKey`], dedups equivalent jobs
-//!    within a plan, memoizes `(setup fingerprint, FaultKey) -> RunDigest`
-//!    in a suite-scoped [`planner::ResultCache`] so identical runs replay
-//!    from cache instead of re-executing, and (opt-in, via
+//!    content-addressed [`planner::FaultKey`], memoizes
+//!    `(setup fingerprint, FaultKey) -> RunDigest` in a
+//!    [`planner::ResultCache`] (suite-scoped, or plan-local for a session)
+//!    so equal runs — in one plan or across runs — execute once and
+//!    replay after, and (opt-in, via
 //!    [`crate::campaign::CampaignOptions::plan_budget`]) prioritizes
 //!    remaining jobs by observed per-EAI-category verdict yield.
 //! 5. **[`Executor`]** (`executor`) — the one work pool: every campaign,
 //!    a suite's or a session's (as a one-app suite), runs through the same
 //!    driver on [`Executor::run_expanding`], with deterministic plan-order
 //!    reassembly of the results. The calling thread is worker 0 of the
-//!    pool, and one worker runs everything inline. Each campaign's
+//!    pool, and one worker runs everything inline. Only a suite owns a
+//!    multi-worker pool; a session runs on the calling thread. Each campaign's
 //!    schedule (and with it every cache and store lookup) is built inside
 //!    its scheduling job; cache replays never become injected-run jobs.
 //!
@@ -87,7 +89,7 @@ pub use suite::{Suite, SuiteEvent, SuiteReport};
 
 use epa_sandbox::app::Application;
 
-use crate::campaign::{CampaignOptions, TestSetup};
+use crate::campaign::CampaignOptions;
 
 /// The top-level facade: a set of default campaign options from which
 /// sessions and suites are minted.
@@ -117,17 +119,6 @@ impl Engine {
     /// Any [`SpecError`] from [`WorldSpec::materialize`].
     pub fn session(&self, spec: &WorldSpec) -> Result<Session, SpecError> {
         Ok(Session::new(spec)?.with_options(self.options.clone()))
-    }
-
-    /// Freezes an already-built setup into a [`Session`] carrying the
-    /// engine's options.
-    pub fn session_from(&self, setup: TestSetup) -> Session {
-        Session::from_setup(setup).with_options(self.options.clone())
-    }
-
-    /// An empty [`Suite`]; `register` campaigns onto it, then `execute`.
-    pub fn suite(&self) -> Suite {
-        Suite::new()
     }
 
     /// Convenience: build a suite from heterogeneous `(application, spec)`

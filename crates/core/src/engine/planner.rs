@@ -1,4 +1,4 @@
-//! The adaptive fault-space planner: canonical-fault dedup, cross-run
+//! The adaptive fault-space planner: canonical fault keys, cross-run
 //! memoization, static pruning of the misses, and optional yield-guided
 //! prioritization.
 //!
@@ -17,31 +17,32 @@
 //!    human-readable description, its EAI category label — are excluded,
 //!    so two catalog patterns that compile to the same executable
 //!    perturbation share a key.
-//! 2. **Dedup** — within one plan, only the first job of each key executes;
-//!    the rest are *aliases*, replayed from the canonical job's
-//!    [`RunDigest`] with their own identity fields and `cache_hit: true`.
-//! 3. **Memoization, first** — a suite-scoped [`ResultCache`] maps
-//!    `(setup fingerprint, FaultKey) -> RunDigest`. Identical runs across
-//!    applications, repeated campaigns, or whole suite re-executions are
-//!    replayed from cache instead of re-executed. The fingerprint
+//! 2. **Memoization, first** — a [`ResultCache`] maps
+//!    `(setup fingerprint, FaultKey) -> RunDigest`. Equal jobs — within one
+//!    plan, across applications, repeated campaigns, or whole suite
+//!    re-executions — execute once: the first claims the key
+//!    ([`ResultCache::begin`]), every later one replays its digest with its
+//!    own identity fields and `cache_hit: true`. A suite shares one cache
+//!    across its campaigns; a session without one gets a plan-local cache
+//!    (see [`crate::campaign::CampaignOptions::dedup`]). The fingerprint
 //!    ([`crate::campaign::TestSetup::fingerprint`]) is a structural hash of
 //!    the frozen world, computed once per campaign, not once per run.
-//! 4. **Static pruning, of the misses only** — a job the cache does not
+//! 3. **Static pruning, of the misses only** — a job the cache does not
 //!    answer goes to the analyzer's [`PruneFn`]; a provably inert job
 //!    replays a synthesized clean-run digest as `pruned`. Pruned digests are
 //!    never saved, so a warm pass asks the analyzer about those jobs alone.
-//! 5. **Prioritization** (opt-in) — with
+//! 4. **Prioritization** (opt-in) — with
 //!    [`crate::campaign::CampaignOptions::plan_budget`] set, remaining jobs
 //!    are ordered by observed per-EAI-category verdict yield ([`YieldStats`])
 //!    and only `budget` runs execute. The default (`None`) keeps exhaustive
 //!    plan order, so all paper numbers are reproduced exactly.
 //!
 //! Cache hits never become executor jobs of their own: a campaign's
-//! [`Schedule`] — keys, dedup, every cache or store lookup, then static
-//! pruning of what missed — is built once, inside that campaign's planning
-//! job, on whichever pool thread runs it (in a suite, a spawned worker or
-//! the calling thread working as worker 0). Only the true misses are handed
-//! back to the pool as injected-run jobs, each carrying its key.
+//! [`Schedule`] — keys, every cache or store lookup, then static pruning of
+//! what missed — is built once, inside that campaign's planning job, on
+//! whichever pool thread runs it (in a suite, a spawned worker or the
+//! calling thread working as worker 0). Only the misses are handed back to
+//! the pool as injected-run jobs, each carrying its key.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -672,25 +673,25 @@ impl fmt::Debug for ResultCache {
     }
 }
 
-/// One plan's jobs after canonicalization: who executes, who replays.
+/// One plan's jobs after canonicalization: who replays, who executes.
 ///
 /// Indices throughout refer to positions in the job list the schedule was
 /// built from (plan order).
 #[derive(Debug)]
 pub struct Schedule {
     keys: Vec<FaultKey>,
-    canonical: Vec<usize>,
-    aliases: BTreeMap<usize, Vec<usize>>,
-    /// Canonical jobs resolved from the [`ResultCache`] at schedule time,
-    /// with their digests — these (and their aliases) replay inline and
-    /// never reach the executor or the analyzer.
+    /// Jobs resolved from the [`ResultCache`] at schedule time, with their
+    /// digests — these replay inline and never reach the executor or the
+    /// analyzer.
     pub resolved: Vec<(usize, RunDigest)>,
-    /// Canonical cache misses the static analysis proved inert at schedule
-    /// time, with their synthesized clean-run digests — these (and their
-    /// aliases) replay inline as `pruned` records, never reach the
-    /// executor, and are never saved to the cache.
+    /// Cache misses the static analysis proved inert at schedule time, with
+    /// their synthesized clean-run digests — these replay inline as
+    /// `pruned` records, never reach the executor, and are never saved to
+    /// the cache.
     pub pruned: Vec<(usize, RunDigest)>,
-    /// Canonical jobs that must execute, in plan order.
+    /// Jobs that must run, in plan order. Equal keys among them run once:
+    /// the first claims the key, the rest replay its digest through the
+    /// cache's claim protocol.
     pub pending: Vec<usize>,
 }
 
@@ -698,53 +699,33 @@ pub struct Schedule {
 /// the cache missed: `Some(digest)` means the job is provably inert and
 /// `digest` is the synthesized outcome to replay (never saved to the
 /// cache); `None` means the job must execute. Must be content-
-/// deterministic per job (equal jobs ⇒ equal answers) so canonicalization
-/// on or off classifies identically.
+/// deterministic per job (equal jobs ⇒ equal answers).
 pub type PruneFn<'a> = &'a dyn Fn(&InjectionPlan) -> Option<RunDigest>;
 
 impl Schedule {
     /// Canonicalizes `jobs` and splits them into cache-resolved replays,
     /// statically pruned replays, and pending executions.
     ///
-    /// Per canonical job the cache is consulted **first**, and `prune` only
-    /// on a miss: replaying a stored digest is cheaper than proving the job
+    /// Per job the cache is consulted **first**, and `prune` only on a
+    /// miss: replaying a stored digest is cheaper than proving the job
     /// inert, so a warm pass classifies only the jobs the cache cannot
     /// answer. Pruned digests are never saved, so with pruning on the
     /// inert jobs miss every time and still replay as `pruned`; a job that
     /// a store holds as executed (written with pruning off) replays as
-    /// `cache_hit` instead, with the same outcome. With `dedup` off every
-    /// job is its own canonical (no aliasing); the cache, when given, is
-    /// still consulted per job. With no dedup, no cache, and no pruner this
-    /// degenerates to the exhaustive plan: every job pending, in plan order.
+    /// `cache_hit` instead, with the same outcome. With no cache and no
+    /// pruner this degenerates to the exhaustive plan: every job pending,
+    /// in plan order.
     pub fn build(
         jobs: &[InjectionPlan],
         scope: u64,
         cache: Option<&ResultCache>,
-        dedup: bool,
         prune: Option<PruneFn<'_>>,
     ) -> Schedule {
         let keys: Vec<FaultKey> = jobs.iter().map(FaultKey::of).collect();
-        let mut first_of: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut canonical = Vec::with_capacity(jobs.len());
-        let mut aliases: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, key) in keys.iter().enumerate() {
-            let canon = if dedup {
-                *first_of.entry(key.repr()).or_insert(i)
-            } else {
-                i
-            };
-            canonical.push(canon);
-            if canon != i {
-                aliases.entry(canon).or_default().push(i);
-            }
-        }
         let mut resolved = Vec::new();
         let mut pruned = Vec::new();
         let mut pending = Vec::new();
         for (i, key) in keys.iter().enumerate() {
-            if canonical[i] != i {
-                continue;
-            }
             if let Some(digest) = cache.and_then(|c| c.lookup(scope, key)) {
                 resolved.push((i, digest));
             } else if let Some(digest) = prune.and_then(|p| p(&jobs[i])) {
@@ -755,8 +736,6 @@ impl Schedule {
         }
         Schedule {
             keys,
-            canonical,
-            aliases,
             resolved,
             pruned,
             pending,
@@ -766,17 +745,6 @@ impl Schedule {
     /// The canonical key of job `idx`.
     pub fn key(&self, idx: usize) -> &FaultKey {
         &self.keys[idx]
-    }
-
-    /// The canonical job index job `idx` collapsed onto (itself when it is
-    /// the canonical).
-    pub fn canonical_of(&self, idx: usize) -> usize {
-        self.canonical[idx]
-    }
-
-    /// The later plan positions that replay canonical job `idx`.
-    pub fn aliases_of(&self, idx: usize) -> &[usize] {
-        self.aliases.get(&idx).map_or(&[], Vec::as_slice)
     }
 
     /// Total jobs the schedule covers.
@@ -918,23 +886,40 @@ mod tests {
             direct_job("b", "s", 0, "/tmp//f"),
             direct_job("c", "s", 0, "/tmp/g"),
         ];
-        let schedule = Schedule::build(&jobs, 7, None, true, None);
-        assert_eq!(schedule.pending, vec![0, 2]);
-        assert_eq!(schedule.canonical_of(1), 0);
-        assert_eq!(schedule.aliases_of(0), &[1]);
-        assert!(schedule.resolved.is_empty());
-        assert_eq!(schedule.len(), 3);
-        // With dedup off every job stands alone.
-        let exhaustive = Schedule::build(&jobs, 7, None, false, None);
+        let cache = ResultCache::new();
+        let schedule = Schedule::build(&jobs, 7, Some(&cache), None);
+        assert_eq!(schedule.pending, vec![0, 1, 2], "a cold cache answers nothing");
+        assert_eq!(schedule.key(0), schedule.key(1));
+        let digest = RunDigest {
+            applied: true,
+            exit: Some(0),
+            crashed: None,
+            audit_events: 2,
+            violations: Vec::new(),
+        };
+        // The first job of the key claims it; its duplicate replays.
+        let Claim::Execute(token) = cache.begin(7, schedule.key(0)) else {
+            panic!("the first job of a key executes");
+        };
+        token.fulfill(digest.clone());
+        let Claim::Replay(replayed) = cache.begin(7, schedule.key(1)) else {
+            panic!("an equal key replays");
+        };
+        let record = replayed.replay(&jobs[1]);
+        assert_eq!((record.fault_id.as_str(), record.cache_hit), ("b", true));
+        assert!(matches!(cache.begin(7, schedule.key(2)), Claim::Execute(_)));
+        // With no cache every job stands alone.
+        let exhaustive = Schedule::build(&jobs, 7, None, None);
         assert_eq!(exhaustive.pending, vec![0, 1, 2]);
-        assert!(exhaustive.aliases_of(0).is_empty());
+        assert!(exhaustive.resolved.is_empty());
+        assert_eq!(exhaustive.len(), 3);
     }
 
     #[test]
     fn cache_resolves_across_schedules_and_scopes_isolate() {
         let jobs = vec![direct_job("a", "s", 0, "/tmp/f")];
         let cache = ResultCache::new();
-        let first = Schedule::build(&jobs, 1, Some(&cache), true, None);
+        let first = Schedule::build(&jobs, 1, Some(&cache), None);
         assert_eq!(first.pending, vec![0]);
         let digest = RunDigest {
             applied: true,
@@ -945,11 +930,11 @@ mod tests {
         };
         cache.insert(1, first.key(0), digest.clone());
         // Same scope: replayed. Different scope (another app/world): miss.
-        let again = Schedule::build(&jobs, 1, Some(&cache), true, None);
+        let again = Schedule::build(&jobs, 1, Some(&cache), None);
         assert!(again.pending.is_empty());
         assert_eq!(again.resolved.len(), 1);
         assert_eq!(again.resolved[0].1, digest);
-        let other = Schedule::build(&jobs, 2, Some(&cache), true, None);
+        let other = Schedule::build(&jobs, 2, Some(&cache), None);
         assert_eq!(other.pending, vec![0]);
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
@@ -973,7 +958,7 @@ mod tests {
         };
         let cache = ResultCache::new();
         cache.insert(4, &FaultKey::of(&jobs[0]), digest.clone());
-        let schedule = Schedule::build(&jobs, 4, Some(&cache), true, Some(&prune));
+        let schedule = Schedule::build(&jobs, 4, Some(&cache), Some(&prune));
         assert_eq!(*asked.borrow(), ["b"], "the cached job is never classified");
         assert_eq!(schedule.resolved, vec![(0, digest.clone())]);
         assert_eq!(schedule.pruned, vec![(1, digest)]);

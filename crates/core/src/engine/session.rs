@@ -15,6 +15,7 @@ use epa_sandbox::os::Os;
 
 use crate::campaign::{run_once, Campaign, CampaignOptions, CampaignPlan, RunOutcome, TestSetup};
 use crate::engine::executor::Executor;
+use crate::engine::planner::ResultCache;
 use crate::engine::spec::{SpecError, WorldSpec};
 use crate::engine::suite::{drive, Progress};
 use crate::inject::InjectionPlan;
@@ -58,12 +59,11 @@ impl Session {
         self
     }
 
-    /// Installs a shared [`crate::engine::planner::ResultCache`]: campaigns
-    /// run from this session memoize every executed run and replay
-    /// identical ones (here and in any other session sharing the cache)
-    /// instead of re-executing them.
+    /// Installs a shared [`ResultCache`]: campaigns run from this session
+    /// memoize every executed run and replay identical ones (here and in
+    /// any other session sharing the cache) instead of re-executing them.
     #[must_use]
-    pub fn with_result_cache(mut self, cache: crate::engine::planner::ResultCache) -> Session {
+    pub fn with_result_cache(mut self, cache: ResultCache) -> Session {
         self.options.cache = Some(cache);
         self
     }
@@ -73,7 +73,7 @@ impl Session {
     /// of [`crate::engine::Suite::with_store`].
     #[must_use]
     pub fn with_store(self, store: shim_sync::sync::Arc<dyn crate::store::ResultStore>) -> Session {
-        self.with_result_cache(crate::engine::planner::ResultCache::with_store(store))
+        self.with_result_cache(ResultCache::with_store(store))
     }
 
     /// The frozen setup.
@@ -112,7 +112,7 @@ impl Session {
     /// The plan's clean run seeds the static analysis, so no second clean
     /// run happens.
     pub fn execute_plan(&self, app: &dyn Application, plan: &CampaignPlan) -> CampaignReport {
-        let campaign = self.campaign(app);
+        let campaign = self.driven(app);
         campaign.adopt_clean_run(&plan.clean);
         let (_, records) = self.drive(&campaign, Some(plan.jobs()), &mut |_| {});
         campaign.report_from(plan, records)
@@ -122,7 +122,7 @@ impl Session {
     /// soon as its run completes (completion order; the report is in plan
     /// order).
     pub fn execute_streaming(&self, app: &dyn Application, on_record: &mut dyn FnMut(&FaultRecord)) -> CampaignReport {
-        let campaign = self.campaign(app);
+        let campaign = self.driven(app);
         let (plan, records) = self.drive(&campaign, None, on_record);
         campaign.report_from(&plan.expect("the driver planned the campaign"), records)
     }
@@ -130,15 +130,15 @@ impl Session {
     /// The paper's incremental step 9: perturb site by site until the
     /// interaction-coverage criterion is met.
     ///
-    /// Each site's batch goes through the driver (dedup, memoization,
-    /// pruning, the session's workers); records stay in plan order. The
-    /// report's interaction coverage is the smallest prefix coverage
+    /// Each site's batch goes through the driver (memoization, pruning);
+    /// records stay in plan order. The report's interaction coverage is
+    /// the smallest prefix coverage
     /// `>= min_interaction_coverage`, or the full campaign when the
     /// criterion is unreachable. A [`CampaignOptions::plan_budget`] caps
     /// executed runs across the whole incremental campaign: each batch
     /// gets what the earlier ones left.
     pub fn execute_until(&self, app: &dyn Application, min_interaction_coverage: f64) -> CampaignReport {
-        let mut campaign = self.campaign(app);
+        let mut campaign = self.driven(app);
         let full = campaign.plan();
         let total = full.sites.iter().filter(|s| !s.faults.is_empty()).count();
         let mut records = Vec::new();
@@ -171,16 +171,27 @@ impl Session {
         Campaign::build(app, &self.setup, self.options.clone())
     }
 
+    /// The campaign this session drives itself: as [`Session::campaign`],
+    /// plus a plan-local [`ResultCache`] when [`CampaignOptions::dedup`] is
+    /// on and the options carry no cache, so equal jobs run once.
+    fn driven<'a>(&'a self, app: &'a dyn Application) -> Campaign<'a> {
+        let mut campaign = self.campaign(app);
+        if campaign.options.dedup {
+            campaign.ensure_cache(ResultCache::new());
+        }
+        campaign
+    }
+
     /// Runs one campaign through the engine's driver as a one-app suite, on
-    /// [`CampaignOptions::workers`] workers (the calling thread alone by
-    /// default). `jobs` as in the driver: `None` plans on the pool.
+    /// the calling thread (a [`crate::engine::Suite`] owns the only pool).
+    /// `jobs` as in the driver: `None` plans first.
     fn drive(
         &self,
         campaign: &Campaign<'_>,
         jobs: Option<Vec<InjectionPlan>>,
         on_record: &mut dyn FnMut(&FaultRecord),
     ) -> (Option<Box<CampaignPlan>>, Vec<FaultRecord>) {
-        let executor = Executor::with_workers(self.options.workers.unwrap_or(1));
+        let executor = Executor::with_workers(1);
         let mut finished = None;
         drive(
             &executor,

@@ -28,7 +28,7 @@ use epa_sandbox::app::Application;
 use crate::campaign::{Campaign, CampaignPlan};
 use crate::coverage::{AdequacyPoint, Ratio};
 use crate::engine::executor::Executor;
-use crate::engine::planner::{FaultKey, ResultCache, RunDigest, Schedule, YieldStats};
+use crate::engine::planner::{FaultKey, ResultCache, Schedule, YieldStats};
 use crate::engine::session::Session;
 use crate::engine::spec::{SpecError, WorldSpec};
 use crate::inject::InjectionPlan;
@@ -113,9 +113,9 @@ impl Suite {
     }
 
     /// The lockfile-style manifest of this suite: per application, the
-    /// memoization scope, the plan size, and every canonical executable
-    /// store key — the exact entries a complete warm run needs (see
-    /// [`crate::store::SuiteManifest::verify`]). Jobs the schedule prunes
+    /// memoization scope, the plan size, and every distinct executable
+    /// store key, in plan order — the exact entries a complete warm run
+    /// needs (see [`crate::store::SuiteManifest::verify`]). Jobs the schedule prunes
     /// are excluded: they replay from synthesized digests, which are never
     /// saved to the store. Planning is deterministic, so the manifest of a
     /// suite equals the manifest of its execution.
@@ -131,8 +131,9 @@ impl Suite {
                 let jobs = plan.jobs();
                 let schedule = campaign.schedule(&jobs);
                 let pruned: std::collections::BTreeSet<usize> = schedule.pruned.iter().map(|(i, _)| *i).collect();
+                let mut seen = std::collections::BTreeSet::new();
                 let keys = (0..schedule.len())
-                    .filter(|&i| schedule.canonical_of(i) == i && !pruned.contains(&i))
+                    .filter(|&i| !pruned.contains(&i) && seen.insert(schedule.key(i)))
                     .map(|i| ManifestKey {
                         digest: format!("{}", schedule.key(i)),
                         key: schedule.key(i).repr().to_string(),
@@ -284,14 +285,17 @@ pub(crate) enum Progress<'a> {
 /// `jobs[app]` is `None` to trace and plan campaign `app` on the pool, or
 /// the job list to run (a pre-built plan's, or one site batch of
 /// `Session::execute_until`). Either way a scheduling job, on whichever
-/// thread pops it, builds the schedule: canonical keys, dedup, cache and
-/// store lookups, then static pruning of the misses. Back on the calling
-/// thread its pruned and cache-resolved records (and their aliases) replay,
-/// and only the remaining canonical misses fan back onto the same queue, so
-/// idle workers steal across campaign boundaries. A budgeted campaign
+/// thread pops it, builds the schedule: canonical keys, cache and store
+/// lookups, then static pruning of the misses. Back on the calling thread
+/// its pruned and cache-resolved records replay, and only the misses fan
+/// back onto the same queue, so idle workers steal across campaign
+/// boundaries; equal keys among them execute once, through the cache's
+/// claim. A budgeted campaign
 /// ([`crate::campaign::CampaignOptions::plan_budget`]) enqueues one job at
 /// a time, picked by observed verdict yield, and each finished record with
-/// `cache_hit == false` spends one unit of its budget.
+/// `cache_hit == false` spends one unit of its budget. Cache replays are
+/// free: once the budget is spent, every remaining job the cache can answer
+/// still replays, and only the rest are dropped.
 pub(crate) fn drive(
     executor: &Executor,
     campaigns: &[Campaign<'_>],
@@ -348,17 +352,12 @@ pub(crate) fn drive(
                     slot.remaining = schedule.pending.clone();
                     slot.plan = plan;
                     // Statically pruned jobs replay their synthesized
-                    // clean-run digests, cache hits their stored ones (each
-                    // with its aliases).
+                    // clean-run digests, cache hits their stored ones.
                     for (idx, digest) in &schedule.pruned {
-                        for &i in std::iter::once(idx).chain(schedule.aliases_of(*idx)) {
-                            slot.file(i, digest.replay_pruned(&jobs[i]), &mut emit);
-                        }
+                        slot.file(*idx, digest.replay_pruned(&jobs[*idx]), &mut emit);
                     }
                     for (idx, digest) in &schedule.resolved {
-                        for &i in std::iter::once(idx).chain(schedule.aliases_of(*idx)) {
-                            slot.file(i, digest.replay(&jobs[i]), &mut emit);
-                        }
+                        slot.file(*idx, digest.replay(&jobs[*idx]), &mut emit);
                     }
                     slot.jobs = jobs;
                     slot.schedule = Some(schedule);
@@ -372,23 +371,10 @@ pub(crate) fn drive(
                             *budget -= 1;
                         }
                     }
-                    let schedule = slot.schedule.as_ref().expect("schedule arrives before its records");
-                    let aliases = schedule.aliases_of(idx).to_vec();
-                    // The claim that executed this run already published
-                    // its digest to the cache (and any store); only the
-                    // plan's own aliases still need it.
-                    let digest = (!aliases.is_empty()).then(|| RunDigest::of(&record));
                     slot.file(idx, record, &mut emit);
-                    if let Some(digest) = digest {
-                        for alias in aliases {
-                            let replay = digest.replay(&slot.jobs[alias]);
-                            emit(&replay);
-                            slot.records[alias] = Some(replay);
-                        }
-                    }
                 }
             }
-            let follow_ups = slot.enqueue_next(app);
+            let follow_ups = slot.enqueue_next(app, &campaigns[app], &mut emit);
             if slot.outstanding == 0 && slot.remaining.is_empty() {
                 // Only a budget may legitimately drop jobs; an unbudgeted
                 // campaign missing a record is an accounting bug and must
@@ -415,7 +401,7 @@ enum Job {
         jobs: Option<Vec<InjectionPlan>>,
     },
     /// Run injection job `idx` of campaign `app`, claiming it under the
-    /// canonical key its schedule already computed.
+    /// key its schedule already computed.
     Inject {
         app: usize,
         idx: usize,
@@ -446,7 +432,7 @@ struct AppSlot {
     jobs: Vec<InjectionPlan>,
     schedule: Option<Schedule>,
     records: Vec<Option<FaultRecord>>,
-    /// Pending canonical job indices not yet handed to the queue.
+    /// Pending job indices not yet handed to the queue.
     remaining: Vec<usize>,
     /// Jobs on the queue (or running) whose results are still due.
     outstanding: usize,
@@ -464,17 +450,29 @@ impl AppSlot {
         self.records[idx] = Some(record);
     }
 
-    /// Moves schedulable canonical jobs from `remaining` onto the shared
-    /// queue: all of them in plan order (exhaustive), or exactly one chosen
-    /// by observed verdict yield (budgeted — each pick feeds on the
-    /// previous outcome, so at most one of this campaign's jobs is in
-    /// flight while other campaigns keep the workers busy).
-    fn enqueue_next(&mut self, app: usize) -> Vec<Job> {
+    /// Moves schedulable jobs from `remaining` onto the shared queue: all
+    /// of them in plan order (exhaustive), or exactly one chosen by
+    /// observed verdict yield (budgeted — each pick feeds on the previous
+    /// outcome, so at most one of this campaign's jobs is in flight while
+    /// other campaigns keep the workers busy). A spent budget replays every
+    /// remaining job the cache can answer and drops the rest.
+    fn enqueue_next(&mut self, app: usize, campaign: &Campaign<'_>, emit: &mut dyn FnMut(&FaultRecord)) -> Vec<Job> {
+        let schedule = self.schedule.as_ref().expect("jobs are enqueued after scheduling");
         let idxs = match self.budget_left {
             None => std::mem::take(&mut self.remaining),
             Some(0) => {
-                self.remaining.clear();
-                Vec::new()
+                let cache = campaign.options.cache.as_ref();
+                let replays: Vec<(usize, FaultRecord)> = std::mem::take(&mut self.remaining)
+                    .into_iter()
+                    .filter_map(|idx| {
+                        let digest = cache?.lookup(campaign.scope(), schedule.key(idx))?;
+                        Some((idx, digest.replay(&self.jobs[idx])))
+                    })
+                    .collect();
+                for (idx, record) in replays {
+                    self.file(idx, record, emit);
+                }
+                return Vec::new();
             }
             Some(_) if self.remaining.is_empty() || self.outstanding > 0 => Vec::new(),
             Some(_) => {
@@ -483,7 +481,6 @@ impl AppSlot {
             }
         };
         self.outstanding += idxs.len();
-        let schedule = self.schedule.as_ref().expect("jobs are enqueued after scheduling");
         idxs.into_iter()
             .map(|idx| Job::Inject {
                 app,
@@ -519,17 +516,22 @@ impl SuiteReport {
         self.reports.iter().map(CampaignReport::violated).sum()
     }
 
-    /// Total records replayed from the planner's result cache (or from an
-    /// equivalent earlier job of the same plan) across the suite.
+    /// Total records replayed from the planner's result cache across the
+    /// suite.
     pub fn total_cache_hits(&self) -> usize {
         self.reports.iter().map(CampaignReport::cache_hits).sum()
     }
 
     /// Total runs that actually executed across the suite — the planner's
-    /// headline number: `total_injected - total_cache_hits`, never more
-    /// than the exhaustive plan size.
+    /// headline number: `total_injected - total_cache_hits -
+    /// total_pruned`, never more than the exhaustive plan size.
     pub fn total_runs_executed(&self) -> usize {
         self.reports.iter().map(CampaignReport::runs_executed).sum()
+    }
+
+    /// Total records synthesized by static pruning across the suite.
+    pub fn total_pruned(&self) -> usize {
+        self.reports.iter().map(CampaignReport::pruned).sum()
     }
 
     /// Applications whose campaign surfaced at least one violation.
@@ -593,12 +595,13 @@ impl SuiteReport {
             self.total_injected(),
             self.total_violated()
         );
-        if self.total_cache_hits() > 0 {
+        if self.total_cache_hits() > 0 || self.total_pruned() > 0 {
             let _ = writeln!(
                 s,
-                "  runs executed: {}   replayed from cache: {}",
+                "  runs executed: {}   replayed from cache: {}   statically pruned: {}",
                 self.total_runs_executed(),
-                self.total_cache_hits()
+                self.total_cache_hits(),
+                self.total_pruned()
             );
         }
         let _ = writeln!(
@@ -709,7 +712,25 @@ mod tests {
         assert_eq!(suite.total_cache_hits(), 1);
         assert_eq!(suite.total_runs_executed(), 2);
         let text = suite.render_text();
-        assert!(text.contains("runs executed: 2   replayed from cache: 1"), "{text}");
+        assert!(
+            text.contains("runs executed: 2   replayed from cache: 1   statically pruned: 0"),
+            "{text}"
+        );
+        // Pruning alone shows the line too: a pruned record never ran.
+        let mut b = report("b", vec![record(false), record(false)]);
+        b.records[0].pruned = true;
+        let pruned = SuiteReport { reports: vec![b] };
+        assert_eq!((pruned.total_pruned(), pruned.total_runs_executed()), (1, 1));
+        let text = pruned.render_text();
+        assert!(
+            text.contains("runs executed: 1   replayed from cache: 0   statically pruned: 1"),
+            "{text}"
+        );
+        // Neither: no line.
+        let plain = SuiteReport {
+            reports: vec![report("c", vec![record(false)])],
+        };
+        assert!(!plain.render_text().contains("runs executed"));
     }
 
     #[test]

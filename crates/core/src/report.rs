@@ -35,10 +35,10 @@ pub struct FaultRecord {
     /// record alone).
     pub audit_events: usize,
     /// True when this record was **replayed** rather than executed: the
-    /// planner resolved it from the suite-scoped
-    /// [`crate::engine::planner::ResultCache`] (or from an equivalent job
-    /// earlier in the same plan) instead of occupying a worker slot. Its
-    /// outcome fields are byte-identical to the source run's.
+    /// planner resolved it from a [`crate::engine::planner::ResultCache`]
+    /// (an equal run in this plan or an earlier one) instead of occupying
+    /// a worker slot. Its outcome fields are byte-identical to the source
+    /// run's.
     pub cache_hit: bool,
     /// True when this record was **statically pruned**: the analysis layer
     /// proved the fault inert ([`crate::analysis::Relevance::ProvablyInert`])
@@ -108,8 +108,8 @@ impl CampaignReport {
         Ratio::new(self.violated(), self.injected()).value_or(0.0)
     }
 
-    /// Number of records resolved from the planner's result cache (or from
-    /// an equivalent earlier job in the same plan) instead of executed.
+    /// Number of records resolved from the planner's result cache instead
+    /// of executed.
     pub fn cache_hits(&self) -> usize {
         self.records.iter().filter(|r| r.cache_hit).count()
     }

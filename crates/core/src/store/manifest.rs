@@ -1,13 +1,13 @@
 //! The lockfile-style campaign manifest: the exact
 //! `(spec fingerprint, plan, store keys)` of a suite run.
 //!
-//! A warm re-run is only trustworthy when every canonical key the plan
-//! will schedule is already persisted. The manifest pins that set: one
-//! [`AppManifest`] per registered application, carrying the campaign's
-//! memoization scope (the `(application, setup fingerprint)` hash), the
-//! plan size, and the full canonical key text of every executable
-//! canonical job — statically pruned jobs are excluded because they never
-//! execute and never populate the store. [`SuiteManifest::verify`] then
+//! A warm re-run is only trustworthy when every key the plan will schedule
+//! is already persisted. The manifest pins that set: one [`AppManifest`]
+//! per registered application, carrying the campaign's memoization scope
+//! (the `(application, setup fingerprint)` hash), the plan size, and the
+//! full canonical key text of every distinct executable key — statically
+//! pruned jobs are excluded because they never execute and never populate
+//! the store. [`SuiteManifest::verify`] then
 //! answers "would this suite replay entirely from the store?" without
 //! scheduling a single job, and `reproduce -- store verify` gates on it
 //! in CI.
@@ -46,9 +46,9 @@ pub struct AppManifest {
     pub app: String,
     /// Its memoization scope — `fnv1a("{app}\n{fingerprint:016x}")`, hex.
     pub scope: String,
-    /// Total jobs the plan schedules (canonical + aliases).
+    /// Total jobs the plan schedules.
     pub jobs: usize,
-    /// The canonical executable keys, in plan order.
+    /// The distinct executable keys, in plan order.
     pub keys: Vec<ManifestKey>,
 }
 

@@ -10,16 +10,16 @@
 //! (authenticity, protocol, trust and disclosure flaws).
 
 use epa::apps::fingerd::FINGER_PORT;
-use epa::apps::{worlds, Authd, Fingerd};
+use epa::apps::{authd, fingerd, Authd, Fingerd};
 use epa::core::baselines::fuzz::{run_fuzz, FuzzOptions, FuzzTarget};
 use epa::core::engine::Session;
 
 fn main() {
-    let finger_setup = worlds::fingerd_world();
+    let finger_setup = fingerd::spec().materialize().unwrap();
     let finger = Session::from_setup(finger_setup.clone()).execute(&Fingerd);
     println!("{}", finger.render_text());
 
-    let authd_setup = worlds::authd_world();
+    let authd_setup = authd::spec().materialize().unwrap();
     let authd = Session::from_setup(authd_setup.clone()).execute(&Authd);
     println!("{}", authd.render_text());
 

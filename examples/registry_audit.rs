@@ -10,12 +10,12 @@
 //! font-file deletion attack live.
 
 use epa::apps::fontpurge::{font_key, FontPurge};
-use epa::apps::{worlds, NtLogon};
+use epa::apps::{fontpurge, ntlogon, NtLogon};
 use epa::core::campaign::run_once;
 use epa::core::engine::Session;
 
 fn main() {
-    let setup = worlds::fontpurge_world();
+    let setup = fontpurge::spec().materialize().unwrap();
     println!(
         "NT registry: {} keys total, {} unprotected (world-writable)",
         setup.world.registry.key_count(),
@@ -25,14 +25,14 @@ fn main() {
     // Campaigns over the two modules that consume unprotected keys.
     let font_report = Session::from_setup(setup.clone()).execute(&FontPurge);
     println!("\nfontpurge module:\n{}", font_report.render_text());
-    let logon_setup = worlds::ntlogon_world();
+    let logon_setup = ntlogon::spec().materialize().unwrap();
     let logon_report = Session::from_setup(logon_setup.clone()).execute(&NtLogon);
     println!("ntlogon module:\n{}", logon_report.render_text());
 
     // The paper's narrative attack: anyone rewrites the font key; the next
     // administrator-run purge deletes a system-critical file.
     println!("--- exploit replay: font key pointed at system.ini ---");
-    let mut attack = worlds::fontpurge_world();
+    let mut attack = fontpurge::spec().materialize().unwrap();
     attack
         .world
         .registry

@@ -5,20 +5,20 @@
 //! cargo run --example turnin_audit
 //! ```
 
-use epa::apps::{worlds, Turnin, TurninFixed};
+use epa::apps::{turnin, Turnin, TurninFixed};
 use epa::core::campaign::run_once;
 use epa::core::engine::Session;
 
 fn main() {
     // ---- the campaign (paper: 8 interaction points, 41 perturbations,
     //      9 violations) ------------------------------------------------
-    let setup = worlds::turnin_world();
+    let setup = turnin::spec().materialize().unwrap();
     let report = Session::from_setup(setup.clone()).execute(&Turnin);
     println!("{}", report.render_text());
 
     // ---- exploit 1: Projlist -> /etc/shadow ---------------------------
     println!("--- exploit replay 1: the TA symlinks Projlist to /etc/shadow ---");
-    let mut attack = worlds::turnin_world();
+    let mut attack = turnin::spec().materialize().unwrap();
     attack
         .world
         .fs
@@ -32,7 +32,7 @@ fn main() {
 
     // ---- exploit 2: a submission named ../.login ----------------------
     println!("--- exploit replay 2: student submits `../.login` ---");
-    let mut attack2 = worlds::turnin_world();
+    let mut attack2 = turnin::spec().materialize().unwrap();
     attack2.args = vec![
         "-c".into(),
         "cs390".into(),

@@ -3,8 +3,7 @@
 //! `engine::Session` facade over each app's exported `WorldSpec`.
 
 use epa::apps::*;
-use epa::core::campaign::CampaignOptions;
-use epa::core::engine::{Session, WorldSpec};
+use epa::core::engine::{Session, Suite, WorldSpec};
 use epa::sandbox::app::Application;
 
 fn all_cases() -> Vec<(&'static dyn Application, &'static dyn Application, WorldSpec)> {
@@ -87,12 +86,9 @@ fn fully_fixable_apps_reach_full_fault_coverage() {
 fn parallel_campaigns_agree_with_sequential_everywhere() {
     for (app, _, spec) in all_cases() {
         let seq = session(&spec).execute(app);
-        let par = session(&spec)
-            .with_options(CampaignOptions {
-                workers: Some(4),
-                ..Default::default()
-            })
-            .execute(app);
+        let mut suite = Suite::new().with_workers(4);
+        suite.register_session(app, session(&spec));
+        let par = suite.execute().reports.remove(0);
         assert_eq!(seq.injected(), par.injected(), "{}", app.name());
         assert_eq!(seq.violated(), par.violated(), "{}", app.name());
         let seq_v: Vec<_> = seq.violations().map(|r| r.fault_id.clone()).collect();

@@ -1,6 +1,6 @@
 //! Integration: the §5 comparison — environment perturbation vs Fuzz vs AVA.
 
-use epa::apps::{worlds, Fingerd, Turnin};
+use epa::apps::{fingerd, turnin, Fingerd, Turnin};
 use epa::core::baselines::ava::{run_ava, AvaOptions};
 use epa::core::baselines::fuzz::{run_fuzz, FuzzOptions, FuzzTarget};
 use epa_bench::comparison;
@@ -37,7 +37,7 @@ fn epa_surfaces_rules_the_baselines_miss_on_every_app() {
 fn fuzz_still_finds_the_classic_overflow() {
     // Fuzz's historic strength must survive in the model: random oversized
     // packets trip fingerd's unchecked copy.
-    let setup = worlds::fingerd_world();
+    let setup = fingerd::spec().materialize().unwrap();
     let rep = run_fuzz(
         &setup,
         &Fingerd,
@@ -60,7 +60,7 @@ fn fuzz_still_finds_the_classic_overflow() {
 
 #[test]
 fn no_baseline_reaches_turnins_environment_flaws() {
-    let setup = worlds::turnin_world();
+    let setup = turnin::spec().materialize().unwrap();
     let fuzz = run_fuzz(
         &setup,
         &Turnin,
@@ -94,7 +94,7 @@ fn no_baseline_reaches_turnins_environment_flaws() {
 
 #[test]
 fn baselines_are_deterministic_given_seed() {
-    let setup = worlds::turnin_world();
+    let setup = turnin::spec().materialize().unwrap();
     let o = FuzzOptions {
         runs: 10,
         seed: 42,

@@ -2,7 +2,7 @@
 //! the hand-built lpr world: the paper's numbers (4 injected / 4 violated
 //! at the create site) hold.
 
-use epa::apps::{worlds, Lpr, LprFixed};
+use epa::apps::{lpr, Lpr, LprFixed};
 use epa::core::campaign::CampaignOptions;
 use epa::core::engine::Session;
 use epa::sandbox::trace::SiteId;
@@ -19,7 +19,7 @@ fn create_site_only() -> CampaignOptions {
 
 #[test]
 fn four_applicable_attributes_all_violate() {
-    let session = Session::from_setup(worlds::lpr_world()).with_options(create_site_only());
+    let session = Session::new(&lpr::spec()).unwrap().with_options(create_site_only());
     let report = session.execute(&Lpr);
     assert_eq!(report.clean_violations, 0);
     assert_eq!(report.injected(), 4, "existence, ownership, permission, symbolic link");
@@ -34,7 +34,7 @@ fn four_applicable_attributes_all_violate() {
 
 #[test]
 fn the_symlink_attack_clobbers_the_passwd_file() {
-    let session = Session::from_setup(worlds::lpr_world()).with_options(create_site_only());
+    let session = Session::new(&lpr::spec()).unwrap().with_options(create_site_only());
     let report = session.execute(&Lpr);
     let symlink = report
         .records
@@ -47,7 +47,7 @@ fn the_symlink_attack_clobbers_the_passwd_file() {
 
 #[test]
 fn fixed_lpr_tolerates_all_four() {
-    let session = Session::from_setup(worlds::lpr_world()).with_options(create_site_only());
+    let session = Session::new(&lpr::spec()).unwrap().with_options(create_site_only());
     let report = session.execute(&LprFixed);
     assert_eq!(report.injected(), 4);
     assert_eq!(report.violated(), 0, "{:#?}", report.violations().collect::<Vec<_>>());
@@ -55,7 +55,7 @@ fn fixed_lpr_tolerates_all_four() {
 
 #[test]
 fn full_lpr_campaign_also_covers_input_sites() {
-    let report = Session::from_setup(worlds::lpr_world()).execute(&Lpr);
+    let report = Session::new(&lpr::spec()).unwrap().execute(&Lpr);
     assert_eq!(report.total_sites, 3, "argv, read-input, create");
     assert!(report.injected() > 4);
     assert_eq!(report.clean_violations, 0);
@@ -64,17 +64,22 @@ fn full_lpr_campaign_also_covers_input_sites() {
 #[test]
 fn the_executor_paths_keep_the_paper_numbers() {
     use epa::core::engine::Suite;
-    // Through a session's own 4-worker pool...
-    let session = Session::from_setup(worlds::lpr_world()).with_options(CampaignOptions {
-        workers: Some(4),
-        ..create_site_only()
-    });
-    let pooled = session.execute(&Lpr);
-    assert_eq!(pooled.injected(), 4, "existence, ownership, permission, symbolic link");
-    assert_eq!(pooled.violated(), 4, "paper: violations detected for attributes 1-4");
-    // ...and through the suite-wide shared queue, the numbers hold.
-    let mut suite = Suite::new();
+    // On the session's calling thread...
+    let session = Session::new(&lpr::spec()).unwrap().with_options(create_site_only());
+    let sequential = session.execute(&Lpr);
+    assert_eq!(
+        sequential.injected(),
+        4,
+        "existence, ownership, permission, symbolic link"
+    );
+    assert_eq!(
+        sequential.violated(),
+        4,
+        "paper: violations detected for attributes 1-4"
+    );
+    // ...and through a 4-worker suite queue, the numbers hold.
+    let mut suite = Suite::new().with_workers(4);
     suite.register_session(Lpr, session);
     let batch = suite.execute();
-    assert_eq!(batch.get("lpr").expect("lpr report"), &pooled);
+    assert_eq!(batch.get("lpr").expect("lpr report"), &sequential);
 }

@@ -2,14 +2,14 @@
 
 use epa::apps::fontpurge::{font_key, FontPurge, FontPurgeFixed, FONT_KEYS};
 use epa::apps::ntlogon::{logon_key, NtLogon, NtLogonFixed, LOGON_KEYS};
-use epa::apps::worlds;
+use epa::apps::{fontpurge, ntlogon};
 use epa::core::campaign::run_once;
 use epa::core::engine::Session;
 use epa::sandbox::policy::ViolationKind;
 
 #[test]
 fn the_nt_world_has_29_unprotected_keys() {
-    let setup = worlds::fontpurge_world();
+    let setup = fontpurge::spec().materialize().unwrap();
     assert_eq!(
         setup.world.registry.unprotected_keys().len(),
         29,
@@ -27,7 +27,7 @@ fn nine_exercised_keys_all_exploitable() {
 
 #[test]
 fn font_value_swap_deletes_the_critical_file() {
-    let mut setup = worlds::fontpurge_world();
+    let mut setup = fontpurge::spec().materialize().unwrap();
     setup
         .world
         .registry
@@ -42,7 +42,7 @@ fn font_value_swap_deletes_the_critical_file() {
 
 #[test]
 fn font_value_swap_can_also_take_the_sam() {
-    let mut setup = worlds::fontpurge_world();
+    let mut setup = fontpurge::spec().materialize().unwrap();
     setup
         .world
         .registry
@@ -54,14 +54,14 @@ fn font_value_swap_can_also_take_the_sam() {
 
 #[test]
 fn fixed_fontpurge_survives_every_key_perturbation() {
-    let report = Session::from_setup(worlds::fontpurge_world()).execute(&FontPurgeFixed);
+    let report = Session::new(&fontpurge::spec()).unwrap().execute(&FontPurgeFixed);
     assert_eq!(report.violated(), 0, "{:#?}", report.violations().collect::<Vec<_>>());
     assert!(report.injected() >= FONT_KEYS * 5, "all key faults still injected");
 }
 
 #[test]
 fn logon_profile_trust_flaw_is_found_by_the_campaign() {
-    let report = Session::from_setup(worlds::ntlogon_world()).execute(&NtLogon);
+    let report = Session::new(&ntlogon::spec()).unwrap().execute(&NtLogon);
     assert_eq!(report.clean_violations, 0);
     let profile_viol = report
         .records
@@ -77,7 +77,7 @@ fn logon_profile_trust_flaw_is_found_by_the_campaign() {
 
 #[test]
 fn every_logon_key_is_exploitable_and_the_fix_holds() {
-    let setup = worlds::ntlogon_world();
+    let setup = ntlogon::spec().materialize().unwrap();
     let session = Session::from_setup(setup);
     let report = session.execute(&NtLogon);
     for name in LOGON_KEYS {
@@ -94,7 +94,7 @@ fn every_logon_key_is_exploitable_and_the_fix_holds() {
 
 #[test]
 fn helpfile_key_discloses_the_sam_when_swapped() {
-    let mut setup = worlds::ntlogon_world();
+    let mut setup = ntlogon::spec().materialize().unwrap();
     setup
         .world
         .registry

@@ -1,14 +1,14 @@
 //! Integration: the §4.1 turnin case study — the paper's headline numbers
 //! and both published exploits.
 
-use epa::apps::{worlds, Turnin, TurninFixed};
+use epa::apps::{turnin, Turnin, TurninFixed};
 use epa::core::campaign::run_once;
 use epa::core::engine::Session;
 use epa::sandbox::policy::ViolationKind;
 
 #[test]
 fn eight_points_fortyone_perturbations_nine_violations() {
-    let setup = worlds::turnin_world();
+    let setup = turnin::spec().materialize().unwrap();
     let report = Session::from_setup(setup).execute(&Turnin);
     assert_eq!(report.clean_violations, 0, "clean run must be violation-free");
     assert_eq!(report.total_sites, 8, "paper: 8 interaction places");
@@ -22,7 +22,7 @@ fn eight_points_fortyone_perturbations_nine_violations() {
 
 #[test]
 fn the_published_exploits_are_among_the_violations() {
-    let setup = worlds::turnin_world();
+    let setup = turnin::spec().materialize().unwrap();
     let report = Session::from_setup(setup).execute(&Turnin);
     let ids: Vec<&str> = report.violations().map(|r| r.fault_id.as_str()).collect();
     // Exploit 1: the Projlist permission/symlink disclosure.
@@ -37,7 +37,7 @@ fn the_published_exploits_are_among_the_violations() {
 
 #[test]
 fn violation_kinds_are_as_analyzed() {
-    let setup = worlds::turnin_world();
+    let setup = turnin::spec().materialize().unwrap();
     let report = Session::from_setup(setup).execute(&Turnin);
     let mut disclosures = 0;
     let mut integrity = 0;
@@ -62,7 +62,7 @@ fn violation_kinds_are_as_analyzed() {
 
 #[test]
 fn shadow_exploit_really_prints_the_shadow_file() {
-    let mut setup = worlds::turnin_world();
+    let mut setup = turnin::spec().materialize().unwrap();
     setup
         .world
         .fs
@@ -79,7 +79,7 @@ fn shadow_exploit_really_prints_the_shadow_file() {
 
 #[test]
 fn dotdot_exploit_really_overwrites_the_login_file() {
-    let mut setup = worlds::turnin_world();
+    let mut setup = turnin::spec().materialize().unwrap();
     setup.args = vec![
         "-c".into(),
         "cs390".into(),
@@ -95,7 +95,7 @@ fn dotdot_exploit_really_overwrites_the_login_file() {
 
 #[test]
 fn fixed_turnin_tolerates_all_41_faults() {
-    let setup = worlds::turnin_world();
+    let setup = turnin::spec().materialize().unwrap();
     let report = Session::from_setup(setup).execute(&TurninFixed);
     assert_eq!(report.total_sites, 8, "the fix does not change the interaction surface");
     assert_eq!(report.injected(), 41);
@@ -105,7 +105,7 @@ fn fixed_turnin_tolerates_all_41_faults() {
 
 #[test]
 fn fixed_turnin_still_works_for_honest_students() {
-    let setup = worlds::turnin_world();
+    let setup = turnin::spec().materialize().unwrap();
     let out = run_once(&setup, &TurninFixed, None);
     assert_eq!(out.exit, Some(0));
     assert!(out.os.fs.exists("/home/ta/submit/hw1.c"), "the submission still lands");
@@ -113,7 +113,7 @@ fn fixed_turnin_still_works_for_honest_students() {
 
 #[test]
 fn violations_per_site_match_the_analysis() {
-    let setup = worlds::turnin_world();
+    let setup = turnin::spec().materialize().unwrap();
     let report = Session::from_setup(setup).execute(&Turnin);
     let per_site: Vec<(String, usize, usize)> = report.by_site();
     let expect = [

@@ -8,8 +8,7 @@
 
 use std::sync::Mutex;
 
-use epa::apps::{standard_suite, standard_suite_with_options};
-use epa::core::campaign::CampaignOptions;
+use epa::apps::standard_suite;
 use epa::core::engine::executor;
 use epa::core::engine::{Suite, SuiteEvent, SuiteReport};
 
@@ -93,28 +92,16 @@ fn streamed_records(suite: &Suite) -> (SuiteReport, Vec<(String, String)>) {
 #[test]
 fn reports_and_record_streams_match_sequential_at_every_worker_count() {
     let _guard = POOL_LOCK.lock().unwrap();
-    for dedup in [true, false] {
-        let suite = || {
-            standard_suite_with_options(CampaignOptions {
-                dedup,
-                ..CampaignOptions::default()
-            })
-            .expect("valid specs")
-        };
-        let (sequential, sequential_stream) = streamed_records(&suite().with_workers(1));
+    let suite = || standard_suite().expect("valid specs");
+    let (sequential, sequential_stream) = streamed_records(&suite().with_workers(1));
+    assert_eq!(sequential_stream.len(), 245, "one streamed record per planned job");
+    for workers in [1usize, 2, 3, 8] {
+        let (pooled, pooled_stream) = streamed_records(&suite().with_workers(workers));
+        assert_eq!(pooled, sequential, "{workers} workers: report diverged");
         assert_eq!(
-            sequential_stream.len(),
-            245,
-            "dedup={dedup}: one streamed record per planned job"
+            pooled_stream, sequential_stream,
+            "{workers} workers: streamed records diverged"
         );
-        for workers in [1usize, 2, 3, 8] {
-            let (pooled, pooled_stream) = streamed_records(&suite().with_workers(workers));
-            assert_eq!(pooled, sequential, "dedup={dedup}, {workers} workers: report diverged");
-            assert_eq!(
-                pooled_stream, sequential_stream,
-                "dedup={dedup}, {workers} workers: streamed records diverged"
-            );
-        }
     }
 }
 
@@ -122,7 +109,7 @@ fn reports_and_record_streams_match_sequential_at_every_worker_count() {
 fn a_forced_multi_worker_pool_still_reassembles_plan_order() {
     let _guard = POOL_LOCK.lock().unwrap();
     // Even above the hardware ceiling (this is the machinery test, not the
-    // suite ceiling test), a session's records come back in plan order.
+    // suite ceiling test), a campaign's records come back in plan order.
     use epa::apps::{turnin, Turnin};
     use epa::core::engine::Session;
     let session = Session::new(&turnin::spec()).expect("valid spec");
@@ -132,13 +119,13 @@ fn a_forced_multi_worker_pool_still_reassembles_plan_order() {
         .iter()
         .map(|job| format!("{}#{}#{}", job.site, job.occurrence, job.fault.id))
         .collect();
+    let mut suite = Suite::new().with_workers(4);
+    suite.register_session(Turnin, session);
     let mut streamed = 0usize;
-    let report = session
-        .with_options(CampaignOptions {
-            workers: Some(4),
-            ..Default::default()
-        })
-        .execute_streaming(&Turnin, &mut |_| streamed += 1);
+    let report = suite
+        .execute_with(&mut |event| streamed += usize::from(matches!(event, SuiteEvent::Record { .. })))
+        .reports
+        .remove(0);
     let report_order: Vec<String> = report
         .records
         .iter()
@@ -146,24 +133,4 @@ fn a_forced_multi_worker_pool_still_reassembles_plan_order() {
         .collect();
     assert_eq!(streamed, plan_order.len());
     assert_eq!(report_order, plan_order);
-}
-
-#[test]
-fn campaign_parallelism_also_respects_the_ceiling() {
-    let _guard = POOL_LOCK.lock().unwrap();
-    executor::reset_peak_live_workers();
-    use epa::apps::{turnin, Turnin};
-    use epa::core::engine::Session;
-    let report = Session::new(&turnin::spec())
-        .expect("valid spec")
-        .with_options(CampaignOptions {
-            workers: Some(available()),
-            ..Default::default()
-        })
-        .execute(&Turnin);
-    assert_eq!(report.injected(), 41);
-    assert!(
-        executor::peak_live_workers() <= available(),
-        "campaign pool exceeded available_parallelism"
-    );
 }

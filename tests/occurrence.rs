@@ -9,7 +9,7 @@
 //! the check — which only an occurrence-aware plan can reach.
 
 use epa::core::campaign::CampaignOptions;
-use epa::core::engine::{Session, WorldSpec};
+use epa::core::engine::{Session, Suite, WorldSpec};
 use epa::core::inject::{InjectionHook, InjectionPlan};
 use epa::core::perturb::{ConcreteFault, DirectFault, FaultPayload};
 use epa::core::report::CampaignReport;
@@ -199,12 +199,8 @@ fn later_occurrences_surface_the_violation_the_first_hit_misses() {
 #[test]
 fn occurrence_campaigns_agree_between_sequential_and_parallel() {
     let seq = session(usize::MAX).execute(&Reread);
-    let par = session(usize::MAX)
-        .with_options(CampaignOptions {
-            max_occurrences_per_site: usize::MAX,
-            workers: Some(4),
-            ..Default::default()
-        })
-        .execute(&Reread);
+    let mut suite = Suite::new().with_workers(4);
+    suite.register_session(Reread, session(usize::MAX));
+    let par = suite.execute().reports.remove(0);
     assert_eq!(seq, par, "occurrence-aware plans stay deterministic under the pool");
 }

@@ -174,7 +174,7 @@ proptest! {
 /// incremental session, and `evaluate_log` over each run's completed log.
 #[test]
 fn lpr_numbers_pin_through_both_oracle_paths() {
-    use epa::apps::{worlds, Lpr};
+    use epa::apps::{lpr, Lpr};
     use epa::sandbox::trace::SiteId;
     use std::collections::BTreeSet;
 
@@ -184,7 +184,7 @@ fn lpr_numbers_pin_through_both_oracle_paths() {
         site_filter: Some(filter),
         ..Default::default()
     };
-    let setup = worlds::lpr_world();
+    let setup = lpr::spec().materialize().unwrap();
 
     // Incremental: the engine session.
     let session = Session::from_setup(setup.clone()).with_options(options);

@@ -1,5 +1,5 @@
-//! Property tests: planner equivalence — canonical-fault dedup, cross-run
-//! memoization, and budgeted yield-guided planning must find the exact
+//! Property tests: planner equivalence — in-plan replay of equal faults,
+//! cross-run memoization, and budgeted yield-guided planning must find the exact
 //! verdict set of exhaustive planning across randomized worlds, randomized
 //! fault plans, and spec-declared invariants; and the paper's pinned lpr
 //! numbers must survive every planner path.
@@ -222,7 +222,7 @@ fn duplicate_payloads_within_a_plan_execute_once() {
     let (spec, paths) = build_spec(&[], "report", &[]);
     let app = Walker { files: paths };
     let setup = spec.materialize().unwrap();
-    // Pruning off: this test isolates dedup replay, and the analyzer may
+    // Pruning off: this test isolates in-plan replay, and the analyzer may
     // prove the chosen fault inert (which would synthesize both records).
     let session = Session::from_setup(setup).with_options(CampaignOptions {
         static_prune: false,
@@ -230,15 +230,16 @@ fn duplicate_payloads_within_a_plan_execute_once() {
     });
 
     let mut plan = session.plan(&app);
-    let site = plan
+    let site_idx = plan
         .sites
-        .iter_mut()
-        .find(|s| !s.faults.is_empty())
+        .iter()
+        .position(|s| !s.faults.is_empty())
         .expect("walker has perturbable sites");
-    let mut duplicate = site.faults[0].clone();
-    duplicate.id = format!("{}#duplicate", duplicate.id);
-    duplicate.description = "same perturbation under another catalog name".to_string();
-    site.faults.push(duplicate);
+    let site = &mut plan.sites[site_idx];
+    let mut renamed = site.faults[0].clone();
+    renamed.id = format!("{}#duplicate", renamed.id);
+    renamed.description = "same perturbation under another catalog name".to_string();
+    site.faults.push(renamed.clone());
 
     let report = session.execute_plan(&app, &plan);
     assert_eq!(report.cache_hits(), 1, "the duplicate must replay, not re-execute");
@@ -258,6 +259,41 @@ fn duplicate_payloads_within_a_plan_execute_once() {
     );
     assert_eq!(twin[0].exit, twin[1].exit);
     assert!(!twin[0].cache_hit && twin[1].cache_hit);
+
+    // The plan cut down to the fault and its duplicate. Cache replays are
+    // free, so a budget of one run still delivers both records; with no
+    // dedup and no cache both execute.
+    for (i, site) in plan.sites.iter_mut().enumerate() {
+        if i == site_idx {
+            site.occurrences = 1;
+            site.faults.truncate(1);
+            site.faults.push(renamed.clone());
+        } else {
+            site.faults.clear();
+        }
+    }
+    assert_eq!(plan.jobs().len(), 2);
+    let run = |options: CampaignOptions| {
+        let session = session.clone().with_options(CampaignOptions {
+            static_prune: false,
+            ..options
+        });
+        session.execute_plan(&app, &plan)
+    };
+    let budgeted = run(CampaignOptions {
+        plan_budget: Some(1),
+        ..Default::default()
+    });
+    assert_eq!(budgeted.injected(), 2, "the spent budget still replays the duplicate");
+    assert_eq!((budgeted.runs_executed(), budgeted.cache_hits()), (1, 1));
+    assert_eq!(budgeted.records[0].violations, budgeted.records[1].violations);
+    let exhaustive = run(CampaignOptions {
+        dedup: false,
+        cache: None,
+        ..Default::default()
+    });
+    assert_eq!((exhaustive.runs_executed(), exhaustive.cache_hits()), (2, 0));
+    assert_eq!(exhaustive.records[0].violations, exhaustive.records[1].violations);
 }
 
 /// Two registrations of the same application over the same (independently
@@ -283,20 +319,13 @@ fn suite_replays_identical_campaigns_from_the_shared_cache() {
 }
 
 /// Two passes of one standard suite: the second replays every run from the
-/// suite's memo, and both find exactly what two exhaustive passes (dedup
-/// off, each on a cold cache) find.
+/// suite's memo, and both find exactly what two passes of fresh suites (each
+/// on a cold cache) find.
 #[test]
 fn a_second_standard_suite_pass_replays_from_the_memo() {
     let suite = epa::apps::standard_suite().expect("valid specs");
     let memo = [suite.execute(), suite.execute()];
-    let exhaustive = || {
-        epa::apps::standard_suite_with_options(CampaignOptions {
-            dedup: false,
-            ..CampaignOptions::default()
-        })
-        .expect("valid specs")
-        .execute()
-    };
+    let exhaustive = || epa::apps::standard_suite().expect("valid specs").execute();
     let cold = [exhaustive(), exhaustive()];
     assert_eq!(memo[1].total_runs_executed(), 0, "the second pass replays");
     assert!(memo[1].total_cache_hits() > 0);
@@ -343,7 +372,7 @@ fn a_budget_spends_only_on_executed_runs_in_a_shared_suite() {
 /// violates, so even the pruned campaign reports violations only).
 #[test]
 fn lpr_numbers_pin_through_the_planner_paths() {
-    use epa::apps::{worlds, Lpr};
+    use epa::apps::{lpr, Lpr};
     use epa::sandbox::trace::SiteId;
     use std::collections::BTreeSet;
 
@@ -353,7 +382,7 @@ fn lpr_numbers_pin_through_the_planner_paths() {
         site_filter: Some(filter),
         ..Default::default()
     };
-    let setup = worlds::lpr_world();
+    let setup = lpr::spec().materialize().unwrap();
 
     // Memoized: the warmed pass replays all four runs and keeps 4/4.
     let cache = ResultCache::new();
