@@ -16,7 +16,7 @@
 //! The subcommand table (names, flags, descriptions, dispatch) lives in
 //! [`epa_bench::cli`]; this binary only parses arguments.
 
-use epa_bench::cli::{self, RunOptions};
+use epa_bench::cli::{self, Output, RunOptions};
 
 /// Parses a `--flag value` pair out of `args`, removing both tokens.
 /// Accepts decimal or `0x`-prefixed hex values.
@@ -76,8 +76,17 @@ fn main() {
         store_op: None,
         ttl,
     };
+    // Standard output goes through one writer: a reader that closes
+    // early (`reproduce all | head -1`) ends the output quietly, and no
+    // later subcommand runs.
+    let mut stdout = std::io::stdout();
+    let mut out = Output::new(&mut stdout);
     if args.iter().any(|a| a == "--help" || a == "-h" || a == "help") {
-        print!("{}", cli::usage());
+        let printed = write!(out, "{}", cli::usage()).and_then(|()| out.flush());
+        if let Err(e) = printed {
+            eprintln!("reproduce: {e}");
+            std::process::exit(2);
+        }
         return;
     }
     let mut names: Vec<String> = args.into_iter().filter(|a| a != "--json").collect();
@@ -98,11 +107,18 @@ fn main() {
     };
     let mut failed = false;
     for name in selected {
-        if let Err(e) = cli::run(name, opts.clone()) {
+        if out.is_closed() {
+            break;
+        }
+        if let Err(e) = cli::run(name, opts.clone(), &mut out) {
             eprintln!("reproduce: {e}");
             eprint!("{}", cli::usage());
             failed = true;
         }
+    }
+    if let Err(e) = out.flush() {
+        eprintln!("reproduce: {e}");
+        failed = true;
     }
     if failed {
         std::process::exit(2);

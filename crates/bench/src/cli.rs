@@ -7,6 +7,8 @@
 //! apart: a subcommand that is missing from the table simply does not
 //! exist. The binary itself only parses flags and calls [`run`].
 
+use std::io::Write;
+
 use crate::experiments;
 
 /// Options shared by the experiments that take values.
@@ -36,8 +38,8 @@ pub struct Subcommand {
     pub args: &'static str,
     /// One-line description for the help table.
     pub about: &'static str,
-    /// Executes the subcommand.
-    pub run: fn(RunOptions) -> Result<(), String>,
+    /// Executes the subcommand, printing through the given [`Output`].
+    pub run: fn(RunOptions, &mut Output<'_>) -> Result<(), String>,
 }
 
 /// Every subcommand of the `reproduce` binary, in `all`-sweep order.
@@ -46,85 +48,85 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         name: "table1",
         args: "",
         about: "vulnerability database by security consequence",
-        run: |_| print_ok(experiments::table1()),
+        run: |_, out| write!(out, "{}", experiments::table1()),
     },
     Subcommand {
         name: "table2",
         args: "",
         about: "vulnerability database by intrusion technique",
-        run: |_| print_ok(experiments::table2()),
+        run: |_, out| write!(out, "{}", experiments::table2()),
     },
     Subcommand {
         name: "table3",
         args: "",
         about: "vulnerability database by environment dependency",
-        run: |_| print_ok(experiments::table3()),
+        run: |_, out| write!(out, "{}", experiments::table3()),
     },
     Subcommand {
         name: "table4",
         args: "",
         about: "environment-object attributes the faults perturb",
-        run: |_| print_ok(experiments::table4()),
+        run: |_, out| write!(out, "{}", experiments::table4()),
     },
     Subcommand {
         name: "table5",
         args: "",
         about: "direct fault-injection operators",
-        run: |_| print_ok(experiments::table5()),
+        run: |_, out| write!(out, "{}", experiments::table5()),
     },
     Subcommand {
         name: "table6",
         args: "",
         about: "indirect fault-injection operators",
-        run: |_| print_ok(experiments::table6()),
+        run: |_, out| write!(out, "{}", experiments::table6()),
     },
     Subcommand {
         name: "figure1",
         args: "",
         about: "fault/failure model of the paper's Figure 1",
-        run: |_| print_ok(experiments::figure1().render()),
+        run: |_, out| write!(out, "{}", experiments::figure1().render()),
     },
     Subcommand {
         name: "figure2",
         args: "",
         about: "adequacy regions of the paper's Figure 2",
-        run: |_| print_ok(experiments::figure2().render()),
+        run: |_, out| write!(out, "{}", experiments::figure2().render()),
     },
     Subcommand {
         name: "lpr",
         args: "",
         about: "§3.4 lpr spool-file case study",
-        run: |_| print_ok(experiments::lpr_34().render()),
+        run: |_, out| write!(out, "{}", experiments::lpr_34().render()),
     },
     Subcommand {
         name: "turnin",
         args: "",
         about: "§4.1 turnin case study (flawed vs fixed)",
-        run: |_| print_ok(experiments::turnin_41().render()),
+        run: |_, out| write!(out, "{}", experiments::turnin_41().render()),
     },
     Subcommand {
         name: "registry",
         args: "",
         about: "§4.2 registry/profile case studies",
-        run: |_| print_ok(experiments::registry_42().render()),
+        run: |_, out| write!(out, "{}", experiments::registry_42().render()),
     },
     Subcommand {
         name: "comparison",
         args: "",
         about: "perturbation vs ava/fuzz baseline comparison",
-        run: |_| print_ok(experiments::comparison().render()),
+        run: |_, out| write!(out, "{}", experiments::comparison().render()),
     },
     Subcommand {
         name: "placement",
         args: "",
         about: "EAI-site placement sensitivity ablation",
-        run: |_| print_ok(experiments::placement().render()),
+        run: |_, out| write!(out, "{}", experiments::placement().render()),
     },
     Subcommand {
         name: "patterns",
         args: "",
         about: "cross-application vulnerability patterns",
-        run: |_| print_ok(experiments::patterns().render()),
+        run: |_, out| write!(out, "{}", experiments::patterns().render()),
     },
     Subcommand {
         name: "suite",
@@ -158,11 +160,67 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
     },
 ];
 
-/// Prints a pre-rendered experiment and succeeds.
-#[allow(clippy::unnecessary_wraps)]
-fn print_ok(text: String) -> Result<(), String> {
-    print!("{text}");
-    Ok(())
+/// The one writer every subcommand prints its standard output through.
+///
+/// A reader that goes away early (`reproduce all | head -1`) ends the
+/// output, not the program: the first `BrokenPipe` closes the writer,
+/// every later write is dropped, and the command still succeeds. Any
+/// other write error fails the subcommand that hit it.
+///
+/// `write!` and `writeln!` work on it directly and return
+/// `Result<(), String>`, so a subcommand forwards failures with `?`.
+pub struct Output<'a> {
+    sink: &'a mut dyn Write,
+    closed: bool,
+}
+
+impl<'a> Output<'a> {
+    /// Prints to `sink` (the binary passes standard output).
+    pub fn new(sink: &'a mut dyn Write) -> Output<'a> {
+        Output { sink, closed: false }
+    }
+
+    /// Whether the reader has gone away; nothing more is written.
+    pub fn is_closed(&self) -> bool {
+        self.closed
+    }
+
+    /// Writes formatted text: the target of `write!` and `writeln!`.
+    ///
+    /// # Errors
+    ///
+    /// A write error other than `BrokenPipe`.
+    pub fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) -> Result<(), String> {
+        if self.closed {
+            return Ok(());
+        }
+        let written = self.sink.write_fmt(args);
+        self.settle(written)
+    }
+
+    /// Flushes the sink.
+    ///
+    /// # Errors
+    ///
+    /// A flush error other than `BrokenPipe`.
+    pub fn flush(&mut self) -> Result<(), String> {
+        if self.closed {
+            return Ok(());
+        }
+        let flushed = self.sink.flush();
+        self.settle(flushed)
+    }
+
+    fn settle(&mut self, result: std::io::Result<()>) -> Result<(), String> {
+        match result {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(())
+            }
+            Err(e) => Err(format!("writing output: {e}")),
+            Ok(()) => Ok(()),
+        }
+    }
 }
 
 /// Where machine-readable artifacts land: the workspace root, next to
@@ -174,18 +232,17 @@ pub fn workspace_artifact(name: &str) -> std::path::PathBuf {
 }
 
 /// Serializes `value` to `name` at the workspace root when `--json` is on.
-fn write_artifact<T: serde::Serialize>(json: bool, name: &str, value: &T) -> Result<(), String> {
+fn write_artifact<T: serde::Serialize>(out: &mut Output<'_>, json: bool, name: &str, value: &T) -> Result<(), String> {
     if !json {
         return Ok(());
     }
     let path = workspace_artifact(name);
     let text = serde_json::to_string_pretty(value).map_err(|e| format!("serializing {name}: {e}"))?;
     std::fs::write(&path, text).map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    writeln!(out, "wrote {}", path.display())
 }
 
-fn run_suite(opts: RunOptions) -> Result<(), String> {
+fn run_suite(opts: RunOptions, out: &mut Output<'_>) -> Result<(), String> {
     // A persistent store (from `--store` or `EPA_CACHE_DIR`) turns the
     // suite into a warm-replayable run: every executed digest is written
     // through, and the lockfile manifest pins the plan's store keys.
@@ -214,25 +271,32 @@ fn run_suite(opts: RunOptions) -> Result<(), String> {
                 .write_to(dir)
                 .map_err(|e| format!("suite: writing manifest: {e}"))?;
             let stats = cache.stats();
-            println!(
+            writeln!(
+                out,
                 "store: {} ({} warm replays from disk this run)",
                 dir.display(),
                 stats.store_hits
-            );
-            println!("manifest: {} ({} store keys)", path.display(), manifest.store_keys());
+            )?;
+            writeln!(
+                out,
+                "manifest: {} ({} store keys)",
+                path.display(),
+                manifest.store_keys()
+            )?;
             report
         }
         None => experiments::suite(),
     };
-    print!("{}", report.render_text());
+    write!(out, "{}", report.render_text())?;
     // Roll the verdict stream up by vulnerability class: each verdict's
     // policy family crossed with its fault's EAI category, classified
     // against the epa-vulndb taxonomy.
-    print!(
+    write!(
+        out,
         "{}",
         epa_vulndb::render_class_rollup(&epa_vulndb::suite_class_rollup(&report))
-    );
-    write_artifact(opts.json, "SUITE_report.json", &report)
+    )?;
+    write_artifact(out, opts.json, "SUITE_report.json", &report)
 }
 
 /// The `store` subcommand: maintenance operations on a persistent result
@@ -240,7 +304,7 @@ fn run_suite(opts: RunOptions) -> Result<(), String> {
 /// note (so the `all` sweep stays green on machines without a store); so is
 /// one whose `EPA_CACHE_DIR` is refused, after a warning. An explicit
 /// `--store` that is refused fails the operation.
-fn run_store(opts: RunOptions) -> Result<(), String> {
+fn run_store(opts: RunOptions, out: &mut Output<'_>) -> Result<(), String> {
     use epa_core::store::{DiskStore, PruneOptions, SuiteManifest};
     let op = opts.store_op.as_deref().unwrap_or("stats");
     let resolution = epa_core::store::resolve_store_dir_env(opts.store.as_deref());
@@ -251,27 +315,35 @@ fn run_store(opts: RunOptions) -> Result<(), String> {
         eprintln!("reproduce: {refusal}; falling back to in-memory memoization");
     }
     let Some(dir) = resolution.dir else {
-        println!("store: no store directory configured (pass --store DIR or set EPA_CACHE_DIR); nothing to {op}");
+        writeln!(
+            out,
+            "store: no store directory configured (pass --store DIR or set EPA_CACHE_DIR); nothing to {op}"
+        )?;
         return Ok(());
     };
     let store = DiskStore::open(&dir).map_err(|e| format!("store: {e}"))?;
     match op {
         "stats" => {
             let stats = store.stats();
-            println!("store: {}", dir.display());
-            println!(
+            writeln!(out, "store: {}", dir.display())?;
+            writeln!(
+                out,
                 "  entries: {}   bytes: {}   segments: {}   quarantined segments: {}",
                 stats.entries, stats.bytes, stats.segments, stats.quarantined_segments
-            );
+            )?;
             match SuiteManifest::load_from(&dir).map_err(|e| format!("store: {e}"))? {
-                Some(manifest) => println!(
+                Some(manifest) => writeln!(
+                    out,
                     "  manifest: {} application(s), {} store keys",
                     manifest.apps.len(),
                     manifest.store_keys()
                 ),
-                None => println!("  manifest: none (run `suite --store {}` to write one)", dir.display()),
+                None => writeln!(
+                    out,
+                    "  manifest: none (run `suite --store {}` to write one)",
+                    dir.display()
+                ),
             }
-            Ok(())
         }
         "prune" => {
             // Defaults: keep 4096 entries, expire after 30 days unused.
@@ -280,31 +352,33 @@ fn run_store(opts: RunOptions) -> Result<(), String> {
                 ttl: Some(std::time::Duration::from_secs(opts.ttl.unwrap_or(30 * 24 * 60 * 60))),
             };
             let report = store.prune(options);
-            println!(
+            writeln!(
+                out,
                 "store: pruned {} — examined {}, expired {}, evicted {}, remaining {}",
                 dir.display(),
                 report.examined,
                 report.expired,
                 report.evicted,
                 report.remaining
-            );
+            )?;
             Ok(())
         }
         "verify" => {
             let report = store.verify();
-            println!(
+            writeln!(
+                out,
                 "store: verify {} — {} entr{} ok, {} corrupt, {} quarantined segment(s)",
                 dir.display(),
                 report.ok,
                 if report.ok == 1 { "y" } else { "ies" },
                 report.corrupt.len(),
                 report.quarantined.len()
-            );
+            )?;
             for line in &report.corrupt {
-                println!("  corrupt: {line}");
+                writeln!(out, "  corrupt: {line}")?;
             }
             for segment in &report.quarantined {
-                println!("  quarantined: {segment}");
+                writeln!(out, "  quarantined: {segment}")?;
             }
             let mut failures = Vec::new();
             if !report.is_clean() {
@@ -317,13 +391,14 @@ fn run_store(opts: RunOptions) -> Result<(), String> {
             match SuiteManifest::load_from(&dir).map_err(|e| format!("store: {e}"))? {
                 Some(manifest) => {
                     let check = manifest.verify(&store);
-                    println!(
+                    writeln!(
+                        out,
                         "  manifest: {} key(s) present, {} missing",
                         check.present,
                         check.missing.len()
-                    );
+                    )?;
                     for (app, digest) in &check.missing {
-                        println!("  missing: {app} {digest}");
+                        writeln!(out, "  missing: {app} {digest}")?;
                     }
                     if !check.is_complete() {
                         failures.push(format!(
@@ -332,7 +407,7 @@ fn run_store(opts: RunOptions) -> Result<(), String> {
                         ));
                     }
                 }
-                None => println!("  manifest: none"),
+                None => writeln!(out, "  manifest: none")?,
             }
             if failures.is_empty() {
                 Ok(())
@@ -346,12 +421,12 @@ fn run_store(opts: RunOptions) -> Result<(), String> {
     }
 }
 
-fn run_corpus(opts: RunOptions) -> Result<(), String> {
+fn run_corpus(opts: RunOptions, out: &mut Output<'_>) -> Result<(), String> {
     let seed = opts.seed.unwrap_or(epa_core::corpus::DEFAULT_CORPUS_SEED);
     let count = opts.count.unwrap_or(120);
     let report = experiments::corpus(seed, count);
-    print!("{}", report.render_text());
-    write_artifact(opts.json, "CORPUS_report.json", &report)?;
+    write!(out, "{}", report.render_text())?;
+    write_artifact(out, opts.json, "CORPUS_report.json", &report)?;
     if report.divergences > 0 {
         return Err(format!(
             "corpus: {} scenario(s) diverged across execution paths (seeds are in the dashboard above)",
@@ -361,10 +436,10 @@ fn run_corpus(opts: RunOptions) -> Result<(), String> {
     Ok(())
 }
 
-fn run_lint(opts: RunOptions) -> Result<(), String> {
+fn run_lint(opts: RunOptions, out: &mut Output<'_>) -> Result<(), String> {
     let summaries = experiments::lint();
     for summary in &summaries {
-        print!("{}", summary.render());
+        write!(out, "{}", summary.render())?;
     }
     let errors: usize = summaries
         .iter()
@@ -374,22 +449,22 @@ fn run_lint(opts: RunOptions) -> Result<(), String> {
         .iter()
         .map(|s| s.report.count(epa_core::Severity::Warning))
         .sum();
-    println!(
+    writeln!(
+        out,
         "lint: {} world(s), {errors} error(s), {warnings} warning(s)",
         summaries.len()
-    );
-    write_artifact(opts.json, "LINT_report.json", &summaries)?;
+    )?;
+    write_artifact(out, opts.json, "LINT_report.json", &summaries)?;
     if errors > 0 {
         return Err(format!("lint: {errors} error-severity diagnostic(s)"));
     }
     Ok(())
 }
 
-#[allow(clippy::unnecessary_wraps)]
-fn run_clean(_opts: RunOptions) -> Result<(), String> {
-    println!("Clean-run baseline (violations in unperturbed runs):");
+fn run_clean(_opts: RunOptions, out: &mut Output<'_>) -> Result<(), String> {
+    writeln!(out, "Clean-run baseline (violations in unperturbed runs):")?;
     for (app, n) in experiments::clean_baseline() {
-        println!("  {app:<16} {n}");
+        writeln!(out, "  {app:<16} {n}")?;
     }
     Ok(())
 }
@@ -399,12 +474,12 @@ pub fn find(name: &str) -> Option<&'static Subcommand> {
     SUBCOMMANDS.iter().find(|s| s.name == name)
 }
 
-/// Runs one subcommand by name (`Err` for unknown names or failures).
-pub fn run(name: &str, opts: RunOptions) -> Result<(), String> {
+/// Runs one subcommand by name, printing through `out` (`Err` for
+/// unknown names or failures).
+pub fn run(name: &str, opts: RunOptions, out: &mut Output<'_>) -> Result<(), String> {
     let sub = find(name).ok_or_else(|| format!("unknown experiment `{name}`"))?;
-    (sub.run)(opts)?;
-    println!();
-    Ok(())
+    (sub.run)(opts, out)?;
+    writeln!(out)
 }
 
 /// Renders the one help table every usage message draws from.
@@ -429,6 +504,69 @@ pub fn usage() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs one subcommand into a byte buffer.
+    fn run_captured(name: &str, opts: RunOptions) -> Result<(), String> {
+        let mut sink = Vec::new();
+        run(name, opts, &mut Output::new(&mut sink))
+    }
+
+    /// A reader that takes `left` bytes, then goes away.
+    struct ClosesAfter {
+        left: usize,
+        taken: Vec<u8>,
+    }
+
+    impl Write for ClosesAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.left == 0 {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            if self.left == 0 {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            Ok(())
+        }
+    }
+
+    /// A closed pipe ends the output, not the command: the subcommand
+    /// succeeds, the writer reports closed, and nothing more is written.
+    /// Other write errors still fail the subcommand.
+    #[test]
+    fn a_reader_that_goes_away_ends_the_output_quietly() {
+        let mut sink = ClosesAfter {
+            left: 16,
+            taken: Vec::new(),
+        };
+        let mut out = Output::new(&mut sink);
+        assert_eq!(run("table1", RunOptions::default(), &mut out), Ok(()));
+        assert!(out.is_closed());
+        assert_eq!(run("figure1", RunOptions::default(), &mut out), Ok(()));
+        assert_eq!(out.flush(), Ok(()));
+        assert_eq!(sink.taken.len(), 16, "only what the reader took was written");
+        let mut full = Vec::new();
+        run("table1", RunOptions::default(), &mut Output::new(&mut full)).expect("table1 prints");
+        assert!(full.starts_with(&sink.taken));
+
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = run("table1", RunOptions::default(), &mut Output::new(&mut Full)).unwrap_err();
+        assert!(err.contains("disk full"), "{err}");
+    }
 
     /// The table is the single source of truth: every subcommand has a
     /// unique name, a non-empty description, and appears in the rendered
@@ -461,14 +599,14 @@ mod tests {
             store_op: Some("verify".to_string()),
             ..RunOptions::default()
         };
-        assert_eq!(run("store", vacuous), Ok(()));
+        assert_eq!(run_captured("store", vacuous), Ok(()));
         let dir = std::env::temp_dir().join(format!("epa-cli-store-{}", std::process::id()));
         let bad = RunOptions {
             store: Some(dir.to_string_lossy().to_string()),
             store_op: Some("defragment".to_string()),
             ..RunOptions::default()
         };
-        let err = run("store", bad).unwrap_err();
+        let err = run_captured("store", bad).unwrap_err();
         assert!(err.contains("unknown operation"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -486,7 +624,7 @@ mod tests {
                 store_op: Some(op.to_string()),
                 ..RunOptions::default()
             };
-            let err = run("store", refused).unwrap_err();
+            let err = run_captured("store", refused).unwrap_err();
             assert!(err.starts_with(&format!("store {op}: --store refused")), "{err}");
             assert!(err.contains("cannot be created"), "the resolution reason: {err}");
         }
@@ -498,7 +636,7 @@ mod tests {
     /// path is exercised without running any experiment.
     #[test]
     fn unknown_subcommands_are_rejected() {
-        let err = run("no-such-experiment", RunOptions::default()).unwrap_err();
+        let err = run_captured("no-such-experiment", RunOptions::default()).unwrap_err();
         assert!(err.contains("unknown experiment"), "{err}");
     }
 }

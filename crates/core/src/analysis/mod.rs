@@ -82,6 +82,7 @@ pub use statics::{static_model, StaticModel, StaticSite};
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
+use shim_sync::sync::{Arc, Mutex, PoisonError};
 
 use epa_sandbox::audit::AuditEvent;
 use epa_sandbox::cred::{Credentials, Gid, Uid};
@@ -203,6 +204,8 @@ struct EventFact {
     physical: Option<(String, String)>,
     semantic: Option<epa_sandbox::trace::InputSemantic>,
     ok: bool,
+    /// For a registry read, the value the pristine world holds there.
+    pristine_value: Option<String>,
 }
 
 impl EventFact {
@@ -250,9 +253,10 @@ fn mutates_net(op: OpKind) -> bool {
 }
 
 /// What part of the world a direct fault reads and writes.
-enum Footprint {
-    /// File-system fault over these target paths.
-    Fs(Vec<String>),
+enum Footprint<'a> {
+    /// File-system fault over one target path, or two (a symlink swap's
+    /// link and destination).
+    Fs(&'a str, Option<&'a str>),
     /// Registry fault (conservatively keyed on any registry write).
     Registry,
     /// Network/IPC/DNS fault (conservatively keyed on any net activity).
@@ -261,7 +265,7 @@ enum Footprint {
     Process,
 }
 
-fn footprint(fault: &DirectFault) -> Footprint {
+fn footprint(fault: &DirectFault) -> Footprint<'_> {
     match fault {
         DirectFault::FileMakeExist { path }
         | DirectFault::FileMakeMissing { path }
@@ -271,8 +275,8 @@ fn footprint(fault: &DirectFault) -> Footprint {
         | DirectFault::FilePermOpen { path }
         | DirectFault::FilePermNoExec { path }
         | DirectFault::ModifyContent { path, .. }
-        | DirectFault::RenameAway { path } => Footprint::Fs(vec![path.clone()]),
-        DirectFault::SymlinkSwap { path, target } => Footprint::Fs(vec![path.clone(), target.clone()]),
+        | DirectFault::RenameAway { path } => Footprint::Fs(path, None),
+        DirectFault::SymlinkSwap { path, target } => Footprint::Fs(path, Some(target)),
         DirectFault::WorkingDirectory { .. } => Footprint::Process,
         DirectFault::RegistryOpenAcl { .. } => Footprint::Registry,
         // The planted value may also create a payload file, so this fault
@@ -294,6 +298,70 @@ fn footprint(fault: &DirectFault) -> Footprint {
         #[allow(unreachable_patterns)]
         _ => Footprint::Process,
     }
+}
+
+/// A direct fault's file-system target as the pristine world resolves
+/// it. Computed once per target path ([`AppAnalysis::guard`]) and shared
+/// by every job that strikes it, at any site.
+#[derive(Debug)]
+enum Guard {
+    /// Relative, or carrying `..`: no unambiguous physical form.
+    Ambiguous,
+    /// The target is itself a symlink: god-mode fault application and
+    /// app-level access disagree on which object they touch.
+    Symlink,
+    /// The target's physical path.
+    Physical {
+        path: String,
+        /// Sequence number of the first clean-trace event that mutates
+        /// the path (`usize::MAX` when none does).
+        first_mutation: usize,
+    },
+}
+
+/// A classification before any text is built: [`AppAnalysis::classify`]
+/// renders it into a [`Relevance`], [`AppAnalysis::pruned_digest`] reads
+/// only the `applied` flag.
+enum Decision<'a> {
+    Relevant,
+    Inert { applied: bool, proof: Proof<'a> },
+    Unknown(Why),
+}
+
+/// The facts behind a [`Justification`].
+enum Proof<'a> {
+    StateNoOp {
+        prefix_len: usize,
+        applies_cleanly: bool,
+    },
+    GrantsPreserved {
+        suffix_reads: usize,
+        creds_checked: usize,
+    },
+    NeverFires,
+    IdentityTransform {
+        strike: &'a EventFact,
+        values_checked: usize,
+    },
+}
+
+/// Why static reasoning gave up on a job.
+enum Why {
+    /// The struck `site#occurrence` is not in the clean trace.
+    OccurrenceAbsent,
+    /// The struck site is not in the clean trace at all.
+    SiteAbsent,
+    ProcessState,
+    RegistryMutated,
+    NetConsumed,
+    AliasHazard,
+    /// The fault's `n`th target is ambiguous.
+    AmbiguousTarget(usize),
+    /// The fault's `n`th target is a symlink.
+    SymlinkTarget(usize),
+    /// The clean-trace event with this sequence number mutates a guard
+    /// path before the strike.
+    GuardMutated(usize),
 }
 
 /// Physical forms of `path` against `fs`: `(final-symlink-kept, fully
@@ -356,6 +424,14 @@ pub struct AppAnalysis {
     clean_crashed: Option<String>,
     clean_audit_events: usize,
     clean_violations: Vec<epa_sandbox::policy::Verdict>,
+    /// Sequence number of the first clean-trace registry write or delete
+    /// (`usize::MAX` when none).
+    first_reg_write: usize,
+    /// Sequence number of the first clean-trace event that consumes or
+    /// mutates network/IPC state (`usize::MAX` when none).
+    first_net_use: usize,
+    /// Direct-fault targets resolved so far, by target path.
+    guards: Mutex<BTreeMap<String, Arc<Guard>>>,
 }
 
 impl std::fmt::Debug for AppAnalysis {
@@ -381,7 +457,7 @@ impl AppAnalysis {
         // the same join the sandbox performs.
         let mut cwd = setup.cwd.clone();
         for ev in clean.os.trace.events() {
-            let fact = Self::fact_of(&pristine.fs, &cwd, ev);
+            let fact = Self::fact_of(&pristine, &cwd, ev);
             if hazard_from == usize::MAX && Self::is_hazard(&pristine.fs, &fact) {
                 hazard_from = fact.seq;
             }
@@ -393,6 +469,16 @@ impl AppAnalysis {
             by_site.entry(fact.site.clone()).or_default().push(events.len());
             events.push(fact);
         }
+        let first_seq = |hit: fn(OpKind) -> bool| {
+            events
+                .iter()
+                .filter(|e| hit(e.op))
+                .map(|e| e.seq)
+                .min()
+                .unwrap_or(usize::MAX)
+        };
+        let first_reg_write = first_seq(|op| matches!(op, OpKind::RegWrite | OpKind::RegDelete));
+        let first_net_use = first_seq(mutates_net);
         let mut read_creds: BTreeMap<String, Vec<Credentials>> = BTreeMap::new();
         for ev in clean.os.audit.events() {
             if let AuditEvent::FileRead { path, by, .. } = ev {
@@ -411,10 +497,20 @@ impl AppAnalysis {
             clean_crashed: clean.crashed.clone(),
             clean_audit_events: clean.os.audit.len(),
             clean_violations: clean.violations.clone(),
+            first_reg_write,
+            first_net_use,
+            guards: Mutex::default(),
         }
     }
 
-    fn fact_of(fs: &Vfs, cwd: &str, ev: &TraceEvent) -> EventFact {
+    fn fact_of(pristine: &Os, cwd: &str, ev: &TraceEvent) -> EventFact {
+        let fs = &pristine.fs;
+        let pristine_value = match (ev.op, &*ev.object) {
+            (OpKind::RegRead, ObjectRef::RegValue(key, value)) => {
+                pristine.registry.get_value(key, value).ok().map(|(text, _)| text)
+            }
+            _ => None,
+        };
         let physical = match &*ev.object {
             ObjectRef::File(p) if path::is_absolute(p) => Some(physical_forms(fs, p)),
             ObjectRef::File(p) if !path::contains_dotdot(p) => Some(physical_forms(fs, &path::join(cwd, p))),
@@ -429,6 +525,7 @@ impl AppAnalysis {
             physical,
             semantic: ev.semantic,
             ok: ev.ok,
+            pristine_value,
         }
     }
 
@@ -512,18 +609,32 @@ impl AppAnalysis {
     /// runs provably replay the clean outcome come back
     /// [`Relevance::ProvablyInert`].
     pub fn classify(&self, job: &InjectionPlan) -> Relevance {
-        match &job.fault.payload {
-            FaultPayload::Direct(df) => self.classify_direct(job, df),
-            FaultPayload::Indirect(_) => self.classify_indirect(job),
+        match self.decide(job) {
+            Decision::Relevant => Relevance::Relevant,
+            Decision::Unknown(why) => Relevance::Unknown {
+                reason: self.reason(job, why),
+            },
+            Decision::Inert { applied, proof } => Relevance::ProvablyInert {
+                applied,
+                justification: self.justification(job, proof),
+            },
         }
     }
 
     /// The synthesized replay digest for a provably inert job, `None` for
-    /// anything that must execute.
+    /// anything that must execute. Decides as [`AppAnalysis::classify`]
+    /// does, without building its reasons or justifications.
     pub fn pruned_digest(&self, job: &InjectionPlan) -> Option<RunDigest> {
-        match self.classify(job) {
-            Relevance::ProvablyInert { applied, .. } => Some(self.clean_digest(applied)),
+        match self.decide(job) {
+            Decision::Inert { applied, .. } => Some(self.clean_digest(applied)),
             _ => None,
+        }
+    }
+
+    fn decide(&self, job: &InjectionPlan) -> Decision<'_> {
+        match &job.fault.payload {
+            FaultPayload::Direct(df) => self.decide_direct(job, df),
+            FaultPayload::Indirect(f) => self.decide_indirect(job, f),
         }
     }
 
@@ -535,87 +646,82 @@ impl AppAnalysis {
             .find(|e| e.occurrence == occurrence)
     }
 
-    fn classify_direct(&self, job: &InjectionPlan, df: &DirectFault) -> Relevance {
-        let Some(strike) = self.strike_event(&job.site, job.occurrence) else {
-            return Relevance::Unknown {
-                reason: format!("site {}#{} absent from the clean trace", job.site, job.occurrence),
-            };
-        };
-        let guards = match footprint(df) {
-            Footprint::Process => {
-                return Relevance::Unknown {
-                    reason: "process-state faults are never analyzed statically".to_string(),
-                }
-            }
-            Footprint::Registry => {
-                if self
+    /// The guard facts of one direct-fault target, resolved on first use.
+    fn guard(&self, target: &str) -> Arc<Guard> {
+        let mut memo = self.guards.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(guard) = memo.get(target) {
+            return Arc::clone(guard);
+        }
+        let guard = Arc::new(if !path::is_absolute(target) || path::contains_dotdot(target) {
+            Guard::Ambiguous
+        } else {
+            let (nofollow, follow) = physical_forms(&self.pristine.fs, target);
+            if nofollow == follow {
+                let first_mutation = self
                     .events
                     .iter()
-                    .take_while(|e| e.seq < strike.seq)
-                    .any(|e| matches!(e.op, OpKind::RegWrite | OpKind::RegDelete))
-                {
-                    return Relevance::Unknown {
-                        reason: "registry mutated before the strike point".to_string(),
-                    };
+                    .find(|e| mutates_fs(e.op) && e.matches_guard(&follow))
+                    .map_or(usize::MAX, |e| e.seq);
+                Guard::Physical {
+                    path: follow,
+                    first_mutation,
                 }
-                Vec::new()
+            } else {
+                Guard::Symlink
+            }
+        });
+        memo.insert(target.to_string(), Arc::clone(&guard));
+        guard
+    }
+
+    fn decide_direct(&self, job: &InjectionPlan, df: &DirectFault) -> Decision<'_> {
+        let Some(strike) = self.strike_event(&job.site, job.occurrence) else {
+            return Decision::Unknown(Why::OccurrenceAbsent);
+        };
+        let mut target = None;
+        match footprint(df) {
+            Footprint::Process => return Decision::Unknown(Why::ProcessState),
+            Footprint::Registry => {
+                if self.first_reg_write < strike.seq {
+                    return Decision::Unknown(Why::RegistryMutated);
+                }
             }
             Footprint::Net => {
-                if self
-                    .events
-                    .iter()
-                    .take_while(|e| e.seq < strike.seq)
-                    .any(|e| mutates_net(e.op))
-                {
-                    return Relevance::Unknown {
-                        reason: "network state consumed before the strike point".to_string(),
-                    };
+                if self.first_net_use < strike.seq {
+                    return Decision::Unknown(Why::NetConsumed);
                 }
-                Vec::new()
             }
-            Footprint::Fs(targets) => {
+            Footprint::Fs(first, second) => {
                 if strike.seq > 0 && self.hazard_from < strike.seq {
-                    return Relevance::Unknown {
-                        reason: format!("alias structure may change at clean-trace event {}", self.hazard_from),
-                    };
+                    return Decision::Unknown(Why::AliasHazard);
                 }
-                let mut guards = Vec::new();
-                for t in &targets {
-                    if !path::is_absolute(t) || path::contains_dotdot(t) {
-                        return Relevance::Unknown {
-                            reason: format!("target `{t}` is not an unambiguous absolute path"),
-                        };
+                let mut first_mutation = usize::MAX;
+                for (n, t) in std::iter::once(first).chain(second).enumerate() {
+                    let guard = self.guard(t);
+                    match &*guard {
+                        Guard::Ambiguous => return Decision::Unknown(Why::AmbiguousTarget(n)),
+                        Guard::Symlink => return Decision::Unknown(Why::SymlinkTarget(n)),
+                        Guard::Physical {
+                            first_mutation: seq, ..
+                        } => first_mutation = first_mutation.min(*seq),
                     }
-                    let (nofollow, follow) = physical_forms(&self.pristine.fs, t);
-                    if nofollow != follow {
-                        // The target is itself a symlink: god-mode fault
-                        // application and app-level access disagree on
-                        // which object they touch.
-                        return Relevance::Unknown {
-                            reason: format!("target `{t}` resolves through a symlink"),
-                        };
-                    }
-                    guards.push(follow);
-                }
-                for e in self.events.iter().take_while(|e| e.seq < strike.seq) {
-                    if mutates_fs(e.op) && guards.iter().any(|g| e.matches_guard(g)) {
-                        return Relevance::Unknown {
-                            reason: format!("clean-trace event {} mutates guard path before the strike", e.seq),
-                        };
+                    if second.is_none() {
+                        target = Some(guard);
                     }
                 }
-                guards
+                if first_mutation < strike.seq {
+                    return Decision::Unknown(Why::GuardMutated(first_mutation));
+                }
             }
-        };
+        }
         // The guard set is clean: the fault meets exactly the pristine
         // state. Probe whether applying it there changes anything.
         let mut probe = self.pristine.clone();
         let applies_cleanly = df.apply(&mut probe, Pid(0)).is_ok();
         if probe.same_substrate(&self.pristine) {
-            return Relevance::ProvablyInert {
+            return Decision::Inert {
                 applied: applies_cleanly,
-                justification: Justification::StateNoOp {
-                    guards,
+                proof: Proof::StateNoOp {
                     prefix_len: strike.seq,
                     applies_cleanly,
                 },
@@ -631,21 +737,18 @@ impl AppAnalysis {
             }
             _ => None,
         };
-        if let Some((no, ng)) = new_owner {
+        if let (Some((no, ng)), Some(Guard::Physical { path, .. })) = (new_owner, target.as_deref()) {
             if applies_cleanly {
-                if let Some(justification) = self.chown_grants_preserved(&guards, strike.seq, no, ng) {
-                    return Relevance::ProvablyInert {
-                        applied: true,
-                        justification,
-                    };
+                if let Some(proof) = self.chown_grants_preserved(path, strike.seq, no, ng) {
+                    return Decision::Inert { applied: true, proof };
                 }
             }
         }
-        Relevance::Relevant
+        Decision::Relevant
     }
 
     /// Proof attempt for [`Justification::GrantsPreserved`]: re-owning
-    /// `guards[0]` to `new_owner:new_group` at the strike point is
+    /// `target` to `new_owner:new_group` at the strike point is
     /// unobservable.
     ///
     /// Requires the whole trace to be alias-stable (suffix spellings must
@@ -660,12 +763,11 @@ impl AppAnalysis {
     /// reading the file.
     fn chown_grants_preserved(
         &self,
-        guards: &[String],
+        target: &str,
         strike_seq: usize,
         new_owner: Uid,
         new_group: Gid,
-    ) -> Option<Justification> {
-        let [target] = guards else { return None };
+    ) -> Option<Proof<'_>> {
         if self.hazard_from != usize::MAX {
             return None;
         }
@@ -690,25 +792,25 @@ impl AppAnalysis {
                 }
             }
         }
-        let mut creds = vec![self.pristine.invoker_cred()];
-        creds.extend(self.read_creds.get(target).into_iter().flatten().copied());
-        for cred in &creds {
-            if mode.grants(owner, group, cred, Access::Read) != mode.grants(new_owner, new_group, cred, Access::Read) {
+        let creds = std::iter::once(self.pristine.invoker_cred())
+            .chain(self.read_creds.get(target).into_iter().flatten().copied());
+        let mut creds_checked = 0usize;
+        for cred in creds {
+            if mode.grants(owner, group, &cred, Access::Read) != mode.grants(new_owner, new_group, &cred, Access::Read)
+            {
                 return None;
             }
+            creds_checked += 1;
         }
-        Some(Justification::GrantsPreserved {
-            path: target.clone(),
+        Some(Proof::GrantsPreserved {
             suffix_reads,
-            creds_checked: creds.len(),
+            creds_checked,
         })
     }
 
-    fn classify_indirect(&self, job: &InjectionPlan) -> Relevance {
+    fn decide_indirect(&self, job: &InjectionPlan, fault: &IndirectFault) -> Decision<'_> {
         let Some(site_events) = self.by_site.get(&job.site) else {
-            return Relevance::Unknown {
-                reason: format!("site {} absent from the clean trace", job.site),
-            };
+            return Decision::Unknown(Why::SiteAbsent);
         };
         let strike = match job.fault.semantic {
             // Semantic-matched faults strike the first successful receive
@@ -721,36 +823,27 @@ impl AppAnalysis {
             None => match self.strike_event(&job.site, job.occurrence) {
                 Some(e) if e.ok => Some(e),
                 Some(_) => None,
-                None => {
-                    return Relevance::Unknown {
-                        reason: format!("site {}#{} absent from the clean trace", job.site, job.occurrence),
-                    }
-                }
+                None => return Decision::Unknown(Why::OccurrenceAbsent),
             },
         };
         let Some(strike) = strike else {
-            return Relevance::ProvablyInert {
+            return Decision::Inert {
                 applied: false,
-                justification: Justification::NeverFires {
-                    site: job.site.to_string(),
-                    occurrence: job.occurrence,
-                    matching_ok_events: 0,
-                },
+                proof: Proof::NeverFires,
             };
         };
-        if let FaultPayload::Indirect(f) = &job.fault.payload {
-            if let Some(justification) = self.identity_inert(f, strike) {
-                return Relevance::ProvablyInert {
-                    applied: true,
-                    justification,
-                };
-            }
+        match self.identity_inert(fault, strike) {
+            Some(values_checked) => Decision::Inert {
+                applied: true,
+                proof: Proof::IdentityTransform { strike, values_checked },
+            },
+            None => Decision::Relevant,
         }
-        Relevance::Relevant
     }
 
     /// Proof attempt for [`Justification::IdentityTransform`]: the fault
     /// fires at `strike` but rewrites the received value to itself.
+    /// Returns how many candidate values were checked.
     ///
     /// The strike value is recovered from the pristine world — spawn
     /// environment and argv are immutable for the whole run (the sandbox
@@ -760,42 +853,95 @@ impl AppAnalysis {
     /// must be a fixed point. The check runs the *actual*
     /// [`IndirectFault::apply_to_data`] mutation, which preserves labels,
     /// so byte equality means the payload is identical.
-    fn identity_inert(&self, fault: &IndirectFault, strike: &EventFact) -> Option<Justification> {
-        let (source, values): (String, Vec<String>) = match (strike.op, &strike.object) {
-            (OpKind::Getenv, ObjectRef::EnvVar(name)) => {
-                (format!("env:{name}"), vec![self.setup_env.get(name)?.clone()])
-            }
-            (OpKind::ReadArg, ObjectRef::Args) => {
-                if self.setup_args.is_empty() {
-                    return None;
-                }
-                ("argv".to_string(), self.setup_args.clone())
-            }
-            (OpKind::RegRead, ObjectRef::RegValue(key, value)) => {
-                if self
-                    .events
-                    .iter()
-                    .any(|e| e.seq < strike.seq && matches!(e.op, OpKind::RegWrite | OpKind::RegDelete))
-                {
-                    return None;
-                }
-                let (text, _) = self.pristine.registry.get_value(key, value).ok()?;
-                (format!("reg:{key}\\{value}"), vec![text])
+    fn identity_inert(&self, fault: &IndirectFault, strike: &EventFact) -> Option<usize> {
+        let values: &[String] = match (strike.op, &strike.object) {
+            (OpKind::Getenv, ObjectRef::EnvVar(name)) => std::slice::from_ref(self.setup_env.get(name)?),
+            (OpKind::ReadArg, ObjectRef::Args) if !self.setup_args.is_empty() => &self.setup_args,
+            (OpKind::RegRead, ObjectRef::RegValue(..)) if self.first_reg_write >= strike.seq => {
+                std::slice::from_ref(strike.pristine_value.as_ref()?)
             }
             _ => return None,
         };
-        for v in &values {
+        for v in values {
             let mut data = Data::from(v.clone());
             fault.apply_to_data(&mut data);
             if data.text() != *v {
                 return None;
             }
         }
-        Some(Justification::IdentityTransform {
-            site: strike.site.to_string(),
-            source,
-            values_checked: values.len(),
-        })
+        Some(values.len())
+    }
+
+    /// Why [`AppAnalysis::classify`] gave up on `job`, in words.
+    fn reason(&self, job: &InjectionPlan, why: Why) -> String {
+        let target = |n: usize| match &job.fault.payload {
+            FaultPayload::Direct(df) => match footprint(df) {
+                Footprint::Fs(first, second) => std::iter::once(first).chain(second).nth(n).unwrap_or_default(),
+                _ => "",
+            },
+            FaultPayload::Indirect(_) => "",
+        };
+        match why {
+            Why::OccurrenceAbsent => format!("site {}#{} absent from the clean trace", job.site, job.occurrence),
+            Why::SiteAbsent => format!("site {} absent from the clean trace", job.site),
+            Why::ProcessState => "process-state faults are never analyzed statically".to_string(),
+            Why::RegistryMutated => "registry mutated before the strike point".to_string(),
+            Why::NetConsumed => "network state consumed before the strike point".to_string(),
+            Why::AliasHazard => format!("alias structure may change at clean-trace event {}", self.hazard_from),
+            Why::AmbiguousTarget(n) => format!("target `{}` is not an unambiguous absolute path", target(n)),
+            Why::SymlinkTarget(n) => format!("target `{}` resolves through a symlink", target(n)),
+            Why::GuardMutated(seq) => format!("clean-trace event {seq} mutates guard path before the strike"),
+        }
+    }
+
+    /// The [`Justification`] of an inert `job`.
+    fn justification(&self, job: &InjectionPlan, proof: Proof<'_>) -> Justification {
+        let guards = || -> Vec<String> {
+            let FaultPayload::Direct(df) = &job.fault.payload else {
+                return Vec::new();
+            };
+            let Footprint::Fs(first, second) = footprint(df) else {
+                return Vec::new();
+            };
+            std::iter::once(first)
+                .chain(second)
+                .filter_map(|t| match &*self.guard(t) {
+                    Guard::Physical { path, .. } => Some(path.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+        match proof {
+            Proof::StateNoOp {
+                prefix_len,
+                applies_cleanly,
+            } => Justification::StateNoOp {
+                guards: guards(),
+                prefix_len,
+                applies_cleanly,
+            },
+            Proof::GrantsPreserved {
+                suffix_reads,
+                creds_checked,
+            } => Justification::GrantsPreserved {
+                path: guards().remove(0),
+                suffix_reads,
+                creds_checked,
+            },
+            Proof::NeverFires => Justification::NeverFires {
+                site: job.site.to_string(),
+                occurrence: job.occurrence,
+                matching_ok_events: 0,
+            },
+            Proof::IdentityTransform { strike, values_checked } => Justification::IdentityTransform {
+                site: strike.site.to_string(),
+                source: match &strike.object {
+                    ObjectRef::Args => "argv".to_string(),
+                    other => other.to_string(),
+                },
+                values_checked,
+            },
+        }
     }
 
     /// Relevance tallies over a job list: `(relevant, inert, unknown)`.
@@ -804,10 +950,10 @@ impl AppAnalysis {
         let mut inert = 0;
         let mut unknown = 0;
         for job in jobs {
-            match self.classify(job) {
-                Relevance::Relevant => relevant += 1,
-                Relevance::ProvablyInert { .. } => inert += 1,
-                Relevance::Unknown { .. } => unknown += 1,
+            match self.decide(job) {
+                Decision::Relevant => relevant += 1,
+                Decision::Inert { .. } => inert += 1,
+                Decision::Unknown(_) => unknown += 1,
             }
         }
         (relevant, inert, unknown)
@@ -958,7 +1104,7 @@ mod tests {
         assert!(digest.applied);
         // Force-run the job: the real record must match the synthesis.
         let campaign = Campaign::build(&Probe, &setup, CampaignOptions::default());
-        let record = campaign.run_job(&job("probe:opt", 0, fault));
+        let record = campaign.run_job(&shim_sync::sync::Arc::from([job("probe:opt", 0, fault)]), 0);
         assert_eq!(record.applied, digest.applied);
         assert_eq!(record.exit, digest.exit);
         assert_eq!(record.audit_events, digest.audit_events);
@@ -1001,5 +1147,124 @@ mod tests {
         // the pristine-world no-op proof must not transfer.
         let v = analysis.classify(&job("w:check", 0, fault));
         assert!(matches!(v, Relevance::Unknown { .. }), "got {v:?}");
+    }
+
+    /// `pruned_digest` decides without building text, `classify` renders
+    /// the same decision with its reason or proof; both must agree on
+    /// every job, and the rendered text is pinned.
+    #[test]
+    fn classify_and_pruned_digest_agree_and_explain() {
+        let setup = setup();
+        let analysis = analysis_of(&setup);
+        let direct = |site: &str, df: DirectFault| {
+            job(
+                site,
+                0,
+                crate::perturb::ConcreteFault {
+                    id: "t".into(),
+                    category: crate::model::EaiCategory::Other,
+                    semantic: None,
+                    description: String::new(),
+                    payload: FaultPayload::Direct(df),
+                },
+            )
+        };
+        let indirect = |site: &str, semantic| {
+            job(
+                site,
+                0,
+                crate::perturb::ConcreteFault {
+                    id: "t".into(),
+                    category: crate::model::EaiCategory::Other,
+                    semantic,
+                    description: String::new(),
+                    payload: FaultPayload::Indirect(IndirectFault::MakeRelative),
+                },
+            )
+        };
+        let missing = |path: &str| DirectFault::FileMakeMissing { path: path.into() };
+        let unknown = |reason: &str| Relevance::Unknown { reason: reason.into() };
+        let cases = [
+            (
+                direct("probe:opt", missing("/etc//probe.local")),
+                Relevance::ProvablyInert {
+                    applied: true,
+                    justification: Justification::StateNoOp {
+                        guards: vec!["/etc/probe.local".into()],
+                        prefix_len: 1,
+                        applies_cleanly: true,
+                    },
+                },
+            ),
+            (
+                direct(
+                    "probe:opt",
+                    DirectFault::SymlinkSwap {
+                        path: "/etc/probe.local".into(),
+                        target: "/etc/probe.conf".into(),
+                    },
+                ),
+                Relevance::Relevant,
+            ),
+            (direct("probe:conf", missing("/etc/probe.conf")), Relevance::Relevant),
+            (
+                direct("probe:none", missing("/etc/probe.conf")),
+                unknown("site probe:none#0 absent from the clean trace"),
+            ),
+            (
+                direct("probe:conf", DirectFault::WorkingDirectory { dir: "/tmp".into() }),
+                unknown("process-state faults are never analyzed statically"),
+            ),
+            (
+                direct("probe:conf", missing("etc/probe.conf")),
+                unknown("target `etc/probe.conf` is not an unambiguous absolute path"),
+            ),
+            (
+                direct(
+                    "probe:conf",
+                    DirectFault::SymlinkSwap {
+                        path: "/etc/probe.conf".into(),
+                        target: "/var/../etc/x".into(),
+                    },
+                ),
+                unknown("target `/var/../etc/x` is not an unambiguous absolute path"),
+            ),
+            (
+                direct("probe:out", missing("/var/probe.out")),
+                Relevance::ProvablyInert {
+                    applied: true,
+                    justification: Justification::StateNoOp {
+                        guards: vec!["/var/probe.out".into()],
+                        prefix_len: 3,
+                        applies_cleanly: true,
+                    },
+                },
+            ),
+            (
+                indirect("probe:env", Some(epa_sandbox::trace::InputSemantic::EnvValue)),
+                Relevance::ProvablyInert {
+                    applied: false,
+                    justification: Justification::NeverFires {
+                        site: "probe:env".into(),
+                        occurrence: 0,
+                        matching_ok_events: 0,
+                    },
+                },
+            ),
+            (indirect("probe:conf", None), Relevance::Relevant),
+            (
+                indirect("probe:none", None),
+                unknown("site probe:none absent from the clean trace"),
+            ),
+        ];
+        for (job, expected) in cases {
+            let relevance = analysis.classify(&job);
+            assert_eq!(relevance, expected, "{job:?}");
+            let applied = match relevance {
+                Relevance::ProvablyInert { applied, .. } => Some(applied),
+                _ => None,
+            };
+            assert_eq!(analysis.pruned_digest(&job).map(|d| d.applied), applied, "{job:?}");
+        }
     }
 }

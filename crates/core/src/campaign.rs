@@ -18,6 +18,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
 
+use shim_sync::sync::Arc;
+
 use epa_sandbox::app::Application;
 use epa_sandbox::audit::AuditEvent;
 use epa_sandbox::cred::Uid;
@@ -505,9 +507,12 @@ impl<'a> Campaign<'a> {
         CampaignPlan { clean, sites }
     }
 
-    /// Runs one injection job from a fresh snapshot, bypassing any cache.
-    pub(crate) fn run_job(&self, job: &InjectionPlan) -> FaultRecord {
-        let (hook, fired) = InjectionHook::new(job.clone());
+    /// Runs job `idx` of a shared job list from a fresh snapshot,
+    /// bypassing any cache. The hook shares the list instead of copying
+    /// the job.
+    pub(crate) fn run_job(&self, jobs: &Arc<[InjectionPlan]>, idx: usize) -> FaultRecord {
+        let job = &jobs[idx];
+        let (hook, fired) = InjectionHook::shared(Arc::clone(jobs), idx);
         let outcome = run_once(self.setup, self.app, Some(Box::new(hook)));
         FaultRecord {
             site: job.site.to_string(),
@@ -532,16 +537,16 @@ impl<'a> Campaign<'a> {
     /// winner's digest. The winner's
     /// [`crate::engine::planner::ClaimToken::fulfill`] publishes the digest
     /// (and writes it through to any store), so callers never insert it
-    /// again. `key` must be `FaultKey::of(job)` — the schedule has already
-    /// computed it.
-    pub(crate) fn run_job_keyed(&self, job: &InjectionPlan, key: &FaultKey) -> FaultRecord {
+    /// again. `key` must be `FaultKey::of(&jobs[idx])` — the schedule has
+    /// already computed it.
+    pub(crate) fn run_job_keyed(&self, jobs: &Arc<[InjectionPlan]>, idx: usize, key: &FaultKey) -> FaultRecord {
         let Some(cache) = &self.options.cache else {
-            return self.run_job(job);
+            return self.run_job(jobs, idx);
         };
         match cache.begin(self.scope(), key) {
-            Claim::Replay(digest) => digest.replay(job),
+            Claim::Replay(digest) => digest.replay(&jobs[idx]),
             Claim::Execute(token) => {
-                let record = self.run_job(job);
+                let record = self.run_job(jobs, idx);
                 token.fulfill(RunDigest::of(&record));
                 record
             }

@@ -42,10 +42,11 @@
 //! what missed — is built once, inside that campaign's planning job, on
 //! whichever pool thread runs it (in a suite, a spawned worker or the
 //! calling thread working as worker 0). Only the misses are handed back to
-//! the pool as injected-run jobs, each carrying its key.
+//! the pool as injected-run jobs, each an index into the campaign's shared
+//! job list and schedule, where its key already is.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::Hasher;
 
 use serde::{Deserialize, Serialize};
@@ -53,7 +54,7 @@ use shim_sync::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::inject::InjectionPlan;
 use crate::model::EaiCategory;
-use crate::perturb::{DirectFault, FaultPayload};
+use crate::perturb::{DirectFault, FaultPayload, IndirectFault};
 use crate::report::FaultRecord;
 use crate::store::ResultStore;
 
@@ -107,46 +108,180 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// The payload with its file-system target fields lexically cleaned
+/// One field value of a payload variant, as [`FaultKey::of`] writes it.
+enum Field<'a> {
+    /// A file-system target, lexically cleaned through the path interner.
+    Path(&'a str),
+    /// Literal text, written byte-exact.
+    Text(&'a str),
+    /// An unsigned integer.
+    Num(u64),
+    /// A single character, written as a one-character string.
+    Char(char),
+}
+
+/// Appends `s` as a JSON string literal, escaped exactly as the
+/// workspace's `serde_json` writes it: `"`, `\\`, `\n`, `\r` and `\t` by
+/// name, other control characters below U+0020 as `\u00XX`, everything
+/// else verbatim.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        let _ = match b {
+            b'"' => out.write_str("\\\""),
+            b'\\' => out.write_str("\\\\"),
+            b'\n' => out.write_str("\\n"),
+            b'\r' => out.write_str("\\r"),
+            b'\t' => out.write_str("\\t"),
+            _ => write!(out, "\\u{b:04x}"),
+        };
+    }
+    out.push_str(&s[clean..]);
+    out.push('"');
+}
+
+/// Appends one enum variant in the externally tagged JSON form of the
+/// workspace's `serde` derive: a unit variant as `"Name"`, a struct
+/// variant as `{"Name":{"field":value,...}}` with fields in declaration
+/// order.
+fn push_variant(out: &mut String, name: &str, fields: &[(&str, Field<'_>)]) {
+    if fields.is_empty() {
+        push_json_str(out, name);
+        return;
+    }
+    out.push_str("{\"");
+    out.push_str(name);
+    out.push_str("\":{");
+    for (i, (field, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_str(out, field);
+        out.push(':');
+        match *value {
+            Field::Path(p) => push_json_str(out, epa_sandbox::intern::intern(p).as_str()),
+            Field::Text(t) => push_json_str(out, t),
+            Field::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Field::Char(c) => push_json_str(out, c.encode_utf8(&mut [0; 4])),
+        }
+    }
+    out.push_str("}}");
+}
+
+/// Appends the payload's canonical text: its `serde_json` form, with the
+/// file-system target fields lexically cleaned
 /// ([`epa_sandbox::path::clean`]: `//` and `.` collapsed), so two catalog
 /// entries addressing the same object through cosmetically different
 /// spellings canonicalize to one [`FaultKey`]. `..` components are
 /// deliberately **kept**: the VFS resolves them physically (across
 /// symlinked directories), so textual `..` resolution could conflate
 /// faults that actually strike different inodes. Indirect faults are
-/// returned untouched: they are literal value mutations and their planted
+/// written untouched: they are literal value mutations and their planted
 /// text must stay byte-exact.
 ///
 /// Cleaning goes through the process-wide path interner
 /// ([`epa_sandbox::intern`]): a campaign canonicalizes the same catalog
 /// targets over and over, so after the first job per target the clean is
 /// a table hit instead of a re-scan.
-fn normalized_payload(payload: &FaultPayload) -> FaultPayload {
-    let FaultPayload::Direct(df) = payload else {
-        return payload.clone();
-    };
-    let n = |p: &str| epa_sandbox::intern::intern(p).as_str().to_string();
-    let direct = match df {
-        DirectFault::FileMakeExist { path } => DirectFault::FileMakeExist { path: n(path) },
-        DirectFault::FileMakeMissing { path } => DirectFault::FileMakeMissing { path: n(path) },
-        DirectFault::FileChownAttacker { path } => DirectFault::FileChownAttacker { path: n(path) },
-        DirectFault::FileChownRoot { path } => DirectFault::FileChownRoot { path: n(path) },
-        DirectFault::FilePermRestrict { path } => DirectFault::FilePermRestrict { path: n(path) },
-        DirectFault::FilePermOpen { path } => DirectFault::FilePermOpen { path: n(path) },
-        DirectFault::FilePermNoExec { path } => DirectFault::FilePermNoExec { path: n(path) },
-        DirectFault::SymlinkSwap { path, target } => DirectFault::SymlinkSwap {
-            path: n(path),
-            target: n(target),
-        },
-        DirectFault::ModifyContent { path, content } => DirectFault::ModifyContent {
-            path: n(path),
-            content: content.clone(),
-        },
-        DirectFault::RenameAway { path } => DirectFault::RenameAway { path: n(path) },
-        DirectFault::WorkingDirectory { dir } => DirectFault::WorkingDirectory { dir: n(dir) },
-        other => other.clone(),
-    };
-    FaultPayload::Direct(direct)
+fn push_payload(out: &mut String, payload: &FaultPayload) {
+    use Field::{Char, Num, Path, Text};
+    match payload {
+        FaultPayload::Direct(df) => {
+            out.push_str("{\"Direct\":[");
+            let (name, fields): (&str, &[(&str, Field<'_>)]) = match df {
+                DirectFault::FileMakeExist { path } => ("FileMakeExist", &[("path", Path(path))]),
+                DirectFault::FileMakeMissing { path } => ("FileMakeMissing", &[("path", Path(path))]),
+                DirectFault::FileChownAttacker { path } => ("FileChownAttacker", &[("path", Path(path))]),
+                DirectFault::FileChownRoot { path } => ("FileChownRoot", &[("path", Path(path))]),
+                DirectFault::FilePermRestrict { path } => ("FilePermRestrict", &[("path", Path(path))]),
+                DirectFault::FilePermOpen { path } => ("FilePermOpen", &[("path", Path(path))]),
+                DirectFault::FilePermNoExec { path } => ("FilePermNoExec", &[("path", Path(path))]),
+                DirectFault::SymlinkSwap { path, target } => {
+                    ("SymlinkSwap", &[("path", Path(path)), ("target", Path(target))])
+                }
+                DirectFault::ModifyContent { path, content } => {
+                    ("ModifyContent", &[("path", Path(path)), ("content", Text(content))])
+                }
+                DirectFault::RenameAway { path } => ("RenameAway", &[("path", Path(path))]),
+                DirectFault::WorkingDirectory { dir } => ("WorkingDirectory", &[("dir", Path(dir))]),
+                DirectFault::RegistryOpenAcl { key } => ("RegistryOpenAcl", &[("key", Text(key))]),
+                DirectFault::RegistrySetValue { key, value, new_value } => (
+                    "RegistrySetValue",
+                    &[
+                        ("key", Text(key)),
+                        ("value", Text(value)),
+                        ("new_value", Text(new_value)),
+                    ],
+                ),
+                DirectFault::NetSpoofNext { port, actual } => (
+                    "NetSpoofNext",
+                    &[("port", Num((*port).into())), ("actual", Text(actual))],
+                ),
+                DirectFault::NetOmitStep { port, idx } => (
+                    "NetOmitStep",
+                    &[("port", Num((*port).into())), ("idx", Num(*idx as u64))],
+                ),
+                DirectFault::NetDuplicateStep { port, idx } => (
+                    "NetDuplicateStep",
+                    &[("port", Num((*port).into())), ("idx", Num(*idx as u64))],
+                ),
+                DirectFault::NetSwapSteps { port, a, b } => (
+                    "NetSwapSteps",
+                    &[
+                        ("port", Num((*port).into())),
+                        ("a", Num(*a as u64)),
+                        ("b", Num(*b as u64)),
+                    ],
+                ),
+                DirectFault::NetShareSocket { port, with } => {
+                    ("NetShareSocket", &[("port", Num((*port).into())), ("with", Text(with))])
+                }
+                DirectFault::NetDenyService { host, port } => {
+                    ("NetDenyService", &[("host", Text(host)), ("port", Num((*port).into()))])
+                }
+                DirectFault::NetDistrustEntity { host, port } => (
+                    "NetDistrustEntity",
+                    &[("host", Text(host)), ("port", Num((*port).into()))],
+                ),
+                DirectFault::DnsDeny => ("DnsDeny", &[]),
+                DirectFault::IpcSpoofNext { channel, actual } => {
+                    ("IpcSpoofNext", &[("channel", Text(channel)), ("actual", Text(actual))])
+                }
+                DirectFault::IpcDistrust { channel } => ("IpcDistrust", &[("channel", Text(channel))]),
+                DirectFault::IpcDeny { channel } => ("IpcDeny", &[("channel", Text(channel))]),
+            };
+            push_variant(out, name, fields);
+        }
+        FaultPayload::Indirect(f) => {
+            out.push_str("{\"Indirect\":[");
+            let (name, fields): (&str, &[(&str, Field<'_>)]) = match f {
+                IndirectFault::Lengthen { by } => ("Lengthen", &[("by", Num(*by as u64))]),
+                IndirectFault::MakeRelative => ("MakeRelative", &[]),
+                IndirectFault::MakeAbsolute => ("MakeAbsolute", &[]),
+                IndirectFault::InsertDotDot { depth } => ("InsertDotDot", &[("depth", Num(*depth as u64))]),
+                IndirectFault::InsertSpecial { ch } => ("InsertSpecial", &[("ch", Char(*ch))]),
+                IndirectFault::PathListReorder => ("PathListReorder", &[]),
+                IndirectFault::PathListInsertUntrusted { dir } => ("PathListInsertUntrusted", &[("dir", Text(dir))]),
+                IndirectFault::PathListWrong { dir } => ("PathListWrong", &[("dir", Text(dir))]),
+                IndirectFault::PathListRecursive => ("PathListRecursive", &[]),
+                IndirectFault::PermMaskZero => ("PermMaskZero", &[]),
+                IndirectFault::ChangeExtension { ext } => ("ChangeExtension", &[("ext", Text(ext))]),
+                IndirectFault::LengthenExtension => ("LengthenExtension", &[]),
+                IndirectFault::Malform => ("Malform", &[]),
+            };
+            push_variant(out, name, fields);
+        }
+    }
+    out.push_str("]}");
 }
 
 /// The content-addressed canonical identity of one planned injection.
@@ -154,9 +289,13 @@ fn normalized_payload(payload: &FaultPayload) -> FaultPayload {
 /// Two jobs with equal keys perform byte-identical perturbations at the
 /// same point of the same execution, so they must produce byte-identical
 /// outcomes; the planner executes one and replays the other.
+///
+/// The canonical text is shared (`Arc<str>`): the schedule, the cache
+/// map and an in-flight claim all hold the same bytes, so handing a key
+/// along never copies them.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FaultKey {
-    repr: String,
+    repr: Arc<str>,
     digest: u64,
 }
 
@@ -171,31 +310,41 @@ impl FaultKey {
     /// the normalized executable payload. It deliberately excludes the
     /// fault id, description, and EAI category: those ride along on the
     /// record but cannot change what the run does.
+    ///
+    /// The text is `site#occurrence|semantic|payload`, where `payload` is
+    /// the payload's `serde_json` form with its file-system targets
+    /// cleaned. The bytes are written directly into one buffer, with no
+    /// serializer in between; the wire form is the one the serializer
+    /// produced, so stores and manifests written before keep matching
+    /// (`tests/fault_keys.rs` pins every key of the standard suite and a
+    /// 120-scenario corpus).
     pub fn of(job: &InjectionPlan) -> FaultKey {
         let occurrence = if job.fault.occurrence_sensitive() {
             job.occurrence
         } else {
             0
         };
-        let semantic = match job.fault.semantic {
-            Some(s) => format!("{s:?}"),
-            None => "-".to_string(),
-        };
-        let payload = serde_json::to_string(&normalized_payload(&job.fault.payload))
-            .expect("fault payloads serialize infallibly");
-        let repr = format!("{}#{occurrence}|{semantic}|{payload}", job.site);
-        let digest = fnv1a(repr.as_bytes());
-        FaultKey { repr, digest }
+        let mut repr = String::with_capacity(128);
+        let _ = write!(repr, "{}#{occurrence}|", job.site);
+        match job.fault.semantic {
+            Some(s) => {
+                let _ = write!(repr, "{s:?}");
+            }
+            None => repr.push('-'),
+        }
+        repr.push('|');
+        push_payload(&mut repr, &job.fault.payload);
+        FaultKey::synthetic(&repr)
     }
 
-    /// A key from raw canonical text — for concurrency test fixtures
-    /// only (the model-check protocol fixtures and the panicking-claimant
-    /// regression test), which exercise the claim protocol without
-    /// dragging the whole payload machinery into the explored state
-    /// space.
+    /// A key from raw canonical text — for keys read back from a store or
+    /// a manifest, and for concurrency test fixtures (the model-check
+    /// protocol fixtures and the panicking-claimant regression test),
+    /// which exercise the claim protocol without dragging the whole
+    /// payload machinery into the explored state space.
     pub fn synthetic(repr: &str) -> FaultKey {
         FaultKey {
-            repr: repr.to_string(),
+            repr: Arc::from(repr),
             digest: fnv1a(repr.as_bytes()),
         }
     }
@@ -324,9 +473,8 @@ enum CacheSlot {
 #[derive(Default)]
 struct CacheInner {
     /// Scope → canonical key text → slot. Two levels so lookups index by
-    /// `&str` without cloning the (payload-carrying) key text; the text is
-    /// only cloned on an actual insertion.
-    map: BTreeMap<u64, BTreeMap<String, CacheSlot>>,
+    /// `&str`; an insertion shares the key's text instead of copying it.
+    map: BTreeMap<u64, BTreeMap<Arc<str>, CacheSlot>>,
     hits: u64,
     misses: u64,
     store_hits: u64,
@@ -350,8 +498,8 @@ impl CacheShared {
     /// already occupies the slot (an in-flight claim is overwritten: by
     /// the scope/key contract the claimant is computing this exact
     /// digest). Returns with waiters still asleep; callers notify.
-    fn promote(state: &mut CacheInner, scope: u64, repr: &str, digest: &RunDigest) {
-        let slot = state.map.entry(scope).or_default().entry(repr.to_string());
+    fn promote(state: &mut CacheInner, scope: u64, key: &FaultKey, digest: &RunDigest) {
+        let slot = state.map.entry(scope).or_default().entry(Arc::clone(&key.repr));
         match slot {
             std::collections::btree_map::Entry::Occupied(mut o) => {
                 if matches!(o.get(), CacheSlot::Pending) {
@@ -414,7 +562,7 @@ pub enum Claim {
 pub struct ClaimToken {
     shared: Arc<CacheShared>,
     scope: u64,
-    repr: String,
+    key: FaultKey,
     fulfilled: bool,
 }
 
@@ -422,7 +570,7 @@ impl fmt::Debug for ClaimToken {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClaimToken")
             .field("scope", &self.scope)
-            .field("repr", &self.repr)
+            .field("repr", &self.key.repr())
             .field("fulfilled", &self.fulfilled)
             .finish()
     }
@@ -430,20 +578,23 @@ impl fmt::Debug for ClaimToken {
 
 impl ClaimToken {
     /// Publishes the executed run's digest, releasing every waiter blocked
-    /// on this claim and writing through to the persistent backend.
+    /// on this claim and writing through to the persistent backend. The
+    /// digest moves into the cache; it is copied only when a backend
+    /// saves it too.
     pub fn fulfill(mut self, digest: RunDigest) {
+        let saved = self.shared.backend.is_some().then(|| digest.clone());
         {
             let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
             state
                 .map
                 .entry(self.scope)
                 .or_default()
-                .insert(self.repr.clone(), CacheSlot::Ready(digest.clone()));
+                .insert(Arc::clone(&self.key.repr), CacheSlot::Ready(digest));
         }
         self.fulfilled = true;
         self.shared.settled.notify_all();
-        if let Some(backend) = &self.shared.backend {
-            backend.save(self.scope, &FaultKey::synthetic(&self.repr), &digest);
+        if let (Some(backend), Some(digest)) = (&self.shared.backend, saved) {
+            backend.save(self.scope, &self.key, &digest);
         }
     }
 }
@@ -458,8 +609,8 @@ impl Drop for ClaimToken {
         // Recover from poison rather than panicking inside a panic.
         let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(slots) = state.map.get_mut(&self.scope) {
-            if matches!(slots.get(self.repr.as_str()), Some(CacheSlot::Pending)) {
-                slots.remove(self.repr.as_str());
+            if matches!(slots.get(self.key.repr()), Some(CacheSlot::Pending)) {
+                slots.remove(self.key.repr());
             }
         }
         drop(state);
@@ -542,7 +693,7 @@ impl ResultCache {
                 let mut inner = self.lock();
                 match fetched {
                     Some(d) => {
-                        CacheShared::promote(&mut inner, scope, key.repr(), &d);
+                        CacheShared::promote(&mut inner, scope, key, &d);
                         inner.hits += 1;
                         inner.store_hits += 1;
                         drop(inner);
@@ -595,7 +746,7 @@ impl ResultCache {
                             backend_checked = true;
                             state = self.lock();
                             if let Some(d) = fetched {
-                                CacheShared::promote(&mut state, scope, key.repr(), &d);
+                                CacheShared::promote(&mut state, scope, key, &d);
                                 state.hits += 1;
                                 state.store_hits += 1;
                                 drop(state);
@@ -611,12 +762,12 @@ impl ResultCache {
                         .map
                         .entry(scope)
                         .or_default()
-                        .insert(key.repr().to_string(), CacheSlot::Pending);
+                        .insert(Arc::clone(&key.repr), CacheSlot::Pending);
                     state.misses += 1;
                     return Claim::Execute(ClaimToken {
                         shared: Arc::clone(&self.inner),
                         scope,
-                        repr: key.repr().to_string(),
+                        key: key.clone(),
                         fulfilled: false,
                     });
                 }
@@ -627,16 +778,17 @@ impl ResultCache {
     /// Stores the digest of an executed run, settling any in-flight claim
     /// for the same key and writing through to the persistent backend.
     pub fn insert(&self, scope: u64, key: &FaultKey, digest: RunDigest) {
+        let saved = self.inner.backend.is_some().then(|| digest.clone());
         {
             let mut inner = self.lock();
             inner
                 .map
                 .entry(scope)
                 .or_default()
-                .insert(key.repr.clone(), CacheSlot::Ready(digest.clone()));
+                .insert(Arc::clone(&key.repr), CacheSlot::Ready(digest));
         }
         self.inner.settled.notify_all();
-        if let Some(backend) = &self.inner.backend {
+        if let (Some(backend), Some(digest)) = (&self.inner.backend, saved) {
             backend.save(scope, key, &digest);
         }
     }
@@ -854,6 +1006,39 @@ mod tests {
         assert_ne!(FaultKey::of(&a), FaultKey::of(&c));
         let d = direct_job("direct:fs:exist@/tmp/f", "other-site", 0, "/tmp/f");
         assert_ne!(FaultKey::of(&a), FaultKey::of(&d), "the struck site changes the run");
+    }
+
+    #[test]
+    fn payload_text_matches_the_serializer_byte_for_byte() {
+        // Every byte below U+0020, both escaped ASCII characters, and
+        // multi-byte text around them.
+        let tricky: String = (0u8..0x20).map(char::from).chain("\"\\é→\u{7f}x".chars()).collect();
+        let payloads = [
+            FaultPayload::Direct(DirectFault::ModifyContent {
+                path: "/etc/motd".to_string(),
+                content: tricky.clone(),
+            }),
+            FaultPayload::Direct(DirectFault::RegistrySetValue {
+                key: tricky.clone(),
+                value: "\\".to_string(),
+                new_value: String::new(),
+            }),
+            FaultPayload::Direct(DirectFault::NetSwapSteps {
+                port: u16::MAX,
+                a: usize::MAX,
+                b: 0,
+            }),
+            FaultPayload::Direct(DirectFault::DnsDeny),
+            FaultPayload::Indirect(IndirectFault::InsertSpecial { ch: '\u{1}' }),
+            FaultPayload::Indirect(IndirectFault::InsertSpecial { ch: '→' }),
+            FaultPayload::Indirect(IndirectFault::PathListWrong { dir: tricky }),
+            FaultPayload::Indirect(IndirectFault::Malform),
+        ];
+        for payload in payloads {
+            let mut written = String::new();
+            push_payload(&mut written, &payload);
+            assert_eq!(written, serde_json::to_string(&payload).expect("payloads serialize"));
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use epa_sandbox::app::Application;
 use crate::campaign::{Campaign, CampaignPlan};
 use crate::coverage::{AdequacyPoint, Ratio};
 use crate::engine::executor::Executor;
-use crate::engine::planner::{FaultKey, ResultCache, Schedule, YieldStats};
+use crate::engine::planner::{ResultCache, Schedule, YieldStats};
 use crate::engine::session::Session;
 use crate::engine::spec::{SpecError, WorldSpec};
 use crate::inject::InjectionPlan;
@@ -201,9 +201,11 @@ impl Suite {
         self
     }
 
-    /// Executes every registered campaign, discarding the event stream.
+    /// Executes every registered campaign and returns the report. With no
+    /// subscriber no [`SuiteEvent`] is built: records go straight into the
+    /// report, uncopied. [`Suite::execute_with`] streams the same run.
     pub fn execute(&self) -> SuiteReport {
-        self.execute_with(&mut |_| {})
+        self.run(None)
     }
 
     /// Executes every registered campaign, streaming each [`SuiteEvent`] to
@@ -213,6 +215,11 @@ impl Suite {
     /// returned report is in registration order and byte-identical at
     /// every worker count.
     pub fn execute_with(&self, on_event: &mut dyn FnMut(SuiteEvent)) -> SuiteReport {
+        self.run(Some(on_event))
+    }
+
+    /// [`Suite::execute_with`], building events only for a subscriber.
+    fn run(&self, mut on_event: Option<&mut dyn FnMut(SuiteEvent)>) -> SuiteReport {
         // Every campaign plans and executes through the suite-scoped result
         // cache (unless its session already carries an explicit one).
         let campaigns: Vec<Campaign<'_>> = self
@@ -224,33 +231,39 @@ impl Suite {
                 campaign
             })
             .collect();
-        for entry in &self.entries {
-            on_event(SuiteEvent::AppStarted {
-                app: entry.app.name().to_string(),
-            });
+        if let Some(on_event) = on_event.as_mut() {
+            for entry in &self.entries {
+                on_event(SuiteEvent::AppStarted {
+                    app: entry.app.name().to_string(),
+                });
+            }
         }
         let mut reports: Vec<Option<CampaignReport>> = vec![None; campaigns.len()];
         let executor = self.workers.map_or_else(Executor::new, Executor::with_workers);
+        let name = |app: usize| self.entries[app].app.name().to_string();
         drive(
             &executor,
             &campaigns,
             vec![None; campaigns.len()],
-            &mut |app, progress| {
-                let name = self.entries[app].app.name().to_string();
-                match progress {
-                    Progress::Record(record) => on_event(SuiteEvent::Record {
-                        app: name,
-                        record: record.clone(),
-                    }),
-                    Progress::Finished { plan, records } => {
-                        let plan = plan.expect("suite campaigns plan on the pool");
-                        let report = campaigns[app].report_from(&plan, records);
+            &mut |app, progress| match progress {
+                Progress::Record(record) => {
+                    if let Some(on_event) = on_event.as_mut() {
+                        on_event(SuiteEvent::Record {
+                            app: name(app),
+                            record: record.clone(),
+                        });
+                    }
+                }
+                Progress::Finished { plan, records } => {
+                    let plan = plan.expect("suite campaigns plan on the pool");
+                    let report = campaigns[app].report_from(&plan, records);
+                    if let Some(on_event) = on_event.as_mut() {
                         on_event(SuiteEvent::AppFinished {
-                            app: name,
+                            app: name(app),
                             report: report.clone(),
                         });
-                        reports[app] = Some(report);
                     }
+                    reports[app] = Some(report);
                 }
             },
         );
@@ -320,21 +333,26 @@ pub(crate) fn drive(
                         (Some(Box::new(plan)), jobs)
                     }
                 };
-                let schedule = campaigns[app].schedule(&jobs);
+                let schedule = Arc::new(campaigns[app].schedule(&jobs));
                 Done::Scheduled {
                     app,
                     plan,
-                    jobs,
+                    jobs: jobs.into(),
                     schedule,
                 }
             }
-            Job::Inject { app, idx, plan, key } => Done::Ran {
+            Job::Inject {
+                app,
+                idx,
+                jobs,
+                schedule,
+            } => Done::Ran {
                 app,
                 idx,
                 // Claim-aware: when several suites share one cache, a run
                 // another suite is executing right now is waited out and
                 // replayed instead of duplicated.
-                record: campaigns[app].run_job_keyed(&plan, &key),
+                record: campaigns[app].run_job_keyed(&jobs, idx, schedule.key(idx)),
             },
         },
         &mut |done| {
@@ -401,12 +419,14 @@ enum Job {
         jobs: Option<Vec<InjectionPlan>>,
     },
     /// Run injection job `idx` of campaign `app`, claiming it under the
-    /// key its schedule already computed.
+    /// key its schedule already computed. The job list and the schedule
+    /// are the campaign's own, shared: handing a job over copies neither
+    /// its plan nor its key.
     Inject {
         app: usize,
         idx: usize,
-        plan: InjectionPlan,
-        key: FaultKey,
+        jobs: Arc<[InjectionPlan]>,
+        schedule: Arc<Schedule>,
     },
 }
 
@@ -415,8 +435,8 @@ enum Done {
     Scheduled {
         app: usize,
         plan: Option<Box<CampaignPlan>>,
-        jobs: Vec<InjectionPlan>,
-        schedule: Schedule,
+        jobs: Arc<[InjectionPlan]>,
+        schedule: Arc<Schedule>,
     },
     Ran {
         app: usize,
@@ -429,8 +449,8 @@ enum Done {
 #[derive(Default)]
 struct AppSlot {
     plan: Option<Box<CampaignPlan>>,
-    jobs: Vec<InjectionPlan>,
-    schedule: Option<Schedule>,
+    jobs: Arc<[InjectionPlan]>,
+    schedule: Option<Arc<Schedule>>,
     records: Vec<Option<FaultRecord>>,
     /// Pending job indices not yet handed to the queue.
     remaining: Vec<usize>,
@@ -485,8 +505,8 @@ impl AppSlot {
             .map(|idx| Job::Inject {
                 app,
                 idx,
-                plan: self.jobs[idx].clone(),
-                key: schedule.key(idx).clone(),
+                jobs: Arc::clone(&self.jobs),
+                schedule: Arc::clone(schedule),
             })
             .collect()
     }

@@ -46,28 +46,55 @@ impl Fired {
 }
 
 /// The [`Interceptor`] that executes an [`InjectionPlan`].
-#[derive(Debug)]
 pub struct InjectionHook {
-    plan: InjectionPlan,
+    /// The job list the plan belongs to, shared with the engine so a run
+    /// never copies its job.
+    jobs: Arc<[InjectionPlan]>,
+    idx: usize,
     fired: Fired,
+}
+
+impl std::fmt::Debug for InjectionHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InjectionHook")
+            .field("plan", self.plan())
+            .field("fired", &self.fired)
+            .finish()
+    }
 }
 
 impl InjectionHook {
     /// Builds the hook and a handle for observing whether it fired.
     pub fn new(plan: InjectionPlan) -> (Self, Fired) {
+        InjectionHook::shared(Arc::from([plan]), 0)
+    }
+
+    /// As [`InjectionHook::new`], for job `idx` of a shared job list.
+    ///
+    /// # Panics
+    ///
+    /// If `idx` is out of bounds for `jobs`.
+    pub(crate) fn shared(jobs: Arc<[InjectionPlan]>, idx: usize) -> (Self, Fired) {
+        assert!(idx < jobs.len(), "injection job {idx} of {}", jobs.len());
         let fired = Fired::default();
         (
             InjectionHook {
-                plan,
+                jobs,
+                idx,
                 fired: fired.clone(),
             },
             fired,
         )
     }
 
+    /// The injection this hook executes.
+    fn plan(&self) -> &InjectionPlan {
+        &self.jobs[self.idx]
+    }
+
     /// Direct faults strike a specific occurrence of the site.
     fn matches_direct(&self, point: &InteractionRef) -> bool {
-        point.site == self.plan.site && point.occurrence == self.plan.occurrence
+        point.site == self.plan().site && point.occurrence == self.plan().occurrence
     }
 
     /// Indirect faults strike the first interaction at the site whose
@@ -75,12 +102,13 @@ impl InjectionHook {
     /// may read several differently-shaped inputs; the Table 5 pattern is
     /// tied to the input kind, not to a positional index).
     fn matches_indirect(&self, point: &InteractionRef) -> bool {
-        if point.site != self.plan.site {
+        let plan = self.plan();
+        if point.site != plan.site {
             return false;
         }
-        match self.plan.fault.semantic {
+        match plan.fault.semantic {
             Some(sem) => point.semantic == Some(sem),
-            None => point.occurrence == self.plan.occurrence,
+            None => point.occurrence == plan.occurrence,
         }
     }
 }
@@ -90,7 +118,7 @@ impl Interceptor for InjectionHook {
         if self.fired.get() || !self.matches_direct(point) {
             return;
         }
-        if let FaultPayload::Direct(df) = &self.plan.fault.payload {
+        if let FaultPayload::Direct(df) = &self.plan().fault.payload {
             // A perturbation that cannot be applied (e.g. target path has no
             // parent) is treated as not-fired; the record will show it.
             if df.apply(os, point.pid).is_ok() {
@@ -103,7 +131,7 @@ impl Interceptor for InjectionHook {
         if self.fired.get() || !self.matches_indirect(point) {
             return;
         }
-        if let FaultPayload::Indirect(f) = &self.plan.fault.payload {
+        if let FaultPayload::Indirect(f) = &self.plan().fault.payload {
             if let Ok(ret) = result {
                 f.apply_to_return(ret);
                 self.fired.set();

@@ -143,7 +143,8 @@ pub struct StoreResolution {
 /// store". Relative paths are canonicalized against the current directory
 /// (the directory is created first, so canonicalization cannot fail on a
 /// fresh path). A directory that cannot be created or written is refused,
-/// with the reason in [`StoreResolution::refusal`].
+/// with the reason in [`StoreResolution::refusal`]; so is a symbolic link
+/// whose target does not exist.
 pub fn resolve_store_dir(explicit: Option<&str>, env_value: Option<&str>) -> StoreResolution {
     let raw = match explicit.or(env_value).map(str::trim) {
         Some(r) if !r.is_empty() => r,
@@ -155,6 +156,19 @@ pub fn resolve_store_dir(explicit: Option<&str>, env_value: Option<&str>) -> Sto
         }
     };
     let path = PathBuf::from(raw);
+    // A symlink to nothing makes `create_dir_all` fail with a bare
+    // "File exists"; name the link and its target instead.
+    if let Ok(target) = std::fs::read_link(&path) {
+        if std::fs::metadata(&path).is_err_and(|e| e.kind() == std::io::ErrorKind::NotFound) {
+            return StoreResolution {
+                dir: None,
+                refusal: Some(format!(
+                    "store directory `{raw}` is a dangling symbolic link to `{}`",
+                    target.display()
+                )),
+            };
+        }
+    }
     if let Err(e) = std::fs::create_dir_all(&path) {
         return StoreResolution {
             dir: None,
@@ -289,6 +303,35 @@ mod tests {
         assert_eq!(resolved.dir, None);
         let refusal = resolved.refusal.expect("a refused request says why");
         assert!(refusal.contains("cannot be created"), "{refusal}");
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_dangling_symlink_is_refused_by_name() {
+        let base = unique_dir("dangling");
+        std::fs::create_dir_all(&base).expect("temp base");
+        let link = base.join("store-link");
+        let target = base.join("gone");
+        std::os::unix::fs::symlink(&target, &link).expect("a dangling link");
+        let raw = link.to_str().expect("utf-8 temp path");
+        let resolved = resolve_store_dir(Some(raw), None);
+        assert_eq!(resolved.dir, None);
+        assert_eq!(
+            resolved.refusal.as_deref(),
+            Some(
+                format!(
+                    "store directory `{raw}` is a dangling symbolic link to `{}`",
+                    target.display()
+                )
+                .as_str()
+            )
+        );
+        assert!(!target.exists(), "resolution creates nothing behind the link");
+        // A link to a real directory resolves to that directory.
+        std::fs::create_dir_all(&target).expect("link target");
+        let resolved = resolve_store_dir(Some(raw), None);
+        assert_eq!(resolved.dir, Some(target.canonicalize().expect("target exists")));
         let _ = std::fs::remove_dir_all(&base);
     }
 }
