@@ -12,6 +12,18 @@
 //! not mean to measure (building a fresh suite, emptying a store
 //! directory) happens outside the timed region.
 //!
+//! Beside the `executor` and `corpus.speedup` gates, ungated lines time
+//! the same planned jobs through bare `run_once` at the same thread counts
+//! (`bare.*`), and two independent ALU loops at one and two threads
+//! (`host.alu`): a failing scaling gate can then be pinned on the host or
+//! on the engine. They print a reading and no bound, and never fail. Each
+//! is timed in rounds of its own, after the gate it explains, so no gated
+//! sample is taken between them.
+//!
+//! Both `oracle.incremental` arms reuse one standard oracle set across
+//! runs, as `run_once` does: the gate weighs streaming against one scan of
+//! the finished log, not oracle construction.
+//!
 //! Deterministic properties (runs executed, replays, byte-identical reports
 //! at small scale) are tier-1 tests. The asserts here are of two kinds:
 //! those that keep a timing fair (the arms inject the same faults and
@@ -28,8 +40,9 @@ use epa_apps::{standard_apps, standard_suite, BoxedApp, ScriptedApp};
 use epa_bench::experiments::suite_with_cache;
 use epa_core::campaign::{run_once, TestSetup};
 use epa_core::corpus::{run_corpus, synthesize, CorpusConfig, Scenario, DEFAULT_CORPUS_SEED};
-use epa_core::engine::{executor, ResultCache, Session, Suite, SuiteReport, WorldSpec};
+use epa_core::engine::{executor, Executor, ResultCache, Session, Suite, SuiteReport, WorldSpec};
 use epa_core::inject::{InjectionHook, InjectionPlan};
+use epa_sandbox::app::Application;
 use epa_sandbox::audit::AuditLog;
 use epa_sandbox::os::Os;
 use epa_sandbox::policy::detectors::{
@@ -123,6 +136,66 @@ impl Gates {
         self.checked += 1;
         println!("{name:<22} {value:>14.3} {unit:<10} bound {bound:<10} {verdict}");
     }
+
+    /// Prints one ungated reading beside the gates it explains.
+    fn note(&self, name: &str, value: f64, unit: &str) {
+        println!("{name:<22} {value:>14.3} {unit:<10} ungated");
+    }
+}
+
+/// Runs `jobs` (each an index into `setups` and a planned injection)
+/// through bare `run_once` on `threads` threads, job `i` on thread
+/// `i % threads`, with no scheduler, cache or analysis: what the hardware
+/// gives the runs themselves. One thread runs on the calling thread.
+/// Returns the verdict count.
+fn bare_runs(setups: &[(&TestSetup, &dyn Application)], jobs: &[(usize, &InjectionPlan)], threads: usize) -> usize {
+    let share = |t: usize| -> usize {
+        jobs.iter()
+            .skip(t)
+            .step_by(threads)
+            .map(|&(i, job)| {
+                let (setup, app) = setups[i];
+                let hook = Box::new(InjectionHook::new(job.clone()).0);
+                run_once(setup, app, Some(hook)).violations.len()
+            })
+            .sum()
+    };
+    if threads == 1 {
+        return share(0);
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|t| scope.spawn(move || share(t))).collect();
+        handles.into_iter().map(|h| h.join().expect("bare run thread")).sum()
+    })
+}
+
+/// A dependent chain of integer operations that touches no memory.
+fn alu_loop() -> u64 {
+    let mut x = std::hint::black_box(0x9e37_79b9_7f4a_7c15_u64);
+    for _ in 0..20_000_000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+    }
+    x
+}
+
+/// Two independent ALU loops on two threads, against one loop on one
+/// thread: 1.00 when the host runs both at full speed, 2.00 when they
+/// share one core.
+fn host_line(gates: &Gates) {
+    let m = medians(
+        9,
+        &mut [&mut || timed(alu_loop).1, &mut || {
+            timed(|| {
+                std::thread::scope(|scope| {
+                    [scope.spawn(alu_loop), scope.spawn(alu_loop)].map(|h| h.join().expect("ALU thread"))
+                })
+            })
+            .1
+        }],
+    );
+    gates.note("host.alu", m[1] / m[0], "x 1 loop");
 }
 
 /// One application run with no oracle attached: the batch arm judges the
@@ -186,9 +259,13 @@ impl Cases {
     }
 
     /// The standard suite's clean run plus every planned job, judged either
-    /// by the oracle subscribed to the log (`incremental`) or by one scan of
-    /// the completed log: the total verdict count.
-    fn judge_every_job(&self, incremental: bool) -> usize {
+    /// by the oracle `run_once` subscribes to the log (`batch` is `None`)
+    /// or by one scan of the completed log with `batch`. Like `run_once`,
+    /// the scan reuses one standard set, adding and dropping the setup's
+    /// invariant detectors around each run, so both arms pay the same
+    /// oracle upkeep and differ only in streaming. Returns the total
+    /// verdict count.
+    fn judge_every_job(&self, mut batch: Option<&mut OracleSet>) -> usize {
         let mut verdicts = 0;
         for (((app, _), session), jobs) in self.apps.iter().zip(&self.sessions).zip(&self.jobs) {
             let hooks = std::iter::once(None).chain(
@@ -196,11 +273,19 @@ impl Cases {
                     .map(|job| Some(Box::new(InjectionHook::new(job.clone()).0) as Box<dyn Interceptor>)),
             );
             for hook in hooks {
-                verdicts += if incremental {
-                    run_once(session.setup(), app.as_ref(), hook).violations.len()
-                } else {
-                    let os = run_unjudged(session.setup(), app, hook);
-                    session.setup().oracle().evaluate_log(&os.audit).len()
+                verdicts += match batch.as_deref_mut() {
+                    None => run_once(session.setup(), app.as_ref(), hook).violations.len(),
+                    Some(set) => {
+                        let os = run_unjudged(session.setup(), app, hook);
+                        let standard = set.len();
+                        for spec in &session.setup().invariants {
+                            set.register(spec.detector());
+                        }
+                        set.observe_log(&os.audit);
+                        let found = set.finish().len();
+                        set.truncate(standard);
+                        found
+                    }
                 };
             }
         }
@@ -260,9 +345,39 @@ fn snapshot_gate(gates: &mut Gates, cases: &Cases) {
 }
 
 /// The pooled suite, built fresh for every sample, against the per-app
-/// fan-out.
+/// fan-out; then, ungated, the planned jobs through bare `run_once` on as
+/// many threads as the pool has workers, against one thread per
+/// application.
 fn executor_gate(gates: &mut Gates, cases: &Cases) {
     let (mut pooled, mut fanout) = (0, 0);
+    let setups: Vec<(&TestSetup, &dyn Application)> = cases
+        .apps
+        .iter()
+        .zip(&cases.sessions)
+        .map(|((app, _), session)| (session.setup(), app.as_ref() as &dyn Application))
+        .collect();
+    let jobs: Vec<(usize, &InjectionPlan)> = cases
+        .jobs
+        .iter()
+        .enumerate()
+        .flat_map(|(i, jobs)| jobs.iter().map(move |job| (i, job)))
+        .collect();
+    let workers = Executor::new().workers();
+    let per_app = || {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..setups.len())
+                .map(|i| {
+                    let mine: Vec<_> = jobs.iter().copied().filter(|&(app, _)| app == i).collect();
+                    let setups = &setups;
+                    scope.spawn(move || bare_runs(setups, &mine, 1))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("bare app thread"))
+                .sum::<usize>()
+        })
+    };
     let m = medians(
         15,
         &mut [
@@ -275,6 +390,17 @@ fn executor_gate(gates: &mut Gates, cases: &Cases) {
     );
     assert_eq!(pooled, fanout, "both runners inject the same faults");
     gates.check("executor", m[0] / m[1], "x fan-out", Bound::AtMost(1.05), None);
+
+    let (mut bare_pooled, mut bare_fanout) = (0, 0);
+    let m = medians(
+        15,
+        &mut [
+            &mut || timed(|| bare_pooled = bare_runs(&setups, &jobs, workers)).1,
+            &mut || timed(|| bare_fanout = per_app()).1,
+        ],
+    );
+    assert_eq!(bare_pooled, bare_fanout, "both bare arms reach the same verdicts");
+    gates.note("bare.executor", m[0] / m[1], "x fan-out");
 }
 
 /// The subscribed oracle against a batch scan over the suite's whole
@@ -282,11 +408,12 @@ fn executor_gate(gates: &mut Gates, cases: &Cases) {
 /// single pass's throughput, on one large log.
 fn oracle_gates(gates: &mut Gates, cases: &Cases) {
     let (mut incremental, mut batch) = (0, 0);
+    let mut reused = OracleSet::standard();
     let m = medians(
         15,
         &mut [
-            &mut || timed(|| incremental = cases.judge_every_job(true)).1,
-            &mut || timed(|| batch = cases.judge_every_job(false)).1,
+            &mut || timed(|| incremental = cases.judge_every_job(None)).1,
+            &mut || timed(|| batch = cases.judge_every_job(Some(&mut reused))).1,
         ],
     );
     assert_eq!(incremental, batch, "both oracle paths reach the same verdicts");
@@ -388,6 +515,38 @@ fn corpus_suite(scenarios: &[Scenario]) -> Suite {
     suite
 }
 
+/// Ungated: the corpus campaigns' planned jobs through bare `run_once` at
+/// each pinned worker count, timed apart from the gated rows.
+fn bare_corpus_line(gates: &Gates, scenarios: &[Scenario]) {
+    let planned: Vec<(TestSetup, ScriptedApp)> = scenarios
+        .iter()
+        .map(|scenario| {
+            let setup = scenario.spec.materialize().expect("corpus worlds materialize");
+            (setup, ScriptedApp::for_scenario(scenario))
+        })
+        .collect();
+    let plans: Vec<Vec<InjectionPlan>> = planned
+        .iter()
+        .map(|(setup, app)| Session::from_setup(setup.clone()).plan(app).jobs())
+        .collect();
+    let setups: Vec<(&TestSetup, &dyn Application)> = planned
+        .iter()
+        .map(|(setup, app)| (setup, app as &dyn Application))
+        .collect();
+    let jobs: Vec<(usize, &InjectionPlan)> = plans
+        .iter()
+        .enumerate()
+        .flat_map(|(i, jobs)| jobs.iter().map(move |job| (i, job)))
+        .collect();
+    let row = |threads: usize| {
+        let (setups, jobs) = (&setups, &jobs);
+        move || timed(|| bare_runs(setups, jobs, threads)).1
+    };
+    let mut rows = WORKER_COUNTS.map(row);
+    let m = medians(5, &mut rows.each_mut().map(|r| r as &mut dyn FnMut() -> Duration));
+    gates.note("bare.corpus", m[0] / m[1].min(m[2]), "x 1 thread");
+}
+
 /// The 120-scenario corpus, synthesized once: as a suite at each pinned
 /// worker count, then through one differential sweep.
 fn corpus_gates(gates: &mut Gates, available: usize) {
@@ -432,6 +591,7 @@ fn corpus_gates(gates: &mut Gates, available: usize) {
     let speedup = m[0] / m[1].min(m[2]);
     gates.check("corpus.speedup", speedup, "x 1 worker", Bound::AtLeast(1.5), skip);
     gates.check("corpus.one_worker", m[0] / 1e9, "s", Bound::AtMost(60.0), None);
+    bare_corpus_line(gates, &scenarios);
 
     let factory = ScriptedApp::factory();
     let (sweep, took) = timed(|| run_corpus(config.seed, &scenarios, &factory));
@@ -448,6 +608,7 @@ fn main() {
     println!("gates: available_parallelism {available}");
     let cases = Cases::new();
     let mut gates = Gates::default();
+    host_line(&gates);
     snapshot_gate(&mut gates, &cases);
     executor_gate(&mut gates, &cases);
     oracle_gates(&mut gates, &cases);

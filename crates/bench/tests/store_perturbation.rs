@@ -1,0 +1,329 @@
+//! The result store's own environment, perturbed: the paper's method
+//! applied to the tool. Each row breaks the disk tier one way and runs the
+//! standard suite over it. Every row must *degrade but stay correct*: the
+//! verdicts are byte-identical to a run with no store, the store warns
+//! exactly once, and no corrupt entry is left behind for a later run.
+//!
+//! The rows that break the disk itself run `reproduce` and count the
+//! warnings it prints: a directory where a segment belongs (unreadable,
+//! even for root), a dangling link where a segment belongs (no record can
+//! be written, even by root: an unwritable directory), and a segment whose
+//! last record was cut short (the torn append a full disk leaves). Two
+//! more rows drop saves in a [`ResultStore`] wrapper before they reach a
+//! real [`DiskStore`], all of them or all after the first 40: the store
+//! never sees those writes, so they count no warning and check only the
+//! verdicts and what a warm rerun executes.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+
+use epa_core::engine::planner::{FaultKey, RunDigest};
+use epa_core::engine::SuiteReport;
+use epa_core::store::{DiskStore, ResultStore, STORE_FORMAT_VERSION};
+
+/// How a perturbation ended, after "Correctness Attraction" (PAPERS.md).
+#[derive(Debug, PartialEq, Eq)]
+enum Outcome {
+    /// Verdicts identical, and nothing was lost: no warning was needed.
+    Attracted,
+    /// Verdicts identical, some memoization lost, one warning.
+    DegradedButCorrect,
+    /// Verdicts moved, a warning was repeated or missing, or a corrupt
+    /// entry was left behind.
+    Failed,
+}
+
+/// What one row observed.
+struct Observed {
+    /// The suite's verdict text, with everything provenance-only stripped.
+    verdicts: String,
+    /// Warnings the store printed; `None` where the saves were dropped
+    /// before they reached the store, which then has nothing to warn of.
+    warnings: Option<usize>,
+    /// Damaged records left in the store directory.
+    corrupt: usize,
+}
+
+impl Observed {
+    fn outcome(&self, clean: &str) -> Outcome {
+        match (self.verdicts == clean, self.warnings, self.corrupt) {
+            (true, Some(0), 0) => Outcome::Attracted,
+            (true, Some(1) | None, 0) => Outcome::DegradedButCorrect,
+            _ => Outcome::Failed,
+        }
+    }
+}
+
+/// One perturbation of the store's environment.
+struct Row {
+    name: &'static str,
+    /// Runs the suite over a store in `dir`, perturbed.
+    run: fn(&Path) -> Observed,
+    /// Runs the suite with no store: the verdicts every row must reach.
+    clean: fn() -> String,
+}
+
+const ROWS: [Row; 5] = [
+    Row {
+        name: "a directory where each segment belongs",
+        run: segments_are_directories,
+        clean: clean_reproduce_stdout,
+    },
+    Row {
+        name: "a dangling link where each segment belongs",
+        run: segments_are_dangling_links,
+        clean: clean_reproduce_stdout,
+    },
+    Row {
+        name: "a segment whose last record was cut short",
+        run: torn_append,
+        clean: clean_reproduce_stdout,
+    },
+    Row {
+        name: "every save dropped before the store",
+        run: |dir| refused_writes(dir, 0),
+        clean: clean_suite_verdicts,
+    },
+    Row {
+        name: "saves dropped before the store after 40 records",
+        run: |dir| refused_writes(dir, 40),
+        clean: clean_suite_verdicts,
+    },
+];
+
+#[test]
+fn every_store_perturbation_degrades_but_stays_correct() {
+    for (i, row) in ROWS.iter().enumerate() {
+        let dir = fresh_dir(i);
+        let observed = (row.run)(&dir);
+        let clean = (row.clean)();
+        assert_eq!(observed.verdicts, clean, "{}: verdicts moved", row.name);
+        if let Some(warnings) = observed.warnings {
+            assert_eq!(warnings, 1, "{}: warnings", row.name);
+        }
+        assert_eq!(observed.corrupt, 0, "{}: corrupt entries left behind", row.name);
+        assert_eq!(observed.outcome(&clean), Outcome::DegradedButCorrect, "{}", row.name);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+fn fresh_dir(row: usize) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("epa-store-perturb-{}-{row}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Runs `reproduce suite` (with `--store dir`, if given) in a clean
+/// environment.
+fn reproduce_suite(store: Option<&Path>) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
+    cmd.arg("suite").env_remove("EPA_CACHE_DIR").env_remove("EPA_WORKERS");
+    if let Some(dir) = store {
+        cmd.arg("--store").arg(dir);
+    }
+    let out = cmd.output().expect("reproduce runs");
+    assert!(out.status.success(), "reproduce suite failed: {out:?}");
+    out
+}
+
+/// The line of `reproduce suite`'s stdout that counts the runs, which a
+/// warm store changes.
+const RUNS_LINE: &str = "  runs executed: ";
+
+/// `reproduce suite`'s stdout minus the lines that name the store and the
+/// run counts.
+fn verdict_lines(stdout: &[u8]) -> String {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .filter(|line| !line.starts_with("store: ") && !line.starts_with("manifest: ") && !line.starts_with(RUNS_LINE))
+        .map(|line| format!("{line}\n"))
+        .collect()
+}
+
+/// How many runs `reproduce suite` reports it executed.
+fn runs_executed(stdout: &[u8]) -> usize {
+    let stdout = String::from_utf8_lossy(stdout);
+    let line = stdout.lines().find_map(|line| line.strip_prefix(RUNS_LINE));
+    let count = line.and_then(|rest| rest.split_whitespace().next());
+    count
+        .and_then(|n| n.parse().ok())
+        .expect("reproduce suite counts its runs")
+}
+
+fn clean_reproduce_stdout() -> String {
+    static CLEAN: OnceLock<String> = OnceLock::new();
+    CLEAN
+        .get_or_init(|| verdict_lines(&reproduce_suite(None).stdout))
+        .clone()
+}
+
+/// The lines `reproduce` printed to stderr on behalf of the store.
+fn store_warnings(out: &Output) -> Vec<String> {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    stderr
+        .lines()
+        .filter(|l| l.starts_with("epa-store:"))
+        .map(str::to_owned)
+        .collect()
+}
+
+/// Puts `make(path)` where each standard-suite scope's segment belongs, in
+/// a fresh store, then runs `reproduce suite` over it: every run executes
+/// and one warning names `covered` and the I/O error `cause`.
+fn broken_segments(dir: &Path, make: fn(&Path), covered: &str, cause: &str) -> Observed {
+    drop(DiskStore::open(dir).expect("the store opens"));
+    let segments = dir.join(format!("v{STORE_FORMAT_VERSION}"));
+    std::fs::create_dir_all(&segments).expect("the segment directory");
+    let manifest = epa_apps::standard_suite().expect("valid specs").manifest();
+    for app in &manifest.apps {
+        make(&segments.join(format!("{}.seg", app.scope)));
+    }
+    let out = reproduce_suite(Some(dir));
+    assert_eq!(runs_executed(&out.stdout), 216, "nothing was replayed");
+    let warnings = store_warnings(&out);
+    if let [warning] = warnings.as_slice() {
+        assert!(warning.contains(covered), "{covered}: {warning}");
+        assert!(warning.contains(cause), "the I/O error is named: {warning}");
+    }
+    Observed {
+        verdicts: verdict_lines(&out.stdout),
+        warnings: Some(warnings.len()),
+        corrupt: DiskStore::open(dir).expect("the store reopens").verify().corrupt.len(),
+    }
+}
+
+/// Every segment of the standard suite's scopes is a directory: no segment
+/// can be read.
+fn segments_are_directories(dir: &Path) -> Observed {
+    let make = |path: &Path| std::fs::create_dir(path).expect("a directory as a segment");
+    broken_segments(dir, make, "8 segments could not be read", "Is a directory")
+}
+
+/// Every segment of the standard suite's scopes is a link into a missing
+/// directory: each reads as empty, and no record can be written.
+fn segments_are_dangling_links(dir: &Path) -> Observed {
+    let make = |path: &Path| {
+        let target = path.with_file_name("missing").join("x.seg");
+        std::os::unix::fs::symlink(target, path).expect("a dangling link as a segment");
+    };
+    broken_segments(dir, make, "216 records could not be saved", "No such file or directory")
+}
+
+/// A cold `reproduce suite` fills the store; then one segment loses the
+/// tail of its last record, as an append cut off by a full disk leaves it.
+/// `verify` names the torn record; a warm rerun warns once, executes only
+/// that run again and leaves the segment whole.
+fn torn_append(dir: &Path) -> Observed {
+    reproduce_suite(Some(dir));
+    let segments = dir.join(format!("v{STORE_FORMAT_VERSION}"));
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(&segments)
+        .expect("the cold run wrote segments")
+        .map(|entry| entry.expect("a segment entry").path())
+        .collect();
+    paths.sort();
+    let bytes = std::fs::read(&paths[0]).expect("the segment reads");
+    std::fs::write(&paths[0], &bytes[..bytes.len() - 10]).expect("the segment is cut short");
+    let torn = DiskStore::open(dir).expect("the store reopens").verify().corrupt;
+    assert_eq!(torn.len(), 1, "verify names the torn record: {torn:?}");
+    assert!(torn[0].contains("checksum mismatch"), "{}", torn[0]);
+
+    let out = reproduce_suite(Some(dir));
+    assert_eq!(
+        runs_executed(&out.stdout),
+        1,
+        "only the torn record's run executes again"
+    );
+    let warnings = store_warnings(&out);
+    if let [warning] = warnings.as_slice() {
+        assert!(warning.contains("checksum mismatch"), "{warning}");
+    }
+    Observed {
+        verdicts: verdict_lines(&out.stdout),
+        warnings: Some(warnings.len()),
+        corrupt: DiskStore::open(dir).expect("the store reopens").verify().corrupt.len(),
+    }
+}
+
+/// A [`DiskStore`] behind a wrapper that drops every save once `room`
+/// records are saved.
+struct RefusingStore {
+    disk: DiskStore,
+    room: usize,
+    saved: AtomicUsize,
+    refused: AtomicUsize,
+}
+
+impl ResultStore for RefusingStore {
+    fn load(&self, scope: u64, key: &FaultKey) -> Option<RunDigest> {
+        self.disk.load(scope, key)
+    }
+
+    fn save(&self, scope: u64, key: &FaultKey, digest: &RunDigest) {
+        if self.saved.fetch_add(1, Ordering::Relaxed) < self.room {
+            self.disk.save(scope, key, digest);
+        } else {
+            self.refused.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn entries(&self) -> usize {
+        self.disk.entries()
+    }
+
+    fn kind(&self) -> &'static str {
+        self.disk.kind()
+    }
+}
+
+/// The standard suite's verdicts, provenance flags cleared.
+fn verdicts(report: &SuiteReport) -> String {
+    let mut report = report.clone();
+    for record in report.reports.iter_mut().flat_map(|r| r.records.iter_mut()) {
+        record.cache_hit = false;
+    }
+    serde_json::to_string(&report).expect("suite reports serialize")
+}
+
+fn clean_suite_verdicts() -> String {
+    static CLEAN: OnceLock<String> = OnceLock::new();
+    let suite = || verdicts(&epa_apps::standard_suite().expect("valid specs").execute());
+    CLEAN.get_or_init(suite).clone()
+}
+
+/// A cold suite through a wrapper that drops saves past `room`, then a
+/// warm suite over what reached the disk: the runs that were not saved
+/// execute again, and the verdicts do not move.
+fn refused_writes(dir: &Path, room: usize) -> Observed {
+    let store = Arc::new(RefusingStore {
+        disk: DiskStore::open(dir).expect("the store opens"),
+        room,
+        saved: AtomicUsize::new(0),
+        refused: AtomicUsize::new(0),
+    });
+    let cold = epa_apps::standard_suite()
+        .expect("valid specs")
+        .with_store(store.clone())
+        .execute();
+    let refused = store.refused.load(Ordering::Relaxed);
+    assert_eq!(
+        refused,
+        cold.total_runs_executed() - room.min(cold.total_runs_executed())
+    );
+    let warm = epa_apps::standard_suite()
+        .expect("valid specs")
+        .with_store(Arc::new(DiskStore::open(dir).expect("the store reopens")))
+        .execute();
+    assert_eq!(
+        warm.total_runs_executed(),
+        refused,
+        "exactly the unsaved runs execute again"
+    );
+    assert_eq!(verdicts(&warm), verdicts(&cold), "a warm run replays what was saved");
+    Observed {
+        verdicts: verdicts(&cold),
+        warnings: None,
+        corrupt: DiskStore::open(dir).expect("the store reopens").verify().corrupt.len(),
+    }
+}

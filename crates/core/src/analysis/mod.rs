@@ -505,13 +505,13 @@ impl AppAnalysis {
 
     fn fact_of(pristine: &Os, cwd: &str, ev: &TraceEvent) -> EventFact {
         let fs = &pristine.fs;
-        let pristine_value = match (ev.op, &*ev.object) {
+        let pristine_value = match (ev.op, &ev.object) {
             (OpKind::RegRead, ObjectRef::RegValue(key, value)) => {
                 pristine.registry.get_value(key, value).ok().map(|(text, _)| text)
             }
             _ => None,
         };
-        let physical = match &*ev.object {
+        let physical = match &ev.object {
             ObjectRef::File(p) if path::is_absolute(p) => Some(physical_forms(fs, p)),
             ObjectRef::File(p) if !path::contains_dotdot(p) => Some(physical_forms(fs, &path::join(cwd, p))),
             _ => None,
@@ -521,7 +521,7 @@ impl AppAnalysis {
             site: ev.site.clone(),
             occurrence: ev.occurrence,
             op: ev.op,
-            object: (*ev.object).clone(),
+            object: ev.object.clone(),
             physical,
             semantic: ev.semantic,
             ok: ev.ok,

@@ -14,6 +14,7 @@
 //! 4. reports interaction coverage, fault coverage, and the vulnerability
 //!    assessment score (steps 9–10).
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
@@ -169,9 +170,16 @@ impl TestSetup {
 }
 
 /// The observable outcome of one run.
+///
+/// An unhooked run's world lists every interaction in `os.trace`; the
+/// planner and the static analysis read it. A hooked (injected) run's
+/// `os.trace` holds only per-site occurrence counts and the sequence
+/// counter, with no events: nothing downstream of an injected run reads
+/// more than its audit log and its verdicts.
 #[derive(Debug)]
 pub struct RunOutcome {
-    /// The world after the run (trace + audit included).
+    /// The world after the run: audit log, and the trace (full when
+    /// unhooked, counts only when hooked).
     pub os: Os,
     /// The spawned process, if the spawn succeeded.
     pub pid: Option<Pid>,
@@ -203,19 +211,47 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+thread_local! {
+    /// This thread's standard oracle set, reused run after run.
+    static STANDARD_ORACLE: RefCell<Option<OracleSet>> = const { RefCell::new(None) };
+}
+
 /// Runs the application once against a clone of the setup's world, with an
 /// optional injection hook installed.
 ///
-/// The oracle evaluates **incrementally**: the setup's [`OracleSet`] is
-/// subscribed to the run's audit log before the application starts, every
-/// recorded event streams straight to the detectors, and the verdicts are
-/// collected the moment the run ends — no post-hoc re-scan of the log.
+/// The oracle evaluates **incrementally**: an [`OracleSet`] for the setup
+/// is subscribed to the run's audit log before the application starts,
+/// every recorded event streams straight to the detectors, and the verdicts
+/// are collected the moment the run ends — no post-hoc re-scan of the log.
 /// [`OracleSet::evaluate_log`] over the completed log is the reference the
-/// property tests compare these verdicts against.
+/// property tests compare these verdicts against. The standard set is not
+/// rebuilt per run: each thread keeps one, and finishing a run resets
+/// every detector ([`epa_sandbox::policy::Detector::finish`]). A setup's
+/// invariant detectors are compiled per run, as [`TestSetup::oracle`]
+/// compiles them, so what a run asks of the path interner does not depend
+/// on which thread ran the setup before.
+///
+/// A hooked run keeps only what the hook and the verdicts read: its
+/// `os.trace` counts interactions per site and lists no event (see
+/// [`epa_sandbox::trace::Trace`]). The planner and the static analysis
+/// read the full trace of an unhooked run.
 pub fn run_once(setup: &TestSetup, app: &dyn Application, hook: Option<Box<dyn Interceptor>>) -> RunOutcome {
     let mut os = setup.world.clone();
-    os.audit.attach_oracle(setup.oracle());
-    let verdicts = |os: &mut Os| os.audit.detach_oracle().expect("attached before the run").finish();
+    let mut oracle = STANDARD_ORACLE
+        .with(|slot| slot.borrow_mut().take())
+        .unwrap_or_else(OracleSet::standard);
+    let standard = oracle.len();
+    for spec in &setup.invariants {
+        oracle.register(spec.detector());
+    }
+    os.audit.attach_oracle(oracle);
+    let verdicts = |os: &mut Os| {
+        let mut oracle = os.audit.detach_oracle().expect("attached before the run");
+        let verdicts = oracle.finish();
+        oracle.truncate(standard);
+        STANDARD_ORACLE.with(|slot| *slot.borrow_mut() = Some(oracle));
+        verdicts
+    };
     if let Some(h) = hook {
         os.set_interceptor(h);
     }
@@ -342,24 +378,48 @@ impl PlannedSite {
     /// occurrences only the occurrence-sensitive faults (re-striking a
     /// semantics-addressed indirect fault would duplicate the first run).
     pub fn jobs(&self) -> Vec<InjectionPlan> {
-        let mut out = Vec::new();
+        self.clone().into_jobs()
+    }
+
+    /// [`PlannedSite::jobs`], moving each fault into its occurrence-0 job:
+    /// only the occurrence-sensitive faults later occurrences replan are
+    /// copied.
+    fn into_jobs(self) -> Vec<InjectionPlan> {
         if !self.included {
-            return out;
+            return Vec::new();
         }
-        for occurrence in 0..self.occurrences.max(1) {
-            for fault in &self.faults {
-                if occurrence > 0 && !fault.occurrence_sensitive() {
-                    continue;
-                }
-                out.push(InjectionPlan {
-                    site: self.summary.site.clone(),
+        let site = self.summary.site;
+        let mut later = Vec::new();
+        for occurrence in 1..self.occurrences {
+            for fault in self.faults.iter().filter(|f| f.occurrence_sensitive()) {
+                later.push(InjectionPlan {
+                    site: site.clone(),
                     occurrence,
                     fault: fault.clone(),
                 });
             }
         }
+        let mut out: Vec<InjectionPlan> = self
+            .faults
+            .into_iter()
+            .map(|fault| InjectionPlan {
+                site: site.clone(),
+                occurrence: 0,
+                fault,
+            })
+            .collect();
+        out.extend(later);
         out
     }
+}
+
+/// What a campaign report reads of its plan: the sites the catalog has
+/// faults for, and the clean run's verdict count. The driver keeps this
+/// and moves the plan's faults into its job list.
+pub(crate) struct PlanTally {
+    /// Each site with applicable faults, and whether the options include it.
+    perturbable: Vec<(SiteId, bool)>,
+    clean_violations: usize,
 }
 
 /// The campaign plan: the clean run plus the per-site fault lists.
@@ -388,7 +448,27 @@ impl CampaignPlan {
 
     /// The flat list of injections to perform, in plan order.
     pub fn jobs(&self) -> Vec<InjectionPlan> {
-        self.sites.iter().flat_map(PlannedSite::jobs).collect()
+        self.sites.iter().flat_map(|s| s.clone().into_jobs()).collect()
+    }
+
+    /// What a report of this plan reads.
+    pub(crate) fn tally(&self) -> PlanTally {
+        PlanTally {
+            perturbable: self
+                .sites
+                .iter()
+                .filter(|s| !s.faults.is_empty())
+                .map(|s| (s.summary.site.clone(), s.included))
+                .collect(),
+            clean_violations: self.clean.violations.len(),
+        }
+    }
+
+    /// The plan's tally and its [`CampaignPlan::jobs`], with the faults
+    /// moved into the jobs rather than copied.
+    pub(crate) fn into_jobs(self) -> (PlanTally, Vec<InjectionPlan>) {
+        let tally = self.tally();
+        (tally, self.sites.into_iter().flat_map(PlannedSite::into_jobs).collect())
     }
 }
 
@@ -572,27 +652,24 @@ impl<'a> Campaign<'a> {
     }
 
     /// Folds the driver's records (plan order) into the campaign report.
-    pub(crate) fn report_from(&self, plan: &CampaignPlan, records: Vec<FaultRecord>) -> CampaignReport {
+    pub(crate) fn report_from(&self, tally: &PlanTally, records: Vec<FaultRecord>) -> CampaignReport {
         // Interaction points, in the paper's sense, are the places where the
         // catalog has something to perturb — pure-output sites (prints) have
         // no applicable faults and do not count against coverage.
-        let perturbable = plan.sites.iter().filter(|s| !s.faults.is_empty()).count();
+        let included = tally.perturbable.iter().filter(|(_, included)| *included);
         let perturbed_sites = if self.options.plan_budget.is_some() {
             // A budget may drop a planned site entirely; coverage counts
             // only sites that actually received a (possibly replayed) run.
             let touched: BTreeSet<&str> = records.iter().map(|r| r.site.as_str()).collect();
-            plan.sites
-                .iter()
-                .filter(|s| s.included && !s.faults.is_empty() && touched.contains(s.summary.site.as_str()))
-                .count()
+            included.filter(|(site, _)| touched.contains(site.as_str())).count()
         } else {
-            plan.sites.iter().filter(|s| s.included && !s.faults.is_empty()).count()
+            included.count()
         };
         CampaignReport {
             app: self.app.name().to_string(),
-            total_sites: perturbable,
+            total_sites: tally.perturbable.len(),
             perturbed_sites,
-            clean_violations: plan.clean.violations.len(),
+            clean_violations: tally.clean_violations,
             records,
         }
     }

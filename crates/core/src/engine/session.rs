@@ -13,7 +13,7 @@
 use epa_sandbox::app::Application;
 use epa_sandbox::os::Os;
 
-use crate::campaign::{run_once, Campaign, CampaignOptions, CampaignPlan, RunOutcome, TestSetup};
+use crate::campaign::{run_once, Campaign, CampaignOptions, CampaignPlan, PlanTally, RunOutcome, TestSetup};
 use crate::engine::executor::Executor;
 use crate::engine::planner::ResultCache;
 use crate::engine::spec::{SpecError, WorldSpec};
@@ -115,7 +115,7 @@ impl Session {
         let campaign = self.driven(app);
         campaign.adopt_clean_run(&plan.clean);
         let (_, records) = self.drive(&campaign, Some(plan.jobs()), &mut |_| {});
-        campaign.report_from(plan, records)
+        campaign.report_from(&plan.tally(), records)
     }
 
     /// As [`Session::execute`], streaming every record to `on_record` as
@@ -123,8 +123,8 @@ impl Session {
     /// order).
     pub fn execute_streaming(&self, app: &dyn Application, on_record: &mut dyn FnMut(&FaultRecord)) -> CampaignReport {
         let campaign = self.driven(app);
-        let (plan, records) = self.drive(&campaign, None, on_record);
-        campaign.report_from(&plan.expect("the driver planned the campaign"), records)
+        let (tally, records) = self.drive(&campaign, None, on_record);
+        campaign.report_from(&tally.expect("the driver planned the campaign"), records)
     }
 
     /// The paper's incremental step 9: perturb site by site until the
@@ -190,7 +190,7 @@ impl Session {
         campaign: &Campaign<'_>,
         jobs: Option<Vec<InjectionPlan>>,
         on_record: &mut dyn FnMut(&FaultRecord),
-    ) -> (Option<Box<CampaignPlan>>, Vec<FaultRecord>) {
+    ) -> (Option<PlanTally>, Vec<FaultRecord>) {
         let executor = Executor::with_workers(1);
         let mut finished = None;
         drive(
@@ -199,7 +199,7 @@ impl Session {
             vec![jobs],
             &mut |_, progress| match progress {
                 Progress::Record(record) => on_record(record),
-                Progress::Finished { plan, records } => finished = Some((plan, records)),
+                Progress::Finished { tally, records } => finished = Some((tally, records)),
             },
         );
         finished.expect("the driver finishes every campaign")

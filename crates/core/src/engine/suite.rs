@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use epa_sandbox::app::Application;
 
-use crate::campaign::{Campaign, CampaignPlan};
+use crate::campaign::{Campaign, PlanTally};
 use crate::coverage::{AdequacyPoint, Ratio};
 use crate::engine::executor::Executor;
 use crate::engine::planner::{ResultCache, Schedule, YieldStats};
@@ -127,8 +127,7 @@ impl Suite {
             .map(|e| {
                 let mut campaign = e.session.campaign(e.app.as_ref() as &dyn Application);
                 campaign.ensure_cache(self.cache.clone());
-                let plan = campaign.plan();
-                let jobs = plan.jobs();
+                let (_, jobs) = campaign.plan().into_jobs();
                 let schedule = campaign.schedule(&jobs);
                 let pruned: std::collections::BTreeSet<usize> = schedule.pruned.iter().map(|(i, _)| *i).collect();
                 let mut seen = std::collections::BTreeSet::new();
@@ -254,9 +253,9 @@ impl Suite {
                         });
                     }
                 }
-                Progress::Finished { plan, records } => {
-                    let plan = plan.expect("suite campaigns plan on the pool");
-                    let report = campaigns[app].report_from(&plan, records);
+                Progress::Finished { tally, records } => {
+                    let tally = tally.expect("suite campaigns plan on the pool");
+                    let report = campaigns[app].report_from(&tally, records);
                     if let Some(on_event) = on_event.as_mut() {
                         on_event(SuiteEvent::AppFinished {
                             app: name(app),
@@ -282,11 +281,12 @@ pub(crate) enum Progress<'a> {
     /// One record is in: executed, replayed from the cache, or pruned
     /// (completion order).
     Record(&'a FaultRecord),
-    /// The campaign's last record is in. `plan` is the plan built on the
-    /// pool (`None` when the caller handed over a job list); `records` are
-    /// in plan order, minus any jobs a budget dropped.
+    /// The campaign's last record is in. `tally` is what the report reads
+    /// of the plan built on the pool (`None` when the caller handed over a
+    /// job list); `records` are in plan order, minus any jobs a budget
+    /// dropped.
     Finished {
-        plan: Option<Box<CampaignPlan>>,
+        tally: Option<PlanTally>,
         records: Vec<FaultRecord>,
     },
 }
@@ -325,18 +325,17 @@ pub(crate) fn drive(
         seed,
         |job| match job {
             Job::Schedule { app, jobs } => {
-                let (plan, jobs) = match jobs {
+                let (tally, jobs) = match jobs {
                     Some(jobs) => (None, jobs),
                     None => {
-                        let plan = campaigns[app].plan();
-                        let jobs = plan.jobs();
-                        (Some(Box::new(plan)), jobs)
+                        let (tally, jobs) = campaigns[app].plan().into_jobs();
+                        (Some(tally), jobs)
                     }
                 };
                 let schedule = Arc::new(campaigns[app].schedule(&jobs));
                 Done::Scheduled {
                     app,
-                    plan,
+                    tally,
                     jobs: jobs.into(),
                     schedule,
                 }
@@ -363,12 +362,12 @@ pub(crate) fn drive(
             let mut emit = |record: &FaultRecord| on_progress(app, Progress::Record(record));
             match done {
                 Done::Scheduled {
-                    plan, jobs, schedule, ..
+                    tally, jobs, schedule, ..
                 } => {
                     slot.records = (0..jobs.len()).map(|_| None).collect();
                     slot.budget_left = campaigns[app].options.plan_budget;
                     slot.remaining = schedule.pending.clone();
-                    slot.plan = plan;
+                    slot.tally = tally;
                     // Statically pruned jobs replay their synthesized
                     // clean-run digests, cache hits their stored ones.
                     for (idx, digest) in &schedule.pruned {
@@ -402,8 +401,8 @@ pub(crate) fn drive(
                     slot.budget_left.is_some() || records.len() == slot.jobs.len(),
                     "all records complete before the campaign finishes"
                 );
-                let plan = slot.plan.take();
-                on_progress(app, Progress::Finished { plan, records });
+                let tally = slot.tally.take();
+                on_progress(app, Progress::Finished { tally, records });
             }
             follow_ups
         },
@@ -434,7 +433,7 @@ enum Job {
 enum Done {
     Scheduled {
         app: usize,
-        plan: Option<Box<CampaignPlan>>,
+        tally: Option<PlanTally>,
         jobs: Arc<[InjectionPlan]>,
         schedule: Arc<Schedule>,
     },
@@ -448,7 +447,7 @@ enum Done {
 /// Per-campaign assembly state while the driver runs.
 #[derive(Default)]
 struct AppSlot {
-    plan: Option<Box<CampaignPlan>>,
+    tally: Option<PlanTally>,
     jobs: Arc<[InjectionPlan]>,
     schedule: Option<Arc<Schedule>>,
     records: Vec<Option<FaultRecord>>,

@@ -37,7 +37,7 @@
 //! when it closes, and [`DiskStore::prune`] the ones it keeps: valid,
 //! distinct records sorted by key, so equal records give equal bytes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
@@ -304,13 +304,62 @@ impl VerifyReport {
 /// The persistent content-addressed [`ResultStore`] (layout and wire format
 /// in the module docs). Filesystem failures on the hot path degrade to
 /// misses or skipped writes with a stderr note: a broken disk slows the
-/// suite down, it never breaks correctness.
+/// suite down, it never breaks correctness. Segments that cannot be read
+/// and records that cannot be written are counted, and the handle warns
+/// once, when it is dropped: how many it missed, and the first I/O error.
+/// Nothing about them is printed before then, so a handle that is never
+/// dropped (one held for the life of the process, or a process killed
+/// mid-suite) reports nothing; the runs it could not save execute again
+/// on the next pass.
 #[derive(Debug)]
 pub struct DiskStore {
     root: PathBuf,
     /// Each scope's segment, read on its first load or save. One lock per
     /// scope, so different scopes read in parallel.
     segments: Mutex<HashMap<u64, Arc<Mutex<Option<Segment>>>>>,
+    /// I/O failures on the hot path, for the warning at close.
+    faults: Mutex<IoFaults>,
+}
+
+/// What a handle's reads and writes could not do, warned about once, when
+/// it closes.
+#[derive(Debug, Default)]
+struct IoFaults {
+    /// Scopes whose segment could not be read (quarantined).
+    unreadable: BTreeSet<u64>,
+    /// Records whose append failed.
+    unsaved: usize,
+    /// The first error, and the file it struck.
+    first: Option<String>,
+}
+
+impl IoFaults {
+    fn note(&mut self, e: &io::Error, path: &Path) {
+        self.first.get_or_insert_with(|| format!("{e}, at {}", path.display()));
+    }
+
+    /// The handle's one warning, if anything failed.
+    fn warning(&self, root: &Path) -> Option<String> {
+        let first = self.first.as_ref()?;
+        let plural = |n: usize| if n == 1 { "" } else { "s" };
+        let mut missed = Vec::new();
+        if !self.unreadable.is_empty() {
+            let n = self.unreadable.len();
+            missed.push(format!("{n} segment{} could not be read", plural(n)));
+        }
+        if self.unsaved > 0 {
+            missed.push(format!(
+                "{} record{} could not be saved",
+                self.unsaved,
+                plural(self.unsaved)
+            ));
+        }
+        Some(format!(
+            "epa-store: {}: {} ({first}); their runs executed and were not saved",
+            root.display(),
+            missed.join(", ")
+        ))
+    }
 }
 
 impl DiskStore {
@@ -362,6 +411,7 @@ impl DiskStore {
         Ok(DiskStore {
             root,
             segments: Mutex::new(HashMap::new()),
+            faults: Mutex::default(),
         })
     }
 
@@ -391,7 +441,9 @@ impl DiskStore {
     }
 
     /// Reads and decodes `scope`'s segment for the hot path, logging
-    /// damage and refreshing its timestamp (best-effort) for the LRU.
+    /// damage and refreshing its timestamp (best-effort) for the LRU. A
+    /// segment that cannot be read is quarantined, and noted for the
+    /// handle's warning at close.
     fn read_segment(&self, scope: u64) -> Segment {
         let path = self.segment_path(scope);
         let read = std::fs::File::open(&path).and_then(|mut file| {
@@ -399,10 +451,17 @@ impl DiskStore {
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes).map(|_| bytes)
         });
-        let segment = decode_segment(scope, read);
         let shown = path.display();
-        if segment.quarantined {
-            eprintln!("epa-store: {shown}: unreadable or foreign header; quarantining it");
+        let unreadable = read.as_ref().err().filter(|e| e.kind() != io::ErrorKind::NotFound);
+        if let Some(e) = unreadable {
+            let mut faults = self.faults.lock().unwrap_or_else(PoisonError::into_inner);
+            faults.unreadable.insert(scope);
+            faults.note(e, &path);
+        }
+        let foreign = unreadable.is_none();
+        let segment = decode_segment(scope, read);
+        if segment.quarantined && foreign {
+            eprintln!("epa-store: {shown}: foreign segment header; quarantining it");
         }
         for (line, why) in &segment.damaged {
             eprintln!("epa-store: {shown}:{line}: {why}; ignoring the record");
@@ -580,7 +639,9 @@ impl ResultStore for DiskStore {
                 return;
             }
             if let Err(e) = self.append(scope, &encode_entry(scope, key, digest)) {
-                eprintln!("epa-store: {scope:016x}.seg: append failed ({e}); record not persisted");
+                let mut faults = self.faults.lock().unwrap_or_else(PoisonError::into_inner);
+                faults.unsaved += 1;
+                faults.note(&e, &self.segment_path(scope));
                 return;
             }
             segment.records.insert(key.repr().to_string(), None);
@@ -598,8 +659,13 @@ impl ResultStore for DiskStore {
 }
 
 impl Drop for DiskStore {
-    /// Compacts every segment this handle appended to.
+    /// Warns once about what this handle could not read or write, and
+    /// compacts every segment it appended to.
     fn drop(&mut self) {
+        let faults = self.faults.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(warning) = faults.warning(&self.root) {
+            eprintln!("{warning}");
+        }
         let segments = self.segments.lock().unwrap_or_else(PoisonError::into_inner);
         for (scope, slot) in segments.iter() {
             let slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
@@ -941,6 +1007,41 @@ mod tests {
         assert_eq!(DiskStore::open(&dir).expect("reopens").load(6, &k), None);
         assert_eq!(reopened.stats().quarantined_segments, 1);
         assert!(!reopened.verify().is_clean());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unreadable_segments_and_failed_saves_make_one_warning() {
+        let (dir, store) = temp_store("io-faults");
+        std::fs::create_dir_all(store.segment_dir()).expect("segment dir");
+        // Segments that are directories cannot be read, even by root.
+        for scope in [1, 2] {
+            std::fs::create_dir(store.segment_path(scope)).expect("a directory where a segment belongs");
+        }
+        // A dangling link reads as a missing segment, but no append can
+        // create its target.
+        std::os::unix::fs::symlink(dir.join("gone").join("x.seg"), store.segment_path(3)).expect("dangling link");
+        for scope in [1, 2, 3] {
+            for n in 0..2 {
+                let k = key(&format!("s#{n}|-|{{}}"));
+                assert_eq!(store.load(scope, &k), None);
+                store.save(scope, &k, &digest(0, 1));
+            }
+        }
+        let faults = store.faults.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!((faults.unreadable.len(), faults.unsaved), (2, 2));
+        let warning = faults.warning(&dir).expect("the handle warns");
+        assert!(
+            warning.contains("2 segments could not be read, 2 records could not be saved"),
+            "{warning}"
+        );
+        assert!(
+            warning.contains("Is a directory"),
+            "the first error is named: {warning}"
+        );
+        drop(faults);
+        assert!(store.verify().corrupt.is_empty(), "nothing corrupt is left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

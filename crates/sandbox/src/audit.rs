@@ -227,7 +227,7 @@ impl AuditEvent {
 #[derive(Debug, Default)]
 pub struct AuditLog {
     events: Vec<AuditEvent>,
-    oracle: Option<Box<crate::policy::OracleSet>>,
+    oracle: Option<crate::policy::OracleSet>,
 }
 
 impl Clone for AuditLog {
@@ -289,13 +289,13 @@ impl AuditLog {
     /// Replaces any previous subscription.
     pub fn attach_oracle(&mut self, mut oracle: crate::policy::OracleSet) {
         oracle.observe_log(self);
-        self.oracle = Some(Box::new(oracle));
+        self.oracle = Some(oracle);
     }
 
     /// Removes and returns the subscribed oracle set, ready for
     /// [`crate::policy::OracleSet::finish`].
     pub fn detach_oracle(&mut self) -> Option<crate::policy::OracleSet> {
-        self.oracle.take().map(|b| *b)
+        self.oracle.take()
     }
 
     /// Whether an oracle set is subscribed.

@@ -330,9 +330,11 @@ impl Os {
 
     /// Executes one syscall for `pid` at interaction site `site`.
     ///
-    /// The call is recorded in the execution trace, the interceptor's
-    /// `before` hook runs (direct faults), the call is dispatched, and the
-    /// `after` hook runs on the result (indirect faults).
+    /// Unhooked, the call is recorded in the execution trace as a
+    /// [`crate::trace::TraceEvent`] and dispatched. Hooked, the trace only
+    /// counts it ([`Trace::count`]): the interceptor's `before` hook runs
+    /// (direct faults), the call is dispatched, and the `after` hook runs
+    /// on the result (indirect faults).
     ///
     /// # Errors
     ///
@@ -342,39 +344,37 @@ impl Os {
         self.procs.get_mut(pid)?.spend_budget()?;
         let site = SiteId::new(site);
         let op = call.op();
-        // Record file objects by their cwd-resolved name so perturbation
-        // planning targets what the interaction actually touches. Bare
-        // program names stay bare: an exec without `/` resolves through a
-        // search path, not the working directory.
-        let object = Arc::new(match call.file_path() {
-            Some(p) if op != OpKind::Exec || p.contains('/') => {
-                ObjectRef::File(self.abs(pid, p).map_or_else(|_| p.to_string(), Cow::into_owned))
-            }
-            _ => call.object(),
-        });
         let semantic = call.semantic();
-        let occurrence = self.trace.record(site.clone(), op, Arc::clone(&object), semantic);
-        let seq = self.trace.len() - 1;
+        let seq = self.trace.interactions();
+        let Some(mut hook) = self.interceptor.take() else {
+            // Record file objects by their cwd-resolved name so perturbation
+            // planning targets what the interaction actually touches. Bare
+            // program names stay bare: an exec without `/` resolves through
+            // a search path, not the working directory.
+            let object = match call.file_path() {
+                Some(p) if op != OpKind::Exec || p.contains('/') => {
+                    ObjectRef::File(self.abs(pid, p).map_or_else(|_| p.to_string(), Cow::into_owned))
+                }
+                _ => call.object(),
+            };
+            self.trace.record(site, op, object, semantic);
+            let result = self.dispatch(pid, call);
+            self.trace.set_outcome(seq, result.is_ok());
+            return result;
+        };
+        let occurrence = self.trace.count(&site);
         let point = InteractionRef {
             pid,
             site,
             seq,
             occurrence,
             op,
-            object,
             semantic,
         };
-
-        let mut hook = self.interceptor.take();
-        if let Some(h) = hook.as_mut() {
-            h.before(self, &point, &call);
-        }
+        hook.before(self, &point, &call);
         let mut result = self.dispatch(pid, call);
-        self.trace.set_outcome(seq, result.is_ok());
-        if let Some(h) = hook.as_mut() {
-            h.after(self, &point, &mut result);
-        }
-        self.interceptor = hook;
+        hook.after(self, &point, &mut result);
+        self.interceptor = Some(hook);
         result
     }
 

@@ -187,8 +187,9 @@ impl Detector for InvariantDetector {
                     Evidence::none(),
                 ));
             }
-            self.satisfied = false;
         }
+        self.satisfied = false;
+        self.events_seen = 0;
         std::mem::take(&mut self.found)
     }
 }
@@ -271,6 +272,20 @@ mod tests {
             },
         );
         assert!(ran.finish().is_empty());
+    }
+
+    #[test]
+    fn finish_resets_a_detector_for_its_next_run() {
+        // A long run, then a short one, through one compiled detector: the
+        // second verdict is anchored past the second run's events only.
+        let mut d = InvariantSpec::require_rule("auth").detector();
+        for idx in 0..5 {
+            d.observe(idx, &write_to("/etc/other"));
+        }
+        assert_eq!(d.finish()[0].event_index, 5);
+        d.observe(0, &write_to("/etc/other"));
+        assert_eq!(d.finish()[0].event_index, 1);
+        assert_eq!(d.finish()[0].event_index, 0, "a run with no event anchors at 0");
     }
 
     #[test]

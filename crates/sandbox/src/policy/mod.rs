@@ -284,8 +284,10 @@ pub trait Detector: Send + Sync {
     /// Observes one audit event (called in log order, once per event).
     fn observe(&mut self, idx: usize, event: &AuditEvent);
 
-    /// Drains the verdicts accumulated over the observed stream. Called
-    /// once, after the last event.
+    /// Drains the verdicts accumulated over the observed stream, called
+    /// once after the last event, and resets the detector to its freshly
+    /// built state: an [`OracleSet`] is reused across runs, so nothing
+    /// observed in one run may reach the next one's verdicts.
     fn finish(&mut self) -> Vec<Verdict>;
 }
 
@@ -351,6 +353,11 @@ impl OracleSet {
         self.detectors.push(detector);
     }
 
+    /// Drops every detector registered after the first `len`.
+    pub fn truncate(&mut self, len: usize) {
+        self.detectors.truncate(len);
+    }
+
     /// Number of registered detectors.
     pub fn len(&self) -> usize {
         self.detectors.len()
@@ -386,7 +393,8 @@ impl OracleSet {
     /// sorted by first implicated evidence index, then policy family (then
     /// rule/description as tiebreakers), with exact duplicates removed — so
     /// parallel-executor reports stay byte-identical to sequential runs
-    /// regardless of detector registration order.
+    /// regardless of detector registration order. Every detector is reset
+    /// ([`Detector::finish`]), so the set can judge another run.
     pub fn finish(&mut self) -> Vec<Verdict> {
         let mut out: Vec<Verdict> = self.detectors.iter_mut().flat_map(|d| d.finish()).collect();
         out.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));

@@ -19,7 +19,6 @@ use crate::fs::Stat;
 use crate::net::Message;
 use crate::os::Os;
 use crate::trace::{InputSemantic, ObjectRef, OpKind, SiteId};
-use shim_sync::sync::Arc;
 
 /// A request an application makes of its environment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -345,8 +344,10 @@ pub enum SysReturn {
 }
 
 /// One interaction point as seen by the hook: the static site plus dynamic
-/// position in the trace. The site and the object are the recorded trace
-/// event's own, shared rather than copied.
+/// position in the trace. A hooked run lists no trace event, so the
+/// environment object is not built here; a hook that needs it asks the
+/// call ([`Syscall::object`], with file paths as the application named
+/// them).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InteractionRef {
     /// The process issuing the call.
@@ -359,8 +360,6 @@ pub struct InteractionRef {
     pub occurrence: usize,
     /// Operation kind.
     pub op: OpKind,
-    /// Environment object (the trace event's).
-    pub object: Arc<ObjectRef>,
     /// Input semantics, if any.
     pub semantic: Option<InputSemantic>,
 }
@@ -369,6 +368,12 @@ pub struct InteractionRef {
 /// dispatcher calls `before` ahead of executing each syscall and `after`
 /// with its result. Implementations mutate the environment (`before`, for
 /// direct faults) or the result (`after`, for indirect faults).
+///
+/// While a hook is installed the run's [`crate::trace::Trace`] only counts
+/// interactions: per-site occurrences and the sequence counter, which is
+/// all an [`InteractionRef`] carries. No trace event is listed, so a hooked
+/// run's `os.trace.events()` is empty; its `hit_count`s, and the `seq` and
+/// `occurrence` of every interaction, equal an unhooked run's.
 pub trait Interceptor: Send + Sync {
     /// Called before the syscall executes. `call` is read-only: direct
     /// faults perturb the *environment*, never the application's request.

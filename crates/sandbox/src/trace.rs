@@ -280,9 +280,8 @@ pub struct TraceEvent {
     pub site: SiteId,
     /// Operation kind.
     pub op: OpKind,
-    /// Environment object touched, shared with the hook's
-    /// [`crate::syscall::InteractionRef`].
-    pub object: Arc<ObjectRef>,
+    /// Environment object touched.
+    pub object: ObjectRef,
     /// Input semantics, when the operation receives data.
     pub semantic: Option<InputSemantic>,
     /// How many times this site had executed before (0-based).
@@ -294,10 +293,20 @@ pub struct TraceEvent {
 }
 
 /// The trace of one run.
+///
+/// An unhooked run — the clean run the planner and the static analysis
+/// read, or [`crate::os::Os`] used directly — records one [`TraceEvent`]
+/// per interaction. A hooked run (a fault injection) only *counts*: the
+/// dispatcher calls [`Trace::count`], which keeps the per-site occurrence
+/// counts and the sequence counter the hook is handed, and lists no event.
+/// Either way [`Trace::hit_count`] and [`Trace::interactions`] read the
+/// same, and the `occurrence` and `seq` of each interaction are identical.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     site_hits: BTreeMap<SiteId, usize>,
+    /// Interactions so far, listed or only counted: the next one's `seq`.
+    interactions: usize,
 }
 
 impl Trace {
@@ -306,16 +315,30 @@ impl Trace {
         Self::default()
     }
 
-    /// Records an interaction, assigning sequence and occurrence numbers.
-    /// Returns the event's occurrence index for the site.
-    pub fn record(
-        &mut self,
-        site: SiteId,
-        op: OpKind,
-        object: impl Into<Arc<ObjectRef>>,
-        semantic: Option<InputSemantic>,
-    ) -> usize {
-        let occurrence = match self.site_hits.get_mut(site.as_str()) {
+    /// Records an interaction as an event, assigning sequence and
+    /// occurrence numbers. Returns the event's occurrence index for the
+    /// site.
+    pub fn record(&mut self, site: SiteId, op: OpKind, object: ObjectRef, semantic: Option<InputSemantic>) -> usize {
+        let seq = self.interactions;
+        let occurrence = self.count(&site);
+        self.events.push(TraceEvent {
+            seq,
+            site,
+            op,
+            object,
+            semantic,
+            occurrence,
+            ok: true,
+        });
+        occurrence
+    }
+
+    /// Counts an interaction at `site` without listing an event: the
+    /// counts-only form a hooked run keeps. Advances the sequence counter
+    /// and returns the interaction's occurrence index for the site.
+    pub fn count(&mut self, site: &SiteId) -> usize {
+        self.interactions += 1;
+        match self.site_hits.get_mut(site.as_str()) {
             Some(hits) => {
                 *hits += 1;
                 *hits - 1
@@ -324,29 +347,25 @@ impl Trace {
                 self.site_hits.insert(site.clone(), 1);
                 0
             }
-        };
-        let seq = self.events.len();
-        self.events.push(TraceEvent {
-            seq,
-            site,
-            op,
-            object: object.into(),
-            semantic,
-            occurrence,
-            ok: true,
-        });
-        occurrence
+        }
+    }
+
+    /// Interactions recorded or counted so far — the `seq` the next one
+    /// gets.
+    pub fn interactions(&self) -> usize {
+        self.interactions
     }
 
     /// Stamps the dispatch outcome onto event `seq` (recorded optimistically
     /// as `ok: true`; the dispatcher corrects it once the operation ran).
+    /// A counted interaction has no event to stamp.
     pub fn set_outcome(&mut self, seq: usize, ok: bool) {
-        if let Some(ev) = self.events.get_mut(seq) {
-            ev.ok = ok;
+        if let Ok(i) = self.events.binary_search_by_key(&seq, |ev| ev.seq) {
+            self.events[i].ok = ok;
         }
     }
 
-    /// All events in order.
+    /// All events in order (none for a hooked run, which only counts).
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
@@ -358,12 +377,13 @@ impl Trace {
         self.site_hits.get(site).copied().unwrap_or(0)
     }
 
-    /// Number of events.
+    /// Number of events listed (see [`Trace::interactions`] for the
+    /// number counted).
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// True when nothing was recorded.
+    /// True when no event is listed.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
@@ -389,8 +409,8 @@ impl Trace {
             }
             let s = map.get_mut(&ev.site).expect("inserted above");
             s.hits = s.hits.max(ev.occurrence + 1);
-            if !s.ops.iter().any(|(op, obj)| *op == ev.op && *obj == *ev.object) {
-                s.ops.push((ev.op, (*ev.object).clone()));
+            if !s.ops.iter().any(|(op, obj)| *op == ev.op && *obj == ev.object) {
+                s.ops.push((ev.op, ev.object.clone()));
             }
             if let Some(sem) = ev.semantic {
                 if !s.inputs.contains(&sem) {
@@ -411,7 +431,7 @@ impl Trace {
     pub fn reaccessed_files(&self) -> Vec<String> {
         let mut sites_per_path: BTreeMap<&str, std::collections::BTreeSet<&SiteId>> = BTreeMap::new();
         for ev in &self.events {
-            if let ObjectRef::File(p) = &*ev.object {
+            if let ObjectRef::File(p) = &ev.object {
                 sites_per_path.entry(p.as_str()).or_default().insert(&ev.site);
             }
         }

@@ -8,17 +8,20 @@
 //! same fault struck at occurrence 1 or 2 lands in the trust window after
 //! the check — which only an occurrence-aware plan can reach.
 
-use epa::core::campaign::CampaignOptions;
+use epa::core::campaign::{run_once, CampaignOptions};
 use epa::core::engine::{Session, Suite, WorldSpec};
 use epa::core::inject::{InjectionHook, InjectionPlan};
 use epa::core::perturb::{ConcreteFault, DirectFault, FaultPayload};
 use epa::core::report::CampaignReport;
 use epa::sandbox::app::Application;
 use epa::sandbox::cred::{Gid, Uid};
+use epa::sandbox::error::SysResult;
 use epa::sandbox::os::{Os, ScenarioMeta};
 use epa::sandbox::process::Pid;
+use epa::sandbox::syscall::{InteractionRef, Interceptor, SysReturn, Syscall};
 use epa::sandbox::trace::SiteId;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// The re-read configuration file.
 const CFG: &str = "/var/lib/reread/target";
@@ -203,4 +206,49 @@ fn occurrence_campaigns_agree_between_sequential_and_parallel() {
     suite.register_session(Reread, session(usize::MAX));
     let par = suite.execute().reports.remove(0);
     assert_eq!(seq, par, "occurrence-aware plans stay deterministic under the pool");
+}
+
+/// Records the `(site, occurrence, seq)` of every interaction it sees.
+struct Witness(Arc<Mutex<Vec<(SiteId, usize, usize)>>>);
+
+impl Interceptor for Witness {
+    fn before(&mut self, _os: &mut Os, point: &InteractionRef, _call: &Syscall) {
+        let seen = (point.site.clone(), point.occurrence, point.seq);
+        self.0.lock().expect("witness lock").push(seen);
+    }
+
+    fn after(&mut self, _os: &mut Os, _point: &InteractionRef, _result: &mut SysResult<SysReturn>) {}
+}
+
+#[test]
+fn a_hooked_run_counts_what_the_clean_run_lists() {
+    let s = session(1);
+    let clean = s.run(&Reread);
+    let listed: Vec<(SiteId, usize, usize)> = clean
+        .os
+        .trace
+        .events()
+        .iter()
+        .map(|ev| (ev.site.clone(), ev.occurrence, ev.seq))
+        .collect();
+    assert_eq!(listed.len(), 4, "three reads and a report");
+
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let hooked = run_once(s.setup(), &Reread, Some(Box::new(Witness(Arc::clone(&seen)))));
+    assert!(hooked.os.trace.events().is_empty(), "a hooked run lists no event");
+    assert_eq!(*seen.lock().expect("witness lock"), listed);
+    assert_eq!(hooked.os.trace.interactions(), clean.os.trace.interactions());
+    for site in ["reread:open", "reread:report", "never"] {
+        let site = SiteId::new(site);
+        assert_eq!(
+            hooked.os.trace.hit_count(&site),
+            clean.os.trace.hit_count(&site),
+            "{site}"
+        );
+    }
+    assert_eq!(
+        hooked.os.audit.events(),
+        clean.os.audit.events(),
+        "a passive hook changes nothing else"
+    );
 }

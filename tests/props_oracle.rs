@@ -205,3 +205,56 @@ fn lpr_numbers_pin_through_both_oracle_paths() {
     }
     assert_eq!(batch_violated, 4, "batch path keeps the paper's 4/4");
 }
+
+/// `run_once` reuses one standard oracle set per thread, so a detector must
+/// forget each run when it finishes, and it adds and drops the setup's
+/// invariant detectors around each run. Alternating long and short audit
+/// logs on one thread, every verdict — the finish-time `RequireRule` one's
+/// `event_index` included — equals a fresh `TestSetup::oracle`'s.
+#[test]
+fn a_reused_oracle_judges_each_run_as_a_fresh_one_does() {
+    let invariants = [
+        InvariantSpec::file_pristine("/var/spool/walker/out"),
+        InvariantSpec::require_rule("never-declared"),
+    ];
+    let long_files: Vec<RandFile> = (0..6)
+        .map(|i| RandFile {
+            name: format!("d{i}"),
+            content: "x".repeat(i + 1),
+            mode: 0o644,
+            owner: 0,
+        })
+        .collect();
+    let cases: Vec<_> = [long_files, Vec::new()]
+        .iter()
+        .map(|files| {
+            let (spec, paths) = build_spec(files, "job", &invariants);
+            (spec.materialize().expect("valid spec"), Walker { files: paths })
+        })
+        .collect();
+    let mut lengths = Vec::new();
+    for round in 0..6 {
+        let (setup, app) = &cases[round % 2];
+        let run = run_once(setup, app, None);
+        assert_eq!(
+            run.violations,
+            setup.oracle().evaluate_log(&run.os.audit),
+            "round {round}"
+        );
+        let required = run
+            .violations
+            .iter()
+            .find(|v| v.rule == "invariant:require-rule:never-declared")
+            .expect("the required check never runs");
+        assert_eq!(required.event_index, run.os.audit.len(), "round {round}");
+        assert!(run
+            .violations
+            .iter()
+            .any(|v| v.rule == "invariant:file-pristine:/var/spool/walker/out"));
+        lengths.push(run.os.audit.len());
+    }
+    assert!(
+        lengths[0] > lengths[1],
+        "the runs alternate long and short logs: {lengths:?}"
+    );
+}
