@@ -112,7 +112,11 @@ fn main() {
         }
         if let Err(e) = cli::run(name, opts.clone(), &mut out) {
             eprintln!("reproduce: {e}");
-            eprint!("{}", cli::usage());
+            // The table helps with a name it does not list, not with a
+            // subcommand that ran and failed.
+            if cli::find(name).is_none() {
+                eprint!("{}", cli::usage());
+            }
             failed = true;
         }
     }

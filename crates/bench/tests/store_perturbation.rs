@@ -12,8 +12,11 @@
 //! more rows drop saves in a [`ResultStore`] wrapper before they reach a
 //! real [`DiskStore`], all of them or all after the first 40: the store
 //! never sees those writes, so they count no warning and check only the
-//! verdicts and what a warm rerun executes.
+//! verdicts and what a warm rerun executes. The last row gives one segment
+//! a foreign-version header under a handle that has already read it: the
+//! handle must quarantine it, neither append to it nor compact it.
 
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,7 +43,9 @@ struct Observed {
     /// The suite's verdict text, with everything provenance-only stripped.
     verdicts: String,
     /// Warnings the store printed; `None` where the saves were dropped
-    /// before they reached the store, which then has nothing to warn of.
+    /// before they reached the store, which then has nothing to warn of,
+    /// and where the suite runs in-process, whose stderr the test cannot
+    /// count (the foreign-header row).
     warnings: Option<usize>,
     /// Damaged records left in the store directory.
     corrupt: usize,
@@ -65,7 +70,7 @@ struct Row {
     clean: fn() -> String,
 }
 
-const ROWS: [Row; 5] = [
+const ROWS: [Row; 6] = [
     Row {
         name: "a directory where each segment belongs",
         run: segments_are_directories,
@@ -89,6 +94,11 @@ const ROWS: [Row; 5] = [
     Row {
         name: "saves dropped before the store after 40 records",
         run: |dir| refused_writes(dir, 40),
+        clean: clean_suite_verdicts,
+    },
+    Row {
+        name: "a foreign-version header on a segment a held handle has read",
+        run: foreign_segment,
         clean: clean_suite_verdicts,
     },
 ];
@@ -115,15 +125,22 @@ fn fresh_dir(row: usize) -> PathBuf {
     dir
 }
 
-/// Runs `reproduce suite` (with `--store dir`, if given) in a clean
-/// environment.
+/// Runs `reproduce` with `args` in a clean environment.
+fn reproduce(args: &[&OsStr]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(args)
+        .env_remove("EPA_CACHE_DIR")
+        .env_remove("EPA_WORKERS")
+        .output()
+        .expect("reproduce runs")
+}
+
+/// Runs `reproduce suite` (with `--store dir`, if given).
 fn reproduce_suite(store: Option<&Path>) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
-    cmd.arg("suite").env_remove("EPA_CACHE_DIR").env_remove("EPA_WORKERS");
-    if let Some(dir) = store {
-        cmd.arg("--store").arg(dir);
-    }
-    let out = cmd.output().expect("reproduce runs");
+    let out = match store {
+        Some(dir) => reproduce(&["suite".as_ref(), "--store".as_ref(), dir.as_os_str()]),
+        None => reproduce(&["suite".as_ref()]),
+    };
     assert!(out.status.success(), "reproduce suite failed: {out:?}");
     out
 }
@@ -195,10 +212,25 @@ fn broken_segments(dir: &Path, make: fn(&Path), covered: &str, cause: &str) -> O
 }
 
 /// Every segment of the standard suite's scopes is a directory: no segment
-/// can be read.
+/// can be read. `store verify` then fails with its one reason and no usage
+/// table, which only an unknown subcommand gets.
 fn segments_are_directories(dir: &Path) -> Observed {
     let make = |path: &Path| std::fs::create_dir(path).expect("a directory as a segment");
-    broken_segments(dir, make, "8 segments could not be read", "Is a directory")
+    let observed = broken_segments(dir, make, "8 segments could not be read", "Is a directory");
+    let verify = reproduce(&["store".as_ref(), "verify".as_ref(), "--store".as_ref(), dir.as_os_str()]);
+    let stderr = String::from_utf8_lossy(&verify.stderr);
+    assert_eq!(verify.status.code(), Some(2), "store verify fails: {stderr}");
+    let reasons = stderr.lines().filter(|l| l.starts_with("reproduce:")).count();
+    assert_eq!(reasons, 1, "one reason line: {stderr}");
+    assert!(!stderr.contains("subcommands:"), "no usage table: {stderr}");
+    let unknown = reproduce(&["no-such-experiment".as_ref()]);
+    assert_eq!(unknown.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&unknown.stderr);
+    assert!(
+        stderr.contains("subcommands:"),
+        "an unknown name gets the table: {stderr}"
+    );
+    observed
 }
 
 /// Every segment of the standard suite's scopes is a link into a missing
@@ -217,14 +249,9 @@ fn segments_are_dangling_links(dir: &Path) -> Observed {
 /// that run again and leaves the segment whole.
 fn torn_append(dir: &Path) -> Observed {
     reproduce_suite(Some(dir));
-    let segments = dir.join(format!("v{STORE_FORMAT_VERSION}"));
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&segments)
-        .expect("the cold run wrote segments")
-        .map(|entry| entry.expect("a segment entry").path())
-        .collect();
-    paths.sort();
-    let bytes = std::fs::read(&paths[0]).expect("the segment reads");
-    std::fs::write(&paths[0], &bytes[..bytes.len() - 10]).expect("the segment is cut short");
+    let path = first_segment(dir);
+    let bytes = std::fs::read(&path).expect("the segment reads");
+    std::fs::write(&path, &bytes[..bytes.len() - 10]).expect("the segment is cut short");
     let torn = DiskStore::open(dir).expect("the store reopens").verify().corrupt;
     assert_eq!(torn.len(), 1, "verify names the torn record: {torn:?}");
     assert!(torn[0].contains("checksum mismatch"), "{}", torn[0]);
@@ -244,6 +271,13 @@ fn torn_append(dir: &Path) -> Observed {
         warnings: Some(warnings.len()),
         corrupt: DiskStore::open(dir).expect("the store reopens").verify().corrupt.len(),
     }
+}
+
+/// The store's first segment file, in path order.
+fn first_segment(dir: &Path) -> PathBuf {
+    let segments = std::fs::read_dir(dir.join(format!("v{STORE_FORMAT_VERSION}"))).expect("a cold run wrote segments");
+    let paths = segments.map(|entry| entry.expect("a segment entry").path());
+    paths.min().expect("a segment")
 }
 
 /// A [`DiskStore`] behind a wrapper that drops every save once `room`
@@ -321,6 +355,43 @@ fn refused_writes(dir: &Path, room: usize) -> Observed {
         "exactly the unsaved runs execute again"
     );
     assert_eq!(verdicts(&warm), verdicts(&cold), "a warm run replays what was saved");
+    Observed {
+        verdicts: verdicts(&cold),
+        warnings: None,
+        corrupt: DiskStore::open(dir).expect("the store reopens").verify().corrupt.len(),
+    }
+}
+
+/// A cold suite fills the store; a warm suite through one held handle then
+/// reads every segment. One segment is rewritten with a foreign-version
+/// header, and a cold suite runs through the same handle: exactly that
+/// segment's runs execute again, none of them is saved, and the foreign
+/// segment's bytes survive the handle unchanged.
+fn foreign_segment(dir: &Path) -> Observed {
+    let suite = || epa_apps::standard_suite().expect("valid specs");
+    suite()
+        .with_store(Arc::new(DiskStore::open(dir).expect("the store opens")))
+        .execute();
+    let store = Arc::new(DiskStore::open(dir).expect("the store reopens"));
+    let warm = suite().with_store(store.clone()).execute();
+    assert_eq!(warm.total_runs_executed(), 0, "the handle read every segment");
+    let path = first_segment(dir);
+    let text = std::fs::read_to_string(&path).expect("the segment reads");
+    let foreign = text.replacen(&format!("segment v{STORE_FORMAT_VERSION} "), "segment v9 ", 1);
+    assert!(foreign.starts_with("epa-store-segment v9 scope="), "{foreign}");
+    std::fs::write(&path, &foreign).expect("the segment is rewritten");
+    let cold = suite().with_store(store.clone()).execute();
+    assert_eq!(
+        cold.total_runs_executed(),
+        text.lines().count() - 1,
+        "exactly the foreign segment's runs execute again"
+    );
+    drop(store);
+    let after = std::fs::read_to_string(&path).expect("the segment reads");
+    assert_eq!(
+        after, foreign,
+        "the foreign segment is neither appended to nor compacted"
+    );
     Observed {
         verdicts: verdicts(&cold),
         warnings: None,

@@ -28,7 +28,7 @@ use crate::engine::spec::WorldSpec;
 use crate::inject::InjectionPlan;
 
 use super::statics::{declared_exists, resolve_alias, static_model};
-use super::AppAnalysis;
+use super::{AppAnalysis, Decision};
 
 /// Diagnostic severity. Only `Error` fails `reproduce -- lint` (and the CI
 /// lint job).
@@ -235,7 +235,7 @@ fn check_world(spec: &WorldSpec, facts: &WorldFacts) -> Vec<Diagnostic> {
 fn dead_fault_tally(analysis: &AppAnalysis, jobs: &[InjectionPlan]) -> BTreeMap<String, usize> {
     let mut out: BTreeMap<String, usize> = BTreeMap::new();
     for job in jobs {
-        if analysis.classify(job).is_inert() {
+        if matches!(analysis.decide(job), Decision::Inert { .. }) {
             *out.entry(job.site.to_string()).or_default() += 1;
         }
     }

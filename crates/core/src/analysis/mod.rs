@@ -321,7 +321,7 @@ enum Guard {
 
 /// A classification before any text is built: [`AppAnalysis::classify`]
 /// renders it into a [`Relevance`], [`AppAnalysis::pruned_digest`] reads
-/// only the `applied` flag.
+/// only the `applied` flag, and the linter only whether it is inert.
 enum Decision<'a> {
     Relevant,
     Inert { applied: bool, proof: Proof<'a> },
@@ -608,6 +608,11 @@ impl AppAnalysis {
     /// Classifies one planned job. Sound by construction: only jobs whose
     /// runs provably replay the clean outcome come back
     /// [`Relevance::ProvablyInert`].
+    ///
+    /// This renders the reason or justification text; the engine and the
+    /// linter decide without it ([`AppAnalysis::pruned_digest`],
+    /// [`AppAnalysis::tally`]), so only tests call it today. It stays for
+    /// an `explain` command that prints why a record was pruned.
     pub fn classify(&self, job: &InjectionPlan) -> Relevance {
         match self.decide(job) {
             Decision::Relevant => Relevance::Relevant,

@@ -31,7 +31,7 @@ use epa_sandbox::syscall::Interceptor;
 use epa_sandbox::trace::{SiteId, SiteSummary};
 
 use crate::catalog::{faults_for_site, DirectContext};
-use crate::engine::planner::{Claim, FaultKey, ResultCache, RunDigest, Schedule};
+use crate::engine::planner::{Claim, FaultKey, Provenance, ResultCache, RunDigest, Schedule};
 use crate::inject::{InjectionHook, InjectionPlan};
 use crate::perturb::ConcreteFault;
 use crate::report::{CampaignReport, FaultRecord};
@@ -588,24 +588,16 @@ impl<'a> Campaign<'a> {
     }
 
     /// Runs job `idx` of a shared job list from a fresh snapshot,
-    /// bypassing any cache. The hook shares the list instead of copying
-    /// the job.
-    pub(crate) fn run_job(&self, jobs: &Arc<[InjectionPlan]>, idx: usize) -> FaultRecord {
-        let job = &jobs[idx];
+    /// bypassing any cache, and digests its outcome. The hook shares the
+    /// list instead of copying the job.
+    pub(crate) fn run_job(&self, jobs: &Arc<[InjectionPlan]>, idx: usize) -> RunDigest {
         let (hook, fired) = InjectionHook::shared(Arc::clone(jobs), idx);
         let outcome = run_once(self.setup, self.app, Some(Box::new(hook)));
-        FaultRecord {
-            site: job.site.to_string(),
-            occurrence: job.occurrence,
-            fault_id: job.fault.id.clone(),
-            category: job.fault.category,
-            description: job.fault.description.clone(),
+        RunDigest {
             applied: fired.get(),
             exit: outcome.exit,
             crashed: outcome.crashed,
             audit_events: outcome.os.audit.len(),
-            cache_hit: false,
-            pruned: false,
             violations: outcome.violations,
         }
     }
@@ -620,17 +612,18 @@ impl<'a> Campaign<'a> {
     /// again. `key` must be `FaultKey::of(&jobs[idx])` — the schedule has
     /// already computed it.
     pub(crate) fn run_job_keyed(&self, jobs: &Arc<[InjectionPlan]>, idx: usize, key: &FaultKey) -> FaultRecord {
-        let Some(cache) = &self.options.cache else {
-            return self.run_job(jobs, idx);
+        let (digest, provenance) = match &self.options.cache {
+            None => (self.run_job(jobs, idx), Provenance::Executed),
+            Some(cache) => match cache.begin(self.scope(), key) {
+                Claim::Replay(digest) => (digest, Provenance::Cached),
+                Claim::Execute(token) => {
+                    let digest = self.run_job(jobs, idx);
+                    token.fulfill(digest.clone());
+                    (digest, Provenance::Executed)
+                }
+            },
         };
-        match cache.begin(self.scope(), key) {
-            Claim::Replay(digest) => digest.replay(&jobs[idx]),
-            Claim::Execute(token) => {
-                let record = self.run_job(jobs, idx);
-                token.fulfill(RunDigest::of(&record));
-                record
-            }
-        }
+        digest.into_record(&jobs[idx], provenance)
     }
 
     /// Canonicalizes a flat job list against this campaign's scope, cache,
@@ -644,11 +637,8 @@ impl<'a> Campaign<'a> {
                 .get()
                 .expect("the campaign's clean run is adopted before scheduling")
         });
-        let prune = analysis.map(|a| move |job: &InjectionPlan| a.pruned_digest(job));
-        let prune_ref: Option<crate::engine::planner::PruneFn<'_>> = prune
-            .as_ref()
-            .map(|f| f as &dyn Fn(&InjectionPlan) -> Option<RunDigest>);
-        Schedule::build(jobs, scope, self.options.cache.as_ref(), prune_ref)
+        let prune = |job: &InjectionPlan| analysis?.pruned_digest(job);
+        Schedule::build(jobs, scope, self.options.cache.as_ref(), Some(&prune))
     }
 
     /// Folds the driver's records (plan order) into the campaign report.

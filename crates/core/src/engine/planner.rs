@@ -405,20 +405,7 @@ impl RunDigest {
     /// Materializes a record for `job` from this digest: identity fields
     /// from the job, outcome fields from the digest, flagged as a replay.
     pub fn replay(&self, job: &InjectionPlan) -> FaultRecord {
-        FaultRecord {
-            site: job.site.to_string(),
-            occurrence: job.occurrence,
-            fault_id: job.fault.id.clone(),
-            category: job.fault.category,
-            description: job.fault.description.clone(),
-            applied: self.applied,
-            exit: self.exit,
-            crashed: self.crashed.clone(),
-            audit_events: self.audit_events,
-            cache_hit: true,
-            pruned: false,
-            violations: self.violations.clone(),
-        }
+        self.clone().into_record(job, Provenance::Cached)
     }
 
     /// Materializes a record for `job` from this digest, flagged as
@@ -427,6 +414,13 @@ impl RunDigest {
     /// entry) backs it. Mirrors [`RunDigest::replay`], with `pruned` set
     /// instead of `cache_hit`.
     pub fn replay_pruned(&self, job: &InjectionPlan) -> FaultRecord {
+        self.clone().into_record(job, Provenance::Pruned)
+    }
+
+    /// Moves this digest into the record of `job`: identity fields from the
+    /// job, outcome fields from the digest, and the provenance flags. Every
+    /// record the engine files is built here.
+    pub fn into_record(self, job: &InjectionPlan, provenance: Provenance) -> FaultRecord {
         FaultRecord {
             site: job.site.to_string(),
             occurrence: job.occurrence,
@@ -435,13 +429,26 @@ impl RunDigest {
             description: job.fault.description.clone(),
             applied: self.applied,
             exit: self.exit,
-            crashed: self.crashed.clone(),
+            crashed: self.crashed,
             audit_events: self.audit_events,
-            cache_hit: false,
-            pruned: true,
-            violations: self.violations.clone(),
+            cache_hit: provenance == Provenance::Cached,
+            pruned: provenance == Provenance::Pruned,
+            violations: self.violations,
         }
     }
+}
+
+/// Where a finished job's digest came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Provenance {
+    /// The job ran.
+    Executed,
+    /// An equal run's digest, from the [`ResultCache`] or its store
+    /// (a claim replay included): the record has `cache_hit` set.
+    Cached,
+    /// The analysis proved the job inert and synthesized its digest from
+    /// the clean run: the record has `pruned` set.
+    Pruned,
 }
 
 /// Observable counters of a [`ResultCache`].
@@ -494,22 +501,57 @@ struct CacheShared {
 }
 
 impl CacheShared {
-    /// Publishes `digest` into the in-memory map unless a completed digest
-    /// already occupies the slot (an in-flight claim is overwritten: by
-    /// the scope/key contract the claimant is computing this exact
-    /// digest). Returns with waiters still asleep; callers notify.
-    fn promote(state: &mut CacheInner, scope: u64, key: &FaultKey, digest: &RunDigest) {
-        let slot = state.map.entry(scope).or_default().entry(Arc::clone(&key.repr));
-        match slot {
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                if matches!(o.get(), CacheSlot::Pending) {
-                    o.insert(CacheSlot::Ready(digest.clone()));
-                }
-            }
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(CacheSlot::Ready(digest.clone()));
-            }
+    /// The state lock, recovering from poison: a job that panics mid-run
+    /// unwinds through cache operations, and the cache's invariants hold
+    /// at every drop of the guard, so the racing suite must keep going —
+    /// a poisoned mutex here would turn one bad job into a suite-wide
+    /// liveness failure (every later `begin`/`lookup`/`fulfill` panicking
+    /// in turn).
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The one writer of a [`CacheSlot::Ready`] slot: settles `(scope,
+    /// key)` with `digest` under the held lock, releases it and wakes every
+    /// waiter. The first writer wins: a completed digest is never replaced
+    /// (equal keys have equal digests), while an in-flight claim is settled
+    /// (its claimant is computing this exact digest).
+    fn publish(&self, mut state: MutexGuard<'_, CacheInner>, scope: u64, key: &FaultKey, digest: RunDigest) {
+        let slot = state
+            .map
+            .entry(scope)
+            .or_default()
+            .entry(Arc::clone(&key.repr))
+            .or_insert(CacheSlot::Pending);
+        if let CacheSlot::Pending = slot {
+            *slot = CacheSlot::Ready(digest);
         }
+        drop(state);
+        self.settled.notify_all();
+    }
+
+    /// Publishes an executed run's digest and writes it through to the
+    /// backend. The digest moves into the map; it is copied only when a
+    /// backend saves it too.
+    fn publish_through(&self, scope: u64, key: &FaultKey, digest: RunDigest) {
+        let saved = self.backend.is_some().then(|| digest.clone());
+        self.publish(self.lock(), scope, key, digest);
+        if let (Some(backend), Some(digest)) = (&self.backend, saved) {
+            backend.save(scope, key, &digest);
+        }
+    }
+
+    /// The one reader of the backend, called with the state lock down (disk
+    /// I/O must not stall waiters): a hit is published — so each `(scope,
+    /// key)` pays for the disk at most once per process — and counted in
+    /// `hits` and `store_hits`.
+    fn read_backend(&self, scope: u64, key: &FaultKey) -> Option<RunDigest> {
+        let digest = self.backend.as_ref()?.load(scope, key)?;
+        let mut state = self.lock();
+        state.hits += 1;
+        state.store_hits += 1;
+        self.publish(state, scope, key, digest.clone());
+        Some(digest)
     }
 }
 
@@ -582,20 +624,8 @@ impl ClaimToken {
     /// digest moves into the cache; it is copied only when a backend
     /// saves it too.
     pub fn fulfill(mut self, digest: RunDigest) {
-        let saved = self.shared.backend.is_some().then(|| digest.clone());
-        {
-            let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state
-                .map
-                .entry(self.scope)
-                .or_default()
-                .insert(Arc::clone(&self.key.repr), CacheSlot::Ready(digest));
-        }
         self.fulfilled = true;
-        self.shared.settled.notify_all();
-        if let (Some(backend), Some(digest)) = (&self.shared.backend, saved) {
-            backend.save(self.scope, &self.key, &digest);
-        }
+        self.shared.publish_through(self.scope, &self.key, digest);
     }
 }
 
@@ -607,7 +637,7 @@ impl Drop for ClaimToken {
         // Abandon: clear the pending slot (unless someone already published
         // a digest over it) and wake waiters so one of them re-claims.
         // Recover from poison rather than panicking inside a panic.
-        let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.shared.lock();
         if let Some(slots) = state.map.get_mut(&self.scope) {
             if matches!(slots.get(self.key.repr()), Some(CacheSlot::Pending)) {
                 slots.remove(self.key.repr());
@@ -653,16 +683,6 @@ impl ResultCache {
         self.inner.backend.as_ref()
     }
 
-    /// The state lock, recovering from poison: a job that panics mid-run
-    /// unwinds through cache operations, and the cache's invariants hold
-    /// at every drop of the guard, so the racing suite must keep going —
-    /// a poisoned mutex here would turn one bad job into a suite-wide
-    /// liveness failure (every later `begin`/`lookup`/`fulfill` panicking
-    /// in turn).
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Looks up the digest of an identical prior run, counting the outcome.
     ///
     /// Never blocks on other threads: an in-flight claim reads as a miss,
@@ -672,43 +692,24 @@ impl ResultCache {
     /// persistent backend (outside the lock) and promotes a hit into the
     /// hot tier, so the disk is read at most once per `(scope, key)`.
     pub fn lookup(&self, scope: u64, key: &FaultKey) -> Option<RunDigest> {
-        let mut inner = self.lock();
-        match inner.map.get(&scope).and_then(|m| m.get(key.repr())) {
+        let mut state = self.inner.lock();
+        match state.map.get(&scope).and_then(|m| m.get(key.repr())) {
             Some(CacheSlot::Ready(d)) => {
                 let d = d.clone();
-                inner.hits += 1;
-                Some(d)
+                state.hits += 1;
+                return Some(d);
             }
-            Some(CacheSlot::Pending) => {
-                inner.misses += 1;
-                None
-            }
-            None => {
-                let Some(backend) = &self.inner.backend else {
-                    inner.misses += 1;
-                    return None;
-                };
-                drop(inner);
-                let fetched = backend.load(scope, key);
-                let mut inner = self.lock();
-                match fetched {
-                    Some(d) => {
-                        CacheShared::promote(&mut inner, scope, key, &d);
-                        inner.hits += 1;
-                        inner.store_hits += 1;
-                        drop(inner);
-                        // The promotion may have settled a claim raced in
-                        // while the lock was down; wake its waiters.
-                        self.inner.settled.notify_all();
-                        Some(d)
-                    }
-                    None => {
-                        inner.misses += 1;
-                        None
-                    }
+            None if self.inner.backend.is_some() => {
+                drop(state);
+                if let Some(d) = self.inner.read_backend(scope, key) {
+                    return Some(d);
                 }
+                state = self.inner.lock();
             }
+            _ => {}
         }
+        state.misses += 1;
+        None
     }
 
     /// Claims the right to execute `(scope, key)`, or waits out a
@@ -721,13 +722,13 @@ impl ResultCache {
     /// engine executes one job at a time per worker, so this cannot
     /// deadlock in practice).
     pub fn begin(&self, scope: u64, key: &FaultKey) -> Claim {
-        let mut state = self.lock();
+        let mut state = self.inner.lock();
         // The backend is consulted at most once per call: on the first
         // vacant sighting, outside the lock. A second vacant sighting
         // (the entry was abandoned while we read the disk) claims
         // directly — the disk answer cannot have changed, only this
         // process writes it through.
-        let mut backend_checked = false;
+        let mut backend_read = self.inner.backend.is_none();
         loop {
             match state.map.get(&scope).and_then(|m| m.get(key.repr())) {
                 Some(CacheSlot::Ready(d)) => {
@@ -738,26 +739,17 @@ impl ResultCache {
                 Some(CacheSlot::Pending) => {
                     state = self.inner.settled.wait(state).unwrap_or_else(PoisonError::into_inner);
                 }
-                None => {
-                    if !backend_checked {
-                        if let Some(backend) = &self.inner.backend {
-                            drop(state);
-                            let fetched = backend.load(scope, key);
-                            backend_checked = true;
-                            state = self.lock();
-                            if let Some(d) = fetched {
-                                CacheShared::promote(&mut state, scope, key, &d);
-                                state.hits += 1;
-                                state.store_hits += 1;
-                                drop(state);
-                                self.inner.settled.notify_all();
-                                return Claim::Replay(d);
-                            }
-                            // Re-match: the slot may have changed while
-                            // the lock was down.
-                            continue;
-                        }
+                None if !backend_read => {
+                    drop(state);
+                    backend_read = true;
+                    if let Some(d) = self.inner.read_backend(scope, key) {
+                        return Claim::Replay(d);
                     }
+                    // Re-match: the slot may have changed while the lock
+                    // was down.
+                    state = self.inner.lock();
+                }
+                None => {
                     state
                         .map
                         .entry(scope)
@@ -778,26 +770,14 @@ impl ResultCache {
     /// Stores the digest of an executed run, settling any in-flight claim
     /// for the same key and writing through to the persistent backend.
     pub fn insert(&self, scope: u64, key: &FaultKey, digest: RunDigest) {
-        let saved = self.inner.backend.is_some().then(|| digest.clone());
-        {
-            let mut inner = self.lock();
-            inner
-                .map
-                .entry(scope)
-                .or_default()
-                .insert(Arc::clone(&key.repr), CacheSlot::Ready(digest));
-        }
-        self.inner.settled.notify_all();
-        if let (Some(backend), Some(digest)) = (&self.inner.backend, saved) {
-            backend.save(scope, key, &digest);
-        }
+        self.inner.publish_through(scope, key, digest);
     }
 
     /// Current counters. `entries` counts the in-memory hot tier's
     /// completed digests only — not in-flight claims, and not backend
     /// entries that were never touched this process.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         CacheStats {
             entries: inner
                 .map
@@ -832,15 +812,12 @@ impl fmt::Debug for ResultCache {
 #[derive(Debug)]
 pub struct Schedule {
     keys: Vec<FaultKey>,
-    /// Jobs resolved from the [`ResultCache`] at schedule time, with their
-    /// digests — these replay inline and never reach the executor or the
-    /// analyzer.
-    pub resolved: Vec<(usize, RunDigest)>,
-    /// Cache misses the static analysis proved inert at schedule time, with
-    /// their synthesized clean-run digests — these replay inline as
-    /// `pruned` records, never reach the executor, and are never saved to
-    /// the cache.
-    pub pruned: Vec<(usize, RunDigest)>,
+    /// Jobs answered at schedule time, in plan order, each with its
+    /// provenance and digest: [`Provenance::Cached`] from the
+    /// [`ResultCache`], or [`Provenance::Pruned`] for a miss the static
+    /// analysis proved inert (a synthesized clean-run digest, never saved
+    /// to the cache). These replay inline and never reach the executor.
+    pub replays: Vec<(usize, Provenance, RunDigest)>,
     /// Jobs that must run, in plan order. Equal keys among them run once:
     /// the first claims the key, the rest replay its digest through the
     /// cache's claim protocol.
@@ -855,8 +832,8 @@ pub struct Schedule {
 pub type PruneFn<'a> = &'a dyn Fn(&InjectionPlan) -> Option<RunDigest>;
 
 impl Schedule {
-    /// Canonicalizes `jobs` and splits them into cache-resolved replays,
-    /// statically pruned replays, and pending executions.
+    /// Canonicalizes `jobs` and splits them into replays (cache-resolved
+    /// or statically pruned) and pending executions.
     ///
     /// Per job the cache is consulted **first**, and `prune` only on a
     /// miss: replaying a stored digest is cheaper than proving the job
@@ -874,24 +851,18 @@ impl Schedule {
         prune: Option<PruneFn<'_>>,
     ) -> Schedule {
         let keys: Vec<FaultKey> = jobs.iter().map(FaultKey::of).collect();
-        let mut resolved = Vec::new();
-        let mut pruned = Vec::new();
+        let mut replays = Vec::new();
         let mut pending = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             if let Some(digest) = cache.and_then(|c| c.lookup(scope, key)) {
-                resolved.push((i, digest));
+                replays.push((i, Provenance::Cached, digest));
             } else if let Some(digest) = prune.and_then(|p| p(&jobs[i])) {
-                pruned.push((i, digest));
+                replays.push((i, Provenance::Pruned, digest));
             } else {
                 pending.push(i);
             }
         }
-        Schedule {
-            keys,
-            resolved,
-            pruned,
-            pending,
-        }
+        Schedule { keys, replays, pending }
     }
 
     /// The canonical key of job `idx`.
@@ -980,6 +951,17 @@ mod tests {
                 description: format!("make {path} exist"),
                 payload: FaultPayload::Direct(DirectFault::FileMakeExist { path: path.to_string() }),
             },
+        }
+    }
+
+    /// A digest with no crash and no verdicts.
+    fn outcome(applied: bool, exit: Option<i32>, audit_events: usize) -> RunDigest {
+        RunDigest {
+            applied,
+            exit,
+            crashed: None,
+            audit_events,
+            violations: Vec::new(),
         }
     }
 
@@ -1075,13 +1057,7 @@ mod tests {
         let schedule = Schedule::build(&jobs, 7, Some(&cache), None);
         assert_eq!(schedule.pending, vec![0, 1, 2], "a cold cache answers nothing");
         assert_eq!(schedule.key(0), schedule.key(1));
-        let digest = RunDigest {
-            applied: true,
-            exit: Some(0),
-            crashed: None,
-            audit_events: 2,
-            violations: Vec::new(),
-        };
+        let digest = outcome(true, Some(0), 2);
         // The first job of the key claims it; its duplicate replays.
         let Claim::Execute(token) = cache.begin(7, schedule.key(0)) else {
             panic!("the first job of a key executes");
@@ -1096,7 +1072,7 @@ mod tests {
         // With no cache every job stands alone.
         let exhaustive = Schedule::build(&jobs, 7, None, None);
         assert_eq!(exhaustive.pending, vec![0, 1, 2]);
-        assert!(exhaustive.resolved.is_empty());
+        assert!(exhaustive.replays.is_empty());
         assert_eq!(exhaustive.len(), 3);
     }
 
@@ -1106,19 +1082,12 @@ mod tests {
         let cache = ResultCache::new();
         let first = Schedule::build(&jobs, 1, Some(&cache), None);
         assert_eq!(first.pending, vec![0]);
-        let digest = RunDigest {
-            applied: true,
-            exit: Some(0),
-            crashed: None,
-            audit_events: 3,
-            violations: Vec::new(),
-        };
+        let digest = outcome(true, Some(0), 3);
         cache.insert(1, first.key(0), digest.clone());
         // Same scope: replayed. Different scope (another app/world): miss.
         let again = Schedule::build(&jobs, 1, Some(&cache), None);
         assert!(again.pending.is_empty());
-        assert_eq!(again.resolved.len(), 1);
-        assert_eq!(again.resolved[0].1, digest);
+        assert_eq!(again.replays, vec![(0, Provenance::Cached, digest)]);
         let other = Schedule::build(&jobs, 2, Some(&cache), None);
         assert_eq!(other.pending, vec![0]);
         let stats = cache.stats();
@@ -1129,13 +1098,7 @@ mod tests {
     #[test]
     fn the_pruner_sees_only_cache_misses_and_pruned_digests_are_not_saved() {
         let jobs = vec![direct_job("a", "s", 0, "/tmp/f"), direct_job("b", "s", 0, "/tmp/g")];
-        let digest = RunDigest {
-            applied: false,
-            exit: Some(0),
-            crashed: None,
-            audit_events: 1,
-            violations: Vec::new(),
-        };
+        let digest = outcome(false, Some(0), 1);
         let asked = std::cell::RefCell::new(Vec::new());
         let prune = |job: &InjectionPlan| {
             asked.borrow_mut().push(job.fault.id.clone());
@@ -1145,8 +1108,10 @@ mod tests {
         cache.insert(4, &FaultKey::of(&jobs[0]), digest.clone());
         let schedule = Schedule::build(&jobs, 4, Some(&cache), Some(&prune));
         assert_eq!(*asked.borrow(), ["b"], "the cached job is never classified");
-        assert_eq!(schedule.resolved, vec![(0, digest.clone())]);
-        assert_eq!(schedule.pruned, vec![(1, digest)]);
+        assert_eq!(
+            schedule.replays,
+            vec![(0, Provenance::Cached, digest.clone()), (1, Provenance::Pruned, digest)]
+        );
         assert!(schedule.pending.is_empty());
         assert_eq!(cache.stats().entries, 1, "the pruned digest is not saved");
     }
@@ -1155,13 +1120,7 @@ mod tests {
     fn replayed_records_keep_their_own_identity() {
         let canon = direct_job("direct:fs:exist@/tmp/f", "s", 0, "/tmp/f");
         let alias = direct_job("another:pattern", "s", 0, "/tmp//f");
-        let digest = RunDigest {
-            applied: true,
-            exit: Some(1),
-            crashed: None,
-            audit_events: 9,
-            violations: Vec::new(),
-        };
+        let digest = outcome(true, Some(1), 9);
         let r = digest.replay(&alias);
         assert_eq!(r.fault_id, "another:pattern");
         assert_eq!(r.site, "s");
@@ -1216,13 +1175,7 @@ mod tests {
         };
         // Give the waiter a moment to block, then publish.
         shim_sync::thread::sleep(std::time::Duration::from_millis(20));
-        let digest = RunDigest {
-            applied: true,
-            exit: Some(0),
-            crashed: None,
-            audit_events: 1,
-            violations: Vec::new(),
-        };
+        let digest = outcome(true, Some(0), 1);
         token.fulfill(digest.clone());
         assert_eq!(waiter.join().expect("waiter thread"), digest);
         assert_eq!(cache.stats().entries, 1);
@@ -1242,13 +1195,7 @@ mod tests {
         assert_eq!(cache.stats().entries, 0);
         drop(token); // abandon, as a panicking worker would
         match cache.begin(3, &key) {
-            Claim::Execute(t) => t.fulfill(RunDigest {
-                applied: false,
-                exit: Some(0),
-                crashed: None,
-                audit_events: 0,
-                violations: Vec::new(),
-            }),
+            Claim::Execute(t) => t.fulfill(outcome(false, Some(0), 0)),
             Claim::Replay(_) => panic!("abandoned claim must be reclaimable"),
         }
         assert!(matches!(cache.begin(3, &key), Claim::Replay(_)));
@@ -1271,13 +1218,7 @@ mod tests {
             let key = key.clone();
             shim_sync::thread::spawn(move || match cache.begin(5, &key) {
                 Claim::Execute(t) => {
-                    t.fulfill(RunDigest {
-                        applied: true,
-                        exit: Some(0),
-                        crashed: None,
-                        audit_events: 2,
-                        violations: Vec::new(),
-                    });
+                    t.fulfill(outcome(true, Some(0), 2));
                 }
                 Claim::Replay(_) => panic!("nothing was published; waiter must reclaim"),
             })
@@ -1298,13 +1239,7 @@ mod tests {
         use crate::store::{MemoryStore, ResultStore};
         let job = direct_job("a", "s", 0, "/tmp/f");
         let key = FaultKey::of(&job);
-        let digest = RunDigest {
-            applied: true,
-            exit: Some(0),
-            crashed: None,
-            audit_events: 4,
-            violations: Vec::new(),
-        };
+        let digest = outcome(true, Some(0), 4);
         // Pre-populate the backend as a previous process would have.
         let store = Arc::new(MemoryStore::new());
         store.save(11, &key, &digest);
@@ -1341,13 +1276,7 @@ mod tests {
         use crate::store::MemoryStore;
         let job = direct_job("a", "s", 0, "/tmp/f");
         let key = FaultKey::of(&job);
-        let digest = RunDigest {
-            applied: true,
-            exit: Some(1),
-            crashed: None,
-            audit_events: 2,
-            violations: Vec::new(),
-        };
+        let digest = outcome(true, Some(1), 2);
         let store = Arc::new(MemoryStore::new());
         // "Process one": execute and fulfill through a claim.
         {

@@ -159,11 +159,8 @@ impl Session {
             }
         }
         CampaignReport {
-            app: app.name().to_string(),
-            total_sites: total,
             perturbed_sites: covered,
-            clean_violations: full.clean.violations.len(),
-            records,
+            ..campaign.report_from(&full.tally(), records)
         }
     }
 

@@ -28,7 +28,7 @@ use epa_sandbox::app::Application;
 use crate::campaign::{Campaign, PlanTally};
 use crate::coverage::{AdequacyPoint, Ratio};
 use crate::engine::executor::Executor;
-use crate::engine::planner::{ResultCache, Schedule, YieldStats};
+use crate::engine::planner::{Provenance, ResultCache, Schedule, YieldStats};
 use crate::engine::session::Session;
 use crate::engine::spec::{SpecError, WorldSpec};
 use crate::inject::InjectionPlan;
@@ -129,7 +129,11 @@ impl Suite {
                 campaign.ensure_cache(self.cache.clone());
                 let (_, jobs) = campaign.plan().into_jobs();
                 let schedule = campaign.schedule(&jobs);
-                let pruned: std::collections::BTreeSet<usize> = schedule.pruned.iter().map(|(i, _)| *i).collect();
+                let pruned: std::collections::BTreeSet<usize> = schedule
+                    .replays
+                    .iter()
+                    .filter_map(|&(i, provenance, _)| (provenance == Provenance::Pruned).then_some(i))
+                    .collect();
                 let mut seen = std::collections::BTreeSet::new();
                 let keys = (0..schedule.len())
                     .filter(|&i| !pruned.contains(&i) && seen.insert(schedule.key(i)))
@@ -300,7 +304,9 @@ pub(crate) enum Progress<'a> {
 /// `Session::execute_until`). Either way a scheduling job, on whichever
 /// thread pops it, builds the schedule: canonical keys, cache and store
 /// lookups, then static pruning of the misses. Back on the calling thread
-/// its pruned and cache-resolved records replay, and only the misses fan
+/// its pruned and cache-resolved records replay in plan order, each built
+/// by [`crate::engine::planner::RunDigest::into_record`] with its
+/// provenance as every executed record is, and only the misses fan
 /// back onto the same queue, so idle workers steal across campaign
 /// boundaries; equal keys among them execute once, through the cache's
 /// claim. A budgeted campaign
@@ -332,7 +338,7 @@ pub(crate) fn drive(
                         (Some(tally), jobs)
                     }
                 };
-                let schedule = Arc::new(campaigns[app].schedule(&jobs));
+                let schedule = campaigns[app].schedule(&jobs);
                 Done::Scheduled {
                     app,
                     tally,
@@ -362,30 +368,28 @@ pub(crate) fn drive(
             let mut emit = |record: &FaultRecord| on_progress(app, Progress::Record(record));
             match done {
                 Done::Scheduled {
-                    tally, jobs, schedule, ..
+                    tally,
+                    jobs,
+                    mut schedule,
+                    ..
                 } => {
                     slot.records = (0..jobs.len()).map(|_| None).collect();
-                    slot.budget_left = campaigns[app].options.plan_budget;
-                    slot.remaining = schedule.pending.clone();
+                    slot.budget = campaigns[app].options.plan_budget.map(|left| (left, YieldStats::new()));
+                    slot.remaining = std::mem::take(&mut schedule.pending);
                     slot.tally = tally;
-                    // Statically pruned jobs replay their synthesized
-                    // clean-run digests, cache hits their stored ones.
-                    for (idx, digest) in &schedule.pruned {
-                        slot.file(*idx, digest.replay_pruned(&jobs[*idx]), &mut emit);
-                    }
-                    for (idx, digest) in &schedule.resolved {
-                        slot.file(*idx, digest.replay(&jobs[*idx]), &mut emit);
+                    for (idx, provenance, digest) in std::mem::take(&mut schedule.replays) {
+                        slot.file(idx, digest.into_record(&jobs[idx], provenance), &mut emit);
                     }
                     slot.jobs = jobs;
-                    slot.schedule = Some(schedule);
+                    slot.schedule = Some(Arc::new(schedule));
                 }
                 Done::Ran { idx, record, .. } => {
                     slot.outstanding -= 1;
                     // A claim replay (another thread already executed this
                     // run) is free: only executions spend the budget.
                     if !record.cache_hit {
-                        if let Some(budget) = &mut slot.budget_left {
-                            *budget -= 1;
+                        if let Some((left, _)) = &mut slot.budget {
+                            *left -= 1;
                         }
                     }
                     slot.file(idx, record, &mut emit);
@@ -398,7 +402,7 @@ pub(crate) fn drive(
                 // fail loudly, not silently truncate the report.
                 let records: Vec<FaultRecord> = std::mem::take(&mut slot.records).into_iter().flatten().collect();
                 assert!(
-                    slot.budget_left.is_some() || records.len() == slot.jobs.len(),
+                    slot.budget.is_some() || records.len() == slot.jobs.len(),
                     "all records complete before the campaign finishes"
                 );
                 let tally = slot.tally.take();
@@ -435,7 +439,7 @@ enum Done {
         app: usize,
         tally: Option<PlanTally>,
         jobs: Arc<[InjectionPlan]>,
-        schedule: Arc<Schedule>,
+        schedule: Schedule,
     },
     Ran {
         app: usize,
@@ -455,16 +459,18 @@ struct AppSlot {
     remaining: Vec<usize>,
     /// Jobs on the queue (or running) whose results are still due.
     outstanding: usize,
-    /// Runs this campaign may still execute (`None` = unbudgeted).
-    budget_left: Option<usize>,
-    stats: YieldStats,
+    /// Runs this campaign may still execute, and the verdict yield its
+    /// picks feed on (`None` = unbudgeted).
+    budget: Option<(usize, YieldStats)>,
 }
 
 impl AppSlot {
-    /// Streams one finished record, counts it toward the verdict yield, and
-    /// files it at its plan position.
+    /// Streams one finished record, counts it toward a budget's verdict
+    /// yield, and files it at its plan position.
     fn file(&mut self, idx: usize, record: FaultRecord, emit: &mut dyn FnMut(&FaultRecord)) {
-        self.stats.observe(record.category, !record.tolerated());
+        if let Some((_, stats)) = &mut self.budget {
+            stats.observe(record.category, !record.tolerated());
+        }
         emit(&record);
         self.records[idx] = Some(record);
     }
@@ -477,25 +483,21 @@ impl AppSlot {
     /// remaining job the cache can answer and drops the rest.
     fn enqueue_next(&mut self, app: usize, campaign: &Campaign<'_>, emit: &mut dyn FnMut(&FaultRecord)) -> Vec<Job> {
         let schedule = self.schedule.as_ref().expect("jobs are enqueued after scheduling");
-        let idxs = match self.budget_left {
+        let idxs = match &self.budget {
             None => std::mem::take(&mut self.remaining),
-            Some(0) => {
-                let cache = campaign.options.cache.as_ref();
-                let replays: Vec<(usize, FaultRecord)> = std::mem::take(&mut self.remaining)
-                    .into_iter()
-                    .filter_map(|idx| {
-                        let digest = cache?.lookup(campaign.scope(), schedule.key(idx))?;
-                        Some((idx, digest.replay(&self.jobs[idx])))
-                    })
-                    .collect();
-                for (idx, record) in replays {
-                    self.file(idx, record, emit);
+            Some((0, _)) => {
+                let (cache, schedule) = (campaign.options.cache.as_ref(), Arc::clone(schedule));
+                for idx in std::mem::take(&mut self.remaining) {
+                    if let Some(digest) = cache.and_then(|c| c.lookup(campaign.scope(), schedule.key(idx))) {
+                        let record = digest.into_record(&self.jobs[idx], Provenance::Cached);
+                        self.file(idx, record, emit);
+                    }
                 }
                 return Vec::new();
             }
             Some(_) if self.remaining.is_empty() || self.outstanding > 0 => Vec::new(),
-            Some(_) => {
-                let pos = self.stats.pick(&self.remaining, &self.jobs);
+            Some((_, stats)) => {
+                let pos = stats.pick(&self.remaining, &self.jobs);
                 vec![self.remaining.remove(pos)]
             }
         };
