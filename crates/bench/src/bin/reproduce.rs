@@ -91,12 +91,13 @@ fn main() {
     }
     let mut names: Vec<String> = args.into_iter().filter(|a| a != "--json").collect();
     // The `store` subcommand takes a positional operation; capture it here
-    // so the dispatch loop below stays one-name-per-subcommand.
+    // so the dispatch loop below stays one-name-per-subcommand. Any word
+    // that names no subcommand is the operation, so `store` itself rejects
+    // a misspelt one before doing anything.
     if let Some(pos) = names.iter().position(|n| n == "store") {
         if let Some(op) = names.get(pos + 1) {
-            if ["stats", "prune", "verify"].contains(&op.as_str()) {
-                opts.store_op = Some(op.clone());
-                names.remove(pos + 1);
+            if op != "all" && cli::find(op).is_none() {
+                opts.store_op = Some(names.remove(pos + 1));
             }
         }
     }

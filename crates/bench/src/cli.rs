@@ -303,10 +303,16 @@ fn run_suite(opts: RunOptions, out: &mut Output<'_>) -> Result<(), String> {
 /// store. Without a configured directory every operation is a no-op with a
 /// note (so the `all` sweep stays green on machines without a store); so is
 /// one whose `EPA_CACHE_DIR` is refused, after a warning. An explicit
-/// `--store` that is refused fails the operation.
+/// `--store` that is refused fails the operation, and an unknown operation
+/// fails before any directory is resolved or opened.
 fn run_store(opts: RunOptions, out: &mut Output<'_>) -> Result<(), String> {
     use epa_core::store::{DiskStore, PruneOptions, SuiteManifest};
     let op = opts.store_op.as_deref().unwrap_or("stats");
+    if !["stats", "prune", "verify"].contains(&op) {
+        return Err(format!(
+            "store: unknown operation `{op}` (expected stats, prune or verify)"
+        ));
+    }
     let resolution = epa_core::store::resolve_store_dir_env(opts.store.as_deref());
     if let Some(refusal) = &resolution.refusal {
         if opts.store.as_deref().is_some_and(|s| !s.trim().is_empty()) {
@@ -415,9 +421,7 @@ fn run_store(opts: RunOptions, out: &mut Output<'_>) -> Result<(), String> {
                 Err(format!("store: verify failed: {}", failures.join("; ")))
             }
         }
-        other => Err(format!(
-            "store: unknown operation `{other}` (expected stats, prune or verify)"
-        )),
+        _ => unreachable!("store operations are checked before the store opens"),
     }
 }
 

@@ -213,7 +213,8 @@ fn broken_segments(dir: &Path, make: fn(&Path), covered: &str, cause: &str) -> O
 
 /// Every segment of the standard suite's scopes is a directory: no segment
 /// can be read. `store verify` then fails with its one reason and no usage
-/// table, which only an unknown subcommand gets.
+/// table, which only an unknown subcommand gets; a misspelt store operation
+/// fails with one reason too, without running `stats` first.
 fn segments_are_directories(dir: &Path) -> Observed {
     let make = |path: &Path| std::fs::create_dir(path).expect("a directory as a segment");
     let observed = broken_segments(dir, make, "8 segments could not be read", "Is a directory");
@@ -230,6 +231,25 @@ fn segments_are_directories(dir: &Path) -> Observed {
         stderr.contains("subcommands:"),
         "an unknown name gets the table: {stderr}"
     );
+    let typo = reproduce(&[
+        "store".as_ref(),
+        "defragment".as_ref(),
+        "--store".as_ref(),
+        dir.as_os_str(),
+    ]);
+    let stderr = String::from_utf8_lossy(&typo.stderr);
+    assert_eq!(
+        typo.status.code(),
+        Some(2),
+        "an unknown store operation fails: {stderr}"
+    );
+    let reasons: Vec<&str> = stderr.lines().filter(|l| l.starts_with("reproduce:")).collect();
+    assert!(
+        matches!(reasons.as_slice(), [reason] if reason.contains("unknown operation `defragment`")),
+        "one reason line naming the operation: {stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&typo.stdout);
+    assert!(!stdout.contains("entries:"), "no stats ran: {stdout}");
     observed
 }
 

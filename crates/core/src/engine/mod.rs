@@ -11,8 +11,8 @@
 //!    run starts from a copy-on-write snapshot of the pristine world, so
 //!    per-fault setup costs O(touched state) instead of O(world).
 //! 3. **[`Suite`]** (`suite`) — many `(application, world)` pairs executed
-//!    as one batch, streaming [`SuiteEvent`]s and aggregating into a
-//!    [`SuiteReport`] with cross-application rollups.
+//!    as one batch, aggregating the finished, plan-ordered campaign reports
+//!    into a [`SuiteReport`] with cross-application rollups.
 //! 4. **[`planner`]** — the adaptive fault-space planner between the fault
 //!    plan and the executor: canonicalizes every job into a
 //!    content-addressed [`planner::FaultKey`], memoizes
@@ -85,7 +85,7 @@ pub use spec::{
     DirSpec, FileSpec, InboundSpec, IpcSpec, RegKeySpec, ScenarioBuilder, ServiceSpec, SpecError, SymlinkSpec,
     UserSpec, WorldSpec,
 };
-pub use suite::{Suite, SuiteEvent, SuiteReport};
+pub use suite::{Suite, SuiteReport};
 
 use epa_sandbox::app::Application;
 

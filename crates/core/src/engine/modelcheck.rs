@@ -244,7 +244,8 @@ pub fn check_caller_works_the_queue_mutant(cfg: &Config) -> Report {
 }
 
 /// Runs the suite-shaped expanding workload on `workers` workers and
-/// reassembles results by job index (as `Suite::execute_with` does).
+/// reassembles results by job index (as the campaign driver behind
+/// `Suite::execute` does).
 fn expanding_slots(workers: usize) -> BTreeMap<usize, usize> {
     let pool = Executor::with_workers(workers);
     let mut slots: BTreeMap<usize, usize> = BTreeMap::new();

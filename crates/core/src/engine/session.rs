@@ -17,7 +17,7 @@ use crate::campaign::{run_once, Campaign, CampaignOptions, CampaignPlan, PlanTal
 use crate::engine::executor::Executor;
 use crate::engine::planner::ResultCache;
 use crate::engine::spec::{SpecError, WorldSpec};
-use crate::engine::suite::{drive, Progress};
+use crate::engine::suite::drive;
 use crate::inject::InjectionPlan;
 use crate::report::{CampaignReport, FaultRecord};
 
@@ -105,7 +105,9 @@ impl Session {
 
     /// Steps 1–10: the full campaign.
     pub fn execute(&self, app: &dyn Application) -> CampaignReport {
-        self.execute_streaming(app, &mut |_| {})
+        let campaign = self.driven(app);
+        let (tally, records) = self.drive(&campaign, None);
+        campaign.report_from(&tally.expect("the driver planned the campaign"), records)
     }
 
     /// Executes a pre-built plan (lets callers inspect or prune it first).
@@ -114,17 +116,8 @@ impl Session {
     pub fn execute_plan(&self, app: &dyn Application, plan: &CampaignPlan) -> CampaignReport {
         let campaign = self.driven(app);
         campaign.adopt_clean_run(&plan.clean);
-        let (_, records) = self.drive(&campaign, Some(plan.jobs()), &mut |_| {});
+        let (_, records) = self.drive(&campaign, Some(plan.jobs()));
         campaign.report_from(&plan.tally(), records)
-    }
-
-    /// As [`Session::execute`], streaming every record to `on_record` as
-    /// soon as its run completes (completion order; the report is in plan
-    /// order).
-    pub fn execute_streaming(&self, app: &dyn Application, on_record: &mut dyn FnMut(&FaultRecord)) -> CampaignReport {
-        let campaign = self.driven(app);
-        let (tally, records) = self.drive(&campaign, None, on_record);
-        campaign.report_from(&tally.expect("the driver planned the campaign"), records)
     }
 
     /// The paper's incremental step 9: perturb site by site until the
@@ -144,7 +137,7 @@ impl Session {
         let mut records = Vec::new();
         let mut covered = 0usize;
         for site in full.sites.iter().filter(|s| s.included && !s.faults.is_empty()) {
-            let (_, batch) = self.drive(&campaign, Some(site.jobs()), &mut |_| {});
+            let (_, batch) = self.drive(&campaign, Some(site.jobs()));
             if let Some(left) = &mut campaign.options.plan_budget {
                 *left = left.saturating_sub(batch.iter().filter(|r| !r.cache_hit && !r.pruned).count());
             }
@@ -186,20 +179,9 @@ impl Session {
         &self,
         campaign: &Campaign<'_>,
         jobs: Option<Vec<InjectionPlan>>,
-        on_record: &mut dyn FnMut(&FaultRecord),
     ) -> (Option<PlanTally>, Vec<FaultRecord>) {
-        let executor = Executor::with_workers(1);
-        let mut finished = None;
-        drive(
-            &executor,
-            std::slice::from_ref(campaign),
-            vec![jobs],
-            &mut |_, progress| match progress {
-                Progress::Record(record) => on_record(record),
-                Progress::Finished { tally, records } => finished = Some((tally, records)),
-            },
-        );
-        finished.expect("the driver finishes every campaign")
+        let mut finished = drive(&Executor::with_workers(1), std::slice::from_ref(campaign), vec![jobs]);
+        finished.pop().expect("the driver finishes every campaign")
     }
 }
 
@@ -269,18 +251,6 @@ mod tests {
         assert!(!s.world().fs.exists("/var/spool/lpd/job"));
     }
 
-    #[test]
-    fn streaming_sees_every_record() {
-        let s = session();
-        let mut streamed = Vec::new();
-        let report = s.execute_streaming(&MiniLpr, &mut |r| streamed.push(r.fault_id.clone()));
-        assert_eq!(streamed.len(), report.injected());
-        let mut in_report: Vec<String> = report.records.iter().map(|r| r.fault_id.clone()).collect();
-        streamed.sort();
-        in_report.sort();
-        assert_eq!(streamed, in_report);
-    }
-
     /// [`MiniLpr`] counting every run of the application.
     struct Counting(AtomicUsize);
     impl Application for Counting {
@@ -308,7 +278,6 @@ mod tests {
             );
         };
         check("execute", &|app| s.execute(app));
-        check("execute_streaming", &|app| s.execute_streaming(app, &mut |_| {}));
         check("execute_until", &|app| s.execute_until(app, 1.0));
         check("execute_plan", &|app| s.execute_plan(app, &s.plan(app)));
     }

@@ -263,9 +263,6 @@ pub struct WorldSpec {
     pub env: BTreeMap<String, String>,
     /// Initial working directory.
     pub cwd: String,
-    /// Whether to tag the scenario's standard attack targets
-    /// (see [`tag_standard_targets`]); on by default.
-    pub standard_tags: bool,
     /// Declarative custom invariants, compiled into oracle detectors for
     /// every run of this world (replacing in-code-only custom checks with
     /// serializable data the spec round-trips).
@@ -291,7 +288,6 @@ impl Default for WorldSpec {
             args: Vec::new(),
             env: BTreeMap::new(),
             cwd: "/".to_string(),
-            standard_tags: true,
             invariants: Vec::new(),
         }
     }
@@ -472,9 +468,7 @@ impl WorldSpec {
             os.net
                 .push_ipc(m.channel.clone(), Message::genuine(m.from.clone(), m.data.as_str()));
         }
-        if self.standard_tags {
-            tag_standard_targets(&mut os);
-        }
+        tag_standard_targets(&mut os);
         for (path, tag) in &self.tags {
             os.fs
                 .tag(path, *tag)
@@ -733,13 +727,6 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn invariant(mut self, spec: InvariantSpec) -> Self {
         self.spec.invariants.push(spec);
-        self
-    }
-
-    /// Disables the standard attack-target tagging.
-    #[must_use]
-    pub fn without_standard_tags(mut self) -> Self {
-        self.spec.standard_tags = false;
         self
     }
 

@@ -9,10 +9,9 @@
 //! That queue's Plan → Inject state machine, `drive`, is the engine's
 //! only execution path: a [`Session`] runs its campaign as a one-app
 //! suite, and "sequential" is the same driver at one worker.
-//! Results stream out as [`SuiteEvent`]s the moment they are produced —
-//! `AppStarted` markers first, per-fault records as they complete, one
-//! finished report per application after — and aggregate into a
-//! [`SuiteReport`] with cross-application coverage rollups, following the
+//! Each campaign's records are filed in plan order as they finish; the
+//! finished reports aggregate into a [`SuiteReport`] with
+//! cross-application coverage rollups, following the
 //! suite-level adequacy view of Dass & Siami Namin ("Vulnerability Coverage
 //! as an Adequacy Testing Criterion"): the unit of adequacy is the whole
 //! scenario suite, not a single program.
@@ -40,37 +39,6 @@ struct SuiteEntry {
     session: Session,
 }
 
-/// One streamed suite result.
-///
-/// `#[non_exhaustive]`: the event stream grows with the engine (as
-/// `AppStarted` did); downstream matches need a wildcard arm so new
-/// variants are non-breaking.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub enum SuiteEvent {
-    /// One application's campaign entered the suite-wide queue (emitted
-    /// before any of its records, at every worker count, so streaming
-    /// consumers can render per-app progress).
-    AppStarted {
-        /// The application under test.
-        app: String,
-    },
-    /// One injected run finished (streamed in completion order).
-    Record {
-        /// The application under test.
-        app: String,
-        /// The fault's outcome.
-        record: FaultRecord,
-    },
-    /// One application's whole campaign finished.
-    AppFinished {
-        /// The application under test.
-        app: String,
-        /// Its full report.
-        report: CampaignReport,
-    },
-}
-
 /// A batch of `(application, world)` campaigns executed together.
 #[derive(Default)]
 pub struct Suite {
@@ -94,12 +62,6 @@ impl Suite {
     pub fn with_result_cache(mut self, cache: ResultCache) -> Suite {
         self.cache = cache;
         self
-    }
-
-    /// The suite-scoped result cache (e.g. for
-    /// [`crate::engine::planner::ResultCache::stats`]).
-    pub fn result_cache(&self) -> &ResultCache {
-        &self.cache
     }
 
     /// Layers the suite's result cache over a persistent
@@ -204,25 +166,12 @@ impl Suite {
         self
     }
 
-    /// Executes every registered campaign and returns the report. With no
-    /// subscriber no [`SuiteEvent`] is built: records go straight into the
-    /// report, uncopied. [`Suite::execute_with`] streams the same run.
+    /// Executes every registered campaign and returns the report. Every
+    /// campaign's planning and injected runs share **one suite-wide
+    /// [`Executor`] queue** bounded by `available_parallelism` workers (or
+    /// [`Suite::with_workers`]); the report is in registration order and
+    /// byte-identical at every worker count.
     pub fn execute(&self) -> SuiteReport {
-        self.run(None)
-    }
-
-    /// Executes every registered campaign, streaming each [`SuiteEvent`] to
-    /// `on_event` as it is produced. Every campaign's planning and injected
-    /// runs share **one suite-wide [`Executor`] queue** bounded by
-    /// `available_parallelism` workers (or [`Suite::with_workers`]); the
-    /// returned report is in registration order and byte-identical at
-    /// every worker count.
-    pub fn execute_with(&self, on_event: &mut dyn FnMut(SuiteEvent)) -> SuiteReport {
-        self.run(Some(on_event))
-    }
-
-    /// [`Suite::execute_with`], building events only for a subscriber.
-    fn run(&self, mut on_event: Option<&mut dyn FnMut(SuiteEvent)>) -> SuiteReport {
         // Every campaign plans and executes through the suite-scoped result
         // cache (unless its session already carries an explicit one).
         let campaigns: Vec<Campaign<'_>> = self
@@ -234,65 +183,18 @@ impl Suite {
                 campaign
             })
             .collect();
-        if let Some(on_event) = on_event.as_mut() {
-            for entry in &self.entries {
-                on_event(SuiteEvent::AppStarted {
-                    app: entry.app.name().to_string(),
-                });
-            }
-        }
-        let mut reports: Vec<Option<CampaignReport>> = vec![None; campaigns.len()];
         let executor = self.workers.map_or_else(Executor::new, Executor::with_workers);
-        let name = |app: usize| self.entries[app].app.name().to_string();
-        drive(
-            &executor,
-            &campaigns,
-            vec![None; campaigns.len()],
-            &mut |app, progress| match progress {
-                Progress::Record(record) => {
-                    if let Some(on_event) = on_event.as_mut() {
-                        on_event(SuiteEvent::Record {
-                            app: name(app),
-                            record: record.clone(),
-                        });
-                    }
-                }
-                Progress::Finished { tally, records } => {
-                    let tally = tally.expect("suite campaigns plan on the pool");
-                    let report = campaigns[app].report_from(&tally, records);
-                    if let Some(on_event) = on_event.as_mut() {
-                        on_event(SuiteEvent::AppFinished {
-                            app: name(app),
-                            report: report.clone(),
-                        });
-                    }
-                    reports[app] = Some(report);
-                }
-            },
-        );
+        let finished = drive(&executor, &campaigns, vec![None; campaigns.len()]);
         SuiteReport {
-            reports: reports
-                .into_iter()
-                .map(|r| r.expect("every campaign completes"))
+            reports: campaigns
+                .iter()
+                .zip(finished)
+                .map(|(campaign, (tally, records))| {
+                    campaign.report_from(&tally.expect("suite campaigns plan on the pool"), records)
+                })
                 .collect(),
         }
     }
-}
-
-/// One campaign's progress through [`drive`], reported on the calling
-/// thread.
-pub(crate) enum Progress<'a> {
-    /// One record is in: executed, replayed from the cache, or pruned
-    /// (completion order).
-    Record(&'a FaultRecord),
-    /// The campaign's last record is in. `tally` is what the report reads
-    /// of the plan built on the pool (`None` when the caller handed over a
-    /// job list); `records` are in plan order, minus any jobs a budget
-    /// dropped.
-    Finished {
-        tally: Option<PlanTally>,
-        records: Vec<FaultRecord>,
-    },
 }
 
 /// The one execution path: every campaign's job stream on one
@@ -315,12 +217,17 @@ pub(crate) enum Progress<'a> {
 /// `cache_hit == false` spends one unit of its budget. Cache replays are
 /// free: once the budget is spent, every remaining job the cache can answer
 /// still replays, and only the rest are dropped.
+///
+/// Returns one `(tally, records)` per campaign, in `campaigns` order:
+/// `tally` is what the report reads of the plan built on the pool (`None`
+/// when the caller handed over a job list); `records` are in plan order,
+/// minus any jobs a budget dropped.
 pub(crate) fn drive(
     executor: &Executor,
     campaigns: &[Campaign<'_>],
     jobs: Vec<Option<Vec<InjectionPlan>>>,
-    on_progress: &mut dyn FnMut(usize, Progress<'_>),
-) {
+) -> Vec<(Option<PlanTally>, Vec<FaultRecord>)> {
+    let mut finished: Vec<Option<(Option<PlanTally>, Vec<FaultRecord>)>> = campaigns.iter().map(|_| None).collect();
     let mut slots: Vec<AppSlot> = campaigns.iter().map(|_| AppSlot::default()).collect();
     let seed: Vec<Job> = jobs
         .into_iter()
@@ -365,7 +272,6 @@ pub(crate) fn drive(
                 Done::Scheduled { app, .. } | Done::Ran { app, .. } => *app,
             };
             let slot = &mut slots[app];
-            let mut emit = |record: &FaultRecord| on_progress(app, Progress::Record(record));
             match done {
                 Done::Scheduled {
                     tally,
@@ -378,7 +284,7 @@ pub(crate) fn drive(
                     slot.remaining = std::mem::take(&mut schedule.pending);
                     slot.tally = tally;
                     for (idx, provenance, digest) in std::mem::take(&mut schedule.replays) {
-                        slot.file(idx, digest.into_record(&jobs[idx], provenance), &mut emit);
+                        slot.file(idx, digest.into_record(&jobs[idx], provenance));
                     }
                     slot.jobs = jobs;
                     slot.schedule = Some(Arc::new(schedule));
@@ -392,10 +298,10 @@ pub(crate) fn drive(
                             *left -= 1;
                         }
                     }
-                    slot.file(idx, record, &mut emit);
+                    slot.file(idx, record);
                 }
             }
-            let follow_ups = slot.enqueue_next(app, &campaigns[app], &mut emit);
+            let follow_ups = slot.enqueue_next(app, &campaigns[app]);
             if slot.outstanding == 0 && slot.remaining.is_empty() {
                 // Only a budget may legitimately drop jobs; an unbudgeted
                 // campaign missing a record is an accounting bug and must
@@ -405,12 +311,15 @@ pub(crate) fn drive(
                     slot.budget.is_some() || records.len() == slot.jobs.len(),
                     "all records complete before the campaign finishes"
                 );
-                let tally = slot.tally.take();
-                on_progress(app, Progress::Finished { tally, records });
+                finished[app] = Some((slot.tally.take(), records));
             }
             follow_ups
         },
     );
+    finished
+        .into_iter()
+        .map(|f| f.expect("the driver finishes every campaign"))
+        .collect()
 }
 
 /// One unit of work on the driver's queue.
@@ -465,13 +374,12 @@ struct AppSlot {
 }
 
 impl AppSlot {
-    /// Streams one finished record, counts it toward a budget's verdict
-    /// yield, and files it at its plan position.
-    fn file(&mut self, idx: usize, record: FaultRecord, emit: &mut dyn FnMut(&FaultRecord)) {
+    /// Counts one finished record toward a budget's verdict yield and
+    /// files it at its plan position.
+    fn file(&mut self, idx: usize, record: FaultRecord) {
         if let Some((_, stats)) = &mut self.budget {
             stats.observe(record.category, !record.tolerated());
         }
-        emit(&record);
         self.records[idx] = Some(record);
     }
 
@@ -481,7 +389,7 @@ impl AppSlot {
     /// outcome, so at most one of this campaign's jobs is in flight while
     /// other campaigns keep the workers busy). A spent budget replays every
     /// remaining job the cache can answer and drops the rest.
-    fn enqueue_next(&mut self, app: usize, campaign: &Campaign<'_>, emit: &mut dyn FnMut(&FaultRecord)) -> Vec<Job> {
+    fn enqueue_next(&mut self, app: usize, campaign: &Campaign<'_>) -> Vec<Job> {
         let schedule = self.schedule.as_ref().expect("jobs are enqueued after scheduling");
         let idxs = match &self.budget {
             None => std::mem::take(&mut self.remaining),
@@ -490,7 +398,7 @@ impl AppSlot {
                 for idx in std::mem::take(&mut self.remaining) {
                     if let Some(digest) = cache.and_then(|c| c.lookup(campaign.scope(), schedule.key(idx))) {
                         let record = digest.into_record(&self.jobs[idx], Provenance::Cached);
-                        self.file(idx, record, emit);
+                        self.file(idx, record);
                     }
                 }
                 return Vec::new();

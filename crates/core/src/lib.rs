@@ -92,7 +92,7 @@ pub use analysis::{lint_scenario, lint_setup, AppAnalysis, Diagnostic, LintRepor
 pub use campaign::{run_once, CampaignOptions, CampaignPlan, RunOutcome, TestSetup};
 pub use catalog::{direct_faults_for, faults_for_site, indirect_faults_for, table5_rows, table6_rows};
 pub use coverage::{AdequacyPoint, AdequacyRegion, AdequacyThresholds, Ratio};
-pub use engine::{Engine, ScenarioBuilder, Session, SpecError, Suite, SuiteEvent, SuiteReport, WorldSpec};
+pub use engine::{Engine, ScenarioBuilder, Session, SpecError, Suite, SuiteReport, WorldSpec};
 pub use inject::{InjectionHook, InjectionPlan};
 pub use model::{DirectKind, EaiCategory, FsAttribute, IndirectKind, NetAttribute, ProcAttribute};
 pub use perturb::{ConcreteFault, DirectFault, FaultPayload, IndirectFault};

@@ -145,11 +145,6 @@ impl Network {
             .ok_or_else(|| syserr!(Ehostunreach, "unknown host {name}"))
     }
 
-    /// Overwrites the address a name resolves to (DNS-reply perturbation).
-    pub fn perturb_dns(&mut self, name: &str, addr: impl Into<String>) {
-        self.tables_mut().dns.insert(name.to_string(), addr.into());
-    }
-
     // ---------------- services ----------------
 
     /// Declares a service.

@@ -220,11 +220,6 @@ impl Os {
         self.interceptor = Some(hook);
     }
 
-    /// Removes and returns the hook.
-    pub fn take_interceptor(&mut self) -> Option<Box<dyn Interceptor>> {
-        self.interceptor.take()
-    }
-
     /// Whether a hook is installed.
     pub fn is_hooked(&self) -> bool {
         self.interceptor.is_some()

@@ -1,12 +1,9 @@
 //! Integration: the engine facade — batch `Suite` execution over all eight
-//! case-study applications, streaming events, and the cross-application
-//! rollups.
-
-use std::collections::BTreeMap;
+//! case-study applications and the cross-application rollups.
 
 use epa::apps::*;
 use epa::core::campaign::CampaignOptions;
-use epa::core::engine::{Engine, SuiteEvent, SuiteReport};
+use epa::core::engine::{Engine, Suite, SuiteReport};
 
 #[test]
 fn the_standard_suite_runs_all_eight_apps_in_one_batch() {
@@ -38,52 +35,13 @@ fn the_standard_suite_runs_all_eight_apps_in_one_batch() {
 }
 
 #[test]
-fn suite_streams_records_and_reports_consistently() {
-    let suite = standard_suite().expect("valid specs");
-    let mut started: Vec<String> = Vec::new();
-    let mut per_app_records: BTreeMap<String, usize> = BTreeMap::new();
-    let mut finished: Vec<String> = Vec::new();
-    let report = suite.execute_with(&mut |event| match event {
-        SuiteEvent::AppStarted { app } => {
-            assert!(
-                !per_app_records.contains_key(&app),
-                "{app}: AppStarted must precede every record"
-            );
-            started.push(app);
-        }
-        SuiteEvent::Record { app, .. } => *per_app_records.entry(app).or_insert(0) += 1,
-        SuiteEvent::AppFinished { app, .. } => finished.push(app),
-        // SuiteEvent is #[non_exhaustive]; future variants are ignorable.
-        _ => {}
-    });
-    assert_eq!(started.len(), 8, "one AppStarted per registration");
-    assert_eq!(finished.len(), 8, "one AppFinished per registration");
-    for r in &report.reports {
-        assert_eq!(
-            per_app_records.get(&r.app).copied().unwrap_or(0),
-            r.injected(),
-            "{}: every record must be streamed exactly once",
-            r.app
-        );
+fn an_empty_suite_executes_to_an_empty_report_at_any_worker_count() {
+    let empty = SuiteReport { reports: Vec::new() };
+    assert_eq!(Suite::new().execute(), empty, "default worker count");
+    for workers in [1usize, 2, 4] {
+        assert_eq!(Suite::new().with_workers(workers).execute(), empty, "{workers} workers");
     }
-}
-
-#[test]
-fn both_paths_emit_app_started_for_every_app_in_registration_order() {
-    let expected = standard_suite().expect("valid specs").apps().join(",");
-    for sequential in [false, true] {
-        let mut suite = standard_suite().expect("valid specs");
-        if sequential {
-            suite = suite.with_workers(1);
-        }
-        let mut started: Vec<String> = Vec::new();
-        let _ = suite.execute_with(&mut |event| {
-            if let SuiteEvent::AppStarted { app } = event {
-                started.push(app);
-            }
-        });
-        assert_eq!(started.join(","), expected, "sequential={sequential}");
-    }
+    assert!(Suite::new().manifest().apps.is_empty());
 }
 
 #[test]
