@@ -4,7 +4,7 @@
 //! | Code      | Severity | Meaning                                                      |
 //! |-----------|----------|--------------------------------------------------------------|
 //! | `EPA0001` | error    | invariant constrains a path that cannot exist (unreachable)  |
-//! | `EPA0002` | warning  | shadowed or dangling symlink in the declared world           |
+//! | `EPA0002` | warning  | dangling symlink in the declared world                       |
 //! | `EPA0003` | info     | catalog faults at a site are provably inert (dead faults)    |
 //! | `EPA0004` | warning  | invariant on a path no script/trace event touches            |
 //! | `EPA0005` | warning  | occurrence budget exceeds the static hit bound               |
@@ -14,20 +14,21 @@
 //! for a given world — `tests/props_analysis.rs` pins byte-identical
 //! reports across repeated runs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use epa_sandbox::app::Application;
 use epa_sandbox::path;
 use epa_sandbox::policy::InvariantSpec;
-use epa_sandbox::trace::SiteId;
 
+use crate::campaign::run_once;
 use crate::corpus::Scenario;
-use crate::engine::spec::WorldSpec;
+use crate::engine::spec::{SpecError, WorldSpec};
 use crate::inject::InjectionPlan;
 
-use super::statics::{declared_exists, resolve_alias, static_model};
+use super::statics::{declared_exists, resolve_alias};
 use super::{AppAnalysis, Decision};
 
 /// Diagnostic severity. Only `Error` fails `reproduce -- lint` (and the CI
@@ -131,19 +132,44 @@ impl LintReport {
     }
 }
 
-/// The world facts the shared checks consume — produced either statically
-/// (scenario scripts) or from a clean-run analysis (hand-written apps).
-struct WorldFacts {
-    touched_paths: BTreeSet<String>,
-    created_paths: BTreeSet<String>,
-    site_hits: BTreeMap<SiteId, usize>,
-    /// Per-site count of provably inert catalog faults (dead faults).
-    dead_faults: BTreeMap<String, usize>,
-    /// The campaign's per-site occurrence cap, when one applies.
-    occurrence_budget: Option<usize>,
+/// Per-site counts of provably inert faults over a planned job list.
+fn dead_fault_tally(analysis: &AppAnalysis, jobs: &[InjectionPlan]) -> BTreeMap<String, usize> {
+    let mut out: BTreeMap<String, usize> = BTreeMap::new();
+    for job in jobs {
+        if matches!(analysis.decide(job), Decision::Inert { .. }) {
+            *out.entry(job.site.to_string()).or_default() += 1;
+        }
+    }
+    out
 }
 
-fn check_world(spec: &WorldSpec, facts: &WorldFacts) -> Vec<Diagnostic> {
+/// Lints a corpus scenario: the script runs once, unperturbed, and its
+/// clean-run trace is the model [`lint_setup`] checks the world against.
+/// With no planned jobs and no occurrence budget, EPA0003 and EPA0005
+/// never fire.
+///
+/// # Errors
+///
+/// Any [`SpecError`] from materializing the scenario's world.
+pub fn lint_scenario(scenario: &Scenario, app: &dyn Application) -> Result<LintReport, SpecError> {
+    let setup = scenario.spec.materialize()?;
+    let clean = run_once(&setup, app, None);
+    let analysis = AppAnalysis::from_clean_run(&setup, &clean);
+    Ok(lint_setup(&scenario.id, &scenario.spec, &analysis, &[], None))
+}
+
+/// Lints a world against its application's clean-run analysis (the trace
+/// is the model of what the application touches and creates); the planned
+/// job list feeds the dead-fault statistics.
+pub fn lint_setup(
+    name: &str,
+    spec: &WorldSpec,
+    analysis: &AppAnalysis,
+    jobs: &[InjectionPlan],
+    occurrence_budget: Option<usize>,
+) -> LintReport {
+    let touched_paths = analysis.touched_paths();
+    let created_paths = analysis.written_paths();
     let mut out = Vec::new();
 
     // EPA0001 / EPA0004: invariants against the touched/created path sets.
@@ -151,8 +177,8 @@ fn check_world(spec: &WorldSpec, facts: &WorldFacts) -> Vec<Diagnostic> {
         if let InvariantSpec::FilePristine { path: p } = inv {
             let (resolved, _) = resolve_alias(spec, p);
             let exists = declared_exists(spec, &resolved) || declared_exists(spec, p);
-            let created = facts.created_paths.contains(&resolved) || facts.created_paths.contains(&path::clean(p));
-            let touched = facts.touched_paths.contains(&resolved) || facts.touched_paths.contains(&path::clean(p));
+            let created = created_paths.contains(&resolved) || created_paths.contains(&path::clean(p));
+            let touched = touched_paths.contains(&resolved) || touched_paths.contains(&path::clean(p));
             if !exists && !created {
                 out.push(Diagnostic::new(
                     "EPA0001",
@@ -171,26 +197,12 @@ fn check_world(spec: &WorldSpec, facts: &WorldFacts) -> Vec<Diagnostic> {
         }
     }
 
-    // EPA0002: shadowed or dangling symlinks.
+    // EPA0002: dangling symlinks. (A link declared at a file's or
+    // directory's path never gets here: `WorldSpec::validate` refuses it.)
     for link in &spec.symlinks {
         let link_path = path::clean(&link.link);
-        let shadowed_by_file = spec.files.iter().any(|f| path::clean(&f.path) == link_path);
-        let shadowed_by_dir = spec.dirs.iter().any(|d| path::clean(&d.path) == link_path);
-        if shadowed_by_file || shadowed_by_dir {
-            out.push(Diagnostic::new(
-                "EPA0002",
-                Severity::Warning,
-                link_path.clone(),
-                format!(
-                    "symlink to `{}` is also declared as a {} — one declaration shadows the other",
-                    link.target,
-                    if shadowed_by_file { "file" } else { "directory" }
-                ),
-            ));
-            continue;
-        }
         let (resolved, _) = resolve_alias(spec, &link_path);
-        if !declared_exists(spec, &resolved) && !facts.created_paths.contains(&resolved) {
+        if !declared_exists(spec, &resolved) && !created_paths.contains(&resolved) {
             out.push(Diagnostic::new(
                 "EPA0002",
                 Severity::Warning,
@@ -204,20 +216,18 @@ fn check_world(spec: &WorldSpec, facts: &WorldFacts) -> Vec<Diagnostic> {
     }
 
     // EPA0003: dead catalog faults, aggregated per site.
-    for (site, count) in &facts.dead_faults {
-        if *count > 0 {
-            out.push(Diagnostic::new(
-                "EPA0003",
-                Severity::Info,
-                site.clone(),
-                format!("{count} catalog fault(s) at this site are provably inert and will be pruned"),
-            ));
-        }
+    for (site, count) in dead_fault_tally(analysis, jobs) {
+        out.push(Diagnostic::new(
+            "EPA0003",
+            Severity::Info,
+            site,
+            format!("{count} catalog fault(s) at this site are provably inert and will be pruned"),
+        ));
     }
 
     // EPA0005: a finite occurrence budget no site can spend.
-    if let Some(budget) = facts.occurrence_budget {
-        let max_hits = facts.site_hits.values().copied().max().unwrap_or(0);
+    if let Some(budget) = occurrence_budget {
+        let max_hits = analysis.site_hits().values().copied().max().unwrap_or(0);
         if budget != usize::MAX && budget > 1 && budget > max_hits {
             out.push(Diagnostic::new(
                 "EPA0005",
@@ -228,68 +238,47 @@ fn check_world(spec: &WorldSpec, facts: &WorldFacts) -> Vec<Diagnostic> {
         }
     }
 
-    out
-}
-
-/// Per-site counts of provably inert faults over a planned job list.
-fn dead_fault_tally(analysis: &AppAnalysis, jobs: &[InjectionPlan]) -> BTreeMap<String, usize> {
-    let mut out: BTreeMap<String, usize> = BTreeMap::new();
-    for job in jobs {
-        if matches!(analysis.decide(job), Decision::Inert { .. }) {
-            *out.entry(job.site.to_string()).or_default() += 1;
-        }
-    }
-    out
-}
-
-/// Lints a corpus scenario purely statically: the script is walked against
-/// the spec without executing anything.
-pub fn lint_scenario(scenario: &Scenario) -> LintReport {
-    let model = static_model(&scenario.spec, &scenario.script);
-    let facts = WorldFacts {
-        touched_paths: model.touched_paths(),
-        created_paths: model.created_paths(),
-        site_hits: model.hit_bounds(),
-        dead_faults: BTreeMap::new(),
-        occurrence_budget: None,
-    };
-    LintReport::new(scenario.id.clone(), check_world(&scenario.spec, &facts))
-}
-
-/// Lints a hand-written application's world: the clean-run analysis stands
-/// in for the static model (the trace *is* the model for apps that exist as
-/// code), and the planned job list feeds the dead-fault statistics.
-pub fn lint_setup(
-    name: &str,
-    spec: &WorldSpec,
-    analysis: &AppAnalysis,
-    jobs: &[InjectionPlan],
-    occurrence_budget: Option<usize>,
-) -> LintReport {
-    let facts = WorldFacts {
-        touched_paths: analysis.touched_paths(),
-        created_paths: analysis.written_paths(),
-        site_hits: analysis.site_hits(),
-        dead_faults: dead_fault_tally(analysis, jobs),
-        occurrence_budget,
-    };
-    LintReport::new(name, check_world(spec, &facts))
+    LintReport::new(name, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::{BehaviorScript, BehaviorStep};
-    use crate::engine::spec::{FileSpec, SymlinkSpec};
+    use crate::engine::spec::{DirSpec, FileSpec, SymlinkSpec, UserSpec};
     use epa_sandbox::cred::{Gid, Uid};
+    use epa_sandbox::os::Os;
+    use epa_sandbox::process::Pid;
 
-    fn scenario(spec: WorldSpec, steps: Vec<BehaviorStep>) -> Scenario {
+    /// A scenario's behavior script as an application.
+    struct Script(BehaviorScript);
+    impl Application for Script {
+        fn name(&self) -> &'static str {
+            "script"
+        }
+        fn run(&self, os: &mut Os, pid: Pid) -> i32 {
+            self.0.run(os, pid)
+        }
+    }
+
+    /// A scenario over `spec` plus the declared invoker every run needs.
+    fn scenario(mut spec: WorldSpec, steps: Vec<BehaviorStep>) -> Scenario {
+        spec.users.push(UserSpec {
+            name: "student".to_string(),
+            uid: spec.scenario.invoker,
+            gid: spec.scenario.invoker_gid,
+            home: "/home/student".to_string(),
+        });
         Scenario {
             id: "test-scn".to_string(),
             seed: 0,
             spec,
             script: BehaviorScript::new(steps),
         }
+    }
+
+    fn lint(scenario: &Scenario) -> LintReport {
+        lint_scenario(scenario, &Script(scenario.script.clone())).expect("test worlds materialize")
     }
 
     fn file(path: &str) -> FileSpec {
@@ -306,7 +295,7 @@ mod tests {
     fn epa0001_fires_on_unreachable_invariant_paths() {
         let mut spec = WorldSpec::default();
         spec.invariants.push(InvariantSpec::file_pristine("/ghost/never"));
-        let report = lint_scenario(&scenario(spec, vec![]));
+        let report = lint(&scenario(spec, vec![]));
         assert!(report.has_errors());
         assert_eq!(report.diagnostics[0].code, "EPA0001");
         assert_eq!(report.diagnostics[0].subject, "/ghost/never");
@@ -315,8 +304,14 @@ mod tests {
     #[test]
     fn epa0001_spares_paths_the_script_creates() {
         let mut spec = WorldSpec::default();
+        spec.dirs.push(DirSpec {
+            path: "/var".into(),
+            owner: Uid::ROOT,
+            group: Gid::ROOT,
+            mode: 0o777,
+        });
         spec.invariants.push(InvariantSpec::file_pristine("/var/out"));
-        let report = lint_scenario(&scenario(
+        let report = lint(&scenario(
             spec,
             vec![BehaviorStep::WriteFile {
                 path: "/var/out".into(),
@@ -334,13 +329,18 @@ mod tests {
             link: "/etc/alias".into(),
             target: "/nowhere/real".into(),
         });
-        let report = lint_scenario(&scenario(spec.clone(), vec![]));
+        let report = lint(&scenario(spec.clone(), vec![]));
         assert_eq!(report.count(Severity::Warning), 1);
         assert_eq!(report.diagnostics[0].code, "EPA0002");
 
+        // A link shadowed by a file never reaches the linter.
         spec.files.push(file("/etc/alias"));
-        let report = lint_scenario(&scenario(spec, vec![]));
-        assert!(report.diagnostics[0].message.contains("shadows"));
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError::DuplicatePath {
+                path: "/etc/alias".into()
+            })
+        );
     }
 
     #[test]
@@ -348,7 +348,7 @@ mod tests {
         let mut spec = WorldSpec::default();
         spec.files.push(file("/etc/precious"));
         spec.invariants.push(InvariantSpec::file_pristine("/etc/precious"));
-        let report = lint_scenario(&scenario(
+        let report = lint(&scenario(
             spec,
             vec![BehaviorStep::ReadFile {
                 path: "/etc/other".into(),
@@ -365,7 +365,7 @@ mod tests {
         let mut spec = WorldSpec::default();
         spec.files.push(file("/etc/conf"));
         spec.invariants.push(InvariantSpec::file_pristine("/etc/conf"));
-        let report = lint_scenario(&scenario(
+        let report = lint(&scenario(
             spec,
             vec![BehaviorStep::ReadFile {
                 path: "/etc/conf".into(),
@@ -381,8 +381,8 @@ mod tests {
         spec.invariants.push(InvariantSpec::file_pristine("/ghost/a"));
         spec.invariants.push(InvariantSpec::file_pristine("/ghost/b"));
         let scn = scenario(spec, vec![]);
-        let a = lint_scenario(&scn);
-        let b = lint_scenario(&scn);
+        let a = lint(&scn);
+        let b = lint(&scn);
         assert_eq!(a, b);
         let text = a.render_text();
         assert!(text.contains("/ghost/a") && text.contains("/ghost/b"));

@@ -1,19 +1,17 @@
 //! Static EAI-site analysis: prove fault relevance *before* execution.
 //!
-//! The paper derives its perturbation points from a static model of
-//! environment–application interactions (§3.3 steps 1–3); the engine's
+//! The paper derives its perturbation points from the
+//! environment–application interactions one execution trace shows (§3.3
+//! steps 1–3); the engine's
 //! planner, by contrast, enumerates every catalog fault against every
 //! traced site and relies on execution to discover that many of them
 //! cannot matter. This module closes that gap with three artifacts:
 //!
-//! 1. **A site model.** [`statics::static_model`] walks a
-//!    [`crate::corpus::BehaviorScript`] and its
-//!    [`crate::engine::spec::WorldSpec`] *without executing*, producing the
-//!    statically reachable site set with per-site facts (path aliasing
-//!    through symlink chains, privilege context, input taint, re-read /
-//!    TOCTTOU windows). For hand-written applications — which exist as
-//!    code, not data — the clean-run trace *is* the model (the paper's
-//!    step-2 execution trace), wrapped by [`AppAnalysis`].
+//! 1. **A site model.** The clean-run trace is the model, for hand-written
+//!    applications and corpus scripts alike (the paper's step-2 execution
+//!    trace): [`AppAnalysis::from_clean_run`] reads one unperturbed run
+//!    into the reached sites, their hit counts, and the physical paths
+//!    each touches or creates.
 //!
 //! 2. **A fault-relevance relation.** [`AppAnalysis::classify`] maps each
 //!    planned `fault × site × occurrence` job to [`Relevance::Relevant`],
@@ -77,7 +75,6 @@ pub mod lint;
 pub mod statics;
 
 pub use lint::{lint_scenario, lint_setup, Diagnostic, LintReport, Severity};
-pub use statics::{static_model, StaticModel, StaticSite};
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -566,11 +563,6 @@ impl AppAnalysis {
             audit_events: self.clean_audit_events,
             violations: self.clean_violations.clone(),
         }
-    }
-
-    /// Every distinct site the clean trace reached.
-    pub fn traced_sites(&self) -> BTreeSet<SiteId> {
-        self.by_site.keys().cloned().collect()
     }
 
     /// Physical paths the clean run touched (any file object, read or

@@ -1,104 +1,23 @@
-//! The static site model: a [`BehaviorScript`] walked against its
-//! [`WorldSpec`] *without executing anything*.
-//!
-//! Scripts are straight-line programs-as-data, so the walk is exact: every
-//! step contributes its site with the same id, operation kinds, and hit
-//! count the dynamic trace would record (`tests/props_analysis.rs` pins
-//! that the dynamically traced site set is always a subset of the static
-//! one). On top of the reachable set the walker derives the per-site facts
-//! the paper's step-1 static analysis provides — path aliasing through the
-//! world's symlink chains, privilege context at the access, taint from
-//! untrusted inputs, and re-read/TOCTTOU windows.
+//! Spec-level path queries the world linter asks of a [`WorldSpec`]
+//! without building it: where a name lands once the declared symlink
+//! chains are resolved ([`resolve_alias`]), and whether the declared world
+//! holds a path at all (`declared_exists`). What the application does
+//! with those paths comes from its clean-run trace
+//! ([`super::AppAnalysis`]), the one model of an application the engine
+//! keeps.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
-use epa_sandbox::cred::Uid;
 use epa_sandbox::path;
-use epa_sandbox::trace::{OpKind, SiteId};
 
-use crate::corpus::{BehaviorScript, BehaviorStep};
 use crate::engine::spec::WorldSpec;
-
-/// One statically derived EAI site with its facts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StaticSite {
-    /// The site id the dynamic trace would record (`gen{i}:{tag}`).
-    pub site: SiteId,
-    /// Operation kinds the site issues, in program order.
-    pub ops: Vec<OpKind>,
-    /// Static bound on how many trace events the site can record (its
-    /// occurrence budget can never usefully exceed this).
-    pub hits: usize,
-    /// File paths the site names, as written in the script.
-    pub paths: Vec<String>,
-    /// The same paths with the world's symlink chains resolved away
-    /// (physical forms in the declared world).
-    pub resolved: Vec<String>,
-    /// Whether any named path reaches its object through a symlink — the
-    /// aliasing fact TOCTTOU reasoning needs.
-    pub aliased: bool,
-    /// Whether the access runs with elevated privilege (SUID-root program
-    /// or root invoker) — the context in which a perturbed interaction is
-    /// exploitable rather than merely wrong.
-    pub privileged: bool,
-    /// Whether the site receives input from an untrusted source.
-    pub tainted: bool,
-    /// Whether the site re-reads its object or checks-then-uses it — the
-    /// re-read window indirect occurrence faults and TOCTTOU swaps target.
-    pub reread_window: bool,
-    /// Whether the site mutates the environment (write/create/delete).
-    pub writes: bool,
-}
-
-/// The full static model of one scenario.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StaticModel {
-    /// Every statically reachable site, in program order.
-    pub sites: Vec<StaticSite>,
-}
-
-impl StaticModel {
-    /// The statically reachable site set.
-    pub fn reachable(&self) -> BTreeSet<SiteId> {
-        self.sites.iter().map(|s| s.site.clone()).collect()
-    }
-
-    /// Resolved paths any site touches (read or write).
-    pub fn touched_paths(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for s in &self.sites {
-            out.extend(s.paths.iter().cloned());
-            out.extend(s.resolved.iter().cloned());
-        }
-        out
-    }
-
-    /// Resolved paths some site creates or writes.
-    pub fn created_paths(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for s in &self.sites {
-            if s.writes {
-                out.extend(s.paths.iter().cloned());
-                out.extend(s.resolved.iter().cloned());
-            }
-        }
-        out
-    }
-
-    /// Static per-site hit bounds.
-    pub fn hit_bounds(&self) -> BTreeMap<SiteId, usize> {
-        self.sites.iter().map(|s| (s.site.clone(), s.hits)).collect()
-    }
-}
 
 /// Resolves `p` through the spec's declared symlink chains, lexically:
 /// whenever a prefix of the path names a declared link, the prefix is
 /// replaced by the link's target (relative targets join against the link's
 /// parent). Returns the physical form and whether any link was traversed.
 /// Chains are followed at most 16 hops — past that the world is cyclic and
-/// the name is returned as-is (the linter flags the cycle separately).
+/// the name is returned as the last hop left it.
 pub fn resolve_alias(spec: &WorldSpec, p: &str) -> (String, bool) {
     let links: BTreeMap<String, String> = spec
         .symlinks
@@ -172,128 +91,6 @@ pub(crate) fn declared_exists(spec: &WorldSpec, p: &str) -> bool {
     declared.contains(&target)
 }
 
-/// Whether the scenario's process runs with elevated privilege: a
-/// SUID-root program file, or a root invoker.
-fn privileged(spec: &WorldSpec) -> bool {
-    if spec.effective_invoker() == Uid::ROOT {
-        return true;
-    }
-    if let Some(program) = &spec.program {
-        return spec
-            .files
-            .iter()
-            .any(|f| f.path == *program && f.owner == Uid::ROOT && f.mode & 0o4000 != 0);
-    }
-    false
-}
-
-/// Walks the script against the world, producing the static model.
-///
-/// The op mapping mirrors `Syscall::op()` exactly (a plain write traces as
-/// [`OpKind::CreateFile`], an append as [`OpKind::WriteFile`], an unlink as
-/// [`OpKind::Delete`]) so static sites and dynamic trace events agree.
-pub fn static_model(spec: &WorldSpec, script: &BehaviorScript) -> StaticModel {
-    let priv_ctx = privileged(spec);
-    let mut sites = Vec::new();
-    for (i, step) in script.steps.iter().enumerate() {
-        let tag = step_tag(step);
-        let site = SiteId::new(format!("gen{i}:{tag}"));
-        let (ops, hits, paths, tainted, reread, writes) = step_facts(step);
-        let mut resolved = Vec::new();
-        let mut aliased = false;
-        for p in &paths {
-            let (r, a) = resolve_alias(spec, p);
-            aliased |= a;
-            resolved.push(r);
-        }
-        sites.push(StaticSite {
-            site,
-            ops,
-            hits,
-            paths,
-            resolved,
-            aliased,
-            privileged: priv_ctx,
-            tainted,
-            reread_window: reread,
-            writes,
-        });
-    }
-    StaticModel { sites }
-}
-
-/// The site tag of a step — must match `BehaviorStep::tag` (pinned by the
-/// subset property in `tests/props_analysis.rs`).
-fn step_tag(step: &BehaviorStep) -> &'static str {
-    match step {
-        BehaviorStep::ReadArg { .. } => "arg",
-        BehaviorStep::ReadEnv { .. } => "env",
-        BehaviorStep::ReadFile { .. } => "read",
-        BehaviorStep::StatThenWrite { .. } => "checkuse",
-        BehaviorStep::WriteFile { .. } => "write",
-        BehaviorStep::CreateExclusive { .. } => "excl",
-        BehaviorStep::Append { .. } => "append",
-        BehaviorStep::Unlink { .. } => "unlink",
-        BehaviorStep::Stat { .. } => "stat",
-        BehaviorStep::ReadLink { .. } => "readlink",
-        BehaviorStep::ListDir { .. } => "list",
-        BehaviorStep::Exec { .. } => "exec",
-        BehaviorStep::RegRead { .. } => "regread",
-        BehaviorStep::RegWrite { .. } => "regwrite",
-        BehaviorStep::DnsLookup { .. } => "dns",
-        BehaviorStep::NetExchange { .. } => "net",
-        BehaviorStep::NetReceive { .. } => "recv",
-        BehaviorStep::IpcReceive { .. } => "ipc",
-        BehaviorStep::Print { .. } => "print",
-    }
-}
-
-type StepFacts = (Vec<OpKind>, usize, Vec<String>, bool, bool, bool);
-
-/// `(ops, static hit bound, named paths, tainted, reread window, writes)`.
-fn step_facts(step: &BehaviorStep) -> StepFacts {
-    match step {
-        BehaviorStep::ReadArg { .. } => (vec![OpKind::ReadArg], 1, vec![], true, false, false),
-        BehaviorStep::ReadEnv { .. } => (vec![OpKind::Getenv], 1, vec![], true, false, false),
-        BehaviorStep::ReadFile { path, times } => {
-            let n = (*times).max(1);
-            (vec![OpKind::ReadFile], n, vec![path.clone()], true, n > 1, false)
-        }
-        BehaviorStep::StatThenWrite { path, .. } => (
-            vec![OpKind::Stat, OpKind::CreateFile],
-            2,
-            vec![path.clone()],
-            false,
-            true,
-            true,
-        ),
-        BehaviorStep::WriteFile { path, .. } => (vec![OpKind::CreateFile], 1, vec![path.clone()], false, false, true),
-        BehaviorStep::CreateExclusive { path, .. } => {
-            (vec![OpKind::CreateExcl], 1, vec![path.clone()], false, false, true)
-        }
-        BehaviorStep::Append { path, .. } => (vec![OpKind::WriteFile], 1, vec![path.clone()], false, false, true),
-        BehaviorStep::Unlink { path } => (vec![OpKind::Delete], 1, vec![path.clone()], false, false, true),
-        BehaviorStep::Stat { path } => (vec![OpKind::Stat], 1, vec![path.clone()], false, false, false),
-        BehaviorStep::ReadLink { path } => (vec![OpKind::Readlink], 1, vec![path.clone()], true, false, false),
-        BehaviorStep::ListDir { path } => (vec![OpKind::ListDir], 1, vec![path.clone()], true, false, false),
-        BehaviorStep::Exec { path } => (vec![OpKind::Exec], 1, vec![path.clone()], false, false, false),
-        BehaviorStep::RegRead { .. } => (vec![OpKind::RegRead], 1, vec![], true, false, false),
-        BehaviorStep::RegWrite { .. } => (vec![OpKind::RegWrite], 1, vec![], false, false, true),
-        BehaviorStep::DnsLookup { .. } => (vec![OpKind::DnsResolve], 1, vec![], true, false, false),
-        BehaviorStep::NetExchange { .. } => (
-            vec![OpKind::NetConnect, OpKind::NetSend],
-            2,
-            vec![],
-            false,
-            false,
-            false,
-        ),
-        BehaviorStep::NetReceive { .. } => (vec![OpKind::NetRecv], 1, vec![], true, false, false),
-        BehaviorStep::IpcReceive { .. } => (vec![OpKind::ProcRecv], 1, vec![], true, false, false),
-        BehaviorStep::Print { .. } => (vec![OpKind::Print], 1, vec![], false, false, false),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,39 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn model_matches_step_structure() {
-        let script = BehaviorScript::new(vec![
-            BehaviorStep::ReadFile {
-                path: "/etc/conf".into(),
-                times: 3,
-            },
-            BehaviorStep::StatThenWrite {
-                path: "/var/out".into(),
-                content: "x".into(),
-                mode: 0o644,
-            },
-            BehaviorStep::Print { text: "done".into() },
-        ]);
-        let model = static_model(&WorldSpec::default(), &script);
-        assert_eq!(model.sites.len(), 3);
-        assert_eq!(model.sites[0].site, SiteId::new("gen0:read"));
-        assert_eq!(model.sites[0].hits, 3);
-        assert!(model.sites[0].reread_window);
-        assert!(model.sites[0].tainted);
-        assert_eq!(model.sites[1].ops, vec![OpKind::Stat, OpKind::CreateFile]);
-        assert!(model.sites[1].writes);
-        assert!(model.created_paths().contains("/var/out"));
-        assert!(model.touched_paths().contains("/etc/conf"));
-        assert_eq!(model.hit_bounds()[&SiteId::new("gen1:checkuse")], 2);
-    }
-
-    #[test]
     fn declared_world_membership_includes_ancestors() {
         let mut spec = WorldSpec::default();
         spec.files.push(crate::engine::spec::FileSpec {
             path: "/etc/app/conf".into(),
             content: String::new(),
-            owner: Uid::ROOT,
+            owner: epa_sandbox::cred::Uid::ROOT,
             group: epa_sandbox::cred::Gid::ROOT,
             mode: 0o644,
         });

@@ -120,41 +120,29 @@ impl Session {
         campaign.report_from(&plan.tally(), records)
     }
 
-    /// The paper's incremental step 9: perturb site by site until the
-    /// interaction-coverage criterion is met.
+    /// The paper's incremental step 9: perturb sites in plan order until
+    /// the interaction-coverage criterion is met.
     ///
-    /// Each site's batch goes through the driver (memoization, pruning);
-    /// records stay in plan order. The report's interaction coverage is
-    /// the smallest prefix coverage
-    /// `>= min_interaction_coverage`, or the full campaign when the
-    /// criterion is unreachable. A [`CampaignOptions::plan_budget`] caps
-    /// executed runs across the whole incremental campaign: each batch
-    /// gets what the earlier ones left.
+    /// Plans once, keeps the shortest prefix of included perturbable sites
+    /// whose share of all perturbable sites reaches
+    /// `min_interaction_coverage` (at least one site; every included site
+    /// when no prefix reaches it), excludes the later sites and runs the
+    /// plan through [`Session::execute_plan`]. A
+    /// [`CampaignOptions::plan_budget`] then picks across the whole prefix,
+    /// as it does for [`Session::execute`], and the report counts only the
+    /// sites that received a run.
     pub fn execute_until(&self, app: &dyn Application, min_interaction_coverage: f64) -> CampaignReport {
-        let mut campaign = self.driven(app);
-        let full = campaign.plan();
-        let total = full.sites.iter().filter(|s| !s.faults.is_empty()).count();
-        let mut records = Vec::new();
-        let mut covered = 0usize;
-        for site in full.sites.iter().filter(|s| s.included && !s.faults.is_empty()) {
-            let (_, batch) = self.drive(&campaign, Some(site.jobs()));
-            if let Some(left) = &mut campaign.options.plan_budget {
-                *left = left.saturating_sub(batch.iter().filter(|r| !r.cache_hit && !r.pruned).count());
-            }
-            // Under a budget, a site whose batch produced nothing was not
-            // perturbed and must not count toward the coverage criterion.
-            if !batch.is_empty() || self.options.plan_budget.is_none() {
-                covered += 1;
-            }
-            records.extend(batch);
-            if total > 0 && covered as f64 / total as f64 >= min_interaction_coverage {
-                break;
+        let mut plan = self.plan(app);
+        let total = plan.sites.iter().filter(|s| !s.faults.is_empty()).count();
+        let mut kept = 0usize;
+        for site in plan.sites.iter_mut().filter(|s| s.included && !s.faults.is_empty()) {
+            if kept > 0 && kept as f64 / total as f64 >= min_interaction_coverage {
+                site.included = false;
+            } else {
+                kept += 1;
             }
         }
-        CampaignReport {
-            perturbed_sites: covered,
-            ..campaign.report_from(&full.tally(), records)
-        }
+        self.execute_plan(app, &plan)
     }
 
     pub(crate) fn campaign<'a>(&'a self, app: &'a dyn Application) -> Campaign<'a> {

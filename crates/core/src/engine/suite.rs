@@ -202,10 +202,9 @@ impl Suite {
 /// at once; a [`Session`] drives one, as a one-app suite.
 ///
 /// `jobs[app]` is `None` to trace and plan campaign `app` on the pool, or
-/// the job list to run (a pre-built plan's, or one site batch of
-/// `Session::execute_until`). Either way a scheduling job, on whichever
-/// thread pops it, builds the schedule: canonical keys, cache and store
-/// lookups, then static pruning of the misses. Back on the calling thread
+/// the job list of a pre-built plan to run. Either way a scheduling job,
+/// on whichever thread pops it, builds the schedule: canonical keys, cache
+/// and store lookups, then static pruning of the misses. Back on the calling thread
 /// its pruned and cache-resolved records replay in plan order, each built
 /// by [`crate::engine::planner::RunDigest::into_record`] with its
 /// provenance as every executed record is, and only the misses fan

@@ -172,16 +172,6 @@ impl UserDb {
         self.by_uid.get(&uid.0)
     }
 
-    /// Looks up an account by login name.
-    pub fn by_name(&self, name: &str) -> Option<&User> {
-        self.by_uid.values().find(|u| u.name == name)
-    }
-
-    /// Home directory of an account, if known.
-    pub fn home_of(&self, uid: Uid) -> Option<&str> {
-        self.get(uid).map(|u| u.home.as_str())
-    }
-
     /// Iterates over accounts in uid order.
     pub fn iter(&self) -> impl Iterator<Item = &User> {
         self.by_uid.values()
@@ -236,9 +226,7 @@ mod tests {
         let mut db = UserDb::new();
         db.add("alice", Uid(100), Gid(10), "/home/alice");
         db.add("bob", Uid(101), Gid(10), "/home/bob");
-        assert_eq!(db.by_name("bob").unwrap().uid, Uid(101));
         assert_eq!(db.get(Uid(100)).unwrap().name, "alice");
-        assert_eq!(db.home_of(Uid(101)), Some("/home/bob"));
         assert_eq!(db.len(), 2);
     }
 

@@ -127,11 +127,6 @@ impl SysError {
         }
     }
 
-    /// True when the error is `ENOENT`.
-    pub fn is_not_found(&self) -> bool {
-        self.errno == Errno::Enoent
-    }
-
     /// True when the error is a permission failure (`EACCES` or `EPERM`).
     pub fn is_permission(&self) -> bool {
         matches!(self.errno, Errno::Eacces | Errno::Eperm)
@@ -181,7 +176,6 @@ mod tests {
 
     #[test]
     fn predicates() {
-        assert!(SysError::new(Errno::Enoent, "x").is_not_found());
         assert!(SysError::new(Errno::Eacces, "x").is_permission());
         assert!(SysError::new(Errno::Eperm, "x").is_permission());
         assert!(!SysError::new(Errno::Eexist, "x").is_permission());

@@ -121,17 +121,6 @@ impl Mode {
         }
     }
 
-    /// Mode with the write bits removed everywhere — a "permission flip"
-    /// perturbation that makes an object unwritable.
-    pub fn without_write(self) -> Mode {
-        Mode(self.0 & !0o222)
-    }
-
-    /// Mode with the read bits removed everywhere.
-    pub fn without_read(self) -> Mode {
-        Mode(self.0 & !0o444)
-    }
-
     /// Mode with the exec bits removed everywhere.
     pub fn without_exec(self) -> Mode {
         Mode(self.0 & !0o111)
@@ -217,8 +206,6 @@ mod tests {
     #[test]
     fn perturbation_helpers() {
         let m = Mode::new(0o755);
-        assert_eq!(m.without_write().bits(), 0o555);
-        assert_eq!(m.without_read().bits(), 0o311);
         assert_eq!(m.without_exec().bits(), 0o644);
         assert!(m.with_world_write().world_writable());
         assert!(!m.world_writable());
