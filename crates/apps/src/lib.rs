@@ -104,9 +104,11 @@ pub fn standard_suite() -> Result<epa_core::engine::Suite, epa_core::engine::Spe
 
 /// As [`standard_suite`], with explicit [`epa_core::campaign::CampaignOptions`]
 /// installed on every registered session — how callers opt into budgeted
-/// campaigns or static pruning off across the whole suite. A suite always
-/// installs its suite-scoped cache, so no options make it exhaustive: the
-/// exhaustive reference is a cache-less session with `dedup: false`.
+/// campaigns or static pruning off across the whole suite. The suite has
+/// no result cache unless the caller adds one
+/// ([`epa_core::engine::Suite::with_result_cache`] or
+/// [`epa_core::engine::Suite::with_store`]), so with `static_prune: false`
+/// it is the exhaustive reference: every planned job executes.
 ///
 /// # Errors
 ///

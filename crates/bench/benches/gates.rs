@@ -447,8 +447,9 @@ fn oracle_gates(gates: &mut Gates, cases: &Cases) {
     );
 }
 
-/// Two passes of one suite, the second replaying from its memo, against
-/// two passes that each execute over a fresh suite's cold cache.
+/// Two passes of one suite over one result cache, the second replaying
+/// from it, against two passes that each execute on a fresh suite with no
+/// cache.
 fn planner_gate(gates: &mut Gates) {
     let exhaustive = || standard_suite().expect("valid specs");
     let (mut memo, mut cold) = ([(0, 0); 2], [(0, 0); 2]);
@@ -456,7 +457,9 @@ fn planner_gate(gates: &mut Gates) {
         9,
         &mut [
             &mut || {
-                let suite = standard_suite().expect("valid specs");
+                let suite = standard_suite()
+                    .expect("valid specs")
+                    .with_result_cache(ResultCache::new());
                 timed(|| memo = [counts(&suite.execute()), counts(&suite.execute())]).1
             },
             &mut || {
@@ -505,7 +508,7 @@ fn store_gates(gates: &mut Gates) {
     gates.check("store.warm_vs_memory", m[0] / m[2], "x memory", Bound::Below(1.0), None);
 }
 
-/// The corpus registered as one campaign per scenario, on a fresh cache.
+/// The corpus registered as one campaign per scenario, with no cache.
 fn corpus_suite(scenarios: &[Scenario]) -> Suite {
     let mut suite = Suite::new();
     for scenario in scenarios {

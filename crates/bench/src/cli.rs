@@ -246,21 +246,18 @@ fn run_suite(opts: RunOptions, out: &mut Output<'_>) -> Result<(), String> {
     // A persistent store (from `--store` or `EPA_CACHE_DIR`) turns the
     // suite into a warm-replayable run: every executed digest is written
     // through, and the lockfile manifest pins the plan's store keys.
-    // Validation failures warn and fall back to in-memory memoization —
+    // Validation failures warn and fall back to a run without a store —
     // they never fail the experiment (the `EPA_WORKERS` contract).
     let resolution = epa_core::store::resolve_store_dir_env(opts.store.as_deref());
     if let Some(refusal) = &resolution.refusal {
-        eprintln!("reproduce: {refusal}; falling back to in-memory memoization");
+        eprintln!("reproduce: {refusal}; running without a store");
     }
     let persistent = resolution
         .dir
         .and_then(|dir| match epa_core::engine::ResultCache::persistent(&dir) {
             Ok(cache) => Some((dir, cache)),
             Err(e) => {
-                eprintln!(
-                    "reproduce: store at {}: {e}; falling back to in-memory memoization",
-                    dir.display()
-                );
+                eprintln!("reproduce: store at {}: {e}; running without a store", dir.display());
                 None
             }
         });
@@ -318,7 +315,7 @@ fn run_store(opts: RunOptions, out: &mut Output<'_>) -> Result<(), String> {
         if opts.store.as_deref().is_some_and(|s| !s.trim().is_empty()) {
             return Err(format!("store {op}: --store refused: {refusal}"));
         }
-        eprintln!("reproduce: {refusal}; falling back to in-memory memoization");
+        eprintln!("reproduce: {refusal}; running without a store");
     }
     let Some(dir) = resolution.dir else {
         writeln!(

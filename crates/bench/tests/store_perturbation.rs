@@ -6,9 +6,11 @@
 //!
 //! The rows that break the disk itself run `reproduce` and count the
 //! warnings it prints: a directory where a segment belongs (unreadable,
-//! even for root), a dangling link where a segment belongs (no record can
-//! be written, even by root: an unwritable directory), and a segment whose
-//! last record was cut short (the torn append a full disk leaves). Two
+//! even for root), a dangling link where a segment belongs, into a missing
+//! directory or into an existing one outside the store (the paper's lpr
+//! `creat` flaw, §3.4: the store must refuse the link, not create its
+//! target), and a segment whose last record was cut short (the torn
+//! append a full disk leaves). Two
 //! more rows drop saves in a [`ResultStore`] wrapper before they reach a
 //! real [`DiskStore`], all of them or all after the first 40: the store
 //! never sees those writes, so they count no warning and check only the
@@ -70,7 +72,7 @@ struct Row {
     clean: fn() -> String,
 }
 
-const ROWS: [Row; 6] = [
+const ROWS: [Row; 7] = [
     Row {
         name: "a directory where each segment belongs",
         run: segments_are_directories,
@@ -79,6 +81,11 @@ const ROWS: [Row; 6] = [
     Row {
         name: "a dangling link where each segment belongs",
         run: segments_are_dangling_links,
+        clean: clean_reproduce_stdout,
+    },
+    Row {
+        name: "a dangling link into an existing outside directory where each segment belongs",
+        run: segments_are_links_out_of_the_store,
         clean: clean_reproduce_stdout,
     },
     Row {
@@ -254,13 +261,35 @@ fn segments_are_directories(dir: &Path) -> Observed {
 }
 
 /// Every segment of the standard suite's scopes is a link into a missing
-/// directory: each reads as empty, and no record can be written.
+/// directory: each is refused, so nothing is read from it or written to it.
 fn segments_are_dangling_links(dir: &Path) -> Observed {
     let make = |path: &Path| {
         let target = path.with_file_name("missing").join("x.seg");
         std::os::unix::fs::symlink(target, path).expect("a dangling link as a segment");
     };
-    broken_segments(dir, make, "216 records could not be saved", "No such file or directory")
+    broken_segments(dir, make, "8 segments could not be read", "symbolic link")
+}
+
+/// Every segment of the standard suite's scopes, and the manifest, is a
+/// link to a missing file in an existing directory outside the store,
+/// `<root>.outside`. Following one would create its target there; each
+/// segment link is refused instead, and the manifest link replaced.
+fn segments_are_links_out_of_the_store(dir: &Path) -> Observed {
+    let make = |path: &Path| {
+        let root = path.parent().and_then(Path::parent).expect("the store root");
+        let outside = root.with_extension("outside");
+        std::fs::create_dir_all(&outside).expect("the outside directory");
+        let target = outside.join(path.file_name().expect("a segment name"));
+        std::os::unix::fs::symlink(target, path).expect("a dangling link out of the store");
+        // The first segment's call plants it; the later ones find it there.
+        let _ = std::os::unix::fs::symlink(outside.join("MANIFEST.json"), root.join("MANIFEST.json"));
+    };
+    let observed = broken_segments(dir, make, "8 segments could not be read", "symbolic link");
+    let outside = dir.with_extension("outside");
+    let created = std::fs::read_dir(&outside).expect("the outside directory").count();
+    let _ = std::fs::remove_dir_all(&outside);
+    assert_eq!(created, 0, "files created outside the store root");
+    observed
 }
 
 /// A cold `reproduce suite` fills the store; then one segment loses the

@@ -31,7 +31,7 @@ use epa_sandbox::syscall::Interceptor;
 use epa_sandbox::trace::{SiteId, SiteSummary};
 
 use crate::catalog::{faults_for_site, DirectContext};
-use crate::engine::planner::{Claim, FaultKey, Provenance, ResultCache, RunDigest, Schedule};
+use crate::engine::planner::{Claim, FaultKey, Provenance, RunDigest, Schedule};
 use crate::inject::{InjectionHook, InjectionPlan};
 use crate::perturb::ConcreteFault;
 use crate::report::{CampaignReport, FaultRecord};
@@ -306,21 +306,16 @@ pub struct CampaignOptions {
     /// preserves the historical first-hit-only plans; use
     /// `usize::MAX` to cover every traced occurrence.
     pub max_occurrences_per_site: usize,
-    /// Give a campaign that has no [`CampaignOptions::cache`] a plan-local
-    /// [`crate::engine::planner::ResultCache`], so jobs with equal
-    /// canonical [`crate::engine::planner::FaultKey`]s run once: the first
-    /// executes, the rest replay its outcome with `cache_hit: true`. On by
-    /// default — replays are byte-identical by construction, so every
-    /// verdict (and every paper number) is preserved. Off, with no cache,
-    /// is the exhaustive reference (every job executes). It has no effect
-    /// on a campaign that has a cache, which every suite campaign has.
+    /// Has no effect: a campaign collapses equal jobs only through a
+    /// [`CampaignOptions::cache`] its caller installs. Kept only so the
+    /// benchmark harness (`perfbench/`) builds unchanged; it goes with the
+    /// benchmark change of ROADMAP item 4.
     pub dedup: bool,
     /// A shared [`crate::engine::planner::ResultCache`] memoizing
     /// `(setup fingerprint, FaultKey) -> RunDigest` across campaigns and
-    /// executions. An explicit cache wins over a suite's; a
-    /// [`crate::engine::Suite`] installs its one suite-scoped cache in
-    /// every campaign without one. `None` (the default) leaves a session
-    /// campaign to [`CampaignOptions::dedup`].
+    /// executions: equal jobs run once, the rest replay with `cache_hit:
+    /// true`. It wins over a [`crate::engine::Suite::with_result_cache`].
+    /// `None`, the default, runs every job static pruning keeps, unkeyed.
     pub cache: Option<crate::engine::planner::ResultCache>,
     /// Execute at most this many *runs* (cache replays are free), picking
     /// the next job adaptively by observed per-EAI-category verdict yield
@@ -502,15 +497,6 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Installs `cache` as the campaign's result cache unless the options
-    /// already carry one (the suite-scoped default; an explicit per-session
-    /// cache wins).
-    pub(crate) fn ensure_cache(&mut self, cache: ResultCache) {
-        if self.options.cache.is_none() {
-            self.options.cache = Some(cache);
-        }
-    }
-
     /// The `(setup fingerprint, application)` memoization scope of this
     /// campaign's runs — see [`TestSetup::fingerprint`]. The schedule looks
     /// every job up under it first and prunes only the misses; pruned
@@ -602,34 +588,34 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Runs one job, claim-aware: with a result cache installed, at most
-    /// one thread — across the pool's workers and even simultaneous suites
-    /// sharing the cache — executes each `(scope, key)`; concurrent callers
-    /// block on the in-flight claim ([`ResultCache::begin`]) and replay the
-    /// winner's digest. The winner's
-    /// [`crate::engine::planner::ClaimToken::fulfill`] publishes the digest
-    /// (and writes it through to any store), so callers never insert it
-    /// again. `key` must be `FaultKey::of(&jobs[idx])` — the schedule has
-    /// already computed it.
+    /// Runs one job through the campaign's result cache, claim-aware: at
+    /// most one thread, across the pool and every suite sharing the cache,
+    /// executes each `(scope, key)`; the others block on its claim
+    /// ([`crate::engine::planner::ResultCache::begin`]) and replay the
+    /// digest the winner's `fulfill` publishes (and writes through to any
+    /// store). `key` is `FaultKey::of(&jobs[idx])`, which only a schedule
+    /// built under the cache computes; without one, [`Campaign::run_job`].
     pub(crate) fn run_job_keyed(&self, jobs: &Arc<[InjectionPlan]>, idx: usize, key: &FaultKey) -> FaultRecord {
-        let (digest, provenance) = match &self.options.cache {
-            None => (self.run_job(jobs, idx), Provenance::Executed),
-            Some(cache) => match cache.begin(self.scope(), key) {
-                Claim::Replay(digest) => (digest, Provenance::Cached),
-                Claim::Execute(token) => {
-                    let digest = self.run_job(jobs, idx);
-                    token.fulfill(digest.clone());
-                    (digest, Provenance::Executed)
-                }
-            },
+        let cache = self
+            .options
+            .cache
+            .as_ref()
+            .expect("only a schedule built under a cache keys a job");
+        let (digest, provenance) = match cache.begin(self.scope(), key) {
+            Claim::Replay(digest) => (digest, Provenance::Cached),
+            Claim::Execute(token) => {
+                let digest = self.run_job(jobs, idx);
+                token.fulfill(digest.clone());
+                (digest, Provenance::Executed)
+            }
         };
         digest.into_record(&jobs[idx], provenance)
     }
 
-    /// Canonicalizes a flat job list against this campaign's scope, cache,
-    /// and static analysis (the planner's entry point; the driver builds each
-    /// campaign's schedule inside its scheduling job and enqueues only the
-    /// pending misses).
+    /// Splits a flat job list against this campaign's cache (if any) and
+    /// static analysis: the planner's entry point, called inside each
+    /// campaign's scheduling job; only the pending misses are enqueued.
+    /// Without a cache the scope is never computed.
     pub(crate) fn schedule(&self, jobs: &[InjectionPlan]) -> Schedule {
         let scope = if self.options.cache.is_some() { self.scope() } else { 0 };
         let analysis = self.options.static_prune.then(|| {
@@ -885,12 +871,7 @@ mod tests {
         assert_eq!(second.runs_executed(), 0);
         assert_eq!(without_cache_flags(second), without_cache_flags(first.clone()));
         // And the memoized report still matches the exhaustive baseline.
-        let exhaustive = Session::from_setup(s.clone())
-            .with_options(CampaignOptions {
-                dedup: false,
-                ..Default::default()
-            })
-            .execute(&MiniLpr);
+        let exhaustive = Session::from_setup(s.clone()).execute(&MiniLpr);
         assert_eq!(without_cache_flags(first), exhaustive);
     }
 

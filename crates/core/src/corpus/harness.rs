@@ -146,7 +146,6 @@ fn report_outcome(path: &str, report: &CampaignReport) -> PathOutcome {
 fn base_options() -> CampaignOptions {
     CampaignOptions {
         max_occurrences_per_site: usize::MAX,
-        dedup: false,
         static_prune: false,
         ..CampaignOptions::default()
     }
@@ -208,22 +207,21 @@ fn diff_lines(baseline: &PathOutcome, candidate: &PathOutcome, seed: u64) -> Opt
 /// Paths, all against the same materialized setup:
 ///
 /// 1. `sequential` — the baseline: a session on the calling thread, no
-///    dedup, no cache;
-/// 2. `pooled` — the scenario as a one-app [`Suite`] on 4 workers, through
-///    the suite's cache;
+///    cache;
+/// 2. `pooled` — the scenario as a one-app [`Suite`] on 4 workers;
 /// 3. `planner-cold` / `planner-warm` — a session with a fresh
 ///    [`ResultCache`], executed twice (the warm pass must replay, and still
 ///    agree byte-for-byte);
 /// 4. `budgeted` — the adaptive planner with a budget covering the whole
-///    plan;
+///    plan, over a fresh [`ResultCache`];
 /// 5. `reference` — no driver: [`run_once`] job by job over the plan, each
 ///    run's incremental verdicts cross-checked against
 ///    [`epa_sandbox::policy::OracleSet::evaluate_log`] on its completed log
 ///    (the clean run's too);
-/// 6. `pruned` — the static analyzer's pre-pruned plan (dedup on, so
-///    claim replay composes with prune synthesis): every record the
-///    analyzer refuses to execute must still carry the exhaustive verdict,
-///    byte-for-byte.
+/// 6. `pruned` — the static analyzer's pre-pruned plan, over a fresh
+///    [`ResultCache`] so claim replay composes with prune synthesis: every
+///    record the analyzer refuses to execute must still carry the
+///    exhaustive verdict, byte-for-byte.
 pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> ScenarioOutcome {
     let seed = scenario.seed;
     let app = factory(scenario);
@@ -333,7 +331,7 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
 
     check("budgeted", &mut || {
         let options = CampaignOptions {
-            dedup: true,
+            cache: Some(ResultCache::new()),
             plan_budget: Some(baseline_report.injected()),
             ..base_options()
         };
@@ -386,7 +384,7 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
     // diverges here and gets shrunk to a minimal world.
     check("pruned", &mut || {
         let options = CampaignOptions {
-            dedup: true,
+            cache: Some(ResultCache::new()),
             static_prune: true,
             ..base_options()
         };

@@ -14,12 +14,12 @@
 //!    as one batch, aggregating the finished, plan-ordered campaign reports
 //!    into a [`SuiteReport`] with cross-application rollups.
 //! 4. **[`planner`]** — the adaptive fault-space planner between the fault
-//!    plan and the executor: canonicalizes every job into a
-//!    content-addressed [`planner::FaultKey`], memoizes
-//!    `(setup fingerprint, FaultKey) -> RunDigest` in a
-//!    [`planner::ResultCache`] (suite-scoped, or plan-local for a session)
-//!    so equal runs — in one plan or across runs — execute once and
-//!    replay after, and (opt-in, via
+//!    plan and the executor: where a caller installs a
+//!    [`planner::ResultCache`], canonicalizes every job into a
+//!    content-addressed [`planner::FaultKey`] and memoizes
+//!    `(setup fingerprint, FaultKey) -> RunDigest` in it, so equal runs —
+//!    in one plan or across runs — execute once and replay after;
+//!    statically prunes provably inert jobs; and (opt-in, via
 //!    [`crate::campaign::CampaignOptions::plan_budget`]) prioritizes
 //!    remaining jobs by observed per-EAI-category verdict yield.
 //! 5. **[`Executor`]** (`executor`) — the one work pool: every campaign,

@@ -17,16 +17,16 @@
 //!    human-readable description, its EAI category label — are excluded,
 //!    so two catalog patterns that compile to the same executable
 //!    perturbation share a key.
-//! 2. **Memoization, first** — a [`ResultCache`] maps
-//!    `(setup fingerprint, FaultKey) -> RunDigest`. Equal jobs — within one
-//!    plan, across applications, repeated campaigns, or whole suite
-//!    re-executions — execute once: the first claims the key
-//!    ([`ResultCache::begin`]), every later one replays its digest with its
-//!    own identity fields and `cache_hit: true`. A suite shares one cache
-//!    across its campaigns; a session without one gets a plan-local cache
-//!    (see [`crate::campaign::CampaignOptions::dedup`]). The fingerprint
-//!    ([`crate::campaign::TestSetup::fingerprint`]) is a structural hash of
-//!    the frozen world, computed once per campaign, not once per run.
+//! 2. **Memoization, first, where a caller installs a cache** — a
+//!    [`ResultCache`] maps `(setup fingerprint, FaultKey) -> RunDigest`.
+//!    Under it, equal jobs — within one plan, across applications,
+//!    repeated campaigns, or whole suite re-executions — execute once: the
+//!    first claims the key ([`ResultCache::begin`]), every later one
+//!    replays its digest with its own identity fields and `cache_hit:
+//!    true`. A campaign without a cache (the default) computes no scope,
+//!    builds no key, and executes every job it does not prune. The
+//!    fingerprint ([`crate::campaign::TestSetup::fingerprint`]) is a
+//!    structural hash of the frozen world, computed once per campaign.
 //! 3. **Static pruning, of the misses only** — a job the cache does not
 //!    answer goes to the analyzer's [`PruneFn`]; a provably inert job
 //!    replays a synthesized clean-run digest as `pruned`. Pruned digests are
@@ -38,12 +38,12 @@
 //!    plan order, so all paper numbers are reproduced exactly.
 //!
 //! Cache hits never become executor jobs of their own: a campaign's
-//! [`Schedule`] — keys, every cache or store lookup, then static pruning of
-//! what missed — is built once, inside that campaign's planning job, on
-//! whichever pool thread runs it (in a suite, a spawned worker or the
-//! calling thread working as worker 0). Only the misses are handed back to
-//! the pool as injected-run jobs, each an index into the campaign's shared
-//! job list and schedule, where its key already is.
+//! [`Schedule`] — under a cache, keys and every cache or store lookup;
+//! then static pruning of what missed — is built once, inside that
+//! campaign's planning job, on whichever pool thread runs it (in a suite,
+//! a spawned worker or the calling thread working as worker 0). Only the
+//! misses go back to the pool as injected-run jobs, each an index into the
+//! campaign's shared job list and schedule, where its key (if any) is.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -555,7 +555,8 @@ impl CacheShared {
     }
 }
 
-/// A suite-scoped memo of executed runs: `(scope, FaultKey) -> RunDigest`.
+/// A memo of executed runs, `(scope, FaultKey) -> RunDigest`, shared by
+/// every campaign its caller installs it in.
 ///
 /// `scope` is the campaign's setup fingerprint (application identity plus
 /// the frozen world's content hash — see
@@ -676,11 +677,6 @@ impl ResultCache {
     /// foreign store version, a non-empty non-store directory).
     pub fn persistent(dir: impl AsRef<std::path::Path>) -> std::io::Result<ResultCache> {
         Ok(ResultCache::with_store(Arc::new(crate::store::DiskStore::open(dir)?)))
-    }
-
-    /// The persistent backend, when one is configured.
-    pub fn store(&self) -> Option<&Arc<dyn ResultStore>> {
-        self.inner.backend.as_ref()
     }
 
     /// Looks up the digest of an identical prior run, counting the outcome.
@@ -811,6 +807,8 @@ impl fmt::Debug for ResultCache {
 /// built from (plan order).
 #[derive(Debug)]
 pub struct Schedule {
+    /// The canonical key of every job, in plan order; empty when the
+    /// schedule was built without a cache, which is all a key is for.
     keys: Vec<FaultKey>,
     /// Jobs answered at schedule time, in plan order, each with its
     /// provenance and digest: [`Provenance::Cached`] from the
@@ -818,9 +816,9 @@ pub struct Schedule {
     /// analysis proved inert (a synthesized clean-run digest, never saved
     /// to the cache). These replay inline and never reach the executor.
     pub replays: Vec<(usize, Provenance, RunDigest)>,
-    /// Jobs that must run, in plan order. Equal keys among them run once:
-    /// the first claims the key, the rest replay its digest through the
-    /// cache's claim protocol.
+    /// Jobs that must run, in plan order. Under a cache, equal keys among
+    /// them run once: the first claims the key, the rest replay its digest
+    /// through the cache's claim protocol. Without one, each runs.
     pub pending: Vec<usize>,
 }
 
@@ -841,22 +839,25 @@ impl Schedule {
     /// answer. Pruned digests are never saved, so with pruning on the
     /// inert jobs miss every time and still replay as `pruned`; a job that
     /// a store holds as executed (written with pruning off) replays as
-    /// `cache_hit` instead, with the same outcome. With no cache and no
-    /// pruner this degenerates to the exhaustive plan: every job pending,
-    /// in plan order.
+    /// `cache_hit` instead, with the same outcome. With no cache no key is
+    /// built and `scope` is unread; with no pruner too, this is the
+    /// exhaustive plan: every job pending, in plan order.
     pub fn build(
         jobs: &[InjectionPlan],
         scope: u64,
         cache: Option<&ResultCache>,
         prune: Option<PruneFn<'_>>,
     ) -> Schedule {
-        let keys: Vec<FaultKey> = jobs.iter().map(FaultKey::of).collect();
+        let keys: Vec<FaultKey> = match cache {
+            Some(_) => jobs.iter().map(FaultKey::of).collect(),
+            None => Vec::new(),
+        };
         let mut replays = Vec::new();
         let mut pending = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(digest) = cache.and_then(|c| c.lookup(scope, key)) {
+        for (i, job) in jobs.iter().enumerate() {
+            if let Some(digest) = cache.and_then(|c| c.lookup(scope, &keys[i])) {
                 replays.push((i, Provenance::Cached, digest));
-            } else if let Some(digest) = prune.and_then(|p| p(&jobs[i])) {
+            } else if let Some(digest) = prune.and_then(|p| p(job)) {
                 replays.push((i, Provenance::Pruned, digest));
             } else {
                 pending.push(i);
@@ -865,19 +866,10 @@ impl Schedule {
         Schedule { keys, replays, pending }
     }
 
-    /// The canonical key of job `idx`.
-    pub fn key(&self, idx: usize) -> &FaultKey {
-        &self.keys[idx]
-    }
-
-    /// Total jobs the schedule covers.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the schedule covers no jobs.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+    /// The canonical key of job `idx`, if the schedule was built under a
+    /// cache.
+    pub fn key(&self, idx: usize) -> Option<&FaultKey> {
+        self.keys.get(idx)
     }
 }
 
@@ -1024,7 +1016,7 @@ mod tests {
     }
 
     #[test]
-    fn dotdot_targets_never_dedup_lexically() {
+    fn dotdot_targets_never_share_a_key_lexically() {
         // The VFS resolves `..` physically (across symlinked parents), so
         // `/var/run/../f` and `/var/f` may be different inodes — their
         // faults must keep distinct keys.
@@ -1047,7 +1039,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_dedups_within_a_plan() {
+    fn a_cache_claims_equal_keys_within_a_plan_once() {
         let jobs = vec![
             direct_job("a", "s", 0, "/tmp/f"),
             direct_job("b", "s", 0, "/tmp//f"),
@@ -1056,24 +1048,34 @@ mod tests {
         let cache = ResultCache::new();
         let schedule = Schedule::build(&jobs, 7, Some(&cache), None);
         assert_eq!(schedule.pending, vec![0, 1, 2], "a cold cache answers nothing");
-        assert_eq!(schedule.key(0), schedule.key(1));
+        let key = |i| schedule.key(i).expect("a schedule under a cache keys every job");
+        assert_eq!(key(0), key(1));
         let digest = outcome(true, Some(0), 2);
         // The first job of the key claims it; its duplicate replays.
-        let Claim::Execute(token) = cache.begin(7, schedule.key(0)) else {
+        let Claim::Execute(token) = cache.begin(7, key(0)) else {
             panic!("the first job of a key executes");
         };
         token.fulfill(digest.clone());
-        let Claim::Replay(replayed) = cache.begin(7, schedule.key(1)) else {
+        let Claim::Replay(replayed) = cache.begin(7, key(1)) else {
             panic!("an equal key replays");
         };
         let record = replayed.replay(&jobs[1]);
         assert_eq!((record.fault_id.as_str(), record.cache_hit), ("b", true));
-        assert!(matches!(cache.begin(7, schedule.key(2)), Claim::Execute(_)));
-        // With no cache every job stands alone.
+        assert!(matches!(cache.begin(7, key(2)), Claim::Execute(_)));
+    }
+
+    #[test]
+    fn a_cacheless_schedule_builds_no_key() {
+        let jobs = vec![
+            direct_job("a", "s", 0, "/tmp/f"),
+            direct_job("b", "s", 0, "/tmp//f"),
+            direct_job("c", "s", 0, "/tmp/g"),
+        ];
         let exhaustive = Schedule::build(&jobs, 7, None, None);
+        assert!((0..jobs.len()).all(|i| exhaustive.key(i).is_none()), "no key was built");
+        // Every job stands alone, equal payloads included, in plan order.
         assert_eq!(exhaustive.pending, vec![0, 1, 2]);
         assert!(exhaustive.replays.is_empty());
-        assert_eq!(exhaustive.len(), 3);
     }
 
     #[test]
@@ -1083,7 +1085,7 @@ mod tests {
         let first = Schedule::build(&jobs, 1, Some(&cache), None);
         assert_eq!(first.pending, vec![0]);
         let digest = outcome(true, Some(0), 3);
-        cache.insert(1, first.key(0), digest.clone());
+        cache.insert(1, first.key(0).expect("keyed under a cache"), digest.clone());
         // Same scope: replayed. Different scope (another app/world): miss.
         let again = Schedule::build(&jobs, 1, Some(&cache), None);
         assert!(again.pending.is_empty());

@@ -62,18 +62,11 @@ impl Session {
     /// Installs a shared [`ResultCache`]: campaigns run from this session
     /// memoize every executed run and replay identical ones (here and in
     /// any other session sharing the cache) instead of re-executing them.
+    /// A session without one executes every job it does not prune.
     #[must_use]
     pub fn with_result_cache(mut self, cache: ResultCache) -> Session {
         self.options.cache = Some(cache);
         self
-    }
-
-    /// Installs a result cache layered over a persistent
-    /// [`crate::store::ResultStore`] backend — the session-level analogue
-    /// of [`crate::engine::Suite::with_store`].
-    #[must_use]
-    pub fn with_store(self, store: shim_sync::sync::Arc<dyn crate::store::ResultStore>) -> Session {
-        self.with_result_cache(ResultCache::with_store(store))
     }
 
     /// The frozen setup.
@@ -105,7 +98,7 @@ impl Session {
 
     /// Steps 1–10: the full campaign.
     pub fn execute(&self, app: &dyn Application) -> CampaignReport {
-        let campaign = self.driven(app);
+        let campaign = self.campaign(app);
         let (tally, records) = self.drive(&campaign, None);
         campaign.report_from(&tally.expect("the driver planned the campaign"), records)
     }
@@ -114,7 +107,7 @@ impl Session {
     /// The plan's clean run seeds the static analysis, so no second clean
     /// run happens.
     pub fn execute_plan(&self, app: &dyn Application, plan: &CampaignPlan) -> CampaignReport {
-        let campaign = self.driven(app);
+        let campaign = self.campaign(app);
         campaign.adopt_clean_run(&plan.clean);
         let (_, records) = self.drive(&campaign, Some(plan.jobs()));
         campaign.report_from(&plan.tally(), records)
@@ -147,17 +140,6 @@ impl Session {
 
     pub(crate) fn campaign<'a>(&'a self, app: &'a dyn Application) -> Campaign<'a> {
         Campaign::build(app, &self.setup, self.options.clone())
-    }
-
-    /// The campaign this session drives itself: as [`Session::campaign`],
-    /// plus a plan-local [`ResultCache`] when [`CampaignOptions::dedup`] is
-    /// on and the options carry no cache, so equal jobs run once.
-    fn driven<'a>(&'a self, app: &'a dyn Application) -> Campaign<'a> {
-        let mut campaign = self.campaign(app);
-        if campaign.options.dedup {
-            campaign.ensure_cache(ResultCache::new());
-        }
-        campaign
     }
 
     /// Runs one campaign through the engine's driver as a one-app suite, on

@@ -27,7 +27,7 @@ use epa_sandbox::app::Application;
 use crate::campaign::{Campaign, PlanTally};
 use crate::coverage::{AdequacyPoint, Ratio};
 use crate::engine::executor::Executor;
-use crate::engine::planner::{Provenance, ResultCache, Schedule, YieldStats};
+use crate::engine::planner::{FaultKey, Provenance, ResultCache, Schedule, YieldStats};
 use crate::engine::session::Session;
 use crate::engine::spec::{SpecError, WorldSpec};
 use crate::inject::InjectionPlan;
@@ -43,24 +43,27 @@ struct SuiteEntry {
 #[derive(Default)]
 pub struct Suite {
     entries: Vec<SuiteEntry>,
-    cache: ResultCache,
+    cache: Option<ResultCache>,
     workers: Option<usize>,
 }
 
 impl Suite {
-    /// An empty suite with a fresh suite-scoped [`ResultCache`].
+    /// An empty suite with no result cache: each [`Suite::execute`] runs
+    /// every job static pruning keeps, and builds no fault key. Memoization
+    /// is opt-in: [`Suite::with_result_cache`] or [`Suite::with_store`].
     pub fn new() -> Suite {
         Suite::default()
     }
 
-    /// Replaces the suite-scoped result cache — hand the same cache to
-    /// several suites (or keep it across repeated [`Suite::execute`] calls;
-    /// the default cache already persists for the suite's lifetime) for
-    /// cross-run memoization: any run whose `(setup fingerprint, FaultKey)`
-    /// was executed before is replayed instead of re-executed.
+    /// Installs a suite-scoped result cache in every campaign whose session
+    /// carries none. Equal runs then execute once: within a campaign,
+    /// across the suite's campaigns, across repeated [`Suite::execute`]
+    /// calls, and across every suite handed the same cache. Any run whose
+    /// `(setup fingerprint, FaultKey)` was executed before is replayed
+    /// instead of re-executed.
     #[must_use]
     pub fn with_result_cache(mut self, cache: ResultCache) -> Suite {
-        self.cache = cache;
+        self.cache = Some(cache);
         self
     }
 
@@ -77,10 +80,10 @@ impl Suite {
     /// The lockfile-style manifest of this suite: per application, the
     /// memoization scope, the plan size, and every distinct executable
     /// store key, in plan order — the exact entries a complete warm run
-    /// needs (see [`crate::store::SuiteManifest::verify`]). Jobs the schedule prunes
-    /// are excluded: they replay from synthesized digests, which are never
-    /// saved to the store. Planning is deterministic, so the manifest of a
-    /// suite equals the manifest of its execution.
+    /// needs (see [`crate::store::SuiteManifest::verify`]). Jobs the static
+    /// analysis prunes are excluded: their synthesized digests are never
+    /// saved. It reads no cache or store, and planning is deterministic, so
+    /// the manifest of a suite equals the manifest of its execution.
     pub fn manifest(&self) -> crate::store::SuiteManifest {
         use crate::store::{AppManifest, ManifestKey, SuiteManifest, MANIFEST_VERSION};
         let apps = self
@@ -88,26 +91,26 @@ impl Suite {
             .iter()
             .map(|e| {
                 let mut campaign = e.session.campaign(e.app.as_ref() as &dyn Application);
-                campaign.ensure_cache(self.cache.clone());
+                // Uncached, the schedule's pending jobs are exactly the
+                // jobs the analysis does not prune.
+                campaign.options.cache = None;
                 let (_, jobs) = campaign.plan().into_jobs();
                 let schedule = campaign.schedule(&jobs);
-                let pruned: std::collections::BTreeSet<usize> = schedule
-                    .replays
-                    .iter()
-                    .filter_map(|&(i, provenance, _)| (provenance == Provenance::Pruned).then_some(i))
-                    .collect();
                 let mut seen = std::collections::BTreeSet::new();
-                let keys = (0..schedule.len())
-                    .filter(|&i| !pruned.contains(&i) && seen.insert(schedule.key(i)))
-                    .map(|i| ManifestKey {
-                        digest: format!("{}", schedule.key(i)),
-                        key: schedule.key(i).repr().to_string(),
+                let keys = schedule
+                    .pending
+                    .iter()
+                    .map(|&i| FaultKey::of(&jobs[i]))
+                    .filter(|key| seen.insert(key.clone()))
+                    .map(|key| ManifestKey {
+                        digest: format!("{key}"),
+                        key: key.repr().to_string(),
                     })
                     .collect();
                 AppManifest {
                     app: e.app.name().to_string(),
                     scope: format!("{:016x}", campaign.scope()),
-                    jobs: schedule.len(),
+                    jobs: jobs.len(),
                     keys,
                 }
             })
@@ -141,16 +144,6 @@ impl Suite {
         self
     }
 
-    /// Number of registered campaigns.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the suite is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Registered application names, in registration order.
     pub fn apps(&self) -> Vec<&str> {
         self.entries.iter().map(|e| e.app.name()).collect()
@@ -172,14 +165,14 @@ impl Suite {
     /// [`Suite::with_workers`]); the report is in registration order and
     /// byte-identical at every worker count.
     pub fn execute(&self) -> SuiteReport {
-        // Every campaign plans and executes through the suite-scoped result
-        // cache (unless its session already carries an explicit one).
+        // Every campaign plans and executes through its session's result
+        // cache, or else the suite's, if either has one.
         let campaigns: Vec<Campaign<'_>> = self
             .entries
             .iter()
             .map(|e| {
                 let mut campaign = e.session.campaign(e.app.as_ref() as &dyn Application);
-                campaign.ensure_cache(self.cache.clone());
+                campaign.options.cache = campaign.options.cache.take().or_else(|| self.cache.clone());
                 campaign
             })
             .collect();
@@ -203,14 +196,15 @@ impl Suite {
 ///
 /// `jobs[app]` is `None` to trace and plan campaign `app` on the pool, or
 /// the job list of a pre-built plan to run. Either way a scheduling job,
-/// on whichever thread pops it, builds the schedule: canonical keys, cache
-/// and store lookups, then static pruning of the misses. Back on the calling thread
-/// its pruned and cache-resolved records replay in plan order, each built
-/// by [`crate::engine::planner::RunDigest::into_record`] with its
-/// provenance as every executed record is, and only the misses fan
-/// back onto the same queue, so idle workers steal across campaign
-/// boundaries; equal keys among them execute once, through the cache's
-/// claim. A budgeted campaign
+/// on whichever thread pops it, builds the schedule: under a cache,
+/// canonical keys and cache and store lookups; then static pruning of the
+/// misses. Back on the calling thread its pruned and cache-resolved
+/// records replay in plan order, each built by
+/// [`crate::engine::planner::RunDigest::into_record`] with its provenance
+/// as every executed record is, and only the misses fan back onto the same
+/// queue, so idle workers steal across campaign boundaries. Under a cache,
+/// equal keys among them execute once, through the cache's claim; without
+/// one, each runs. A budgeted campaign
 /// ([`crate::campaign::CampaignOptions::plan_budget`]) enqueues one job at
 /// a time, picked by observed verdict yield, and each finished record with
 /// `cache_hit == false` spends one unit of its budget. Cache replays are
@@ -257,14 +251,20 @@ pub(crate) fn drive(
                 idx,
                 jobs,
                 schedule,
-            } => Done::Ran {
-                app,
-                idx,
-                // Claim-aware: when several suites share one cache, a run
-                // another suite is executing right now is waited out and
-                // replayed instead of duplicated.
-                record: campaigns[app].run_job_keyed(&jobs, idx, schedule.key(idx)),
-            },
+            } => {
+                let campaign = &campaigns[app];
+                let record = match schedule.key(idx) {
+                    // Claim-aware: when several suites share one cache, a
+                    // run another suite is executing right now is waited
+                    // out and replayed instead of duplicated.
+                    Some(key) => campaign.run_job_keyed(&jobs, idx, key),
+                    // No cache, so no key and no claim: the job runs.
+                    None => campaign
+                        .run_job(&jobs, idx)
+                        .into_record(&jobs[idx], Provenance::Executed),
+                };
+                Done::Ran { app, idx, record }
+            }
         },
         &mut |done| {
             let app = match &done {
@@ -395,7 +395,8 @@ impl AppSlot {
             Some((0, _)) => {
                 let (cache, schedule) = (campaign.options.cache.as_ref(), Arc::clone(schedule));
                 for idx in std::mem::take(&mut self.remaining) {
-                    if let Some(digest) = cache.and_then(|c| c.lookup(campaign.scope(), schedule.key(idx))) {
+                    let key = schedule.key(idx);
+                    if let Some(digest) = cache.zip(key).and_then(|(c, key)| c.lookup(campaign.scope(), key)) {
                         let record = digest.into_record(&self.jobs[idx], Provenance::Cached);
                         self.file(idx, record);
                     }

@@ -28,7 +28,9 @@
 //! handle reads a segment once, on the first load or save of its scope.
 //! A record failing its checksum, of a foreign version, or malformed is
 //! logged and ignored (its key misses); the first valid record of a key
-//! wins. Writers take the segment's advisory lock. A save is one `O_APPEND`
+//! wins. A symbolic link where a segment belongs is never followed: the
+//! handle quarantines that segment, and warns once. Writers take the
+//! segment's advisory lock. A save is one `O_APPEND`
 //! write of one line; a new segment gets its header and first record from
 //! one temp file renamed into place. A crash mid-write leaves a torn line,
 //! which the next save ends with a newline (or replaces, if it is the
@@ -65,13 +67,17 @@ fn store_header() -> String {
 }
 
 /// Writes `text` to a transient `.epa-*` file beside `path` and renames it
-/// over `path`, so no reader sees a partial file. Keeps `mtime` if given.
-fn install(path: &Path, text: &str, mtime: Option<SystemTime>) -> io::Result<()> {
+/// over `path`, so no reader sees a partial file and a link at `path` is
+/// replaced, never followed. Keeps `mtime` if given.
+pub(crate) fn install(path: &Path, text: &str, mtime: Option<SystemTime>) -> io::Result<()> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let name = path.file_name().unwrap_or_default().to_string_lossy();
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
     let tmp = path.with_file_name(format!(".epa-{name}-{}-{n}.tmp", std::process::id()));
-    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+    // A new file only: a link planted at the predictable name is refused,
+    // never followed and truncated.
+    let created = std::fs::File::options().write(true).create_new(true).open(&tmp);
+    let written = created.and_then(|mut file| {
         file.write_all(text.as_bytes())?;
         mtime.map_or(Ok(()), |t| file.set_modified(t))
     });
@@ -82,20 +88,53 @@ fn install(path: &Path, text: &str, mtime: Option<SystemTime>) -> io::Result<()>
     renamed
 }
 
+/// Opens `path` with `options`, refusing a symbolic link there, dangling or
+/// not: the store never follows a link out of its root. The check runs
+/// after the open, so it also sees a link planted just before it. Pair it
+/// with `create_new` to create a file: plain `create` would already have
+/// created the link's target.
+fn open_unlinked(path: &Path, options: &std::fs::OpenOptions) -> io::Result<std::fs::File> {
+    let opened = options.open(path);
+    if std::fs::symlink_metadata(path).is_ok_and(|named| named.file_type().is_symlink()) {
+        return Err(io::Error::other("a symbolic link, which the store does not follow"));
+    }
+    opened
+}
+
+/// Reads the segment file at `path` whole, refusing a link there. `touch`
+/// first refreshes its timestamp (best-effort), for the LRU.
+fn read_segment_file(path: &Path, touch: bool) -> io::Result<Vec<u8>> {
+    let mut file = open_unlinked(path, std::fs::File::options().read(true))?;
+    if touch {
+        let _ = file.set_modified(SystemTime::now());
+    }
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).map(|_| bytes)
+}
+
 /// Opens the segment at `path` (creating it empty if asked) for appending
 /// under an exclusive advisory lock, held until the file closes. If a
 /// rewrite replaced the file before the lock was granted, the lock is
-/// retaken on the file `path` names now, so no append is lost.
+/// retaken on the file `path` names now, so no append is lost. A link at
+/// `path` is refused.
 fn lock_segment(path: &Path, create: bool) -> io::Result<std::fs::File> {
+    let mut options = std::fs::File::options();
+    options.read(true).append(true);
     loop {
-        let file = std::fs::File::options()
-            .read(true)
-            .append(true)
-            .create(create)
-            .open(path)?;
+        let file = match open_unlinked(path, &options) {
+            Err(e) if create && e.kind() == io::ErrorKind::NotFound => {
+                match open_unlinked(path, options.clone().create_new(true)) {
+                    // Another writer created it first: open theirs.
+                    Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+                    created => created?,
+                }
+            }
+            opened => opened?,
+        };
         file.lock()?;
         let held = file.metadata()?;
-        if std::fs::metadata(path).is_ok_and(|named| (named.dev(), named.ino()) == (held.dev(), held.ino())) {
+        let named = std::fs::symlink_metadata(path);
+        if named.is_ok_and(|named| (named.dev(), named.ino()) == (held.dev(), held.ino())) {
             return Ok(file);
         }
     }
@@ -442,15 +481,12 @@ impl DiskStore {
 
     /// Reads and decodes `scope`'s segment for the hot path, logging
     /// damage and refreshing its timestamp (best-effort) for the LRU. A
-    /// segment that cannot be read is quarantined, and noted for the
-    /// handle's warning at close.
+    /// segment that cannot be read, or a link where it belongs, is
+    /// quarantined, and noted for the handle's warning at close: no load or
+    /// save touches it again.
     fn read_segment(&self, scope: u64) -> Segment {
         let path = self.segment_path(scope);
-        let read = std::fs::File::open(&path).and_then(|mut file| {
-            let _ = file.set_modified(SystemTime::now());
-            let mut bytes = Vec::new();
-            file.read_to_end(&mut bytes).map(|_| bytes)
-        });
+        let read = read_segment_file(&path, true);
         let shown = path.display();
         let unreadable = read.as_ref().err().filter(|e| e.kind() != io::ErrorKind::NotFound);
         if let Some(e) = unreadable {
@@ -526,7 +562,7 @@ impl DiskStore {
             .filter_map(|entry| {
                 let path = entry.path();
                 let scope = u64::from_str_radix(path.file_name()?.to_str()?.strip_suffix(".seg")?, 16).ok()?;
-                let segment = decode_segment(scope, std::fs::read(&path));
+                let segment = decode_segment(scope, read_segment_file(&path, false));
                 Some((path, entry.metadata().ok()?, segment))
             })
             .collect();
@@ -1012,6 +1048,37 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
+    fn a_link_to_a_valid_segment_outside_the_root_is_refused_not_followed() {
+        let (dir, store) = temp_store("link");
+        let (k, segment) = (key("l#0|-|{}"), store.segment_path(5));
+        store.save(5, &k, &digest(0, 1));
+        drop(store);
+        // The segment moves out of the store, and a link takes its place.
+        let outside = dir.with_extension("outside.seg");
+        std::fs::rename(&segment, &outside).expect("the segment moves out");
+        std::os::unix::fs::symlink(&outside, &segment).expect("a link to it");
+        let before = std::fs::read(&outside).expect("the outside segment reads");
+        let store = DiskStore::open(&dir).expect("store reopens");
+        assert_eq!(store.load(5, &k), None, "a linked segment reads as a miss");
+        store.save(5, &key("l#1|-|{}"), &digest(0, 2));
+        let warning = store.faults.lock().unwrap().warning(&dir).expect("the handle warns");
+        assert!(
+            warning.contains("1 segment could not be read (a symbolic link"),
+            "{warning}"
+        );
+        assert_eq!(store.verify().quarantined.len(), 1, "verify names the link");
+        drop(store);
+        assert_eq!(
+            std::fs::read(&outside).expect("reads"),
+            before,
+            "the outside file is untouched"
+        );
+        let _ = std::fs::remove_file(&outside);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
     fn unreadable_segments_and_failed_saves_make_one_warning() {
         let (dir, store) = temp_store("io-faults");
         std::fs::create_dir_all(store.segment_dir()).expect("segment dir");
@@ -1019,16 +1086,20 @@ mod tests {
         for scope in [1, 2] {
             std::fs::create_dir(store.segment_path(scope)).expect("a directory where a segment belongs");
         }
-        // A dangling link reads as a missing segment, but no append can
-        // create its target.
-        std::os::unix::fs::symlink(dir.join("gone").join("x.seg"), store.segment_path(3)).expect("dangling link");
+        // A dangling link planted after the handle read a segment as
+        // missing: no append follows it to create its target.
+        let target = store.segment_dir().join("elsewhere.seg");
         for scope in [1, 2, 3] {
             for n in 0..2 {
                 let k = key(&format!("s#{n}|-|{{}}"));
                 assert_eq!(store.load(scope, &k), None);
+                if (scope, n) == (3, 0) {
+                    std::os::unix::fs::symlink(&target, store.segment_path(3)).expect("dangling link");
+                }
                 store.save(scope, &k, &digest(0, 1));
             }
         }
+        assert!(!target.exists(), "the link's target was not created");
         let faults = store.faults.lock().unwrap_or_else(PoisonError::into_inner);
         assert_eq!((faults.unreadable.len(), faults.unsaved), (2, 2));
         let warning = faults.warning(&dir).expect("the handle warns");

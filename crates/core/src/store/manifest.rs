@@ -84,7 +84,9 @@ impl SuiteManifest {
         self.apps.iter().map(|a| a.keys.len()).sum()
     }
 
-    /// Writes the manifest as pretty JSON to `dir/MANIFEST.json`.
+    /// Writes the manifest as pretty JSON to `dir/MANIFEST.json`, through a
+    /// temp file renamed into place: a link planted there is replaced, not
+    /// followed out of the store.
     ///
     /// # Errors
     ///
@@ -93,7 +95,7 @@ impl SuiteManifest {
         let path = dir.join(MANIFEST_FILE);
         let text = serde_json::to_string_pretty(self)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("manifest serialization: {e}")))?;
-        std::fs::write(&path, text)?;
+        crate::store::disk::install(&path, &text, None)?;
         Ok(path)
     }
 

@@ -124,7 +124,7 @@ impl ResultStore for MemoryStore {
 /// and `EPA_CACHE_DIR`: the validated directory (absent when no store was
 /// requested or the request had to be refused) plus, for a refused request,
 /// why. The caller decides what a refusal means: a suite run warns and
-/// falls back to in-memory memoization (the same contract as the
+/// runs without a store (the same contract as the
 /// executor's `EPA_WORKERS` parsing); a store operation on an explicit
 /// directory fails.
 #[derive(Debug, Clone, PartialEq, Eq)]

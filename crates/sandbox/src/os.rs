@@ -1017,19 +1017,6 @@ impl Os {
         Ok(())
     }
 
-    /// Creates a directory. See [`Syscall::Mkdir`].
-    pub fn sys_mkdir(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>, mode: u16) -> SysResult<()> {
-        self.syscall(
-            pid,
-            site,
-            Syscall::Mkdir {
-                path: path.into(),
-                mode,
-            },
-        )?;
-        Ok(())
-    }
-
     /// Changes the working directory. See [`Syscall::Chdir`].
     pub fn sys_chdir(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>) -> SysResult<()> {
         self.syscall(pid, site, Syscall::Chdir { path: path.into() })?;
@@ -1048,68 +1035,10 @@ impl Os {
         expect_return!(r, Meta)
     }
 
-    /// Creates a symlink. See [`Syscall::SymlinkCreate`].
-    pub fn sys_symlink(&mut self, pid: Pid, site: &str, target: &str, link: impl Into<PathArg>) -> SysResult<()> {
-        self.syscall(
-            pid,
-            site,
-            Syscall::SymlinkCreate {
-                target: target.to_string(),
-                link: link.into(),
-            },
-        )?;
-        Ok(())
-    }
-
     /// Reads a symlink target. See [`Syscall::Readlink`].
     pub fn sys_readlink(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>) -> SysResult<String> {
         let r = self.syscall(pid, site, Syscall::Readlink { path: path.into() })?;
         expect_return!(r, Text)
-    }
-
-    /// Renames. See [`Syscall::Rename`].
-    pub fn sys_rename(
-        &mut self,
-        pid: Pid,
-        site: &str,
-        from: impl Into<PathArg>,
-        to: impl Into<PathArg>,
-    ) -> SysResult<()> {
-        self.syscall(
-            pid,
-            site,
-            Syscall::Rename {
-                from: from.into(),
-                to: to.into(),
-            },
-        )?;
-        Ok(())
-    }
-
-    /// Changes mode bits. See [`Syscall::Chmod`].
-    pub fn sys_chmod(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>, mode: u16) -> SysResult<()> {
-        self.syscall(
-            pid,
-            site,
-            Syscall::Chmod {
-                path: path.into(),
-                mode,
-            },
-        )?;
-        Ok(())
-    }
-
-    /// Changes ownership. See [`Syscall::Chown`].
-    pub fn sys_chown(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>, owner: Uid) -> SysResult<()> {
-        self.syscall(
-            pid,
-            site,
-            Syscall::Chown {
-                path: path.into(),
-                owner,
-            },
-        )?;
-        Ok(())
     }
 
     /// Lists a directory. See [`Syscall::ListDir`].
@@ -1175,19 +1104,6 @@ impl Os {
                 key: key.to_string(),
                 value: value.to_string(),
                 data: data.to_string(),
-            },
-        )?;
-        Ok(())
-    }
-
-    /// Deletes a registry value. See [`Syscall::RegDelete`].
-    pub fn sys_reg_delete(&mut self, pid: Pid, site: &str, key: &str, value: &str) -> SysResult<()> {
-        self.syscall(
-            pid,
-            site,
-            Syscall::RegDelete {
-                key: key.to_string(),
-                value: value.to_string(),
             },
         )?;
         Ok(())

@@ -8,7 +8,6 @@
 //! to the verdicts of an exhaustive cache-free run.
 
 use epa::apps::ScriptedApp;
-use epa::core::campaign::CampaignOptions;
 use epa::core::corpus::{synthesize_one, DEFAULT_CORPUS_SEED};
 use epa::core::engine::planner::{Claim, FaultKey, ResultCache, RunDigest};
 use epa::core::engine::{Session, Suite};
@@ -140,11 +139,7 @@ fn simultaneous_suites_share_one_cache_without_duplicate_executions() {
         .map(|&index| {
             let scenario = synthesize_one(DEFAULT_CORPUS_SEED, index);
             let setup = scenario.spec.materialize().unwrap();
-            let session = Session::from_setup(setup).with_options(CampaignOptions {
-                dedup: false,
-                ..CampaignOptions::default()
-            });
-            session.execute(&ScriptedApp::for_scenario(&scenario))
+            Session::from_setup(setup).execute(&ScriptedApp::for_scenario(&scenario))
         })
         .collect();
     let injected: usize = exhaustive.iter().map(CampaignReport::injected).sum();

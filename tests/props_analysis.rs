@@ -176,8 +176,8 @@ fn record_lines(report: &CampaignReport) -> Vec<String> {
 
 /// The standard suite's pruning is pinned: of 245 records, 29 are proven
 /// inert and 216 execute, split across the applications as listed. The
-/// occurrence-exhaustive baseline (dedup, pruning and the occurrence cap
-/// off) executes 277 runs, so the default plan executes at least 20% fewer.
+/// occurrence-exhaustive baseline (pruning and the occurrence cap off)
+/// executes 277 runs, so the default plan executes at least 20% fewer.
 /// Pruning changes no record of the planned (pruning-off) suite, and every
 /// pruned-suite record appears verbatim in the exhaustive stream.
 #[test]
@@ -189,7 +189,6 @@ fn standard_suite_prunes_the_same_jobs() {
             .reports
     };
     let exhaustive = cold(CampaignOptions {
-        dedup: false,
         static_prune: false,
         max_occurrences_per_site: usize::MAX,
         ..CampaignOptions::default()
@@ -272,7 +271,7 @@ fn lint_output_is_deterministic() {
 /// catalog faults addressing one inode through a symlink and through its
 /// physical path get **different** keys: the planner executes both rather
 /// than conflating them. The analyzer resolves the same spellings to one
-/// physical form. The asymmetry is sound — a missed dedup costs a run,
+/// physical form. The asymmetry is sound — a missed merge costs a run,
 /// while a false merge would replay a wrong outcome — and must stay this
 /// way unless `FaultKey` learns to resolve against the frozen world.
 #[test]

@@ -134,8 +134,8 @@ proptest! {
     /// The planner's acceptance property: over randomized worlds, plans,
     /// and invariants —
     ///
-    /// 1. dedup + a shared cache reproduce the exhaustive (dedup-off,
-    ///    cache-off) report exactly, on a cold *and* a fully warmed cache;
+    /// 1. a shared cache reproduces the exhaustive (cache-off) report
+    ///    exactly, on a cold *and* a fully warmed cache;
     /// 2. the warmed pass executes zero runs;
     /// 3. a budget covering the whole plan is a pure permutation (same
     ///    report); a smaller budget yields a subset whose every record is
@@ -158,13 +158,10 @@ proptest! {
         };
 
         // Exhaustive baseline: every job its own run, plan order.
-        let exhaustive = Session::from_setup(setup.clone()).with_options(CampaignOptions {
-            dedup: false,
-            ..base.clone()
-        });
+        let exhaustive = Session::from_setup(setup.clone()).with_options(base.clone());
         let e = exhaustive.execute(&app);
 
-        // Dedup + memo: two passes over one shared cache.
+        // Memo: two passes over one shared cache.
         let cache = ResultCache::new();
         let planner = Session::from_setup(setup.clone())
             .with_options(base.clone())
@@ -224,10 +221,13 @@ fn duplicate_payloads_within_a_plan_execute_once() {
     let setup = spec.materialize().unwrap();
     // Pruning off: this test isolates in-plan replay, and the analyzer may
     // prove the chosen fault inert (which would synthesize both records).
-    let session = Session::from_setup(setup).with_options(CampaignOptions {
-        static_prune: false,
-        ..Default::default()
-    });
+    // In-plan replay goes through a cache, so the session names one.
+    let session = Session::from_setup(setup)
+        .with_options(CampaignOptions {
+            static_prune: false,
+            ..Default::default()
+        })
+        .with_result_cache(ResultCache::new());
 
     let mut plan = session.plan(&app);
     let site_idx = plan
@@ -261,8 +261,8 @@ fn duplicate_payloads_within_a_plan_execute_once() {
     assert!(!twin[0].cache_hit && twin[1].cache_hit);
 
     // The plan cut down to the fault and its duplicate. Cache replays are
-    // free, so a budget of one run still delivers both records; with no
-    // dedup and no cache both execute.
+    // free, so a budget of one run over a cache still delivers both
+    // records; with no cache both execute.
     for (i, site) in plan.sites.iter_mut().enumerate() {
         if i == site_idx {
             site.occurrences = 1;
@@ -282,28 +282,25 @@ fn duplicate_payloads_within_a_plan_execute_once() {
     };
     let budgeted = run(CampaignOptions {
         plan_budget: Some(1),
+        cache: Some(ResultCache::new()),
         ..Default::default()
     });
     assert_eq!(budgeted.injected(), 2, "the spent budget still replays the duplicate");
     assert_eq!((budgeted.runs_executed(), budgeted.cache_hits()), (1, 1));
     assert_eq!(budgeted.records[0].violations, budgeted.records[1].violations);
-    let exhaustive = run(CampaignOptions {
-        dedup: false,
-        cache: None,
-        ..Default::default()
-    });
+    let exhaustive = run(CampaignOptions::default());
     assert_eq!((exhaustive.runs_executed(), exhaustive.cache_hits()), (2, 0));
     assert_eq!(exhaustive.records[0].violations, exhaustive.records[1].violations);
 }
 
 /// Two registrations of the same application over the same (independently
 /// materialized) world spec share a memoization scope: a one-worker suite
-/// replays the whole second campaign from the first one's runs — the
-/// fingerprint is content-addressed, not pointer identity.
+/// over a cache replays the whole second campaign from the first one's
+/// runs — the fingerprint is content-addressed, not pointer identity.
 #[test]
 fn suite_replays_identical_campaigns_from_the_shared_cache() {
     use epa::apps::Lpr;
-    let mut suite = Suite::new();
+    let mut suite = Suite::new().with_result_cache(ResultCache::new());
     suite.register(Lpr, &epa::apps::lpr::spec()).unwrap();
     suite.register(Lpr, &epa::apps::lpr::spec()).unwrap();
     let report = suite.with_workers(1).execute();
@@ -318,12 +315,14 @@ fn suite_replays_identical_campaigns_from_the_shared_cache() {
     assert_eq!(executed_view(&report.reports[1]), executed_view(&report.reports[0]));
 }
 
-/// Two passes of one standard suite: the second replays every run from the
-/// suite's memo, and both find exactly what two passes of fresh suites (each
-/// on a cold cache) find.
+/// Two passes of one standard suite over one cache: the second replays
+/// every run from the suite's memo, and both find exactly what two passes
+/// of fresh cache-less suites find.
 #[test]
 fn a_second_standard_suite_pass_replays_from_the_memo() {
-    let suite = epa::apps::standard_suite().expect("valid specs");
+    let suite = epa::apps::standard_suite()
+        .expect("valid specs")
+        .with_result_cache(ResultCache::new());
     let memo = [suite.execute(), suite.execute()];
     let exhaustive = || epa::apps::standard_suite().expect("valid specs").execute();
     let cold = [exhaustive(), exhaustive()];
@@ -337,13 +336,33 @@ fn a_second_standard_suite_pass_replays_from_the_memo() {
     }
 }
 
+/// A cache is opt-in, and the standard suite has no duplicate to replay:
+/// with no cache and with a fresh one it gives identical reports,
+/// provenance flags included, at 1 and 2 workers — 216 runs executed, 29
+/// pruned, 0 cache hits.
+#[test]
+fn the_standard_suite_reports_the_same_with_and_without_a_cache() {
+    for workers in [1, 2] {
+        let suite = || epa::apps::standard_suite().expect("valid specs").with_workers(workers);
+        let uncached = suite().execute();
+        let cached = suite().with_result_cache(ResultCache::new()).execute();
+        assert_eq!(uncached, cached, "{workers} workers");
+        let counts = (
+            uncached.total_runs_executed(),
+            uncached.total_pruned(),
+            uncached.total_cache_hits(),
+        );
+        assert_eq!(counts, (216, 29, 0), "{workers} workers");
+    }
+}
+
 /// `plan_budget` caps executed runs, and cache replays are free: when a
 /// second registration of the same campaign replays the first one's claims
 /// from the suite-scoped cache, it still executes its own full budget.
 #[test]
 fn a_budget_spends_only_on_executed_runs_in_a_shared_suite() {
     use epa::apps::Lpr;
-    let mut suite = Suite::new();
+    let mut suite = Suite::new().with_result_cache(ResultCache::new());
     for _ in 0..2 {
         let session = Session::new(&epa::apps::lpr::spec())
             .unwrap()

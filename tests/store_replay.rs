@@ -227,11 +227,10 @@ fn outcomes<'a>(reports: impl IntoIterator<Item = &'a CampaignReport>) -> String
 }
 
 /// The exhaustive reference: every standard application through its own
-/// cache-less session, with static pruning and dedup off.
+/// cache-less session, with static pruning off.
 fn exhaustive_outcomes() -> String {
     let options = CampaignOptions {
         static_prune: false,
-        dedup: false,
         ..CampaignOptions::default()
     };
     let reports: Vec<CampaignReport> = standard_apps()
