@@ -104,11 +104,11 @@ pub fn standard_suite() -> Result<epa_core::engine::Suite, epa_core::engine::Spe
 
 /// As [`standard_suite`], with explicit [`epa_core::campaign::CampaignOptions`]
 /// installed on every registered session — how callers opt into budgeted
-/// campaigns or static pruning off across the whole suite. The suite has
-/// no result cache unless the caller adds one
+/// campaigns or static pruning (`static_prune: true`) across the whole
+/// suite. The suite has no result cache unless the caller adds one
 /// ([`epa_core::engine::Suite::with_result_cache`] or
-/// [`epa_core::engine::Suite::with_store`]), so with `static_prune: false`
-/// it is the exhaustive reference: every planned job executes.
+/// [`epa_core::engine::Suite::with_store`]), so with default options it is
+/// the exhaustive reference: every planned job executes.
 ///
 /// # Errors
 ///

@@ -205,7 +205,7 @@ fn broken_segments(dir: &Path, make: fn(&Path), covered: &str, cause: &str) -> O
         make(&segments.join(format!("{}.seg", app.scope)));
     }
     let out = reproduce_suite(Some(dir));
-    assert_eq!(runs_executed(&out.stdout), 216, "nothing was replayed");
+    assert_eq!(runs_executed(&out.stdout), 245, "nothing was replayed");
     let warnings = store_warnings(&out);
     if let [warning] = warnings.as_slice() {
         assert!(warning.contains(covered), "{covered}: {warning}");

@@ -19,13 +19,10 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use epa_sandbox::app::Application;
 use epa_sandbox::path;
 use epa_sandbox::policy::InvariantSpec;
 
-use crate::campaign::run_once;
-use crate::corpus::Scenario;
-use crate::engine::spec::{SpecError, WorldSpec};
+use crate::engine::spec::WorldSpec;
 use crate::inject::InjectionPlan;
 
 use super::statics::{declared_exists, resolve_alias};
@@ -143,21 +140,6 @@ fn dead_fault_tally(analysis: &AppAnalysis, jobs: &[InjectionPlan]) -> BTreeMap<
     out
 }
 
-/// Lints a corpus scenario: the script runs once, unperturbed, and its
-/// clean-run trace is the model [`lint_setup`] checks the world against.
-/// With no planned jobs and no occurrence budget, EPA0003 and EPA0005
-/// never fire.
-///
-/// # Errors
-///
-/// Any [`SpecError`] from materializing the scenario's world.
-pub fn lint_scenario(scenario: &Scenario, app: &dyn Application) -> Result<LintReport, SpecError> {
-    let setup = scenario.spec.materialize()?;
-    let clean = run_once(&setup, app, None);
-    let analysis = AppAnalysis::from_clean_run(&setup, &clean);
-    Ok(lint_setup(&scenario.id, &scenario.spec, &analysis, &[], None))
-}
-
 /// Lints a world against its application's clean-run analysis (the trace
 /// is the model of what the application touches and creates); the planned
 /// job list feeds the dead-fault statistics.
@@ -221,7 +203,7 @@ pub fn lint_setup(
             "EPA0003",
             Severity::Info,
             site,
-            format!("{count} catalog fault(s) at this site are provably inert and will be pruned"),
+            format!("{count} catalog fault(s) at this site are provably inert (dead faults)"),
         ));
     }
 
@@ -244,8 +226,10 @@ pub fn lint_setup(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{BehaviorScript, BehaviorStep};
-    use crate::engine::spec::{DirSpec, FileSpec, SymlinkSpec, UserSpec};
+    use crate::campaign::run_once;
+    use crate::corpus::{BehaviorScript, BehaviorStep, Scenario};
+    use crate::engine::spec::{DirSpec, FileSpec, SpecError, SymlinkSpec, UserSpec};
+    use epa_sandbox::app::Application;
     use epa_sandbox::cred::{Gid, Uid};
     use epa_sandbox::os::Os;
     use epa_sandbox::process::Pid;
@@ -277,8 +261,13 @@ mod tests {
         }
     }
 
+    /// Lints a scenario against its clean-run trace, with no planned jobs
+    /// and no occurrence budget (EPA0003 and EPA0005 never fire).
     fn lint(scenario: &Scenario) -> LintReport {
-        lint_scenario(scenario, &Script(scenario.script.clone())).expect("test worlds materialize")
+        let setup = scenario.spec.materialize().expect("test worlds materialize");
+        let clean = run_once(&setup, &Script(scenario.script.clone()), None);
+        let analysis = AppAnalysis::from_clean_run(&setup, &clean);
+        lint_setup(&scenario.id, &scenario.spec, &analysis, &[], None)
     }
 
     fn file(path: &str) -> FileSpec {

@@ -17,7 +17,7 @@
 //!    planned `fault × site × occurrence` job to [`Relevance::Relevant`],
 //!    [`Relevance::ProvablyInert`] (with a machine-checkable
 //!    [`Justification`]), or [`Relevance::Unknown`]. The planner drops only
-//!    `ProvablyInert` jobs (see `CampaignOptions::static_prune`), recording
+//!    `ProvablyInert` jobs (where `CampaignOptions::static_prune` is on), recording
 //!    them as `pruned` replays whose outcome is synthesized from the clean
 //!    run — sound because an inert fault's run is, by construction,
 //!    byte-identical to the clean run.
@@ -74,7 +74,7 @@
 pub mod lint;
 pub mod statics;
 
-pub use lint::{lint_scenario, lint_setup, Diagnostic, LintReport, Severity};
+pub use lint::{lint_setup, Diagnostic, LintReport, Severity};
 
 use std::collections::{BTreeMap, BTreeSet};
 

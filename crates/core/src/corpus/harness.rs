@@ -140,13 +140,12 @@ fn report_outcome(path: &str, report: &CampaignReport) -> PathOutcome {
 
 /// The campaign options every path shares: strike every traced occurrence
 /// of every site (the corpus is biased toward occurrence-sensitive shapes,
-/// so first-hit-only plans would under-exercise it). Static pruning is off
-/// so every other path stays the exhaustive ground truth; the `pruned`
-/// path turns it back on and must agree with them byte-for-byte.
+/// so first-hit-only plans would under-exercise it). Static pruning stays
+/// off, as by default, so every other path is the exhaustive ground truth;
+/// the `pruned` path turns it on and must agree with them byte-for-byte.
 fn base_options() -> CampaignOptions {
     CampaignOptions {
         max_occurrences_per_site: usize::MAX,
-        static_prune: false,
         ..CampaignOptions::default()
     }
 }

@@ -19,7 +19,9 @@
 //!    content-addressed [`planner::FaultKey`] and memoizes
 //!    `(setup fingerprint, FaultKey) -> RunDigest` in it, so equal runs —
 //!    in one plan or across runs — execute once and replay after;
-//!    statically prunes provably inert jobs; and (opt-in, via
+//!    where a caller opts in with
+//!    [`crate::campaign::CampaignOptions::static_prune`], statically prunes
+//!    provably inert jobs; and (opt-in, via
 //!    [`crate::campaign::CampaignOptions::plan_budget`]) prioritizes
 //!    remaining jobs by observed per-EAI-category verdict yield.
 //! 5. **[`Executor`]** (`executor`) — the one work pool: every campaign,

@@ -235,9 +235,12 @@ mod tests {
 
     #[test]
     fn a_pruned_campaign_runs_the_application_once_per_executed_job_plus_one_clean_run() {
-        // Static pruning is on by default: the analysis must reuse the
-        // plan's clean run, never repeat it.
-        let s = session();
+        // With static pruning on, the analysis must reuse the plan's clean
+        // run, never repeat it.
+        let s = session().with_options(CampaignOptions {
+            static_prune: true,
+            ..CampaignOptions::default()
+        });
         let check = |name: &str, execute: &dyn Fn(&Counting) -> CampaignReport| {
             let app = Counting(AtomicUsize::new(0));
             let executed = execute(&app).runs_executed();

@@ -49,8 +49,10 @@ pub struct Suite {
 
 impl Suite {
     /// An empty suite with no result cache: each [`Suite::execute`] runs
-    /// every job static pruning keeps, and builds no fault key. Memoization
-    /// is opt-in: [`Suite::with_result_cache`] or [`Suite::with_store`].
+    /// every planned job (static pruning is off unless a session's
+    /// [`crate::campaign::CampaignOptions::static_prune`] turns it on), and
+    /// builds no fault key. Memoization is opt-in:
+    /// [`Suite::with_result_cache`] or [`Suite::with_store`].
     pub fn new() -> Suite {
         Suite::default()
     }
@@ -524,15 +526,13 @@ impl SuiteReport {
             self.total_injected(),
             self.total_violated()
         );
-        if self.total_cache_hits() > 0 || self.total_pruned() > 0 {
-            let _ = writeln!(
-                s,
-                "  runs executed: {}   replayed from cache: {}   statically pruned: {}",
-                self.total_runs_executed(),
-                self.total_cache_hits(),
-                self.total_pruned()
-            );
-        }
+        let _ = writeln!(
+            s,
+            "  runs executed: {}   replayed from cache: {}   statically pruned: {}",
+            self.total_runs_executed(),
+            self.total_cache_hits(),
+            self.total_pruned()
+        );
         let _ = writeln!(
             s,
             "  interaction coverage: {}   fault coverage: {}",
@@ -627,6 +627,8 @@ mod tests {
         assert!(suite.get("zzz").is_none());
         let text = suite.render_text();
         assert!(text.contains("suite: 2 applications"));
+        // Nothing replayed or pruned: the line still counts the runs.
+        assert!(text.contains("runs executed: 4   replayed from cache: 0   statically pruned: 0"));
         assert!(text.contains("per-category rollup"));
     }
 
@@ -645,7 +647,7 @@ mod tests {
             text.contains("runs executed: 2   replayed from cache: 1   statically pruned: 0"),
             "{text}"
         );
-        // Pruning alone shows the line too: a pruned record never ran.
+        // A pruned record is counted apart: it never ran.
         let mut b = report("b", vec![record(false), record(false)]);
         b.records[0].pruned = true;
         let pruned = SuiteReport { reports: vec![b] };
@@ -655,11 +657,6 @@ mod tests {
             text.contains("runs executed: 1   replayed from cache: 0   statically pruned: 1"),
             "{text}"
         );
-        // Neither: no line.
-        let plain = SuiteReport {
-            reports: vec![report("c", vec![record(false)])],
-        };
-        assert!(!plain.render_text().contains("runs executed"));
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub mod perturb;
 pub mod report;
 pub mod store;
 
-pub use analysis::{lint_scenario, lint_setup, AppAnalysis, Diagnostic, LintReport, Relevance, Severity};
+pub use analysis::{lint_setup, AppAnalysis, Diagnostic, LintReport, Relevance, Severity};
 pub use campaign::{run_once, CampaignOptions, CampaignPlan, RunOutcome, TestSetup};
 pub use catalog::{direct_faults_for, faults_for_site, indirect_faults_for, table5_rows, table6_rows};
 pub use coverage::{AdequacyPoint, AdequacyRegion, AdequacyThresholds, Ratio};

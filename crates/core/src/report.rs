@@ -199,15 +199,13 @@ impl CampaignReport {
             self.violated(),
             self.vulnerability_score()
         );
-        if self.cache_hits() > 0 || self.pruned() > 0 {
-            let _ = writeln!(
-                s,
-                "  runs executed: {}   replayed from cache: {}   statically pruned: {}",
-                self.runs_executed(),
-                self.cache_hits(),
-                self.pruned()
-            );
-        }
+        let _ = writeln!(
+            s,
+            "  runs executed: {}   replayed from cache: {}   statically pruned: {}",
+            self.runs_executed(),
+            self.cache_hits(),
+            self.pruned()
+        );
         let region = self.adequacy().region(AdequacyThresholds::default());
         let _ = writeln!(s, "  adequacy: {} -> {}", self.adequacy(), region);
         let _ = writeln!(s, "  per-site results:");

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 
 use epa::apps::ScriptedApp;
-use epa::core::analysis::{lint_scenario, AppAnalysis};
+use epa::core::analysis::{lint_setup, AppAnalysis, LintReport};
 use epa::core::campaign::CampaignOptions;
 use epa::core::corpus::{synthesize, CorpusConfig, DEFAULT_CORPUS_SEED};
 use epa::core::engine::planner::{FaultKey, RunDigest};
@@ -32,10 +32,7 @@ fn provably_inert_jobs_survive_a_force_run() {
     for scenario in corpus(DEFAULT_CORPUS_SEED, 40) {
         let setup = scenario.spec.materialize().expect("corpus worlds materialize");
         let app = ScriptedApp::for_scenario(&scenario);
-        let session = Session::from_setup(setup.clone()).with_options(CampaignOptions {
-            static_prune: false,
-            ..Default::default()
-        });
+        let session = Session::from_setup(setup.clone());
         let plan = session.plan(&app);
         let analysis = AppAnalysis::from_clean_run(&setup, &plan.clean);
         let inert: Vec<_> = plan
@@ -46,8 +43,8 @@ fn provably_inert_jobs_survive_a_force_run() {
         if inert.is_empty() {
             continue;
         }
-        // Force-run the whole plan (pruning off) and compare each inert
-        // job's executed record against its synthesized digest.
+        // Force-run the whole plan (pruning is off by default) and compare
+        // each inert job's executed record against its synthesized digest.
         let report = session.execute_plan(&app, &plan);
         for job in &inert {
             let synthesized = analysis.pruned_digest(job).expect("inert jobs synthesize a digest");
@@ -174,12 +171,12 @@ fn record_lines(report: &CampaignReport) -> Vec<String> {
     report.records.iter().map(record_line).collect()
 }
 
-/// The standard suite's pruning is pinned: of 245 records, 29 are proven
-/// inert and 216 execute, split across the applications as listed. The
-/// occurrence-exhaustive baseline (pruning and the occurrence cap off)
-/// executes 277 runs, so the default plan executes at least 20% fewer.
-/// Pruning changes no record of the planned (pruning-off) suite, and every
-/// pruned-suite record appears verbatim in the exhaustive stream.
+/// The standard suite's pruning is pinned: with `static_prune` on, 29 of
+/// 245 records are proven inert and 216 execute, split across the
+/// applications as listed; the occurrence-exhaustive baseline executes 277
+/// runs, so pruning cuts at least 20%. Pruning changes no record of the
+/// default (unpruned) suite, and every pruned-suite record appears verbatim
+/// in the exhaustive stream.
 #[test]
 fn standard_suite_prunes_the_same_jobs() {
     let cold = |options: CampaignOptions| {
@@ -189,15 +186,14 @@ fn standard_suite_prunes_the_same_jobs() {
             .reports
     };
     let exhaustive = cold(CampaignOptions {
-        static_prune: false,
         max_occurrences_per_site: usize::MAX,
         ..CampaignOptions::default()
     });
-    let planned = cold(CampaignOptions {
-        static_prune: false,
+    let planned = cold(CampaignOptions::default());
+    let report = cold(CampaignOptions {
+        static_prune: true,
         ..CampaignOptions::default()
     });
-    let report = cold(CampaignOptions::default());
     let per_app: Vec<(&str, usize, usize)> = report
         .iter()
         .map(|r| (r.app.as_str(), r.pruned(), r.runs_executed()))
@@ -215,7 +211,7 @@ fn standard_suite_prunes_the_same_jobs() {
     assert_eq!((exhaustive_runs, runs(&planned)), (277, 245));
     assert!(
         5 * (exhaustive_runs - executed) >= exhaustive_runs,
-        "the default plan must execute >= 20% fewer runs than the exhaustive baseline"
+        "the pruned plan must execute >= 20% fewer runs than the exhaustive baseline"
     );
     for ((e, n), p) in exhaustive.iter().zip(&planned).zip(&report) {
         assert_eq!(
@@ -235,6 +231,16 @@ fn standard_suite_prunes_the_same_jobs() {
     }
 }
 
+/// Lints a corpus scenario as `reproduce lint` lints an application: the
+/// analysis of its plan's clean run, its jobs and the default budget.
+fn lint(scenario: &epa::core::corpus::Scenario) -> LintReport {
+    let setup = scenario.spec.materialize().expect("corpus worlds materialize");
+    let plan = Session::from_setup(setup.clone()).plan(&ScriptedApp::for_scenario(scenario));
+    let analysis = AppAnalysis::from_clean_run(&setup, &plan.clean);
+    let budget = CampaignOptions::default().max_occurrences_per_site;
+    lint_setup(&scenario.id, &scenario.spec, &analysis, &plan.jobs(), Some(budget))
+}
+
 /// Lint output is a pure function of the scenario: re-linting the same
 /// world yields byte-identical text and JSON, independent synthesis of the
 /// same seed yields the same reports, and different seeds lint without
@@ -246,8 +252,7 @@ fn lint_output_is_deterministic() {
         let second = corpus(seed, 12);
         assert_eq!(first.len(), second.len());
         for (a, b) in first.iter().zip(&second) {
-            let ra = lint_scenario(a, &ScriptedApp::for_scenario(a)).expect("corpus worlds materialize");
-            let rb = lint_scenario(b, &ScriptedApp::for_scenario(b)).expect("corpus worlds materialize");
+            let (ra, rb) = (lint(a), lint(b));
             assert_eq!(ra, rb, "lint diverged across synthesis of seed {seed:#x}");
             assert_eq!(ra.render_text(), rb.render_text());
             assert_eq!(

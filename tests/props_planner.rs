@@ -219,15 +219,11 @@ fn duplicate_payloads_within_a_plan_execute_once() {
     let (spec, paths) = build_spec(&[], "report", &[]);
     let app = Walker { files: paths };
     let setup = spec.materialize().unwrap();
-    // Pruning off: this test isolates in-plan replay, and the analyzer may
-    // prove the chosen fault inert (which would synthesize both records).
-    // In-plan replay goes through a cache, so the session names one.
-    let session = Session::from_setup(setup)
-        .with_options(CampaignOptions {
-            static_prune: false,
-            ..Default::default()
-        })
-        .with_result_cache(ResultCache::new());
+    // Pruning stays off, as by default: this test isolates in-plan replay,
+    // and the analyzer may prove the chosen fault inert (which would
+    // synthesize both records). In-plan replay goes through a cache, so the
+    // session names one.
+    let session = Session::from_setup(setup).with_result_cache(ResultCache::new());
 
     let mut plan = session.plan(&app);
     let site_idx = plan
@@ -273,13 +269,7 @@ fn duplicate_payloads_within_a_plan_execute_once() {
         }
     }
     assert_eq!(plan.jobs().len(), 2);
-    let run = |options: CampaignOptions| {
-        let session = session.clone().with_options(CampaignOptions {
-            static_prune: false,
-            ..options
-        });
-        session.execute_plan(&app, &plan)
-    };
+    let run = |options: CampaignOptions| session.clone().with_options(options).execute_plan(&app, &plan);
     let budgeted = run(CampaignOptions {
         plan_budget: Some(1),
         cache: Some(ResultCache::new()),
@@ -338,8 +328,8 @@ fn a_second_standard_suite_pass_replays_from_the_memo() {
 
 /// A cache is opt-in, and the standard suite has no duplicate to replay:
 /// with no cache and with a fresh one it gives identical reports,
-/// provenance flags included, at 1 and 2 workers — 216 runs executed, 29
-/// pruned, 0 cache hits.
+/// provenance flags included, at 1 and 2 workers — 245 runs executed, 0
+/// pruned (static pruning is off by default), 0 cache hits.
 #[test]
 fn the_standard_suite_reports_the_same_with_and_without_a_cache() {
     for workers in [1, 2] {
@@ -352,7 +342,7 @@ fn the_standard_suite_reports_the_same_with_and_without_a_cache() {
             uncached.total_pruned(),
             uncached.total_cache_hits(),
         );
-        assert_eq!(counts, (216, 29, 0), "{workers} workers");
+        assert_eq!(counts, (245, 0, 0), "{workers} workers");
     }
 }
 

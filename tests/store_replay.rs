@@ -227,63 +227,73 @@ fn outcomes<'a>(reports: impl IntoIterator<Item = &'a CampaignReport>) -> String
 }
 
 /// The exhaustive reference: every standard application through its own
-/// cache-less session, with static pruning off.
+/// cache-less session, with default options (static pruning off).
 fn exhaustive_outcomes() -> String {
-    let options = CampaignOptions {
-        static_prune: false,
-        ..CampaignOptions::default()
-    };
     let reports: Vec<CampaignReport> = standard_apps()
         .into_iter()
-        .map(|(app, spec)| {
-            let session = Session::new(&spec).expect("valid specs").with_options(options.clone());
-            session.execute(app.as_ref())
-        })
+        .map(|(app, spec)| Session::new(&spec).expect("valid specs").execute(app.as_ref()))
         .collect();
     assert_eq!(reports.iter().map(CampaignReport::runs_executed).sum::<usize>(), 245);
     outcomes(&reports)
 }
 
-/// Populates a fresh store with the standard suite under `options`, then
-/// replays it in a fresh handle with default options: the warm report.
-fn replay_with_defaults(tag: &str, options: CampaignOptions, executed: usize) -> SuiteReport {
+/// Runs the standard suite over one fresh store once per entry of
+/// `static_prune`, each pass in a fresh handle with pruning set so. Every
+/// pass reaches the exhaustive outcomes. Per pass, the result is `[runs
+/// executed, pruned, cache hits, records in the store after it]`.
+fn store_passes(tag: &str, static_prune: &[bool]) -> Vec<[usize; 4]> {
     let dir = fresh_store_dir(tag);
-    let cold = standard_suite_with_options(options)
-        .expect("valid specs")
-        .with_result_cache(ResultCache::persistent(&dir).expect("the test store directory opens"))
-        .execute();
-    assert_eq!(cold.total_runs_executed(), executed, "the cold suite executes");
-    let warm = standard_suite()
-        .expect("valid specs")
-        .with_result_cache(ResultCache::persistent(&dir).expect("the populated store reopens"))
-        .execute();
+    let exhaustive = exhaustive_outcomes();
+    let pass = |&static_prune: &bool| {
+        let options = CampaignOptions {
+            static_prune,
+            ..CampaignOptions::default()
+        };
+        let report = standard_suite_with_options(options)
+            .expect("valid specs")
+            .with_result_cache(ResultCache::persistent(&dir).expect("the test store directory opens"))
+            .execute();
+        assert_eq!(outcomes(&report.reports), exhaustive);
+        let records = DiskStore::open(&dir).expect("the store reopens").entries();
+        [
+            report.total_runs_executed(),
+            report.total_pruned(),
+            report.total_cache_hits(),
+            records,
+        ]
+    };
+    let counts = static_prune.iter().map(pass).collect();
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(warm.total_runs_executed(), 0, "the warm suite replays");
-    assert_eq!(outcomes(&warm.reports), exhaustive_outcomes());
-    warm
+    counts
 }
 
 #[test]
 fn a_store_written_without_pruning_replays_before_the_analyzer() {
-    // The schedule looks each job up before classifying it, so the jobs
-    // the analyzer would prove inert replay from the store as cache hits.
-    let unpruned = CampaignOptions {
-        static_prune: false,
-        ..CampaignOptions::default()
-    };
-    let warm = replay_with_defaults("unpruned", unpruned, 245);
-    let pruned: usize = warm.reports.iter().map(CampaignReport::pruned).sum();
-    let hits: usize = warm.reports.iter().map(CampaignReport::cache_hits).sum();
-    assert_eq!((pruned, hits), (0, 245));
+    // The schedule looks each job up before classifying it, so under
+    // pruning the jobs the analyzer would prove inert replay from the
+    // store as cache hits.
+    assert_eq!(
+        store_passes("unpruned", &[false, true]),
+        [[245, 0, 0, 245], [0, 0, 245, 245]]
+    );
 }
 
 #[test]
 fn a_store_written_with_pruning_replays_its_inert_jobs_as_pruned() {
-    // Pruned digests are never saved: the inert jobs miss and are pruned.
-    let warm = replay_with_defaults("pruned", CampaignOptions::default(), 216);
-    let pruned: usize = warm.reports.iter().map(CampaignReport::pruned).sum();
-    let hits: usize = warm.reports.iter().map(CampaignReport::cache_hits).sum();
-    assert_eq!((pruned, hits), (29, 216));
+    // Pruned digests are never saved: under pruning the inert jobs miss and
+    // are pruned again. Such a store (every store written while pruning was
+    // on by default) holds 216 records: the first default pass over it
+    // executes exactly the 29 unsaved inert jobs, and the next none.
+    let passes = store_passes("pruned", &[true, true, false, false]);
+    assert_eq!(
+        passes,
+        [
+            [216, 29, 0, 216],
+            [0, 29, 216, 216],
+            [29, 0, 216, 245],
+            [0, 0, 245, 245]
+        ]
+    );
 }
 
 /// A [`ResultStore`] that counts the saves reaching its inner store.
@@ -327,15 +337,15 @@ fn each_executed_run_is_saved_exactly_once() {
         let cold = suite().execute();
         assert_eq!(
             cold.total_runs_executed(),
-            216,
+            245,
             "{workers} workers: the cold suite executes"
         );
         assert_eq!(
             store.saves.load(Ordering::SeqCst),
-            216,
+            245,
             "{workers} workers: the claim that executes a run is its only save"
         );
-        assert_eq!(store.entries(), 216);
+        assert_eq!(store.entries(), 245);
 
         // A fresh hot tier over the same store: everything replays from it.
         store.saves.store(0, Ordering::SeqCst);
@@ -362,13 +372,13 @@ fn a_cold_standard_suite_writes_one_segment_per_application() {
         .expect("valid specs")
         .with_result_cache(cache)
         .execute();
-    assert_eq!(cold.total_runs_executed(), 216);
+    assert_eq!(cold.total_runs_executed(), 245);
     let segments = segment_files(&dir);
     assert_eq!(segments.len(), 8, "one segment per application scope");
     let records: usize = segments.iter().map(|s| segment_lines(s).len() - 1).sum();
-    assert_eq!(records, 216, "one record per executed run");
+    assert_eq!(records, 245, "one record per executed run");
     let store = DiskStore::open(&dir).expect("the populated store re-opens");
-    assert_eq!(store.entries(), 216);
+    assert_eq!(store.entries(), 245);
     assert!(store.verify().is_clean());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -541,7 +551,7 @@ fn identical_cold_runs_leave_byte_identical_stores() {
         .map(|dir| {
             let cache = ResultCache::persistent(dir).expect("the test store directory opens");
             let suite = standard_suite().expect("valid specs").with_workers(4);
-            assert_eq!(suite.with_result_cache(cache).execute().total_runs_executed(), 216);
+            assert_eq!(suite.with_result_cache(cache).execute().total_runs_executed(), 245);
             store_files(dir)
         })
         .collect();
