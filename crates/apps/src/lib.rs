@@ -103,9 +103,10 @@ pub fn standard_suite() -> Result<epa_core::engine::Suite, epa_core::engine::Spe
 }
 
 /// As [`standard_suite`], with explicit [`epa_core::campaign::CampaignOptions`]
-/// installed on every registered session — how callers opt into budgeted
-/// campaigns or static pruning (`static_prune: true`) across the whole
-/// suite. The suite has no result cache unless the caller adds one
+/// installed on every registered session — how callers shrink the plan
+/// (`site_filter`, `max_sites`, `max_faults_per_site`) or opt into static
+/// pruning (`static_prune: true`) across the whole suite. The suite has no
+/// result cache unless the caller adds one
 /// ([`epa_core::engine::Suite::with_result_cache`] or
 /// [`epa_core::engine::Suite::with_store`]), so with default options it is
 /// the exhaustive reference: every planned job executes.

@@ -3,8 +3,8 @@
 //!
 //! Every campaign runs through one driver, so the axes that can still
 //! change what executes are the real semantics: worker count, cache cold
-//! or warm, a budget, static pruning on or off — plus one reference that
-//! bypasses the driver and judges every run twice (incremental oracle vs.
+//! or warm, static pruning on or off — plus one reference that bypasses
+//! the driver and judges every run twice (incremental oracle vs.
 //! [`epa_sandbox::policy::OracleSet::evaluate_log`]). All of them promise
 //! the same verdict set; [`differential_check`] holds them to it. Each
 //! path's report is flattened to a canonical per-record digest line —
@@ -65,7 +65,7 @@ impl Application for Shared {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PathOutcome {
     /// Path name (`sequential`, `pooled`, `planner-cold`, `planner-warm`,
-    /// `budgeted`, `reference`, `pruned`).
+    /// `reference`, `pruned`).
     pub path: String,
     /// Canonical digest lines, one per injected record, in plan order.
     pub lines: Vec<String>,
@@ -211,13 +211,11 @@ fn diff_lines(baseline: &PathOutcome, candidate: &PathOutcome, seed: u64) -> Opt
 /// 3. `planner-cold` / `planner-warm` — a session with a fresh
 ///    [`ResultCache`], executed twice (the warm pass must replay, and still
 ///    agree byte-for-byte);
-/// 4. `budgeted` — the adaptive planner with a budget covering the whole
-///    plan, over a fresh [`ResultCache`];
-/// 5. `reference` — no driver: [`run_once`] job by job over the plan, each
+/// 4. `reference` — no driver: [`run_once`] job by job over the plan, each
 ///    run's incremental verdicts cross-checked against
 ///    [`epa_sandbox::policy::OracleSet::evaluate_log`] on its completed log
 ///    (the clean run's too);
-/// 6. `pruned` — the static analyzer's pre-pruned plan, over a fresh
+/// 5. `pruned` — the static analyzer's pre-pruned plan, over a fresh
 ///    [`ResultCache`] so claim replay composes with prune synthesis: every
 ///    record the analyzer refuses to execute must still carry the
 ///    exhaustive verdict, byte-for-byte.
@@ -326,15 +324,6 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
             "warm planner pass replayed nothing"
         );
         warm
-    });
-
-    check("budgeted", &mut || {
-        let options = CampaignOptions {
-            cache: Some(ResultCache::new()),
-            plan_budget: Some(baseline_report.injected()),
-            ..base_options()
-        };
-        report_outcome("budgeted", &session(options).execute(&*app))
     });
 
     check("reference", &mut || {

@@ -3,9 +3,9 @@
 //!
 //! The corpus layer closes the loop the paper leaves implicit: if the
 //! perturbation engine is itself the measurement instrument, every axis of
-//! its execution (worker count, the memoizing/budgeted planner,
-//! static pruning, incremental vs. batch oracle) must report the *same*
-//! verdicts. This module synthesizes hundreds of valid
+//! its execution (worker count, the memoizing planner, static pruning,
+//! incremental vs. batch oracle) must report the *same* verdicts. This
+//! module synthesizes hundreds of valid
 //! [`WorldSpec`] worlds with scripted behaviors ([`generate`]), runs each
 //! through every path and compares verdict sets byte-for-byte
 //! ([`harness`]), shrinks any divergence or panic to a minimal world diff

@@ -13,17 +13,15 @@
 //! 3. **[`Suite`]** (`suite`) — many `(application, world)` pairs executed
 //!    as one batch, aggregating the finished, plan-ordered campaign reports
 //!    into a [`SuiteReport`] with cross-application rollups.
-//! 4. **[`planner`]** — the adaptive fault-space planner between the fault
+//! 4. **[`planner`]** — the fault-space planner between the fault
 //!    plan and the executor: where a caller installs a
 //!    [`planner::ResultCache`], canonicalizes every job into a
 //!    content-addressed [`planner::FaultKey`] and memoizes
 //!    `(setup fingerprint, FaultKey) -> RunDigest` in it, so equal runs —
 //!    in one plan or across runs — execute once and replay after;
-//!    where a caller opts in with
+//!    and where a caller opts in with
 //!    [`crate::campaign::CampaignOptions::static_prune`], statically prunes
-//!    provably inert jobs; and (opt-in, via
-//!    [`crate::campaign::CampaignOptions::plan_budget`]) prioritizes
-//!    remaining jobs by observed per-EAI-category verdict yield.
+//!    provably inert jobs. Every other job executes.
 //! 5. **[`Executor`]** (`executor`) — the one work pool: every campaign,
 //!    a suite's or a session's (as a one-app suite), runs through the same
 //!    driver on [`Executor::run_expanding`], with deterministic plan-order

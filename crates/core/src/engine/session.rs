@@ -120,10 +120,7 @@ impl Session {
     /// whose share of all perturbable sites reaches
     /// `min_interaction_coverage` (at least one site; every included site
     /// when no prefix reaches it), excludes the later sites and runs the
-    /// plan through [`Session::execute_plan`]. A
-    /// [`CampaignOptions::plan_budget`] then picks across the whole prefix,
-    /// as it does for [`Session::execute`], and the report counts only the
-    /// sites that received a run.
+    /// plan through [`Session::execute_plan`].
     pub fn execute_until(&self, app: &dyn Application, min_interaction_coverage: f64) -> CampaignReport {
         let mut plan = self.plan(app);
         let total = plan.sites.iter().filter(|s| !s.faults.is_empty()).count();

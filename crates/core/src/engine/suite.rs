@@ -27,7 +27,7 @@ use epa_sandbox::app::Application;
 use crate::campaign::{Campaign, PlanTally};
 use crate::coverage::{AdequacyPoint, Ratio};
 use crate::engine::executor::Executor;
-use crate::engine::planner::{FaultKey, Provenance, ResultCache, Schedule, YieldStats};
+use crate::engine::planner::{FaultKey, Provenance, ResultCache, Schedule};
 use crate::engine::session::Session;
 use crate::engine::spec::{SpecError, WorldSpec};
 use crate::inject::InjectionPlan;
@@ -206,17 +206,13 @@ impl Suite {
 /// as every executed record is, and only the misses fan back onto the same
 /// queue, so idle workers steal across campaign boundaries. Under a cache,
 /// equal keys among them execute once, through the cache's claim; without
-/// one, each runs. A budgeted campaign
-/// ([`crate::campaign::CampaignOptions::plan_budget`]) enqueues one job at
-/// a time, picked by observed verdict yield, and each finished record with
-/// `cache_hit == false` spends one unit of its budget. Cache replays are
-/// free: once the budget is spent, every remaining job the cache can answer
-/// still replays, and only the rest are dropped.
+/// one, each runs. Every pending job is enqueued when its campaign's
+/// schedule lands.
 ///
 /// Returns one `(tally, records)` per campaign, in `campaigns` order:
 /// `tally` is what the report reads of the plan built on the pool (`None`
-/// when the caller handed over a job list); `records` are in plan order,
-/// minus any jobs a budget dropped.
+/// when the caller handed over a job list); `records` are the whole plan,
+/// in plan order.
 pub(crate) fn drive(
     executor: &Executor,
     campaigns: &[Campaign<'_>],
@@ -269,49 +265,50 @@ pub(crate) fn drive(
             }
         },
         &mut |done| {
-            let app = match &done {
-                Done::Scheduled { app, .. } | Done::Ran { app, .. } => *app,
-            };
-            let slot = &mut slots[app];
-            match done {
+            let (app, follow_ups) = match done {
                 Done::Scheduled {
+                    app,
                     tally,
                     jobs,
                     mut schedule,
-                    ..
                 } => {
-                    slot.records = (0..jobs.len()).map(|_| None).collect();
-                    slot.budget = campaigns[app].options.plan_budget.map(|left| (left, YieldStats::new()));
-                    slot.remaining = std::mem::take(&mut schedule.pending);
+                    let slot = &mut slots[app];
                     slot.tally = tally;
+                    slot.records = (0..jobs.len()).map(|_| None).collect();
                     for (idx, provenance, digest) in std::mem::take(&mut schedule.replays) {
-                        slot.file(idx, digest.into_record(&jobs[idx], provenance));
+                        slot.records[idx] = Some(digest.into_record(&jobs[idx], provenance));
                     }
-                    slot.jobs = jobs;
-                    slot.schedule = Some(Arc::new(schedule));
+                    // Every pending job goes onto the queue now, in plan
+                    // order; a finished run enqueues nothing.
+                    let pending = std::mem::take(&mut schedule.pending);
+                    slot.outstanding = pending.len();
+                    let schedule = Arc::new(schedule);
+                    let injects = pending
+                        .into_iter()
+                        .map(|idx| Job::Inject {
+                            app,
+                            idx,
+                            jobs: Arc::clone(&jobs),
+                            schedule: Arc::clone(&schedule),
+                        })
+                        .collect();
+                    (app, injects)
                 }
-                Done::Ran { idx, record, .. } => {
+                Done::Ran { app, idx, record } => {
+                    let slot = &mut slots[app];
                     slot.outstanding -= 1;
-                    // A claim replay (another thread already executed this
-                    // run) is free: only executions spend the budget.
-                    if !record.cache_hit {
-                        if let Some((left, _)) = &mut slot.budget {
-                            *left -= 1;
-                        }
-                    }
-                    slot.file(idx, record);
+                    slot.records[idx] = Some(record);
+                    (app, Vec::new())
                 }
-            }
-            let follow_ups = slot.enqueue_next(app, &campaigns[app]);
-            if slot.outstanding == 0 && slot.remaining.is_empty() {
-                // Only a budget may legitimately drop jobs; an unbudgeted
-                // campaign missing a record is an accounting bug and must
-                // fail loudly, not silently truncate the report.
-                let records: Vec<FaultRecord> = std::mem::take(&mut slot.records).into_iter().flatten().collect();
-                assert!(
-                    slot.budget.is_some() || records.len() == slot.jobs.len(),
-                    "all records complete before the campaign finishes"
-                );
+            };
+            let slot = &mut slots[app];
+            if slot.outstanding == 0 {
+                // A missing record is an accounting bug: fail loudly rather
+                // than silently truncate the report.
+                let records = std::mem::take(&mut slot.records)
+                    .into_iter()
+                    .map(|r| r.expect("all records complete before the campaign finishes"))
+                    .collect();
                 finished[app] = Some((slot.tally.take(), records));
             }
             follow_ups
@@ -362,65 +359,10 @@ enum Done {
 #[derive(Default)]
 struct AppSlot {
     tally: Option<PlanTally>,
-    jobs: Arc<[InjectionPlan]>,
-    schedule: Option<Arc<Schedule>>,
+    /// Records by plan position, filled as they finish.
     records: Vec<Option<FaultRecord>>,
-    /// Pending job indices not yet handed to the queue.
-    remaining: Vec<usize>,
     /// Jobs on the queue (or running) whose results are still due.
     outstanding: usize,
-    /// Runs this campaign may still execute, and the verdict yield its
-    /// picks feed on (`None` = unbudgeted).
-    budget: Option<(usize, YieldStats)>,
-}
-
-impl AppSlot {
-    /// Counts one finished record toward a budget's verdict yield and
-    /// files it at its plan position.
-    fn file(&mut self, idx: usize, record: FaultRecord) {
-        if let Some((_, stats)) = &mut self.budget {
-            stats.observe(record.category, !record.tolerated());
-        }
-        self.records[idx] = Some(record);
-    }
-
-    /// Moves schedulable jobs from `remaining` onto the shared queue: all
-    /// of them in plan order (exhaustive), or exactly one chosen by
-    /// observed verdict yield (budgeted — each pick feeds on the previous
-    /// outcome, so at most one of this campaign's jobs is in flight while
-    /// other campaigns keep the workers busy). A spent budget replays every
-    /// remaining job the cache can answer and drops the rest.
-    fn enqueue_next(&mut self, app: usize, campaign: &Campaign<'_>) -> Vec<Job> {
-        let schedule = self.schedule.as_ref().expect("jobs are enqueued after scheduling");
-        let idxs = match &self.budget {
-            None => std::mem::take(&mut self.remaining),
-            Some((0, _)) => {
-                let (cache, schedule) = (campaign.options.cache.as_ref(), Arc::clone(schedule));
-                for idx in std::mem::take(&mut self.remaining) {
-                    let key = schedule.key(idx);
-                    if let Some(digest) = cache.zip(key).and_then(|(c, key)| c.lookup(campaign.scope(), key)) {
-                        let record = digest.into_record(&self.jobs[idx], Provenance::Cached);
-                        self.file(idx, record);
-                    }
-                }
-                return Vec::new();
-            }
-            Some(_) if self.remaining.is_empty() || self.outstanding > 0 => Vec::new(),
-            Some((_, stats)) => {
-                let pos = stats.pick(&self.remaining, &self.jobs);
-                vec![self.remaining.remove(pos)]
-            }
-        };
-        self.outstanding += idxs.len();
-        idxs.into_iter()
-            .map(|idx| Job::Inject {
-                app,
-                idx,
-                jobs: Arc::clone(&self.jobs),
-                schedule: Arc::clone(schedule),
-            })
-            .collect()
-    }
 }
 
 /// The aggregated outcome of a suite run: per-application reports in

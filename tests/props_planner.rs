@@ -1,8 +1,8 @@
-//! Property tests: planner equivalence — in-plan replay of equal faults,
-//! cross-run memoization, and budgeted yield-guided planning must find the exact
-//! verdict set of exhaustive planning across randomized worlds, randomized
-//! fault plans, and spec-declared invariants; and the paper's pinned lpr
-//! numbers must survive every planner path.
+//! Property tests: planner equivalence — in-plan replay of equal faults and
+//! cross-run memoization must find the exact verdict set of exhaustive
+//! planning across randomized worlds, randomized fault plans, and
+//! spec-declared invariants; and the paper's pinned lpr numbers must survive
+//! every planner path.
 
 use epa::core::campaign::CampaignOptions;
 use epa::core::engine::planner::ResultCache;
@@ -136,10 +136,7 @@ proptest! {
     ///
     /// 1. a shared cache reproduces the exhaustive (cache-off) report
     ///    exactly, on a cold *and* a fully warmed cache;
-    /// 2. the warmed pass executes zero runs;
-    /// 3. a budget covering the whole plan is a pure permutation (same
-    ///    report); a smaller budget yields a subset whose every record is
-    ///    byte-identical to its exhaustive twin.
+    /// 2. the warmed pass executes zero runs.
     #[test]
     fn planner_paths_find_the_exhaustive_verdict_set(
         files in proptest::collection::vec(file_strategy(), 0..4),
@@ -163,9 +160,7 @@ proptest! {
 
         // Memo: two passes over one shared cache.
         let cache = ResultCache::new();
-        let planner = Session::from_setup(setup.clone())
-            .with_options(base.clone())
-            .with_result_cache(cache.clone());
+        let planner = Session::from_setup(setup).with_options(base).with_result_cache(cache);
         let p1 = planner.execute(&app);
         let p2 = planner.execute(&app);
         prop_assert_eq!(&executed_view(&p1), &e, "cold planner pass must equal exhaustive");
@@ -173,41 +168,6 @@ proptest! {
         prop_assert_eq!(p2.runs_executed(), 0, "a warmed cache replays every run");
         prop_assert_eq!(p2.cache_hits() + p2.pruned(), p2.injected());
         prop_assert!(p1.runs_executed() + p2.runs_executed() < 2 * e.injected() || e.injected() == 0);
-
-        // A budget covering the whole plan permutes the execution order but
-        // reproduces the identical report (records stay in plan order).
-        let generous = Session::from_setup(setup.clone()).with_options(CampaignOptions {
-            plan_budget: Some(e.injected()),
-            ..base.clone()
-        });
-        let g = generous.execute(&app);
-        prop_assert_eq!(&executed_view(&g), &e, "a covering budget is a pure permutation");
-
-        // A smaller budget selects a subset; every selected record is
-        // byte-identical to its exhaustive twin.
-        if e.injected() > 1 {
-            let budget = e.injected() / 2;
-            let partial = Session::from_setup(setup.clone()).with_options(CampaignOptions {
-                plan_budget: Some(budget),
-                ..base
-            });
-            let p = partial.execute(&app);
-            prop_assert!(p.runs_executed() <= budget);
-            for record in &p.records {
-                let twin = e
-                    .records
-                    .iter()
-                    .find(|r| r.fault_id == record.fault_id && r.site == record.site && r.occurrence == record.occurrence);
-                match twin {
-                    Some(t) => {
-                        let mut r = record.clone();
-                        r.cache_hit = false;
-                        prop_assert_eq!(t, &r, "budgeted record diverged from its twin");
-                    }
-                    None => prop_assert!(false, "budgeted record {} is not in the exhaustive plan", record.fault_id),
-                }
-            }
-        }
     }
 }
 
@@ -256,9 +216,8 @@ fn duplicate_payloads_within_a_plan_execute_once() {
     assert_eq!(twin[0].exit, twin[1].exit);
     assert!(!twin[0].cache_hit && twin[1].cache_hit);
 
-    // The plan cut down to the fault and its duplicate. Cache replays are
-    // free, so a budget of one run over a cache still delivers both
-    // records; with no cache both execute.
+    // The plan cut down to the fault and its duplicate: over a cache the
+    // duplicate replays; with no cache both execute.
     for (i, site) in plan.sites.iter_mut().enumerate() {
         if i == site_idx {
             site.occurrences = 1;
@@ -270,14 +229,12 @@ fn duplicate_payloads_within_a_plan_execute_once() {
     }
     assert_eq!(plan.jobs().len(), 2);
     let run = |options: CampaignOptions| session.clone().with_options(options).execute_plan(&app, &plan);
-    let budgeted = run(CampaignOptions {
-        plan_budget: Some(1),
+    let cached = run(CampaignOptions {
         cache: Some(ResultCache::new()),
         ..Default::default()
     });
-    assert_eq!(budgeted.injected(), 2, "the spent budget still replays the duplicate");
-    assert_eq!((budgeted.runs_executed(), budgeted.cache_hits()), (1, 1));
-    assert_eq!(budgeted.records[0].violations, budgeted.records[1].violations);
+    assert_eq!((cached.runs_executed(), cached.cache_hits()), (1, 1));
+    assert_eq!(cached.records[0].violations, cached.records[1].violations);
     let exhaustive = run(CampaignOptions::default());
     assert_eq!((exhaustive.runs_executed(), exhaustive.cache_hits()), (2, 0));
     assert_eq!(exhaustive.records[0].violations, exhaustive.records[1].violations);
@@ -296,6 +253,10 @@ fn suite_replays_identical_campaigns_from_the_shared_cache() {
     let report = suite.with_workers(1).execute();
     assert_eq!(report.reports.len(), 2);
     assert_eq!(report.reports[0].cache_hits(), 0);
+    assert!(
+        report.reports[1].cache_hits() > 0,
+        "the second registration replays the first's runs"
+    );
     assert_eq!(
         report.reports[1].cache_hits(),
         report.reports[1].injected() - report.reports[1].pruned(),
@@ -346,39 +307,8 @@ fn the_standard_suite_reports_the_same_with_and_without_a_cache() {
     }
 }
 
-/// `plan_budget` caps executed runs, and cache replays are free: when a
-/// second registration of the same campaign replays the first one's claims
-/// from the suite-scoped cache, it still executes its own full budget.
-#[test]
-fn a_budget_spends_only_on_executed_runs_in_a_shared_suite() {
-    use epa::apps::Lpr;
-    let mut suite = Suite::new().with_result_cache(ResultCache::new());
-    for _ in 0..2 {
-        let session = Session::new(&epa::apps::lpr::spec())
-            .unwrap()
-            .with_options(CampaignOptions {
-                plan_budget: Some(3),
-                ..Default::default()
-            });
-        suite.register_session(Lpr, session);
-    }
-    let report = suite.with_workers(1).execute();
-    for (i, campaign) in report.reports.iter().enumerate() {
-        assert_eq!(
-            campaign.runs_executed(),
-            3,
-            "registration {i} executes its whole budget"
-        );
-    }
-    assert!(
-        report.reports[1].cache_hits() > 0,
-        "the second registration replays the first's runs"
-    );
-}
-
-/// The paper's §3.4 numbers, pinned through every planner path: memoized
-/// replay, the covering budget, and a half budget (every create-site fault
-/// violates, so even the pruned campaign reports violations only).
+/// The paper's §3.4 numbers, pinned through the memoized planner path: the
+/// cold pass and the warm replay both keep 4/4.
 #[test]
 fn lpr_numbers_pin_through_the_planner_paths() {
     use epa::apps::{lpr, Lpr};
@@ -395,9 +325,7 @@ fn lpr_numbers_pin_through_the_planner_paths() {
 
     // Memoized: the warmed pass replays all four runs and keeps 4/4.
     let cache = ResultCache::new();
-    let session = Session::from_setup(setup.clone())
-        .with_options(base.clone())
-        .with_result_cache(cache);
+    let session = Session::from_setup(setup).with_options(base).with_result_cache(cache);
     let first = session.execute(&Lpr);
     assert_eq!(first.injected(), 4, "existence, ownership, permission, symbolic link");
     assert_eq!(first.violated(), 4, "paper: violations detected for attributes 1-4");
@@ -405,19 +333,4 @@ fn lpr_numbers_pin_through_the_planner_paths() {
     assert_eq!(replayed.violated(), 4);
     assert_eq!(replayed.runs_executed(), 0);
     assert_eq!(executed_view(&replayed), executed_view(&first));
-
-    // Budgeted: a covering budget keeps 4/4; half the budget still finds
-    // violations on every executed run.
-    let covering = Session::from_setup(setup.clone()).with_options(CampaignOptions {
-        plan_budget: Some(4),
-        ..base.clone()
-    });
-    let c = covering.execute(&Lpr);
-    assert_eq!((c.injected(), c.violated()), (4, 4));
-    let half = Session::from_setup(setup).with_options(CampaignOptions {
-        plan_budget: Some(2),
-        ..base
-    });
-    let h = half.execute(&Lpr);
-    assert_eq!((h.runs_executed(), h.violated()), (2, 2));
 }
