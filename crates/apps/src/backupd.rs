@@ -32,7 +32,7 @@ pub fn spec() -> epa_core::engine::WorldSpec {
 }
 
 fn parse_mask(raw: &Data) -> Option<u16> {
-    u16::from_str_radix(raw.text().trim(), 8).ok()
+    u16::from_str_radix(raw.as_text().trim(), 8).ok()
 }
 
 /// The vulnerable backup job.
@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn zeroed_mask_discloses_the_snapshot() {
         let mut setup = spec().materialize().unwrap();
-        setup.env.insert("UMASK".into(), "0".into());
+        std::sync::Arc::make_mut(&mut setup.env).insert("UMASK".into(), "0".into());
         let out = run_once(&setup, &Backupd, None);
         assert!(
             out.violations.iter().any(|v| v.kind == ViolationKind::Disclosure),
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn disclosure_verdict_carries_in_bounds_evidence() {
         let mut setup = spec().materialize().unwrap();
-        setup.env.insert("UMASK".into(), "0".into());
+        std::sync::Arc::make_mut(&mut setup.env).insert("UMASK".into(), "0".into());
         let out = run_once(&setup, &Backupd, None);
         crate::assert_evidence_in_bounds(&out);
         assert!(out.violations.iter().any(|v| v.detector == "disclosure"));

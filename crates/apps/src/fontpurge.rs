@@ -30,9 +30,40 @@ pub fn spec() -> epa_core::engine::WorldSpec {
         .build()
 }
 
+/// The registry key path of each cache slot.
+const KEY_PATHS: [&str; FONT_KEYS] = [
+    "HKLM/Software/Fonts/Cache0",
+    "HKLM/Software/Fonts/Cache1",
+    "HKLM/Software/Fonts/Cache2",
+    "HKLM/Software/Fonts/Cache3",
+    "HKLM/Software/Fonts/Cache4",
+];
+
+/// The interaction site reading each slot's key.
+const READ_SITES: [&str; FONT_KEYS] = [
+    "fontpurge:read_key0",
+    "fontpurge:read_key1",
+    "fontpurge:read_key2",
+    "fontpurge:read_key3",
+    "fontpurge:read_key4",
+];
+
+/// The interaction site purging each slot's file.
+const PURGE_SITES: [&str; FONT_KEYS] = [
+    "fontpurge:purge0",
+    "fontpurge:purge1",
+    "fontpurge:purge2",
+    "fontpurge:purge3",
+    "fontpurge:purge4",
+];
+
 /// Registry key path for cache slot `i`.
-pub fn font_key(i: usize) -> String {
-    format!("HKLM/Software/Fonts/Cache{i}")
+///
+/// # Panics
+///
+/// If `i` is not below [`FONT_KEYS`].
+pub fn font_key(i: usize) -> &'static str {
+    KEY_PATHS[i]
 }
 
 /// The vulnerable font-cache purge module.
@@ -46,23 +77,20 @@ impl Application for FontPurge {
 
     fn run(&self, os: &mut Os, pid: Pid) -> i32 {
         let mut purged = 0;
-        for i in 0..FONT_KEYS {
-            let key = font_key(i);
-            let read_site = format!("fontpurge:read_key{i}");
-            let purge_site = format!("fontpurge:purge{i}");
-            let Ok(path) = os.sys_reg_read(pid, &read_site, &key, "Path", InputSemantic::FsFileName) else {
+        for ((key, read_site), purge_site) in KEY_PATHS.into_iter().zip(READ_SITES).zip(PURGE_SITES) {
+            let Ok(path) = os.sys_reg_read(pid, read_site, key, "Path", InputSemantic::FsFileName) else {
                 let _ = os.sys_print(pid, "fontpurge:warn", format!("fontpurge: {key} missing\n"));
                 continue;
             };
             // Flaw: the file named by an anyone-writable key is deleted with
             // no check of what it actually is.
-            match os.sys_unlink(pid, &purge_site, PathArg::from(&path)) {
+            match os.sys_unlink(pid, purge_site, PathArg::from(&path)) {
                 Ok(()) => purged += 1,
                 Err(_) => {
                     let _ = os.sys_print(
                         pid,
                         "fontpurge:warn",
-                        format!("fontpurge: cannot purge {}\n", path.text()),
+                        format!("fontpurge: cannot purge {}\n", path.as_text()),
                     );
                 }
             }
@@ -88,28 +116,25 @@ impl Application for FontPurgeFixed {
 
     fn run(&self, os: &mut Os, pid: Pid) -> i32 {
         let mut purged = 0;
-        for i in 0..FONT_KEYS {
-            let key = font_key(i);
-            let read_site = format!("fontpurge:read_key{i}");
-            let purge_site = format!("fontpurge:purge{i}");
-            let Ok(path) = os.sys_reg_read(pid, &read_site, &key, "Path", InputSemantic::FsFileName) else {
+        for ((key, read_site), purge_site) in KEY_PATHS.into_iter().zip(READ_SITES).zip(PURGE_SITES) {
+            let Ok(path) = os.sys_reg_read(pid, read_site, key, "Path", InputSemantic::FsFileName) else {
                 continue;
             };
-            let text = path.text();
+            let text = path.as_text();
             // Fix: confine deletions to the font directory, refuse
             // traversal and symlinks.
             if !text.starts_with("/winnt/fonts/") || text.contains("..") {
                 let _ = os.sys_print(pid, "fontpurge:warn", format!("fontpurge: refusing {text}\n"));
                 continue;
             }
-            match os.sys_lstat(pid, &purge_site, PathArg::from(&path)) {
+            match os.sys_lstat(pid, purge_site, PathArg::from(&path)) {
                 Ok(st) if st.file_type == epa_sandbox::fs::FileType::Regular => {}
                 _ => {
                     let _ = os.sys_print(pid, "fontpurge:warn", format!("fontpurge: refusing {text}\n"));
                     continue;
                 }
             }
-            if os.sys_unlink(pid, &purge_site, PathArg::from(&path)).is_ok() {
+            if os.sys_unlink(pid, purge_site, PathArg::from(&path)).is_ok() {
                 purged += 1;
             }
         }
@@ -128,6 +153,15 @@ mod tests {
     use epa_core::campaign::run_once;
 
     #[test]
+    fn slot_tables_name_each_slot() {
+        for i in 0..FONT_KEYS {
+            assert_eq!(font_key(i), format!("HKLM/Software/Fonts/Cache{i}"));
+            assert_eq!(READ_SITES[i], format!("fontpurge:read_key{i}"));
+            assert_eq!(PURGE_SITES[i], format!("fontpurge:purge{i}"));
+        }
+    }
+
+    #[test]
     fn clean_purge_is_violation_free() {
         let setup = spec().materialize().unwrap();
         let out = run_once(&setup, &FontPurge, None);
@@ -143,7 +177,7 @@ mod tests {
         setup
             .world
             .registry
-            .god_set_value(&font_key(2), "Path", "/winnt/system.ini");
+            .god_set_value(font_key(2), "Path", "/winnt/system.ini");
         let out = run_once(&setup, &FontPurge, None);
         assert!(
             out.violations
@@ -164,7 +198,7 @@ mod tests {
         setup
             .world
             .registry
-            .god_set_value(&font_key(2), "Path", "/winnt/system.ini");
+            .god_set_value(font_key(2), "Path", "/winnt/system.ini");
         let out = run_once(&setup, &FontPurgeFixed, None);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.os.fs.exists("/winnt/system.ini"));
@@ -176,7 +210,7 @@ mod tests {
         setup
             .world
             .registry
-            .god_set_value(&font_key(2), "Path", "/winnt/system.ini");
+            .god_set_value(font_key(2), "Path", "/winnt/system.ini");
         let out = run_once(&setup, &FontPurge, None);
         crate::assert_evidence_in_bounds(&out);
         assert!(out

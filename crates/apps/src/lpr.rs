@@ -56,7 +56,7 @@ impl Application for Lpr {
         let job = match os.sys_read_file(pid, "lpr:read_input", PathArg::from(&job_name)) {
             Ok(d) => d,
             Err(e) => {
-                let _ = os.sys_print(pid, "lpr:err", format!("lpr: {}: cannot open\n", job_name.text()));
+                let _ = os.sys_print(pid, "lpr:err", format!("lpr: {}: cannot open\n", job_name.as_text()));
                 let _ = e;
                 return 1;
             }
@@ -99,17 +99,21 @@ impl Application for LprFixed {
                     .mode
                     .grants(st.owner, st.group, &me.invoker(), epa_sandbox::mode::Access::Read)
                 {
-                    let _ = os.sys_print(pid, "lpr:err", format!("lpr: {}: permission denied\n", job_name.text()));
+                    let _ = os.sys_print(
+                        pid,
+                        "lpr:err",
+                        format!("lpr: {}: permission denied\n", job_name.as_text()),
+                    );
                     return 1;
                 }
             }
             Err(_) => {
-                let _ = os.sys_print(pid, "lpr:err", format!("lpr: {}: cannot open\n", job_name.text()));
+                let _ = os.sys_print(pid, "lpr:err", format!("lpr: {}: cannot open\n", job_name.as_text()));
                 return 1;
             }
         }
         let Ok(job) = os.sys_read_file(pid, "lpr:read_input", PathArg::from(&job_name)) else {
-            let _ = os.sys_print(pid, "lpr:err", format!("lpr: {}: cannot open\n", job_name.text()));
+            let _ = os.sys_print(pid, "lpr:err", format!("lpr: {}: cannot open\n", job_name.as_text()));
             return 1;
         };
         // open(n, O_CREAT|O_EXCL|O_WRONLY, 0660): refuses anything that

@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn perturbed_path_runs_the_attacker_helper() {
         let mut setup = spec().materialize().unwrap();
-        setup.env.insert("PATH".into(), "/home/evil/bin:/usr/bin:/bin".into());
+        std::sync::Arc::make_mut(&mut setup.env).insert("PATH".into(), "/home/evil/bin:/usr/bin:/bin".into());
         let out = run_once(&setup, &MailNotify, None);
         assert!(
             out.violations.iter().any(|v| v.kind == ViolationKind::UntrustedExec),

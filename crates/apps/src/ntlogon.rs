@@ -34,16 +34,19 @@ pub fn logon_key(name: &str) -> String {
     format!("HKLM/Software/Logon/{name}")
 }
 
+// `logon_key` of each of `LOGON_KEYS`, as the modules read them.
+const PROFILE_DIR_KEY: &str = "HKLM/Software/Logon/ProfileDir";
+const SCRIPT_KEY: &str = "HKLM/Software/Logon/Script";
+const SHELL_KEY: &str = "HKLM/Software/Logon/Shell";
+const HELP_FILE_KEY: &str = "HKLM/Software/Logon/HelpFile";
+
+/// The `shell=` entry of a profile, carrying the profile's labels.
 fn parse_shell(profile: &Data) -> Option<Data> {
-    for line in profile.lines() {
-        let text = line.text();
-        if let Some(rest) = text.strip_prefix("shell=") {
-            let mut d = Data::from(rest.trim());
-            d.taint_from(&line);
-            return Some(d);
-        }
-    }
-    None
+    let text = profile.as_text();
+    let rest = text.lines().find_map(|line| line.strip_prefix("shell="))?;
+    let mut d = Data::from(rest.trim());
+    d.taint_from(profile);
+    Some(d)
 }
 
 /// The vulnerable logon module.
@@ -60,7 +63,7 @@ impl Application for NtLogon {
         if let Ok(dir) = os.sys_reg_read(
             pid,
             "ntlogon:read_profiledir",
-            &logon_key("ProfileDir"),
+            PROFILE_DIR_KEY,
             "Path",
             InputSemantic::FsFileName,
         ) {
@@ -92,7 +95,7 @@ impl Application for NtLogon {
         if let Ok(script) = os.sys_reg_read(
             pid,
             "ntlogon:read_script",
-            &logon_key("Script"),
+            SCRIPT_KEY,
             "Path",
             InputSemantic::FsFileName,
         ) {
@@ -105,13 +108,7 @@ impl Application for NtLogon {
         }
 
         // --- the default shell --------------------------------------------
-        if let Ok(shell) = os.sys_reg_read(
-            pid,
-            "ntlogon:read_shell",
-            &logon_key("Shell"),
-            "Path",
-            InputSemantic::FsFileName,
-        ) {
+        if let Ok(shell) = os.sys_reg_read(pid, "ntlogon:read_shell", SHELL_KEY, "Path", InputSemantic::FsFileName) {
             if os
                 .sys_exec(pid, "ntlogon:exec_shell", PathArg::from(&shell), vec![], None)
                 .is_err()
@@ -124,7 +121,7 @@ impl Application for NtLogon {
         if let Ok(help) = os.sys_reg_read(
             pid,
             "ntlogon:read_helpfile",
-            &logon_key("HelpFile"),
+            HELP_FILE_KEY,
             "Path",
             InputSemantic::FsFileName,
         ) {
@@ -144,7 +141,7 @@ pub struct NtLogonFixed;
 
 impl NtLogonFixed {
     /// Only Administrator-owned, non-world-writable regular files qualify.
-    fn trusted_file(os: &mut Os, pid: Pid, site: &str, path: &PathArg) -> bool {
+    fn trusted_file(os: &mut Os, pid: Pid, site: &str, path: &PathArg<'_>) -> bool {
         match os.sys_lstat(pid, site, path.clone()) {
             Ok(st) => {
                 st.file_type == epa_sandbox::fs::FileType::Regular && st.owner == Uid::ROOT && !st.mode.world_writable()
@@ -163,11 +160,11 @@ impl Application for NtLogonFixed {
         if let Ok(dir) = os.sys_reg_read(
             pid,
             "ntlogon:read_profiledir",
-            &logon_key("ProfileDir"),
+            PROFILE_DIR_KEY,
             "Path",
             InputSemantic::FsFileName,
         ) {
-            let dir_text = dir.text();
+            let dir_text = dir.as_text();
             // Fix: profiles must live under the profile tree.
             if dir_text.starts_with("/profiles/") && !dir_text.contains("..") {
                 let profile_path = PathArg::from(&dir).join(&PathArg::clean("profile.cfg"));
@@ -195,7 +192,7 @@ impl Application for NtLogonFixed {
         if let Ok(script) = os.sys_reg_read(
             pid,
             "ntlogon:read_script",
-            &logon_key("Script"),
+            SCRIPT_KEY,
             "Path",
             InputSemantic::FsFileName,
         ) {
@@ -207,13 +204,7 @@ impl Application for NtLogonFixed {
             }
         }
 
-        if let Ok(shell) = os.sys_reg_read(
-            pid,
-            "ntlogon:read_shell",
-            &logon_key("Shell"),
-            "Path",
-            InputSemantic::FsFileName,
-        ) {
+        if let Ok(shell) = os.sys_reg_read(pid, "ntlogon:read_shell", SHELL_KEY, "Path", InputSemantic::FsFileName) {
             let arg = PathArg::from(&shell);
             if Self::trusted_file(os, pid, "ntlogon:exec_shell", &arg) {
                 let _ = os.sys_exec(pid, "ntlogon:exec_shell", arg, vec![], None);
@@ -225,7 +216,7 @@ impl Application for NtLogonFixed {
         if let Ok(help) = os.sys_reg_read(
             pid,
             "ntlogon:read_helpfile",
-            &logon_key("HelpFile"),
+            HELP_FILE_KEY,
             "Path",
             InputSemantic::FsFileName,
         ) {
@@ -252,6 +243,12 @@ impl Application for NtLogonFixed {
 mod tests {
     use super::*;
     use epa_core::campaign::run_once;
+
+    #[test]
+    fn the_module_reads_the_documented_keys() {
+        let read = [PROFILE_DIR_KEY, SCRIPT_KEY, SHELL_KEY, HELP_FILE_KEY];
+        assert_eq!(LOGON_KEYS.map(logon_key), read.map(str::to_string));
+    }
 
     #[test]
     fn clean_logon_is_violation_free() {

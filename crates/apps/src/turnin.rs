@@ -107,7 +107,7 @@ fn read_args(os: &mut Os, pid: Pid) -> Result<Invocation, i32> {
     let file_name = os
         .sys_arg(pid, S_ARGS, 4, InputSemantic::UserFileName)
         .map_err(|_| usage(os))?;
-    if flag_c.text() != "-c" || flag_p.text() != "-p" {
+    if flag_c.as_text() != "-c" || flag_p.as_text() != "-p" {
         return Err(usage(os));
     }
     Ok(Invocation {
@@ -120,17 +120,17 @@ fn read_args(os: &mut Os, pid: Pid) -> Result<Invocation, i32> {
 /// Looks up the course account in the already-read configuration content.
 /// Lines are `course:account:uid`.
 fn find_account(cf: &Data, course: &str) -> Option<(Data, Option<u32>)> {
-    for line in cf.lines() {
-        let text = line.text();
-        let mut parts = text.splitn(3, ':');
+    for line in cf.as_text().lines() {
+        let mut parts = line.splitn(3, ':');
         let c = parts.next()?;
         if c != course {
             continue;
         }
         let account = parts.next()?;
         let uid = parts.next().and_then(|u| u.trim().parse().ok());
+        // Every line of the configuration carries its labels.
         let mut d = Data::from(account);
-        d.taint_from(&line);
+        d.taint_from(cf);
         return Some((d, uid));
     }
     None
@@ -153,7 +153,7 @@ impl Application for Turnin {
         };
         // The paper notes turnin "does a good job in forbidding the `/`
         // character" (leading), but misses `../`.
-        if inv.file_name.text().starts_with('/') {
+        if inv.file_name.as_text().starts_with('/') {
             let _ = os.sys_print(pid, "turnin:error", "turnin: absolute file names not allowed\n");
             return 2;
         }
@@ -168,7 +168,7 @@ impl Application for Turnin {
             let _ = os.sys_print(pid, "turnin:error", "turnin: cannot open turnin.cf\n");
             return 1;
         };
-        let Some((account_raw, _uid)) = find_account(&cf, &inv.course.text()) else {
+        let Some((account_raw, _uid)) = find_account(&cf, &inv.course.as_text()) else {
             // Flaw: the error message echoes the raw configuration —
             // harmless for a malformed config, catastrophic when the
             // config has been swapped for a secret file.
@@ -200,7 +200,7 @@ impl Application for Turnin {
         banner.push_str(":\n");
         banner.append(&listing);
         let _ = os.sys_print(pid, "turnin:print_listing", banner);
-        if !listing.text().lines().any(|l| l.trim() == inv.project.text()) {
+        if !listing.as_text().lines().any(|l| l.trim() == inv.project.as_text()) {
             let _ = os.sys_print(pid, "turnin:error", "turnin: no such project\n");
             return 9;
         }
@@ -226,7 +226,7 @@ impl Application for Turnin {
             let _ = os.sys_unlink(pid, S_TEMP, temp.as_str());
             return 1;
         }
-        let mut archive = Data::from(format!("TAR-ARCHIVE({})\n", inv.file_name.text()));
+        let mut archive = Data::from(format!("TAR-ARCHIVE({})\n", inv.file_name.as_text()));
         archive.taint_from(&inv.file_name);
         if os
             .sys_append(pid, S_TEMP, temp.as_str(), archive.clone(), 0o600)
@@ -286,7 +286,7 @@ impl Application for TurninFixed {
             Err(code) => return code,
         };
         // Fix: reject `/` anywhere and `..` components, not just a leading `/`.
-        if !Self::valid_member_name(&inv.file_name.text()) {
+        if !Self::valid_member_name(&inv.file_name.as_text()) {
             let _ = os.sys_print(pid, "turnin:error", "turnin: invalid file name\n");
             return 2;
         }
@@ -316,7 +316,7 @@ impl Application for TurninFixed {
             let _ = os.sys_print(pid, "turnin:error", "turnin: cannot open turnin.cf\n");
             return 1;
         };
-        let Some((account_raw, account_uid)) = find_account(&cf, &inv.course.text()) else {
+        let Some((account_raw, account_uid)) = find_account(&cf, &inv.course.as_text()) else {
             let _ = os.sys_print(pid, "turnin:error", "turnin: course not found\n");
             return 1;
         };
@@ -324,7 +324,7 @@ impl Application for TurninFixed {
             return 1;
         };
         // Fix: validate the parsed account before using it in a path.
-        if !Self::valid_account(&account.text()) {
+        if !Self::valid_account(&account.as_text()) {
             let _ = os.sys_print(pid, "turnin:error", "turnin: malformed account name\n");
             return 1;
         }
@@ -360,7 +360,7 @@ impl Application for TurninFixed {
             banner.append(&listing);
             let _ = os.sys_print(pid, "turnin:print_listing", banner);
         }
-        if !listing.text().lines().any(|l| l.trim() == inv.project.text()) {
+        if !listing.as_text().lines().any(|l| l.trim() == inv.project.as_text()) {
             let _ = os.sys_print(pid, "turnin:error", "turnin: no such project\n");
             return 9;
         }
@@ -419,7 +419,7 @@ impl Application for TurninFixed {
             let _ = os.sys_unlink(pid, S_TEMP, temp.as_str());
             return 1;
         }
-        let mut archive = Data::from(format!("TAR-ARCHIVE({})\n", inv.file_name.text()));
+        let mut archive = Data::from(format!("TAR-ARCHIVE({})\n", inv.file_name.as_text()));
         archive.taint_from(&inv.file_name);
         if os
             .sys_append(pid, S_TEMP, temp.as_str(), archive.clone(), 0o600)
@@ -525,7 +525,8 @@ mod tests {
             "-p".into(),
             "proj1".into(),
             "../.login".into(),
-        ];
+        ]
+        .into();
         let out = run_once(&setup, &Turnin, None);
         assert!(
             out.violations
@@ -557,7 +558,8 @@ mod tests {
             "-p".into(),
             "proj1".into(),
             "../.login".into(),
-        ];
+        ]
+        .into();
         let out2 = run_once(&setup2, &TurninFixed, None);
         assert!(out2.violations.is_empty(), "{:?}", out2.violations);
         assert_eq!(out2.exit, Some(2), "invalid member name rejected");

@@ -553,7 +553,7 @@ struct AfterPlacementHook {
 }
 
 impl Interceptor for AfterPlacementHook {
-    fn before(&mut self, _os: &mut Os, _point: &InteractionRef, _call: &Syscall) {}
+    fn before(&mut self, _os: &mut Os, _point: &InteractionRef, _call: &Syscall<'_>) {}
 
     fn after(&mut self, os: &mut Os, point: &InteractionRef, _result: &mut SysResult<SysReturn>) {
         if self.fired || point.site != self.plan.site || point.occurrence != self.plan.occurrence {

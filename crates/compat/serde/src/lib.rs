@@ -281,6 +281,21 @@ impl<T: Deserialize> Deserialize for Arc<T> {
     }
 }
 
+impl<T: Deserialize> Deserialize for Arc<[T]> {
+    fn de(v: &Value) -> Result<Self, DeError> {
+        Vec::<T>::de(v).map(Arc::from)
+    }
+}
+
+impl Deserialize for Arc<str> {
+    fn de(v: &Value) -> Result<Self, DeError> {
+        match v {
+            Value::Str(s) => Ok(Arc::from(s.as_str())),
+            _ => Err(DeError::expected("string", "Arc<str>")),
+        }
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for Rc<T> {
     fn ser(&self) -> Value {
         (**self).ser()

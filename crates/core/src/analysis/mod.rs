@@ -411,9 +411,9 @@ pub struct AppAnalysis {
     hazard_from: usize,
     pristine: Os,
     /// The spawn argument vector (immutable for the whole run).
-    setup_args: Vec<String>,
+    setup_args: Arc<[String]>,
     /// The spawn environment (immutable: the sandbox has no `setenv`).
-    setup_env: BTreeMap<String, String>,
+    setup_env: Arc<BTreeMap<String, String>>,
     /// Credentials that performed each successful content read in the
     /// clean run, keyed by physical path (from the audit log).
     read_creds: BTreeMap<String, Vec<Credentials>>,
@@ -503,9 +503,11 @@ impl AppAnalysis {
     fn fact_of(pristine: &Os, cwd: &str, ev: &TraceEvent) -> EventFact {
         let fs = &pristine.fs;
         let pristine_value = match (ev.op, &ev.object) {
-            (OpKind::RegRead, ObjectRef::RegValue(key, value)) => {
-                pristine.registry.get_value(key, value).ok().map(|(text, _)| text)
-            }
+            (OpKind::RegRead, ObjectRef::RegValue(key, value)) => pristine
+                .registry
+                .get_value(key, value)
+                .ok()
+                .map(|(text, _)| text.to_string()),
             _ => None,
         };
         let physical = match &ev.object {

@@ -81,7 +81,7 @@ impl AvaHook {
 }
 
 impl Interceptor for AvaHook {
-    fn before(&mut self, _os: &mut Os, _point: &InteractionRef, _call: &Syscall) {}
+    fn before(&mut self, _os: &mut Os, _point: &InteractionRef, _call: &Syscall<'_>) {}
 
     fn after(&mut self, _os: &mut Os, point: &InteractionRef, result: &mut SysResult<SysReturn>) {
         if !point.op.is_input() {

@@ -93,7 +93,7 @@ pub fn run_fuzz(setup: &TestSetup, app: &dyn Application, options: &FuzzOptions)
                     count,
                     fuzzed.iter().map(String::len).collect::<Vec<_>>()
                 );
-                run_setup.args = fuzzed;
+                run_setup.args = fuzzed.into();
             }
             FuzzTarget::Net { port, from } => {
                 // The fuzzed packet replaces the scripted traffic.

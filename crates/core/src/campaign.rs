@@ -47,10 +47,11 @@ pub struct TestSetup {
     pub program: Option<String>,
     /// Who invokes the program.
     pub invoker: Uid,
-    /// Argument vector.
-    pub args: Vec<String>,
-    /// Environment variables.
-    pub env: BTreeMap<String, String>,
+    /// Argument vector, shared with every run's process.
+    pub args: Arc<[String]>,
+    /// Environment variables, shared with every run's process (write with
+    /// `Arc::make_mut`).
+    pub env: Arc<BTreeMap<String, String>>,
     /// Initial working directory.
     pub cwd: String,
     /// Declarative custom invariants; each compiles into a detector
@@ -68,8 +69,8 @@ impl TestSetup {
             world,
             program: None,
             invoker,
-            args: Vec::new(),
-            env: BTreeMap::new(),
+            args: Arc::from([]),
+            env: Arc::default(),
             cwd: "/".to_string(),
             invariants: Vec::new(),
         }
@@ -96,7 +97,7 @@ impl TestSetup {
     /// Sets one environment variable.
     #[must_use]
     pub fn env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.env.insert(key.into(), value.into());
+        Arc::make_mut(&mut self.env).insert(key.into(), value.into());
         self
     }
 
@@ -258,8 +259,8 @@ pub fn run_once(setup: &TestSetup, app: &dyn Application, hook: Option<Box<dyn I
     let Ok(pid) = os.spawn(
         setup.invoker,
         setup.program.as_deref(),
-        setup.args.clone(),
-        setup.env.clone(),
+        Arc::clone(&setup.args),
+        Arc::clone(&setup.env),
         &setup.cwd,
     ) else {
         let violations = verdicts(&mut os);

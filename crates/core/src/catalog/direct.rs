@@ -119,8 +119,8 @@ fn reg_fault(attr: RegAttribute, key: &str, description: impl Into<String>, payl
 
 /// Direct faults for a create-style file interaction: the four attributes
 /// of paper §3.4 (existence, ownership, permission, symbolic link).
-fn create_faults(p: &str, s: &ScenarioMeta) -> Vec<ConcreteFault> {
-    vec![
+fn create_faults(p: &str, s: &ScenarioMeta, out: &mut Vec<ConcreteFault>) {
+    out.extend([
         fs_fault(
             FsAttribute::Existence,
             p,
@@ -148,12 +148,13 @@ fn create_faults(p: &str, s: &ScenarioMeta) -> Vec<ConcreteFault> {
                 target: s.integrity_target.clone(),
             },
         ),
-    ]
+    ]);
 }
 
-/// Direct faults for a read-style file interaction.
-fn read_faults(p: &str, s: &ScenarioMeta, reaccessed: bool) -> Vec<ConcreteFault> {
-    let mut out = vec![
+/// Direct faults for a read-style file interaction; `content` is false for
+/// a bare `stat` probe, which does not observe content.
+fn read_faults(p: &str, s: &ScenarioMeta, reaccessed: bool, content: bool, out: &mut Vec<ConcreteFault>) {
+    out.extend([
         fs_fault(
             FsAttribute::Existence,
             p,
@@ -181,7 +182,9 @@ fn read_faults(p: &str, s: &ScenarioMeta, reaccessed: bool) -> Vec<ConcreteFault
                 target: s.secret_target.clone(),
             },
         ),
-        fs_fault(
+    ]);
+    if content {
+        out.push(fs_fault(
             FsAttribute::ContentInvariance,
             p,
             format!("modify the content of {p}"),
@@ -189,8 +192,8 @@ fn read_faults(p: &str, s: &ScenarioMeta, reaccessed: bool) -> Vec<ConcreteFault
                 path: p.into(),
                 content: "perturbed content".into(),
             },
-        ),
-    ];
+        ));
+    }
     if reaccessed {
         out.push(fs_fault(
             FsAttribute::NameInvariance,
@@ -199,12 +202,11 @@ fn read_faults(p: &str, s: &ScenarioMeta, reaccessed: bool) -> Vec<ConcreteFault
             DirectFault::RenameAway { path: p.into() },
         ));
     }
-    out
 }
 
 /// Direct faults for a chdir interaction.
-fn chdir_faults(p: &str, s: &ScenarioMeta) -> Vec<ConcreteFault> {
-    vec![
+fn chdir_faults(p: &str, s: &ScenarioMeta, out: &mut Vec<ConcreteFault>) {
+    out.extend([
         fs_fault(
             FsAttribute::Existence,
             p,
@@ -232,13 +234,13 @@ fn chdir_faults(p: &str, s: &ScenarioMeta) -> Vec<ConcreteFault> {
                 target: s.protected_dir.clone(),
             },
         ),
-    ]
+    ]);
 }
 
 /// Direct faults for an exec interaction on a resolved binary.
-fn exec_faults(p: &str, s: &ScenarioMeta) -> Vec<ConcreteFault> {
+fn exec_faults(p: &str, s: &ScenarioMeta, out: &mut Vec<ConcreteFault>) {
     let payload_path = format!("{}/payload.sh", s.attacker_home);
-    vec![
+    out.extend([
         fs_fault(
             FsAttribute::Existence,
             p,
@@ -275,12 +277,12 @@ fn exec_faults(p: &str, s: &ScenarioMeta) -> Vec<ConcreteFault> {
                 content: "#!trojan".into(),
             },
         ),
-    ]
+    ]);
 }
 
 /// Direct faults for a delete interaction.
-fn delete_faults(p: &str, s: &ScenarioMeta) -> Vec<ConcreteFault> {
-    vec![
+fn delete_faults(p: &str, s: &ScenarioMeta, out: &mut Vec<ConcreteFault>) {
+    out.extend([
         fs_fault(
             FsAttribute::Existence,
             p,
@@ -308,43 +310,40 @@ fn delete_faults(p: &str, s: &ScenarioMeta) -> Vec<ConcreteFault> {
                 target: s.critical_target.clone(),
             },
         ),
-    ]
+    ]);
 }
 
 /// The direct faults applicable to one (operation, object) pair.
 pub fn direct_faults_for(op: OpKind, object: &ObjectRef, ctx: &DirectContext<'_>) -> Vec<ConcreteFault> {
+    let mut out = Vec::new();
+    push_direct_faults(op, object, ctx, &mut out);
+    out
+}
+
+/// [`direct_faults_for`], appended to `out`.
+pub(crate) fn push_direct_faults(
+    op: OpKind,
+    object: &ObjectRef,
+    ctx: &DirectContext<'_>,
+    out: &mut Vec<ConcreteFault>,
+) {
     let s = ctx.scenario;
-    let mut out = match (op, object) {
+    match (op, object) {
         (OpKind::CreateFile | OpKind::CreateExcl | OpKind::WriteFile, ObjectRef::File(p)) => {
-            create_faults(&ctx.absolutize(p), s)
+            create_faults(&ctx.absolutize(p), s, out);
         }
-        (OpKind::ReadFile, ObjectRef::File(p)) => {
+        (OpKind::ReadFile | OpKind::Stat, ObjectRef::File(p)) => {
             let abs = ctx.absolutize(p);
             let re = ctx.reaccessed.contains(&abs);
-            read_faults(&abs, s, re)
+            read_faults(&abs, s, re, op == OpKind::ReadFile, out);
         }
-        (OpKind::Chdir, ObjectRef::File(p)) => chdir_faults(&ctx.absolutize(p), s),
-        (OpKind::Delete, ObjectRef::File(p)) => delete_faults(&ctx.absolutize(p), s),
-        (OpKind::Stat, ObjectRef::File(p)) => {
-            let abs = ctx.absolutize(p);
-            let re = ctx.reaccessed.contains(&abs);
-            // A bare stat probe gets the read-side faults minus content
-            // (stat does not observe content).
-            read_faults(&abs, s, re)
-                .into_iter()
-                .filter(|f| !f.id.starts_with("direct:fs:content"))
-                .collect()
-        }
-        (OpKind::ListDir, ObjectRef::File(p)) => chdir_faults(&ctx.absolutize(p), s),
+        (OpKind::Chdir | OpKind::ListDir, ObjectRef::File(p)) => chdir_faults(&ctx.absolutize(p), s, out),
+        (OpKind::Delete, ObjectRef::File(p)) => delete_faults(&ctx.absolutize(p), s, out),
         (OpKind::Exec, ObjectRef::File(p)) => {
-            let resolved = if p.contains('/') {
-                Some(ctx.absolutize(p))
-            } else {
-                ctx.exec_resolutions.get(p).cloned()
-            };
-            match resolved {
-                Some(bin) => exec_faults(&bin, s),
-                None => Vec::new(),
+            if p.contains('/') {
+                exec_faults(&ctx.absolutize(p), s, out);
+            } else if let Some(bin) = ctx.exec_resolutions.get(p) {
+                exec_faults(bin, s, out);
             }
         }
         (OpKind::RegRead, ObjectRef::RegValue(key, value)) => {
@@ -359,7 +358,7 @@ pub fn direct_faults_for(op: OpKind, object: &ObjectRef, ctx: &DirectContext<'_>
                     new_value: target.to_string(),
                 }),
             };
-            vec![
+            out.extend([
                 reg_fault(
                     RegAttribute::AclProtection,
                     key,
@@ -374,9 +373,9 @@ pub fn direct_faults_for(op: OpKind, object: &ObjectRef, ctx: &DirectContext<'_>
                     &format!("{}/payload.sh", s.attacker_home),
                     "an attacker-planted executable",
                 ),
-            ]
+            ]);
         }
-        (OpKind::NetRecv, ObjectRef::NetPort(port)) => vec![
+        (OpKind::NetRecv, ObjectRef::NetPort(port)) => out.extend([
             net_fault(
                 NetAttribute::MessageAuthenticity,
                 &port.to_string(),
@@ -420,8 +419,8 @@ pub fn direct_faults_for(op: OpKind, object: &ObjectRef, ctx: &DirectContext<'_>
                     with: "intruder-process".into(),
                 },
             ),
-        ],
-        (OpKind::NetConnect, ObjectRef::Service(host, port)) => vec![
+        ]),
+        (OpKind::NetConnect, ObjectRef::Service(host, port)) => out.extend([
             net_fault(
                 NetAttribute::ServiceAvailability,
                 &format!("{host}:{port}"),
@@ -440,14 +439,14 @@ pub fn direct_faults_for(op: OpKind, object: &ObjectRef, ctx: &DirectContext<'_>
                     port: *port,
                 },
             ),
-        ],
-        (OpKind::DnsResolve, ObjectRef::Host(host)) => vec![net_fault(
+        ]),
+        (OpKind::DnsResolve, ObjectRef::Host(host)) => out.push(net_fault(
             NetAttribute::ServiceAvailability,
             &format!("dns:{host}"),
             "deny the DNS service".to_string(),
             DirectFault::DnsDeny,
-        )],
-        (OpKind::ProcRecv, ObjectRef::IpcChannel(c)) => vec![
+        )),
+        (OpKind::ProcRecv, ObjectRef::IpcChannel(c)) => out.extend([
             proc_fault(
                 ProcAttribute::MessageAuthenticity,
                 c,
@@ -469,9 +468,9 @@ pub fn direct_faults_for(op: OpKind, object: &ObjectRef, ctx: &DirectContext<'_>
                 format!("deny the peer service on {c}"),
                 DirectFault::IpcDeny { channel: c.clone() },
             ),
-        ],
-        _ => Vec::new(),
-    };
+        ]),
+        _ => {}
+    }
     // Working-directory fault: applicable when the program names the object
     // with a relative path (Table 6, "start application in different
     // directory").
@@ -491,7 +490,6 @@ pub fn direct_faults_for(op: OpKind, object: &ObjectRef, ctx: &DirectContext<'_>
             ));
         }
     }
-    out
 }
 
 /// The rows of paper Table 6, for the reproduction harness. The two

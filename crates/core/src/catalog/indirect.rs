@@ -47,8 +47,15 @@ fn semantic_slug(semantic: InputSemantic) -> &'static str {
 /// The indirect faults applicable to an input with the given semantics
 /// (paper Table 5, rightmost column, made concrete).
 pub fn indirect_faults_for(semantic: InputSemantic, scenario: &ScenarioMeta) -> Vec<ConcreteFault> {
+    let mut out = Vec::new();
+    push_indirect_faults(semantic, scenario, &mut out);
+    out
+}
+
+/// [`indirect_faults_for`], appended to `out`.
+pub(crate) fn push_indirect_faults(semantic: InputSemantic, scenario: &ScenarioMeta, out: &mut Vec<ConcreteFault>) {
     match semantic {
-        InputSemantic::UserFileName => vec![
+        InputSemantic::UserFileName => out.extend([
             fault(
                 semantic,
                 "lengthen",
@@ -79,8 +86,8 @@ pub fn indirect_faults_for(semantic: InputSemantic, scenario: &ScenarioMeta) -> 
                 "insert `/` in file name",
                 IndirectFault::InsertSpecial { ch: '/' },
             ),
-        ],
-        InputSemantic::UserCommand => vec![
+        ]),
+        InputSemantic::UserCommand => out.extend([
             fault(
                 semantic,
                 "lengthen",
@@ -111,8 +118,8 @@ pub fn indirect_faults_for(semantic: InputSemantic, scenario: &ScenarioMeta) -> 
                 "insert newline in command",
                 IndirectFault::InsertSpecial { ch: '\n' },
             ),
-        ],
-        InputSemantic::EnvValue => vec![
+        ]),
+        InputSemantic::EnvValue => out.extend([
             fault(
                 semantic,
                 "lengthen",
@@ -137,8 +144,8 @@ pub fn indirect_faults_for(semantic: InputSemantic, scenario: &ScenarioMeta) -> 
                 "insert `;` in environment value",
                 IndirectFault::InsertSpecial { ch: ';' },
             ),
-        ],
-        InputSemantic::EnvPathList => vec![
+        ]),
+        InputSemantic::EnvPathList => out.extend([
             fault(
                 semantic,
                 "lengthen",
@@ -173,14 +180,14 @@ pub fn indirect_faults_for(semantic: InputSemantic, scenario: &ScenarioMeta) -> 
                 "use recursive (current-directory) path",
                 IndirectFault::PathListRecursive,
             ),
-        ],
-        InputSemantic::EnvPermMask => vec![fault(
+        ]),
+        InputSemantic::EnvPermMask => out.push(fault(
             semantic,
             "zero",
             "change mask to 0 so it masks no permission bit",
             IndirectFault::PermMaskZero,
-        )],
-        InputSemantic::FsFileName => vec![
+        )),
+        InputSemantic::FsFileName => out.extend([
             fault(
                 semantic,
                 "lengthen",
@@ -195,8 +202,8 @@ pub fn indirect_faults_for(semantic: InputSemantic, scenario: &ScenarioMeta) -> 
                 "insert special character `;`",
                 IndirectFault::InsertSpecial { ch: ';' },
             ),
-        ],
-        InputSemantic::FsFileExtension => vec![
+        ]),
+        InputSemantic::FsFileExtension => out.extend([
             fault(
                 semantic,
                 "exe",
@@ -209,8 +216,8 @@ pub fn indirect_faults_for(semantic: InputSemantic, scenario: &ScenarioMeta) -> 
                 "change length of file extension",
                 IndirectFault::LengthenExtension,
             ),
-        ],
-        InputSemantic::NetIpAddr => vec![
+        ]),
+        InputSemantic::NetIpAddr => out.extend([
             fault(
                 semantic,
                 "lengthen",
@@ -218,8 +225,8 @@ pub fn indirect_faults_for(semantic: InputSemantic, scenario: &ScenarioMeta) -> 
                 IndirectFault::Lengthen { by: 256 },
             ),
             fault(semantic, "malform", "use bad-formatted address", IndirectFault::Malform),
-        ],
-        InputSemantic::NetPacket => vec![
+        ]),
+        InputSemantic::NetPacket => out.extend([
             fault(
                 semantic,
                 "oversize",
@@ -227,8 +234,8 @@ pub fn indirect_faults_for(semantic: InputSemantic, scenario: &ScenarioMeta) -> 
                 IndirectFault::Lengthen { by: 8192 },
             ),
             fault(semantic, "malform", "use bad-formatted packet", IndirectFault::Malform),
-        ],
-        InputSemantic::NetHostName => vec![
+        ]),
+        InputSemantic::NetHostName => out.extend([
             fault(
                 semantic,
                 "lengthen",
@@ -241,8 +248,8 @@ pub fn indirect_faults_for(semantic: InputSemantic, scenario: &ScenarioMeta) -> 
                 "use bad-formatted host name",
                 IndirectFault::Malform,
             ),
-        ],
-        InputSemantic::NetDnsReply => vec![
+        ]),
+        InputSemantic::NetDnsReply => out.extend([
             fault(
                 semantic,
                 "lengthen",
@@ -250,8 +257,8 @@ pub fn indirect_faults_for(semantic: InputSemantic, scenario: &ScenarioMeta) -> 
                 IndirectFault::Lengthen { by: 1024 },
             ),
             fault(semantic, "malform", "use bad-formatted reply", IndirectFault::Malform),
-        ],
-        InputSemantic::ProcMessage => vec![
+        ]),
+        InputSemantic::ProcMessage => out.extend([
             fault(
                 semantic,
                 "lengthen",
@@ -259,8 +266,8 @@ pub fn indirect_faults_for(semantic: InputSemantic, scenario: &ScenarioMeta) -> 
                 IndirectFault::Lengthen { by: 8192 },
             ),
             fault(semantic, "malform", "use bad-formatted message", IndirectFault::Malform),
-        ],
-        InputSemantic::Opaque => Vec::new(),
+        ]),
+        InputSemantic::Opaque => {}
     }
 }
 

@@ -38,24 +38,27 @@ pub struct CatalogRow {
 
 /// Builds the full fault list for one interaction point: the union of
 /// direct faults (per operation/object) and indirect faults (per input
-/// semantics), deduplicated by fault id.
+/// semantics), deduplicated by fault id (the first fault with an id wins).
+///
+/// Every generator appends to one list, and duplicates are found by
+/// comparing ids in place: a site's list is a few dozen faults, and no id
+/// is copied.
 pub fn faults_for_site(summary: &SiteSummary, ctx: &DirectContext<'_>) -> Vec<ConcreteFault> {
     let mut out: Vec<ConcreteFault> = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
     for (op, object) in &summary.ops {
-        for f in direct_faults_for(*op, object, ctx) {
-            if seen.insert(f.id.clone()) {
-                out.push(f);
-            }
-        }
+        direct::push_direct_faults(*op, object, ctx, &mut out);
     }
     for sem in &summary.inputs {
-        for f in indirect_faults_for(*sem, ctx.scenario) {
-            if seen.insert(f.id.clone()) {
-                out.push(f);
-            }
+        indirect::push_indirect_faults(*sem, ctx.scenario, &mut out);
+    }
+    let mut kept = 0;
+    for i in 0..out.len() {
+        if !out[..kept].iter().any(|f| f.id == out[i].id) {
+            out.swap(kept, i);
+            kept += 1;
         }
     }
+    out.truncate(kept);
     out
 }
 

@@ -114,7 +114,7 @@ impl InjectionHook {
 }
 
 impl Interceptor for InjectionHook {
-    fn before(&mut self, os: &mut Os, point: &InteractionRef, _call: &Syscall) {
+    fn before(&mut self, os: &mut Os, point: &InteractionRef, _call: &Syscall<'_>) {
         if self.fired.get() || !self.matches_direct(point) {
             return;
         }

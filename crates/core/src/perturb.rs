@@ -278,7 +278,7 @@ impl DirectFault {
                 os.fs.mkdir_p(dir, attacker, attacker_gid, Mode::new(0o755))?;
                 let w = os.fs.walk(dir, true, None)?;
                 if let Ok(p) = os.procs.get_mut(pid) {
-                    p.cwd = w.physical.to_string();
+                    p.cwd = w.physical;
                     p.cwd_inode = w.id;
                 }
             }

@@ -146,15 +146,22 @@ impl CampaignReport {
         self.records.iter().filter(|r| !r.tolerated())
     }
 
-    /// Per-category (injected, violated) counts.
+    /// Per-category (injected, violated) counts. Records are tallied by
+    /// category first, so each category's name is rendered once.
     pub fn by_category(&self) -> BTreeMap<String, (usize, usize)> {
-        let mut out: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+        let mut counts: BTreeMap<EaiCategory, (usize, usize)> = BTreeMap::new();
         for r in &self.records {
-            let e = out.entry(r.category.to_string()).or_insert((0, 0));
+            let e = counts.entry(r.category).or_insert((0, 0));
             e.0 += 1;
             if !r.tolerated() {
                 e.1 += 1;
             }
+        }
+        let mut out: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+        for (category, (injected, violated)) in counts {
+            let e = out.entry(category.to_string()).or_insert((0, 0));
+            e.0 += injected;
+            e.1 += violated;
         }
         out
     }

@@ -66,7 +66,7 @@ mod tests {
             "echo"
         }
         fn run(&self, os: &mut Os, pid: Pid) -> i32 {
-            let args: Vec<String> = os.procs.get(pid).map(|p| p.args.clone()).unwrap_or_default();
+            let args: Vec<String> = os.procs.get(pid).map(|p| p.args.to_vec()).unwrap_or_default();
             for (i, _) in args.iter().enumerate() {
                 let Ok(a) = os.sys_arg(pid, "echo:arg", i, crate::trace::InputSemantic::Opaque) else {
                     return 1;

@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cred::{Gid, Uid};
 use crate::data::Data;
+use crate::intern::PathSym;
 use crate::mode::Mode;
 
 /// Identifier of an inode within a [`crate::fs::Vfs`].
@@ -51,8 +52,9 @@ impl fmt::Display for FileTag {
 pub enum FileKind {
     /// A regular file and its (labeled) content.
     Regular(Data),
-    /// A directory mapping names to child inodes.
-    Directory(BTreeMap<String, InodeId>),
+    /// A directory mapping names to child inodes. Names are interned, so
+    /// copying a directory to write it copies no name text.
+    Directory(BTreeMap<PathSym, InodeId>),
     /// A symbolic link and its target path text.
     Symlink(String),
 }
@@ -100,7 +102,7 @@ impl Inode {
     }
 
     /// Directory entries, or an error-friendly `None` for non-directories.
-    pub fn entries(&self) -> Option<&BTreeMap<String, InodeId>> {
+    pub fn entries(&self) -> Option<&BTreeMap<PathSym, InodeId>> {
         match &self.kind {
             FileKind::Directory(e) => Some(e),
             _ => None,
@@ -108,7 +110,7 @@ impl Inode {
     }
 
     /// Mutable directory entries.
-    pub fn entries_mut(&mut self) -> Option<&mut BTreeMap<String, InodeId>> {
+    pub fn entries_mut(&mut self) -> Option<&mut BTreeMap<PathSym, InodeId>> {
         match &mut self.kind {
             FileKind::Directory(e) => Some(e),
             _ => None,

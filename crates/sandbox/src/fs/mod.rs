@@ -76,6 +76,21 @@ thread_local! {
     static PHYSICAL: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Slots a snapshot's table copy leaves free, so the entries a run
+/// creates do not reallocate the copy it just made.
+const TABLE_ROOM: usize = 4;
+
+/// `Arc::make_mut` for a snapshot's dense table: a shared table is copied
+/// with [`TABLE_ROOM`] spare slots.
+fn unshare_with_room<T: Clone>(table: &mut Arc<Vec<T>>) -> &mut Vec<T> {
+    if Arc::get_mut(table).is_none() {
+        let mut copy = Vec::with_capacity(table.len() + TABLE_ROOM);
+        copy.extend_from_slice(table);
+        *table = Arc::new(copy);
+    }
+    Arc::get_mut(table).expect("a table just copied is unshared")
+}
+
 /// The table slot of an inode id (out of range for any table when the id
 /// does not fit a `usize`).
 fn slot(id: InodeId) -> usize {
@@ -339,7 +354,7 @@ impl Vfs {
 
     /// The inode table, unsharing it from any sibling snapshot first.
     fn table_mut(&mut self) -> &mut Vec<Option<Arc<Inode>>> {
-        Arc::make_mut(&mut self.inodes)
+        unshare_with_room(&mut self.inodes)
     }
 
     /// The live inodes in id order.
@@ -410,7 +425,7 @@ impl Vfs {
             if let Some(entries) = self.inode(id).ok().and_then(Inode::entries) {
                 for (name, child) in entries {
                     if let Some(link) = parents.get_mut(slot(*child)) {
-                        *link = Some((id, intern::intern(name)));
+                        *link = Some((id, *name));
                     }
                     stack.push(*child);
                 }
@@ -421,7 +436,7 @@ impl Vfs {
 
     /// Sets (or clears) the parent link of `child`.
     fn set_parent_link(&mut self, child: InodeId, link: Option<(InodeId, PathSym)>) {
-        let parents = Arc::make_mut(&mut self.parents);
+        let parents = unshare_with_room(&mut self.parents);
         let i = slot(child);
         if parents.len() <= i {
             if link.is_none() {
@@ -435,15 +450,16 @@ impl Vfs {
     /// Inserts `child` under `dir` as `name`, keeping the reverse index
     /// in sync. Returns the entry the insert displaced, if any.
     fn link_child(&mut self, dir: InodeId, name: &str, child: InodeId) -> SysResult<Option<InodeId>> {
+        let name = intern::intern(name);
         let replaced = self
             .inode_mut(dir)?
             .entries_mut()
             .expect("link_child target is a directory")
-            .insert(name.to_string(), child);
+            .insert(name, child);
         if let Some(old) = replaced {
             self.set_parent_link(old, None);
         }
-        self.set_parent_link(child, Some((dir, intern::intern(name))));
+        self.set_parent_link(child, Some((dir, name)));
         Ok(replaced)
     }
 
@@ -1098,7 +1114,7 @@ impl Vfs {
             return Err(syserr!(Eacces, "{abs_path}"));
         }
         ino.entries()
-            .map(|e| e.keys().cloned().collect())
+            .map(|e| e.keys().map(ToString::to_string).collect())
             .ok_or_else(|| syserr!(Enotdir, "{abs_path}"))
     }
 
@@ -1267,7 +1283,7 @@ impl Vfs {
             if let Some(entries) = ino.entries() {
                 for (name, child) in entries {
                     match self.parents.get(slot(*child)).copied().flatten() {
-                        Some((p, n)) if p == id && n.as_str() == name => {}
+                        Some((p, n)) if p == id && n == *name => {}
                         other => return Err(format!("parent link for {child} is {other:?}, expected ({id}, {name})")),
                     }
                     stack.push(*child);

@@ -104,6 +104,14 @@ impl std::ops::Deref for PathSym {
     }
 }
 
+impl std::borrow::Borrow<str> for PathSym {
+    /// Sound because content uniqueness makes a symbol's equality, order
+    /// and hash those of its text.
+    fn borrow(&self) -> &str {
+        self.0
+    }
+}
+
 impl AsRef<str> for PathSym {
     fn as_ref(&self) -> &str {
         self.0
@@ -290,6 +298,161 @@ pub fn stats() -> InternStats {
     }
 }
 
+/// Interned text kept verbatim: the provenance a [`crate::data::Label`]
+/// names (a physical path, `file:…`, `registry:…`, a peer host). A `Copy`
+/// handle, so copying a label or a label set copies pointers, not bytes.
+///
+/// Unlike [`PathSym`] the text is never path-cleaned, and equality, order
+/// and hashing are by content (a symbol made from a [`PathSym`] shares the
+/// path table's text instead of being re-interned). The table is a
+/// process-wide leaked arena like the path table's, bounded by the distinct
+/// label texts a campaign produces, and it keeps no hit counters: a
+/// label's text never shows in [`stats`].
+#[derive(Clone, Copy)]
+pub struct TextSym(&'static str);
+
+/// Concatenations up to this length are looked up from a stack buffer,
+/// so a label text the table already holds costs no allocation.
+const CONCAT_STACK: usize = 256;
+
+fn texts() -> &'static RwLock<std::collections::HashSet<&'static str>> {
+    static TEXTS: OnceLock<RwLock<std::collections::HashSet<&'static str>>> = OnceLock::new();
+    TEXTS.get_or_init(|| RwLock::new(std::collections::HashSet::new()))
+}
+
+impl TextSym {
+    /// The symbol for `text`, interned once per distinct text.
+    pub fn new(text: &str) -> TextSym {
+        if let Some(&s) = texts().read().expect("text table poisoned").get(text) {
+            return TextSym(s);
+        }
+        let mut table = texts().write().expect("text table poisoned");
+        if let Some(&s) = table.get(text) {
+            return TextSym(s);
+        }
+        let leaked: &'static str = Box::leak(text.to_string().into_boxed_str());
+        table.insert(leaked);
+        TextSym(leaked)
+    }
+
+    /// The symbol for `parts` joined (`file:` and a path), without
+    /// building the joined text on the heap when it is short.
+    pub fn concat(parts: &[&str]) -> TextSym {
+        let len = parts.iter().map(|p| p.len()).sum();
+        if len > CONCAT_STACK {
+            return TextSym::new(&parts.concat());
+        }
+        let mut buf = [0u8; CONCAT_STACK];
+        let mut end = 0;
+        for part in parts {
+            buf[end..end + part.len()].copy_from_slice(part.as_bytes());
+            end += part.len();
+        }
+        TextSym::new(std::str::from_utf8(&buf[..len]).expect("joined strs are a str"))
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &'static str {
+        self.0
+    }
+}
+
+impl From<PathSym> for TextSym {
+    fn from(p: PathSym) -> TextSym {
+        TextSym(p.as_str())
+    }
+}
+
+impl From<&str> for TextSym {
+    fn from(s: &str) -> TextSym {
+        TextSym::new(s)
+    }
+}
+
+impl From<String> for TextSym {
+    fn from(s: String) -> TextSym {
+        TextSym::new(&s)
+    }
+}
+
+impl PartialEq for TextSym {
+    fn eq(&self, other: &TextSym) -> bool {
+        std::ptr::eq(self.0, other.0) || self.0 == other.0
+    }
+}
+
+impl Eq for TextSym {}
+
+impl PartialEq<str> for TextSym {
+    fn eq(&self, other: &str) -> bool {
+        self.0 == other
+    }
+}
+
+impl PartialEq<&str> for TextSym {
+    fn eq(&self, other: &&str) -> bool {
+        self.0 == *other
+    }
+}
+
+impl std::hash::Hash for TextSym {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl PartialOrd for TextSym {
+    fn partial_cmp(&self, other: &TextSym) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TextSym {
+    fn cmp(&self, other: &TextSym) -> std::cmp::Ordering {
+        self.0.cmp(other.0)
+    }
+}
+
+impl std::ops::Deref for TextSym {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+impl AsRef<str> for TextSym {
+    fn as_ref(&self) -> &str {
+        self.0
+    }
+}
+
+impl fmt::Display for TextSym {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl fmt::Debug for TextSym {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0, f)
+    }
+}
+
+impl serde::Serialize for TextSym {
+    fn ser(&self) -> serde::Value {
+        serde::Value::Str(self.0.to_string())
+    }
+}
+
+impl serde::Deserialize for TextSym {
+    fn de(v: &serde::Value) -> Result<TextSym, serde::DeError> {
+        match v {
+            serde::Value::Str(s) => Ok(TextSym::new(s)),
+            _ => Err(serde::DeError::expected("string", "TextSym")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,5 +494,20 @@ mod tests {
         let v = sym.ser();
         assert_eq!(v, serde::Value::Str("/etc/shadow".into()));
         assert_eq!(PathSym::de(&v).unwrap(), sym);
+    }
+
+    #[test]
+    fn text_symbols_keep_text_verbatim() {
+        // No path cleaning: `//` and trailing `/` survive.
+        assert_eq!(TextSym::new("file://a/").as_str(), "file://a/");
+        assert_eq!(
+            TextSym::concat(&["file", ":", "/etc/shadow"]),
+            TextSym::new("file:/etc/shadow")
+        );
+        let long = "x".repeat(CONCAT_STACK + 1);
+        assert_eq!(TextSym::concat(&["p:", &long]).as_str(), format!("p:{long}"));
+        // A path symbol's text is shared, and compares by content.
+        assert_eq!(TextSym::from(intern("/etc/passwd")), TextSym::new("/etc/passwd"));
+        assert!(TextSym::new("a") < TextSym::new("b"));
     }
 }

@@ -73,9 +73,9 @@ pub mod trace;
 
 pub use app::Application;
 pub use cred::{Credentials, Gid, Uid};
-pub use data::{Data, Label, PathArg};
+pub use data::{Data, Label, LabelSet, PathArg};
 pub use error::{Errno, SysError, SysResult};
-pub use intern::PathSym;
+pub use intern::{PathSym, TextSym};
 pub use mode::{Access, Mode};
 pub use os::{Os, ScenarioMeta};
 pub use policy::{Detector, Evidence, InvariantSpec, OracleSet, Verdict, Violation, ViolationKind};

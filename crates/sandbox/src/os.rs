@@ -23,10 +23,10 @@ use shim_sync::sync::Arc;
 use crate::audit::{AuditEvent, AuditLog, SinkKind, WriteInfo};
 use crate::buffer::{CopyDiscipline, CopyOutcome, FixedBuf};
 use crate::cred::{Credentials, Gid, Uid, UserDb};
-use crate::data::{Data, Label, PathArg};
+use crate::data::{Data, Label, LabelSet, PathArg};
 use crate::error::{SysError, SysResult};
 use crate::fs::{FileTag, Probe, Stat, Vfs, Walked};
-use crate::intern::PathSym;
+use crate::intern::{PathSym, TextSym};
 use crate::mode::{Access, Mode};
 use crate::net::{Message, Network};
 use crate::path;
@@ -251,8 +251,8 @@ impl Os {
         &mut self,
         invoker: Uid,
         program: Option<&str>,
-        args: Vec<String>,
-        env: BTreeMap<String, String>,
+        args: impl Into<Arc<[String]>>,
+        env: impl Into<Arc<BTreeMap<String, String>>>,
         cwd: &str,
     ) -> SysResult<Pid> {
         let user = self
@@ -276,7 +276,7 @@ impl Os {
         if !self.fs.inode(w.id)?.is_dir() {
             return Err(syserr!(Enotdir, "{cwd}"));
         }
-        Ok(self.procs.insert(cred, w.physical.to_string(), w.id, 0o022, env, args))
+        Ok(self.procs.insert(cred, w.physical, w.id, 0o022, env, args))
     }
 
     /// Records a process's exit status.
@@ -335,7 +335,7 @@ impl Os {
     ///
     /// Whatever the underlying operation produces, plus `EAGAIN` once the
     /// process's syscall budget is exhausted.
-    pub fn syscall(&mut self, pid: Pid, site: impl AsRef<str>, call: Syscall) -> SysResult<SysReturn> {
+    pub fn syscall(&mut self, pid: Pid, site: impl AsRef<str>, call: Syscall<'_>) -> SysResult<SysReturn> {
         self.procs.get_mut(pid)?.spend_budget()?;
         let site = SiteId::new(site);
         let op = call.op();
@@ -373,9 +373,9 @@ impl Os {
         result
     }
 
-    fn dispatch(&mut self, pid: Pid, call: Syscall) -> SysResult<SysReturn> {
+    fn dispatch(&mut self, pid: Pid, call: Syscall<'_>) -> SysResult<SysReturn> {
         match call {
-            Syscall::Getenv { name, .. } => self.do_getenv(pid, &name),
+            Syscall::Getenv { name, .. } => self.do_getenv(pid, name),
             Syscall::ReadArg { index, .. } => self.do_read_arg(pid, index),
             Syscall::InputBind { value, .. } => Ok(SysReturn::Payload(value)),
             Syscall::ReadFile { path } => self.do_read_file(pid, &path),
@@ -387,7 +387,7 @@ impl Os {
             Syscall::Chdir { path } => self.do_chdir(pid, &path),
             Syscall::StatPath { path } => self.do_stat(pid, &path, true),
             Syscall::LstatPath { path } => self.do_stat(pid, &path, false),
-            Syscall::SymlinkCreate { target, link } => self.do_symlink(pid, &target, &link),
+            Syscall::SymlinkCreate { target, link } => self.do_symlink(pid, target, &link),
             Syscall::Readlink { path } => self.do_readlink(pid, &path),
             Syscall::Rename { from, to } => self.do_rename(pid, &from, &to),
             Syscall::Chmod { path, mode } => self.do_chmod(pid, &path, mode),
@@ -399,14 +399,14 @@ impl Os {
                 path_list,
             } => self.do_exec(pid, &program, &args, path_list.as_ref()),
             Syscall::Print { data } => self.do_print(pid, data),
-            Syscall::RegRead { key, value, .. } => self.do_reg_read(&key, &value),
-            Syscall::RegWrite { key, value, data } => self.do_reg_write(pid, &key, &value, data),
-            Syscall::RegDelete { key, value } => self.do_reg_delete(pid, &key, &value),
-            Syscall::NetConnect { host, port } => self.do_net_connect(&host, port),
-            Syscall::NetSend { host, port, data } => self.do_net_send(pid, &host, port, data),
+            Syscall::RegRead { key, value, .. } => self.do_reg_read(key, value),
+            Syscall::RegWrite { key, value, data } => self.do_reg_write(pid, key, value, data),
+            Syscall::RegDelete { key, value } => self.do_reg_delete(pid, key, value),
+            Syscall::NetConnect { host, port } => self.do_net_connect(host, port),
+            Syscall::NetSend { host, port, data } => self.do_net_send(pid, host, port, data),
             Syscall::NetRecv { port, .. } => self.do_net_recv(port),
-            Syscall::DnsResolve { host, .. } => self.do_dns(&host),
-            Syscall::ProcRecv { channel, .. } => self.do_proc_recv(&channel),
+            Syscall::DnsResolve { host, .. } => self.do_dns(host),
+            Syscall::ProcRecv { channel, .. } => self.do_proc_recv(channel),
         }
     }
 
@@ -430,29 +430,27 @@ impl Os {
 
     /// Taint on a path argument, including the cwd taint for relative paths
     /// (a relative operation lands wherever the tainted cwd pointed).
-    fn effective_taint(&self, pid: Pid, arg: &PathArg) -> BTreeSet<Label> {
+    fn effective_taint(&self, pid: Pid, arg: &PathArg<'_>) -> LabelSet {
         let mut taint = arg.taint.clone();
         if !path::is_absolute(&arg.path) {
             if let Ok(p) = self.procs.get(pid) {
-                taint.extend(p.cwd_taint.iter().cloned());
+                taint.union_with(&p.cwd_taint);
             }
         }
         taint
     }
 
-    fn attach_file_labels(&self, data: &mut Data, st: &Stat, physical: &str) {
+    fn attach_file_labels(&self, data: &mut Data, st: &Stat, physical: PathSym) {
         let invoker = self.invoker_cred();
         let may_read = st.mode.grants(st.owner, st.group, &invoker, Access::Read);
         if !may_read || st.tags.contains(&FileTag::Secret) {
             data.add_label(Label::Secret {
-                path: physical.to_string(),
+                path: physical.into(),
                 invoker_may_read: may_read,
             });
         }
         if self.untrusted_owner(st.owner) || st.mode.world_writable() {
-            data.add_label(Label::Untrusted {
-                source: format!("file:{physical}"),
-            });
+            data.add_label(Label::untrusted("file", &physical));
         }
     }
 
@@ -460,7 +458,7 @@ impl Os {
         let p = self.procs.get(pid)?;
         p.env
             .get(name)
-            .map(|v| SysReturn::Payload(Data::from(v.clone())))
+            .map(|v| SysReturn::Payload(Data::from(v.as_str())))
             .ok_or_else(|| syserr!(Enoent, "environment variable {name}"))
     }
 
@@ -468,17 +466,17 @@ impl Os {
         let p = self.procs.get(pid)?;
         p.args
             .get(index)
-            .map(|a| SysReturn::Payload(Data::from(a.clone())))
+            .map(|a| SysReturn::Payload(Data::from(a.as_str())))
             .ok_or_else(|| syserr!(Einval, "missing argument {index}"))
     }
 
-    fn do_read_file(&mut self, pid: Pid, path: &PathArg) -> SysResult<SysReturn> {
+    fn do_read_file(&mut self, pid: Pid, path: &PathArg<'_>) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let abs = self.abs(pid, &path.path)?;
         let w = self.fs.open_read(&abs, &cred)?;
         let st = Stat::of(self.fs.inode(w.id)?);
         let mut data = self.fs.read(w.id)?;
-        self.attach_file_labels(&mut data, &st, &w.physical);
+        self.attach_file_labels(&mut data, &st, w.physical);
         let taint = self.effective_taint(pid, path);
         self.audit.push(AuditEvent::FileRead {
             path: w.physical,
@@ -512,7 +510,7 @@ impl Os {
         &mut self,
         w: &Walked,
         pre: (bool, Option<Uid>, bool, BTreeSet<FileTag>),
-        path_taint: BTreeSet<Label>,
+        path_taint: LabelSet,
         data: &Data,
         cred: Credentials,
     ) {
@@ -550,7 +548,7 @@ impl Os {
         }));
     }
 
-    fn do_write_file(&mut self, pid: Pid, path: &PathArg, data: &Data, mode: u16) -> SysResult<SysReturn> {
+    fn do_write_file(&mut self, pid: Pid, path: &PathArg<'_>, data: &Data, mode: u16) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let umask = self.procs.get(pid)?.umask;
         let abs = self.abs(pid, &path.path)?;
@@ -563,7 +561,7 @@ impl Os {
         Ok(SysReturn::Unit)
     }
 
-    fn do_create_excl(&mut self, pid: Pid, path: &PathArg, mode: u16) -> SysResult<SysReturn> {
+    fn do_create_excl(&mut self, pid: Pid, path: &PathArg<'_>, mode: u16) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let umask = self.procs.get(pid)?.umask;
         let abs = self.abs(pid, &path.path)?;
@@ -574,7 +572,7 @@ impl Os {
         Ok(SysReturn::Unit)
     }
 
-    fn do_append(&mut self, pid: Pid, path: &PathArg, data: &Data, mode: u16) -> SysResult<SysReturn> {
+    fn do_append(&mut self, pid: Pid, path: &PathArg<'_>, data: &Data, mode: u16) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let umask = self.procs.get(pid)?.umask;
         let abs = self.abs(pid, &path.path)?;
@@ -599,7 +597,7 @@ impl Os {
         Ok(SysReturn::Unit)
     }
 
-    fn do_unlink(&mut self, pid: Pid, path: &PathArg) -> SysResult<SysReturn> {
+    fn do_unlink(&mut self, pid: Pid, path: &PathArg<'_>) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let abs = self.abs(pid, &path.path)?;
         // One walk stands for the god-mode `lstat` and parent walk the
@@ -637,7 +635,7 @@ impl Os {
         Ok(SysReturn::Unit)
     }
 
-    fn do_mkdir(&mut self, pid: Pid, path: &PathArg, mode: u16) -> SysResult<SysReturn> {
+    fn do_mkdir(&mut self, pid: Pid, path: &PathArg<'_>, mode: u16) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let umask = self.procs.get(pid)?.umask;
         let abs = self.abs(pid, &path.path)?;
@@ -645,7 +643,7 @@ impl Os {
         Ok(SysReturn::Unit)
     }
 
-    fn do_chdir(&mut self, pid: Pid, path: &PathArg) -> SysResult<SysReturn> {
+    fn do_chdir(&mut self, pid: Pid, path: &PathArg<'_>) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let abs = self.abs(pid, &path.path)?;
         let w = self.fs.walk(&abs, true, Some(&cred))?;
@@ -660,7 +658,7 @@ impl Os {
         let taint = self.effective_taint(pid, path);
         {
             let p = self.procs.get_mut(pid)?;
-            p.cwd = w.physical.to_string();
+            p.cwd = w.physical;
             p.cwd_inode = w.id;
             p.cwd_taint = taint.clone();
         }
@@ -673,7 +671,7 @@ impl Os {
         Ok(SysReturn::Unit)
     }
 
-    fn do_stat(&mut self, pid: Pid, path: &PathArg, follow: bool) -> SysResult<SysReturn> {
+    fn do_stat(&mut self, pid: Pid, path: &PathArg<'_>, follow: bool) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let abs = self.abs(pid, &path.path)?;
         let st = if follow {
@@ -684,20 +682,20 @@ impl Os {
         Ok(SysReturn::Meta(st))
     }
 
-    fn do_symlink(&mut self, pid: Pid, target: &str, link: &PathArg) -> SysResult<SysReturn> {
+    fn do_symlink(&mut self, pid: Pid, target: &str, link: &PathArg<'_>) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let abs = self.abs(pid, &link.path)?;
         self.fs.symlink(target, &abs, &cred)?;
         Ok(SysReturn::Unit)
     }
 
-    fn do_readlink(&mut self, pid: Pid, path: &PathArg) -> SysResult<SysReturn> {
+    fn do_readlink(&mut self, pid: Pid, path: &PathArg<'_>) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let abs = self.abs(pid, &path.path)?;
         Ok(SysReturn::Text(self.fs.readlink(&abs, &cred)?))
     }
 
-    fn do_rename(&mut self, pid: Pid, from: &PathArg, to: &PathArg) -> SysResult<SysReturn> {
+    fn do_rename(&mut self, pid: Pid, from: &PathArg<'_>, to: &PathArg<'_>) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let fa = self.abs(pid, &from.path)?;
         let ta = self.abs(pid, &to.path)?;
@@ -705,21 +703,21 @@ impl Os {
         Ok(SysReturn::Unit)
     }
 
-    fn do_chmod(&mut self, pid: Pid, path: &PathArg, mode: u16) -> SysResult<SysReturn> {
+    fn do_chmod(&mut self, pid: Pid, path: &PathArg<'_>, mode: u16) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let abs = self.abs(pid, &path.path)?;
         self.fs.chmod(&abs, Mode::new(mode), &cred)?;
         Ok(SysReturn::Unit)
     }
 
-    fn do_chown(&mut self, pid: Pid, path: &PathArg, owner: Uid) -> SysResult<SysReturn> {
+    fn do_chown(&mut self, pid: Pid, path: &PathArg<'_>, owner: Uid) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let abs = self.abs(pid, &path.path)?;
         self.fs.chown(&abs, owner, cred.egid, &cred)?;
         Ok(SysReturn::Unit)
     }
 
-    fn do_list_dir(&mut self, pid: Pid, path: &PathArg) -> SysResult<SysReturn> {
+    fn do_list_dir(&mut self, pid: Pid, path: &PathArg<'_>) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         let abs = self.abs(pid, &path.path)?;
         Ok(SysReturn::Names(self.fs.list_dir(&abs, &cred)?))
@@ -728,7 +726,7 @@ impl Os {
     fn do_exec(
         &mut self,
         pid: Pid,
-        program: &PathArg,
+        program: &PathArg<'_>,
         args: &[Data],
         path_list: Option<&Data>,
     ) -> SysResult<SysReturn> {
@@ -739,9 +737,9 @@ impl Os {
             self.fs.walk(&abs, true, Some(&cred))?
         } else {
             let pl = path_list.ok_or_else(|| syserr!(Einval, "bare program `{}` without search path", program.path))?;
-            taint.extend(pl.labels().iter().cloned());
+            taint.union_with(pl.labels());
             let mut found = None;
-            for dir in pl.text().split(':').filter(|s| !s.is_empty()) {
+            for dir in pl.as_text().split(':').filter(|s| !s.is_empty()) {
                 let cand = path::join(dir, &program.path);
                 let abs = self.abs(pid, &cand)?;
                 if let Ok(w) = self.fs.walk(&abs, true, Some(&cred)) {
@@ -769,7 +767,7 @@ impl Os {
             .inode(w.parent)
             .is_ok_and(|dir| self.untrusted_owner(dir.owner) || (dir.mode.world_writable() && !dir.mode.is_sticky()));
         self.audit.push(AuditEvent::Exec {
-            requested: program.path.clone(),
+            requested: program.path.to_string(),
             resolved: w.physical,
             owner,
             world_writable,
@@ -779,7 +777,7 @@ impl Os {
             by: cred,
         });
         Ok(SysReturn::Launched(ExecOutcome {
-            resolved: w.physical.to_string(),
+            resolved: w.physical,
             owner,
         }))
     }
@@ -800,14 +798,12 @@ impl Os {
         let (text, world_writable) = self.registry.get_value(key, value)?;
         let mut data = Data::from(text);
         if world_writable {
-            data.add_label(Label::Untrusted {
-                source: format!("registry:{key}"),
-            });
+            data.add_label(Label::untrusted("registry", key));
         }
         Ok(SysReturn::Payload(data))
     }
 
-    fn do_reg_write(&mut self, pid: Pid, key: &str, value: &str, data: String) -> SysResult<SysReturn> {
+    fn do_reg_write(&mut self, pid: Pid, key: &str, value: &str, data: &str) -> SysResult<SysReturn> {
         let cred = self.cred_of(pid)?;
         self.registry.set_value(key, value, data, &cred)?;
         self.audit.push(AuditEvent::RegistryWrite {
@@ -822,7 +818,7 @@ impl Os {
         self.registry.delete_value(key, value, &cred)?;
         self.audit.push(AuditEvent::RegistryDelete {
             key: key.to_string(),
-            path_taint: BTreeSet::new(),
+            path_taint: LabelSet::new(),
             by: cred,
         });
         Ok(SysReturn::Unit)
@@ -854,14 +850,12 @@ impl Os {
             .ok_or_else(|| syserr!(Enomsg, "no message on port {port}"))?;
         if !msg.authentic() {
             msg.data.add_label(Label::Spoofed {
-                claimed_from: msg.claimed_from.clone(),
-                actual_from: msg.actual_from.clone(),
+                claimed_from: TextSym::new(&msg.claimed_from),
+                actual_from: TextSym::new(&msg.actual_from),
             });
         }
         if let Some(who) = self.net.socket_shared_with(port) {
-            msg.data.add_label(Label::Untrusted {
-                source: format!("shared-socket:{who}"),
-            });
+            msg.data.add_label(Label::untrusted("shared-socket", who));
         }
         self.audit.push(AuditEvent::NetRecv {
             port,
@@ -880,14 +874,12 @@ impl Os {
         let mut msg = self.net.pop_ipc(channel)?;
         if !msg.authentic() {
             msg.data.add_label(Label::Spoofed {
-                claimed_from: msg.claimed_from.clone(),
-                actual_from: msg.actual_from.clone(),
+                claimed_from: TextSym::new(&msg.claimed_from),
+                actual_from: TextSym::new(&msg.actual_from),
             });
         }
         if !self.net.ipc_trusted(channel) {
-            msg.data.add_label(Label::Untrusted {
-                source: format!("ipc:{channel}"),
-            });
+            msg.data.add_label(Label::untrusted("ipc", channel));
         }
         Ok(SysReturn::Delivery(msg))
     }
@@ -912,14 +904,7 @@ macro_rules! expect_return {
 impl Os {
     /// Reads an environment variable. See [`Syscall::Getenv`].
     pub fn sys_getenv(&mut self, pid: Pid, site: &str, name: &str, semantic: InputSemantic) -> SysResult<Data> {
-        let r = self.syscall(
-            pid,
-            site,
-            Syscall::Getenv {
-                name: name.to_string(),
-                semantic,
-            },
-        )?;
+        let r = self.syscall(pid, site, Syscall::Getenv { name, semantic })?;
         expect_return!(r, Payload)
     }
 
@@ -942,7 +927,7 @@ impl Os {
             pid,
             site,
             Syscall::InputBind {
-                entity: entity.to_string(),
+                entity,
                 semantic,
                 value,
             },
@@ -951,17 +936,17 @@ impl Os {
     }
 
     /// Reads a whole file. See [`Syscall::ReadFile`].
-    pub fn sys_read_file(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>) -> SysResult<Data> {
+    pub fn sys_read_file<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<Data> {
         let r = self.syscall(pid, site, Syscall::ReadFile { path: path.into() })?;
         expect_return!(r, Payload)
     }
 
     /// Creates-or-truncates and writes a file. See [`Syscall::WriteFile`].
-    pub fn sys_write_file(
+    pub fn sys_write_file<'a>(
         &mut self,
         pid: Pid,
         site: &str,
-        path: impl Into<PathArg>,
+        path: impl Into<PathArg<'a>>,
         data: impl Into<Data>,
         mode: u16,
     ) -> SysResult<()> {
@@ -978,7 +963,13 @@ impl Os {
     }
 
     /// Exclusive creation. See [`Syscall::CreateExcl`].
-    pub fn sys_create_excl(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>, mode: u16) -> SysResult<()> {
+    pub fn sys_create_excl<'a>(
+        &mut self,
+        pid: Pid,
+        site: &str,
+        path: impl Into<PathArg<'a>>,
+        mode: u16,
+    ) -> SysResult<()> {
         self.syscall(
             pid,
             site,
@@ -991,11 +982,11 @@ impl Os {
     }
 
     /// Appends to a file. See [`Syscall::AppendFile`].
-    pub fn sys_append(
+    pub fn sys_append<'a>(
         &mut self,
         pid: Pid,
         site: &str,
-        path: impl Into<PathArg>,
+        path: impl Into<PathArg<'a>>,
         data: impl Into<Data>,
         mode: u16,
     ) -> SysResult<()> {
@@ -1012,47 +1003,47 @@ impl Os {
     }
 
     /// Removes a file. See [`Syscall::Unlink`].
-    pub fn sys_unlink(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>) -> SysResult<()> {
+    pub fn sys_unlink<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<()> {
         self.syscall(pid, site, Syscall::Unlink { path: path.into() })?;
         Ok(())
     }
 
     /// Changes the working directory. See [`Syscall::Chdir`].
-    pub fn sys_chdir(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>) -> SysResult<()> {
+    pub fn sys_chdir<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<()> {
         self.syscall(pid, site, Syscall::Chdir { path: path.into() })?;
         Ok(())
     }
 
     /// `stat`. See [`Syscall::StatPath`].
-    pub fn sys_stat(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>) -> SysResult<Stat> {
+    pub fn sys_stat<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<Stat> {
         let r = self.syscall(pid, site, Syscall::StatPath { path: path.into() })?;
         expect_return!(r, Meta)
     }
 
     /// `lstat`. See [`Syscall::LstatPath`].
-    pub fn sys_lstat(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>) -> SysResult<Stat> {
+    pub fn sys_lstat<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<Stat> {
         let r = self.syscall(pid, site, Syscall::LstatPath { path: path.into() })?;
         expect_return!(r, Meta)
     }
 
     /// Reads a symlink target. See [`Syscall::Readlink`].
-    pub fn sys_readlink(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>) -> SysResult<String> {
+    pub fn sys_readlink<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<String> {
         let r = self.syscall(pid, site, Syscall::Readlink { path: path.into() })?;
         expect_return!(r, Text)
     }
 
     /// Lists a directory. See [`Syscall::ListDir`].
-    pub fn sys_list_dir(&mut self, pid: Pid, site: &str, path: impl Into<PathArg>) -> SysResult<Vec<String>> {
+    pub fn sys_list_dir<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<Vec<String>> {
         let r = self.syscall(pid, site, Syscall::ListDir { path: path.into() })?;
         expect_return!(r, Names)
     }
 
     /// Executes a program. See [`Syscall::Exec`].
-    pub fn sys_exec(
+    pub fn sys_exec<'a>(
         &mut self,
         pid: Pid,
         site: &str,
-        program: impl Into<PathArg>,
+        program: impl Into<PathArg<'a>>,
         args: Vec<Data>,
         path_list: Option<Data>,
     ) -> SysResult<ExecOutcome> {
@@ -1083,42 +1074,19 @@ impl Os {
         value: &str,
         semantic: InputSemantic,
     ) -> SysResult<Data> {
-        let r = self.syscall(
-            pid,
-            site,
-            Syscall::RegRead {
-                key: key.to_string(),
-                value: value.to_string(),
-                semantic,
-            },
-        )?;
+        let r = self.syscall(pid, site, Syscall::RegRead { key, value, semantic })?;
         expect_return!(r, Payload)
     }
 
     /// Writes a registry value. See [`Syscall::RegWrite`].
     pub fn sys_reg_write(&mut self, pid: Pid, site: &str, key: &str, value: &str, data: &str) -> SysResult<()> {
-        self.syscall(
-            pid,
-            site,
-            Syscall::RegWrite {
-                key: key.to_string(),
-                value: value.to_string(),
-                data: data.to_string(),
-            },
-        )?;
+        self.syscall(pid, site, Syscall::RegWrite { key, value, data })?;
         Ok(())
     }
 
     /// Connects to a service. See [`Syscall::NetConnect`].
     pub fn sys_net_connect(&mut self, pid: Pid, site: &str, host: &str, port: u16) -> SysResult<()> {
-        self.syscall(
-            pid,
-            site,
-            Syscall::NetConnect {
-                host: host.to_string(),
-                port,
-            },
-        )?;
+        self.syscall(pid, site, Syscall::NetConnect { host, port })?;
         Ok(())
     }
 
@@ -1135,7 +1103,7 @@ impl Os {
             pid,
             site,
             Syscall::NetSend {
-                host: host.to_string(),
+                host,
                 port,
                 data: data.into(),
             },
@@ -1151,14 +1119,7 @@ impl Os {
 
     /// Resolves a host name. See [`Syscall::DnsResolve`].
     pub fn sys_dns(&mut self, pid: Pid, site: &str, host: &str, semantic: InputSemantic) -> SysResult<Data> {
-        let r = self.syscall(
-            pid,
-            site,
-            Syscall::DnsResolve {
-                host: host.to_string(),
-                semantic,
-            },
-        )?;
+        let r = self.syscall(pid, site, Syscall::DnsResolve { host, semantic })?;
         expect_return!(r, Payload)
     }
 
@@ -1170,14 +1131,7 @@ impl Os {
         channel: &str,
         semantic: InputSemantic,
     ) -> SysResult<Message> {
-        let r = self.syscall(
-            pid,
-            site,
-            Syscall::ProcRecv {
-                channel: channel.to_string(),
-                semantic,
-            },
-        )?;
+        let r = self.syscall(pid, site, Syscall::ProcRecv { channel, semantic })?;
         expect_return!(r, Delivery)
     }
 }
@@ -1345,7 +1299,7 @@ mod tests {
             fired_before: shim_sync::sync::Arc<shim_sync::sync::atomic::AtomicUsize>,
         }
         impl Interceptor for Hook {
-            fn before(&mut self, _os: &mut Os, _p: &InteractionRef, _c: &Syscall) {
+            fn before(&mut self, _os: &mut Os, _p: &InteractionRef, _c: &Syscall<'_>) {
                 self.fired_before
                     .fetch_add(1, shim_sync::sync::atomic::Ordering::SeqCst);
             }
@@ -1365,7 +1319,9 @@ mod tests {
                 os.scenario.invoker,
                 None,
                 vec![],
-                [("USER".to_string(), "student".to_string())].into_iter().collect(),
+                [("USER".to_string(), "student".to_string())]
+                    .into_iter()
+                    .collect::<BTreeMap<_, _>>(),
                 "/",
             )
             .unwrap();
@@ -1381,7 +1337,7 @@ mod tests {
     fn clone_drops_interceptor_but_keeps_world() {
         struct Nop;
         impl Interceptor for Nop {
-            fn before(&mut self, _: &mut Os, _: &InteractionRef, _: &Syscall) {}
+            fn before(&mut self, _: &mut Os, _: &InteractionRef, _: &Syscall<'_>) {}
             fn after(&mut self, _: &mut Os, _: &InteractionRef, _: &mut SysResult<SysReturn>) {}
         }
         let mut os = world();

@@ -27,14 +27,12 @@ pub fn join(base: &str, rel: &str) -> String {
     if rel.is_empty() {
         return base.to_string();
     }
-    let mut out = base.trim_end_matches('/').to_string();
-    if out.is_empty() {
-        out.push('/');
-    }
-    if !out.ends_with('/') {
-        out.push('/');
-    }
-    out.push_str(rel.trim_start_matches('/'));
+    let head = base.trim_end_matches('/');
+    let tail = rel.trim_start_matches('/');
+    let mut out = String::with_capacity(head.len() + 1 + tail.len());
+    out.push_str(head);
+    out.push('/');
+    out.push_str(tail);
     out
 }
 

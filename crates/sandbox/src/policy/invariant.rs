@@ -199,6 +199,7 @@ mod tests {
     use super::*;
     use crate::audit::WriteInfo;
     use crate::cred::{Credentials, Uid};
+    use crate::data::LabelSet;
     use crate::policy::OracleSet;
     use std::collections::BTreeSet;
 
@@ -213,8 +214,8 @@ mod tests {
             invoker_could_write_parent: true,
             invoker_could_read_after: false,
             created_by_self: false,
-            path_taint: BTreeSet::new(),
-            data_labels: BTreeSet::new(),
+            path_taint: LabelSet::new(),
+            data_labels: LabelSet::new(),
             by: Credentials::root(),
         })
     }
@@ -242,8 +243,8 @@ mod tests {
             owner: Uid::ROOT,
             world_writable: false,
             dir_untrusted: false,
-            path_taint: BTreeSet::new(),
-            arg_labels: BTreeSet::new(),
+            path_taint: LabelSet::new(),
+            arg_labels: LabelSet::new(),
             by: Credentials::root(),
         };
         d.observe(0, &exec("/tmpfiles/tool"));

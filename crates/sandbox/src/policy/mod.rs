@@ -426,7 +426,7 @@ mod tests {
     use super::*;
     use crate::audit::{SinkKind, WriteInfo};
     use crate::cred::{Credentials, Gid, Uid};
-    use crate::data::Label;
+    use crate::data::{Label, LabelSet};
     use crate::fs::FileTag;
     use std::collections::BTreeSet;
 
@@ -445,8 +445,8 @@ mod tests {
             invoker_could_write_parent: false,
             invoker_could_read_after: false,
             created_by_self: false,
-            path_taint: BTreeSet::new(),
-            data_labels: BTreeSet::new(),
+            path_taint: LabelSet::new(),
+            data_labels: LabelSet::new(),
             by,
         }
     }
@@ -502,7 +502,7 @@ mod tests {
     #[test]
     fn secret_to_stdout_is_disclosure() {
         let mut log = AuditLog::new();
-        let labels: BTreeSet<Label> = [Label::Secret {
+        let labels: LabelSet = [Label::Secret {
             path: "/etc/shadow".into(),
             invoker_may_read: false,
         }]
@@ -521,7 +521,7 @@ mod tests {
     #[test]
     fn readable_secret_is_not_disclosure() {
         let mut log = AuditLog::new();
-        let labels: BTreeSet<Label> = [Label::Secret {
+        let labels: LabelSet = [Label::Secret {
             path: "/home/me/own".into(),
             invoker_may_read: true,
         }]
@@ -538,7 +538,7 @@ mod tests {
     #[test]
     fn tainted_delete_fires_for_privileged_process() {
         let mut log = AuditLog::new();
-        let taint: BTreeSet<Label> = [Label::Untrusted {
+        let taint: LabelSet = [Label::Untrusted {
             source: "registry:Fonts".into(),
         }]
         .into_iter()
@@ -564,8 +564,8 @@ mod tests {
             owner: Uid(666),
             world_writable: false,
             dir_untrusted: true,
-            path_taint: BTreeSet::new(),
-            arg_labels: BTreeSet::new(),
+            path_taint: LabelSet::new(),
+            arg_labels: LabelSet::new(),
             by: suid_cred(),
         });
         let v = eval(&log);
@@ -581,8 +581,8 @@ mod tests {
             owner: Uid::ROOT,
             world_writable: false,
             dir_untrusted: false,
-            path_taint: BTreeSet::new(),
-            arg_labels: BTreeSet::new(),
+            path_taint: LabelSet::new(),
+            arg_labels: LabelSet::new(),
             by: suid_cred(),
         });
         assert!(eval(&log).is_empty());

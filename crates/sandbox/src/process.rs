@@ -8,15 +8,17 @@
 //! scheduled — the interesting security decisions all happen before or at
 //! the exec boundary.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::cred::Credentials;
-use crate::data::{Data, Label};
+use crate::data::{Data, LabelSet};
 use crate::error::SysResult;
 use crate::fs::InodeId;
+use crate::intern::PathSym;
 use crate::syserr;
+use shim_sync::sync::Arc;
 
 /// Process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -39,20 +41,22 @@ pub struct Process {
     pub pid: Pid,
     /// Real/effective identities.
     pub cred: Credentials,
-    /// Logical current working directory (textual).
-    pub cwd: String,
+    /// Current working directory: the physical path it was entered by.
+    pub cwd: PathSym,
     /// Physical inode of the current working directory.
     pub cwd_inode: InodeId,
     /// Taint labels carried by the path the process last `chdir`ed through;
     /// relative-path operations inherit them (the write lands wherever the
     /// tainted directory name pointed).
-    pub cwd_taint: BTreeSet<Label>,
+    pub cwd_taint: LabelSet,
     /// File-creation mask.
     pub umask: u16,
-    /// Environment variables.
-    pub env: BTreeMap<String, String>,
-    /// Argument vector (argv[1..]; the program name is implicit).
-    pub args: Vec<String>,
+    /// Environment variables, shared with the setup that spawned the
+    /// process.
+    pub env: Arc<BTreeMap<String, String>>,
+    /// Argument vector (argv[1..]; the program name is implicit), shared
+    /// with the setup that spawned the process.
+    pub args: Arc<[String]>,
     /// Captured standard output (one entry per `Print`).
     pub stdout: Vec<Data>,
     /// Exit status once the program finished.
@@ -64,7 +68,7 @@ pub struct Process {
 impl Process {
     /// The captured stdout as one string.
     pub fn stdout_text(&self) -> String {
-        self.stdout.iter().map(Data::text).collect::<Vec<_>>().join("")
+        self.stdout.iter().map(Data::as_text).collect()
     }
 
     /// Decrements the budget, failing with `EAGAIN` at exhaustion.
@@ -97,11 +101,11 @@ impl ProcessTable {
     pub fn insert(
         &mut self,
         cred: Credentials,
-        cwd: String,
+        cwd: PathSym,
         cwd_inode: InodeId,
         umask: u16,
-        env: BTreeMap<String, String>,
-        args: Vec<String>,
+        env: impl Into<Arc<BTreeMap<String, String>>>,
+        args: impl Into<Arc<[String]>>,
     ) -> Pid {
         let pid = Pid(self.next);
         self.next += 1;
@@ -112,10 +116,10 @@ impl ProcessTable {
                 cred,
                 cwd,
                 cwd_inode,
-                cwd_taint: BTreeSet::new(),
+                cwd_taint: LabelSet::new(),
                 umask,
-                env,
-                args,
+                env: env.into(),
+                args: args.into(),
                 stdout: Vec::new(),
                 exit: None,
                 budget: DEFAULT_SYSCALL_BUDGET,

@@ -37,14 +37,29 @@ impl Default for RegAcl {
 }
 
 /// One registry key: values, subkeys, ACL.
+///
+/// Names and values are shared strings, so copying a key to write it
+/// copies its maps' nodes, never their text.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RegKey {
     /// Named string values.
-    pub values: BTreeMap<String, String>,
+    pub values: BTreeMap<Arc<str>, Arc<str>>,
     /// Child keys, each shared between registry snapshots until written.
-    pub subkeys: BTreeMap<String, Arc<RegKey>>,
+    pub subkeys: BTreeMap<Arc<str>, Arc<RegKey>>,
     /// Access control.
     pub acl: RegAcl,
+}
+
+impl RegKey {
+    /// Sets value `name`, reusing the name's storage when it exists.
+    fn put(&mut self, name: &str, value: &str) {
+        match self.values.get_mut(name) {
+            Some(v) => *v = Arc::from(value),
+            None => {
+                self.values.insert(Arc::from(name), Arc::from(value));
+            }
+        }
+    }
 }
 
 /// The registry.
@@ -113,10 +128,12 @@ impl Registry {
     /// Creates a key (and any missing ancestors) with the given ACL,
     /// leaving existing ancestors untouched.
     pub fn ensure_key(&mut self, path: &str, acl: RegAcl) -> &mut RegKey {
-        let comps = split(path).map(str::to_string).collect::<Vec<_>>();
         let mut cur = Arc::make_mut(&mut self.root);
-        for comp in comps {
-            cur = Arc::make_mut(cur.subkeys.entry(comp).or_default());
+        for comp in split(path) {
+            if !cur.subkeys.contains_key(comp) {
+                cur.subkeys.insert(Arc::from(comp), Arc::default());
+            }
+            cur = Arc::make_mut(cur.subkeys.get_mut(comp).expect("inserted above"));
         }
         cur.acl = acl;
         cur
@@ -128,24 +145,24 @@ impl Registry {
     ///
     /// `ENOENT` for a missing key; `EACCES` when `cred` is neither the
     /// owner, an administrator, nor covered by world-write.
-    pub fn set_value(&mut self, path: &str, name: &str, value: impl Into<String>, cred: &Credentials) -> SysResult<()> {
+    pub fn set_value(&mut self, path: &str, name: &str, value: impl AsRef<str>, cred: &Credentials) -> SysResult<()> {
         let key = self
             .key_mut(path)
             .ok_or_else(|| syserr!(Enoent, "registry key {path}"))?;
         if !(key.acl.world_writable || cred.euid.is_root() || cred.euid == key.acl.owner) {
             return Err(syserr!(Eacces, "registry key {path}"));
         }
-        key.values.insert(name.to_string(), value.into());
+        key.put(name, value.as_ref());
         Ok(())
     }
 
     /// Sets a value without ACL checks (world building / perturbation).
-    pub fn god_set_value(&mut self, path: &str, name: &str, value: impl Into<String>) {
+    pub fn god_set_value(&mut self, path: &str, name: &str, value: impl AsRef<str>) {
         let key = match self.key_mut(path) {
             Some(k) => k,
             None => self.ensure_key(path, RegAcl::default()),
         };
-        key.values.insert(name.to_string(), value.into());
+        key.put(name, value.as_ref());
     }
 
     /// Reads a value together with the key's world-writability — the fact
@@ -154,12 +171,11 @@ impl Registry {
     /// # Errors
     ///
     /// `ENOENT` for a missing key or value.
-    pub fn get_value(&self, path: &str, name: &str) -> SysResult<(String, bool)> {
+    pub fn get_value(&self, path: &str, name: &str) -> SysResult<(&str, bool)> {
         let key = self.key(path).ok_or_else(|| syserr!(Enoent, "registry key {path}"))?;
         let v = key
             .values
             .get(name)
-            .cloned()
             .ok_or_else(|| syserr!(Enoent, "registry value {path}\\{name}"))?;
         Ok((v, key.acl.world_writable))
     }
@@ -196,7 +212,7 @@ impl Registry {
         fn walk(key: &RegKey, path: &str, out: &mut Vec<String>) {
             for (name, sub) in &key.subkeys {
                 let p = if path.is_empty() {
-                    name.clone()
+                    name.to_string()
                 } else {
                     format!("{path}/{name}")
                 };

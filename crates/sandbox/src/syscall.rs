@@ -8,25 +8,28 @@
 //! paper §3.3 step 6), `after` runs with the produced result (where
 //! **indirect** faults mutate the value the internal entity receives).
 
-use std::collections::BTreeSet;
-
 use serde::{Deserialize, Serialize};
 
 use crate::cred::Uid;
-use crate::data::{Data, Label, PathArg};
+use crate::data::{Data, LabelSet, PathArg};
 use crate::error::SysResult;
 use crate::fs::Stat;
+use crate::intern::PathSym;
 use crate::net::Message;
 use crate::os::Os;
 use crate::trace::{InputSemantic, ObjectRef, OpKind, SiteId};
 
 /// A request an application makes of its environment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Syscall {
+///
+/// A call borrows its names, keys and path text from the application for
+/// the length of the dispatch, so issuing one copies no argument; only the
+/// payloads it hands over (`Data` to write, print or send) are owned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Syscall<'a> {
     /// Read an environment variable (fails `ENOENT` when unset).
     Getenv {
         /// Variable name.
-        name: String,
+        name: &'a str,
         /// Semantics of the value.
         semantic: InputSemantic,
     },
@@ -42,7 +45,7 @@ pub enum Syscall {
     /// application extracts a field from raw input.
     InputBind {
         /// Internal-entity name, for diagnostics.
-        entity: String,
+        entity: &'a str,
         /// Semantics of the value.
         semantic: InputSemantic,
         /// The value being bound.
@@ -51,12 +54,12 @@ pub enum Syscall {
     /// Read a whole file.
     ReadFile {
         /// The file.
-        path: PathArg,
+        path: PathArg<'a>,
     },
     /// `creat`: create-or-truncate, then write `data`.
     WriteFile {
         /// The file.
-        path: PathArg,
+        path: PathArg<'a>,
         /// Content to write.
         data: Data,
         /// Creation mode bits.
@@ -65,14 +68,14 @@ pub enum Syscall {
     /// `open(O_CREAT|O_EXCL)`: exclusive creation of an empty file.
     CreateExcl {
         /// The file.
-        path: PathArg,
+        path: PathArg<'a>,
         /// Creation mode bits.
         mode: u16,
     },
     /// Append to a file, creating it if missing.
     AppendFile {
         /// The file.
-        path: PathArg,
+        path: PathArg<'a>,
         /// Content to append.
         data: Data,
         /// Creation mode bits if the file must be created.
@@ -81,74 +84,74 @@ pub enum Syscall {
     /// Remove a file.
     Unlink {
         /// The file.
-        path: PathArg,
+        path: PathArg<'a>,
     },
     /// Create a directory.
     Mkdir {
         /// The directory.
-        path: PathArg,
+        path: PathArg<'a>,
         /// Creation mode bits.
         mode: u16,
     },
     /// Change the working directory.
     Chdir {
         /// The directory.
-        path: PathArg,
+        path: PathArg<'a>,
     },
     /// `stat` (follows symlinks).
     StatPath {
         /// The path.
-        path: PathArg,
+        path: PathArg<'a>,
     },
     /// `lstat` (does not follow a final symlink).
     LstatPath {
         /// The path.
-        path: PathArg,
+        path: PathArg<'a>,
     },
     /// Create a symbolic link.
     SymlinkCreate {
         /// Link target text.
-        target: String,
+        target: &'a str,
         /// Where the link is created.
-        link: PathArg,
+        link: PathArg<'a>,
     },
     /// Read a symlink's target.
     Readlink {
         /// The link.
-        path: PathArg,
+        path: PathArg<'a>,
     },
     /// Rename a file.
     Rename {
         /// Source path.
-        from: PathArg,
+        from: PathArg<'a>,
         /// Destination path.
-        to: PathArg,
+        to: PathArg<'a>,
     },
     /// Change permission bits.
     Chmod {
         /// The path.
-        path: PathArg,
+        path: PathArg<'a>,
         /// New mode bits.
         mode: u16,
     },
     /// Change ownership (root only).
     Chown {
         /// The path.
-        path: PathArg,
+        path: PathArg<'a>,
         /// New owner.
         owner: Uid,
     },
     /// List a directory.
     ListDir {
         /// The directory.
-        path: PathArg,
+        path: PathArg<'a>,
     },
     /// Execute a program. With a bare program name, `path_list` (usually
     /// the value of `PATH`) is searched, carrying its taint into the
     /// resolution.
     Exec {
         /// Program path or bare name.
-        program: PathArg,
+        program: PathArg<'a>,
         /// Argument vector.
         args: Vec<Data>,
         /// Search path for bare names.
@@ -162,39 +165,39 @@ pub enum Syscall {
     /// Read a registry value.
     RegRead {
         /// Key path (`/`-separated).
-        key: String,
+        key: &'a str,
         /// Value name.
-        value: String,
+        value: &'a str,
         /// Semantics of the stored value.
         semantic: InputSemantic,
     },
     /// Write a registry value.
     RegWrite {
         /// Key path.
-        key: String,
+        key: &'a str,
         /// Value name.
-        value: String,
+        value: &'a str,
         /// New data.
-        data: String,
+        data: &'a str,
     },
     /// Delete a registry value.
     RegDelete {
         /// Key path.
-        key: String,
+        key: &'a str,
         /// Value name.
-        value: String,
+        value: &'a str,
     },
     /// Connect to a network service.
     NetConnect {
         /// Remote host.
-        host: String,
+        host: &'a str,
         /// Remote port.
         port: u16,
     },
     /// Send a network message.
     NetSend {
         /// Destination host.
-        host: String,
+        host: &'a str,
         /// Destination port.
         port: u16,
         /// Payload.
@@ -210,20 +213,20 @@ pub enum Syscall {
     /// Resolve a host name.
     DnsResolve {
         /// The name.
-        host: String,
+        host: &'a str,
         /// Semantics of the reply.
         semantic: InputSemantic,
     },
     /// Receive the next IPC message on a named channel.
     ProcRecv {
         /// Channel name.
-        channel: String,
+        channel: &'a str,
         /// Semantics of the payload.
         semantic: InputSemantic,
     },
 }
 
-impl Syscall {
+impl Syscall<'_> {
     /// The operation kind for tracing.
     pub fn op(&self) -> OpKind {
         match self {
@@ -276,7 +279,7 @@ impl Syscall {
             | Syscall::ListDir { path }
             | Syscall::SymlinkCreate { link: path, .. }
             | Syscall::Rename { from: path, .. }
-            | Syscall::Exec { program: path, .. } => Some(&path.path),
+            | Syscall::Exec { program: path, .. } => Some(&*path.path),
             _ => None,
         }
     }
@@ -284,18 +287,19 @@ impl Syscall {
     /// The environment object the call touches, for tracing.
     pub fn object(&self) -> ObjectRef {
         match self {
-            Syscall::Getenv { name, .. } => ObjectRef::EnvVar(name.clone()),
+            Syscall::Getenv { name, .. } => ObjectRef::EnvVar((*name).to_string()),
             Syscall::ReadArg { .. } => ObjectRef::Args,
-            Syscall::InputBind { entity, .. } => ObjectRef::Value(entity.clone()),
+            Syscall::InputBind { entity, .. } => ObjectRef::Value((*entity).to_string()),
             Syscall::Print { .. } => ObjectRef::Terminal,
             Syscall::RegRead { key, value, .. }
             | Syscall::RegWrite { key, value, .. }
-            | Syscall::RegDelete { key, value } => ObjectRef::RegValue(key.clone(), value.clone()),
-            Syscall::NetConnect { host, port } => ObjectRef::Service(host.clone(), *port),
-            Syscall::NetSend { host, port, .. } => ObjectRef::Service(host.clone(), *port),
+            | Syscall::RegDelete { key, value } => ObjectRef::RegValue((*key).to_string(), (*value).to_string()),
+            Syscall::NetConnect { host, port } | Syscall::NetSend { host, port, .. } => {
+                ObjectRef::Service((*host).to_string(), *port)
+            }
             Syscall::NetRecv { port, .. } => ObjectRef::NetPort(*port),
-            Syscall::DnsResolve { host, .. } => ObjectRef::Host(host.clone()),
-            Syscall::ProcRecv { channel, .. } => ObjectRef::IpcChannel(channel.clone()),
+            Syscall::DnsResolve { host, .. } => ObjectRef::Host((*host).to_string()),
+            Syscall::ProcRecv { channel, .. } => ObjectRef::IpcChannel((*channel).to_string()),
             _ => ObjectRef::File(self.file_path().expect("every other call touches a file").to_string()),
         }
     }
@@ -319,7 +323,7 @@ impl Syscall {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecOutcome {
     /// Physical path of the resolved binary.
-    pub resolved: String,
+    pub resolved: PathSym,
     /// Owner of the binary.
     pub owner: Uid,
 }
@@ -377,17 +381,17 @@ pub struct InteractionRef {
 pub trait Interceptor: Send + Sync {
     /// Called before the syscall executes. `call` is read-only: direct
     /// faults perturb the *environment*, never the application's request.
-    fn before(&mut self, os: &mut Os, point: &InteractionRef, call: &Syscall);
+    fn before(&mut self, os: &mut Os, point: &InteractionRef, call: &Syscall<'_>);
 
     /// Called after the syscall executes, with the mutable result.
     fn after(&mut self, os: &mut Os, point: &InteractionRef, result: &mut SysResult<SysReturn>);
 }
 
 /// Collects the union of labels across an argument vector.
-pub fn arg_labels(args: &[Data]) -> BTreeSet<Label> {
-    let mut out = BTreeSet::new();
+pub fn arg_labels(args: &[Data]) -> LabelSet {
+    let mut out = LabelSet::new();
     for a in args {
-        out.extend(a.labels().iter().cloned());
+        out.union_with(a.labels());
     }
     out
 }
@@ -395,11 +399,12 @@ pub fn arg_labels(args: &[Data]) -> BTreeSet<Label> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::Label;
 
     #[test]
     fn op_object_semantic_are_consistent() {
         let c = Syscall::Getenv {
-            name: "PATH".into(),
+            name: "PATH",
             semantic: InputSemantic::EnvPathList,
         };
         assert_eq!(c.op(), OpKind::Getenv);
@@ -418,14 +423,14 @@ mod tests {
 
     #[test]
     fn input_ops_declare_semantics() {
-        let calls: Vec<Syscall> = vec![
+        let calls: Vec<Syscall<'_>> = vec![
             Syscall::ReadArg {
                 index: 0,
                 semantic: InputSemantic::UserFileName,
             },
             Syscall::RegRead {
-                key: "K".into(),
-                value: "v".into(),
+                key: "K",
+                value: "v",
                 semantic: InputSemantic::FsFileName,
             },
             Syscall::NetRecv {
@@ -433,11 +438,11 @@ mod tests {
                 semantic: InputSemantic::NetPacket,
             },
             Syscall::DnsResolve {
-                host: "h".into(),
+                host: "h",
                 semantic: InputSemantic::NetDnsReply,
             },
             Syscall::ProcRecv {
-                channel: "c".into(),
+                channel: "c",
                 semantic: InputSemantic::ProcMessage,
             },
         ];

@@ -182,19 +182,41 @@ pub fn violation_class(kind: ViolationKind, category: EaiCategory) -> String {
 /// fault record, keyed by [`violation_class`], with the number of verdicts
 /// and the applications they came from.
 pub fn suite_class_rollup(report: &SuiteReport) -> BTreeMap<String, ClassRollup> {
-    let mut out: BTreeMap<String, ClassRollup> = BTreeMap::new();
-    for campaign in &report.reports {
+    // Verdicts are tallied by (kind, category) first, with the campaigns
+    // they came from, so each class label is rendered once per pair rather
+    // than once per verdict.
+    let mut by_pair: BTreeMap<(ViolationKind, EaiCategory), (usize, Vec<usize>)> = BTreeMap::new();
+    for (i, campaign) in report.reports.iter().enumerate() {
         for record in &campaign.records {
             for verdict in &record.violations {
-                let entry = out.entry(violation_class(verdict.kind, record.category)).or_default();
-                entry.verdicts += 1;
-                if !entry.apps.contains(&campaign.app) {
-                    entry.apps.push(campaign.app.clone());
+                let (verdicts, campaigns) = by_pair.entry((verdict.kind, record.category)).or_default();
+                *verdicts += 1;
+                if campaigns.last() != Some(&i) {
+                    campaigns.push(i);
                 }
             }
         }
     }
-    out
+    let mut by_class: BTreeMap<String, (usize, Vec<usize>)> = BTreeMap::new();
+    for ((kind, category), (verdicts, campaigns)) in by_pair {
+        let entry = by_class.entry(violation_class(kind, category)).or_default();
+        entry.0 += verdicts;
+        entry.1.extend(campaigns);
+    }
+    by_class
+        .into_iter()
+        .map(|(class, (verdicts, mut campaigns))| {
+            campaigns.sort_unstable();
+            let mut apps: Vec<String> = Vec::new();
+            for i in campaigns {
+                let app = &report.reports[i].app;
+                if !apps.contains(app) {
+                    apps.push(app.clone());
+                }
+            }
+            (class, ClassRollup { verdicts, apps })
+        })
+        .collect()
 }
 
 /// One row of [`suite_class_rollup`].

@@ -36,7 +36,7 @@ fn main() {
     attack
         .world
         .registry
-        .god_set_value(&font_key(1), "Path", "/winnt/system.ini");
+        .god_set_value(font_key(1), "Path", "/winnt/system.ini");
     let before = attack.world.fs.exists("/winnt/system.ini");
     let out = run_once(&attack, &FontPurge, None);
     let after = out.os.fs.exists("/winnt/system.ini");

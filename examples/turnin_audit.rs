@@ -39,7 +39,8 @@ fn main() {
         "-p".into(),
         "proj1".into(),
         "../.login".into(),
-    ];
+    ]
+    .into();
     let out2 = run_once(&attack2, &Turnin, None);
     let login = attack2.world.fs.god_read("/home/ta/.login").expect("world");
     let after = out2.os.fs.god_read("/home/ta/.login").expect("world");

@@ -31,7 +31,7 @@ fn font_value_swap_deletes_the_critical_file() {
     setup
         .world
         .registry
-        .god_set_value(&font_key(0), "Path", "/winnt/system.ini");
+        .god_set_value(font_key(0), "Path", "/winnt/system.ini");
     let out = run_once(&setup, &FontPurge, None);
     assert!(out
         .violations
@@ -46,7 +46,7 @@ fn font_value_swap_can_also_take_the_sam() {
     setup
         .world
         .registry
-        .god_set_value(&font_key(3), "Path", "/winnt/repair/sam");
+        .god_set_value(font_key(3), "Path", "/winnt/repair/sam");
     let out = run_once(&setup, &FontPurge, None);
     assert!(!out.violations.is_empty());
     assert!(!out.os.fs.exists("/winnt/repair/sam"));

@@ -86,7 +86,8 @@ fn dotdot_exploit_really_overwrites_the_login_file() {
         "-p".into(),
         "proj1".into(),
         "../.login".into(),
-    ];
+    ]
+    .into();
     let out = run_once(&setup, &Turnin, None);
     assert!(out.violations.iter().any(|v| v.kind == ViolationKind::IntegrityWrite));
     let login = out.os.fs.god_read("/home/ta/.login").unwrap().text();

@@ -212,7 +212,7 @@ fn occurrence_campaigns_agree_between_sequential_and_parallel() {
 struct Witness(Arc<Mutex<Vec<(SiteId, usize, usize)>>>);
 
 impl Interceptor for Witness {
-    fn before(&mut self, _os: &mut Os, point: &InteractionRef, _call: &Syscall) {
+    fn before(&mut self, _os: &mut Os, point: &InteractionRef, _call: &Syscall<'_>) {
         let seen = (point.site.clone(), point.occurrence, point.seq);
         self.0.lock().expect("witness lock").push(seen);
     }

@@ -233,9 +233,11 @@ fn every_setup_field_changes_the_fingerprint() {
         ("scenario field", |s| {
             std::sync::Arc::make_mut(&mut s.world.scenario).attacker_home = "/home/eve".into();
         }),
-        ("args", |s| s.args.push("-P".into())),
+        ("args", |s| {
+            s.args = s.args.iter().cloned().chain(["-P".to_string()]).collect();
+        }),
         ("env", |s| {
-            s.env.insert("PRINTER".into(), "lp0".into());
+            std::sync::Arc::make_mut(&mut s.env).insert("PRINTER".into(), "lp0".into());
         }),
         ("cwd", |s| s.cwd = "/tmp".into()),
         ("program", |s| s.program = None),

@@ -3,7 +3,7 @@
 
 use epa::sandbox::audit::{AuditEvent, WriteInfo};
 use epa::sandbox::cred::{Credentials, Gid, Uid};
-use epa::sandbox::data::Data;
+use epa::sandbox::data::{Data, LabelSet};
 use epa::sandbox::error::{Errno, SysError, SysResult};
 use epa::sandbox::fs::{FileKind, InodeId, ParentWalk, Vfs, Walked, NAME_MAX};
 use epa::sandbox::intern::{intern, PathSym};
@@ -348,7 +348,11 @@ fn reference_create_in_parent(
             format!("cannot create in {}", pw.dir_physical),
         ));
     }
-    if dir.entries().expect("a parent is a directory").contains_key(&pw.name) {
+    if dir
+        .entries()
+        .expect("a parent is a directory")
+        .contains_key(pw.name.as_str())
+    {
         return Err(SysError::new(Errno::Eexist, abs_path.to_string()));
     }
     let physical = pw.dir_physical.join(&pw.name);
@@ -665,7 +669,7 @@ fn reference_write_event(
         invoker_could_write_parent,
         invoker_could_read_after,
         created_by_self: false,
-        path_taint: BTreeSet::new(),
+        path_taint: LabelSet::new(),
         data_labels: data.labels().clone(),
         by: cred,
     })
@@ -698,7 +702,7 @@ fn reference_handler(
             path: physical,
             owner: st.owner,
             tags: st.tags,
-            path_taint: BTreeSet::new(),
+            path_taint: LabelSet::new(),
             invoker_could_delete: could,
             by: cred,
         }]);
