@@ -16,9 +16,11 @@
 //! the same planned jobs through bare `run_once` at the same thread counts
 //! (`bare.*`), and two independent ALU loops at one and two threads
 //! (`host.alu`): a failing scaling gate can then be pinned on the host or
-//! on the engine. They print a reading and no bound, and never fail. Each
-//! is timed in rounds of its own, after the gate it explains, so no gated
-//! sample is taken between them.
+//! on the engine. `executor.sequential` reads the pooled standard suite
+//! over the same suite at one worker: below 1 the pool beats sequential.
+//! They print a reading and no bound, and never fail. Each is timed in
+//! rounds of its own, after the gate it explains, so no gated sample is
+//! taken between them.
 //!
 //! Both `oracle.incremental` arms reuse one standard oracle set across
 //! runs, as `run_once` does: the gate weighs streaming against one scan of
@@ -345,9 +347,9 @@ fn snapshot_gate(gates: &mut Gates, cases: &Cases) {
 }
 
 /// The pooled suite, built fresh for every sample, against the per-app
-/// fan-out; then, ungated, the planned jobs through bare `run_once` on as
-/// many threads as the pool has workers, against one thread per
-/// application.
+/// fan-out; then, ungated, the pooled suite against the same suite at one
+/// worker, and the planned jobs through bare `run_once` on as many threads
+/// as the pool has workers, against one thread per application.
 fn executor_gate(gates: &mut Gates, cases: &Cases) {
     let (mut pooled, mut fanout) = (0, 0);
     let setups: Vec<(&TestSetup, &dyn Application)> = cases
@@ -390,6 +392,23 @@ fn executor_gate(gates: &mut Gates, cases: &Cases) {
     );
     assert_eq!(pooled, fanout, "both runners inject the same faults");
     gates.check("executor", m[0] / m[1], "x fan-out", Bound::AtMost(1.05), None);
+
+    let mut sequential = 0;
+    let m = medians(
+        15,
+        &mut [
+            &mut || {
+                let suite = standard_suite().expect("valid specs");
+                timed(|| pooled = suite.execute().total_injected()).1
+            },
+            &mut || {
+                let suite = standard_suite().expect("valid specs").with_workers(1);
+                timed(|| sequential = suite.execute().total_injected()).1
+            },
+        ],
+    );
+    assert_eq!(pooled, sequential, "both suites inject the same faults");
+    gates.note("executor.sequential", m[0] / m[1], "x 1 worker");
 
     let (mut bare_pooled, mut bare_fanout) = (0, 0);
     let m = medians(

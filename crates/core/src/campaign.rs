@@ -627,7 +627,7 @@ impl<'a> Campaign<'a> {
 
     /// Splits a flat job list against this campaign's cache (if any) and
     /// static analysis: the planner's entry point, called inside each
-    /// campaign's scheduling job; only the pending misses are enqueued.
+    /// campaign's job, which then runs only the pending misses.
     /// Without a cache the scope is never computed.
     pub(crate) fn schedule(&self, jobs: &[InjectionPlan]) -> Schedule {
         let scope = if self.options.cache.is_some() { self.scope() } else { 0 };

@@ -207,7 +207,9 @@ fn diff_lines(baseline: &PathOutcome, candidate: &PathOutcome, seed: u64) -> Opt
 ///
 /// 1. `sequential` — the baseline: a session on the calling thread, no
 ///    cache;
-/// 2. `pooled` — the scenario as a one-app [`Suite`] on 4 workers;
+/// 2. `pooled` — the scenario as a one-app [`Suite`] asked for 4
+///    workers (a suite takes no more workers than campaigns, so it runs
+///    inline);
 /// 3. `planner-cold` / `planner-warm` — a session with a fresh
 ///    [`ResultCache`], executed twice (the warm pass must replay, and still
 ///    agree byte-for-byte);

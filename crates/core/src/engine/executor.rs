@@ -4,17 +4,21 @@
 //! [`Executor::run_expanding`] is the pool's one entry point, and every
 //! campaign runs through it: the engine's driver
 //! ([`crate::engine::Suite`], or a [`crate::engine::Session`] as a one-app
-//! suite) seeds one scheduling job per campaign, and each completion may
-//! enqueue follow-up jobs. Each worker owns a deque, pops its own front,
-//! and steals from sibling tails when empty, so queue contention is
-//! spread over `workers` locks instead of one. The calling thread is
-//! worker 0: it spawns `workers - 1` threads and runs jobs itself whenever
-//! no finished result is waiting, so a pool of `workers` puts at most
-//! `workers` threads on the machine, and one worker runs everything
-//! inline. Results stream back over an `mpsc` channel to the calling
-//! thread (so callbacks need no `Sync`), where the driver reassembles
-//! them into plan order by job index, keeping reports byte-identical at
-//! every worker count.
+//! suite) seeds one job per campaign, which plans the campaign and runs
+//! all of its injected jobs on the thread that popped it. Each worker owns
+//! a deque, pops its own front, and steals from sibling tails when empty,
+//! so queue contention is spread over `workers` locks instead of one. The
+//! calling thread is worker 0: it spawns `workers - 1` threads and runs
+//! jobs itself whenever no finished result is waiting, so a pool of
+//! `workers` puts at most `workers` threads on the machine, and one worker
+//! runs everything inline. Results stream back over an `mpsc` channel to
+//! the calling thread (so callbacks need no `Sync`), where the driver
+//! files each finished campaign's plan-ordered records under its index,
+//! keeping reports byte-identical at every worker count.
+//!
+//! A completion may also enqueue follow-up jobs. The engine's driver
+//! enqueues none; perfbench's traced pass, the model-check harnesses and
+//! the unit tests below use that path.
 
 use std::collections::VecDeque;
 
@@ -178,10 +182,9 @@ impl<J> ShardedQueue<J> {
 }
 
 /// A bounded pool executing jobs from one shared queue: a **dynamic**
-/// queue where completing a job may enqueue follow-up jobs (each
-/// campaign's scheduling job fans out into its injected-run jobs); the
-/// caller assembles results and works the queue as worker 0. With one
-/// worker it runs inline on the calling thread — no threads are spawned.
+/// queue where completing a job may enqueue follow-up jobs; the caller
+/// assembles results and works the queue as worker 0. With one worker it
+/// runs inline on the calling thread — no threads are spawned.
 #[derive(Debug, Clone)]
 pub struct Executor {
     workers: usize,
@@ -239,8 +242,13 @@ impl Executor {
     /// and re-raises on the calling thread.
     ///
     /// Identity/ordering is the caller's concern — jobs and results carry
-    /// their own indices (the engine's driver reassembles per-campaign
-    /// reports in plan order from `(app, job)` indices).
+    /// their own indices (the engine's driver files each campaign's
+    /// plan-ordered records under its campaign index).
+    ///
+    /// The engine's driver returns no follow-ups: each of its jobs is a
+    /// whole campaign. The follow-up path stays for the model-check
+    /// harnesses in `engine::modelcheck` and for perfbench's traced pass,
+    /// which still fans injected runs out on it.
     pub fn run_expanding<J, T, F>(&self, seed: Vec<J>, step: F, on_done: &mut dyn FnMut(T) -> Vec<J>)
     where
         J: Send,

@@ -193,10 +193,10 @@ pub fn check_claim_protocol_mutant(cfg: &Config) -> Report {
     })
 }
 
-/// The suite-pool shape on [`Executor::run_expanding`] at `workers`
+/// The follow-up path of [`Executor::run_expanding`] at `workers`
 /// workers (2 and 3 in the gate: the calling thread as worker 0 plus one
-/// or two spawned threads): 2 seed jobs (one per "application plan") each
-/// fan out into 2 follow-up jobs on completion, so the steal path — and
+/// or two spawned threads): 2 seed jobs each fan out into 2 follow-up
+/// jobs on completion, so the steal path — and
 /// the caller working its own shard between completions — delivers
 /// children maximally out-of-order. The caller-side reassembly by job
 /// index must match the sequential run byte-for-byte in every schedule.

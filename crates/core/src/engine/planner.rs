@@ -34,13 +34,12 @@
 //! Every job that neither answers executes, so a report covers the whole
 //! plan and all paper numbers are reproduced exactly.
 //!
-//! Cache hits never become executor jobs of their own: a campaign's
-//! [`Schedule`] — under a cache, keys and every cache or store lookup;
-//! then static pruning of what missed — is built once, inside that
-//! campaign's planning job, on whichever pool thread runs it (in a suite,
-//! a spawned worker or the calling thread working as worker 0). Only the
-//! misses go back to the pool as injected-run jobs, each an index into the
-//! campaign's shared job list and schedule, where its key (if any) is.
+//! A campaign's [`Schedule`] — under a cache, keys and every cache or
+//! store lookup; then static pruning of what missed — is built once,
+//! inside that campaign's job, on whichever pool thread runs it (in a
+//! suite, a spawned worker or the calling thread working as worker 0).
+//! The same thread then replays the answered jobs and runs the misses in
+//! plan order, each claimed under the key the schedule holds (if any).
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -678,8 +677,8 @@ impl ResultCache {
     /// Looks up the digest of an identical prior run, counting the outcome.
     ///
     /// Never blocks on other threads: an in-flight claim reads as a miss,
-    /// so schedule construction (a suite planning job, sharing its pool
-    /// thread with every other job) stays non-blocking; the executing path resolves the race in
+    /// so schedule construction (inside a campaign's job) stays
+    /// non-blocking; the executing path resolves the race in
     /// [`ResultCache::begin`] instead. A vacant slot consults the
     /// persistent backend (outside the lock) and promotes a hit into the
     /// hot tier, so the disk is read at most once per `(scope, key)`.

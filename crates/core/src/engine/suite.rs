@@ -2,15 +2,15 @@
 //! the driver every campaign runs through.
 //!
 //! A [`Suite`] registers applications with their [`WorldSpec`]s (or
-//! pre-built [`Session`]s) and executes every campaign in one call. All
-//! planning and injected runs across every registered application flow
-//! through **one suite-wide [`Executor`] queue** (worker count bounded by
-//! the hardware — no per-application thread fan-out, no oversubscription).
-//! That queue's Plan → Inject state machine, `drive`, is the engine's
-//! only execution path: a [`Session`] runs its campaign as a one-app
-//! suite, and "sequential" is the same driver at one worker.
-//! Each campaign's records are filed in plan order as they finish; the
-//! finished reports aggregate into a [`SuiteReport`] with
+//! pre-built [`Session`]s) and executes every campaign in one call. The
+//! campaign is the unit of work: each is **one job on one suite-wide
+//! [`Executor`] queue** (worker count bounded by the hardware — no
+//! per-application thread fan-out, no oversubscription), and the thread
+//! that pops it plans the campaign, runs every injected job against the
+//! same pristine world and files the records in plan order. That driver,
+//! `drive`, is the engine's only execution path: a [`Session`] runs its
+//! campaign as a one-app suite, and "sequential" is the same driver at one
+//! worker. The finished reports aggregate into a [`SuiteReport`] with
 //! cross-application coverage rollups, following the
 //! suite-level adequacy view of Dass & Siami Namin ("Vulnerability Coverage
 //! as an Adequacy Testing Criterion"): the unit of adequacy is the whole
@@ -27,7 +27,7 @@ use epa_sandbox::app::Application;
 use crate::campaign::{Campaign, PlanTally};
 use crate::coverage::{AdequacyPoint, Ratio};
 use crate::engine::executor::Executor;
-use crate::engine::planner::{FaultKey, Provenance, ResultCache, Schedule};
+use crate::engine::planner::{FaultKey, Provenance, ResultCache};
 use crate::engine::session::Session;
 use crate::engine::spec::{SpecError, WorldSpec};
 use crate::inject::InjectionPlan;
@@ -161,11 +161,14 @@ impl Suite {
         self
     }
 
-    /// Executes every registered campaign and returns the report. Every
-    /// campaign's planning and injected runs share **one suite-wide
-    /// [`Executor`] queue** bounded by `available_parallelism` workers (or
-    /// [`Suite::with_workers`]); the report is in registration order and
-    /// byte-identical at every worker count.
+    /// Executes every registered campaign and returns the report. Each
+    /// campaign is one job on **one suite-wide [`Executor`] queue** bounded
+    /// by `available_parallelism` workers (or [`Suite::with_workers`]), and
+    /// never more workers than campaigns: the worker that pops a campaign
+    /// plans it and runs all of its injected jobs, so a suite keeps every
+    /// worker busy while it has at least as many campaigns as workers. The
+    /// report is in registration order and byte-identical at every worker
+    /// count.
     pub fn execute(&self) -> SuiteReport {
         // Every campaign plans and executes through its session's result
         // cache, or else the suite's, if either has one.
@@ -178,7 +181,10 @@ impl Suite {
                 campaign
             })
             .collect();
-        let executor = self.workers.map_or_else(Executor::new, Executor::with_workers);
+        // Each campaign is one job, so a worker past the campaign count
+        // would only idle: a one-campaign suite runs inline.
+        let workers = self.workers.unwrap_or_else(|| Executor::new().workers());
+        let executor = Executor::with_workers(workers.min(campaigns.len()));
         let finished = drive(&executor, &campaigns, vec![None; campaigns.len()]);
         SuiteReport {
             reports: campaigns
@@ -192,22 +198,23 @@ impl Suite {
     }
 }
 
-/// The one execution path: every campaign's job stream on one
+/// The one execution path: one job per campaign on one
 /// [`Executor::run_expanding`] queue. A [`Suite`] drives all its campaigns
 /// at once; a [`Session`] drives one, as a one-app suite.
 ///
 /// `jobs[app]` is `None` to trace and plan campaign `app` on the pool, or
-/// the job list of a pre-built plan to run. Either way a scheduling job,
-/// on whichever thread pops it, builds the schedule: under a cache,
-/// canonical keys and cache and store lookups; then static pruning of the
-/// misses. Back on the calling thread its pruned and cache-resolved
-/// records replay in plan order, each built by
-/// [`crate::engine::planner::RunDigest::into_record`] with its provenance
-/// as every executed record is, and only the misses fan back onto the same
-/// queue, so idle workers steal across campaign boundaries. Under a cache,
-/// equal keys among them execute once, through the cache's claim; without
-/// one, each runs. Every pending job is enqueued when its campaign's
-/// schedule lands.
+/// the job list of a pre-built plan to run. Whichever thread pops a
+/// campaign's job does all of that campaign's work: it builds the schedule
+/// (under a cache, canonical keys and cache and store lookups; then static
+/// pruning of the misses) and then files every record in plan order. A
+/// pruned or cache-resolved job replays its digest; every pending job runs
+/// there and then, on the same thread. Each record is built by
+/// [`crate::engine::planner::RunDigest::into_record`] with its provenance.
+/// Under a cache, a pending job runs through the cache's claim, so equal
+/// keys execute once across campaigns and suites. A claim is held only
+/// while its own run executes, so no job waits on a claim while holding
+/// one. Without a cache, each pending job runs. The completion callback
+/// only files the finished campaign and enqueues nothing.
 ///
 /// Returns one `(tally, records)` per campaign, in `campaigns` order:
 /// `tally` is what the report reads of the plan built on the pool (`None`
@@ -219,99 +226,12 @@ pub(crate) fn drive(
     jobs: Vec<Option<Vec<InjectionPlan>>>,
 ) -> Vec<(Option<PlanTally>, Vec<FaultRecord>)> {
     let mut finished: Vec<Option<(Option<PlanTally>, Vec<FaultRecord>)>> = campaigns.iter().map(|_| None).collect();
-    let mut slots: Vec<AppSlot> = campaigns.iter().map(|_| AppSlot::default()).collect();
-    let seed: Vec<Job> = jobs
-        .into_iter()
-        .enumerate()
-        .map(|(app, jobs)| Job::Schedule { app, jobs })
-        .collect();
     executor.run_expanding(
-        seed,
-        |job| match job {
-            Job::Schedule { app, jobs } => {
-                let (tally, jobs) = match jobs {
-                    Some(jobs) => (None, jobs),
-                    None => {
-                        let (tally, jobs) = campaigns[app].plan().into_jobs();
-                        (Some(tally), jobs)
-                    }
-                };
-                let schedule = campaigns[app].schedule(&jobs);
-                Done::Scheduled {
-                    app,
-                    tally,
-                    jobs: jobs.into(),
-                    schedule,
-                }
-            }
-            Job::Inject {
-                app,
-                idx,
-                jobs,
-                schedule,
-            } => {
-                let campaign = &campaigns[app];
-                let record = match schedule.key(idx) {
-                    // Claim-aware: when several suites share one cache, a
-                    // run another suite is executing right now is waited
-                    // out and replayed instead of duplicated.
-                    Some(key) => campaign.run_job_keyed(&jobs, idx, key),
-                    // No cache, so no key and no claim: the job runs.
-                    None => campaign
-                        .run_job(&jobs, idx)
-                        .into_record(&jobs[idx], Provenance::Executed),
-                };
-                Done::Ran { app, idx, record }
-            }
-        },
-        &mut |done| {
-            let (app, follow_ups) = match done {
-                Done::Scheduled {
-                    app,
-                    tally,
-                    jobs,
-                    mut schedule,
-                } => {
-                    let slot = &mut slots[app];
-                    slot.tally = tally;
-                    slot.records = (0..jobs.len()).map(|_| None).collect();
-                    for (idx, provenance, digest) in std::mem::take(&mut schedule.replays) {
-                        slot.records[idx] = Some(digest.into_record(&jobs[idx], provenance));
-                    }
-                    // Every pending job goes onto the queue now, in plan
-                    // order; a finished run enqueues nothing.
-                    let pending = std::mem::take(&mut schedule.pending);
-                    slot.outstanding = pending.len();
-                    let schedule = Arc::new(schedule);
-                    let injects = pending
-                        .into_iter()
-                        .map(|idx| Job::Inject {
-                            app,
-                            idx,
-                            jobs: Arc::clone(&jobs),
-                            schedule: Arc::clone(&schedule),
-                        })
-                        .collect();
-                    (app, injects)
-                }
-                Done::Ran { app, idx, record } => {
-                    let slot = &mut slots[app];
-                    slot.outstanding -= 1;
-                    slot.records[idx] = Some(record);
-                    (app, Vec::new())
-                }
-            };
-            let slot = &mut slots[app];
-            if slot.outstanding == 0 {
-                // A missing record is an accounting bug: fail loudly rather
-                // than silently truncate the report.
-                let records = std::mem::take(&mut slot.records)
-                    .into_iter()
-                    .map(|r| r.expect("all records complete before the campaign finishes"))
-                    .collect();
-                finished[app] = Some((slot.tally.take(), records));
-            }
-            follow_ups
+        jobs.into_iter().enumerate().collect(),
+        |(app, jobs)| (app, run_campaign(&campaigns[app], jobs)),
+        &mut |(app, outcome)| {
+            finished[app] = Some(outcome);
+            Vec::new()
         },
     );
     finished
@@ -320,49 +240,38 @@ pub(crate) fn drive(
         .collect()
 }
 
-/// One unit of work on the driver's queue.
-enum Job {
-    /// Schedule campaign `app`'s jobs, tracing and planning it first when
-    /// no job list was handed over.
-    Schedule {
-        app: usize,
-        jobs: Option<Vec<InjectionPlan>>,
-    },
-    /// Run injection job `idx` of campaign `app`, claiming it under the
-    /// key its schedule already computed. The job list and the schedule
-    /// are the campaign's own, shared: handing a job over copies neither
-    /// its plan nor its key.
-    Inject {
-        app: usize,
-        idx: usize,
-        jobs: Arc<[InjectionPlan]>,
-        schedule: Arc<Schedule>,
-    },
-}
-
-/// A completed unit of driver work, back on the calling thread.
-enum Done {
-    Scheduled {
-        app: usize,
-        tally: Option<PlanTally>,
-        jobs: Arc<[InjectionPlan]>,
-        schedule: Schedule,
-    },
-    Ran {
-        app: usize,
-        idx: usize,
-        record: FaultRecord,
-    },
-}
-
-/// Per-campaign assembly state while the driver runs.
-#[derive(Default)]
-struct AppSlot {
-    tally: Option<PlanTally>,
-    /// Records by plan position, filled as they finish.
-    records: Vec<Option<FaultRecord>>,
-    /// Jobs on the queue (or running) whose results are still due.
-    outstanding: usize,
+/// One campaign's job on the driver's queue: plan it when no job list was
+/// handed over, schedule it, and build every record in plan order.
+fn run_campaign(campaign: &Campaign<'_>, jobs: Option<Vec<InjectionPlan>>) -> (Option<PlanTally>, Vec<FaultRecord>) {
+    let (tally, jobs) = match jobs {
+        Some(jobs) => (None, jobs),
+        None => {
+            let (tally, jobs) = campaign.plan().into_jobs();
+            (Some(tally), jobs)
+        }
+    };
+    let mut schedule = campaign.schedule(&jobs);
+    // The injection hook shares the list instead of copying its job.
+    let jobs: Arc<[InjectionPlan]> = jobs.into();
+    // Replays and pending jobs partition the plan, each in plan order: a
+    // job that does not replay is pending.
+    let mut replays = std::mem::take(&mut schedule.replays).into_iter().peekable();
+    let records = (0..jobs.len())
+        .map(|idx| match replays.next_if(|&(i, ..)| i == idx) {
+            Some((_, provenance, digest)) => digest.into_record(&jobs[idx], provenance),
+            // Claim-aware: when several suites share one cache, a run
+            // another suite is executing right now is waited out and
+            // replayed instead of duplicated.
+            None => match schedule.key(idx) {
+                Some(key) => campaign.run_job_keyed(&jobs, idx, key),
+                // No cache, so no key and no claim: the job runs.
+                None => campaign
+                    .run_job(&jobs, idx)
+                    .into_record(&jobs[idx], Provenance::Executed),
+            },
+        })
+        .collect();
+    (tally, records)
 }
 
 /// The aggregated outcome of a suite run: per-application reports in

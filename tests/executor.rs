@@ -6,13 +6,23 @@
 //! that runs a pool takes `POOL_LOCK` first; the ceiling assertions then
 //! observe only their own run.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::ThreadId;
 
-use epa::apps::standard_suite;
+use epa::apps::{standard_apps, standard_suite, BoxedApp};
 use epa::core::engine::executor;
-use epa::core::engine::Suite;
+use epa::core::engine::{Session, Suite};
+use epa::sandbox::app::Application;
+use epa::sandbox::os::Os;
+use epa::sandbox::process::Pid;
 
 static POOL_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes `POOL_LOCK`, even after a failed test poisoned it, so one failure
+/// is reported once rather than in every later test.
+fn pool_lock() -> MutexGuard<'static, ()> {
+    POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn available() -> usize {
     std::thread::available_parallelism().map_or(4, std::num::NonZero::get)
@@ -20,7 +30,7 @@ fn available() -> usize {
 
 #[test]
 fn pooled_suite_live_threads_never_exceed_available_parallelism() {
-    let _guard = POOL_LOCK.lock().unwrap();
+    let _guard = pool_lock();
     executor::reset_peak_live_workers();
     let report = standard_suite().expect("valid specs").execute();
     assert_eq!(report.reports.len(), 8);
@@ -37,7 +47,7 @@ fn pooled_suite_live_threads_never_exceed_available_parallelism() {
 
 #[test]
 fn pooled_suite_reports_are_byte_identical_to_sequential() {
-    let _guard = POOL_LOCK.lock().unwrap();
+    let _guard = pool_lock();
     let pooled = standard_suite().expect("valid specs").execute();
     let sequential = standard_suite().expect("valid specs").with_workers(1).execute();
     assert_eq!(pooled, sequential);
@@ -52,7 +62,7 @@ fn pooled_suite_reports_are_byte_identical_to_sequential() {
 
 #[test]
 fn pinned_worker_counts_reassemble_byte_identical_reports() {
-    let _guard = POOL_LOCK.lock().unwrap();
+    let _guard = pool_lock();
     // The sharded queue's determinism contract on the full workload: the
     // standard suite pinned to 1, 4 and 8 workers must reproduce the
     // sequential report byte-for-byte, and the pinned counts must bound
@@ -78,7 +88,7 @@ fn pinned_worker_counts_reassemble_byte_identical_reports() {
 
 #[test]
 fn reports_match_sequential_at_every_worker_count() {
-    let _guard = POOL_LOCK.lock().unwrap();
+    let _guard = pool_lock();
     // 2 and 3 workers: counts the pinned 1/4/8 test above does not cover.
     let suite = || standard_suite().expect("valid specs");
     let sequential = suite().with_workers(1).execute();
@@ -91,11 +101,12 @@ fn reports_match_sequential_at_every_worker_count() {
 
 #[test]
 fn a_forced_multi_worker_pool_still_reassembles_plan_order() {
-    let _guard = POOL_LOCK.lock().unwrap();
+    let _guard = pool_lock();
     // Even above the hardware ceiling (this is the machinery test, not the
     // suite ceiling test), a campaign's records come back in plan order.
+    // A pool never has more workers than campaigns, so four campaigns
+    // fill all four.
     use epa::apps::{turnin, Turnin};
-    use epa::core::engine::Session;
     let session = Session::new(&turnin::spec()).expect("valid spec");
     let plan_order: Vec<String> = session
         .plan(&Turnin)
@@ -104,12 +115,92 @@ fn a_forced_multi_worker_pool_still_reassembles_plan_order() {
         .map(|job| format!("{}#{}#{}", job.site, job.occurrence, job.fault.id))
         .collect();
     let mut suite = Suite::new().with_workers(4);
-    suite.register_session(Turnin, session);
-    let report = suite.execute().reports.remove(0);
-    let report_order: Vec<String> = report
-        .records
-        .iter()
-        .map(|r| format!("{}#{}#{}", r.site, r.occurrence, r.fault_id))
-        .collect();
-    assert_eq!(report_order, plan_order);
+    for _ in 0..4 {
+        suite.register_session(Turnin, session.clone());
+    }
+    for report in suite.execute().reports {
+        let report_order: Vec<String> = report
+            .records
+            .iter()
+            .map(|r| format!("{}#{}#{}", r.site, r.occurrence, r.fault_id))
+            .collect();
+        assert_eq!(report_order, plan_order);
+    }
+}
+
+/// A standard application that notes the thread every one of its runs
+/// executes on.
+struct ThreadNoting {
+    inner: BoxedApp,
+    threads: Arc<Mutex<Vec<ThreadId>>>,
+}
+
+impl Application for ThreadNoting {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn run(&self, os: &mut Os, pid: Pid) -> i32 {
+        self.threads.lock().unwrap().push(std::thread::current().id());
+        self.inner.run(os, pid)
+    }
+}
+
+#[test]
+fn each_campaign_runs_on_one_worker() {
+    let _guard = pool_lock();
+    // The campaign is the pool's unit of work: its clean run and every
+    // injected run execute on the thread that popped it, while the suite's
+    // eight campaigns spread over the workers.
+    for workers in [2usize, 4] {
+        let mut suite = Suite::new().with_workers(workers);
+        let mut noted = Vec::new();
+        for (app, spec) in standard_apps() {
+            let threads = Arc::new(Mutex::new(Vec::new()));
+            noted.push(Arc::clone(&threads));
+            let session = Session::new(&spec).expect("valid specs");
+            suite.register_session(ThreadNoting { inner: app, threads }, session);
+        }
+        let report = suite.execute();
+        assert_eq!(report.reports.len(), 8);
+        for (campaign, threads) in report.reports.iter().zip(&noted) {
+            let threads = threads.lock().unwrap();
+            assert_eq!(
+                threads.len(),
+                1 + campaign.injected(),
+                "{workers} workers, {}: one clean run plus every injected run",
+                campaign.app
+            );
+            assert!(
+                threads.iter().all(|&id| id == threads[0]),
+                "{workers} workers, {}: runs spread over {} threads",
+                campaign.app,
+                threads.iter().collect::<std::collections::HashSet<_>>().len()
+            );
+        }
+    }
+}
+
+#[test]
+fn a_one_campaign_suite_runs_inline() {
+    let _guard = pool_lock();
+    // A pool never has more workers than campaigns: asked for four, a
+    // one-campaign suite runs on the calling thread and spawns none.
+    let (app, spec) = standard_apps().swap_remove(1);
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    let mut suite = Suite::new().with_workers(4);
+    let session = Session::new(&spec).expect("valid specs");
+    suite.register_session(
+        ThreadNoting {
+            inner: app,
+            threads: Arc::clone(&threads),
+        },
+        session,
+    );
+    executor::reset_peak_live_workers();
+    let report = suite.execute();
+    assert_eq!(executor::peak_live_workers(), 0, "an inline pool counts no worker");
+    let threads = threads.lock().unwrap();
+    assert_eq!(threads.len(), 1 + report.total_injected());
+    assert!(threads.iter().all(|&id| id == std::thread::current().id()));
 }
