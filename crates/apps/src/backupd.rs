@@ -155,7 +155,7 @@ mod tests {
         let mask_record = report
             .records
             .iter()
-            .find(|r| r.fault_id == "indirect:env-perm-mask:zero")
+            .find(|r| &*r.fault_id == "indirect:env-perm-mask:zero")
             .expect("the Table 5 mask fault is injected");
         assert!(!mask_record.tolerated(), "the zeroed mask must defeat backupd");
     }

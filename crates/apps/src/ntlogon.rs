@@ -141,7 +141,7 @@ pub struct NtLogonFixed;
 
 impl NtLogonFixed {
     /// Only Administrator-owned, non-world-writable regular files qualify.
-    fn trusted_file(os: &mut Os, pid: Pid, site: &str, path: &PathArg<'_>) -> bool {
+    fn trusted_file(os: &mut Os, pid: Pid, site: &'static str, path: &PathArg<'_>) -> bool {
         match os.sys_lstat(pid, site, path.clone()) {
             Ok(st) => {
                 st.file_type == epa_sandbox::fs::FileType::Regular && st.owner == Uid::ROOT && !st.mode.world_writable()

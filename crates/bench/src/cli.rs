@@ -237,9 +237,17 @@ fn write_artifact<T: serde::Serialize>(out: &mut Output<'_>, json: bool, name: &
         return Ok(());
     }
     let path = workspace_artifact(name);
-    let text = serde_json::to_string_pretty(value).map_err(|e| format!("serializing {name}: {e}"))?;
-    std::fs::write(&path, text).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    write_json(&path, value)?;
     writeln!(out, "wrote {}", path.display())
+}
+
+/// Writes `value` as pretty JSON to `path` through the store's
+/// [`epa_core::store::install`]: a new file beside it, renamed over it, so
+/// a link planted at `path` is replaced, never followed.
+fn write_json<T: serde::Serialize>(path: &std::path::Path, value: &T) -> Result<(), String> {
+    let shown = path.display();
+    let text = serde_json::to_string_pretty(value).map_err(|e| format!("serializing {shown}: {e}"))?;
+    epa_core::store::install(path, &text, None).map_err(|e| format!("writing {shown}: {e}"))
 }
 
 fn run_suite(opts: RunOptions, out: &mut Output<'_>) -> Result<(), String> {
@@ -505,6 +513,29 @@ pub fn usage() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_artifact_replaces_a_link_at_its_name_and_leaves_the_target_alone() {
+        let dir = std::env::temp_dir().join(format!("epa-artifact-link-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("a scratch directory");
+        let outside = dir.join("outside.txt");
+        std::fs::write(&outside, b"not a report").expect("the link's target");
+        let artifact = dir.join("LINT_report.json");
+        std::os::unix::fs::symlink(&outside, &artifact).expect("a link at the artifact name");
+
+        write_json(&artifact, &vec!["EPA0001"]).expect("the artifact is written");
+        assert_eq!(std::fs::read(&outside).expect("the target"), b"not a report");
+        let meta = std::fs::symlink_metadata(&artifact).expect("the artifact");
+        assert!(meta.file_type().is_file(), "the link was replaced by the artifact");
+        assert_eq!(
+            std::fs::read_to_string(&artifact).expect("the artifact reads"),
+            serde_json::to_string_pretty(&vec!["EPA0001"]).expect("serializes")
+        );
+        let names: Vec<_> = std::fs::read_dir(&dir).expect("the directory").flatten().collect();
+        assert_eq!(names.len(), 2, "no transient file is left behind");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     /// Runs one subcommand into a byte buffer.
     fn run_captured(name: &str, opts: RunOptions) -> Result<(), String> {

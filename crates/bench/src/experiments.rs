@@ -250,7 +250,7 @@ impl LprResult {
 /// interaction of `lpr` and observe which attributes it tolerates.
 pub fn lpr_34() -> LprResult {
     let mut filter = BTreeSet::new();
-    filter.insert(SiteId::new("lpr:create_spool"));
+    filter.insert(SiteId::literal("lpr:create_spool"));
     let report = session(lpr::spec())
         .with_options(CampaignOptions {
             site_filter: Some(filter),
@@ -599,7 +599,7 @@ impl PlacementResult {
 /// Injects lpr's create-site faults before vs after the interaction point.
 pub fn placement() -> PlacementResult {
     let mut filter = BTreeSet::new();
-    filter.insert(SiteId::new("lpr:create_spool"));
+    filter.insert(SiteId::literal("lpr:create_spool"));
     let session = session(lpr::spec()).with_options(CampaignOptions {
         site_filter: Some(filter),
         ..Default::default()
@@ -617,7 +617,7 @@ pub fn placement() -> PlacementResult {
     for fault in &faults {
         let hook = AfterPlacementHook {
             plan: InjectionPlan {
-                site: SiteId::new("lpr:create_spool"),
+                site: SiteId::literal("lpr:create_spool"),
                 occurrence: 0,
                 fault: fault.clone(),
             },

@@ -9,8 +9,9 @@
 //! even for root), a dangling link where a segment belongs, into a missing
 //! directory or into an existing one outside the store (the paper's lpr
 //! `creat` flaw, §3.4: the store must refuse the link, not create its
-//! target), and a segment whose last record was cut short (the torn
-//! append a full disk leaves). Two
+//! target), a link at the writability probe's name and the segment
+//! directory itself as a link, both out of the store, and a segment whose
+//! last record was cut short (the torn append a full disk leaves). Two
 //! more rows drop saves in a [`ResultStore`] wrapper before they reach a
 //! real [`DiskStore`], all of them or all after the first 40: the store
 //! never sees those writes, so they count no warning and check only the
@@ -72,7 +73,7 @@ struct Row {
     clean: fn() -> String,
 }
 
-const ROWS: [Row; 7] = [
+const ROWS: [Row; 9] = [
     Row {
         name: "a directory where each segment belongs",
         run: segments_are_directories,
@@ -86,6 +87,16 @@ const ROWS: [Row; 7] = [
     Row {
         name: "a dangling link into an existing outside directory where each segment belongs",
         run: segments_are_links_out_of_the_store,
+        clean: clean_reproduce_stdout,
+    },
+    Row {
+        name: "a link at the writability probe's name to a file outside the store",
+        run: link_at_the_probe,
+        clean: clean_reproduce_stdout,
+    },
+    Row {
+        name: "the segment directory as a link into an existing outside directory",
+        run: segment_directory_is_a_link_out_of_the_store,
         clean: clean_reproduce_stdout,
     },
     Row {
@@ -290,6 +301,84 @@ fn segments_are_links_out_of_the_store(dir: &Path) -> Observed {
     let _ = std::fs::remove_dir_all(&outside);
     assert_eq!(created, 0, "files created outside the store root");
     observed
+}
+
+/// A link at `.epa-probe-<pid>`, the name `--store` probes writability
+/// with, to a file outside the store. The pid is the one `reproduce` runs
+/// under, so a shell plants the link and `exec`s it. The probe is created
+/// only as a new file: the store is refused with one line, the suite runs
+/// without it, and the outside file keeps its bytes.
+fn link_at_the_probe(dir: &Path) -> Observed {
+    std::fs::create_dir_all(dir).expect("the store directory");
+    let victim = dir.with_extension("victim");
+    std::fs::write(&victim, b"outside the store").expect("the outside file");
+    let out = Command::new("sh")
+        .args([
+            "-c",
+            r#"ln -s "$1" "$2/.epa-probe-$$" && exec "$3" suite --store "$2""#,
+            "sh",
+        ])
+        .args([
+            victim.as_os_str(),
+            dir.as_os_str(),
+            env!("CARGO_BIN_EXE_reproduce").as_ref(),
+        ])
+        .env_remove("EPA_CACHE_DIR")
+        .env_remove("EPA_WORKERS")
+        .output()
+        .expect("sh runs");
+    assert!(out.status.success(), "reproduce suite failed: {out:?}");
+    let kept = std::fs::read(&victim).expect("the outside file is still there");
+    let _ = std::fs::remove_file(&victim);
+    assert_eq!(kept, b"outside the store", "the probe wrote through the link");
+    assert_eq!(runs_executed(&out.stdout), 245, "no store, nothing replayed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let warnings: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("reproduce:") || l.starts_with("epa-store:"))
+        .collect();
+    if let [warning] = warnings.as_slice() {
+        assert!(warning.contains("not writable"), "{warning}");
+    }
+    Observed {
+        verdicts: verdict_lines(&out.stdout),
+        warnings: Some(warnings.len()),
+        corrupt: DiskStore::open(dir).expect("the store opens").verify().corrupt.len(),
+    }
+}
+
+/// After a cold pass, the segment directory `v<N>/` is replaced by a link
+/// to an existing directory outside the store, `<root>.outside`. Following
+/// it would create every segment there, and replay from them on the pass
+/// after. The handle turns its disk tier off instead: every run executes,
+/// one warning names the link, nothing appears outside the root, and
+/// `verify` reports the directory quarantined.
+fn segment_directory_is_a_link_out_of_the_store(dir: &Path) -> Observed {
+    reproduce_suite(Some(dir));
+    let segments = dir.join(format!("v{STORE_FORMAT_VERSION}"));
+    let outside = dir.with_extension("outside");
+    std::fs::create_dir_all(&outside).expect("the outside directory");
+    std::fs::remove_dir_all(&segments).expect("the cold pass wrote segments");
+    std::os::unix::fs::symlink(&outside, &segments).expect("a link as the segment directory");
+    let out = reproduce_suite(Some(dir));
+    let again = reproduce_suite(Some(dir));
+    let created = std::fs::read_dir(&outside).expect("the outside directory").count();
+    let _ = std::fs::remove_dir_all(&outside);
+    assert_eq!(created, 0, "files created outside the store root");
+    assert_eq!(runs_executed(&out.stdout), 245, "nothing was replayed");
+    assert_eq!(runs_executed(&again.stdout), 245, "nothing was saved to replay");
+    let warnings = store_warnings(&out);
+    if let [warning] = warnings.as_slice() {
+        assert!(warning.contains("symbolic link as the segment directory"), "{warning}");
+    }
+    let store = DiskStore::open(dir).expect("the store reopens");
+    let quarantined = store.verify().quarantined;
+    assert_eq!(quarantined, [segments.display().to_string()], "verify names the link");
+    Observed {
+        verdicts: verdict_lines(&out.stdout),
+        warnings: Some(warnings.len()),
+        corrupt: store.verify().corrupt.len(),
+    }
 }
 
 /// A cold `reproduce suite` fills the store; then one segment loses the

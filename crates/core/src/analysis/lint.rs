@@ -241,7 +241,7 @@ mod tests {
             "script"
         }
         fn run(&self, os: &mut Os, pid: Pid) -> i32 {
-            self.0.run(os, pid)
+            self.0.run(&self.0.sites(), os, pid)
         }
     }
 

@@ -463,7 +463,7 @@ impl AppAnalysis {
                     cwd = follow.clone();
                 }
             }
-            by_site.entry(fact.site.clone()).or_default().push(events.len());
+            by_site.entry(fact.site).or_default().push(events.len());
             events.push(fact);
         }
         let first_seq = |hit: fn(OpKind) -> bool| {
@@ -517,7 +517,7 @@ impl AppAnalysis {
         };
         EventFact {
             seq: ev.seq,
-            site: ev.site.clone(),
+            site: ev.site,
             occurrence: ev.occurrence,
             op: ev.op,
             object: ev.object.clone(),
@@ -596,7 +596,7 @@ impl AppAnalysis {
 
     /// Static occurrence bound per site, from the clean trace.
     pub fn site_hits(&self) -> BTreeMap<SiteId, usize> {
-        self.by_site.iter().map(|(s, evs)| (s.clone(), evs.len())).collect()
+        self.by_site.iter().map(|(s, evs)| (*s, evs.len())).collect()
     }
 
     /// Classifies one planned job. Sound by construction: only jobs whose
@@ -1018,7 +1018,7 @@ mod tests {
             id: "t".into(),
             category: crate::model::EaiCategory::Other,
             semantic: None,
-            description: String::new(),
+            description: "".into(),
             payload: FaultPayload::Direct(df),
         };
         // Removing a file that is not there is a no-op.
@@ -1065,7 +1065,7 @@ mod tests {
             id: "t".into(),
             category: crate::model::EaiCategory::Other,
             semantic: sem,
-            description: String::new(),
+            description: "".into(),
             payload: FaultPayload::Indirect(crate::perturb::IndirectFault::MakeRelative),
         };
         // PROBE_MODE is unset: the getenv fails, nothing to rewrite.
@@ -1088,7 +1088,7 @@ mod tests {
             id: "t".into(),
             category: crate::model::EaiCategory::Other,
             semantic: None,
-            description: String::new(),
+            description: "".into(),
             payload: FaultPayload::Direct(DirectFault::FileMakeMissing {
                 path: "/etc/probe.local".into(),
             }),
@@ -1137,7 +1137,7 @@ mod tests {
             id: "t".into(),
             category: crate::model::EaiCategory::Other,
             semantic: None,
-            description: String::new(),
+            description: "".into(),
             payload: FaultPayload::Direct(DirectFault::FileMakeMissing {
                 path: "/var/w.tmp".into(),
             }),
@@ -1163,7 +1163,7 @@ mod tests {
                     id: "t".into(),
                     category: crate::model::EaiCategory::Other,
                     semantic: None,
-                    description: String::new(),
+                    description: "".into(),
                     payload: FaultPayload::Direct(df),
                 },
             )
@@ -1176,7 +1176,7 @@ mod tests {
                     id: "t".into(),
                     category: crate::model::EaiCategory::Other,
                     semantic,
-                    description: String::new(),
+                    description: "".into(),
                     payload: FaultPayload::Indirect(IndirectFault::MakeRelative),
                 },
             )

@@ -401,7 +401,7 @@ impl PlannedSite {
         for occurrence in 1..self.occurrences {
             for fault in self.faults.iter().filter(|f| f.occurrence_sensitive()) {
                 later.push(InjectionPlan {
-                    site: site.clone(),
+                    site,
                     occurrence,
                     fault: fault.clone(),
                 });
@@ -411,7 +411,7 @@ impl PlannedSite {
             .faults
             .into_iter()
             .map(|fault| InjectionPlan {
-                site: site.clone(),
+                site,
                 occurrence: 0,
                 fault,
             })
@@ -466,7 +466,7 @@ impl CampaignPlan {
                 .sites
                 .iter()
                 .filter(|s| !s.faults.is_empty())
-                .map(|s| (s.summary.site.clone(), s.included))
+                .map(|s| (s.summary.site, s.included))
                 .collect(),
             clean_violations: self.clean.violations.len(),
         }

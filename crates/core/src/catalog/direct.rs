@@ -10,6 +10,7 @@
 //! attributes 5 and 6 were "not applicable" at `lpr`'s `create`.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use epa_sandbox::os::ScenarioMeta;
 use epa_sandbox::path;
@@ -17,7 +18,7 @@ use epa_sandbox::trace::{ObjectRef, OpKind};
 
 use super::CatalogRow;
 use crate::model::{DirectKind, EaiCategory, FsAttribute, NetAttribute, ProcAttribute, RegAttribute};
-use crate::perturb::{ConcreteFault, DirectFault, FaultPayload};
+use crate::perturb::{shared_text, ConcreteFault, DirectFault, FaultPayload};
 
 /// Context the generator needs to make Table 6 patterns concrete.
 #[derive(Debug, Clone)]
@@ -52,7 +53,7 @@ impl DirectContext<'_> {
     }
 }
 
-fn fs_fault(attr: FsAttribute, path: &str, description: impl Into<String>, payload: DirectFault) -> ConcreteFault {
+fn fs_fault(attr: FsAttribute, path: &str, description: fmt::Arguments<'_>, payload: DirectFault) -> ConcreteFault {
     let slug = match attr {
         FsAttribute::Existence => "existence",
         FsAttribute::Ownership => "ownership",
@@ -63,15 +64,15 @@ fn fs_fault(attr: FsAttribute, path: &str, description: impl Into<String>, paylo
         FsAttribute::WorkingDirectory => "workdir",
     };
     ConcreteFault {
-        id: format!("direct:fs:{slug}@{path}"),
+        id: shared_text(format_args!("direct:fs:{slug}@{path}")),
         category: EaiCategory::Direct(DirectKind::FileSystem(attr)),
         semantic: None,
-        description: description.into(),
+        description: shared_text(description),
         payload: FaultPayload::Direct(payload),
     }
 }
 
-fn net_fault(attr: NetAttribute, key: &str, description: impl Into<String>, payload: DirectFault) -> ConcreteFault {
+fn net_fault(attr: NetAttribute, key: &str, description: fmt::Arguments<'_>, payload: DirectFault) -> ConcreteFault {
     let slug = match attr {
         NetAttribute::MessageAuthenticity => "authenticity",
         NetAttribute::Protocol => "protocol",
@@ -80,39 +81,39 @@ fn net_fault(attr: NetAttribute, key: &str, description: impl Into<String>, payl
         NetAttribute::EntityTrust => "trust",
     };
     ConcreteFault {
-        id: format!("direct:net:{slug}@{key}"),
+        id: shared_text(format_args!("direct:net:{slug}@{key}")),
         category: EaiCategory::Direct(DirectKind::Network(attr)),
         semantic: None,
-        description: description.into(),
+        description: shared_text(description),
         payload: FaultPayload::Direct(payload),
     }
 }
 
-fn proc_fault(attr: ProcAttribute, key: &str, description: impl Into<String>, payload: DirectFault) -> ConcreteFault {
+fn proc_fault(attr: ProcAttribute, key: &str, description: fmt::Arguments<'_>, payload: DirectFault) -> ConcreteFault {
     let slug = match attr {
         ProcAttribute::MessageAuthenticity => "authenticity",
         ProcAttribute::Trust => "trust",
         ProcAttribute::ServiceAvailability => "availability",
     };
     ConcreteFault {
-        id: format!("direct:proc:{slug}@{key}"),
+        id: shared_text(format_args!("direct:proc:{slug}@{key}")),
         category: EaiCategory::Direct(DirectKind::Process(attr)),
         semantic: None,
-        description: description.into(),
+        description: shared_text(description),
         payload: FaultPayload::Direct(payload),
     }
 }
 
-fn reg_fault(attr: RegAttribute, key: &str, description: impl Into<String>, payload: DirectFault) -> ConcreteFault {
+fn reg_fault(attr: RegAttribute, key: &str, description: fmt::Arguments<'_>, payload: DirectFault) -> ConcreteFault {
     let slug = match attr {
         RegAttribute::AclProtection => "acl",
         RegAttribute::ValueInvariance => "value",
     };
     ConcreteFault {
-        id: format!("direct:reg:{slug}@{key}"),
+        id: shared_text(format_args!("direct:reg:{slug}@{key}")),
         category: EaiCategory::Direct(DirectKind::Registry(attr)),
         semantic: None,
-        description: description.into(),
+        description: shared_text(description),
         payload: FaultPayload::Direct(payload),
     }
 }
@@ -124,25 +125,25 @@ fn create_faults(p: &str, s: &ScenarioMeta, out: &mut Vec<ConcreteFault>) {
         fs_fault(
             FsAttribute::Existence,
             p,
-            format!("make {p} exist (attacker-owned) before the create"),
+            format_args!("make {p} exist (attacker-owned) before the create"),
             DirectFault::FileMakeExist { path: p.into() },
         ),
         fs_fault(
             FsAttribute::Ownership,
             p,
-            format!("make {p} pre-exist owned by root"),
+            format_args!("make {p} pre-exist owned by root"),
             DirectFault::FileChownRoot { path: p.into() },
         ),
         fs_fault(
             FsAttribute::Permission,
             p,
-            format!("make {p} pre-exist with restrictive permissions"),
+            format_args!("make {p} pre-exist with restrictive permissions"),
             DirectFault::FilePermRestrict { path: p.into() },
         ),
         fs_fault(
             FsAttribute::SymbolicLink,
             p,
-            format!("replace {p} with a symlink to {}", s.integrity_target),
+            format_args!("replace {p} with a symlink to {}", s.integrity_target),
             DirectFault::SymlinkSwap {
                 path: p.into(),
                 target: s.integrity_target.clone(),
@@ -158,25 +159,25 @@ fn read_faults(p: &str, s: &ScenarioMeta, reaccessed: bool, content: bool, out: 
         fs_fault(
             FsAttribute::Existence,
             p,
-            format!("delete {p} before the read"),
+            format_args!("delete {p} before the read"),
             DirectFault::FileMakeMissing { path: p.into() },
         ),
         fs_fault(
             FsAttribute::Ownership,
             p,
-            format!("change ownership of {p} to the attacker"),
+            format_args!("change ownership of {p} to the attacker"),
             DirectFault::FileChownAttacker { path: p.into() },
         ),
         fs_fault(
             FsAttribute::Permission,
             p,
-            format!("restrict {p} to root-only access"),
+            format_args!("restrict {p} to root-only access"),
             DirectFault::FilePermRestrict { path: p.into() },
         ),
         fs_fault(
             FsAttribute::SymbolicLink,
             p,
-            format!("replace {p} with a symlink to {}", s.secret_target),
+            format_args!("replace {p} with a symlink to {}", s.secret_target),
             DirectFault::SymlinkSwap {
                 path: p.into(),
                 target: s.secret_target.clone(),
@@ -187,7 +188,7 @@ fn read_faults(p: &str, s: &ScenarioMeta, reaccessed: bool, content: bool, out: 
         out.push(fs_fault(
             FsAttribute::ContentInvariance,
             p,
-            format!("modify the content of {p}"),
+            format_args!("modify the content of {p}"),
             DirectFault::ModifyContent {
                 path: p.into(),
                 content: "perturbed content".into(),
@@ -198,7 +199,7 @@ fn read_faults(p: &str, s: &ScenarioMeta, reaccessed: bool, content: bool, out: 
         out.push(fs_fault(
             FsAttribute::NameInvariance,
             p,
-            format!("rename {p} between accesses (TOCTTOU)"),
+            format_args!("rename {p} between accesses (TOCTTOU)"),
             DirectFault::RenameAway { path: p.into() },
         ));
     }
@@ -210,25 +211,25 @@ fn chdir_faults(p: &str, s: &ScenarioMeta, out: &mut Vec<ConcreteFault>) {
         fs_fault(
             FsAttribute::Existence,
             p,
-            format!("remove directory {p}"),
+            format_args!("remove directory {p}"),
             DirectFault::FileMakeMissing { path: p.into() },
         ),
         fs_fault(
             FsAttribute::Ownership,
             p,
-            format!("change ownership of {p} to the attacker"),
+            format_args!("change ownership of {p} to the attacker"),
             DirectFault::FileChownAttacker { path: p.into() },
         ),
         fs_fault(
             FsAttribute::Permission,
             p,
-            format!("strip traversal permission from {p}"),
+            format_args!("strip traversal permission from {p}"),
             DirectFault::FilePermRestrict { path: p.into() },
         ),
         fs_fault(
             FsAttribute::SymbolicLink,
             p,
-            format!("replace {p} with a symlink to {}", s.protected_dir),
+            format_args!("replace {p} with a symlink to {}", s.protected_dir),
             DirectFault::SymlinkSwap {
                 path: p.into(),
                 target: s.protected_dir.clone(),
@@ -244,25 +245,25 @@ fn exec_faults(p: &str, s: &ScenarioMeta, out: &mut Vec<ConcreteFault>) {
         fs_fault(
             FsAttribute::Existence,
             p,
-            format!("remove the binary {p}"),
+            format_args!("remove the binary {p}"),
             DirectFault::FileMakeMissing { path: p.into() },
         ),
         fs_fault(
             FsAttribute::Ownership,
             p,
-            format!("change ownership of {p} to the attacker"),
+            format_args!("change ownership of {p} to the attacker"),
             DirectFault::FileChownAttacker { path: p.into() },
         ),
         fs_fault(
             FsAttribute::Permission,
             p,
-            format!("strip execute permission from {p}"),
+            format_args!("strip execute permission from {p}"),
             DirectFault::FilePermNoExec { path: p.into() },
         ),
         fs_fault(
             FsAttribute::SymbolicLink,
             p,
-            format!("replace {p} with a symlink to {payload_path}"),
+            format_args!("replace {p} with a symlink to {}/payload.sh", s.attacker_home),
             DirectFault::SymlinkSwap {
                 path: p.into(),
                 target: payload_path,
@@ -271,7 +272,7 @@ fn exec_faults(p: &str, s: &ScenarioMeta, out: &mut Vec<ConcreteFault>) {
         fs_fault(
             FsAttribute::ContentInvariance,
             p,
-            format!("replace the content of {p} with a trojan"),
+            format_args!("replace the content of {p} with a trojan"),
             DirectFault::ModifyContent {
                 path: p.into(),
                 content: "#!trojan".into(),
@@ -286,25 +287,25 @@ fn delete_faults(p: &str, s: &ScenarioMeta, out: &mut Vec<ConcreteFault>) {
         fs_fault(
             FsAttribute::Existence,
             p,
-            format!("delete {p} before the program does"),
+            format_args!("delete {p} before the program does"),
             DirectFault::FileMakeMissing { path: p.into() },
         ),
         fs_fault(
             FsAttribute::Ownership,
             p,
-            format!("change ownership of {p} to the attacker"),
+            format_args!("change ownership of {p} to the attacker"),
             DirectFault::FileChownAttacker { path: p.into() },
         ),
         fs_fault(
             FsAttribute::Permission,
             p,
-            format!("restrict {p} to root-only access"),
+            format_args!("restrict {p} to root-only access"),
             DirectFault::FilePermRestrict { path: p.into() },
         ),
         fs_fault(
             FsAttribute::SymbolicLink,
             p,
-            format!("replace {p} with a symlink to {}", s.critical_target),
+            format_args!("replace {p} with a symlink to {}", s.critical_target),
             DirectFault::SymlinkSwap {
                 path: p.into(),
                 target: s.critical_target.clone(),
@@ -348,10 +349,10 @@ pub(crate) fn push_direct_faults(
         }
         (OpKind::RegRead, ObjectRef::RegValue(key, value)) => {
             let swap = |slug: &str, target: &str, what: &str| ConcreteFault {
-                id: format!("direct:reg:value-{slug}@{key}"),
+                id: shared_text(format_args!("direct:reg:value-{slug}@{key}")),
                 category: EaiCategory::Direct(DirectKind::Registry(RegAttribute::ValueInvariance)),
                 semantic: None,
-                description: format!("point {key}\\{value} at {what} ({target})"),
+                description: shared_text(format_args!("point {key}\\{value} at {what} ({target})")),
                 payload: FaultPayload::Direct(DirectFault::RegistrySetValue {
                     key: key.clone(),
                     value: value.clone(),
@@ -362,7 +363,7 @@ pub(crate) fn push_direct_faults(
                 reg_fault(
                     RegAttribute::AclProtection,
                     key,
-                    format!("make registry key {key} world-writable"),
+                    format_args!("make registry key {key} world-writable"),
                     DirectFault::RegistryOpenAcl { key: key.clone() },
                 ),
                 swap("critical", &s.critical_target, "a system-critical file"),
@@ -379,7 +380,7 @@ pub(crate) fn push_direct_faults(
             net_fault(
                 NetAttribute::MessageAuthenticity,
                 &port.to_string(),
-                format!(
+                format_args!(
                     "make the next message on :{port} actually come from {}",
                     s.attacker_host
                 ),
@@ -391,19 +392,19 @@ pub(crate) fn push_direct_faults(
             net_fault(
                 NetAttribute::Protocol,
                 &format!("{port}:omit"),
-                format!("omit a protocol step on :{port}"),
+                format_args!("omit a protocol step on :{port}"),
                 DirectFault::NetOmitStep { port: *port, idx: 1 },
             ),
             net_fault(
                 NetAttribute::Protocol,
                 &format!("{port}:extra"),
-                format!("add an extra protocol step on :{port}"),
+                format_args!("add an extra protocol step on :{port}"),
                 DirectFault::NetDuplicateStep { port: *port, idx: 0 },
             ),
             net_fault(
                 NetAttribute::Protocol,
                 &format!("{port}:reorder"),
-                format!("reorder protocol steps on :{port}"),
+                format_args!("reorder protocol steps on :{port}"),
                 DirectFault::NetSwapSteps {
                     port: *port,
                     a: 0,
@@ -413,7 +414,7 @@ pub(crate) fn push_direct_faults(
             net_fault(
                 NetAttribute::Socket,
                 &port.to_string(),
-                format!("share the socket on :{port} with another process"),
+                format_args!("share the socket on :{port} with another process"),
                 DirectFault::NetShareSocket {
                     port: *port,
                     with: "intruder-process".into(),
@@ -424,7 +425,7 @@ pub(crate) fn push_direct_faults(
             net_fault(
                 NetAttribute::ServiceAvailability,
                 &format!("{host}:{port}"),
-                format!("deny the service at {host}:{port}"),
+                format_args!("deny the service at {host}:{port}"),
                 DirectFault::NetDenyService {
                     host: host.clone(),
                     port: *port,
@@ -433,7 +434,7 @@ pub(crate) fn push_direct_faults(
             net_fault(
                 NetAttribute::EntityTrust,
                 &format!("{host}:{port}"),
-                format!("make the entity at {host}:{port} untrusted"),
+                format_args!("make the entity at {host}:{port} untrusted"),
                 DirectFault::NetDistrustEntity {
                     host: host.clone(),
                     port: *port,
@@ -443,14 +444,14 @@ pub(crate) fn push_direct_faults(
         (OpKind::DnsResolve, ObjectRef::Host(host)) => out.push(net_fault(
             NetAttribute::ServiceAvailability,
             &format!("dns:{host}"),
-            "deny the DNS service".to_string(),
+            format_args!("deny the DNS service"),
             DirectFault::DnsDeny,
         )),
         (OpKind::ProcRecv, ObjectRef::IpcChannel(c)) => out.extend([
             proc_fault(
                 ProcAttribute::MessageAuthenticity,
                 c,
-                format!("make the next IPC message on {c} actually come from an intruder"),
+                format_args!("make the next IPC message on {c} actually come from an intruder"),
                 DirectFault::IpcSpoofNext {
                     channel: c.clone(),
                     actual: "intruder-process".into(),
@@ -459,13 +460,13 @@ pub(crate) fn push_direct_faults(
             proc_fault(
                 ProcAttribute::Trust,
                 c,
-                format!("make the peer on {c} untrusted"),
+                format_args!("make the peer on {c} untrusted"),
                 DirectFault::IpcDistrust { channel: c.clone() },
             ),
             proc_fault(
                 ProcAttribute::ServiceAvailability,
                 c,
-                format!("deny the peer service on {c}"),
+                format_args!("deny the peer service on {c}"),
                 DirectFault::IpcDeny { channel: c.clone() },
             ),
         ]),
@@ -485,7 +486,10 @@ pub(crate) fn push_direct_faults(
             out.push(fs_fault(
                 FsAttribute::WorkingDirectory,
                 p,
-                format!("start the interaction from attacker-controlled directory {dir}"),
+                format_args!(
+                    "start the interaction from attacker-controlled directory {}/cwd",
+                    ctx.scenario.attacker_home
+                ),
                 DirectFault::WorkingDirectory { dir },
             ));
         }

@@ -5,23 +5,30 @@
 //! that semantic — the key insight distinguishing the method from random
 //! (Fuzz-style) input perturbation.
 
+use std::fmt;
+
 use epa_sandbox::os::ScenarioMeta;
 use epa_sandbox::trace::InputSemantic;
 
 use super::CatalogRow;
 use crate::model::{indirect_kind_of, EaiCategory};
-use crate::perturb::{ConcreteFault, FaultPayload, IndirectFault};
+use crate::perturb::{shared_text, ConcreteFault, FaultPayload, IndirectFault};
 
 /// Filler length used by "change length" faults: far beyond any of the
 /// fixed buffers the model applications declare.
 pub const LENGTHEN_BY: usize = 4096;
 
-fn fault(semantic: InputSemantic, slug: &str, description: impl Into<String>, payload: IndirectFault) -> ConcreteFault {
+fn fault(
+    semantic: InputSemantic,
+    slug: &str,
+    description: fmt::Arguments<'_>,
+    payload: IndirectFault,
+) -> ConcreteFault {
     ConcreteFault {
-        id: format!("indirect:{}:{slug}", semantic_slug(semantic)),
+        id: shared_text(format_args!("indirect:{}:{slug}", semantic_slug(semantic))),
         category: EaiCategory::Indirect(indirect_kind_of(semantic)),
         semantic: Some(semantic),
-        description: description.into(),
+        description: shared_text(description),
         payload: FaultPayload::Indirect(payload),
     }
 }
@@ -59,31 +66,31 @@ pub(crate) fn push_indirect_faults(semantic: InputSemantic, scenario: &ScenarioM
             fault(
                 semantic,
                 "lengthen",
-                "change length of user-supplied file name",
+                format_args!("change length of user-supplied file name"),
                 IndirectFault::Lengthen { by: LENGTHEN_BY },
             ),
             fault(
                 semantic,
                 "relative",
-                "use relative path in file name",
+                format_args!("use relative path in file name"),
                 IndirectFault::MakeRelative,
             ),
             fault(
                 semantic,
                 "absolute",
-                "use absolute path in file name",
+                format_args!("use absolute path in file name"),
                 IndirectFault::MakeAbsolute,
             ),
             fault(
                 semantic,
                 "dotdot",
-                "insert `..` in front of the file name",
+                format_args!("insert `..` in front of the file name"),
                 IndirectFault::InsertDotDot { depth: 1 },
             ),
             fault(
                 semantic,
                 "slash",
-                "insert `/` in file name",
+                format_args!("insert `/` in file name"),
                 IndirectFault::InsertSpecial { ch: '/' },
             ),
         ]),
@@ -91,31 +98,31 @@ pub(crate) fn push_indirect_faults(semantic: InputSemantic, scenario: &ScenarioM
             fault(
                 semantic,
                 "lengthen",
-                "change length of user-supplied command",
+                format_args!("change length of user-supplied command"),
                 IndirectFault::Lengthen { by: LENGTHEN_BY },
             ),
             fault(
                 semantic,
                 "relative",
-                "use relative path in command",
+                format_args!("use relative path in command"),
                 IndirectFault::MakeRelative,
             ),
             fault(
                 semantic,
                 "absolute",
-                "use absolute path in command",
+                format_args!("use absolute path in command"),
                 IndirectFault::MakeAbsolute,
             ),
             fault(
                 semantic,
                 "semicolon",
-                "insert `;` in command",
+                format_args!("insert `;` in command"),
                 IndirectFault::InsertSpecial { ch: ';' },
             ),
             fault(
                 semantic,
                 "newline",
-                "insert newline in command",
+                format_args!("insert newline in command"),
                 IndirectFault::InsertSpecial { ch: '\n' },
             ),
         ]),
@@ -123,25 +130,25 @@ pub(crate) fn push_indirect_faults(semantic: InputSemantic, scenario: &ScenarioM
             fault(
                 semantic,
                 "lengthen",
-                "change length of environment value",
+                format_args!("change length of environment value"),
                 IndirectFault::Lengthen { by: LENGTHEN_BY },
             ),
             fault(
                 semantic,
                 "relative",
-                "use relative path in environment value",
+                format_args!("use relative path in environment value"),
                 IndirectFault::MakeRelative,
             ),
             fault(
                 semantic,
                 "absolute",
-                "use absolute path in environment value",
+                format_args!("use absolute path in environment value"),
                 IndirectFault::MakeAbsolute,
             ),
             fault(
                 semantic,
                 "semicolon",
-                "insert `;` in environment value",
+                format_args!("insert `;` in environment value"),
                 IndirectFault::InsertSpecial { ch: ';' },
             ),
         ]),
@@ -149,19 +156,19 @@ pub(crate) fn push_indirect_faults(semantic: InputSemantic, scenario: &ScenarioM
             fault(
                 semantic,
                 "lengthen",
-                "change length of the path list",
+                format_args!("change length of the path list"),
                 IndirectFault::Lengthen { by: LENGTHEN_BY },
             ),
             fault(
                 semantic,
                 "reorder",
-                "rearrange order of paths",
+                format_args!("rearrange order of paths"),
                 IndirectFault::PathListReorder,
             ),
             fault(
                 semantic,
                 "insert-untrusted",
-                format!("insert untrusted path {} at the front", scenario.untrusted_dir),
+                format_args!("insert untrusted path {} at the front", scenario.untrusted_dir),
                 IndirectFault::PathListInsertUntrusted {
                     dir: scenario.untrusted_dir.clone(),
                 },
@@ -169,7 +176,7 @@ pub(crate) fn push_indirect_faults(semantic: InputSemantic, scenario: &ScenarioM
             fault(
                 semantic,
                 "wrong",
-                "use incorrect path list",
+                format_args!("use incorrect path list"),
                 IndirectFault::PathListWrong {
                     dir: "/nonexistent/bin".into(),
                 },
@@ -177,29 +184,39 @@ pub(crate) fn push_indirect_faults(semantic: InputSemantic, scenario: &ScenarioM
             fault(
                 semantic,
                 "recursive",
-                "use recursive (current-directory) path",
+                format_args!("use recursive (current-directory) path"),
                 IndirectFault::PathListRecursive,
             ),
         ]),
         InputSemantic::EnvPermMask => out.push(fault(
             semantic,
             "zero",
-            "change mask to 0 so it masks no permission bit",
+            format_args!("change mask to 0 so it masks no permission bit"),
             IndirectFault::PermMaskZero,
         )),
         InputSemantic::FsFileName => out.extend([
             fault(
                 semantic,
                 "lengthen",
-                "change length of file name from file-system input",
+                format_args!("change length of file name from file-system input"),
                 IndirectFault::Lengthen { by: LENGTHEN_BY },
             ),
-            fault(semantic, "relative", "use relative path", IndirectFault::MakeRelative),
-            fault(semantic, "absolute", "use absolute path", IndirectFault::MakeAbsolute),
+            fault(
+                semantic,
+                "relative",
+                format_args!("use relative path"),
+                IndirectFault::MakeRelative,
+            ),
+            fault(
+                semantic,
+                "absolute",
+                format_args!("use absolute path"),
+                IndirectFault::MakeAbsolute,
+            ),
             fault(
                 semantic,
                 "semicolon",
-                "insert special character `;`",
+                format_args!("insert special character `;`"),
                 IndirectFault::InsertSpecial { ch: ';' },
             ),
         ]),
@@ -207,13 +224,13 @@ pub(crate) fn push_indirect_faults(semantic: InputSemantic, scenario: &ScenarioM
             fault(
                 semantic,
                 "exe",
-                "change extension to `.exe`",
+                format_args!("change extension to `.exe`"),
                 IndirectFault::ChangeExtension { ext: "exe".into() },
             ),
             fault(
                 semantic,
                 "lengthen",
-                "change length of file extension",
+                format_args!("change length of file extension"),
                 IndirectFault::LengthenExtension,
             ),
         ]),
@@ -221,31 +238,41 @@ pub(crate) fn push_indirect_faults(semantic: InputSemantic, scenario: &ScenarioM
             fault(
                 semantic,
                 "lengthen",
-                "change length of the address",
+                format_args!("change length of the address"),
                 IndirectFault::Lengthen { by: 256 },
             ),
-            fault(semantic, "malform", "use bad-formatted address", IndirectFault::Malform),
+            fault(
+                semantic,
+                "malform",
+                format_args!("use bad-formatted address"),
+                IndirectFault::Malform,
+            ),
         ]),
         InputSemantic::NetPacket => out.extend([
             fault(
                 semantic,
                 "oversize",
-                "change size of the packet",
+                format_args!("change size of the packet"),
                 IndirectFault::Lengthen { by: 8192 },
             ),
-            fault(semantic, "malform", "use bad-formatted packet", IndirectFault::Malform),
+            fault(
+                semantic,
+                "malform",
+                format_args!("use bad-formatted packet"),
+                IndirectFault::Malform,
+            ),
         ]),
         InputSemantic::NetHostName => out.extend([
             fault(
                 semantic,
                 "lengthen",
-                "change length of host name",
+                format_args!("change length of host name"),
                 IndirectFault::Lengthen { by: 1024 },
             ),
             fault(
                 semantic,
                 "malform",
-                "use bad-formatted host name",
+                format_args!("use bad-formatted host name"),
                 IndirectFault::Malform,
             ),
         ]),
@@ -253,19 +280,29 @@ pub(crate) fn push_indirect_faults(semantic: InputSemantic, scenario: &ScenarioM
             fault(
                 semantic,
                 "lengthen",
-                "change length of the DNS reply",
+                format_args!("change length of the DNS reply"),
                 IndirectFault::Lengthen { by: 1024 },
             ),
-            fault(semantic, "malform", "use bad-formatted reply", IndirectFault::Malform),
+            fault(
+                semantic,
+                "malform",
+                format_args!("use bad-formatted reply"),
+                IndirectFault::Malform,
+            ),
         ]),
         InputSemantic::ProcMessage => out.extend([
             fault(
                 semantic,
                 "lengthen",
-                "change length of the message",
+                format_args!("change length of the message"),
                 IndirectFault::Lengthen { by: 8192 },
             ),
-            fault(semantic, "malform", "use bad-formatted message", IndirectFault::Malform),
+            fault(
+                semantic,
+                "malform",
+                format_args!("use bad-formatted message"),
+                IndirectFault::Malform,
+            ),
         ]),
         InputSemantic::Opaque => {}
     }

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use epa_sandbox::os::Os;
 use epa_sandbox::process::Pid;
-use epa_sandbox::trace::InputSemantic;
+use epa_sandbox::trace::{InputSemantic, SiteId};
 
 /// One scripted interaction with the environment.
 ///
@@ -174,11 +174,9 @@ impl BehaviorStep {
         }
     }
 
-    /// Runs the step; `false` means the underlying syscall(s) failed (the
-    /// script tolerates it and moves on).
-    fn run(&self, index: usize, os: &mut Os, pid: Pid) -> bool {
-        let site = format!("gen{index}:{}", self.tag());
-        let site = site.as_str();
+    /// Runs the step at `site`; `false` means the underlying syscall(s)
+    /// failed (the script tolerates it and moves on).
+    fn run(&self, site: SiteId, os: &mut Os, pid: Pid) -> bool {
         match self {
             BehaviorStep::ReadArg { index } => os.sys_arg(pid, site, *index, InputSemantic::UserFileName).is_ok(),
             BehaviorStep::ReadEnv { name } => os.sys_getenv(pid, site, name, InputSemantic::EnvValue).is_ok(),
@@ -248,14 +246,32 @@ impl BehaviorScript {
     /// This is the single interpreter behind the `epa-apps` scripted
     /// adapter; it issues only `sys_*` calls and never consults oracle
     /// metadata, exactly like a hand-written [`epa_sandbox::app::Application`].
-    pub fn run(&self, os: &mut Os, pid: Pid) -> i32 {
+    /// `sites` is [`BehaviorScript::sites`], built once per script.
+    ///
+    /// # Panics
+    ///
+    /// If `sites` does not hold one id per step.
+    pub fn run(&self, sites: &[SiteId], os: &mut Os, pid: Pid) -> i32 {
+        assert_eq!(sites.len(), self.steps.len(), "one site id per script step");
         let mut failures = 0i32;
-        for (i, step) in self.steps.iter().enumerate() {
-            if !step.run(i, os, pid) {
+        for (step, &site) in self.steps.iter().zip(sites) {
+            if !step.run(site, os, pid) {
                 failures += 1;
             }
         }
         failures.min(100)
+    }
+
+    /// Each step's interaction site, in step order: step `i` of kind `tag`
+    /// is `gen<i>:<tag>`. The only site labels in the engine made at run
+    /// time, so they are interned here once per script rather than on
+    /// every syscall of every run.
+    pub fn sites(&self) -> Vec<SiteId> {
+        self.steps
+            .iter()
+            .enumerate()
+            .map(|(i, step)| SiteId::new(format!("gen{i}:{}", step.tag())))
+            .collect()
     }
 
     /// A stable content fingerprint of the script (FNV-1a over its

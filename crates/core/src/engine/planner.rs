@@ -880,10 +880,10 @@ mod tests {
             site: SiteId::new(site),
             occurrence,
             fault: ConcreteFault {
-                id: id.to_string(),
+                id: id.into(),
                 category: EaiCategory::Other,
                 semantic: None,
-                description: format!("make {path} exist"),
+                description: format!("make {path} exist").into(),
                 payload: FaultPayload::Direct(DirectFault::FileMakeExist { path: path.to_string() }),
             },
         }
@@ -905,10 +905,10 @@ mod tests {
             site: SiteId::new(site),
             occurrence,
             fault: ConcreteFault {
-                id: id.to_string(),
+                id: id.into(),
                 category: EaiCategory::Indirect(IndirectKind::UserInput),
                 semantic: Some(InputSemantic::UserFileName),
-                description: "lengthen".to_string(),
+                description: "lengthen".into(),
                 payload: FaultPayload::Indirect(IndirectFault::Lengthen { by: 64 }),
             },
         }
@@ -1003,7 +1003,7 @@ mod tests {
             panic!("an equal key replays");
         };
         let record = replayed.replay(&jobs[1]);
-        assert_eq!((record.fault_id.as_str(), record.cache_hit), ("b", true));
+        assert_eq!((&*record.fault_id, record.cache_hit), ("b", true));
         assert!(matches!(cache.begin(7, key(2)), Claim::Execute(_)));
     }
 
@@ -1046,7 +1046,7 @@ mod tests {
         let digest = outcome(false, Some(0), 1);
         let asked = std::cell::RefCell::new(Vec::new());
         let prune = |job: &InjectionPlan| {
-            asked.borrow_mut().push(job.fault.id.clone());
+            asked.borrow_mut().push(job.fault.id.to_string());
             Some(digest.clone())
         };
         let cache = ResultCache::new();
@@ -1067,13 +1067,13 @@ mod tests {
         let alias = direct_job("another:pattern", "s", 0, "/tmp//f");
         let digest = outcome(true, Some(1), 9);
         let r = digest.replay(&alias);
-        assert_eq!(r.fault_id, "another:pattern");
+        assert_eq!(&*r.fault_id, "another:pattern");
         assert_eq!(r.site, "s");
         assert!(r.cache_hit);
         assert_eq!(r.exit, Some(1));
         assert_eq!(r.audit_events, 9);
         let c = digest.replay(&canon);
-        assert_eq!(c.fault_id, "direct:fs:exist@/tmp/f");
+        assert_eq!(&*c.fault_id, "direct:fs:exist@/tmp/f");
     }
 
     #[test]

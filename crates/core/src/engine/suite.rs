@@ -356,15 +356,11 @@ impl SuiteReport {
     /// Per-category `(injected, violated)` counts rolled up across every
     /// campaign.
     pub fn by_category(&self) -> BTreeMap<String, (usize, usize)> {
-        let mut out: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+        let mut counts = BTreeMap::new();
         for report in &self.reports {
-            for (category, (injected, violated)) in report.by_category() {
-                let e = out.entry(category).or_insert((0, 0));
-                e.0 += injected;
-                e.1 += violated;
-            }
+            report.tally_categories(&mut counts);
         }
-        out
+        crate::report::named_categories(counts)
     }
 
     /// A human-readable multi-line summary.
@@ -426,7 +422,7 @@ mod tests {
             occurrence: 0,
             fault_id: "f".into(),
             category: EaiCategory::Indirect(IndirectKind::UserInput),
-            description: String::new(),
+            description: "".into(),
             applied: true,
             exit: Some(0),
             crashed: None,

@@ -6,9 +6,11 @@
 //! *before* the interaction executes; indirect faults mutate the value the
 //! application *received* (paper §3.3 step 6).
 
+use std::cell::RefCell;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use shim_sync::sync::Arc;
 
 use epa_sandbox::cred::Uid;
 use epa_sandbox::data::Data;
@@ -432,20 +434,39 @@ pub enum FaultPayload {
     Indirect(IndirectFault),
 }
 
+/// `args` as a shared text, allocated once: the text is formatted into a
+/// per-thread buffer and copied into the `Arc`, so a catalog row costs one
+/// allocation per text, as the `format!` it replaces did.
+pub(crate) fn shared_text(args: fmt::Arguments<'_>) -> Arc<str> {
+    thread_local! {
+        static BUF: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+    if let Some(text) = args.as_str() {
+        return Arc::from(text);
+    }
+    BUF.with(|buf| {
+        let mut buf = buf.borrow_mut();
+        buf.clear();
+        fmt::Write::write_fmt(&mut *buf, args).expect("formatting into a String cannot fail");
+        Arc::from(buf.as_str())
+    })
+}
+
 /// One injectable fault instance.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConcreteFault {
     /// Stable identifier, unique within a plan (e.g.
-    /// `direct:fs:symlink@/var/spool/job`).
-    pub id: String,
+    /// `direct:fs:symlink@/var/spool/job`). Shared: every job and record
+    /// of the plan points at the one text.
+    pub id: Arc<str>,
     /// EAI classification, for category breakdowns.
     pub category: EaiCategory,
     /// For indirect faults: the input semantics the fault targets. The
     /// injection hook strikes the first interaction at the planned site
     /// whose declared semantics match (a site may receive several inputs).
     pub semantic: Option<epa_sandbox::trace::InputSemantic>,
-    /// Human-readable description of the perturbation.
-    pub description: String,
+    /// Human-readable description of the perturbation (shared, as `id`).
+    pub description: Arc<str>,
     /// The executable payload.
     pub payload: FaultPayload,
 }

@@ -5,11 +5,28 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
+use shim_sync::sync::Arc;
 
 use epa_sandbox::policy::Verdict;
 
 use crate::coverage::{AdequacyPoint, AdequacyThresholds, Ratio};
 use crate::model::EaiCategory;
+
+/// Per-category counts keyed by each category's name. Counts are tallied
+/// by category first, so each name is rendered once, into one allocation.
+pub(crate) fn named_categories(counts: BTreeMap<EaiCategory, (usize, usize)>) -> BTreeMap<String, (usize, usize)> {
+    let mut out: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for (category, (injected, violated)) in counts {
+        // The longest name, "direct / file system / content invariance",
+        // is 41 bytes.
+        let mut name = String::with_capacity(48);
+        let _ = write!(name, "{category}");
+        let e = out.entry(name).or_insert((0, 0));
+        e.0 += injected;
+        e.1 += violated;
+    }
+    out
+}
 
 /// The outcome of one injected run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -18,12 +35,13 @@ pub struct FaultRecord {
     pub site: String,
     /// The occurrence that was struck.
     pub occurrence: usize,
-    /// Fault identifier.
-    pub fault_id: String,
+    /// Fault identifier: the plan's [`crate::perturb::ConcreteFault::id`],
+    /// shared, not copied.
+    pub fault_id: Arc<str>,
     /// Fault classification.
     pub category: EaiCategory,
-    /// Human-readable perturbation description.
-    pub description: String,
+    /// Human-readable perturbation description (shared with the plan).
+    pub description: Arc<str>,
     /// Whether the fault actually fired during the run.
     pub applied: bool,
     /// The application's exit status (`None` when it panicked).
@@ -146,10 +164,16 @@ impl CampaignReport {
         self.records.iter().filter(|r| !r.tolerated())
     }
 
-    /// Per-category (injected, violated) counts. Records are tallied by
-    /// category first, so each category's name is rendered once.
+    /// Per-category (injected, violated) counts, by category name.
     pub fn by_category(&self) -> BTreeMap<String, (usize, usize)> {
-        let mut counts: BTreeMap<EaiCategory, (usize, usize)> = BTreeMap::new();
+        let mut counts = BTreeMap::new();
+        self.tally_categories(&mut counts);
+        named_categories(counts)
+    }
+
+    /// Adds this report's per-category (injected, violated) counts to
+    /// `counts`.
+    pub(crate) fn tally_categories(&self, counts: &mut BTreeMap<EaiCategory, (usize, usize)>) {
         for r in &self.records {
             let e = counts.entry(r.category).or_insert((0, 0));
             e.0 += 1;
@@ -157,13 +181,6 @@ impl CampaignReport {
                 e.1 += 1;
             }
         }
-        let mut out: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for (category, (injected, violated)) in counts {
-            let e = out.entry(category.to_string()).or_insert((0, 0));
-            e.0 += injected;
-            e.1 += violated;
-        }
-        out
     }
 
     /// Per-site (injected, violated) counts, in record order.
@@ -252,7 +269,7 @@ mod tests {
             occurrence: 0,
             fault_id: fault.into(),
             category: EaiCategory::Indirect(IndirectKind::UserInput),
-            description: String::new(),
+            description: "".into(),
             applied: true,
             exit: Some(0),
             crashed: None,

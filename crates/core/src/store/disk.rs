@@ -69,7 +69,12 @@ fn store_header() -> String {
 /// Writes `text` to a transient `.epa-*` file beside `path` and renames it
 /// over `path`, so no reader sees a partial file and a link at `path` is
 /// replaced, never followed. Keeps `mtime` if given.
-pub(crate) fn install(path: &Path, text: &str, mtime: Option<SystemTime>) -> io::Result<()> {
+///
+/// # Errors
+///
+/// Whatever creating, writing or renaming the transient file fails with;
+/// the transient file is removed then, and `path` is left as it was.
+pub fn install(path: &Path, text: &str, mtime: Option<SystemTime>) -> io::Result<()> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let name = path.file_name().unwrap_or_default().to_string_lossy();
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
@@ -469,6 +474,19 @@ impl DiskStore {
         self.segment_dir().join(format!("{scope:016x}.seg"))
     }
 
+    /// Fails when the segment directory is a symbolic link. Every segment
+    /// lives in it, so a link there would carry every read, append and
+    /// prune out of the store root: the handle's disk tier goes off.
+    fn unlinked_segment_dir(&self) -> io::Result<PathBuf> {
+        let dir = self.segment_dir();
+        match std::fs::symlink_metadata(&dir) {
+            Ok(meta) if meta.file_type().is_symlink() => Err(io::Error::other(
+                "a symbolic link as the segment directory, which the store does not follow",
+            )),
+            _ => Ok(dir),
+        }
+    }
+
     /// Runs `f` on `scope`'s segment, read on first use, under its own lock.
     fn with_segment<R>(&self, scope: u64, f: impl FnOnce(&mut Segment) -> R) -> R {
         let slot = {
@@ -486,13 +504,16 @@ impl DiskStore {
     /// save touches it again.
     fn read_segment(&self, scope: u64) -> Segment {
         let path = self.segment_path(scope);
-        let read = read_segment_file(&path, true);
+        let (read, struck) = match self.unlinked_segment_dir() {
+            Ok(_) => (read_segment_file(&path, true), path.clone()),
+            Err(e) => (Err(e), self.segment_dir()),
+        };
         let shown = path.display();
         let unreadable = read.as_ref().err().filter(|e| e.kind() != io::ErrorKind::NotFound);
         if let Some(e) = unreadable {
             let mut faults = self.faults.lock().unwrap_or_else(PoisonError::into_inner);
             faults.unreadable.insert(scope);
-            faults.note(e, &path);
+            faults.note(e, &struck);
         }
         let foreign = unreadable.is_none();
         let segment = decode_segment(scope, read);
@@ -511,6 +532,7 @@ impl DiskStore {
     fn append(&self, scope: u64, record: &str) -> io::Result<()> {
         let (path, header) = (self.segment_path(scope), segment_header(scope));
         std::fs::create_dir_all(self.segment_dir())?;
+        self.unlinked_segment_dir()?;
         let mut file = lock_segment(&path, true)?;
         let mut head = Vec::new();
         (&mut file).take(header.len() as u64).read_to_end(&mut head)?;
@@ -554,8 +576,11 @@ impl DiskStore {
     /// Every segment file on disk, decoded, in path order. Does not touch
     /// timestamps.
     fn scan(&self) -> Vec<(PathBuf, std::fs::Metadata, Segment)> {
-        // A missing segment directory is an empty store.
-        let mut scanned: Vec<_> = std::fs::read_dir(self.segment_dir())
+        // A missing segment directory is an empty store, and so is a link
+        // there: nothing outside the root is read, compacted or pruned.
+        let mut scanned: Vec<_> = self
+            .unlinked_segment_dir()
+            .and_then(std::fs::read_dir)
             .into_iter()
             .flatten()
             .flatten()
@@ -634,9 +659,13 @@ impl DiskStore {
 
     /// Decodes every record of every segment: version tag, checksum, and
     /// that it belongs to the scope its segment names. Damage is reported
-    /// as `segment:line`; a duplicate record is not damage.
+    /// as `segment:line`; a duplicate record is not damage. A segment
+    /// directory that is a link is reported quarantined, and not read.
     pub fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport::default();
+        if self.unlinked_segment_dir().is_err() {
+            report.quarantined.push(self.segment_dir().display().to_string());
+        }
         for (path, _, segment) in self.scan() {
             if segment.quarantined {
                 report.quarantined.push(path.display().to_string());

@@ -43,7 +43,7 @@ pub mod disk;
 pub mod manifest;
 
 pub use disk::{
-    decode_entry, encode_entry, DecodedEntry, DiskStats, DiskStore, EntryError, PruneOptions, PruneReport,
+    decode_entry, encode_entry, install, DecodedEntry, DiskStats, DiskStore, EntryError, PruneOptions, PruneReport,
     VerifyReport, STORE_FORMAT_VERSION,
 };
 pub use manifest::{AppManifest, ManifestCheck, ManifestKey, SuiteManifest, MANIFEST_FILE, MANIFEST_VERSION};
@@ -205,11 +205,18 @@ pub fn resolve_store_dir_env(explicit: Option<&str>) -> StoreResolution {
     resolve_store_dir(explicit, env_value.as_deref())
 }
 
-/// Writes and removes a probe file to prove `dir` is writable.
+/// Creates and removes a probe file to prove `dir` is writable. The probe
+/// is created only as a new file: a link planted at its predictable name,
+/// dangling or not, fails the probe instead of being followed, and is left
+/// where it is.
 fn probe_writable(dir: &Path) -> std::io::Result<()> {
+    use std::io::Write as _;
     let probe = dir.join(format!(".epa-probe-{}", std::process::id()));
-    std::fs::write(&probe, b"probe")?;
-    std::fs::remove_file(&probe)
+    let mut file = std::fs::File::options().write(true).create_new(true).open(&probe)?;
+    let written = file.write_all(b"probe");
+    drop(file);
+    let removed = std::fs::remove_file(&probe);
+    written.and(removed)
 }
 
 #[cfg(test)]

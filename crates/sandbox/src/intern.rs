@@ -335,6 +335,13 @@ impl TextSym {
         TextSym(leaked)
     }
 
+    /// The symbol for a literal's text, without a lookup: equality falls
+    /// back to comparing text, so it equals the table's symbol for the
+    /// same text.
+    pub(crate) const fn literal(text: &'static str) -> TextSym {
+        TextSym(text)
+    }
+
     /// The symbol for `parts` joined (`file:` and a path), without
     /// building the joined text on the heap when it is short.
     pub fn concat(parts: &[&str]) -> TextSym {

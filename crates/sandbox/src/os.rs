@@ -325,6 +325,10 @@ impl Os {
 
     /// Executes one syscall for `pid` at interaction site `site`.
     ///
+    /// `site` is a [`SiteId`] or a `&'static str` literal, which becomes a
+    /// site id with no lookup. A label built at run time needs
+    /// [`SiteId::new`]; build it once, not on every call.
+    ///
     /// Unhooked, the call is recorded in the execution trace as a
     /// [`crate::trace::TraceEvent`] and dispatched. Hooked, the trace only
     /// counts it ([`Trace::count`]): the interceptor's `before` hook runs
@@ -335,9 +339,9 @@ impl Os {
     ///
     /// Whatever the underlying operation produces, plus `EAGAIN` once the
     /// process's syscall budget is exhausted.
-    pub fn syscall(&mut self, pid: Pid, site: impl AsRef<str>, call: Syscall<'_>) -> SysResult<SysReturn> {
+    pub fn syscall(&mut self, pid: Pid, site: impl Into<SiteId>, call: Syscall<'_>) -> SysResult<SysReturn> {
         self.procs.get_mut(pid)?.spend_budget()?;
-        let site = SiteId::new(site);
+        let site = site.into();
         let op = call.op();
         let semantic = call.semantic();
         let seq = self.trace.interactions();
@@ -357,7 +361,7 @@ impl Os {
             self.trace.set_outcome(seq, result.is_ok());
             return result;
         };
-        let occurrence = self.trace.count(&site);
+        let occurrence = self.trace.count(site);
         let point = InteractionRef {
             pid,
             site,
@@ -903,13 +907,25 @@ macro_rules! expect_return {
 
 impl Os {
     /// Reads an environment variable. See [`Syscall::Getenv`].
-    pub fn sys_getenv(&mut self, pid: Pid, site: &str, name: &str, semantic: InputSemantic) -> SysResult<Data> {
+    pub fn sys_getenv(
+        &mut self,
+        pid: Pid,
+        site: impl Into<SiteId>,
+        name: &str,
+        semantic: InputSemantic,
+    ) -> SysResult<Data> {
         let r = self.syscall(pid, site, Syscall::Getenv { name, semantic })?;
         expect_return!(r, Payload)
     }
 
     /// Reads argv\[index\]. See [`Syscall::ReadArg`].
-    pub fn sys_arg(&mut self, pid: Pid, site: &str, index: usize, semantic: InputSemantic) -> SysResult<Data> {
+    pub fn sys_arg(
+        &mut self,
+        pid: Pid,
+        site: impl Into<SiteId>,
+        index: usize,
+        semantic: InputSemantic,
+    ) -> SysResult<Data> {
         let r = self.syscall(pid, site, Syscall::ReadArg { index, semantic })?;
         expect_return!(r, Payload)
     }
@@ -918,7 +934,7 @@ impl Os {
     pub fn sys_bind(
         &mut self,
         pid: Pid,
-        site: &str,
+        site: impl Into<SiteId>,
         entity: &str,
         semantic: InputSemantic,
         value: Data,
@@ -936,7 +952,12 @@ impl Os {
     }
 
     /// Reads a whole file. See [`Syscall::ReadFile`].
-    pub fn sys_read_file<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<Data> {
+    pub fn sys_read_file<'a>(
+        &mut self,
+        pid: Pid,
+        site: impl Into<SiteId>,
+        path: impl Into<PathArg<'a>>,
+    ) -> SysResult<Data> {
         let r = self.syscall(pid, site, Syscall::ReadFile { path: path.into() })?;
         expect_return!(r, Payload)
     }
@@ -945,7 +966,7 @@ impl Os {
     pub fn sys_write_file<'a>(
         &mut self,
         pid: Pid,
-        site: &str,
+        site: impl Into<SiteId>,
         path: impl Into<PathArg<'a>>,
         data: impl Into<Data>,
         mode: u16,
@@ -966,7 +987,7 @@ impl Os {
     pub fn sys_create_excl<'a>(
         &mut self,
         pid: Pid,
-        site: &str,
+        site: impl Into<SiteId>,
         path: impl Into<PathArg<'a>>,
         mode: u16,
     ) -> SysResult<()> {
@@ -985,7 +1006,7 @@ impl Os {
     pub fn sys_append<'a>(
         &mut self,
         pid: Pid,
-        site: &str,
+        site: impl Into<SiteId>,
         path: impl Into<PathArg<'a>>,
         data: impl Into<Data>,
         mode: u16,
@@ -1003,37 +1024,52 @@ impl Os {
     }
 
     /// Removes a file. See [`Syscall::Unlink`].
-    pub fn sys_unlink<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<()> {
+    pub fn sys_unlink<'a>(&mut self, pid: Pid, site: impl Into<SiteId>, path: impl Into<PathArg<'a>>) -> SysResult<()> {
         self.syscall(pid, site, Syscall::Unlink { path: path.into() })?;
         Ok(())
     }
 
     /// Changes the working directory. See [`Syscall::Chdir`].
-    pub fn sys_chdir<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<()> {
+    pub fn sys_chdir<'a>(&mut self, pid: Pid, site: impl Into<SiteId>, path: impl Into<PathArg<'a>>) -> SysResult<()> {
         self.syscall(pid, site, Syscall::Chdir { path: path.into() })?;
         Ok(())
     }
 
     /// `stat`. See [`Syscall::StatPath`].
-    pub fn sys_stat<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<Stat> {
+    pub fn sys_stat<'a>(&mut self, pid: Pid, site: impl Into<SiteId>, path: impl Into<PathArg<'a>>) -> SysResult<Stat> {
         let r = self.syscall(pid, site, Syscall::StatPath { path: path.into() })?;
         expect_return!(r, Meta)
     }
 
     /// `lstat`. See [`Syscall::LstatPath`].
-    pub fn sys_lstat<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<Stat> {
+    pub fn sys_lstat<'a>(
+        &mut self,
+        pid: Pid,
+        site: impl Into<SiteId>,
+        path: impl Into<PathArg<'a>>,
+    ) -> SysResult<Stat> {
         let r = self.syscall(pid, site, Syscall::LstatPath { path: path.into() })?;
         expect_return!(r, Meta)
     }
 
     /// Reads a symlink target. See [`Syscall::Readlink`].
-    pub fn sys_readlink<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<String> {
+    pub fn sys_readlink<'a>(
+        &mut self,
+        pid: Pid,
+        site: impl Into<SiteId>,
+        path: impl Into<PathArg<'a>>,
+    ) -> SysResult<String> {
         let r = self.syscall(pid, site, Syscall::Readlink { path: path.into() })?;
         expect_return!(r, Text)
     }
 
     /// Lists a directory. See [`Syscall::ListDir`].
-    pub fn sys_list_dir<'a>(&mut self, pid: Pid, site: &str, path: impl Into<PathArg<'a>>) -> SysResult<Vec<String>> {
+    pub fn sys_list_dir<'a>(
+        &mut self,
+        pid: Pid,
+        site: impl Into<SiteId>,
+        path: impl Into<PathArg<'a>>,
+    ) -> SysResult<Vec<String>> {
         let r = self.syscall(pid, site, Syscall::ListDir { path: path.into() })?;
         expect_return!(r, Names)
     }
@@ -1042,7 +1078,7 @@ impl Os {
     pub fn sys_exec<'a>(
         &mut self,
         pid: Pid,
-        site: &str,
+        site: impl Into<SiteId>,
         program: impl Into<PathArg<'a>>,
         args: Vec<Data>,
         path_list: Option<Data>,
@@ -1060,7 +1096,7 @@ impl Os {
     }
 
     /// Prints to stdout. See [`Syscall::Print`].
-    pub fn sys_print(&mut self, pid: Pid, site: &str, data: impl Into<Data>) -> SysResult<()> {
+    pub fn sys_print(&mut self, pid: Pid, site: impl Into<SiteId>, data: impl Into<Data>) -> SysResult<()> {
         self.syscall(pid, site, Syscall::Print { data: data.into() })?;
         Ok(())
     }
@@ -1069,7 +1105,7 @@ impl Os {
     pub fn sys_reg_read(
         &mut self,
         pid: Pid,
-        site: &str,
+        site: impl Into<SiteId>,
         key: &str,
         value: &str,
         semantic: InputSemantic,
@@ -1079,13 +1115,20 @@ impl Os {
     }
 
     /// Writes a registry value. See [`Syscall::RegWrite`].
-    pub fn sys_reg_write(&mut self, pid: Pid, site: &str, key: &str, value: &str, data: &str) -> SysResult<()> {
+    pub fn sys_reg_write(
+        &mut self,
+        pid: Pid,
+        site: impl Into<SiteId>,
+        key: &str,
+        value: &str,
+        data: &str,
+    ) -> SysResult<()> {
         self.syscall(pid, site, Syscall::RegWrite { key, value, data })?;
         Ok(())
     }
 
     /// Connects to a service. See [`Syscall::NetConnect`].
-    pub fn sys_net_connect(&mut self, pid: Pid, site: &str, host: &str, port: u16) -> SysResult<()> {
+    pub fn sys_net_connect(&mut self, pid: Pid, site: impl Into<SiteId>, host: &str, port: u16) -> SysResult<()> {
         self.syscall(pid, site, Syscall::NetConnect { host, port })?;
         Ok(())
     }
@@ -1094,7 +1137,7 @@ impl Os {
     pub fn sys_net_send(
         &mut self,
         pid: Pid,
-        site: &str,
+        site: impl Into<SiteId>,
         host: &str,
         port: u16,
         data: impl Into<Data>,
@@ -1112,13 +1155,25 @@ impl Os {
     }
 
     /// Receives a network message. See [`Syscall::NetRecv`].
-    pub fn sys_net_recv(&mut self, pid: Pid, site: &str, port: u16, semantic: InputSemantic) -> SysResult<Message> {
+    pub fn sys_net_recv(
+        &mut self,
+        pid: Pid,
+        site: impl Into<SiteId>,
+        port: u16,
+        semantic: InputSemantic,
+    ) -> SysResult<Message> {
         let r = self.syscall(pid, site, Syscall::NetRecv { port, semantic })?;
         expect_return!(r, Delivery)
     }
 
     /// Resolves a host name. See [`Syscall::DnsResolve`].
-    pub fn sys_dns(&mut self, pid: Pid, site: &str, host: &str, semantic: InputSemantic) -> SysResult<Data> {
+    pub fn sys_dns(
+        &mut self,
+        pid: Pid,
+        site: impl Into<SiteId>,
+        host: &str,
+        semantic: InputSemantic,
+    ) -> SysResult<Data> {
         let r = self.syscall(pid, site, Syscall::DnsResolve { host, semantic })?;
         expect_return!(r, Payload)
     }
@@ -1127,7 +1182,7 @@ impl Os {
     pub fn sys_proc_recv(
         &mut self,
         pid: Pid,
-        site: &str,
+        site: impl Into<SiteId>,
         channel: &str,
         semantic: InputSemantic,
     ) -> SysResult<Message> {

@@ -9,72 +9,77 @@
 //! the applicable Table 5 fault patterns.
 
 use std::borrow::Borrow;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use shim_sync::sync::Arc;
+
+use crate::intern::TextSym;
 
 /// A static interaction site in an application, e.g. `"lpr:create_spool"`.
 ///
 /// Sites are the unit of *interaction coverage*: the campaign perturbs
 /// sites, and coverage is sites-perturbed over sites-observed.
 ///
-/// The label is a shared `Arc<str>`: the trace event, the per-site hit
-/// counter and the hook's [`crate::syscall::InteractionRef`] hold one
-/// allocation between them, and a clone is a reference-count bump. Each
-/// thread remembers the ids it has created, so a label it has seen before
-/// (every site of every run after a campaign's first) allocates nothing.
-/// Equality, order and hashing are the label text's, and it serializes as
-/// the one-element sequence holding the label, as the `String` newtype it
-/// replaced did.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SiteId(Arc<str>);
-
-/// How many site ids a thread remembers before it starts over (a generated
-/// corpus can create many labels).
-const SITE_MEMO_CAP: usize = 4096;
-
-thread_local! {
-    /// The site ids this thread has created.
-    static SITES: RefCell<BTreeSet<SiteId>> = const { RefCell::new(BTreeSet::new()) };
-}
+/// A `Copy` handle over the label's `&'static str` (a [`TextSym`]): the
+/// trace event, the per-site hit counter and the hook's
+/// [`crate::syscall::InteractionRef`] copy a pointer, never the text.
+/// Every case-study application names its
+/// sites with string literals, and a literal becomes a site id with no
+/// lookup at all, through [`SiteId::literal`] or `From<&'static str>`
+/// (which is what [`crate::os::Os::syscall`] and the `sys_*` helpers
+/// take). A label made at run time — the corpus's scripted app builds
+/// `gen<i>:<tag>` — goes through [`SiteId::new`], which interns it once
+/// per distinct text in the process-wide text table
+/// ([`crate::intern::TextSym`]); build such ids once, not per syscall.
+///
+/// Equality compares the pointers first and then the text, so a literal
+/// and an interned id of the same label are equal; order and hashing are
+/// the text's. It serializes as the one-element sequence holding the
+/// label, as the `String` newtype it replaced did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SiteId(TextSym);
 
 impl SiteId {
-    /// The site id labelled `label`: one this thread created before, shared,
-    /// or a fresh one.
-    pub fn new(label: impl AsRef<str>) -> Self {
-        let label = label.as_ref();
-        SITES.with(|sites| {
-            let mut sites = sites.borrow_mut();
-            if let Some(site) = sites.get(label) {
-                return site.clone();
-            }
-            if sites.len() >= SITE_MEMO_CAP {
-                sites.clear();
-            }
-            let site = SiteId(Arc::from(label));
-            sites.insert(site.clone());
-            site
-        })
+    /// The site id of a literal label: no lookup, no allocation.
+    pub const fn literal(label: &'static str) -> SiteId {
+        SiteId(TextSym::literal(label))
+    }
+
+    /// The site id of a label made at run time, interned once per distinct
+    /// text for the life of the process.
+    pub fn new(label: impl AsRef<str>) -> SiteId {
+        SiteId(TextSym::new(label.as_ref()))
     }
 
     /// The label text.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    pub fn as_str(&self) -> &'static str {
+        self.0.as_str()
+    }
+
+    /// True when both ids point at the same label text — a literal against
+    /// itself, or two interned ids — so equality needs no text compare.
+    fn same_text(self, other: SiteId) -> bool {
+        std::ptr::eq(self.as_str(), other.as_str())
+    }
+}
+
+impl From<&'static str> for SiteId {
+    fn from(label: &'static str) -> SiteId {
+        SiteId::literal(label)
     }
 }
 
 impl AsRef<str> for SiteId {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
 impl Borrow<str> for SiteId {
+    /// Sound because equality, order and hashing are the text's.
     fn borrow(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
@@ -87,7 +92,8 @@ impl Serialize for SiteId {
 impl Deserialize for SiteId {
     fn de(v: &serde::Value) -> Result<SiteId, serde::DeError> {
         match v.as_seq() {
-            Some([label]) => Ok(SiteId::new(String::de(label)?)),
+            Some([serde::Value::Str(label)]) => Ok(SiteId::new(label)),
+            Some([_]) => Err(serde::DeError::expected("string", "String")),
             _ => Err(serde::DeError::expected("one-element sequence", "SiteId")),
         }
     }
@@ -95,13 +101,7 @@ impl Deserialize for SiteId {
 
 impl fmt::Display for SiteId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl From<&str> for SiteId {
-    fn from(s: &str) -> Self {
-        SiteId::new(s)
+        f.write_str(self.as_str())
     }
 }
 
@@ -292,6 +292,10 @@ pub struct TraceEvent {
     pub ok: bool,
 }
 
+/// The per-site count list's first allocation, in sites: room for every
+/// site of the largest case-study app.
+const SITES_PER_RUN: usize = 16;
+
 /// The trace of one run.
 ///
 /// An unhooked run — the clean run the planner and the static analysis
@@ -301,10 +305,15 @@ pub struct TraceEvent {
 /// counts and the sequence counter the hook is handed, and lists no event.
 /// Either way [`Trace::hit_count`] and [`Trace::interactions`] read the
 /// same, and the `occurrence` and `seq` of each interaction are identical.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The per-site counts are a short list in order of first execution, not
+/// a map: an application has a few dozen sites at most, a run allocates
+/// the list once, and a count finds its site by pointer before it falls
+/// back to comparing text.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
-    site_hits: BTreeMap<SiteId, usize>,
+    site_hits: Vec<(SiteId, usize)>,
     /// Interactions so far, listed or only counted: the next one's `seq`.
     interactions: usize,
 }
@@ -320,7 +329,7 @@ impl Trace {
     /// site.
     pub fn record(&mut self, site: SiteId, op: OpKind, object: ObjectRef, semantic: Option<InputSemantic>) -> usize {
         let seq = self.interactions;
-        let occurrence = self.count(&site);
+        let occurrence = self.count(site);
         self.events.push(TraceEvent {
             seq,
             site,
@@ -336,15 +345,21 @@ impl Trace {
     /// Counts an interaction at `site` without listing an event: the
     /// counts-only form a hooked run keeps. Advances the sequence counter
     /// and returns the interaction's occurrence index for the site.
-    pub fn count(&mut self, site: &SiteId) -> usize {
+    pub fn count(&mut self, site: SiteId) -> usize {
         self.interactions += 1;
-        match self.site_hits.get_mut(site.as_str()) {
-            Some(hits) => {
-                *hits += 1;
-                *hits - 1
+        let slot = self
+            .site_hits
+            .iter()
+            .position(|(s, _)| s.same_text(site))
+            .or_else(|| self.site_hits.iter().position(|(s, _)| *s == site));
+        match slot {
+            Some(i) => {
+                self.site_hits[i].1 += 1;
+                self.site_hits[i].1 - 1
             }
             None => {
-                self.site_hits.insert(site.clone(), 1);
+                self.site_hits.reserve(SITES_PER_RUN);
+                self.site_hits.push((site, 1));
                 0
             }
         }
@@ -374,7 +389,10 @@ impl Trace {
     /// the per-site occurrence budget an occurrence-aware fault planner
     /// enumerates (each hit is a distinct strikeable occurrence).
     pub fn hit_count(&self, site: &SiteId) -> usize {
-        self.site_hits.get(site).copied().unwrap_or(0)
+        self.site_hits
+            .iter()
+            .find(|(s, _)| s == site)
+            .map_or(0, |&(_, hits)| hits)
     }
 
     /// Number of events listed (see [`Trace::interactions`] for the
@@ -391,23 +409,22 @@ impl Trace {
     /// Distinct sites in order of first execution, with their merged
     /// descriptors — the paper's interaction-point list.
     pub fn sites(&self) -> Vec<SiteSummary> {
-        let mut order: Vec<SiteId> = Vec::new();
-        let mut map: BTreeMap<SiteId, SiteSummary> = BTreeMap::new();
+        let mut out: Vec<SiteSummary> = Vec::with_capacity(self.site_hits.len());
         for ev in &self.events {
-            if !map.contains_key(&ev.site) {
-                order.push(ev.site.clone());
-                map.insert(
-                    ev.site.clone(),
-                    SiteSummary {
-                        site: ev.site.clone(),
+            let i = match out.iter().position(|s| s.site == ev.site) {
+                Some(i) => i,
+                None => {
+                    out.push(SiteSummary {
+                        site: ev.site,
                         first_seq: ev.seq,
                         hits: 0,
                         ops: Vec::new(),
                         inputs: Vec::new(),
-                    },
-                );
-            }
-            let s = map.get_mut(&ev.site).expect("inserted above");
+                    });
+                    out.len() - 1
+                }
+            };
+            let s = &mut out[i];
             s.hits = s.hits.max(ev.occurrence + 1);
             if !s.ops.iter().any(|(op, obj)| *op == ev.op && *obj == ev.object) {
                 s.ops.push((ev.op, ev.object.clone()));
@@ -418,10 +435,7 @@ impl Trace {
                 }
             }
         }
-        order
-            .into_iter()
-            .map(|s| map.remove(&s).expect("collected above"))
-            .collect()
+        out
     }
 
     /// Paths of file objects touched at two or more *distinct sites* — the
@@ -472,13 +486,15 @@ mod tests {
     #[test]
     fn occurrences_count_per_site() {
         let mut t = Trace::new();
-        let s = SiteId::new("app:open");
+        let s = SiteId::literal("app:open");
+        assert_eq!(t.record(s, OpKind::ReadFile, ObjectRef::File("/a".into()), None), 0);
         assert_eq!(
-            t.record(s.clone(), OpKind::ReadFile, ObjectRef::File("/a".into()), None),
-            0
-        );
-        assert_eq!(
-            t.record(s.clone(), OpKind::ReadFile, ObjectRef::File("/b".into()), None),
+            t.record(
+                SiteId::new("app:open"),
+                OpKind::ReadFile,
+                ObjectRef::File("/b".into()),
+                None
+            ),
             1
         );
         assert_eq!(
@@ -497,14 +513,14 @@ mod tests {
         let a = SiteId::new("a");
         let b = SiteId::new("b");
         t.record(
-            b.clone(),
+            b,
             OpKind::Getenv,
             ObjectRef::EnvVar("PATH".into()),
             Some(InputSemantic::EnvPathList),
         );
-        t.record(a.clone(), OpKind::ReadFile, ObjectRef::File("/f".into()), None);
+        t.record(a, OpKind::ReadFile, ObjectRef::File("/f".into()), None);
         t.record(
-            b.clone(),
+            b,
             OpKind::Getenv,
             ObjectRef::EnvVar("PATH".into()),
             Some(InputSemantic::EnvPathList),
@@ -537,14 +553,45 @@ mod tests {
     }
 
     #[test]
+    fn a_literal_and_an_interned_label_are_one_site() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |s: SiteId| {
+            let mut h = DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        let literal = SiteId::literal("lpr:create");
+        let made = SiteId::new(format!("lpr:{}", "create"));
+        assert_eq!(literal, made);
+        assert_eq!(hash(literal), hash(made));
+        assert_eq!(literal.cmp(&made), std::cmp::Ordering::Equal);
+        assert_eq!(literal.ser(), made.ser());
+        assert_eq!(SiteId::from("lpr:create"), literal);
+        // Order is the text's, whichever way an id was made.
+        assert!(SiteId::new("a") < SiteId::literal("b") && SiteId::literal("a") < SiteId::new("b"));
+        assert_ne!(SiteId::new("lpr:create_spool"), literal);
+    }
+
+    #[test]
     fn a_site_label_is_shared_not_copied() {
+        let first = SiteId::new(String::from("gen0:read"));
+        let second = SiteId::new(format!("gen{}:read", 0));
+        assert!(first.same_text(second), "one text, one allocation");
+        assert!(std::ptr::eq(first.as_str(), second.as_str()));
+    }
+
+    #[test]
+    fn counts_find_a_site_by_pointer_or_by_text() {
         let mut t = Trace::new();
-        let s = SiteId::new("s");
-        assert!(Arc::ptr_eq(&SiteId::new(String::from("s")).0, &s.0));
-        t.record(s.clone(), OpKind::Print, ObjectRef::Terminal, None);
-        t.record(SiteId::new("s"), OpKind::Print, ObjectRef::Terminal, None);
-        assert!(t.events().iter().all(|ev| Arc::ptr_eq(&ev.site.0, &s.0)));
-        assert_eq!(t.hit_count(&s), 2);
+        let s = SiteId::literal("s");
+        t.record(s, OpKind::Print, ObjectRef::Terminal, None);
+        assert_eq!(t.count(SiteId::new("s")), 1);
+        assert_eq!(t.count(s), 2);
+        assert_eq!(t.count(SiteId::literal("t")), 0);
+        assert!(t.events().iter().all(|ev| ev.site.same_text(s)));
+        assert_eq!((t.hit_count(&s), t.hit_count(&SiteId::new("t"))), (3, 1));
+        assert_eq!((t.interactions(), t.len()), (4, 1));
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn four_applicable_attributes_all_violate() {
     assert_eq!(report.violated(), 4, "paper: violations detected for attributes 1-4");
     // Attributes 5-7 (content/name invariance, working directory) are not
     // applicable at a first-encounter create with an absolute path.
-    let ids: BTreeSet<&str> = report.records.iter().map(|r| r.fault_id.as_str()).collect();
+    let ids: BTreeSet<&str> = report.records.iter().map(|r| &*r.fault_id).collect();
     assert!(!ids
         .iter()
         .any(|i| i.contains(":content@") || i.contains(":name@") || i.contains(":workdir@")));

@@ -24,7 +24,7 @@ fn eight_points_fortyone_perturbations_nine_violations() {
 fn the_published_exploits_are_among_the_violations() {
     let setup = turnin::spec().materialize().unwrap();
     let report = Session::from_setup(setup).execute(&Turnin);
-    let ids: Vec<&str> = report.violations().map(|r| r.fault_id.as_str()).collect();
+    let ids: Vec<&str> = report.violations().map(|r| &*r.fault_id).collect();
     // Exploit 1: the Projlist permission/symlink disclosure.
     assert!(
         ids.contains(&"direct:fs:permission@/home/ta/submit/Projlist"),

@@ -80,10 +80,10 @@ fn key_of(site: &str, occurrence: usize, semantic: Option<InputSemantic>, payloa
         site: SiteId::new(site),
         occurrence,
         fault: ConcreteFault {
-            id: "id".to_string(),
+            id: "id".into(),
             category: EaiCategory::Other,
             semantic,
-            description: "ignored by the key".to_string(),
+            description: "ignored by the key".into(),
             payload,
         },
     };

@@ -213,7 +213,7 @@ struct Witness(Arc<Mutex<Vec<(SiteId, usize, usize)>>>);
 
 impl Interceptor for Witness {
     fn before(&mut self, _os: &mut Os, point: &InteractionRef, _call: &Syscall<'_>) {
-        let seen = (point.site.clone(), point.occurrence, point.seq);
+        let seen = (point.site, point.occurrence, point.seq);
         self.0.lock().expect("witness lock").push(seen);
     }
 
@@ -229,7 +229,7 @@ fn a_hooked_run_counts_what_the_clean_run_lists() {
         .trace
         .events()
         .iter()
-        .map(|ev| (ev.site.clone(), ev.occurrence, ev.seq))
+        .map(|ev| (ev.site, ev.occurrence, ev.seq))
         .collect();
     assert_eq!(listed.len(), 4, "three reads and a report");
 
@@ -251,4 +251,40 @@ fn a_hooked_run_counts_what_the_clean_run_lists() {
         clean.os.audit.events(),
         "a passive hook changes nothing else"
     );
+}
+
+#[test]
+fn every_standard_and_scripted_app_counts_under_a_hook_what_its_clean_run_lists() {
+    use epa::apps::scripted::ScriptedApp;
+    use epa::apps::BoxedApp;
+    use epa::core::corpus::synthesize_one;
+
+    let mut apps: Vec<(BoxedApp, WorldSpec)> = epa::apps::standard_apps();
+    for index in 0..6 {
+        let scenario = synthesize_one(0, index);
+        apps.push((Box::new(ScriptedApp::for_scenario(&scenario)), scenario.spec));
+    }
+    for (app, spec) in &apps {
+        let name = app.name();
+        let s = Session::new(spec).expect("the worlds materialize");
+        let clean = s.run(app.as_ref());
+        let listed: Vec<(SiteId, usize, usize)> = clean
+            .os
+            .trace
+            .events()
+            .iter()
+            .map(|ev| (ev.site, ev.occurrence, ev.seq))
+            .collect();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let hooked = run_once(s.setup(), app.as_ref(), Some(Box::new(Witness(Arc::clone(&seen)))));
+        assert_eq!(*seen.lock().expect("witness lock"), listed, "{name}");
+        assert_eq!(hooked.os.trace.interactions(), listed.len(), "{name}");
+        let sites = clean.os.trace.sites();
+        assert!(!sites.is_empty(), "{name} interacts");
+        for summary in &sites {
+            let site = &summary.site;
+            assert_eq!(hooked.os.trace.hit_count(site), summary.hits, "{name} {site}");
+            assert_eq!(clean.os.trace.hit_count(site), summary.hits, "{name} {site}");
+        }
+    }
 }

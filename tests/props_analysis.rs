@@ -290,9 +290,9 @@ fn fault_key_stays_lexical_where_alias_analysis_resolves() {
         site: SiteId::new("probe:read"),
         occurrence: 0,
         fault: ConcreteFault {
-            id: format!("probe:{path}"),
+            id: format!("probe:{path}").into(),
             category: EaiCategory::Other,
-            description: String::new(),
+            description: "".into(),
             semantic: None,
             payload: FaultPayload::Direct(DirectFault::FileMakeMissing { path: path.to_string() }),
         },

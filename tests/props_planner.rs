@@ -193,8 +193,8 @@ fn duplicate_payloads_within_a_plan_execute_once() {
         .expect("walker has perturbable sites");
     let site = &mut plan.sites[site_idx];
     let mut renamed = site.faults[0].clone();
-    renamed.id = format!("{}#duplicate", renamed.id);
-    renamed.description = "same perturbation under another catalog name".to_string();
+    renamed.id = format!("{}#duplicate", renamed.id).into();
+    renamed.description = "same perturbation under another catalog name".into();
     site.faults.push(renamed.clone());
 
     let report = session.execute_plan(&app, &plan);
@@ -205,7 +205,7 @@ fn duplicate_payloads_within_a_plan_execute_once() {
         .iter()
         .filter(|r| {
             r.fault_id
-                .starts_with(&plan.sites.iter().find(|s| !s.faults.is_empty()).unwrap().faults[0].id)
+                .starts_with(&*plan.sites.iter().find(|s| !s.faults.is_empty()).unwrap().faults[0].id)
         })
         .collect();
     assert_eq!(twin.len(), 2);
