@@ -411,9 +411,9 @@ pub struct AppAnalysis {
     hazard_from: usize,
     pristine: Os,
     /// The spawn argument vector (immutable for the whole run).
-    setup_args: Arc<[String]>,
+    setup_args: Arc<[Arc<str>]>,
     /// The spawn environment (immutable: the sandbox has no `setenv`).
-    setup_env: Arc<BTreeMap<String, String>>,
+    setup_env: Arc<BTreeMap<String, Arc<str>>>,
     /// Credentials that performed each successful content read in the
     /// clean run, keyed by physical path (from the audit log).
     read_creds: BTreeMap<String, Vec<Credentials>>,
@@ -853,18 +853,20 @@ impl AppAnalysis {
     /// [`IndirectFault::apply_to_data`] mutation, which preserves labels,
     /// so byte equality means the payload is identical.
     fn identity_inert(&self, fault: &IndirectFault, strike: &EventFact) -> Option<usize> {
-        let values: &[String] = match (strike.op, &strike.object) {
-            (OpKind::Getenv, ObjectRef::EnvVar(name)) => std::slice::from_ref(self.setup_env.get(name)?),
-            (OpKind::ReadArg, ObjectRef::Args) if !self.setup_args.is_empty() => &self.setup_args,
+        let values: Vec<&str> = match (strike.op, &strike.object) {
+            (OpKind::Getenv, ObjectRef::EnvVar(name)) => vec![self.setup_env.get(name)?],
+            (OpKind::ReadArg, ObjectRef::Args) if !self.setup_args.is_empty() => {
+                self.setup_args.iter().map(|a| &**a).collect()
+            }
             (OpKind::RegRead, ObjectRef::RegValue(..)) if self.first_reg_write >= strike.seq => {
-                std::slice::from_ref(strike.pristine_value.as_ref()?)
+                vec![strike.pristine_value.as_deref()?]
             }
             _ => return None,
         };
-        for v in values {
-            let mut data = Data::from(v.clone());
+        for v in &values {
+            let mut data = Data::from(*v);
             fault.apply_to_data(&mut data);
-            if data.text() != *v {
+            if data.as_text() != *v {
                 return None;
             }
         }

@@ -93,7 +93,7 @@ pub fn run_fuzz(setup: &TestSetup, app: &dyn Application, options: &FuzzOptions)
                     count,
                     fuzzed.iter().map(String::len).collect::<Vec<_>>()
                 );
-                run_setup.args = fuzzed.into();
+                run_setup.args = fuzzed.iter().map(|a| a.as_str().into()).collect();
             }
             FuzzTarget::Net { port, from } => {
                 // The fuzzed packet replaces the scripted traffic.

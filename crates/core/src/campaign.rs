@@ -47,11 +47,12 @@ pub struct TestSetup {
     pub program: Option<String>,
     /// Who invokes the program.
     pub invoker: Uid,
-    /// Argument vector, shared with every run's process.
-    pub args: Arc<[String]>,
-    /// Environment variables, shared with every run's process (write with
-    /// `Arc::make_mut`).
-    pub env: Arc<BTreeMap<String, String>>,
+    /// Argument vector, shared with every run's process, which reads each
+    /// argument's text without copying it.
+    pub args: Arc<[Arc<str>]>,
+    /// Environment variables, shared with every run's process, which reads
+    /// each value's text without copying it (write with `Arc::make_mut`).
+    pub env: Arc<BTreeMap<String, Arc<str>>>,
     /// Initial working directory.
     pub cwd: String,
     /// Declarative custom invariants; each compiles into a detector
@@ -88,16 +89,16 @@ impl TestSetup {
     pub fn args<I, S>(mut self, args: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: AsRef<str>,
     {
-        self.args = args.into_iter().map(Into::into).collect();
+        self.args = args.into_iter().map(|a| Arc::from(a.as_ref())).collect();
         self
     }
 
     /// Sets one environment variable.
     #[must_use]
-    pub fn env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        Arc::make_mut(&mut self.env).insert(key.into(), value.into());
+    pub fn env(mut self, key: impl Into<String>, value: impl AsRef<str>) -> Self {
+        Arc::make_mut(&mut self.env).insert(key.into(), Arc::from(value.as_ref()));
         self
     }
 
@@ -590,10 +591,10 @@ impl<'a> Campaign<'a> {
     /// bypassing any cache, and digests its outcome. The hook shares the
     /// list instead of copying the job.
     pub(crate) fn run_job(&self, jobs: &Arc<[InjectionPlan]>, idx: usize) -> RunDigest {
-        let (hook, fired) = InjectionHook::shared(Arc::clone(jobs), idx);
+        let hook = InjectionHook::shared(Arc::clone(jobs), idx);
         let outcome = run_once(self.setup, self.app, Some(Box::new(hook)));
         RunDigest {
-            applied: fired.get(),
+            applied: outcome.os.fault_fired(),
             exit: outcome.exit,
             crashed: outcome.crashed,
             audit_events: outcome.os.audit.len(),

@@ -362,8 +362,8 @@ impl WorldSpec {
             .map(|f| f.path.as_str())
             .chain(self.symlinks.iter().map(|l| l.link.as_str()))
         {
-            let prefix = format!("{leaf}/");
-            if seen_paths.iter().any(|p| p.starts_with(&prefix)) {
+            let below = |p: &&str| p.strip_prefix(leaf).is_some_and(|rest| rest.starts_with('/'));
+            if seen_paths.iter().any(below) {
                 return Err(SpecError::NotADirectory { path: leaf.to_string() });
             }
         }
@@ -451,22 +451,22 @@ impl WorldSpec {
                 },
             );
             for (name, value) in &k.values {
-                os.registry.god_set_value(&k.key, name, value.clone());
+                os.registry.god_set_value(&k.key, name, value);
             }
         }
         for (name, addr) in &self.dns {
-            os.net.add_dns(name.clone(), addr.clone());
+            os.net.add_dns(name.as_str(), addr.as_str());
         }
         for s in &self.services {
-            os.net.add_service(s.host.clone(), s.port, s.trusted);
+            os.net.add_service(s.host.as_str(), s.port, s.trusted);
         }
         for m in &self.inbound {
             os.net
-                .push_message(m.port, Message::genuine(m.from.clone(), m.data.as_str()));
+                .push_message(m.port, Message::genuine(m.from.as_str(), m.data.as_str()));
         }
         for m in &self.ipc {
             os.net
-                .push_ipc(m.channel.clone(), Message::genuine(m.from.clone(), m.data.as_str()));
+                .push_ipc(m.channel.as_str(), Message::genuine(m.from.as_str(), m.data.as_str()));
         }
         tag_standard_targets(&mut os);
         for (path, tag) in &self.tags {
@@ -490,9 +490,9 @@ impl WorldSpec {
         if let Some(uid) = self.invoker {
             setup = setup.invoker(uid);
         }
-        setup = setup.args(self.args.clone()).cwd(self.cwd.clone());
+        setup = setup.args(&self.args).cwd(self.cwd.clone());
         for (k, v) in &self.env {
-            setup = setup.env(k.clone(), v.clone());
+            setup = setup.env(k.clone(), v);
         }
         for inv in &self.invariants {
             setup = setup.invariant(inv.clone());
@@ -881,7 +881,7 @@ mod tests {
         let setup = spec.materialize().unwrap();
         let os = &setup.world;
         assert_eq!(os.registry.unprotected_keys().len(), 1);
-        assert_eq!(os.net.resolve("trusted.cs.example.edu").unwrap(), "10.0.5.1");
+        assert_eq!(&*os.net.resolve("trusted.cs.example.edu").unwrap(), "10.0.5.1");
         assert!(os.net.service("trusted.cs.example.edu", 1023).is_some());
         assert_eq!(os.net.queue_len(79), 1);
     }

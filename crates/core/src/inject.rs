@@ -31,6 +31,10 @@ pub struct InjectionPlan {
 
 /// Shared flag reporting whether a hook's fault actually fired during the
 /// run (a perturbed input point may not be reached under some faults).
+///
+/// Only [`InjectionHook::new`] hands one out. The engine reads the same
+/// fact back from the run's world ([`Os::fault_fired`]), which costs no
+/// allocation.
 #[derive(Debug, Clone, Default)]
 pub struct Fired(Arc<AtomicBool>);
 
@@ -51,7 +55,10 @@ pub struct InjectionHook {
     /// never copies its job.
     jobs: Arc<[InjectionPlan]>,
     idx: usize,
-    fired: Fired,
+    /// Whether the fault was applied in this run.
+    fired: bool,
+    /// The handle [`InjectionHook::new`] returned, set when the fault is.
+    observer: Option<Fired>,
 }
 
 impl std::fmt::Debug for InjectionHook {
@@ -64,27 +71,39 @@ impl std::fmt::Debug for InjectionHook {
 }
 
 impl InjectionHook {
-    /// Builds the hook and a handle for observing whether it fired.
+    /// Builds the hook and a handle for observing whether it fired. The
+    /// run's world records the same fact ([`Os::fault_fired`]).
     pub fn new(plan: InjectionPlan) -> (Self, Fired) {
-        InjectionHook::shared(Arc::from([plan]), 0)
+        let fired = Fired::default();
+        let mut hook = InjectionHook::shared(Arc::from([plan]), 0);
+        hook.observer = Some(fired.clone());
+        (hook, fired)
     }
 
-    /// As [`InjectionHook::new`], for job `idx` of a shared job list.
+    /// The hook for job `idx` of a shared job list. Whether it fired is
+    /// read back from the run's world ([`Os::fault_fired`]).
     ///
     /// # Panics
     ///
     /// If `idx` is out of bounds for `jobs`.
-    pub(crate) fn shared(jobs: Arc<[InjectionPlan]>, idx: usize) -> (Self, Fired) {
+    pub(crate) fn shared(jobs: Arc<[InjectionPlan]>, idx: usize) -> Self {
         assert!(idx < jobs.len(), "injection job {idx} of {}", jobs.len());
-        let fired = Fired::default();
-        (
-            InjectionHook {
-                jobs,
-                idx,
-                fired: fired.clone(),
-            },
-            fired,
-        )
+        InjectionHook {
+            jobs,
+            idx,
+            fired: false,
+            observer: None,
+        }
+    }
+
+    /// Records that the fault was applied, on the hook, on the run's
+    /// world and on any observing handle.
+    fn fire(&mut self, os: &mut Os) {
+        self.fired = true;
+        os.note_fault_fired();
+        if let Some(observer) = &self.observer {
+            observer.set();
+        }
     }
 
     /// The injection this hook executes.
@@ -115,26 +134,26 @@ impl InjectionHook {
 
 impl Interceptor for InjectionHook {
     fn before(&mut self, os: &mut Os, point: &InteractionRef, _call: &Syscall<'_>) {
-        if self.fired.get() || !self.matches_direct(point) {
+        if self.fired || !self.matches_direct(point) {
             return;
         }
         if let FaultPayload::Direct(df) = &self.plan().fault.payload {
             // A perturbation that cannot be applied (e.g. target path has no
             // parent) is treated as not-fired; the record will show it.
             if df.apply(os, point.pid).is_ok() {
-                self.fired.set();
+                self.fire(os);
             }
         }
     }
 
-    fn after(&mut self, _os: &mut Os, point: &InteractionRef, result: &mut SysResult<SysReturn>) {
-        if self.fired.get() || !self.matches_indirect(point) {
+    fn after(&mut self, os: &mut Os, point: &InteractionRef, result: &mut SysResult<SysReturn>) {
+        if self.fired || !self.matches_indirect(point) {
             return;
         }
         if let FaultPayload::Indirect(f) = &self.plan().fault.payload {
             if let Ok(ret) = result {
                 f.apply_to_return(ret);
-                self.fired.set();
+                self.fire(os);
             }
         }
     }

@@ -374,19 +374,17 @@ pub enum IndirectFault {
 }
 
 impl IndirectFault {
-    /// Applies the fault to a received value, preserving labels.
+    /// Applies the fault to a received value, preserving labels. The value
+    /// is read in place, so text shared with its source is copied only
+    /// into the perturbed text.
     pub fn apply_to_data(&self, data: &mut Data) {
-        let text = data.text();
+        let text = data.as_text();
         let new_text = match self {
-            IndirectFault::Lengthen { by } => {
-                let mut t = text;
-                t.push_str(&"A".repeat(*by));
-                t
-            }
+            IndirectFault::Lengthen { by } => format!("{text}{}", "A".repeat(*by)),
             IndirectFault::MakeRelative => text.trim_start_matches('/').to_string(),
             IndirectFault::MakeAbsolute => {
                 if text.starts_with('/') {
-                    text
+                    text.into_owned()
                 } else {
                     format!("/{text}")
                 }
@@ -411,7 +409,7 @@ impl IndirectFault {
             IndirectFault::LengthenExtension => format!("{text}.{}", "x".repeat(300)),
             IndirectFault::Malform => format!("\u{1}\u{2}%%%{}%%%\u{3}", "\u{7f}".repeat(16)),
         };
-        data.set_bytes(new_text.into_bytes());
+        data.set_text(new_text);
     }
 
     /// Applies the fault to a syscall result: payloads and deliveries have

@@ -66,8 +66,8 @@ mod tests {
             "echo"
         }
         fn run(&self, os: &mut Os, pid: Pid) -> i32 {
-            let args: Vec<String> = os.procs.get(pid).map(|p| p.args.to_vec()).unwrap_or_default();
-            for (i, _) in args.iter().enumerate() {
+            let args = os.procs.get(pid).map_or(0, |p| p.args.len());
+            for i in 0..args {
                 let Ok(a) = os.sys_arg(pid, "echo:arg", i, crate::trace::InputSemantic::Opaque) else {
                     return 1;
                 };

@@ -17,6 +17,7 @@ use crate::cred::{Credentials, Uid};
 use crate::data::LabelSet;
 use crate::fs::FileTag;
 use crate::intern::PathSym;
+use shim_sync::sync::Arc;
 
 /// Where emitted data became observable.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -183,8 +184,8 @@ pub enum AuditEvent {
         port: u16,
         /// Whether claimed and actual origin matched.
         authentic: bool,
-        /// Actual origin.
-        actual_from: String,
+        /// Actual origin, shared with the message.
+        actual_from: Arc<str>,
     },
     /// An application- or world-declared invariant check.
     Custom {

@@ -280,11 +280,16 @@ impl Deserialize for LabelSet {
     }
 }
 
-/// A value's bytes, held as a `String` when they are UTF-8, as nearly all
-/// are: reading the text of such a value neither validates nor copies it.
-/// Hashing, equality, `Debug` and the wire form are the byte vector's.
+/// A value's bytes. Nearly all are UTF-8 and are held as text, so reading
+/// the text of a value neither validates nor copies it. Text read from the
+/// world (a file, a registry value, an argument, a queued message) is
+/// `Shared` with the place it was read from: cloning it bumps a count, and
+/// only writing into it copies it into an owned `Text`. Hashing, equality,
+/// `Debug` and the wire form are the byte vector's, whichever form holds
+/// the bytes.
 #[derive(Clone)]
 enum Content {
+    Shared(Arc<str>),
     Text(String),
     Bytes(Vec<u8>),
 }
@@ -300,15 +305,40 @@ impl Content {
 
     fn as_bytes(&self) -> &[u8] {
         match self {
+            Content::Shared(text) => text.as_bytes(),
             Content::Text(text) => text.as_bytes(),
             Content::Bytes(bytes) => bytes,
         }
     }
 
-    /// Appends `more`, keeping the `String` form while the result is UTF-8.
+    /// The text, when the bytes are UTF-8.
+    fn as_str(&self) -> Option<&str> {
+        match self {
+            Content::Shared(text) => Some(text),
+            Content::Text(text) => Some(text),
+            Content::Bytes(_) => None,
+        }
+    }
+
+    /// Appends `tail`; shared text is copied into an owned `Text` first,
+    /// with room for the tail.
+    fn push_str(&mut self, tail: &str) {
+        match self {
+            Content::Shared(head) => {
+                let mut text = String::with_capacity(head.len() + tail.len());
+                text.push_str(head);
+                text.push_str(tail);
+                *self = Content::Text(text);
+            }
+            Content::Text(text) => text.push_str(tail),
+            Content::Bytes(bytes) => bytes.extend_from_slice(tail.as_bytes()),
+        }
+    }
+
+    /// Appends `more`, keeping a text form while the result is UTF-8.
     fn push(&mut self, more: &Content) {
-        match (&mut *self, more) {
-            (Content::Text(text), Content::Text(tail)) => text.push_str(tail),
+        match more.as_str() {
+            Some(tail) if self.as_str().is_some() => self.push_str(tail),
             _ => {
                 let mut bytes = std::mem::take(self).into_bytes();
                 bytes.extend_from_slice(more.as_bytes());
@@ -319,6 +349,7 @@ impl Content {
 
     fn into_bytes(self) -> Vec<u8> {
         match self {
+            Content::Shared(text) => text.as_bytes().to_vec(),
             Content::Text(text) => text.into_bytes(),
             Content::Bytes(bytes) => bytes,
         }
@@ -365,6 +396,16 @@ impl Deserialize for Content {
 
 /// Bytes plus provenance labels.
 ///
+/// A value's text may be shared with the source it was read from: a value
+/// made from an `Arc<str>` or a `&str`, or read back out of a file,
+/// registry value, argument, environment variable or queued message, holds
+/// a reference-counted handle on that text, so cloning or reading it copies
+/// no bytes. Writing into a value (`push_str`, `append`) copies its text
+/// first, and `set_bytes` or `set_text` replace it; the source never
+/// changes. Shared and owned values with the same bytes and labels cannot
+/// be told apart: equality, hashing, `Debug` and the JSON form are those
+/// of the bytes.
+///
 /// # Examples
 ///
 /// ```
@@ -406,9 +447,9 @@ impl Data {
     /// The bytes decoded as UTF-8 (lossily), borrowed when they are valid
     /// UTF-8: reading a value's text allocates only to repair it.
     pub fn as_text(&self) -> Cow<'_, str> {
-        match &self.bytes {
-            Content::Text(text) => Cow::Borrowed(text),
-            Content::Bytes(bytes) => String::from_utf8_lossy(bytes),
+        match self.bytes.as_str() {
+            Some(text) => Cow::Borrowed(text),
+            None => String::from_utf8_lossy(self.bytes.as_bytes()),
         }
     }
 
@@ -437,12 +478,16 @@ impl Data {
         self.bytes = Content::of(bytes.into());
     }
 
+    /// Replaces the content with `text`, keeping labels: as
+    /// [`Data::set_bytes`], without validating text that is already a
+    /// `String`.
+    pub fn set_text(&mut self, text: String) {
+        self.bytes = Content::Text(text);
+    }
+
     /// Appends text, keeping labels.
     pub fn push_str(&mut self, s: &str) {
-        match &mut self.bytes {
-            Content::Text(text) => text.push_str(s),
-            Content::Bytes(bytes) => bytes.extend_from_slice(s.as_bytes()),
-        }
+        self.bytes.push_str(s);
     }
 
     /// Appends another `Data`, unioning its labels (label propagation on
@@ -456,6 +501,21 @@ impl Data {
     /// a value *computed from* tainted input is tainted).
     pub fn taint_from(&mut self, other: &Data) {
         self.labels.union_with(&other.labels);
+    }
+
+    /// This value with its text shared: the copy a store keeps, so that
+    /// every later read of it shares the text instead of copying it. Owned
+    /// text is copied once into the shared form; shared text and bytes
+    /// that are not UTF-8 are cloned as they are.
+    pub fn to_shared(&self) -> Data {
+        let bytes = match &self.bytes {
+            Content::Text(text) => Content::Shared(Arc::from(text.as_str())),
+            other => other.clone(),
+        };
+        Data {
+            bytes,
+            labels: self.labels.clone(),
+        }
     }
 
     /// `text` with the labels of `self`: a piece of this value's text.
@@ -493,8 +553,19 @@ impl Data {
 }
 
 impl From<&str> for Data {
+    /// Copies `s` once into a shared text.
     fn from(s: &str) -> Self {
-        Data::from(s.to_string())
+        Data::from(Arc::<str>::from(s))
+    }
+}
+
+impl From<Arc<str>> for Data {
+    /// Shares `text`: no bytes are copied.
+    fn from(text: Arc<str>) -> Self {
+        Data {
+            bytes: Content::Shared(text),
+            labels: LabelSet::new(),
+        }
     }
 }
 
@@ -698,5 +769,10 @@ mod tests {
         d.set_bytes("replaced".as_bytes().to_vec());
         assert_eq!(d.text(), "replaced");
         assert!(d.has_untrusted());
+        d.set_text("again".to_string());
+        assert_eq!(
+            d,
+            Data::from("again").with_label(Label::Untrusted { source: "s".into() })
+        );
     }
 }

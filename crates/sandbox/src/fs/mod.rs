@@ -44,6 +44,7 @@ mod inode;
 pub use inode::{FileKind, FileTag, FileType, Inode, InodeId, Stat};
 
 use shim_sync::sync::Arc;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -564,7 +565,7 @@ impl Vfs {
     }
 
     /// The physical path of a reachable inode, as an owned string (for
-    /// error text and relative symlink targets).
+    /// relative symlink targets; error text formats it from the buffer).
     fn physical(&self, id: InodeId) -> String {
         self.with_physical(id, str::to_string)
     }
@@ -580,7 +581,7 @@ impl Vfs {
     }
 
     fn search_denied(&self, dir: InodeId) -> SysError {
-        syserr!(Eacces, "search permission denied in {}", self.physical(dir))
+        self.with_physical(dir, |p| syserr!(Eacces, "search permission denied in {p}"))
     }
 
     /// Physically walks an absolute path; the physical path it reaches is
@@ -681,7 +682,7 @@ impl Vfs {
             // Error text names the directory reached so far.
             let entries = cur_ino
                 .entries()
-                .ok_or_else(|| syserr!(Enotdir, "{}", self.physical(cur)))?;
+                .ok_or_else(|| self.with_physical(cur, |p| syserr!(Enotdir, "{p}")))?;
             match search {
                 Search::Enforce(c) if !cur_ino.mode.grants(cur_ino.owner, cur_ino.group, c, Access::Exec) => {
                     return Err(self.search_denied(cur));
@@ -698,7 +699,7 @@ impl Vfs {
                 if last && !expanded {
                     trail.missing_in = Some(cur);
                 }
-                return Err(syserr!(Enoent, "{}/{comp}", self.physical(cur)));
+                return Err(self.with_physical(cur, |p| syserr!(Enoent, "{p}/{comp}")));
             };
             if let FileKind::Symlink(target) = &self.inode(child)?.kind {
                 if !last || follow_last {
@@ -910,7 +911,7 @@ impl Vfs {
     ) -> SysResult<Walked> {
         let dir_ino = self.inode(dir)?;
         if !dir_ino.mode.grants(dir_ino.owner, dir_ino.group, cred, Access::Write) {
-            return Err(syserr!(Eacces, "cannot create in {}", self.physical(dir)));
+            return Err(self.with_physical(dir, |p| syserr!(Eacces, "cannot create in {p}")));
         }
         if dir_ino
             .entries()
@@ -930,7 +931,8 @@ impl Vfs {
     }
 
     /// Reads a file's content (no permission check — callers check via
-    /// [`Vfs::open_read`] first, mirroring the fd model).
+    /// [`Vfs::open_read`] first, mirroring the fd model). The content's
+    /// text is shared with the inode, not copied.
     pub fn read(&self, id: InodeId) -> SysResult<Data> {
         match &self.inode(id)?.kind {
             FileKind::Regular(d) => Ok(d.clone()),
@@ -938,14 +940,15 @@ impl Vfs {
         }
     }
 
-    /// Overwrites or appends to a file's content.
+    /// Overwrites or appends to a file's content. An overwrite keeps the
+    /// text shared ([`Data::to_shared`]), so later reads do not copy it.
     pub fn write(&mut self, id: InodeId, data: &Data, append: bool) -> SysResult<()> {
         match &mut self.inode_mut(id)?.kind {
             FileKind::Regular(d) => {
                 if append {
                     d.append(data);
                 } else {
-                    *d = data.clone();
+                    *d = data.to_shared();
                 }
                 Ok(())
             }
@@ -1008,7 +1011,7 @@ impl Vfs {
         let (dir, name) = self.resolve_parent(abs_path, Search::Enforce(cred))?;
         let dir_ino = self.inode(dir)?;
         if !dir_ino.mode.grants(dir_ino.owner, dir_ino.group, cred, Access::Write) {
-            return Err(syserr!(Eacces, "cannot mkdir in {}", self.physical(dir)));
+            return Err(self.with_physical(dir, |p| syserr!(Eacces, "cannot mkdir in {p}")));
         }
         let id = self.alloc(
             FileKind::Directory(BTreeMap::new()),
@@ -1028,7 +1031,7 @@ impl Vfs {
         let (dir, name) = self.resolve_parent(link, Search::Enforce(cred))?;
         let dir_ino = self.inode(dir)?;
         if !dir_ino.mode.grants(dir_ino.owner, dir_ino.group, cred, Access::Write) {
-            return Err(syserr!(Eacces, "cannot symlink in {}", self.physical(dir)));
+            return Err(self.with_physical(dir, |p| syserr!(Eacces, "cannot symlink in {p}")));
         }
         let id = self.alloc(
             FileKind::Symlink(target.to_string()),
@@ -1154,7 +1157,10 @@ impl Vfs {
     /// The directory a god-mode helper links `abs_path` into (created root-owned
     /// 0755 as needed; `ENOTDIR` if it names a non-directory) and the name to use.
     fn god_parent<'a>(&mut self, abs_path: &'a str) -> SysResult<(InodeId, &'a str)> {
-        let parent_path = path::parent(abs_path).ok_or_else(|| syserr!(Einval, "{abs_path}"))?;
+        let parent_path = path::parent_of_clean(abs_path)
+            .map(Cow::Borrowed)
+            .or_else(|| path::parent(abs_path).map(Cow::Owned))
+            .ok_or_else(|| syserr!(Einval, "{abs_path}"))?;
         let dir = self.mkdir_p(&parent_path, Uid::ROOT, Gid::ROOT, Mode::new(0o755))?;
         if !self.inode(dir)?.is_dir() {
             return Err(syserr!(Enotdir, "{parent_path}"));
@@ -1324,6 +1330,45 @@ mod tests {
         fs.put_file("/etc/shadow", "root:HASH:", Uid::ROOT, Gid::ROOT, Mode::new(0o600))
             .unwrap();
         fs
+    }
+
+    #[test]
+    fn god_helpers_clean_unclean_paths_as_before() {
+        let mut fs = setup();
+        let (u, g, m) = (Uid::ROOT, Gid::ROOT, Mode::new(0o644));
+        fs.put_file("/var//spool/./job", "j", u, g, m).unwrap();
+        fs.put_file("/srv/data/", "d", u, g, m).unwrap();
+        fs.put_file("/opt/x/../y", "y", u, g, m).unwrap();
+        fs.god_symlink("/lnk//here/", "/etc/passwd").unwrap();
+        assert_eq!(fs.god_read("/var/spool/job").unwrap().text(), "j");
+        assert_eq!(fs.god_read("/srv/data").unwrap().text(), "d");
+        // `..` is resolved lexically: the parent of `/opt/x/../y` is `/opt`.
+        assert_eq!(fs.god_read("/opt/y").unwrap().text(), "y");
+        assert_eq!(fs.lstat("/lnk/here", None).unwrap().file_type, FileType::Symlink);
+        assert!(fs.put_file("/", "r", u, g, m).is_err());
+        fs.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn reads_share_the_inode_text_and_writes_do_not_leak() {
+        let mut fs = setup();
+        let id = fs.walk("/etc/passwd", true, None).unwrap().id;
+        let (a, b) = (fs.read(id).unwrap(), fs.read(id).unwrap());
+        assert_eq!(a.as_text().as_ptr(), b.as_text().as_ptr(), "two reads share one text");
+        let mut local = a.clone();
+        local.push_str("more");
+        assert_eq!(fs.read(id).unwrap().text(), "root:0:0:");
+        fs.write(id, &Data::from(String::from("new")), false).unwrap();
+        let (c, d) = (fs.read(id).unwrap(), fs.read(id).unwrap());
+        assert_eq!(
+            c.as_text().as_ptr(),
+            d.as_text().as_ptr(),
+            "a written text is shared too"
+        );
+        assert_eq!(a.text(), "root:0:0:");
+        fs.write(id, &Data::from("+"), true).unwrap();
+        assert_eq!(fs.read(id).unwrap().text(), "new+");
+        assert_eq!(c.text(), "new");
     }
 
     #[test]

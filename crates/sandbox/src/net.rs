@@ -19,22 +19,25 @@ use crate::error::SysResult;
 use crate::syserr;
 
 /// A message as delivered to an application.
+///
+/// Its origins and its payload's text are shared, so copying a queue to
+/// write it (or delivering a message) copies no text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Message {
     /// Origin the message claims (what naive code trusts).
-    pub claimed_from: String,
+    pub claimed_from: Arc<str>,
     /// Where it actually came from (ground truth for the oracle).
-    pub actual_from: String,
+    pub actual_from: Arc<str>,
     /// Payload.
     pub data: Data,
 }
 
 impl Message {
     /// A genuine message whose claimed and actual origins agree.
-    pub fn genuine(from: impl Into<String>, data: impl Into<Data>) -> Self {
+    pub fn genuine(from: impl Into<Arc<str>>, data: impl Into<Data>) -> Self {
         let from = from.into();
         Message {
-            claimed_from: from.clone(),
+            claimed_from: Arc::clone(&from),
             actual_from: from,
             data: data.into(),
         }
@@ -50,7 +53,7 @@ impl Message {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Service {
     /// Host offering the service.
-    pub host: String,
+    pub host: Arc<str>,
     /// Whether the service currently answers (availability perturbation).
     pub available: bool,
     /// Whether the peer entity is trusted (entity-trust perturbation).
@@ -58,24 +61,43 @@ pub struct Service {
 }
 
 /// The DNS, service, inbox and IPC tables of a [`Network`], grouped so that
-/// world snapshots can share them copy-on-write.
+/// world snapshots can share them copy-on-write. Every text in them is
+/// shared, so the copy a write makes copies no text.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 struct NetTables {
     /// DNS table: name → address text.
-    dns: BTreeMap<String, String>,
+    dns: BTreeMap<Arc<str>, Arc<str>>,
     /// Services keyed by (host, port).
-    services: BTreeMap<(String, u16), Service>,
+    services: BTreeMap<(Arc<str>, u16), Service>,
     /// Inbound message queues keyed by local port.
     inboxes: BTreeMap<u16, VecDeque<Message>>,
     /// IPC message queues keyed by channel name (the "process" environment
     /// entity of Table 6).
-    ipc: BTreeMap<String, VecDeque<Message>>,
+    ipc: BTreeMap<Arc<str>, VecDeque<Message>>,
     /// Trust state of IPC peers keyed by channel.
-    ipc_trusted: BTreeMap<String, bool>,
+    ipc_trusted: BTreeMap<Arc<str>, bool>,
     /// IPC channels whose peer service is down.
-    ipc_down: BTreeMap<String, bool>,
+    ipc_down: BTreeMap<Arc<str>, bool>,
     /// Ports whose socket is shared with another (attacker) process.
-    shared_sockets: BTreeMap<u16, String>,
+    shared_sockets: BTreeMap<u16, Arc<str>>,
+}
+
+impl NetTables {
+    /// The service `host` offers on `port`, found without building a key.
+    fn service(&self, host: &str, port: u16) -> Option<&Service> {
+        self.services
+            .iter()
+            .find(|((h, p), _)| &**h == host && *p == port)
+            .map(|(_, s)| s)
+    }
+
+    /// As [`NetTables::service`], mutably.
+    fn service_mut(&mut self, host: &str, port: u16) -> Option<&mut Service> {
+        self.services
+            .iter_mut()
+            .find(|((h, p), _)| &**h == host && *p == port)
+            .map(|(_, s)| s)
+    }
 }
 
 /// The simulated network attached to one sandbox world.
@@ -125,16 +147,16 @@ impl Network {
     // ---------------- DNS ----------------
 
     /// Installs a DNS entry.
-    pub fn add_dns(&mut self, name: impl Into<String>, addr: impl Into<String>) {
+    pub fn add_dns(&mut self, name: impl Into<Arc<str>>, addr: impl Into<Arc<str>>) {
         self.tables_mut().dns.insert(name.into(), addr.into());
     }
 
-    /// Resolves a name.
+    /// Resolves a name; the answer's text is shared with the table.
     ///
     /// # Errors
     ///
     /// `EHOSTUNREACH` when the resolver is down or the name is unknown.
-    pub fn resolve(&self, name: &str) -> SysResult<String> {
+    pub fn resolve(&self, name: &str) -> SysResult<Arc<str>> {
         if !self.dns_available {
             return Err(syserr!(Ehostunreach, "resolver unavailable for {name}"));
         }
@@ -148,10 +170,10 @@ impl Network {
     // ---------------- services ----------------
 
     /// Declares a service.
-    pub fn add_service(&mut self, host: impl Into<String>, port: u16, trusted: bool) {
+    pub fn add_service(&mut self, host: impl Into<Arc<str>>, port: u16, trusted: bool) {
         let host = host.into();
         self.tables_mut().services.insert(
-            (host.clone(), port),
+            (Arc::clone(&host), port),
             Service {
                 host,
                 available: true,
@@ -162,7 +184,7 @@ impl Network {
 
     /// Looks up a service.
     pub fn service(&self, host: &str, port: u16) -> Option<&Service> {
-        self.tables.services.get(&(host.to_string(), port))
+        self.tables.service(host, port)
     }
 
     /// Connects to a service.
@@ -171,7 +193,7 @@ impl Network {
     ///
     /// `ECONNREFUSED` when the service does not exist or is down.
     pub fn connect(&self, host: &str, port: u16) -> SysResult<&Service> {
-        match self.tables.services.get(&(host.to_string(), port)) {
+        match self.tables.service(host, port) {
             Some(s) if s.available => Ok(s),
             Some(_) => Err(syserr!(Econnrefused, "{host}:{port} is down")),
             None => Err(syserr!(Econnrefused, "{host}:{port}")),
@@ -180,14 +202,14 @@ impl Network {
 
     /// Marks a service unavailable (service-availability perturbation).
     pub fn deny_service(&mut self, host: &str, port: u16) {
-        if let Some(s) = self.tables_mut().services.get_mut(&(host.to_string(), port)) {
+        if let Some(s) = self.tables_mut().service_mut(host, port) {
             s.available = false;
         }
     }
 
     /// Marks a peer entity untrusted (entity-trust perturbation).
     pub fn distrust_entity(&mut self, host: &str, port: u16) {
-        if let Some(s) = self.tables_mut().services.get_mut(&(host.to_string(), port)) {
+        if let Some(s) = self.tables_mut().service_mut(host, port) {
             s.trusted = false;
         }
     }
@@ -211,7 +233,7 @@ impl Network {
 
     /// Authenticity perturbation: the next message on `port` keeps its
     /// claimed origin but actually comes from `actual`.
-    pub fn spoof_next(&mut self, port: u16, actual: impl Into<String>) {
+    pub fn spoof_next(&mut self, port: u16, actual: impl Into<Arc<str>>) {
         if let Some(q) = self.tables_mut().inboxes.get_mut(&port) {
             if let Some(m) = q.front_mut() {
                 m.actual_from = actual.into();
@@ -248,13 +270,13 @@ impl Network {
     }
 
     /// Socket-sharing perturbation: another process now shares the socket.
-    pub fn share_socket(&mut self, port: u16, with: impl Into<String>) {
+    pub fn share_socket(&mut self, port: u16, with: impl Into<Arc<str>>) {
         self.tables_mut().shared_sockets.insert(port, with.into());
     }
 
     /// Who, if anyone, shares the socket on `port`.
     pub fn socket_shared_with(&self, port: u16) -> Option<&str> {
-        self.tables.shared_sockets.get(&port).map(String::as_str)
+        self.tables.shared_sockets.get(&port).map(|with| &**with)
     }
 
     // ---------------- outbound ----------------
@@ -267,7 +289,7 @@ impl Network {
     // ---------------- IPC (process entity) ----------------
 
     /// Queues an IPC message on a named channel.
-    pub fn push_ipc(&mut self, channel: impl Into<String>, msg: Message) {
+    pub fn push_ipc(&mut self, channel: impl Into<Arc<str>>, msg: Message) {
         self.tables_mut().ipc.entry(channel.into()).or_default().push_back(msg);
     }
 
@@ -289,7 +311,7 @@ impl Network {
     }
 
     /// Authenticity perturbation on an IPC channel.
-    pub fn spoof_next_ipc(&mut self, channel: &str, actual: impl Into<String>) {
+    pub fn spoof_next_ipc(&mut self, channel: &str, actual: impl Into<Arc<str>>) {
         if let Some(q) = self.tables_mut().ipc.get_mut(channel) {
             if let Some(m) = q.front_mut() {
                 m.actual_from = actual.into();
@@ -299,7 +321,7 @@ impl Network {
 
     /// Trust perturbation on an IPC peer.
     pub fn distrust_ipc(&mut self, channel: &str) {
-        self.tables_mut().ipc_trusted.insert(channel.to_string(), false);
+        self.tables_mut().ipc_trusted.insert(Arc::from(channel), false);
     }
 
     /// Whether an IPC peer is trusted (default true).
@@ -309,7 +331,7 @@ impl Network {
 
     /// Availability perturbation on an IPC peer.
     pub fn deny_ipc(&mut self, channel: &str) {
-        self.tables_mut().ipc_down.insert(channel.to_string(), true);
+        self.tables_mut().ipc_down.insert(Arc::from(channel), true);
     }
 }
 
@@ -321,7 +343,7 @@ mod tests {
     fn dns_resolution_and_denial() {
         let mut n = Network::new();
         n.add_dns("trusted.edu", "10.0.0.5");
-        assert_eq!(n.resolve("trusted.edu").unwrap(), "10.0.0.5");
+        assert_eq!(&*n.resolve("trusted.edu").unwrap(), "10.0.0.5");
         n.dns_available = false;
         assert!(n.resolve("trusted.edu").is_err());
         n.dns_available = true;
@@ -343,8 +365,8 @@ mod tests {
         n.push_message(79, Message::genuine("ta-host", "hello"));
         n.spoof_next(79, "evil-host");
         let m = n.pop_message(79).unwrap();
-        assert_eq!(m.claimed_from, "ta-host");
-        assert_eq!(m.actual_from, "evil-host");
+        assert_eq!(&*m.claimed_from, "ta-host");
+        assert_eq!(&*m.actual_from, "evil-host");
         assert!(!m.authentic());
     }
 

@@ -112,6 +112,8 @@ pub struct Os {
     /// program re-writing its own fresh files is not an integrity problem).
     created_paths: BTreeSet<PathSym>,
     interceptor: Option<Box<dyn Interceptor>>,
+    /// Whether the installed hook delivered its fault in this run.
+    fault_fired: bool,
 }
 
 impl Clone for Os {
@@ -120,7 +122,7 @@ impl Clone for Os {
     /// either world mutates them, so a snapshot of a pristine world (no
     /// processes, trace or audit events yet) allocates nothing. The
     /// interceptor is deliberately *not* cloned: a cloned world starts
-    /// unhooked.
+    /// unhooked, with no fault delivered.
     fn clone(&self) -> Self {
         Os {
             fs: self.fs.clone(),
@@ -133,6 +135,7 @@ impl Clone for Os {
             scenario: self.scenario.clone(),
             created_paths: self.created_paths.clone(),
             interceptor: None,
+            fault_fired: false,
         }
     }
 }
@@ -175,6 +178,7 @@ impl Os {
             scenario: Arc::new(scenario),
             created_paths: BTreeSet::new(),
             interceptor: None,
+            fault_fired: false,
         }
     }
 
@@ -194,6 +198,7 @@ impl Os {
             scenario: self.scenario.clone(),
             created_paths: self.created_paths.clone(),
             interceptor: None,
+            fault_fired: false,
         }
     }
 
@@ -218,6 +223,19 @@ impl Os {
     /// Installs the fault-injection hook for the next run.
     pub fn set_interceptor(&mut self, hook: Box<dyn Interceptor>) {
         self.interceptor = Some(hook);
+        self.fault_fired = false;
+    }
+
+    /// Records that the installed hook delivered its fault: a hook calls
+    /// this from `before` or `after`, and the engine reads it back from
+    /// the run's world with [`Os::fault_fired`].
+    pub fn note_fault_fired(&mut self) {
+        self.fault_fired = true;
+    }
+
+    /// Whether a hook delivered its fault since it was installed.
+    pub fn fault_fired(&self) -> bool {
+        self.fault_fired
     }
 
     /// Whether a hook is installed.
@@ -251,8 +269,8 @@ impl Os {
         &mut self,
         invoker: Uid,
         program: Option<&str>,
-        args: impl Into<Arc<[String]>>,
-        env: impl Into<Arc<BTreeMap<String, String>>>,
+        args: impl Into<Arc<[Arc<str>]>>,
+        env: impl Into<Arc<BTreeMap<String, Arc<str>>>>,
         cwd: &str,
     ) -> SysResult<Pid> {
         let user = self
@@ -462,7 +480,7 @@ impl Os {
         let p = self.procs.get(pid)?;
         p.env
             .get(name)
-            .map(|v| SysReturn::Payload(Data::from(v.as_str())))
+            .map(|v| SysReturn::Payload(Data::from(Arc::clone(v))))
             .ok_or_else(|| syserr!(Enoent, "environment variable {name}"))
     }
 
@@ -470,7 +488,7 @@ impl Os {
         let p = self.procs.get(pid)?;
         p.args
             .get(index)
-            .map(|a| SysReturn::Payload(Data::from(a.as_str())))
+            .map(|a| SysReturn::Payload(Data::from(Arc::clone(a))))
             .ok_or_else(|| syserr!(Einval, "missing argument {index}"))
     }
 
@@ -799,12 +817,7 @@ impl Os {
     }
 
     fn do_reg_read(&mut self, key: &str, value: &str) -> SysResult<SysReturn> {
-        let (text, world_writable) = self.registry.get_value(key, value)?;
-        let mut data = Data::from(text);
-        if world_writable {
-            data.add_label(Label::untrusted("registry", key));
-        }
-        Ok(SysReturn::Payload(data))
+        Ok(SysReturn::Payload(self.registry.read_value(key, value)?))
     }
 
     fn do_reg_write(&mut self, pid: Pid, key: &str, value: &str, data: &str) -> SysResult<SysReturn> {
@@ -1374,7 +1387,7 @@ mod tests {
                 os.scenario.invoker,
                 None,
                 vec![],
-                [("USER".to_string(), "student".to_string())]
+                [("USER".to_string(), "student".into())]
                     .into_iter()
                     .collect::<BTreeMap<_, _>>(),
                 "/",

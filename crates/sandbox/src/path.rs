@@ -120,6 +120,22 @@ pub fn parent(path: &str) -> Option<String> {
     }
 }
 
+/// The textual parent of an absolute path that [`parent`] would return
+/// unchanged, borrowed: `/a/b/c` → `/a/b`, `/a` → `/`. `None` when the
+/// path is not absolute, is the root, or is not already clean (an empty,
+/// `.` or `..` component, or a trailing `/`); [`parent`] handles those.
+pub(crate) fn parent_of_clean(path: &str) -> Option<&str> {
+    let rest = path.strip_prefix('/')?;
+    if rest.split('/').any(|c| c.is_empty() || c == "." || c == "..") {
+        return None;
+    }
+    match path.rfind('/') {
+        Some(0) => Some("/"),
+        Some(idx) => Some(&path[..idx]),
+        None => None,
+    }
+}
+
 /// True when `path` lexically starts with `prefix` on a component boundary.
 pub fn starts_with(path: &str, prefix: &str) -> bool {
     let p = normalize(path);
@@ -179,6 +195,22 @@ mod tests {
         assert_eq!(file_name("/a/b/c"), Some("c"));
         assert_eq!(file_name("/"), None);
         assert_eq!(parent("rel/x").as_deref(), Some("rel"));
+    }
+
+    #[test]
+    fn a_clean_parent_is_borrowed_and_agrees_with_parent() {
+        for clean in ["/a/b/c", "/a", "/a/b..c/.d", "/tmp/x.moved"] {
+            assert_eq!(parent_of_clean(clean), parent(clean).as_deref(), "{clean}");
+        }
+        // Unclean forms are left to `parent`, which normalizes them.
+        for unclean in [
+            "/", "/a//b", "//a", "/a/./b", "/a/.", "/a/../b", "/a/..", "/a/b/", "rel/x", "",
+        ] {
+            assert_eq!(parent_of_clean(unclean), None, "{unclean}");
+        }
+        assert_eq!(parent("/a//b").as_deref(), Some("/a"));
+        assert_eq!(parent("/a/./b/").as_deref(), Some("/a"));
+        assert_eq!(parent("/a/b/../c").as_deref(), Some("/a"));
     }
 
     #[test]

@@ -52,11 +52,12 @@ pub struct Process {
     /// File-creation mask.
     pub umask: u16,
     /// Environment variables, shared with the setup that spawned the
-    /// process.
-    pub env: Arc<BTreeMap<String, String>>,
+    /// process; a read shares a value's text.
+    pub env: Arc<BTreeMap<String, Arc<str>>>,
     /// Argument vector (argv[1..]; the program name is implicit), shared
-    /// with the setup that spawned the process.
-    pub args: Arc<[String]>,
+    /// with the setup that spawned the process; a read shares an
+    /// argument's text.
+    pub args: Arc<[Arc<str>]>,
     /// Captured standard output (one entry per `Print`).
     pub stdout: Vec<Data>,
     /// Exit status once the program finished.
@@ -82,9 +83,17 @@ impl Process {
 }
 
 /// The process table.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A run spawns one process, which the table holds inline: spawning it
+/// allocates nothing. Later processes go to a list in pid order. The
+/// serialized form is the `procs` map from pid to process and the `next`
+/// pid.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProcessTable {
-    procs: BTreeMap<u32, Process>,
+    /// The first process spawned.
+    first: Option<Process>,
+    /// Every later process, in pid order.
+    rest: Vec<Process>,
     next: u32,
 }
 
@@ -92,8 +101,8 @@ impl ProcessTable {
     /// An empty table.
     pub fn new() -> Self {
         ProcessTable {
-            procs: BTreeMap::new(),
             next: 100,
+            ..ProcessTable::default()
         }
     }
 
@@ -104,57 +113,91 @@ impl ProcessTable {
         cwd: PathSym,
         cwd_inode: InodeId,
         umask: u16,
-        env: impl Into<Arc<BTreeMap<String, String>>>,
-        args: impl Into<Arc<[String]>>,
+        env: impl Into<Arc<BTreeMap<String, Arc<str>>>>,
+        args: impl Into<Arc<[Arc<str>]>>,
     ) -> Pid {
         let pid = Pid(self.next);
         self.next += 1;
-        self.procs.insert(
-            pid.0,
-            Process {
-                pid,
-                cred,
-                cwd,
-                cwd_inode,
-                cwd_taint: LabelSet::new(),
-                umask,
-                env: env.into(),
-                args: args.into(),
-                stdout: Vec::new(),
-                exit: None,
-                budget: DEFAULT_SYSCALL_BUDGET,
-            },
-        );
+        let process = Process {
+            pid,
+            cred,
+            cwd,
+            cwd_inode,
+            cwd_taint: LabelSet::new(),
+            umask,
+            env: env.into(),
+            args: args.into(),
+            stdout: Vec::new(),
+            exit: None,
+            budget: DEFAULT_SYSCALL_BUDGET,
+        };
+        if self.first.is_none() {
+            self.first = Some(process);
+        } else {
+            self.rest.push(process);
+        }
         pid
     }
 
     /// Borrows a process.
     pub fn get(&self, pid: Pid) -> SysResult<&Process> {
-        self.procs
-            .get(&pid.0)
+        self.iter()
+            .find(|p| p.pid == pid)
             .ok_or_else(|| syserr!(Ebadf, "no such process {pid}"))
     }
 
     /// Mutably borrows a process.
     pub fn get_mut(&mut self, pid: Pid) -> SysResult<&mut Process> {
-        self.procs
-            .get_mut(&pid.0)
+        self.first
+            .iter_mut()
+            .chain(&mut self.rest)
+            .find(|p| p.pid == pid)
             .ok_or_else(|| syserr!(Ebadf, "no such process {pid}"))
     }
 
     /// Number of processes ever spawned in this table.
     pub fn len(&self) -> usize {
-        self.procs.len()
+        usize::from(self.first.is_some()) + self.rest.len()
     }
 
     /// True when no process exists.
     pub fn is_empty(&self) -> bool {
-        self.procs.is_empty()
+        self.first.is_none()
     }
 
     /// Iterates processes in pid order.
     pub fn iter(&self) -> impl Iterator<Item = &Process> {
-        self.procs.values()
+        self.first.iter().chain(&self.rest)
+    }
+}
+
+impl Serialize for ProcessTable {
+    fn ser(&self) -> serde::Value {
+        let procs = self
+            .iter()
+            .map(|p| serde::Value::Seq(vec![p.pid.0.ser(), p.ser()]))
+            .collect();
+        serde::Value::Map(vec![
+            ("procs".to_string(), serde::Value::Seq(procs)),
+            ("next".to_string(), self.next.ser()),
+        ])
+    }
+}
+
+impl Deserialize for ProcessTable {
+    fn de(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let map = v
+            .as_map()
+            .ok_or_else(|| serde::DeError::expected("map", "ProcessTable"))?;
+        let procs: BTreeMap<u32, Process> = Deserialize::de(serde::field(map, "procs", "ProcessTable")?)?;
+        let mut table = ProcessTable {
+            next: Deserialize::de(serde::field(map, "next", "ProcessTable")?)?,
+            ..ProcessTable::default()
+        };
+        let mut procs = procs.into_values();
+        table.first = procs.next();
+        table.rest = procs.collect();
+        Ok(table)
     }
 }
 
@@ -184,6 +227,39 @@ mod tests {
         );
         assert!(b.0 > a.0);
         assert_eq!(t.len(), 2);
+        assert_eq!(t.get(b).unwrap().cred.euid, Uid(5));
+        assert_eq!(t.iter().map(|p| p.pid).collect::<Vec<_>>(), [a, b]);
+    }
+
+    #[test]
+    fn serialized_form_is_the_pid_map() {
+        let mut t = ProcessTable::new();
+        for _ in 0..3 {
+            t.insert(
+                Credentials::root(),
+                "/".into(),
+                InodeId(1),
+                0o22,
+                BTreeMap::new(),
+                vec![],
+            );
+        }
+        // The derived form of the map-backed table this one replaced.
+        #[derive(Serialize)]
+        struct MapTable {
+            procs: BTreeMap<u32, Process>,
+            next: u32,
+        }
+        let reference = MapTable {
+            procs: t.iter().map(|p| (p.pid.0, p.clone())).collect(),
+            next: 103,
+        };
+        assert_eq!(
+            serde_json::to_string(&t).unwrap(),
+            serde_json::to_string(&reference).unwrap()
+        );
+        let back: ProcessTable = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
+        assert_eq!(back, t);
     }
 
     #[test]

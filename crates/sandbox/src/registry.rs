@@ -14,7 +14,9 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::cred::{Credentials, Uid};
+use crate::data::{Data, Label};
 use crate::error::SysResult;
+use crate::intern::TextSym;
 use crate::syserr;
 
 /// Access control for one registry key, reduced to the write-control
@@ -39,8 +41,9 @@ impl Default for RegAcl {
 /// One registry key: values, subkeys, ACL.
 ///
 /// Names and values are shared strings, so copying a key to write it
-/// copies its maps' nodes, never their text.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// copies its maps' nodes, never their text, and a read hands out the
+/// value's text without copying it.
+#[derive(Clone, Default)]
 pub struct RegKey {
     /// Named string values.
     pub values: BTreeMap<Arc<str>, Arc<str>>,
@@ -48,6 +51,11 @@ pub struct RegKey {
     pub subkeys: BTreeMap<Arc<str>, Arc<RegKey>>,
     /// Access control.
     pub acl: RegAcl,
+    /// The `registry:<path>` source text of the key's `Untrusted` label,
+    /// interned when the key is made world-writable, so reading the key
+    /// does not intern it again. Derived from the path and the ACL, so it
+    /// takes no part in equality, hashing, `Debug` or the wire form.
+    label: Option<TextSym>,
 }
 
 impl RegKey {
@@ -59,6 +67,78 @@ impl RegKey {
                 self.values.insert(Arc::from(name), Arc::from(value));
             }
         }
+    }
+
+    /// Sets the ACL; a world-writable key at `path` interns its label.
+    fn set_acl(&mut self, path: &str, acl: RegAcl) {
+        self.acl = acl;
+        if acl.world_writable && !self.has_label_for(path) {
+            self.label = Some(TextSym::concat(&["registry:", path]));
+        }
+    }
+
+    /// Whether the interned label's text is `registry:<path>`.
+    fn has_label_for(&self, path: &str) -> bool {
+        self.label
+            .is_some_and(|sym| sym.as_str().strip_prefix("registry:") == Some(path))
+    }
+
+    /// The `Untrusted` label a read of this key through `path` carries.
+    fn untrusted_label(&self, path: &str) -> Label {
+        match self.label {
+            Some(source) if self.has_label_for(path) => Label::Untrusted { source },
+            _ => Label::untrusted("registry", path),
+        }
+    }
+}
+
+impl PartialEq for RegKey {
+    fn eq(&self, other: &RegKey) -> bool {
+        self.values == other.values && self.subkeys == other.subkeys && self.acl == other.acl
+    }
+}
+
+impl Eq for RegKey {}
+
+impl std::hash::Hash for RegKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.values.hash(state);
+        self.subkeys.hash(state);
+        self.acl.hash(state);
+    }
+}
+
+impl std::fmt::Debug for RegKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RegKey")
+            .field("values", &self.values)
+            .field("subkeys", &self.subkeys)
+            .field("acl", &self.acl)
+            .finish()
+    }
+}
+
+impl Serialize for RegKey {
+    fn ser(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("values".to_string(), self.values.ser()),
+            ("subkeys".to_string(), self.subkeys.ser()),
+            ("acl".to_string(), self.acl.ser()),
+        ])
+    }
+}
+
+impl Deserialize for RegKey {
+    /// Reads the three serialized fields; the label is not serialized, so
+    /// a deserialized world-writable key interns it on each read.
+    fn de(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let map = v.as_map().ok_or_else(|| serde::DeError::expected("map", "RegKey"))?;
+        Ok(RegKey {
+            values: Deserialize::de(serde::field(map, "values", "RegKey")?)?,
+            subkeys: Deserialize::de(serde::field(map, "subkeys", "RegKey")?)?,
+            acl: Deserialize::de(serde::field(map, "acl", "RegKey")?)?,
+            label: None,
+        })
     }
 }
 
@@ -94,6 +174,7 @@ impl Registry {
                     .map(|(name, sub)| (name.clone(), Arc::new(deep(sub))))
                     .collect(),
                 acl: key.acl,
+                label: key.label,
             }
         }
         Registry {
@@ -135,7 +216,7 @@ impl Registry {
             }
             cur = Arc::make_mut(cur.subkeys.get_mut(comp).expect("inserted above"));
         }
-        cur.acl = acl;
+        cur.set_acl(path, acl);
         cur
     }
 
@@ -172,12 +253,35 @@ impl Registry {
     ///
     /// `ENOENT` for a missing key or value.
     pub fn get_value(&self, path: &str, name: &str) -> SysResult<(&str, bool)> {
+        let (key, v) = self.entry(path, name)?;
+        Ok((v, key.acl.world_writable))
+    }
+
+    /// The key at `path` and its value `name`.
+    fn entry(&self, path: &str, name: &str) -> SysResult<(&RegKey, &Arc<str>)> {
         let key = self.key(path).ok_or_else(|| syserr!(Enoent, "registry key {path}"))?;
         let v = key
             .values
             .get(name)
             .ok_or_else(|| syserr!(Enoent, "registry value {path}\\{name}"))?;
-        Ok((v, key.acl.world_writable))
+        Ok((key, v))
+    }
+
+    /// Reads a value as the syscall layer hands it out: its text shared
+    /// with the registry, and labeled `Untrusted` with source
+    /// `registry:<path>` when the key is world-writable.
+    ///
+    /// # Errors
+    ///
+    /// As [`Registry::get_value`].
+    pub fn read_value(&self, path: &str, name: &str) -> SysResult<Data> {
+        let (key, v) = self.entry(path, name)?;
+        let data = Data::from(Arc::clone(v));
+        Ok(if key.acl.world_writable {
+            data.with_label(key.untrusted_label(path))
+        } else {
+            data
+        })
     }
 
     /// Deletes a value, enforcing the ACL.
@@ -201,7 +305,7 @@ impl Registry {
     /// Changes a key's ACL unconditionally (perturbation helper).
     pub fn god_set_acl(&mut self, path: &str, acl: RegAcl) -> SysResult<()> {
         self.key_mut(path)
-            .map(|k| k.acl = acl)
+            .map(|k| k.set_acl(path, acl))
             .ok_or_else(|| syserr!(Enoent, "registry key {path}"))
     }
 

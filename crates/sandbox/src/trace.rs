@@ -308,7 +308,8 @@ const SITES_PER_RUN: usize = 16;
 ///
 /// The per-site counts are a short list in order of first execution, not
 /// a map: an application has a few dozen sites at most, a run allocates
-/// the list once, and a count finds its site by pointer before it falls
+/// the list once, with room for 16 sites (it grows only in a run that
+/// reaches more), and a count finds its site by pointer before it falls
 /// back to comparing text.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
@@ -358,7 +359,9 @@ impl Trace {
                 self.site_hits[i].1 - 1
             }
             None => {
-                self.site_hits.reserve(SITES_PER_RUN);
+                if self.site_hits.capacity() == 0 {
+                    self.site_hits.reserve_exact(SITES_PER_RUN);
+                }
                 self.site_hits.push((site, 1));
                 0
             }
@@ -592,6 +595,16 @@ mod tests {
         assert!(t.events().iter().all(|ev| ev.site.same_text(s)));
         assert_eq!((t.hit_count(&s), t.hit_count(&SiteId::new("t"))), (3, 1));
         assert_eq!((t.interactions(), t.len()), (4, 1));
+    }
+
+    #[test]
+    fn a_run_allocates_its_site_list_once() {
+        let mut t = Trace::new();
+        for (i, site) in ["a", "b", "c", "d", "a", "e"].into_iter().enumerate() {
+            t.count(SiteId::literal(site));
+            assert_eq!(t.site_hits.capacity(), SITES_PER_RUN, "after count {i}");
+        }
+        assert_eq!((t.hit_count(&SiteId::literal("a")), t.site_hits.len()), (2, 5));
     }
 
     #[test]

@@ -195,7 +195,7 @@ fn env_maps_are_isolated_between_runs() {
         }
     }
     let mut setup = tiny_world();
-    setup.env = BTreeMap::from([("MARK".to_string(), "one".to_string())]).into();
+    setup.env = BTreeMap::from([("MARK".to_string(), "one".into())]).into();
     let a = run_once(&setup, &EnvReader, None);
     assert_eq!(a.exit, Some(0));
     // Mutating the returned world must not affect the pristine setup.

@@ -234,7 +234,7 @@ fn every_setup_field_changes_the_fingerprint() {
             std::sync::Arc::make_mut(&mut s.world.scenario).attacker_home = "/home/eve".into();
         }),
         ("args", |s| {
-            s.args = s.args.iter().cloned().chain(["-P".to_string()]).collect();
+            s.args = s.args.iter().cloned().chain(["-P".into()]).collect();
         }),
         ("env", |s| {
             std::sync::Arc::make_mut(&mut s.env).insert("PRINTER".into(), "lp0".into());
