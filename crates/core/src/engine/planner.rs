@@ -480,13 +480,16 @@ struct CacheInner {
     hits: u64,
     misses: u64,
     store_hits: u64,
+    /// Threads parked in [`ResultCache::begin`] on a pending slot. A slot
+    /// that settles with none wakes nobody: no futex call.
+    waiters: usize,
 }
 
 #[derive(Default)]
 struct CacheShared {
     state: Mutex<CacheInner>,
-    /// Signalled whenever a slot changes state (fulfilled or abandoned),
-    /// waking [`ResultCache::begin`] waiters.
+    /// Signalled whenever a slot changes state (fulfilled or abandoned)
+    /// while [`CacheInner::waiters`] counts a [`ResultCache::begin`] waiter.
     settled: Condvar,
     /// The persistent tier, when configured. Consulted outside the state
     /// lock (disk I/O must not stall waiters); hits are promoted into the
@@ -508,9 +511,9 @@ impl CacheShared {
 
     /// The one writer of a [`CacheSlot::Ready`] slot: settles `(scope,
     /// key)` with `digest` under the held lock, releases it and wakes every
-    /// waiter. The first writer wins: a completed digest is never replaced
-    /// (equal keys have equal digests), while an in-flight claim is settled
-    /// (its claimant is computing this exact digest).
+    /// waiter, if any. The first writer wins: a completed digest is never
+    /// replaced (equal keys have equal digests), while an in-flight claim is
+    /// settled (its claimant is computing this exact digest).
     fn publish(&self, mut state: MutexGuard<'_, CacheInner>, scope: u64, key: &FaultKey, digest: RunDigest) {
         let slot = state
             .map
@@ -521,8 +524,19 @@ impl CacheShared {
         if let CacheSlot::Pending = slot {
             *slot = CacheSlot::Ready(digest);
         }
+        self.release(state);
+    }
+
+    /// Drops the state lock after a slot settled, waking the parked
+    /// waiters. Their count is read under the lock: a waiter counted there
+    /// is already on the condition variable, and one that parks later finds
+    /// the slot settled before it waits.
+    fn release(&self, state: MutexGuard<'_, CacheInner>) {
+        let parked = state.waiters > 0;
         drop(state);
-        self.settled.notify_all();
+        if parked {
+            self.settled.notify_all();
+        }
     }
 
     /// Publishes an executed run's digest and writes it through to the
@@ -639,8 +653,7 @@ impl Drop for ClaimToken {
                 slots.remove(self.key.repr());
             }
         }
-        drop(state);
-        self.shared.settled.notify_all();
+        self.shared.release(state);
     }
 }
 
@@ -728,7 +741,9 @@ impl ResultCache {
                     return Claim::Replay(d);
                 }
                 Some(CacheSlot::Pending) => {
+                    state.waiters += 1;
                     state = self.inner.settled.wait(state).unwrap_or_else(PoisonError::into_inner);
+                    state.waiters -= 1;
                 }
                 None if !backend_read => {
                     drop(state);

@@ -23,6 +23,16 @@
 //! [`crate::campaign::TestSetup::fingerprint`] became a structural hash.
 //! [`DiskStore::open`] upgrades any older store in place.
 //!
+//! A body is read in one pass by a reader of exactly the line
+//! [`encode_entry`] writes: its fields in declaration order, no
+//! whitespace, JSON string escapes. A segment's UTF-8 is checked once
+//! (line by line only when that fails). Any other spelling, even valid
+//! JSON of the same record, is damage: its key misses and the run
+//! happens again. That is sound because every current-version record
+//! comes from `encode_entry` (a save appends one, compaction re-encodes
+//! them) and `open` drops older versions' records instead of converting
+//! them.
+//!
 //! Records are looked up by their **full canonical key text**, so a 64-bit
 //! key-digest collision can never replay the wrong run. A [`DiskStore`]
 //! handle reads a segment once, on the first load or save of its scope.
@@ -45,7 +55,8 @@ use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
-use serde::{Deserialize, Serialize};
+use epa_sandbox::policy::{Evidence, EvidenceItem, Verdict, Violation, ViolationKind};
+use serde::Serialize;
 use shim_sync::sync::atomic::{AtomicU64, Ordering};
 use shim_sync::sync::{Arc, Mutex, PoisonError};
 
@@ -152,7 +163,8 @@ fn segment_header(scope: u64) -> String {
 
 /// The serialized body of one record. `scope` is hex text (JSON numbers
 /// are f64-lossy above 2^53; a fingerprint is a full 64-bit hash).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Written only: [`decode_entry`] reads it back with [`BodyReader`].
+#[derive(Serialize)]
 struct EntryBody {
     scope: String,
     key: String,
@@ -232,15 +244,267 @@ pub fn decode_entry(text: &str) -> Result<DecodedEntry, EntryError> {
     if u64::from_str_radix(checksum, 16) != Ok(fnv1a(body.as_bytes())) {
         return Err(EntryError::Checksum);
     }
-    let parsed: EntryBody =
-        serde_json::from_str(body).map_err(|e| EntryError::Malformed(format!("body does not parse: {e}")))?;
-    let scope = u64::from_str_radix(&parsed.scope, 16)
-        .map_err(|_| EntryError::Malformed(format!("bad scope `{}`", parsed.scope)))?;
-    Ok(DecodedEntry {
-        scope,
-        key: parsed.key,
-        digest: parsed.digest,
-    })
+    BodyReader { body, pos: 0 }.entry()
+}
+
+/// A one-pass reader of exactly the body [`encode_entry`] writes; anything
+/// else is [`EntryError::Malformed`] (the module docs say why that is
+/// sound).
+struct BodyReader<'a> {
+    body: &'a str,
+    /// The byte the next read starts at.
+    pos: usize,
+}
+
+impl BodyReader<'_> {
+    fn entry(mut self) -> Result<DecodedEntry, EntryError> {
+        self.eat("{\"scope\":\"")?;
+        let scope = self.scope()?;
+        self.eat("\",\"key\":")?;
+        let key = self.string()?;
+        self.eat(",\"digest\":{\"applied\":")?;
+        let applied = self.bool()?;
+        self.eat(",\"exit\":")?;
+        let exit = self.nullable(Self::i32)?;
+        self.eat(",\"crashed\":")?;
+        let crashed = self.nullable(Self::string)?;
+        self.eat(",\"audit_events\":")?;
+        let audit_events = self.usize()?;
+        self.eat(",\"violations\":")?;
+        let violations = self.seq(Self::verdict)?;
+        self.eat("}}")?;
+        if self.pos != self.body.len() {
+            return self.fail("the end of the body");
+        }
+        let digest = RunDigest {
+            applied,
+            exit,
+            crashed,
+            audit_events,
+            violations,
+        };
+        Ok(DecodedEntry { scope, key, digest })
+    }
+
+    fn verdict(&mut self) -> Result<Verdict, EntryError> {
+        self.eat("{\"violation\":{\"kind\":")?;
+        let kind = self.kind()?;
+        self.eat(",\"rule\":")?;
+        let rule = self.string()?;
+        self.eat(",\"description\":")?;
+        let description = self.string()?;
+        self.eat(",\"event_index\":")?;
+        let event_index = self.usize()?;
+        self.eat("},\"detector\":")?;
+        let detector = self.string()?;
+        self.eat(",\"evidence\":{\"items\":")?;
+        let items = self.seq(|r| {
+            r.eat("{\"index\":")?;
+            let index = r.usize()?;
+            r.eat(",\"summary\":")?;
+            let summary = r.string()?;
+            r.eat("}")?;
+            Ok(EvidenceItem { index, summary })
+        })?;
+        self.eat("}}")?;
+        let violation = Violation::new(kind, rule, description, event_index);
+        Ok(Verdict::new(violation, detector, Evidence { items }))
+    }
+
+    /// The damage at the current byte.
+    fn fail<T>(&self, expected: &str) -> Result<T, EntryError> {
+        Err(EntryError::Malformed(format!(
+            "body does not parse: expected {expected} at byte {}",
+            self.pos
+        )))
+    }
+
+    /// The unread bytes.
+    fn rest(&self) -> &[u8] {
+        &self.body.as_bytes()[self.pos..]
+    }
+
+    /// Consumes `text` if the body continues with it.
+    fn take(&mut self, text: &str) -> bool {
+        let found = self.rest().starts_with(text.as_bytes());
+        if found {
+            self.pos += text.len();
+        }
+        found
+    }
+
+    /// Consumes `text`, which the body must continue with.
+    fn eat(&mut self, text: &str) -> Result<(), EntryError> {
+        if self.take(text) {
+            Ok(())
+        } else {
+            self.fail(&format!("`{text}`"))
+        }
+    }
+
+    /// The scope: 16 lowercase hex digits, as `{:016x}` writes it.
+    fn scope(&mut self) -> Result<u64, EntryError> {
+        let digits = self.rest().get(..16).unwrap_or_default();
+        let value = digits.iter().try_fold(0u64, |acc, &b| {
+            let digit = match b {
+                b'0'..=b'9' => b - b'0',
+                b'a'..=b'f' => b - b'a' + 10,
+                _ => return None,
+            };
+            Some(acc << 4 | u64::from(digit))
+        });
+        match value.filter(|_| digits.len() == 16) {
+            Some(scope) => {
+                self.pos += 16;
+                Ok(scope)
+            }
+            None => self.fail("a 16-digit lowercase hex scope"),
+        }
+    }
+
+    fn bool(&mut self) -> Result<bool, EntryError> {
+        if self.take("true") {
+            Ok(true)
+        } else if self.take("false") {
+            Ok(false)
+        } else {
+            self.fail("`true` or `false`")
+        }
+    }
+
+    /// `null`, or what `read` reads.
+    fn nullable<T>(&mut self, read: impl FnOnce(&mut Self) -> Result<T, EntryError>) -> Result<Option<T>, EntryError> {
+        if self.take("null") {
+            Ok(None)
+        } else {
+            read(self).map(Some)
+        }
+    }
+
+    /// A JSON array of what `item` reads.
+    fn seq<T>(&mut self, mut item: impl FnMut(&mut Self) -> Result<T, EntryError>) -> Result<Vec<T>, EntryError> {
+        self.eat("[")?;
+        let mut items = Vec::new();
+        if self.take("]") {
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            if self.take("]") {
+                return Ok(items);
+            }
+            self.eat(",")?;
+        }
+    }
+
+    /// A natural number: `0`, or digits without a leading zero.
+    fn natural(&mut self) -> Result<u64, EntryError> {
+        let digits = self.rest().iter().take_while(|b| b.is_ascii_digit()).count();
+        let text = &self.rest()[..digits];
+        let value = text
+            .iter()
+            .try_fold(0u64, |acc, &b| acc.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+        match value.filter(|_| digits == 1 || text.first().is_some_and(|&b| b != b'0')) {
+            Some(n) => {
+                self.pos += digits;
+                Ok(n)
+            }
+            None => self.fail("a number"),
+        }
+    }
+
+    fn usize(&mut self) -> Result<usize, EntryError> {
+        let n = self.natural()?;
+        usize::try_from(n).or_else(|_| self.fail("a number in range"))
+    }
+
+    fn i32(&mut self) -> Result<i32, EntryError> {
+        let negative = self.take("-");
+        let n = i64::try_from(self.natural()?).unwrap_or(i64::MAX);
+        i32::try_from(if negative { -n } else { n }).or_else(|_| self.fail("a number in range"))
+    }
+
+    /// A violation kind, by the variant name its serializer writes.
+    fn kind(&mut self) -> Result<ViolationKind, EntryError> {
+        let name = self
+            .rest()
+            .iter()
+            .skip(1)
+            .take_while(|b| b.is_ascii_alphabetic())
+            .count();
+        let kind = match self.rest().get(..name + 2) {
+            Some([b'"', name @ .., b'"']) => match name {
+                b"IntegrityWrite" => ViolationKind::IntegrityWrite,
+                b"IntegrityDelete" => ViolationKind::IntegrityDelete,
+                b"Disclosure" => ViolationKind::Disclosure,
+                b"UntrustedExec" => ViolationKind::UntrustedExec,
+                b"TaintedPrivilegedOp" => ViolationKind::TaintedPrivilegedOp,
+                b"SpoofedAction" => ViolationKind::SpoofedAction,
+                b"MemoryCorruption" => ViolationKind::MemoryCorruption,
+                b"Custom" => ViolationKind::Custom,
+                _ => return self.fail("a violation kind"),
+            },
+            _ => return self.fail("a violation kind"),
+        };
+        self.pos += name + 2;
+        Ok(kind)
+    }
+
+    /// A JSON string. Text without escapes is copied in one piece.
+    fn string(&mut self) -> Result<String, EntryError> {
+        self.eat("\"")?;
+        let mut text = String::new();
+        let mut start = self.pos;
+        loop {
+            match self.rest().first() {
+                Some(b'"') => {
+                    text.push_str(&self.body[start..self.pos]);
+                    self.pos += 1;
+                    return Ok(text);
+                }
+                Some(b'\\') => {
+                    text.push_str(&self.body[start..self.pos]);
+                    self.pos += 1;
+                    text.push(self.escape()?);
+                    start = self.pos;
+                }
+                Some(0x20..) => self.pos += 1,
+                // The writer escapes every control character.
+                Some(_) | None => return self.fail("a string character or `\"`"),
+            }
+        }
+    }
+
+    /// The character an escape stands for, past its backslash.
+    fn escape(&mut self) -> Result<char, EntryError> {
+        let c = match self.rest().first() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let hex = self.rest().get(1..5).unwrap_or_default();
+                let code = hex
+                    .iter()
+                    .try_fold(0u32, |acc, &b| Some(acc << 4 | char::from(b).to_digit(16)?));
+                // A surrogate is no `char`: the writer never escapes one.
+                match code.filter(|_| hex.len() == 4).and_then(char::from_u32) {
+                    Some(c) => {
+                        self.pos += 4;
+                        c
+                    }
+                    None => return self.fail("four hex digits of a character"),
+                }
+            }
+            _ => return self.fail("an escape"),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
 }
 
 /// One segment, decoded: the first valid record of every key, and what
@@ -274,20 +538,40 @@ fn decode_segment(scope: u64, read: io::Result<Vec<u8>>) -> Segment {
     let header = segment_header(scope);
     segment.quarantined = !bytes.starts_with(header.as_bytes()) && !header.as_bytes().starts_with(&bytes);
     let records = bytes.get(header.len()..).filter(|_| !segment.quarantined);
-    let lines = records.unwrap_or_default().split(|&b| b == b'\n').enumerate();
-    for (i, line) in lines.filter(|(_, line)| !line.is_empty()) {
-        let decoded = std::str::from_utf8(line)
-            .map_err(|_| EntryError::Malformed("not UTF-8".to_string()))
-            .and_then(decode_entry);
-        match decoded {
-            Ok(r) if r.scope != scope => segment.damaged.push((i + 2, format!("foreign scope {:016x}", r.scope))),
-            Ok(r) => {
-                segment.records.entry(r.key).or_insert(Some(r.digest));
+    let records = records.unwrap_or_default();
+    // The segment's text is checked once; line by line only when that
+    // fails, so a bad byte costs only its own record.
+    match std::str::from_utf8(records) {
+        Ok(text) => {
+            for (i, line) in text.split('\n').enumerate() {
+                segment.file(i + 2, Ok(line));
             }
-            Err(e) => segment.damaged.push((i + 2, e.to_string())),
+        }
+        Err(_) => {
+            for (i, line) in records.split(|&b| b == b'\n').enumerate() {
+                let line = std::str::from_utf8(line).map_err(|_| EntryError::Malformed("not UTF-8".to_string()));
+                segment.file(i + 2, line);
+            }
         }
     }
     segment
+}
+
+impl Segment {
+    /// Files line `number` of the segment: its record, unless it is damaged
+    /// or of a key already filed. An empty line holds no record.
+    fn file(&mut self, number: usize, line: Result<&str, EntryError>) {
+        if line == Ok("") {
+            return;
+        }
+        match line.and_then(decode_entry) {
+            Ok(r) if r.scope != self.scope => self.damaged.push((number, format!("foreign scope {:016x}", r.scope))),
+            Ok(r) => {
+                self.records.entry(r.key).or_insert(Some(r.digest));
+            }
+            Err(e) => self.damaged.push((number, e.to_string())),
+        }
+    }
 }
 
 /// Aggregate facts about a store directory, from [`DiskStore::stats`].
@@ -941,6 +1225,31 @@ mod tests {
         assert_eq!(verify.corrupt.len(), 1);
         assert!(
             verify.corrupt[0].ends_with(":2: checksum mismatch (torn or corrupted record)"),
+            "{verify:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_costs_only_its_own_record() {
+        let (dir, store) = temp_store("utf8");
+        let (bad, good) = (key("n#0|-|{}"), key("n#1|-|{}"));
+        store.save(12, &bad, &digest(0, 1));
+        store.save(12, &good, &digest(0, 2));
+        drop(store);
+        // Closing sorted the records: `bad`'s is the first, line 2.
+        let path = store_path(&dir, 12);
+        let mut bytes = std::fs::read(&path).expect("segment");
+        let record = bytes.iter().position(|&b| b == b'\n').expect("the header ends") + 1;
+        bytes[record + 40] = 0xff;
+        std::fs::write(&path, bytes).expect("segment rewrites");
+        let reopened = DiskStore::open(&dir).expect("store reopens");
+        assert_eq!(reopened.load(12, &bad), None);
+        assert_eq!(reopened.load(12, &good), Some(digest(0, 2)));
+        let verify = reopened.verify();
+        assert_eq!((verify.ok, verify.corrupt.len()), (1, 1), "{verify:?}");
+        assert!(
+            verify.corrupt[0].ends_with(":2: malformed record: not UTF-8"),
             "{verify:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -203,15 +203,50 @@ struct Trail {
     missing_in: Option<InodeId>,
 }
 
+/// Why a walk stopped short of an inode.
+#[derive(Debug, Clone)]
+enum Stop<'p> {
+    /// `name`, a component of the path as given, is missing from the
+    /// directory `dir`. Its `ENOENT`, which names the directory's physical
+    /// path, is formatted only where it reaches a caller
+    /// ([`Vfs::surface`]): a walk that only asks whether the path exists
+    /// formats nothing.
+    Missing { dir: InodeId, name: &'p str },
+    /// Any other failure.
+    Failed(SysError),
+}
+
+impl Stop<'_> {
+    fn errno(&self) -> Errno {
+        match self {
+            Stop::Missing { .. } => Errno::Enoent,
+            Stop::Failed(e) => e.errno,
+        }
+    }
+}
+
+impl From<SysError> for Stop<'_> {
+    fn from(e: SysError) -> Self {
+        Stop::Failed(e)
+    }
+}
+
 /// One god-mode resolution of a path, read two ways: what the unchecked
 /// walk found, and what the same walk under a process's credentials
 /// returns. A syscall handler that needs both (a god-mode `stat`/`lstat`
 /// for its audit record, then the checked operation) walks the path once.
 #[derive(Debug)]
-pub(crate) struct Probe {
-    /// The inode the unchecked walk reached, or the error it failed with.
-    pub(crate) found: SysResult<InodeId>,
+pub(crate) struct Probe<'p> {
+    /// The inode the unchecked walk reached, or why it stopped.
+    found: Result<InodeId, Stop<'p>>,
     trail: Trail,
+}
+
+impl Probe<'_> {
+    /// The inode the unchecked walk reached, if any.
+    pub(crate) fn reached(&self) -> Option<InodeId> {
+        self.found.as_ref().ok().copied()
+    }
 }
 
 /// Inode-indexed slots: `None` for an id that was never allocated or whose
@@ -604,30 +639,62 @@ impl Vfs {
 
     /// [`Vfs::walk`] without the physical path: the inode it reaches.
     fn lookup(&self, abs_path: &str, follow_last: bool, search: Search<'_>) -> SysResult<InodeId> {
+        self.walk_to(abs_path, follow_last, search)
+            .map_err(|stop| self.surface(stop))
+    }
+
+    /// [`Vfs::lookup`] for a caller that only asks whether the walk
+    /// succeeds: a miss formats no error.
+    fn reaches(&self, abs_path: &str, follow_last: bool, search: Search<'_>) -> Option<InodeId> {
+        self.walk_to(abs_path, follow_last, search).ok()
+    }
+
+    /// The walk behind [`Vfs::lookup`] and [`Vfs::reaches`], a miss not
+    /// yet formatted.
+    fn walk_to<'p>(&self, abs_path: &'p str, follow_last: bool, search: Search<'_>) -> Result<InodeId, Stop<'p>> {
         self.resolve(abs_path, follow_last, search, &abs_path, &mut Trail::default())
+    }
+
+    /// The error a walk's stop reports. A miss names the path it struck:
+    /// the missing name under its directory's physical path.
+    fn surface(&self, stop: Stop<'_>) -> SysError {
+        match stop {
+            Stop::Missing { dir, name } => self.with_physical(dir, |p| syserr!(Enoent, "{p}/{name}")),
+            Stop::Failed(e) => e,
+        }
     }
 
     /// Resolves `abs_path` once as a god-mode walk, noting what a walk
     /// under `cred` would meet (see [`Probe`]).
-    pub(crate) fn probe(&self, abs_path: &str, follow_last: bool, cred: &Credentials) -> Probe {
+    pub(crate) fn probe<'p>(&self, abs_path: &'p str, follow_last: bool, cred: &Credentials) -> Probe<'p> {
         let mut trail = Trail::default();
         let found = self.resolve(abs_path, follow_last, Search::Note(cred), &abs_path, &mut trail);
         Probe { found, trail }
     }
 
+    /// What the unchecked walk of the probed path reached, or its error.
+    pub(crate) fn found(&self, probe: &Probe<'_>) -> SysResult<InodeId> {
+        probe.found.clone().map_err(|stop| self.surface(stop))
+    }
+
     /// What `walk(abs_path, follow_last, Some(cred))` of the probed path
     /// reaches: the god-mode result unless the credentials were denied
     /// search on the way.
-    pub(crate) fn checked(&self, probe: &Probe) -> SysResult<InodeId> {
+    pub(crate) fn checked(&self, probe: &Probe<'_>) -> SysResult<InodeId> {
+        self.checked_stop(probe).map_err(|stop| self.surface(stop))
+    }
+
+    /// [`Vfs::checked`], a miss not yet formatted.
+    fn checked_stop<'p>(&self, probe: &Probe<'p>) -> Result<InodeId, Stop<'p>> {
         match probe.trail.denied {
-            Some((dir, _)) => Err(self.search_denied(dir)),
+            Some((dir, _)) => Err(self.search_denied(dir).into()),
             None => probe.found.clone(),
         }
     }
 
     /// The error `walk_parent(abs_path, Some(cred))` meets walking the
     /// probed path's parent, whose lookups are the probe's minus its last.
-    pub(crate) fn checked_parent(&self, probe: &Probe) -> SysResult<()> {
+    pub(crate) fn checked_parent(&self, probe: &Probe<'_>) -> SysResult<()> {
         match probe.trail.denied {
             Some((dir, false)) => Err(self.search_denied(dir)),
             _ => Ok(()),
@@ -637,16 +704,16 @@ impl Vfs {
     /// The resolver behind every walk. Returns the inode reached; `shown`
     /// is the spelling error messages name the path by, and `trail`
     /// collects what `search` and a failed lookup note.
-    fn resolve(
+    fn resolve<'p>(
         &self,
-        abs_path: &str,
+        abs_path: &'p str,
         follow_last: bool,
         search: Search<'_>,
         shown: &dyn fmt::Display,
         trail: &mut Trail,
-    ) -> SysResult<InodeId> {
+    ) -> Result<InodeId, Stop<'p>> {
         if !path::is_absolute(abs_path) {
-            return Err(syserr!(Einval, "walk requires absolute path, got {shown}"));
+            return Err(syserr!(Einval, "walk requires absolute path, got {shown}").into());
         }
         // Text still to resolve: `rest` is the source being read (the
         // argument, or the symlink target spliced in last) and `outer`
@@ -667,7 +734,7 @@ impl Vfs {
                 }
             };
             if comp.len() > NAME_MAX {
-                return Err(syserr!(Enametoolong, "component of {shown}"));
+                return Err(syserr!(Enametoolong, "component of {shown}").into());
             }
             match comp {
                 "." => continue,
@@ -685,7 +752,7 @@ impl Vfs {
                 .ok_or_else(|| self.with_physical(cur, |p| syserr!(Enotdir, "{p}")))?;
             match search {
                 Search::Enforce(c) if !cur_ino.mode.grants(cur_ino.owner, cur_ino.group, c, Access::Exec) => {
-                    return Err(self.search_denied(cur));
+                    return Err(self.search_denied(cur).into());
                 }
                 Search::Note(c)
                     if trail.denied.is_none()
@@ -696,10 +763,17 @@ impl Vfs {
                 _ => {}
             }
             let Some(&child) = entries.get(comp) else {
-                if last && !expanded {
+                if expanded {
+                    return Err(self.with_physical(cur, |p| syserr!(Enoent, "{p}/{comp}")).into());
+                }
+                if last {
                     trail.missing_in = Some(cur);
                 }
-                return Err(self.with_physical(cur, |p| syserr!(Enoent, "{p}/{comp}")));
+                // Nothing expanded yet: `comp` is the piece of `abs_path`
+                // just before `rest`.
+                let end = abs_path.len() - rest.len();
+                let name = &abs_path[end - comp.len()..end];
+                return Err(Stop::Missing { dir: cur, name });
             };
             if let FileKind::Symlink(target) = &self.inode(child)?.kind {
                 if !last || follow_last {
@@ -747,7 +821,9 @@ impl Vfs {
             return Err(syserr!(Enametoolong, "{abs_path}"));
         }
         let prefix = Rooted(split_last(abs_path).0);
-        let dir = self.resolve(prefix.0, true, search, &prefix, &mut Trail::default())?;
+        let dir = self
+            .resolve(prefix.0, true, search, &prefix, &mut Trail::default())
+            .map_err(|stop| self.surface(stop))?;
         if !self.inode(dir)?.is_dir() {
             return Err(syserr!(Enotdir, "{prefix}"));
         }
@@ -808,21 +884,21 @@ impl Vfs {
     pub(crate) fn creat_probed(
         &mut self,
         abs_path: &str,
-        probe: &Probe,
+        probe: &Probe<'_>,
         mode: Mode,
         cred: &Credentials,
         umask: u16,
     ) -> SysResult<(Walked, bool)> {
-        match self.checked(probe) {
+        match self.checked_stop(probe) {
             Ok(id) => Ok((self.truncate(id, abs_path, cred)?, true)),
-            Err(e) if e.errno == Errno::Enoent => match probe.trail.missing_in {
+            Err(stop) if stop.errno() == Errno::Enoent => match probe.trail.missing_in {
                 Some(dir) => Ok((
                     self.create_entry(dir, final_name(abs_path)?, abs_path, mode, cred, umask)?,
                     false,
                 )),
                 None => self.creat_inner(abs_path, mode, cred, umask, SYMLINK_BUDGET),
             },
-            Err(e) => Err(e),
+            Err(stop) => Err(self.surface(stop)),
         }
     }
 
@@ -834,13 +910,13 @@ impl Vfs {
         umask: u16,
         depth: usize,
     ) -> SysResult<(Walked, bool)> {
-        match self.lookup(abs_path, true, Search::Enforce(cred)) {
+        match self.walk_to(abs_path, true, Search::Enforce(cred)) {
             Ok(id) => Ok((self.truncate(id, abs_path, cred)?, true)),
-            Err(e) if e.errno == Errno::Enoent => {
+            Err(stop) if stop.errno() == Errno::Enoent => {
                 // A dangling symlink at the final component: `creat` creates
                 // the *target* (POSIX `open(O_CREAT)` semantics) — the path
                 // the planted-symlink perturbations rely on.
-                if let Ok(id) = self.lookup(abs_path, false, Search::Enforce(cred)) {
+                if let Some(id) = self.reaches(abs_path, false, Search::Enforce(cred)) {
                     if let FileKind::Symlink(target) = &self.inode(id)?.kind {
                         if depth == 0 {
                             return Err(syserr!(Eloop, "{abs_path}"));
@@ -855,7 +931,7 @@ impl Vfs {
                 }
                 Ok((self.create_in_parent(abs_path, mode, cred, umask)?, false))
             }
-            Err(e) => Err(e),
+            Err(stop) => Err(self.surface(stop)),
         }
     }
 
@@ -884,7 +960,7 @@ impl Vfs {
     /// `EEXIST` when the path exists; otherwise as [`Vfs::creat`].
     pub fn create_excl(&mut self, abs_path: &str, mode: Mode, cred: &Credentials, umask: u16) -> SysResult<Walked> {
         let probe = self.probe(abs_path, false, cred);
-        if self.checked(&probe).is_ok() {
+        if probe.trail.denied.is_none() && probe.found.is_ok() {
             return Err(syserr!(Eexist, "{abs_path}"));
         }
         match (probe.trail.denied, probe.trail.missing_in) {
@@ -1005,7 +1081,7 @@ impl Vfs {
 
     /// Creates a directory.
     pub fn mkdir(&mut self, abs_path: &str, mode: Mode, cred: &Credentials, umask: u16) -> SysResult<Walked> {
-        if self.lookup(abs_path, false, Search::Enforce(cred)).is_ok() {
+        if self.reaches(abs_path, false, Search::Enforce(cred)).is_some() {
             return Err(syserr!(Eexist, "{abs_path}"));
         }
         let (dir, name) = self.resolve_parent(abs_path, Search::Enforce(cred))?;
@@ -1025,7 +1101,7 @@ impl Vfs {
 
     /// Creates a symbolic link at `link` pointing at `target` (text).
     pub fn symlink(&mut self, target: &str, link: &str, cred: &Credentials) -> SysResult<Walked> {
-        if self.lookup(link, false, Search::Enforce(cred)).is_ok() {
+        if self.reaches(link, false, Search::Enforce(cred)).is_some() {
             return Err(syserr!(Eexist, "{link}"));
         }
         let (dir, name) = self.resolve_parent(link, Search::Enforce(cred))?;
@@ -1123,7 +1199,7 @@ impl Vfs {
 
     /// True when the path exists (lstat semantics, god-mode).
     pub fn exists(&self, abs_path: &str) -> bool {
-        self.lookup(abs_path, false, Search::Unchecked).is_ok()
+        self.reaches(abs_path, false, Search::Unchecked).is_some()
     }
     // ------------------------------------------------------------------
     // God-mode helpers (world building & fault injection)

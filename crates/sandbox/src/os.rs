@@ -512,17 +512,17 @@ impl Os {
     /// The write target's state before the write, from the god-mode
     /// `stat` the probe stands for: whether it existed, its owner when a
     /// regular file, whether the invoker could write it, and its tags.
-    fn pre_write_state(&self, probe: &Probe) -> (bool, Option<Uid>, bool, BTreeSet<FileTag>) {
+    fn pre_write_state(&self, probe: &Probe<'_>) -> (bool, Option<Uid>, bool, BTreeSet<FileTag>) {
         let invoker = self.invoker_cred();
-        match probe.found.as_ref().map(|id| self.fs.inode(*id)) {
-            Ok(Ok(ino)) if ino.is_file() => (
+        match probe.reached().map(|id| self.fs.inode(id)) {
+            Some(Ok(ino)) if ino.is_file() => (
                 true,
                 Some(ino.owner),
                 ino.mode.grants(ino.owner, ino.group, &invoker, Access::Write),
                 ino.tags.clone(),
             ),
-            Ok(_) => (true, None, false, BTreeSet::new()),
-            Err(_) => (false, None, false, BTreeSet::new()),
+            Some(_) => (true, None, false, BTreeSet::new()),
+            None => (false, None, false, BTreeSet::new()),
         }
     }
 
@@ -625,7 +625,7 @@ impl Os {
         // One walk stands for the god-mode `lstat` and parent walk the
         // audit record needs and for the checked parent walk of `unlink`.
         let probe = self.fs.probe(&abs, false, &cred);
-        let target = probe.found.clone()?;
+        let target = self.fs.found(&probe)?;
         let name = crate::fs::final_name(&abs)?;
         let dir = self.fs.parent_of(target);
         let w = self.fs.walked(target);

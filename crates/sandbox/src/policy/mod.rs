@@ -72,6 +72,18 @@ pub enum ViolationKind {
 }
 
 impl ViolationKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [ViolationKind; 8] = [
+        ViolationKind::IntegrityWrite,
+        ViolationKind::IntegrityDelete,
+        ViolationKind::Disclosure,
+        ViolationKind::UntrustedExec,
+        ViolationKind::TaintedPrivilegedOp,
+        ViolationKind::SpoofedAction,
+        ViolationKind::MemoryCorruption,
+        ViolationKind::Custom,
+    ];
+
     /// Stable short name (`"integrity-write"`, ...), the `Display` text.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -432,6 +444,25 @@ mod tests {
 
     fn suid_cred() -> Credentials {
         Credentials::user(Uid(100), Gid(100)).with_euid(Uid::ROOT)
+    }
+
+    #[test]
+    fn all_lists_every_kind_once_in_declaration_order() {
+        // No wildcard arm: a new kind does not compile here until it has a
+        // place in `ALL`.
+        let place = |kind: ViolationKind| match kind {
+            ViolationKind::IntegrityWrite => 0,
+            ViolationKind::IntegrityDelete => 1,
+            ViolationKind::Disclosure => 2,
+            ViolationKind::UntrustedExec => 3,
+            ViolationKind::TaintedPrivilegedOp => 4,
+            ViolationKind::SpoofedAction => 5,
+            ViolationKind::MemoryCorruption => 6,
+            ViolationKind::Custom => 7,
+        };
+        for (i, kind) in ViolationKind::ALL.into_iter().enumerate() {
+            assert_eq!(place(kind), i, "{kind}");
+        }
     }
 
     fn clean_write(by: Credentials) -> WriteInfo {
