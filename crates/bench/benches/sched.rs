@@ -5,17 +5,17 @@
 //! Two measurements:
 //!
 //! 1. **Exploration cost of the clean fixtures** — every production
-//!    concurrency protocol fixture (executor close/pending queue, result
-//!    cache claim + abandon, expanding plan-order reassembly at 2 and 3
-//!    workers, the expanding pool's caller working
-//!    as worker 0) is explored to completion under the preemption bound,
-//!    recording interleavings explored and max schedule depth. Any
-//!    failure here is a regression in a shipped protocol.
-//! 2. **Mutation kill gate** — the three seeded bugs (pending decrement
-//!    outside the shard critical section; claim fulfilment dropping the
-//!    `Pending` slot before publishing `Ready`; an expanding-pool caller
-//!    blocking on `recv` beside a job only it can run) must each be
-//!    caught within bounded exploration. `mutants_killed == mutants_seeded` is
+//!    concurrency protocol fixture (the executor's ordered map at 2 and 3
+//!    workers, its caller working as worker 0, a panicking item releasing
+//!    the pool, and the result cache's claim + abandon protocol) is
+//!    explored to completion under the preemption bound, recording
+//!    interleavings explored and max schedule depth. Any failure here is a
+//!    regression in a shipped protocol.
+//! 2. **Mutation kill gate** — the three seeded bugs (the map's next index
+//!    taken by a separate load and store; a map caller that only joins
+//!    beside an item only it can run; claim fulfilment dropping the
+//!    `Pending` slot before publishing `Ready`) must each be caught within
+//!    bounded exploration. `mutants_killed == mutants_seeded` is
 //!    asserted here and re-validated by CI from the JSON, so a checker
 //!    that silently loses detection power fails the build.
 //!
@@ -54,17 +54,17 @@ fn main() {
     }
 
     let fixtures: Vec<Report> = vec![
-        modelcheck::check_close_protocol(&cfg()),
+        modelcheck::check_map_order(&cfg(), 2),
+        modelcheck::check_map_order(&cfg(), 3),
+        modelcheck::check_caller_runs_an_item(&cfg()),
+        modelcheck::check_panic_releases_the_pool(&cfg()),
         modelcheck::check_claim_protocol(&cfg()),
         modelcheck::check_claim_abandon(&cfg()),
-        modelcheck::check_expanding_reassembly(&cfg(), 2),
-        modelcheck::check_expanding_reassembly(&cfg(), 3),
-        modelcheck::check_caller_works_the_queue(&cfg()),
     ];
     let mutants: Vec<Report> = vec![
-        modelcheck::check_close_protocol_mutant(&cfg()),
+        modelcheck::check_map_order_mutant(&cfg()),
+        modelcheck::check_caller_runs_an_item_mutant(&cfg()),
         modelcheck::check_claim_protocol_mutant(&cfg()),
-        modelcheck::check_caller_works_the_queue_mutant(&cfg()),
     ];
 
     let clean = fixtures.iter().filter(|r| r.failure.is_none()).count();

@@ -320,10 +320,11 @@ pub struct CampaignOptions {
     /// `None`, the default, runs every job static pruning keeps, unkeyed.
     pub cache: Option<crate::engine::planner::ResultCache>,
     /// Can only be `None`: a campaign executes its whole plan (paper §3.3).
-    /// Stop on a coverage criterion with
-    /// [`crate::engine::Session::execute_until`]; shrink the plan with
-    /// [`CampaignOptions::site_filter`], [`CampaignOptions::max_sites`] or
-    /// [`CampaignOptions::max_faults_per_site`]. Kept only so the benchmark
+    /// Shrink the plan with [`CampaignOptions::site_filter`],
+    /// [`CampaignOptions::max_sites`] or
+    /// [`CampaignOptions::max_faults_per_site`], or exclude sites from a
+    /// [`CampaignPlan`] and run it with
+    /// [`crate::engine::Session::execute_plan`]. Kept only so the benchmark
     /// harness (`perfbench/`) builds unchanged; it goes with
     /// [`CampaignOptions::dedup`] in the benchmark change of ROADMAP item 4.
     ///
@@ -807,24 +808,6 @@ mod tests {
         assert_eq!(base.total_faults(), expanded.total_faults());
         assert!(expanded.sites.iter().all(|site| site.occurrences == 1));
         assert_eq!(base.jobs(), expanded.jobs());
-    }
-
-    #[test]
-    fn execute_until_stops_at_the_criterion() {
-        let s = setup();
-        // MiniLpr has two perturbable sites; 0.5 coverage stops after one.
-        let half = Session::from_setup(s.clone()).execute_until(&MiniLpr, 0.5);
-        assert_eq!(half.perturbed_sites, 1);
-        assert_eq!(half.interaction_coverage().fraction(), Some(0.5));
-        assert!(half.injected() < 9);
-        // 1.0 coverage runs everything.
-        let full = Session::from_setup(s.clone()).execute_until(&MiniLpr, 1.0);
-        assert_eq!(full.perturbed_sites, 2);
-        assert_eq!(full.injected(), 9);
-        // An unreachable criterion also runs everything (and reports < 1.0
-        // only if sites were excluded, which they are not here).
-        let over = Session::from_setup(s.clone()).execute_until(&MiniLpr, 2.0);
-        assert_eq!(over.perturbed_sites, 2);
     }
 
     struct Panicker;

@@ -35,7 +35,7 @@ use super::{shrink, Scenario};
 use crate::campaign::{run_once, CampaignOptions};
 use crate::coverage::AdequacyPoint;
 use crate::engine::planner::ResultCache;
-use crate::engine::{Session, Suite};
+use crate::engine::{Executor, Session, Suite};
 use crate::inject::InjectionHook;
 use crate::report::CampaignReport;
 use crate::report::FaultRecord;
@@ -208,7 +208,7 @@ fn diff_lines(baseline: &PathOutcome, candidate: &PathOutcome, seed: u64) -> Opt
 /// 1. `sequential` — the baseline: a session on the calling thread, no
 ///    cache;
 /// 2. `pooled` — the scenario as a one-app [`Suite`] asked for 4
-///    workers (a suite takes no more workers than campaigns, so it runs
+///    workers (a map takes no more workers than items, so it runs
 ///    inline);
 /// 3. `planner-cold` / `planner-warm` — a session with a fresh
 ///    [`ResultCache`], executed twice (the warm pass must replay, and still
@@ -390,10 +390,21 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
 /// [`super::generate::synthesize`]) through [`differential_check`],
 /// shrinking every divergence to a minimal world diff, and rolls up the
 /// dashboard.
+///
+/// Each scenario's check is one item of an [`Executor::map`] at the
+/// default worker count (`EPA_WORKERS` applies); no check starts a pool of
+/// its own. The outcomes come back in scenario order, and any divergence
+/// is then shrunk on the calling thread.
 pub fn run_corpus(seed: u64, scenarios: &[Scenario], factory: AppFactory<'_>) -> CorpusReport {
-    let mut outcomes = Vec::with_capacity(scenarios.len());
-    for scenario in scenarios {
-        let mut outcome = differential_check(scenario, factory);
+    CorpusReport::from_outcomes(seed, &sweep(&Executor::new(), scenarios, factory))
+}
+
+/// [`run_corpus`]'s outcomes, in scenario order, on a given pool.
+fn sweep(executor: &Executor, scenarios: &[Scenario], factory: AppFactory<'_>) -> Vec<ScenarioOutcome> {
+    let mut outcomes = executor.map(scenarios.iter().collect(), |scenario| {
+        differential_check(scenario, factory)
+    });
+    for (scenario, outcome) in scenarios.iter().zip(&mut outcomes) {
         if let Some(d) = &mut outcome.divergence {
             let failing_path = d.path.clone();
             let result = shrink::shrink(scenario, &mut |candidate| {
@@ -403,7 +414,66 @@ pub fn run_corpus(seed: u64, scenarios: &[Scenario], factory: AppFactory<'_>) ->
             });
             d.minimized = result.diff_from_pristine;
         }
-        outcomes.push(outcome);
     }
-    CorpusReport::from_outcomes(seed, &outcomes)
+    outcomes
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::corpus::{synthesize, BehaviorScript, CorpusConfig, DEFAULT_CORPUS_SEED};
+    use epa_sandbox::os::Os;
+    use epa_sandbox::process::Pid;
+    use epa_sandbox::trace::SiteId;
+    use shim_sync::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A scenario's script that panics (a crashed run) on every run past
+    /// its `limit`-th, counted over all the paths of one check.
+    struct Planted {
+        script: BehaviorScript,
+        sites: Vec<SiteId>,
+        runs: AtomicUsize,
+        limit: Option<usize>,
+    }
+
+    impl Application for Planted {
+        fn name(&self) -> &'static str {
+            "planted"
+        }
+
+        fn run(&self, os: &mut Os, pid: Pid) -> i32 {
+            let run = self.runs.fetch_add(1, Ordering::SeqCst) + 1;
+            if let Some(limit) = self.limit.filter(|&limit| run > limit) {
+                panic!("planted: run {run} past {limit}");
+            }
+            self.script.run(&self.sites, os, pid)
+        }
+    }
+
+    #[test]
+    fn a_planted_divergence_shrinks_to_the_same_diff_at_one_and_two_workers() {
+        let scenarios = synthesize(&CorpusConfig {
+            seed: DEFAULT_CORPUS_SEED,
+            count: 4,
+        });
+        let planted = scenarios[1].id.clone();
+        let factory = move |scenario: &Scenario| -> Arc<dyn Application + Send + Sync> {
+            Arc::new(Planted {
+                script: scenario.script.clone(),
+                sites: scenario.script.sites(),
+                runs: AtomicUsize::new(0),
+                limit: (scenario.id == planted).then_some(2),
+            })
+        };
+        let sweeps = [1, 2].map(|workers| sweep(&Executor::with_workers(workers), &scenarios, &factory));
+        let divergences: Vec<Vec<&Divergence>> = sweeps
+            .iter()
+            .map(|outcomes| outcomes.iter().filter_map(|o| o.divergence.as_ref()).collect())
+            .collect();
+        assert_eq!(divergences[0].len(), 1, "only the planted scenario diverges");
+        assert!(sweeps[0][1].divergence.is_some(), "the planted scenario diverges");
+        assert!(!divergences[0][0].minimized.is_empty(), "the divergence is shrunk");
+        assert_eq!(divergences[0], divergences[1], "1 and 2 workers shrink alike");
+        assert_eq!(sweeps[0], sweeps[1]);
+    }
 }

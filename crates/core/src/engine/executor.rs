@@ -1,29 +1,23 @@
-//! The engine's work pool: sharded per-worker deques with a steal path,
+//! The engine's work pool: one ordered map over a shared next index, its
 //! worker count bounded by the hardware (overridable via `EPA_WORKERS`).
 //!
-//! [`Executor::run_expanding`] is the pool's one entry point, and every
-//! campaign runs through it: the engine's driver
+//! [`Executor::map`] is the pool's one entry point. The engine's driver
 //! ([`crate::engine::Suite`], or a [`crate::engine::Session`] as a one-app
-//! suite) seeds one job per campaign, which plans the campaign and runs
-//! all of its injected jobs on the thread that popped it. Each worker owns
-//! a deque, pops its own front, and steals from sibling tails when empty,
-//! so queue contention is spread over `workers` locks instead of one. The
-//! calling thread is worker 0: it spawns `workers - 1` threads and runs
-//! jobs itself whenever no finished result is waiting, so a pool of
-//! `workers` puts at most `workers` threads on the machine, and one worker
-//! runs everything inline. Results stream back over an `mpsc` channel to
-//! the calling thread (so callbacks need no `Sync`), where the driver
-//! files each finished campaign's plan-ordered records under its index,
-//! keeping reports byte-identical at every worker count.
-//!
-//! A completion may also enqueue follow-up jobs. The engine's driver
-//! enqueues none; perfbench's traced pass, the model-check harnesses and
-//! the unit tests below use that path.
+//! suite) maps each campaign to its plan-ordered records, and the corpus
+//! sweep ([`crate::corpus::run_corpus`]) maps each scenario to its
+//! differential outcome. Workers take items through one atomic next index,
+//! so every item runs exactly once, start to finish, on the thread that
+//! took it. The calling thread is worker 0: it spawns `workers - 1`
+//! threads and takes items beside them, so a pool of `workers` puts at
+//! most `workers` threads on the machine, and one worker runs everything
+//! inline. Results come back in input order, which keeps reports
+//! byte-identical at every worker count.
 
-use std::collections::VecDeque;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use shim_sync::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use shim_sync::sync::{mpsc, Condvar, Mutex};
+use shim_sync::sync::Mutex;
 use shim_sync::thread;
 
 /// Live worker-thread gauge (process-wide, across all executors).
@@ -37,9 +31,10 @@ static WARNED_WORKERS: AtomicBool = AtomicBool::new(false);
 /// The highest number of executor worker threads that were alive at the
 /// same moment since the last [`reset_peak_live_workers`] — the observable
 /// proof that pooled execution respects the hardware ceiling. The calling
-/// thread of [`Executor::run_expanding`] counts as a worker while it works
-/// the queue, so this is the total number of live pool threads, caller
-/// included. A one-worker pool runs inline and is not counted.
+/// thread of [`Executor::map`] counts as a worker from before it spawns
+/// the others until they have joined, so this is the total number of live
+/// pool threads, caller included: a two-worker map peaks at exactly 2. A
+/// map that runs inline (one worker, or at most one item) is not counted.
 pub fn peak_live_workers() -> usize {
     PEAK_WORKERS.load(Ordering::SeqCst)
 }
@@ -66,125 +61,9 @@ impl Drop for WorkerGauge {
     }
 }
 
-/// The sharded job queue backing [`Executor::run_expanding`]: one deque
-/// per worker plus a pool-wide pending count and sleep signal.
-///
-/// A worker pops the *front* of its own shard and steals from the *back*
-/// of sibling shards, so under load each worker mostly touches its own
-/// lock. `pending` counts queued-but-unclaimed jobs; it is decremented
-/// inside the owning shard's critical section, which orders every
-/// decrement before [`ShardedQueue::close`]'s final reset (close takes
-/// each shard lock while draining).
-pub(crate) struct ShardedQueue<J> {
-    shards: Vec<Mutex<VecDeque<J>>>,
-    pending: AtomicUsize,
-    /// `true` once the pool is closed; the mutex also anchors the condvar
-    /// sleep of idle workers.
-    closed: Mutex<bool>,
-    ready: Condvar,
-}
-
-impl<J> ShardedQueue<J> {
-    pub(crate) fn new(workers: usize) -> ShardedQueue<J> {
-        ShardedQueue {
-            shards: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            closed: Mutex::new(false),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Distributes `jobs` round-robin across shards starting at `from`,
-    /// then wakes every sleeping worker. Only the calling thread pushes,
-    /// so distribution order is deterministic for a given completion order.
-    ///
-    /// Each job is counted into `pending` **inside the shard critical
-    /// section that makes it poppable**. Counting after the push loop (as
-    /// this method originally did) leaves a window where a stealing
-    /// worker pops a not-yet-counted job while a sibling pops the counted
-    /// one — two decrements against one increment underflows `pending`,
-    /// and a worker whose `pending > 0` fast path short-circuits the
-    /// `closed` check then spins forever past `close`, hanging
-    /// [`Executor::run_expanding`] at scope join. Found by the
-    /// model checker (`engine::modelcheck::check_expanding_reassembly`).
-    pub(crate) fn push_many(&self, from: usize, jobs: Vec<J>) {
-        if jobs.is_empty() {
-            return;
-        }
-        for (k, job) in jobs.into_iter().enumerate() {
-            let shard = (from + k) % self.shards.len();
-            let mut guard = self.shards[shard].lock().expect("shard lock");
-            guard.push_back(job);
-            self.pending.fetch_add(1, Ordering::SeqCst);
-            drop(guard);
-        }
-        // Empty critical section: pairs the wake-up with the sleep below
-        // so a worker cannot check `pending`, miss this push, and then
-        // sleep through the notify.
-        drop(self.closed.lock().expect("queue lock"));
-        self.ready.notify_all();
-    }
-
-    /// One pass over the shards: own front first, then sibling tails.
-    /// Never blocks: `None` means every shard was empty when visited.
-    pub(crate) fn try_pop(&self, worker: usize) -> Option<J> {
-        let n = self.shards.len();
-        for k in 0..n {
-            let victim = (worker + k) % n;
-            let mut shard = self.shards[victim].lock().expect("shard lock");
-            let job = if k == 0 { shard.pop_front() } else { shard.pop_back() };
-            if let Some(job) = job {
-                // Decrement while still holding the shard lock (see the
-                // struct docs for why this orders against `close`).
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// The blocking pop workers loop on: `None` means closed and empty.
-    pub(crate) fn pop(&self, worker: usize) -> Option<J> {
-        loop {
-            if self.pending.load(Ordering::SeqCst) > 0 {
-                if let Some(job) = self.try_pop(worker) {
-                    return Some(job);
-                }
-                // Raced with a sibling for the last job; fall through to
-                // the sleep check rather than spinning.
-            }
-            let mut closed = self.closed.lock().expect("queue lock");
-            loop {
-                if self.pending.load(Ordering::SeqCst) > 0 {
-                    break;
-                }
-                if *closed {
-                    return None;
-                }
-                closed = self.ready.wait(closed).expect("queue lock");
-            }
-        }
-    }
-
-    /// Closes the pool (optionally discarding queued jobs) and wakes every
-    /// sleeper. Only the calling thread calls this, so the drain cannot
-    /// race a concurrent push.
-    pub(crate) fn close(&self, drain: bool) {
-        if drain {
-            for shard in &self.shards {
-                shard.lock().expect("shard lock").clear();
-            }
-            self.pending.store(0, Ordering::SeqCst);
-        }
-        *self.closed.lock().expect("queue lock") = true;
-        self.ready.notify_all();
-    }
-}
-
-/// A bounded pool executing jobs from one shared queue: a **dynamic**
-/// queue where completing a job may enqueue follow-up jobs; the caller
-/// assembles results and works the queue as worker 0. With one worker it
-/// runs inline on the calling thread — no threads are spawned.
+/// A bounded pool that maps a list of items to their results, in input
+/// order. With one worker, or at most one item, it runs inline on the
+/// calling thread and spawns nothing.
 #[derive(Debug, Clone)]
 pub struct Executor {
     workers: usize,
@@ -228,109 +107,88 @@ impl Executor {
         self.workers
     }
 
-    /// Executes an expanding queue: every completed job is handed to
-    /// `on_done` on the calling thread, and whatever jobs `on_done` returns
-    /// are pushed onto the shared queue for idle workers to steal.
+    /// Applies `f` to every item and returns the results in input order.
     ///
-    /// The calling thread is **worker 0**: it spawns `workers - 1` threads
-    /// and works the queue itself between completions, so the pool never
-    /// puts more than `workers` busy threads on the machine. Each turn of
-    /// its loop first drains a finished result (`try_recv`); when none is
-    /// waiting it pops and runs a job from its own shard (stealing like
-    /// any worker); only with the queue empty does it block on `recv`.
-    /// A panic in any step — the caller's own included — closes the pool
-    /// and re-raises on the calling thread.
+    /// Runs on `workers.min(items.len())` threads, the calling thread being
+    /// worker 0: it spawns the others and takes items beside them, each
+    /// thread taking the next index from one shared counter until the
+    /// items run out. One thread runs every item inline, in order.
     ///
-    /// Identity/ordering is the caller's concern — jobs and results carry
-    /// their own indices (the engine's driver files each campaign's
-    /// plan-ordered records under its campaign index).
+    /// A panicking item stops every worker from taking another item; the
+    /// items already running finish, and the first panic (in worker
+    /// order) is re-raised on the calling thread once the scope has
+    /// joined.
+    pub fn map<J, T, F>(&self, items: Vec<J>, f: F) -> Vec<T>
+    where
+        J: Send,
+        T: Send,
+        F: Fn(J) -> T + Sync,
+    {
+        let workers = self.workers.min(items.len());
+        if workers <= 1 {
+            return items.into_iter().map(f).collect();
+        }
+        let slots: Vec<Mutex<Option<J>>> = items.into_iter().map(|item| Mutex::new(Some(item))).collect();
+        let next = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        // One worker's share: `(index, result)` pairs, or the panic that
+        // stopped it.
+        let work = || -> Result<Vec<(usize, T)>, Box<dyn Any + Send>> {
+            let mut done = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
+                let i = next.fetch_add(1, Ordering::SeqCst);
+                let Some(slot) = slots.get(i) else { break };
+                let item = slot.lock().expect("item slot").take().expect("an index is taken once");
+                match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                    Ok(result) => done.push((i, result)),
+                    Err(payload) => {
+                        stop.store(true, Ordering::SeqCst);
+                        return Err(payload);
+                    }
+                }
+            }
+            Ok(done)
+        };
+        let _gauge = WorkerGauge::enter();
+        let shares = thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _gauge = WorkerGauge::enter();
+                        work()
+                    })
+                })
+                .collect();
+            let mut shares = vec![work()];
+            shares.extend(spawned.into_iter().map(|h| h.join().unwrap_or_else(Err)));
+            shares
+        });
+        let mut results = Vec::with_capacity(slots.len());
+        for share in shares {
+            results.extend(share.unwrap_or_else(|payload| resume_unwind(payload)));
+        }
+        results.sort_unstable_by_key(|&(i, _)| i);
+        results.into_iter().map(|(_, result)| result).collect()
+    }
+
+    /// Runs `seed` and every follow-up job in rounds of [`Executor::map`]:
+    /// each round's results go to `on_done` in input order, and the
+    /// follow-ups it returns form the next round.
     ///
-    /// The engine's driver returns no follow-ups: each of its jobs is a
-    /// whole campaign. The follow-up path stays for the model-check
-    /// harnesses in `engine::modelcheck` and for perfbench's traced pass,
-    /// which still fans injected runs out on it.
+    /// No engine path calls it. It stays only so the benchmark harness
+    /// (`perfbench/`) builds unchanged, and it goes with
+    /// [`crate::campaign::CampaignOptions::dedup`] and `plan_budget` in the
+    /// benchmark change of ROADMAP item 4.
     pub fn run_expanding<J, T, F>(&self, seed: Vec<J>, step: F, on_done: &mut dyn FnMut(T) -> Vec<J>)
     where
         J: Send,
         T: Send,
         F: Fn(J) -> T + Sync,
     {
-        if self.workers <= 1 {
-            let mut queue: VecDeque<J> = seed.into();
-            while let Some(job) = queue.pop_front() {
-                queue.extend(on_done(step(job)));
-            }
-            return;
+        let mut round = seed;
+        while !round.is_empty() {
+            round = self.map(round, &step).into_iter().flat_map(&mut *on_done).collect();
         }
-        let mut outstanding = seed.len();
-        if outstanding == 0 {
-            return;
-        }
-        let queue = ShardedQueue::new(self.workers);
-        queue.push_many(0, seed);
-        // Follow-up batches keep rotating through the shards so no worker
-        // starves when completions cluster on one job's children.
-        let mut next_shard = 0usize;
-        // Steps run under `catch_unwind` on every thread: a silently dead
-        // worker would leave its siblings asleep on the condvar and the
-        // caller blocked on `recv` forever, so panics travel as results.
-        let run = |job: J| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(job)));
-        thread::scope(|scope| {
-            type Caught = Box<dyn std::any::Any + Send>;
-            let (tx, rx) = mpsc::channel::<Result<T, Caught>>();
-            for w in 1..self.workers {
-                let tx = tx.clone();
-                let queue = &queue;
-                let run = &run;
-                scope.spawn(move || {
-                    let _gauge = WorkerGauge::enter();
-                    while let Some(job) = queue.pop(w) {
-                        let outcome = run(job);
-                        let failed = outcome.is_err();
-                        if tx.send(outcome).is_err() || failed {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            let _gauge = WorkerGauge::enter();
-            while outstanding > 0 {
-                let outcome = match rx.try_recv() {
-                    Ok(outcome) => outcome,
-                    Err(_) => match queue.try_pop(0) {
-                        Some(job) => run(job),
-                        None => rx.recv().expect("workers alive while jobs outstanding"),
-                    },
-                };
-                let done = match outcome {
-                    Ok(done) => done,
-                    Err(payload) => {
-                        // Wake and release every worker before re-raising,
-                        // or the scope join below would deadlock.
-                        queue.close(true);
-                        std::panic::resume_unwind(payload);
-                    }
-                };
-                outstanding -= 1;
-                // The callback can panic too (it runs user code); release
-                // the workers before letting it unwind.
-                let follow_ups = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| on_done(done))) {
-                    Ok(follow_ups) => follow_ups,
-                    Err(payload) => {
-                        queue.close(true);
-                        std::panic::resume_unwind(payload);
-                    }
-                };
-                if !follow_ups.is_empty() {
-                    outstanding += follow_ups.len();
-                    let count = follow_ups.len();
-                    queue.push_many(next_shard, follow_ups);
-                    next_shard = (next_shard + count) % self.workers;
-                }
-            }
-            queue.close(false);
-        });
     }
 }
 
@@ -371,10 +229,10 @@ fn parse_workers(raw: Option<&str>, hw: usize) -> (usize, Option<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shim_sync::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
 
     #[test]
-    fn expanding_queue_runs_follow_ups() {
+    fn run_expanding_runs_follow_ups_to_completion() {
         // Seed jobs expand into 3 children each; children expand into none.
         for workers in [1, 3] {
             let pool = Executor::with_workers(workers);
@@ -391,71 +249,70 @@ mod tests {
                     }
                 },
             );
-            assert_eq!(seen.len(), 8, "2 seeds + 6 children");
-            assert_eq!(seen.iter().filter(|(_, s)| *s).count(), 2);
+            // Each round reaches the callback in input order.
+            let expected = [
+                (0, true),
+                (1, true),
+                (0, false),
+                (1, false),
+                (2, false),
+                (10, false),
+                (11, false),
+                (12, false),
+            ];
+            assert_eq!(seen, expected, "{workers} workers");
         }
     }
 
     #[test]
-    fn expanding_queue_propagates_panics_instead_of_hanging() {
-        // A panicking step must surface as a panic of `run_expanding`
-        // (with all workers released), never as a silent hang.
-        for workers in [1usize, 3] {
-            let pool = Executor::with_workers(workers);
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.run_expanding(
-                    vec![0usize, 1, 2, 3],
-                    |job| {
-                        if job == 2 {
-                            panic!("deliberate step panic");
-                        }
-                        job
-                    },
-                    &mut |_| Vec::new(),
-                );
-            }));
-            assert!(caught.is_err(), "workers={workers}: the panic must propagate");
+    fn map_reraises_an_item_panic_after_the_join() {
+        for workers in [1usize, 2, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                Executor::with_workers(workers).map(vec![0usize, 1, 2, 3], |item| {
+                    assert_ne!(item, 2, "deliberate item panic");
+                    item
+                })
+            });
+            assert!(caught.is_err(), "{workers} workers: the panic must propagate");
         }
-        // At 2 workers the pool is the calling thread plus one spawned
-        // worker: force the panic onto each in turn. The other thread's
-        // steps wait (bounded) until the panicking thread has taken its
-        // job, so the panic cannot be dodged by one thread draining the
-        // queue alone.
+        // At 2 workers, force the panic onto each thread in turn: each
+        // thread's first item waits (bounded) until both threads hold one,
+        // then the item on the chosen thread panics and the other waits
+        // out the panic. No later item may start: both threads stop taking
+        // items once the panic is seen.
+        let wait_for = |done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(1));
+            }
+        };
         let caller = thread::current().id();
         for on_caller in [true, false] {
+            let started: Vec<AtomicBool> = (0..16).map(|_| AtomicBool::new(false)).collect();
+            let holding = AtomicUsize::new(0);
             let panicked = AtomicBool::new(false);
-            let pool = Executor::with_workers(2);
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.run_expanding(
-                    vec![0usize, 1, 2, 3],
-                    |job| {
-                        if (thread::current().id() == caller) == on_caller {
-                            panicked.store(true, Ordering::SeqCst);
-                            panic!("deliberate step panic");
-                        }
-                        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-                        while !panicked.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
-                            thread::sleep(std::time::Duration::from_millis(1));
-                        }
-                        job
-                    },
-                    &mut |_| Vec::new(),
-                );
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                Executor::with_workers(2).map((0..16).collect(), |item: usize| {
+                    started[item].store(true, Ordering::SeqCst);
+                    holding.fetch_add(1, Ordering::SeqCst);
+                    wait_for(&|| holding.load(Ordering::SeqCst) >= 2);
+                    if (thread::current().id() == caller) == on_caller {
+                        panicked.store(true, Ordering::SeqCst);
+                        panic!("deliberate item panic");
+                    }
+                    wait_for(&|| panicked.load(Ordering::SeqCst));
+                    // Let the panicking thread raise the stop flag.
+                    thread::sleep(Duration::from_millis(100));
+                })
             }));
+            let thread = if on_caller { "calling thread" } else { "spawned worker" };
+            assert!(caught.is_err(), "a panic on the {thread} must propagate");
+            let late: Vec<usize> = (2..16).filter(|&i| started[i].load(Ordering::SeqCst)).collect();
             assert!(
-                caught.is_err(),
-                "a step panic on the {} must propagate",
-                if on_caller { "calling thread" } else { "spawned worker" }
+                late.is_empty(),
+                "panic on the {thread}: items {late:?} started after it"
             );
         }
-        // A panicking completion callback likewise.
-        let pool = Executor::with_workers(3);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_expanding(vec![0usize, 1], |job| job, &mut |_| -> Vec<usize> {
-                panic!("deliberate callback panic");
-            });
-        }));
-        assert!(caught.is_err());
     }
 
     #[test]
@@ -494,11 +351,10 @@ mod tests {
     fn worker_gauge_observes_spawned_workers() {
         // The gauge is process-global (other tests may run pools
         // concurrently), so only the lower bound is assertable here; the
-        // `<= available_parallelism` ceiling is pinned by the integration
-        // test `tests/executor.rs`, which serializes its pool runs.
+        // exact peaks are pinned by the integration test
+        // `tests/executor.rs`, which serializes its pool runs.
         reset_peak_live_workers();
-        let pool = Executor::with_workers(2);
-        pool.run_expanding((0..32).collect(), |j: usize| j, &mut |_| Vec::new());
+        Executor::with_workers(2).map((0..32).collect(), |j: usize| j);
         assert!(peak_live_workers() >= 1, "workers never entered the gauge");
     }
 }

@@ -24,13 +24,13 @@
 //!    provably inert jobs. Every other job executes.
 //! 5. **[`Executor`]** (`executor`) — the one work pool: every campaign,
 //!    a suite's or a session's (as a one-app suite), runs through the same
-//!    driver on [`Executor::run_expanding`] as **one job**. The worker that
-//!    pops it plans the campaign, builds its schedule (and with it every
-//!    cache and store lookup), runs its pending jobs and files its records
-//!    in plan order, so reports are byte-identical at every worker count.
-//!    The calling thread is worker 0 of the pool, and one worker runs
-//!    everything inline. Only a suite owns a multi-worker pool; a session
-//!    runs on the calling thread.
+//!    driver as **one item** of [`Executor::map`]. The worker that takes
+//!    it plans the campaign, builds its schedule (and with it every cache
+//!    and store lookup), runs its pending jobs and files its records in
+//!    plan order; the map returns results in input order, so reports are
+//!    byte-identical at every worker count. The calling thread is worker 0
+//!    of the pool, and one worker runs everything inline. Only a suite
+//!    owns a multi-worker pool; a session runs on the calling thread.
 //!
 //! # Example
 //!

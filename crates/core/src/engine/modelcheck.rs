@@ -2,45 +2,43 @@
 //! (`model-check` feature only).
 //!
 //! Each fixture wraps one protocol in a small closed scenario — 2–3
-//! workers, 3–6 jobs — and hands it to the shim's cooperative scheduler
+//! workers, 2–3 items — and hands it to the shim's cooperative scheduler
 //! ([`shim_sync::model::check`]), which explores every interleaving
 //! within the preemption bound. The *production* types are checked, not
-//! copies: under the `model-check` feature [`ShardedQueue`],
-//! [`ResultCache`], and [`Executor`] compile against the shim's model
-//! personality, so the code paths explored here are byte-for-byte the
-//! ones tier-1 builds run under `std`.
+//! copies: under the `model-check` feature [`Executor`] and
+//! [`ResultCache`] compile against the shim's model personality, so the
+//! code paths explored here are byte-for-byte the ones tier-1 builds run
+//! under `std`.
 //!
 //! Three **seeded mutants** accompany the real protocols as a mutation
-//! gate for the checker itself (if the checker cannot kill a bug we
-//! once shipped, its green runs mean nothing):
+//! gate for the checker itself (if the checker cannot kill a bug, its
+//! green runs mean nothing):
 //!
-//! * [`check_close_protocol_mutant`] re-introduces the pre-PR-8 close
-//!   race: the queue's `pending` counter decremented *outside* the
-//!   owning shard's critical section. A sibling that reads the stale
-//!   count spins between "pending says there is work" and "every shard
-//!   is empty" for as long as the popping worker stays preempted — the
-//!   checker reports the livelock via its step bound.
+//! * [`check_map_order_mutant`] takes the map's next index with a
+//!   separate load and store instead of one `fetch_add`. Two workers that
+//!   both load before either stores take the same index; the second finds
+//!   the item gone and panics.
+//! * [`check_caller_runs_an_item_mutant`] breaks the map's
+//!   caller-as-worker contract: the calling thread spawns `workers - 1`
+//!   threads, as worker 0 must, but then only joins them. With the one
+//!   spawned worker parked on an item that waits for the other, nothing
+//!   can run — the checker reports the deadlock.
 //! * [`check_claim_protocol_mutant`] breaks the cache claim protocol's
 //!   exactly-once guarantee: `fulfill` drops the `Pending` slot and
 //!   signals *before* publishing the digest. A waiter that rechecks in
 //!   the gap finds no slot at all, concludes the claim was abandoned,
 //!   and re-executes the run — the fixture's execution counter turns
 //!   that into an assertion failure on the offending schedule.
-//! * [`check_caller_works_the_queue_mutant`] breaks the expanding
-//!   pool's caller-as-worker contract: the calling thread spawns
-//!   `workers - 1` threads but never works the queue, blocking on `recv`
-//!   while a job that only its shard holds waits to run. With the one
-//!   spawned worker parked on that job's outcome, nothing is runnable —
-//!   the checker reports the deadlock.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use shim_sync::model::{check, Config, Report};
 use shim_sync::sync::atomic::{AtomicUsize, Ordering};
 use shim_sync::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use shim_sync::thread;
 
-use crate::engine::executor::{Executor, ShardedQueue};
+use crate::engine::executor::Executor;
 use crate::engine::planner::{Claim, FaultKey, ResultCache, RunDigest};
 
 /// A digest with recognizable content for replay assertions.
@@ -54,64 +52,161 @@ fn digest(exit: i32) -> RunDigest {
     }
 }
 
-/// The close/pending protocol of the executor's sharded queue: two
-/// workers drain three jobs while the collector closes the pool after
-/// the last result arrives. Every schedule must deliver all three jobs
-/// exactly once and both workers must terminate (`pop -> None`).
-pub fn check_close_protocol(cfg: &Config) -> Report {
-    check("executor.close_protocol", cfg, || {
-        let queue: ShardedQueue<usize> = ShardedQueue::new(2);
-        queue.push_many(0, vec![10, 20, 30]);
-        let (tx, rx) = mpsc::channel::<usize>();
-        thread::scope(|scope| {
-            for w in 0..2 {
-                let tx = tx.clone();
-                let queue = &queue;
-                scope.spawn(move || {
-                    while let Some(job) = queue.pop(w) {
-                        if tx.send(job).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            let mut got: Vec<usize> = (0..3).map(|_| rx.recv().expect("job result")).collect();
-            queue.close(false);
-            got.sort_unstable();
-            assert_eq!(got, vec![10, 20, 30], "every job delivered exactly once");
-        });
+/// [`Executor::map`] at `workers` workers (2 and 3 in the gate: the
+/// calling thread as worker 0 plus one or two spawned threads) over three
+/// items: in every schedule, every index runs exactly once and the results
+/// come back in input order.
+pub fn check_map_order(cfg: &Config, workers: usize) -> Report {
+    check(&format!("executor.map_order.{workers}w"), cfg, move || {
+        map_order(|items, f| Executor::with_workers(workers).map(items, f));
     })
 }
 
-/// Seeded mutant of [`check_close_protocol`]: the queue decrements
-/// `pending` after releasing the shard lock (the pre-PR-8 bug). See the
-/// module docs for the failing schedule; the expected verdict is a
-/// step-bound livelock report.
-pub fn check_close_protocol_mutant(cfg: &Config) -> Report {
-    check("executor.close_protocol.mutant", cfg, || {
-        let queue: MutantQueue<usize> = MutantQueue::new(2);
-        queue.push_many(vec![10, 20, 30]);
-        let (tx, rx) = mpsc::channel::<usize>();
-        thread::scope(|scope| {
-            for w in 0..2 {
-                let tx = tx.clone();
-                let queue = &queue;
-                scope.spawn(move || {
-                    while let Some(job) = queue.pop(w) {
-                        if tx.send(job).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            let mut got: Vec<usize> = (0..3).map(|_| rx.recv().expect("job result")).collect();
-            queue.close();
-            got.sort_unstable();
-            assert_eq!(got, vec![10, 20, 30]);
-        });
+/// Seeded mutant of [`check_map_order`]: the next index is taken by a
+/// separate load and store. The checker must find the schedule where two
+/// workers take the same index.
+pub fn check_map_order_mutant(cfg: &Config) -> Report {
+    check("executor.map_order.mutant", cfg, || {
+        map_order(|items, f| mutant_map(2, items, f, Bug::SplitIndex));
     })
+}
+
+/// The caller-as-worker property of [`Executor::map`] at 2 workers (the
+/// caller plus one spawned thread): [`WAITER`] blocks until [`GATE`] has
+/// run. In the schedules where the spawned worker takes `WAITER`, only the
+/// calling thread can run `GATE`, so every schedule completes only if the
+/// caller takes items instead of just joining.
+pub fn check_caller_runs_an_item(cfg: &Config) -> Report {
+    check("executor.caller_runs_an_item", cfg, || {
+        let latch = Latch::new();
+        let done = Executor::with_workers(2).map(vec![WAITER, GATE], |item| latch.step(item));
+        assert_eq!(done, vec![WAITER, GATE], "both items complete");
+    })
+}
+
+/// Seeded mutant of [`check_caller_runs_an_item`]: the caller spawns
+/// `workers - 1` threads and only joins them. The spawned worker takes
+/// `WAITER` and parks, and nothing runs `GATE`: the checker must report
+/// the deadlock.
+pub fn check_caller_runs_an_item_mutant(cfg: &Config) -> Report {
+    check("executor.caller_runs_an_item.mutant", cfg, || {
+        let latch = Latch::new();
+        let done = mutant_map(2, vec![WAITER, GATE], |item| latch.step(item), Bug::IdleCaller);
+        assert_eq!(done, vec![WAITER, GATE], "both items complete");
+    })
+}
+
+/// A panicking item releases the pool: at 2 workers, the middle of three
+/// items panics, and in every schedule the other worker stops, the scope
+/// joins, and [`Executor::map`] re-raises that item's panic.
+pub fn check_panic_releases_the_pool(cfg: &Config) -> Report {
+    check("executor.panic_releases_the_pool", cfg, || {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            Executor::with_workers(2).map(vec![0usize, 1, 2], |item| {
+                if item == 1 {
+                    // Unwinds without the panic hook's message.
+                    resume_unwind(Box::new("deliberate item panic"));
+                }
+                item
+            })
+        }));
+        let payload = caught.expect_err("the item's panic is re-raised");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"deliberate item panic"));
+    })
+}
+
+/// Maps items `0..3` through `map`, counting each item's runs: every index
+/// must run exactly once, and its result must come back at its index.
+fn map_order(map: impl FnOnce(Vec<usize>, &(dyn Fn(usize) -> usize + Sync)) -> Vec<usize>) {
+    let runs: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+    let results = map(vec![0, 1, 2], &|i| {
+        runs[i].fetch_add(1, Ordering::SeqCst);
+        i * 10
+    });
+    assert_eq!(results, vec![0, 10, 20], "results come back in input order");
+    for count in &runs {
+        assert_eq!(count.load(Ordering::SeqCst), 1, "every index runs exactly once");
+    }
+}
+
+/// The item of [`check_caller_runs_an_item`] that opens the latch.
+const GATE: usize = 1;
+/// The item of [`check_caller_runs_an_item`] that waits for [`GATE`].
+const WAITER: usize = 0;
+
+/// A one-shot gate between the two items of
+/// [`check_caller_runs_an_item`]. The waiter blocks on a channel rather
+/// than a condvar, so a run where nobody can open the gate reads as a
+/// deadlock.
+struct Latch {
+    open: mpsc::Sender<()>,
+    opened: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Latch {
+    fn new() -> Latch {
+        let (open, opened) = mpsc::channel();
+        Latch {
+            open,
+            opened: Mutex::new(opened),
+        }
+    }
+
+    /// Runs one item: [`GATE`] opens the latch, [`WAITER`] blocks until it
+    /// is open.
+    fn step(&self, item: usize) -> usize {
+        if item == GATE {
+            self.open.send(()).expect("the waiter's receiver lives");
+        } else {
+            self.opened.lock().expect("latch lock").recv().expect("the gate opens");
+        }
+        item
+    }
+}
+
+/// The seeded bugs of [`mutant_map`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Bug {
+    /// The next index is taken by a separate load and store.
+    SplitIndex,
+    /// The caller spawns `workers - 1` threads and only joins them.
+    IdleCaller,
+}
+
+/// [`Executor::map`] with one seeded [`Bug`] (and without the worker gauge
+/// or the panic hand-off, which neither mutant exercises).
+fn mutant_map<J: Send, T: Send>(workers: usize, items: Vec<J>, f: impl Fn(J) -> T + Sync, bug: Bug) -> Vec<T> {
+    let slots: Vec<Mutex<Option<J>>> = items.into_iter().map(|item| Mutex::new(Some(item))).collect();
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = if bug == Bug::SplitIndex {
+                // BUG under test: a sibling can load the same index before
+                // this store.
+                let i = next.load(Ordering::SeqCst);
+                next.store(i + 1, Ordering::SeqCst);
+                i
+            } else {
+                next.fetch_add(1, Ordering::SeqCst)
+            };
+            let Some(slot) = slots.get(i) else { break };
+            let item = slot.lock().expect("item slot").take().expect("an index is taken once");
+            done.push((i, f(item)));
+        }
+        done
+    };
+    let mut results = thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        // BUG under test (`IdleCaller`): the caller takes no item.
+        let mut results = if bug == Bug::IdleCaller { Vec::new() } else { work() };
+        for handle in spawned {
+            results.extend(handle.join().expect("mutant worker"));
+        }
+        results
+    });
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 /// The result cache's claim protocol on the **production**
@@ -191,219 +286,6 @@ pub fn check_claim_protocol_mutant(cfg: &Config) -> Report {
         });
         assert_eq!(executed.load(Ordering::SeqCst), 1, "exactly one claimant executes");
     })
-}
-
-/// The follow-up path of [`Executor::run_expanding`] at `workers`
-/// workers (2 and 3 in the gate: the calling thread as worker 0 plus one
-/// or two spawned threads): 2 seed jobs each fan out into 2 follow-up
-/// jobs on completion, so the steal path — and
-/// the caller working its own shard between completions — delivers
-/// children maximally out-of-order. The caller-side reassembly by job
-/// index must match the sequential run byte-for-byte in every schedule.
-pub fn check_expanding_reassembly(cfg: &Config, workers: usize) -> Report {
-    let sequential = format!("{:?}", expanding_slots(1));
-    check(&format!("executor.expanding_reassembly.{workers}w"), cfg, move || {
-        assert_eq!(
-            format!("{:?}", expanding_slots(workers)),
-            sequential,
-            "steal-path delivery order must not leak into the report"
-        );
-    })
-}
-
-/// The caller-as-worker liveness property of [`Executor::run_expanding`]
-/// at 2 workers (the caller plus one spawned thread): the spawned worker
-/// pops [`WAITER`] from its own shard and blocks until [`GATE`] has run,
-/// while `GATE` sits on the caller's shard. Only the calling thread can
-/// run it, so every schedule completes only if the caller works the queue
-/// instead of blocking on `recv` while a job is queued.
-pub fn check_caller_works_the_queue(cfg: &Config) -> Report {
-    check("executor.caller_works_the_queue", cfg, || {
-        let latch = Latch::default();
-        let mut done = Vec::new();
-        Executor::with_workers(2).run_expanding(vec![GATE, WAITER], |job| latch.step(job), &mut |job| {
-            done.push(job);
-            Vec::new()
-        });
-        done.sort_unstable();
-        assert_eq!(done, vec![GATE, WAITER], "both jobs complete");
-    })
-}
-
-/// Seeded mutant of [`check_caller_works_the_queue`]: the caller spawns
-/// `workers - 1` threads, as worker 0 must, but then only collects
-/// results with a blocking `recv` and never pops a job itself. With the
-/// spawned worker parked on the gate and the gate queued on the caller's
-/// shard, nothing can run: the checker must report the deadlock.
-pub fn check_caller_works_the_queue_mutant(cfg: &Config) -> Report {
-    check("executor.caller_works_the_queue.mutant", cfg, || {
-        let latch = Latch::default();
-        let done = mutant_run_expanding(2, vec![GATE, WAITER], |job| latch.step(job));
-        assert_eq!(done.len(), 2, "both jobs complete");
-    })
-}
-
-/// Runs the suite-shaped expanding workload on `workers` workers and
-/// reassembles results by job index (as the campaign driver behind
-/// `Suite::execute` does).
-fn expanding_slots(workers: usize) -> BTreeMap<usize, usize> {
-    let pool = Executor::with_workers(workers);
-    let mut slots: BTreeMap<usize, usize> = BTreeMap::new();
-    // Seeds 1 and 2 expand into children 10*id+1 / 10*id+2.
-    pool.run_expanding(vec![1usize, 2], |job| (job, job * 100), &mut |(job, result)| {
-        slots.insert(job, result);
-        if job < 10 {
-            vec![job * 10 + 1, job * 10 + 2]
-        } else {
-            Vec::new()
-        }
-    });
-    slots
-}
-
-/// The job of [`check_caller_works_the_queue`] that opens the latch.
-const GATE: usize = 0;
-/// The job of [`check_caller_works_the_queue`] that waits for [`GATE`].
-const WAITER: usize = 1;
-
-/// A one-shot gate between the two jobs of
-/// [`check_caller_works_the_queue`].
-#[derive(Default)]
-struct Latch {
-    open: Mutex<bool>,
-    opened: Condvar,
-}
-
-impl Latch {
-    /// Runs one job: [`GATE`] opens the latch, [`WAITER`] blocks until it
-    /// is open.
-    fn step(&self, job: usize) -> usize {
-        let mut open = self.open.lock().expect("latch lock");
-        if job == GATE {
-            *open = true;
-            drop(open);
-            self.opened.notify_all();
-        } else {
-            while !*open {
-                open = self.opened.wait(open).expect("latch lock");
-            }
-        }
-        job
-    }
-}
-
-/// [`Executor::run_expanding`] (without follow-up jobs) with the seeded
-/// caller bug (see [`check_caller_works_the_queue_mutant`]): `workers - 1`
-/// spawned threads over the production [`ShardedQueue`], and a caller that
-/// only ever blocks on `recv`.
-fn mutant_run_expanding<J: Send, T: Send>(workers: usize, seed: Vec<J>, step: impl Fn(J) -> T + Sync) -> Vec<T> {
-    let jobs = seed.len();
-    let queue = ShardedQueue::new(workers);
-    queue.push_many(0, seed);
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<T>();
-        for w in 1..workers {
-            let tx = tx.clone();
-            let queue = &queue;
-            let step = &step;
-            scope.spawn(move || {
-                while let Some(job) = queue.pop(w) {
-                    if tx.send(step(job)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // BUG under test: blocks for each result even while a job that
-        // only this thread's shard holds is waiting to run.
-        let done = (0..jobs)
-            .map(|_| rx.recv().expect("workers alive while jobs outstanding"))
-            .collect();
-        queue.close(false);
-        done
-    })
-}
-
-/// [`ShardedQueue`] with the pre-PR-8 seeded bug: `pending` decremented
-/// *after* the shard lock is released (see the module docs).
-struct MutantQueue<J> {
-    shards: Vec<Mutex<VecDeque<J>>>,
-    pending: AtomicUsize,
-    closed: Mutex<bool>,
-    ready: Condvar,
-}
-
-impl<J> MutantQueue<J> {
-    fn new(workers: usize) -> MutantQueue<J> {
-        MutantQueue {
-            shards: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            closed: Mutex::new(false),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push_many(&self, jobs: Vec<J>) {
-        let n = jobs.len();
-        for (k, job) in jobs.into_iter().enumerate() {
-            self.shards[k % self.shards.len()]
-                .lock()
-                .expect("shard lock")
-                .push_back(job);
-        }
-        self.pending.fetch_add(n, Ordering::SeqCst);
-        drop(self.closed.lock().expect("queue lock"));
-        self.ready.notify_all();
-    }
-
-    fn try_pop(&self, worker: usize) -> Option<J> {
-        let n = self.shards.len();
-        for k in 0..n {
-            let victim = (worker + k) % n;
-            let job = {
-                let mut shard = self.shards[victim].lock().expect("shard lock");
-                if k == 0 {
-                    shard.pop_front()
-                } else {
-                    shard.pop_back()
-                }
-                // BUG under test: the shard lock is released here, BEFORE
-                // the pending decrement below — a sibling can observe
-                // `pending > 0` with every shard already empty.
-            };
-            if let Some(job) = job {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn pop(&self, worker: usize) -> Option<J> {
-        loop {
-            if self.pending.load(Ordering::SeqCst) > 0 {
-                if let Some(job) = self.try_pop(worker) {
-                    return Some(job);
-                }
-            }
-            let mut closed = self.closed.lock().expect("queue lock");
-            loop {
-                if self.pending.load(Ordering::SeqCst) > 0 {
-                    break;
-                }
-                if *closed {
-                    return None;
-                }
-                closed = self.ready.wait(closed).expect("queue lock");
-            }
-        }
-    }
-
-    fn close(&self) {
-        *self.closed.lock().expect("queue lock") = true;
-        self.ready.notify_all();
-    }
 }
 
 /// Outcome of [`MutantCache::begin`].

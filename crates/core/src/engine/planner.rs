@@ -5,7 +5,7 @@
 //! enumerates the *useful* perturbation space, but a naive planner
 //! materializes every `(site × catalog pattern)` pair and re-runs
 //! byte-identical faults across the suite. This module sits between the
-//! fault plan ([`crate::campaign::CampaignPlan`]) and the work-stealing
+//! fault plan ([`crate::campaign::CampaignPlan`]) and the
 //! [`crate::engine::Executor`] and prunes that space without losing a
 //! single detection:
 //!

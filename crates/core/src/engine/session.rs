@@ -113,34 +113,13 @@ impl Session {
         campaign.report_from(&plan.tally(), records)
     }
 
-    /// The paper's incremental step 9: perturb sites in plan order until
-    /// the interaction-coverage criterion is met.
-    ///
-    /// Plans once, keeps the shortest prefix of included perturbable sites
-    /// whose share of all perturbable sites reaches
-    /// `min_interaction_coverage` (at least one site; every included site
-    /// when no prefix reaches it), excludes the later sites and runs the
-    /// plan through [`Session::execute_plan`].
-    pub fn execute_until(&self, app: &dyn Application, min_interaction_coverage: f64) -> CampaignReport {
-        let mut plan = self.plan(app);
-        let total = plan.sites.iter().filter(|s| !s.faults.is_empty()).count();
-        let mut kept = 0usize;
-        for site in plan.sites.iter_mut().filter(|s| s.included && !s.faults.is_empty()) {
-            if kept > 0 && kept as f64 / total as f64 >= min_interaction_coverage {
-                site.included = false;
-            } else {
-                kept += 1;
-            }
-        }
-        self.execute_plan(app, &plan)
-    }
-
     pub(crate) fn campaign<'a>(&'a self, app: &'a dyn Application) -> Campaign<'a> {
         Campaign::build(app, &self.setup, self.options.clone())
     }
 
     /// Runs one campaign through the engine's driver as a one-app suite, on
-    /// the calling thread (a [`crate::engine::Suite`] owns the only pool).
+    /// the calling thread: the driver's map at one worker runs inline (a
+    /// [`crate::engine::Suite`] owns the only pool).
     /// `jobs` as in the driver: `None` plans first.
     fn drive(
         &self,
@@ -248,7 +227,6 @@ mod tests {
             );
         };
         check("execute", &|app| s.execute(app));
-        check("execute_until", &|app| s.execute_until(app, 1.0));
         check("execute_plan", &|app| s.execute_plan(app, &s.plan(app)));
     }
 }

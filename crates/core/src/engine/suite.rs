@@ -3,10 +3,10 @@
 //!
 //! A [`Suite`] registers applications with their [`WorldSpec`]s (or
 //! pre-built [`Session`]s) and executes every campaign in one call. The
-//! campaign is the unit of work: each is **one job on one suite-wide
-//! [`Executor`] queue** (worker count bounded by the hardware — no
+//! campaign is the unit of work: each is **one item of one suite-wide
+//! [`Executor::map`]** (worker count bounded by the hardware — no
 //! per-application thread fan-out, no oversubscription), and the thread
-//! that pops it plans the campaign, runs every injected job against the
+//! that takes it plans the campaign, runs every injected job against the
 //! same pristine world and files the records in plan order. That driver,
 //! `drive`, is the engine's only execution path: a [`Session`] runs its
 //! campaign as a one-app suite, and "sequential" is the same driver at one
@@ -162,9 +162,9 @@ impl Suite {
     }
 
     /// Executes every registered campaign and returns the report. Each
-    /// campaign is one job on **one suite-wide [`Executor`] queue** bounded
+    /// campaign is one item of **one suite-wide [`Executor::map`]** bounded
     /// by `available_parallelism` workers (or [`Suite::with_workers`]), and
-    /// never more workers than campaigns: the worker that pops a campaign
+    /// never more workers than campaigns: the worker that takes a campaign
     /// plans it and runs all of its injected jobs, so a suite keeps every
     /// worker busy while it has at least as many campaigns as workers. The
     /// report is in registration order and byte-identical at every worker
@@ -181,10 +181,7 @@ impl Suite {
                 campaign
             })
             .collect();
-        // Each campaign is one job, so a worker past the campaign count
-        // would only idle: a one-campaign suite runs inline.
-        let workers = self.workers.unwrap_or_else(|| Executor::new().workers());
-        let executor = Executor::with_workers(workers.min(campaigns.len()));
+        let executor = self.workers.map_or_else(Executor::new, Executor::with_workers);
         let finished = drive(&executor, &campaigns, vec![None; campaigns.len()]);
         SuiteReport {
             reports: campaigns
@@ -198,13 +195,13 @@ impl Suite {
     }
 }
 
-/// The one execution path: one job per campaign on one
-/// [`Executor::run_expanding`] queue. A [`Suite`] drives all its campaigns
-/// at once; a [`Session`] drives one, as a one-app suite.
+/// The one execution path: one item per campaign of one
+/// [`Executor::map`]. A [`Suite`] drives all its campaigns at once; a
+/// [`Session`] drives one, as a one-app suite.
 ///
 /// `jobs[app]` is `None` to trace and plan campaign `app` on the pool, or
-/// the job list of a pre-built plan to run. Whichever thread pops a
-/// campaign's job does all of that campaign's work: it builds the schedule
+/// the job list of a pre-built plan to run. Whichever thread takes a
+/// campaign does all of that campaign's work: it builds the schedule
 /// (under a cache, canonical keys and cache and store lookups; then static
 /// pruning of the misses) and then files every record in plan order. A
 /// pruned or cache-resolved job replays its digest; every pending job runs
@@ -213,8 +210,7 @@ impl Suite {
 /// Under a cache, a pending job runs through the cache's claim, so equal
 /// keys execute once across campaigns and suites. A claim is held only
 /// while its own run executes, so no job waits on a claim while holding
-/// one. Without a cache, each pending job runs. The completion callback
-/// only files the finished campaign and enqueues nothing.
+/// one. Without a cache, each pending job runs.
 ///
 /// Returns one `(tally, records)` per campaign, in `campaigns` order:
 /// `tally` is what the report reads of the plan built on the pool (`None`
@@ -225,22 +221,12 @@ pub(crate) fn drive(
     campaigns: &[Campaign<'_>],
     jobs: Vec<Option<Vec<InjectionPlan>>>,
 ) -> Vec<(Option<PlanTally>, Vec<FaultRecord>)> {
-    let mut finished: Vec<Option<(Option<PlanTally>, Vec<FaultRecord>)>> = campaigns.iter().map(|_| None).collect();
-    executor.run_expanding(
-        jobs.into_iter().enumerate().collect(),
-        |(app, jobs)| (app, run_campaign(&campaigns[app], jobs)),
-        &mut |(app, outcome)| {
-            finished[app] = Some(outcome);
-            Vec::new()
-        },
-    );
-    finished
-        .into_iter()
-        .map(|f| f.expect("the driver finishes every campaign"))
-        .collect()
+    executor.map(campaigns.iter().zip(jobs).collect(), |(campaign, jobs)| {
+        run_campaign(campaign, jobs)
+    })
 }
 
-/// One campaign's job on the driver's queue: plan it when no job list was
+/// One campaign's item of the driver's map: plan it when no job list was
 /// handed over, schedule it, and build every record in plan order.
 fn run_campaign(campaign: &Campaign<'_>, jobs: Option<Vec<InjectionPlan>>) -> (Option<PlanTally>, Vec<FaultRecord>) {
     let (tally, jobs) = match jobs {

@@ -139,7 +139,7 @@ fn faults_fire_in_almost_all_runs() {
 
 #[test]
 fn the_suite_wide_executor_matches_per_session_campaigns() {
-    // The pooled suite path (one shared job queue across all eight apps)
+    // The pooled suite path (one map over all eight apps' campaigns)
     // must reproduce every per-session campaign record-for-record — the
     // migration contract for the retired per-app thread fan-out.
     let batch = standard_suite().expect("valid specs").execute();

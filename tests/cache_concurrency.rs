@@ -52,8 +52,8 @@ fn build_pooled_suite(workers: usize) -> Suite {
 
 #[test]
 fn pinned_worker_pools_stay_byte_identical_to_sequential() {
-    // The sharded executor queue must reassemble plan order regardless of
-    // how many workers raced over the shards: the full report — records,
+    // The executor's map must return plan order regardless of how many
+    // workers raced for the next campaign: the full report — records,
     // replay flags, verdicts — serializes byte-identically to sequential.
     let sequential = build_suite(&ResultCache::new()).execute();
     let sequential_json = serde_json::to_string(&sequential).expect("serialize");

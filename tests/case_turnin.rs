@@ -135,33 +135,3 @@ fn violations_per_site_match_the_analysis() {
         assert_eq!((row.1, row.2), (injected, violated), "{site}");
     }
 }
-
-/// Incremental step 9 perturbs the shortest prefix of perturbable sites
-/// whose share reaches the criterion (at least one site, every site when no
-/// prefix does) and runs there exactly what the full campaign runs.
-#[test]
-fn execute_until_runs_the_full_campaigns_records_over_a_site_prefix() {
-    let session = Session::from_setup(turnin::spec().materialize().unwrap());
-    let full = session.execute(&Turnin);
-    let plan = session.plan(&Turnin);
-    let perturbable: Vec<String> = plan
-        .sites
-        .iter()
-        .filter(|s| !s.faults.is_empty())
-        .map(|s| s.summary.site.to_string())
-        .collect();
-    let n = perturbable.len();
-    assert!(n > 2, "turnin has more than two perturbable sites");
-    for coverage in [0.0, 0.3, 0.5, 1.0, 2.0] {
-        let k = ((coverage * n as f64).ceil() as usize).clamp(1, n);
-        let report = session.execute_until(&Turnin, coverage);
-        assert_eq!(report.perturbed_sites, k, "coverage {coverage}");
-        let expected: Vec<_> = full
-            .records
-            .iter()
-            .filter(|r| perturbable[..k].contains(&r.site))
-            .cloned()
-            .collect();
-        assert_eq!(report.records, expected, "coverage {coverage}");
-    }
-}

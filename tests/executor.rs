@@ -1,17 +1,18 @@
-//! Integration: the work-stealing executor every campaign runs on — thread
-//! ceiling, deterministic reassembly, and agreement with the one-worker
-//! path.
+//! Integration: the ordered map every campaign runs on — input order,
+//! exactly-once items, the thread ceiling, and agreement with the
+//! one-worker path.
 //!
 //! The pool's worker gauge is process-global, so every test in this binary
 //! that runs a pool takes `POOL_LOCK` first; the ceiling assertions then
 //! observe only their own run.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::ThreadId;
 
 use epa::apps::{standard_apps, standard_suite, BoxedApp};
 use epa::core::engine::executor;
-use epa::core::engine::{Session, Suite};
+use epa::core::engine::{Executor, Session, Suite};
 use epa::sandbox::app::Application;
 use epa::sandbox::os::Os;
 use epa::sandbox::process::Pid;
@@ -29,13 +30,57 @@ fn available() -> usize {
 }
 
 #[test]
+fn map_returns_results_in_input_order_and_runs_every_item_once() {
+    let _guard = pool_lock();
+    for workers in [1usize, 2, 4] {
+        let runs: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+        let results = Executor::with_workers(workers).map((0..100).collect(), |i: usize| {
+            runs[i].fetch_add(1, Ordering::SeqCst);
+            i * i
+        });
+        assert_eq!(
+            results,
+            (0..100).map(|i| i * i).collect::<Vec<_>>(),
+            "{workers} workers"
+        );
+        assert!(
+            runs.iter().all(|count| count.load(Ordering::SeqCst) == 1),
+            "{workers} workers: an item ran other than once"
+        );
+    }
+}
+
+#[test]
+fn zero_and_one_item_run_inline() {
+    let _guard = pool_lock();
+    let caller = std::thread::current().id();
+    executor::reset_peak_live_workers();
+    let none = Executor::with_workers(4).map(Vec::new(), |i: usize| i);
+    assert!(none.is_empty());
+    let one = Executor::with_workers(4).map(vec![7usize], |i| (i, std::thread::current().id()));
+    assert_eq!(one, vec![(7, caller)], "one item runs on the calling thread");
+    assert_eq!(executor::peak_live_workers(), 0, "an inline map counts no worker");
+}
+
+#[test]
+fn a_two_worker_map_peaks_at_exactly_two_live_workers() {
+    let _guard = pool_lock();
+    // The caller counts from before it spawns its one worker until the
+    // join, so the spawned worker always overlaps it.
+    executor::reset_peak_live_workers();
+    let results = Executor::with_workers(2).map(vec![1usize, 2], |i| i);
+    assert_eq!(results, vec![1, 2]);
+    assert_eq!(executor::peak_live_workers(), 2);
+}
+
+#[test]
 fn pooled_suite_live_threads_never_exceed_available_parallelism() {
     let _guard = pool_lock();
     executor::reset_peak_live_workers();
     let report = standard_suite().expect("valid specs").execute();
     assert_eq!(report.reports.len(), 8);
-    // The calling thread is worker 0 of the expanding pool and enters the
-    // gauge while it works, so the peak is the total number of live pool
+    // The calling thread is worker 0 of the map and enters the gauge
+    // while it works, so the peak is the total number of live pool
     // threads, the caller included.
     let peak = executor::peak_live_workers();
     assert!(
@@ -63,7 +108,7 @@ fn pooled_suite_reports_are_byte_identical_to_sequential() {
 #[test]
 fn pinned_worker_counts_reassemble_byte_identical_reports() {
     let _guard = pool_lock();
-    // The sharded queue's determinism contract on the full workload: the
+    // The map's determinism contract on the full workload: the
     // standard suite pinned to 1, 4 and 8 workers must reproduce the
     // sequential report byte-for-byte, and the pinned counts must bound
     // the worker high-water regardless of the hardware.
@@ -104,8 +149,8 @@ fn a_forced_multi_worker_pool_still_reassembles_plan_order() {
     let _guard = pool_lock();
     // Even above the hardware ceiling (this is the machinery test, not the
     // suite ceiling test), a campaign's records come back in plan order.
-    // A pool never has more workers than campaigns, so four campaigns
-    // fill all four.
+    // A map never has more workers than items, so four campaigns fill
+    // all four.
     use epa::apps::{turnin, Turnin};
     let session = Session::new(&turnin::spec()).expect("valid spec");
     let plan_order: Vec<String> = session
@@ -150,7 +195,7 @@ impl Application for ThreadNoting {
 fn each_campaign_runs_on_one_worker() {
     let _guard = pool_lock();
     // The campaign is the pool's unit of work: its clean run and every
-    // injected run execute on the thread that popped it, while the suite's
+    // injected run execute on the thread that took it, while the suite's
     // eight campaigns spread over the workers.
     for workers in [2usize, 4] {
         let mut suite = Suite::new().with_workers(workers);
@@ -184,7 +229,7 @@ fn each_campaign_runs_on_one_worker() {
 #[test]
 fn a_one_campaign_suite_runs_inline() {
     let _guard = pool_lock();
-    // A pool never has more workers than campaigns: asked for four, a
+    // A map never has more workers than items: asked for four, a
     // one-campaign suite runs on the calling thread and spawns none.
     let (app, spec) = standard_apps().swap_remove(1);
     let threads = Arc::new(Mutex::new(Vec::new()));

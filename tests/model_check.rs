@@ -4,11 +4,11 @@
 //!
 //! Three guarantees are pinned here:
 //!
-//! 1. The production protocols — the executor's sharded close/pending
-//!    queue, the result cache's claim protocol, the expanding pool's
-//!    plan-order reassembly and its caller working as worker 0 — explore
-//!    **exhaustively** (within the preemption bound) with zero races,
-//!    deadlocks, lost wakeups, and livelocks.
+//! 1. The production protocols — the executor's ordered map (every index
+//!    once, results in input order, the caller working as worker 0, a
+//!    panicking item releasing the pool) and the result cache's claim
+//!    protocol — explore **exhaustively** (within the preemption bound)
+//!    with zero races, deadlocks, lost wakeups, and livelocks.
 //! 2. The three seeded mutants (bugs this codebase once shipped or could
 //!    plausibly ship) are **killed** within bounded exploration — the
 //!    checker's detection power is itself under test.
@@ -30,10 +30,14 @@ fn cfg() -> Config {
 }
 
 #[test]
-fn close_protocol_is_clean_under_exhaustive_exploration() {
-    let report = modelcheck::check_close_protocol(&cfg());
-    report.assert_complete();
-    assert!(report.iterations > 1, "the fixture must actually branch");
+fn map_runs_every_index_once_in_input_order() {
+    // 2 workers = the caller plus one spawned thread; 3 adds a second
+    // spawned thread racing both for the next index.
+    for workers in [2, 3] {
+        let report = modelcheck::check_map_order(&cfg(), workers);
+        report.assert_complete();
+        assert!(report.iterations > 1, "the fixture must actually branch");
+    }
 }
 
 #[test]
@@ -47,27 +51,23 @@ fn abandoned_claims_never_strand_a_waiter() {
 }
 
 #[test]
-fn expanding_reassembly_survives_adversarial_steal_order() {
-    // 2 workers = the caller plus one spawned thread; 3 adds a second
-    // spawned thread stealing against both.
-    for workers in [2, 3] {
-        modelcheck::check_expanding_reassembly(&cfg(), workers).assert_complete();
-    }
+fn the_caller_runs_an_item_only_it_can_reach() {
+    modelcheck::check_caller_runs_an_item(&cfg()).assert_complete();
 }
 
 #[test]
-fn the_caller_runs_a_job_only_it_can_reach() {
-    modelcheck::check_caller_works_the_queue(&cfg()).assert_complete();
+fn a_panicking_item_releases_the_pool() {
+    modelcheck::check_panic_releases_the_pool(&cfg()).assert_complete();
 }
 
 #[test]
-fn seeded_close_race_mutant_is_killed() {
-    let report = modelcheck::check_close_protocol_mutant(&cfg());
-    let failure = report.expect_failure("the pending-outside-lock mutant must be caught");
+fn seeded_split_index_mutant_is_killed() {
+    let report = modelcheck::check_map_order_mutant(&cfg());
+    let failure = report.expect_failure("a next index taken by a separate load and store must be caught");
     assert_eq!(
         failure.kind,
-        FailureKind::StepBound,
-        "the stale pending count manifests as a sibling livelock: {failure:?}"
+        FailureKind::Panic,
+        "two workers take the same index: {failure:?}"
     );
 }
 
@@ -84,11 +84,11 @@ fn seeded_claim_drop_mutant_is_killed() {
 
 #[test]
 fn seeded_idle_caller_mutant_is_killed() {
-    let report = modelcheck::check_caller_works_the_queue_mutant(&cfg());
-    let failure = report.expect_failure("a caller blocked on recv beside a queued job must be caught");
+    let report = modelcheck::check_caller_runs_an_item_mutant(&cfg());
+    let failure = report.expect_failure("a caller that only joins beside an item only it can run must be caught");
     assert!(
         matches!(failure.kind, FailureKind::Deadlock | FailureKind::StepBound),
-        "the idle caller strands the gate job behind the parked worker: {failure:?}"
+        "the idle caller strands the gate item behind the parked worker: {failure:?}"
     );
 }
 
