@@ -11,13 +11,14 @@
 //! `creat` flaw, §3.4: the store must refuse the link, not create its
 //! target), a link at the writability probe's name and the segment
 //! directory itself as a link, both out of the store, and a segment whose
-//! last record was cut short (the torn append a full disk leaves). Two
+//! last record was cut short (a damaged disk, or an older build's torn
+//! append). Two
 //! more rows drop saves in a [`ResultStore`] wrapper before they reach a
 //! real [`DiskStore`], all of them or all after the first 40: the store
 //! never sees those writes, so they count no warning and check only the
 //! verdicts and what a warm rerun executes. The last row gives one segment
 //! a foreign-version header under a handle that has already read it: the
-//! handle must quarantine it, neither append to it nor compact it.
+//! handle must quarantine it and never write to it.
 
 use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
@@ -101,7 +102,7 @@ const ROWS: [Row; 9] = [
     },
     Row {
         name: "a segment whose last record was cut short",
-        run: torn_append,
+        run: torn_record,
         clean: clean_reproduce_stdout,
     },
     Row {
@@ -382,10 +383,10 @@ fn segment_directory_is_a_link_out_of_the_store(dir: &Path) -> Observed {
 }
 
 /// A cold `reproduce suite` fills the store; then one segment loses the
-/// tail of its last record, as an append cut off by a full disk leaves it.
-/// `verify` names the torn record; a warm rerun warns once, executes only
-/// that run again and leaves the segment whole.
-fn torn_append(dir: &Path) -> Observed {
+/// tail of its last record, as a damaged disk leaves it. `verify` names
+/// the torn record; a warm rerun warns once, executes only that run again
+/// and its write leaves the segment whole.
+fn torn_record(dir: &Path) -> Observed {
     reproduce_suite(Some(dir));
     let path = first_segment(dir);
     let bytes = std::fs::read(&path).expect("the segment reads");
@@ -526,10 +527,7 @@ fn foreign_segment(dir: &Path) -> Observed {
     );
     drop(store);
     let after = std::fs::read_to_string(&path).expect("the segment reads");
-    assert_eq!(
-        after, foreign,
-        "the foreign segment is neither appended to nor compacted"
-    );
+    assert_eq!(after, foreign, "the foreign segment is never written");
     Observed {
         verdicts: verdicts(&cold),
         warnings: None,

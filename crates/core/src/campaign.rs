@@ -607,10 +607,18 @@ impl<'a> Campaign<'a> {
     /// most one thread, across the pool and every suite sharing the cache,
     /// executes each `(scope, key)`; the others block on its claim
     /// ([`crate::engine::planner::ResultCache::begin`]) and replay the
-    /// digest the winner's `fulfill` publishes (and writes through to any
-    /// store). `key` is `FaultKey::of(&jobs[idx])`, which only a schedule
-    /// built under the cache computes; without one, [`Campaign::run_job`].
-    pub(crate) fn run_job_keyed(&self, jobs: &Arc<[InjectionPlan]>, idx: usize, key: &FaultKey) -> FaultRecord {
+    /// digest the winner settles. An executed run's store record is pushed
+    /// onto `unsaved`, for [`Campaign::write_through`] after the campaign's
+    /// last record. `key` is `FaultKey::of(&jobs[idx])`, which only a
+    /// schedule built under the cache computes; without one,
+    /// [`Campaign::run_job`].
+    pub(crate) fn run_job_keyed(
+        &self,
+        jobs: &Arc<[InjectionPlan]>,
+        idx: usize,
+        key: &FaultKey,
+        unsaved: &mut Vec<(FaultKey, RunDigest)>,
+    ) -> FaultRecord {
         let cache = self
             .options
             .cache
@@ -620,11 +628,19 @@ impl<'a> Campaign<'a> {
             Claim::Replay(digest) => (digest, Provenance::Cached),
             Claim::Execute(token) => {
                 let digest = self.run_job(jobs, idx);
-                token.fulfill(digest.clone());
+                unsaved.extend(token.settle(digest.clone()));
                 (digest, Provenance::Executed)
             }
         };
         digest.into_record(&jobs[idx], provenance)
+    }
+
+    /// Writes the runs this campaign executed through to its cache's store
+    /// in one call: a campaign's runs reach their segment in one write.
+    pub(crate) fn write_through(&self, unsaved: &[(FaultKey, RunDigest)]) {
+        if let Some(cache) = &self.options.cache {
+            cache.write_through(self.scope(), unsaved);
+        }
     }
 
     /// Splits a flat job list against this campaign's cache (if any) and

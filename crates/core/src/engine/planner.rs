@@ -539,14 +539,20 @@ impl CacheShared {
         }
     }
 
-    /// Publishes an executed run's digest and writes it through to the
-    /// backend. The digest moves into the map; it is copied only when a
-    /// backend saves it too.
-    fn publish_through(&self, scope: u64, key: &FaultKey, digest: RunDigest) {
-        let saved = self.backend.is_some().then(|| digest.clone());
+    /// Publishes an executed run's digest and returns the record it owes
+    /// the backend, if there is one. The digest moves into the map; it is
+    /// copied only when a backend saves it too.
+    fn publish_executed(&self, scope: u64, key: &FaultKey, digest: RunDigest) -> Option<(FaultKey, RunDigest)> {
+        let owed = self.backend.is_some().then(|| (key.clone(), digest.clone()));
         self.publish(self.lock(), scope, key, digest);
-        if let (Some(backend), Some(digest)) = (&self.backend, saved) {
-            backend.save(scope, key, &digest);
+        owed
+    }
+
+    /// Writes executed runs of `scope` through to the backend, in one
+    /// [`ResultStore::save_all`].
+    fn write_through(&self, scope: u64, records: &[(FaultKey, RunDigest)]) {
+        if let (Some(backend), false) = (&self.backend, records.is_empty()) {
+            backend.save_all(scope, records);
         }
     }
 
@@ -630,12 +636,23 @@ impl fmt::Debug for ClaimToken {
 
 impl ClaimToken {
     /// Publishes the executed run's digest, releasing every waiter blocked
-    /// on this claim and writing through to the persistent backend. The
-    /// digest moves into the cache; it is copied only when a backend
-    /// saves it too.
-    pub fn fulfill(mut self, digest: RunDigest) {
+    /// on this claim, and writes it through to the persistent backend at
+    /// once, as a one-record [`ResultStore::save_all`]. The digest moves
+    /// into the cache; it is copied only when a backend saves it too.
+    pub fn fulfill(self, digest: RunDigest) {
+        let (shared, scope) = (Arc::clone(&self.shared), self.scope);
+        let owed = self.settle(digest);
+        shared.write_through(scope, owed.as_slice());
+    }
+
+    /// Publishes the executed run's digest as [`ClaimToken::fulfill`] does,
+    /// but hands its write-through back: the `(key, digest)` the backend
+    /// is owed, if the cache has one, for a later
+    /// [`ResultCache::write_through`]. The engine's driver collects a
+    /// campaign's and writes them in one call after its last record.
+    pub(crate) fn settle(mut self, digest: RunDigest) -> Option<(FaultKey, RunDigest)> {
         self.fulfilled = true;
-        self.shared.publish_through(self.scope, &self.key, digest);
+        self.shared.publish_executed(self.scope, &self.key, digest)
     }
 }
 
@@ -774,9 +791,18 @@ impl ResultCache {
     }
 
     /// Stores the digest of an executed run, settling any in-flight claim
-    /// for the same key and writing through to the persistent backend.
+    /// for the same key and writing through to the persistent backend at
+    /// once.
     pub fn insert(&self, scope: u64, key: &FaultKey, digest: RunDigest) {
-        self.inner.publish_through(scope, key, digest);
+        let owed = self.inner.publish_executed(scope, key, digest);
+        self.inner.write_through(scope, owed.as_slice());
+    }
+
+    /// Writes runs of `scope` that [`ClaimToken::settle`] published
+    /// through to the persistent backend, in one
+    /// [`ResultStore::save_all`]; nothing without a backend or records.
+    pub(crate) fn write_through(&self, scope: u64, records: &[(FaultKey, RunDigest)]) {
+        self.inner.write_through(scope, records);
     }
 
     /// Current counters. `entries` counts the in-memory hot tier's

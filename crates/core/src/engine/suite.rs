@@ -210,7 +210,9 @@ impl Suite {
 /// Under a cache, a pending job runs through the cache's claim, so equal
 /// keys execute once across campaigns and suites. A claim is held only
 /// while its own run executes, so no job waits on a claim while holding
-/// one. Without a cache, each pending job runs.
+/// one; it settles in the cache at once, and the campaign's executed runs
+/// reach the cache's store together, in one write after its last record.
+/// Without a cache, each pending job runs.
 ///
 /// Returns one `(tally, records)` per campaign, in `campaigns` order:
 /// `tally` is what the report reads of the plan built on the pool (`None`
@@ -242,6 +244,7 @@ fn run_campaign(campaign: &Campaign<'_>, jobs: Option<Vec<InjectionPlan>>) -> (O
     // Replays and pending jobs partition the plan, each in plan order: a
     // job that does not replay is pending.
     let mut replays = std::mem::take(&mut schedule.replays).into_iter().peekable();
+    let mut unsaved = Vec::new();
     let records = (0..jobs.len())
         .map(|idx| match replays.next_if(|&(i, ..)| i == idx) {
             Some((_, provenance, digest)) => digest.into_record(&jobs[idx], provenance),
@@ -249,7 +252,7 @@ fn run_campaign(campaign: &Campaign<'_>, jobs: Option<Vec<InjectionPlan>>) -> (O
             // another suite is executing right now is waited out and
             // replayed instead of duplicated.
             None => match schedule.key(idx) {
-                Some(key) => campaign.run_job_keyed(&jobs, idx, key),
+                Some(key) => campaign.run_job_keyed(&jobs, idx, key, &mut unsaved),
                 // No cache, so no key and no claim: the job runs.
                 None => campaign
                     .run_job(&jobs, idx)
@@ -257,6 +260,7 @@ fn run_campaign(campaign: &Campaign<'_>, jobs: Option<Vec<InjectionPlan>>) -> (O
             },
         })
         .collect();
+    campaign.write_through(&unsaved);
     (tally, records)
 }
 

@@ -7,12 +7,13 @@
 //!   HEADER                  "epa-result-store v3"
 //!   MANIFEST.json           lockfile-style suite manifest (optional)
 //!   v3/
-//!     <scope:016x>.seg      one append-only segment per (application, fingerprint)
+//!     <scope:016x>.seg      one segment per (application, fingerprint)
 //! ```
 //!
 //! # Segment wire format
 //!
-//! A header line, then one record per line: version, body checksum, body.
+//! A header line, then one record per line, sorted by key: version, body
+//! checksum, body.
 //!
 //! ```text
 //! epa-store-segment v3 scope=<scope:016x>
@@ -29,8 +30,8 @@
 //! (line by line only when that fails). Any other spelling, even valid
 //! JSON of the same record, is damage: its key misses and the run
 //! happens again. That is sound because every current-version record
-//! comes from `encode_entry` (a save appends one, compaction re-encodes
-//! them) and `open` drops older versions' records instead of converting
+//! comes from `encode_entry` (the writer keeps a valid line as it read
+//! it) and `open` drops older versions' records instead of converting
 //! them.
 //!
 //! Records are looked up by their **full canonical key text**, so a 64-bit
@@ -39,18 +40,21 @@
 //! A record failing its checksum, of a foreign version, or malformed is
 //! logged and ignored (its key misses); the first valid record of a key
 //! wins. A symbolic link where a segment belongs is never followed: the
-//! handle quarantines that segment, and warns once. Writers take the
-//! segment's advisory lock. A save is one `O_APPEND`
-//! write of one line; a new segment gets its header and first record from
-//! one temp file renamed into place. A crash mid-write leaves a torn line,
-//! which the next save ends with a newline (or replaces, if it is the
-//! header): a crash costs at most one conservative miss, and the re-run
-//! appends a healed record. A handle compacts the segments it appended to
-//! when it closes, and [`DiskStore::prune`] the ones it keeps: valid,
-//! distinct records sorted by key, so equal records give equal bytes.
+//! handle quarantines that segment, and warns once.
+//!
+//! Every write goes through one segment writer: under the segment's
+//! advisory lock it reads the segment, keeps each valid, distinct line as
+//! read, adds the new records (a key already present keeps its first
+//! record), and installs the header and the lines, sorted by key, from
+//! one temp file renamed into place. [`ResultStore::save`] is that writer
+//! with one record, so a record is on disk when `save` returns;
+//! [`ResultStore::save_all`] writes a whole campaign's runs in one call,
+//! and [`DiskStore::prune`] compacts through it with none. No reader ever
+//! sees a partial segment, equal records give equal bytes, and a crash
+//! loses only what had not been saved yet: those runs execute again.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
@@ -128,14 +132,14 @@ fn read_segment_file(path: &Path, touch: bool) -> io::Result<Vec<u8>> {
     file.read_to_end(&mut bytes).map(|_| bytes)
 }
 
-/// Opens the segment at `path` (creating it empty if asked) for appending
-/// under an exclusive advisory lock, held until the file closes. If a
-/// rewrite replaced the file before the lock was granted, the lock is
-/// retaken on the file `path` names now, so no append is lost. A link at
-/// `path` is refused.
+/// Opens the segment at `path` (creating it empty if asked) under an
+/// exclusive advisory lock, held until the file closes. If another writer
+/// replaced the file before the lock was granted, the lock is retaken on
+/// the file `path` names now, so no write is lost. A link at `path` is
+/// refused.
 fn lock_segment(path: &Path, create: bool) -> io::Result<std::fs::File> {
     let mut options = std::fs::File::options();
-    options.read(true).append(true);
+    options.read(true).write(true);
     loop {
         let file = match open_unlinked(path, &options) {
             Err(e) if create && e.kind() == io::ErrorKind::NotFound => {
@@ -520,13 +524,35 @@ struct Segment {
     quarantined: bool,
     /// Damaged records, as `(line number, reason)`.
     damaged: Vec<(usize, String)>,
-    /// This handle appended to the segment: it compacts it when it closes.
-    appended: bool,
+}
+
+/// The record bytes of `scope`'s segment: past its header, none for a
+/// prefix of the header (a torn creation, which the next write replaces),
+/// and `None` for a foreign header.
+fn segment_records(scope: u64, bytes: &[u8]) -> Option<&[u8]> {
+    let header = segment_header(scope);
+    match bytes.strip_prefix(header.as_bytes()) {
+        Some(records) => Some(records),
+        None => header.as_bytes().starts_with(bytes).then_some(&[]),
+    }
+}
+
+/// A segment's record lines, in file order (the first is the file's line
+/// 2). The text is checked once; line by line only when that fails, so a
+/// bad byte costs only its own record.
+fn record_lines(records: &[u8]) -> Vec<Result<&str, EntryError>> {
+    match std::str::from_utf8(records) {
+        Ok(text) => text.split('\n').map(Ok).collect(),
+        Err(_) => records
+            .split(|&b| b == b'\n')
+            .map(|line| std::str::from_utf8(line).map_err(|_| EntryError::Malformed("not UTF-8".to_string())))
+            .collect(),
+    }
 }
 
 /// Decodes a read of `scope`'s segment. A missing file, or a prefix of the
-/// header (a torn creation, which the next save replaces), is an empty
-/// segment; an unreadable one, or a foreign header, is quarantined.
+/// header, is an empty segment; an unreadable one, or a foreign header, is
+/// quarantined.
 fn decode_segment(scope: u64, read: io::Result<Vec<u8>>) -> Segment {
     let mut segment = Segment {
         scope,
@@ -535,24 +561,12 @@ fn decode_segment(scope: u64, read: io::Result<Vec<u8>>) -> Segment {
     let Ok(bytes) = read.map_err(|e| segment.quarantined = e.kind() != io::ErrorKind::NotFound) else {
         return segment;
     };
-    let header = segment_header(scope);
-    segment.quarantined = !bytes.starts_with(header.as_bytes()) && !header.as_bytes().starts_with(&bytes);
-    let records = bytes.get(header.len()..).filter(|_| !segment.quarantined);
-    let records = records.unwrap_or_default();
-    // The segment's text is checked once; line by line only when that
-    // fails, so a bad byte costs only its own record.
-    match std::str::from_utf8(records) {
-        Ok(text) => {
-            for (i, line) in text.split('\n').enumerate() {
-                segment.file(i + 2, Ok(line));
-            }
-        }
-        Err(_) => {
-            for (i, line) in records.split(|&b| b == b'\n').enumerate() {
-                let line = std::str::from_utf8(line).map_err(|_| EntryError::Malformed("not UTF-8".to_string()));
-                segment.file(i + 2, line);
-            }
-        }
+    let Some(records) = segment_records(scope, &bytes) else {
+        segment.quarantined = true;
+        return segment;
+    };
+    for (i, line) in record_lines(records).into_iter().enumerate() {
+        segment.file(i + 2, line);
     }
     segment
 }
@@ -655,7 +669,7 @@ pub struct DiskStore {
 struct IoFaults {
     /// Scopes whose segment could not be read (quarantined).
     unreadable: BTreeSet<u64>,
-    /// Records whose append failed.
+    /// Records whose write failed.
     unsaved: usize,
     /// The first error, and the file it struck.
     first: Option<String>,
@@ -759,7 +773,7 @@ impl DiskStore {
     }
 
     /// Fails when the segment directory is a symbolic link. Every segment
-    /// lives in it, so a link there would carry every read, append and
+    /// lives in it, so a link there would carry every read, write and
     /// prune out of the store root: the handle's disk tier goes off.
     fn unlinked_segment_dir(&self) -> io::Result<PathBuf> {
         let dir = self.segment_dir();
@@ -810,51 +824,77 @@ impl DiskStore {
         segment
     }
 
-    /// Appends one record line to `scope`'s segment in a single write under
-    /// its lock, ending a torn final line first. A new or torn segment (a
-    /// prefix of its header) holds no records: header and record replace it.
-    fn append(&self, scope: u64, record: &str) -> io::Result<()> {
-        let (path, header) = (self.segment_path(scope), segment_header(scope));
+    /// The one segment writer. Under `scope`'s segment lock it reads the
+    /// segment, keeps each valid, distinct line as read, adds the `records`
+    /// (key text, encoded line) whose keys are new, and installs the header
+    /// and every line, sorted by key. With no records it is a compaction:
+    /// the segment keeps its mtime (the LRU's), and a missing one stays
+    /// missing. A torn creation (a prefix of the header) holds no records
+    /// and is replaced; a foreign segment is refused.
+    fn write_segment(&self, scope: u64, records: &[(String, String)]) -> io::Result<()> {
+        let path = self.segment_path(scope);
         std::fs::create_dir_all(self.segment_dir())?;
         self.unlinked_segment_dir()?;
-        let mut file = lock_segment(&path, true)?;
-        let mut head = Vec::new();
-        (&mut file).take(header.len() as u64).read_to_end(&mut head)?;
-        if head != header.as_bytes() {
-            if !header.as_bytes().starts_with(&head) {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "foreign segment header"));
-            }
-            return install(&path, &(header + record), None);
-        }
-        let mut last = [0];
-        file.seek(SeekFrom::End(-1))?;
-        file.read_exact(&mut last)?;
-        let torn = if last == *b"\n" { "" } else { "\n" };
-        file.write_all(format!("{torn}{record}").as_bytes())
-    }
-
-    /// Rewrites `scope`'s segment under its lock with its valid, distinct
-    /// records sorted by key, keeping its mtime. A quarantined or missing
-    /// segment is left alone.
-    fn compact(&self, scope: u64) -> io::Result<()> {
-        let path = self.segment_path(scope);
-        let mut file = match lock_segment(&path, false) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        let mut file = match lock_segment(&path, !records.is_empty()) {
+            Err(e) if records.is_empty() && e.kind() == io::ErrorKind::NotFound => return Ok(()),
             locked => locked?,
         };
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let segment = decode_segment(scope, Ok(bytes));
-        if segment.quarantined {
-            return Ok(());
-        }
-        let mut text = segment_header(scope);
-        for (key, digest) in segment.records.iter().collect::<BTreeMap<_, _>>() {
-            if let Some(digest) = digest {
-                text.push_str(&encode_entry(scope, &FaultKey::synthetic(key), digest));
+        let Some(kept) = segment_records(scope, &bytes) else {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "foreign segment header"));
+        };
+        let mut lines = BTreeMap::new();
+        for line in record_lines(kept).into_iter().flatten() {
+            match decode_entry(line) {
+                Ok(entry) if entry.scope == scope => {
+                    lines.entry(entry.key).or_insert(line);
+                }
+                _ => {}
             }
         }
-        install(&path, &text, Some(file.metadata()?.modified()?))
+        for (key, line) in records {
+            lines
+                .entry(key.clone())
+                .or_insert(line.strip_suffix('\n').unwrap_or(line));
+        }
+        let mut text = segment_header(scope);
+        for line in lines.values() {
+            text.push_str(line);
+            text.push('\n');
+        }
+        let mtime = records.is_empty().then(|| file.metadata()?.modified()).transpose()?;
+        install(&path, &text, mtime)
+    }
+
+    /// Writes the `records` of `scope` this handle does not know to be on
+    /// disk through [`DiskStore::write_segment`], in one write. Idempotent:
+    /// a key already on disk (or saved by this handle) is this record. A
+    /// quarantined segment takes no write; a failed write is counted for
+    /// the warning at close.
+    fn write_records<'r>(&self, scope: u64, records: impl IntoIterator<Item = (&'r FaultKey, &'r RunDigest)>) {
+        self.with_segment(scope, |segment| {
+            if segment.quarantined {
+                return;
+            }
+            let new: Vec<(String, String)> = records
+                .into_iter()
+                .filter(|(key, _)| !segment.records.contains_key(key.repr()))
+                .map(|(key, digest)| (key.repr().to_string(), encode_entry(scope, key, digest)))
+                .collect();
+            if new.is_empty() {
+                return;
+            }
+            if let Err(e) = self.write_segment(scope, &new) {
+                let mut faults = self.faults.lock().unwrap_or_else(PoisonError::into_inner);
+                faults.unsaved += new.len();
+                faults.note(&e, &self.segment_path(scope));
+                return;
+            }
+            for (key, _) in new {
+                segment.records.insert(key, None);
+            }
+        });
     }
 
     /// Every segment file on disk, decoded, in path order. Does not touch
@@ -931,7 +971,7 @@ impl DiskStore {
             !evicted
         });
         for (_, path, segment) in &live {
-            if let Err(e) = self.compact(segment.scope) {
+            if let Err(e) = self.write_segment(segment.scope, &[]) {
                 eprintln!("epa-store: {}: compaction failed ({e}); left as is", path.display());
             }
         }
@@ -970,10 +1010,7 @@ impl ResultStore for DiskStore {
         // key whose digest was already handed out is read from disk again.
         self.with_segment(scope, |segment| match segment.records.get_mut(key.repr())?.take() {
             None => {
-                *segment = Segment {
-                    appended: segment.appended,
-                    ..self.read_segment(scope)
-                };
+                *segment = self.read_segment(scope);
                 segment.records.get_mut(key.repr())?.take()
             }
             taken => taken,
@@ -981,21 +1018,11 @@ impl ResultStore for DiskStore {
     }
 
     fn save(&self, scope: u64, key: &FaultKey, digest: &RunDigest) {
-        self.with_segment(scope, |segment| {
-            // Idempotent: a key already on disk (or saved by this handle)
-            // is this record.
-            if segment.quarantined || segment.records.contains_key(key.repr()) {
-                return;
-            }
-            if let Err(e) = self.append(scope, &encode_entry(scope, key, digest)) {
-                let mut faults = self.faults.lock().unwrap_or_else(PoisonError::into_inner);
-                faults.unsaved += 1;
-                faults.note(&e, &self.segment_path(scope));
-                return;
-            }
-            segment.records.insert(key.repr().to_string(), None);
-            segment.appended = true;
-        });
+        self.write_records(scope, [(key, digest)]);
+    }
+
+    fn save_all(&self, scope: u64, records: &[(FaultKey, RunDigest)]) {
+        self.write_records(scope, records.iter().map(|(key, digest)| (key, digest)));
     }
 
     fn entries(&self) -> usize {
@@ -1008,22 +1035,11 @@ impl ResultStore for DiskStore {
 }
 
 impl Drop for DiskStore {
-    /// Warns once about what this handle could not read or write, and
-    /// compacts every segment it appended to.
+    /// Warns once about what this handle could not read or write.
     fn drop(&mut self) {
         let faults = self.faults.get_mut().unwrap_or_else(PoisonError::into_inner);
         if let Some(warning) = faults.warning(&self.root) {
             eprintln!("{warning}");
-        }
-        let segments = self.segments.lock().unwrap_or_else(PoisonError::into_inner);
-        for (scope, slot) in segments.iter() {
-            let slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            if !slot.as_ref().is_some_and(|segment| segment.appended) {
-                continue;
-            }
-            if let Err(e) = self.compact(*scope) {
-                eprintln!("epa-store: {scope:016x}.seg: compaction failed ({e}); left as is");
-            }
         }
     }
 }
@@ -1104,7 +1120,7 @@ mod tests {
             "a handed-out digest is read again"
         );
         assert_eq!(store.load(8, &k), None, "scopes are separate segments");
-        // Idempotent: a re-save appends nothing.
+        // Idempotent: a re-save writes nothing.
         store.save(7, &k, &digest(0, 2));
         assert_eq!(lines(&store, 7).len(), 2, "header and one record");
         assert_eq!(lines(&store, 7)[0], segment_header(7).trim_end());
@@ -1127,7 +1143,7 @@ mod tests {
         drop(store);
         let reopened = DiskStore::open(&dir).expect("existing store reopens");
         assert_eq!(reopened.load(1, &k), Some(digest(1, 5)));
-        // The reopened handle knows the key is on disk and appends nothing.
+        // The reopened handle knows the key is on disk and writes nothing.
         reopened.save(1, &k, &digest(1, 5));
         assert_eq!(lines(&reopened, 1).len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1135,10 +1151,11 @@ mod tests {
 
     #[test]
     fn truncated_records_are_detected_and_miss() {
-        // A crash mid-append leaves a torn final line: the checksum
-        // catches it, and the next append starts on a fresh line.
+        // A segment cut short (a damaged disk) ends in a torn line: the
+        // checksum catches it, and the next save rewrites the segment
+        // without it. Records are sorted by key, so the torn one is last.
         let (dir, store) = temp_store("truncate");
-        let (torn, kept) = (key("c#0|-|{}"), key("c#1|-|{}"));
+        let (torn, kept) = (key("c#1|-|{}"), key("c#0|-|{}"));
         store.save(2, &kept, &digest(0, 8));
         store.save(2, &torn, &digest(0, 9));
         let path = store.segment_path(2);
@@ -1155,8 +1172,8 @@ mod tests {
         let verify = healed.verify();
         assert_eq!(
             (verify.ok, verify.corrupt.len()),
-            (2, 1),
-            "the torn line stays until a prune"
+            (2, 0),
+            "the save rewrote the segment without the torn line"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1186,24 +1203,64 @@ mod tests {
     }
 
     #[test]
-    fn closing_a_writer_compacts_its_segments_in_key_order() {
-        let (dir, store) = temp_store("close");
+    fn saves_write_their_segment_in_key_order() {
+        let (dir, store) = temp_store("sorted");
         let record = |name: &str| encode_entry(11, &key(&format!("{name}#0|-|{{}}")), &digest(0, 1));
         for name in ["z", "a", "m"] {
             store.save(11, &key(&format!("{name}#0|-|{{}}")), &digest(0, 1));
         }
         let segment = |names: [&str; 3]| segment_header(11) + &names.map(record).concat();
         let written = std::fs::read_to_string(store_path(&dir, 11)).expect("segment");
-        assert_eq!(written, segment(["z", "a", "m"]), "records are appended in save order");
+        assert_eq!(
+            written,
+            segment(["a", "m", "z"]),
+            "every save leaves the records sorted by key"
+        );
+        // A handle that only reads, or saves what is on disk, leaves the
+        // segment alone.
         drop(store);
-        let closed = std::fs::read_to_string(store_path(&dir, 11)).expect("segment");
-        assert_eq!(closed, segment(["a", "m", "z"]), "closing sorts them by key");
-        // A handle that only read leaves the segment alone.
+        let before = std::fs::metadata(store_path(&dir, 11)).expect("segment").ino();
         let reader = DiskStore::open(&dir).expect("store reopens");
         assert!(reader.load(11, &key("a#0|-|{}")).is_some());
-        let before = std::fs::metadata(store_path(&dir, 11)).expect("segment").ino();
+        reader.save(11, &key("m#0|-|{}"), &digest(0, 1));
         drop(reader);
         assert_eq!(std::fs::metadata(store_path(&dir, 11)).expect("segment").ino(), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_all_keeps_valid_lines_and_the_first_record_of_a_key() {
+        let (dir, store) = temp_store("save-all");
+        let name = |n: &str| key(&format!("{n}#0|-|{{}}"));
+        store.save(13, &name("b"), &digest(0, 1));
+        // Another writer left a damaged line and a second record of `b`.
+        let mut segment = lines(&store, 13);
+        segment.push(format!("v{STORE_FORMAT_VERSION} 0000000000000000 {{}}"));
+        segment.push(encode_entry(13, &name("b"), &digest(9, 9)).trim_end().to_string());
+        rewrite(&store, 13, &segment);
+        let before = std::fs::metadata(store.segment_path(13)).expect("segment").ino();
+        let fresh = DiskStore::open(&dir).expect("store reopens");
+        let records = [("c", digest(0, 3)), ("a", digest(0, 2)), ("c", digest(7, 7))].map(|(n, d)| (name(n), d));
+        fresh.save_all(13, &records);
+        assert_ne!(
+            std::fs::metadata(store.segment_path(13)).expect("segment").ino(),
+            before
+        );
+        let want = [("a", digest(0, 2)), ("b", digest(0, 1)), ("c", digest(0, 3))];
+        let want: String = want.iter().map(|(n, d)| encode_entry(13, &name(n), d)).collect();
+        assert_eq!(
+            std::fs::read_to_string(store.segment_path(13)).expect("segment"),
+            segment_header(13) + &want,
+            "sorted by key: valid lines kept, damage dropped, first records win"
+        );
+        assert!(fresh.verify().is_clean());
+        // Nothing new to save: no write at all.
+        let written = std::fs::metadata(store.segment_path(13)).expect("segment").ino();
+        fresh.save_all(13, &records);
+        assert_eq!(
+            std::fs::metadata(store.segment_path(13)).expect("segment").ino(),
+            written
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1237,7 +1294,7 @@ mod tests {
         store.save(12, &bad, &digest(0, 1));
         store.save(12, &good, &digest(0, 2));
         drop(store);
-        // Closing sorted the records: `bad`'s is the first, line 2.
+        // The records are sorted by key: `bad`'s is the first, line 2.
         let path = store_path(&dir, 12);
         let mut bytes = std::fs::read(&path).expect("segment");
         let record = bytes.iter().position(|&b| b == b'\n').expect("the header ends") + 1;
@@ -1425,7 +1482,7 @@ mod tests {
             std::fs::create_dir(store.segment_path(scope)).expect("a directory where a segment belongs");
         }
         // A dangling link planted after the handle read a segment as
-        // missing: no append follows it to create its target.
+        // missing: no write follows it to create its target.
         let target = store.segment_dir().join("elsewhere.seg");
         for scope in [1, 2, 3] {
             for n in 0..2 {

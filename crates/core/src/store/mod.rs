@@ -12,13 +12,13 @@
 //! * [`MemoryStore`] — the process-local backend: a mutex-guarded map,
 //!   exactly the storage the old cache embedded.
 //! * [`DiskStore`] — the persistent content-addressed backend
-//!   ([`disk`]): one append-only segment file per scope, read once per
-//!   handle; a versioned store header; per-record checksums; saves that
-//!   are one `O_APPEND` write of one line under the segment's advisory
-//!   lock, so a torn tail costs at most one conservative miss; compaction
-//!   into key order when a writing handle closes, so identical runs leave
-//!   identical bytes; per-segment LRU/TTL pruning; and lookup by full key
-//!   text, so a 64-bit digest collision can never replay the wrong run.
+//!   ([`disk`]): one segment file per scope, read once per handle; a
+//!   versioned store header; per-record checksums; one segment writer,
+//!   which rewrites a segment under its advisory lock with its valid lines
+//!   as read plus the new records, sorted by key, through a temp file and
+//!   a rename, so a reader never sees a partial segment and identical runs
+//!   leave identical bytes; per-segment LRU/TTL pruning; and lookup by full
+//!   key text, so a 64-bit digest collision can never replay the wrong run.
 //! * [`SuiteManifest`] — the lockfile-style campaign manifest
 //!   ([`manifest`]): the exact `(spec fingerprint, plan, store keys)` of a
 //!   suite run, so a warm re-run can be verified complete before any job
@@ -65,13 +65,24 @@ pub trait ResultStore: Send + Sync {
     /// Returns the digest of an identical prior run, or `None` on a miss.
     fn load(&self, scope: u64, key: &FaultKey) -> Option<RunDigest>;
 
-    /// Persists the digest of an executed run. The engine saves each
-    /// executed run once, when its claim is fulfilled, but must be
-    /// idempotent all the same: an explicit
+    /// Persists the digest of an executed run: the record is stored when
+    /// `save` returns. Must be idempotent: an explicit
     /// [`crate::engine::ResultCache::insert`] of a known key, or a second
     /// process over the same store, saves the same `(scope, key, digest)`
     /// again.
     fn save(&self, scope: u64, key: &FaultKey, digest: &RunDigest);
+
+    /// Persists many executed runs of one scope, as [`ResultStore::save`]
+    /// does each. The engine calls it once per campaign, after the
+    /// campaign's last record, with every run the campaign executed; a
+    /// claim fulfilled outside a campaign saves its one record through it
+    /// at once. The default saves the records one by one; a backend that
+    /// can write a scope's records together overrides it.
+    fn save_all(&self, scope: u64, records: &[(FaultKey, RunDigest)]) {
+        for (key, digest) in records {
+            self.save(scope, key, digest);
+        }
+    }
 
     /// Number of entries currently stored.
     fn entries(&self) -> usize;

@@ -6,7 +6,8 @@
 //! no run and give the verdicts a store-less run gives. This pins what a
 //! user's warm store depends on: every world fingerprint (the segment
 //! scopes), every `FaultKey`, and the v3 wire form. A change that moves
-//! any of them fails here, not in a user's store.
+//! any of them fails here, not in a user's store. A cold run into an empty
+//! store must also write the fixture's exact bytes, at any worker count.
 
 use std::path::{Path, PathBuf};
 
@@ -87,4 +88,45 @@ fn the_fixture_holds_one_segment_per_application() {
     assert_eq!(segments, epa::apps::standard_apps().len());
     let header = std::fs::read_to_string(fixture().join("HEADER")).expect("the header reads");
     assert_eq!(header.trim_end(), format!("epa-result-store v{STORE_FORMAT_VERSION}"));
+}
+
+/// Every file of the store at `root` but its manifest, as `(path below
+/// the root, bytes)`, sorted.
+fn store_bytes(root: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let segments = format!("v{STORE_FORMAT_VERSION}");
+    let mut files = vec![(
+        PathBuf::from("HEADER"),
+        std::fs::read(root.join("HEADER")).expect("the header reads"),
+    )];
+    for entry in std::fs::read_dir(root.join(&segments)).expect("the segments list") {
+        let path = entry.expect("a segment entry reads").path();
+        let name = Path::new(&segments).join(path.file_name().expect("a segment has a name"));
+        files.push((name, std::fs::read(&path).expect("a segment reads")));
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn a_cold_standard_suite_writes_the_fixtures_bytes() {
+    let fixture = store_bytes(&fixture());
+    assert_eq!(fixture.len(), 9, "the header and 8 segments");
+    for workers in [1, 2] {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("target")
+            .join(format!("test-store-fixture-{}-cold-{workers}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cold = standard_suite()
+            .expect("the standard suite builds")
+            .with_workers(workers)
+            .with_result_cache(ResultCache::persistent(&dir).expect("an empty directory opens as a store"))
+            .execute();
+        assert_eq!(cold.total_runs_executed(), 245, "{workers} workers");
+        let written = store_bytes(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            written == fixture,
+            "{workers} workers: the cold store's bytes differ from the fixture's"
+        );
+    }
 }

@@ -4,14 +4,15 @@
 //! byte-identical verdicts — the `cache_hit` provenance flag is the only
 //! permitted difference. Also covers the conservative-miss contract end to
 //! end: a corrupted or torn record re-executes exactly its own job, heals
-//! the store, and never changes a verdict. Two handles appending to the
+//! the store, and never changes a verdict. Two handles writing to the
 //! same segments from many threads never corrupt one another. Finally,
-//! each executed run reaches the backend exactly once, and a replayed one
-//! never does.
+//! each executed run reaches the backend exactly once, a campaign's runs
+//! reach it in one `save_all` after the campaign's last record, and a
+//! replayed run never does.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
 use epa::apps::{standard_apps, standard_suite, standard_suite_with_options, ScriptedApp};
@@ -173,9 +174,9 @@ fn a_corrupted_entry_re_executes_only_its_own_job_and_heals_the_store() {
         "corruption must cause re-execution, never a wrong verdict"
     );
 
-    // The re-execution appended a healed record, and closing the warm
-    // handle compacted the damaged one away: the store is healed and the
-    // next process replays everything again.
+    // The re-execution's write replaced the damaged record with a healed
+    // one: the store is healed and the next process replays everything
+    // again.
     assert_eq!(
         segment_lines(victim).len() - 1,
         records,
@@ -194,8 +195,8 @@ fn a_truncated_entry_is_a_conservative_miss_not_a_parse_panic() {
     let dir = fresh_store_dir("truncate");
     let cold = corpus_suite(&dir).execute();
 
-    // Cut the first segment mid-way through its final record, as a crash
-    // mid-append would.
+    // Cut the first segment mid-way through its final record, as a
+    // damaged disk would.
     let victim = &segment_files(&dir)[0];
     let bytes = std::fs::read(victim).expect("the victim segment reads");
     let last_start = bytes[..bytes.len() - 1]
@@ -296,11 +297,13 @@ fn a_store_written_with_pruning_replays_its_inert_jobs_as_pruned() {
     );
 }
 
-/// A [`ResultStore`] that counts the saves reaching its inner store.
+/// A [`ResultStore`] that counts the records saved into its inner store
+/// and records each `save_all` call: its scope and keys, in order.
 #[derive(Default)]
 struct CountingStore {
     inner: MemoryStore,
     saves: AtomicUsize,
+    batches: Mutex<Vec<(u64, Vec<String>)>>,
 }
 
 impl ResultStore for CountingStore {
@@ -311,6 +314,13 @@ impl ResultStore for CountingStore {
     fn save(&self, scope: u64, key: &FaultKey, digest: &RunDigest) {
         self.saves.fetch_add(1, Ordering::SeqCst);
         self.inner.save(scope, key, digest);
+    }
+
+    fn save_all(&self, scope: u64, records: &[(FaultKey, RunDigest)]) {
+        self.saves.fetch_add(records.len(), Ordering::SeqCst);
+        let keys = records.iter().map(|(key, _)| key.repr().to_string()).collect();
+        self.batches.lock().expect("unpoisoned").push((scope, keys));
+        self.inner.save_all(scope, records);
     }
 
     fn entries(&self) -> usize {
@@ -467,14 +477,22 @@ fn a_torn_final_record_then_a_save_loses_only_the_torn_key() {
         store.save(3, &key(i), &numbered_digest(i));
     }
     drop(store);
-    // A crash mid-append: the last record loses its second half.
+    // A damaged disk: the last record loses its second half.
     let segment = &segment_files(&dir)[0];
     let bytes = std::fs::read(segment).expect("the segment reads");
     std::fs::write(segment, &bytes[..bytes.len() - 20]).expect("the torn segment writes");
+    assert_eq!(
+        DiskStore::open(&dir).expect("the store reopens").verify().corrupt.len(),
+        1,
+        "only the torn record is damaged"
+    );
 
     let store = DiskStore::open(&dir).expect("the store reopens");
     store.save(3, &key(5), &numbered_digest(5));
-    assert_eq!(store.verify().corrupt.len(), 1, "only the torn record is damaged");
+    assert!(
+        store.verify().corrupt.is_empty(),
+        "the save rewrote the segment without the torn record"
+    );
     drop(store);
     let reread = DiskStore::open(&dir).expect("the store reopens");
     for i in 0..6 {
@@ -482,17 +500,14 @@ fn a_torn_final_record_then_a_save_loses_only_the_torn_key() {
         assert_eq!(reread.load(3, &key(i)), want, "key {i}");
     }
     assert_eq!(reread.entries(), 5);
-    assert!(
-        reread.verify().is_clean(),
-        "closing the saving handle compacts the torn record away"
-    );
+    assert!(reread.verify().is_clean(), "the store stays clean");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn closing_a_handle_mid_append_loses_no_record() {
-    // One handle appends from four threads while others repeatedly open,
-    // save and close — and so compact the same segment under its feet.
+    // One handle saves from four threads while others repeatedly open,
+    // save and close — and so rewrite the same segment under its feet.
     let dir = fresh_store_dir("compact-race");
     let key = |i: usize| FaultKey::synthetic(&format!("r{i}#0|-|{{}}"));
     let writer = DiskStore::open(&dir).expect("the store opens");
@@ -543,8 +558,8 @@ fn store_files(root: &Path) -> Vec<(PathBuf, Vec<u8>)> {
 
 #[test]
 fn identical_cold_runs_leave_byte_identical_stores() {
-    // Pooled runs complete (and append) in a different order each time;
-    // closing the handle sorts every segment it wrote.
+    // Pooled runs complete in a different order each time; every write
+    // sorts its segment by key.
     let dirs = [fresh_store_dir("identical-a"), fresh_store_dir("identical-b")];
     let stores: Vec<_> = dirs
         .iter()
@@ -566,4 +581,86 @@ fn identical_cold_runs_leave_byte_identical_stores() {
     for dir in &dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+#[test]
+fn a_cold_suite_saves_each_campaign_in_one_call_after_its_last_record() {
+    for workers in [1, 2] {
+        let store = Arc::new(CountingStore::default());
+        let suite = || {
+            standard_suite()
+                .expect("valid specs")
+                .with_store(store.clone())
+                .with_workers(workers)
+        };
+        let manifest = suite().manifest();
+        let cold = suite().execute();
+        assert_eq!(cold.total_runs_executed(), 245, "{workers} workers");
+        let mut batches = store.batches.lock().expect("unpoisoned").clone();
+        assert_eq!(batches.len(), 8, "{workers} workers: one call per campaign");
+        // Each call holds every key its campaign executes, in plan order
+        // (so it came after the campaign's last executed record), and the
+        // calls hold every save.
+        batches.sort();
+        let mut want: Vec<(u64, Vec<String>)> = manifest
+            .apps
+            .iter()
+            .map(|app| {
+                let scope = u64::from_str_radix(&app.scope, 16).expect("a hex scope");
+                (scope, app.keys.iter().map(|k| k.key.clone()).collect())
+            })
+            .collect();
+        want.sort();
+        assert_eq!(batches, want, "{workers} workers");
+        let distinct: std::collections::BTreeSet<_> = batches
+            .iter()
+            .flat_map(|(scope, keys)| keys.iter().map(move |key| (scope, key)))
+            .collect();
+        assert_eq!((distinct.len(), store.saves.load(Ordering::SeqCst)), (245, 245));
+        assert_eq!(store.entries(), 245);
+
+        // A warm pass replays everything and writes nothing.
+        let warm = suite().execute();
+        assert_eq!(warm.total_runs_executed(), 0, "{workers} workers");
+        let calls = store.batches.lock().expect("unpoisoned").len();
+        assert_eq!(
+            (calls, store.saves.load(Ordering::SeqCst)),
+            (8, 245),
+            "{workers} workers"
+        );
+    }
+}
+
+#[test]
+fn a_session_on_a_persistent_cache_has_saved_every_run_when_execute_returns() {
+    let dir = fresh_store_dir("session");
+    // Each session's cache handle is still open while a fresh one reads.
+    let sessions: Vec<_> = standard_apps()
+        .into_iter()
+        .map(|(app, spec)| {
+            let cache = ResultCache::persistent(&dir).expect("the test store directory opens");
+            let session = Session::new(&spec).expect("valid specs").with_result_cache(cache);
+            let report = session.execute(app.as_ref());
+            assert_eq!(report.runs_executed(), report.injected(), "{}", report.app);
+            session
+        })
+        .collect();
+    let fresh = DiskStore::open(&dir).expect("a fresh handle opens");
+    let manifest = standard_suite().expect("valid specs").manifest();
+    let mut loaded = 0;
+    for app in &manifest.apps {
+        let scope = u64::from_str_radix(&app.scope, 16).expect("a hex scope");
+        for key in &app.keys {
+            assert!(
+                fresh.load(scope, &FaultKey::synthetic(&key.key)).is_some(),
+                "{}: {}",
+                app.app,
+                key.key
+            );
+            loaded += 1;
+        }
+    }
+    assert_eq!(loaded, 245);
+    drop(sessions);
+    let _ = std::fs::remove_dir_all(&dir);
 }
